@@ -360,7 +360,7 @@ func BenchmarkFSStorePut(b *testing.B) {
 }
 
 // BenchmarkSnapshotLazyOpen measures opening a lazy snapshot view over the
-// FSStore — resolve, mmap, envelope + CRC validation — without
+// directory store — resolve, mmap, envelope + CRC validation — without
 // materializing anything: the fixed cost a partial read pays before
 // touching only the sections it needs.
 func BenchmarkSnapshotLazyOpen(b *testing.B) {
@@ -374,7 +374,11 @@ func BenchmarkSnapshotLazyOpen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		view, err := st.View("1")
+		meta, err := st.Resolve("1")
+		if err != nil {
+			b.Fatal(err)
+		}
+		view, err := st.View(meta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -495,7 +499,11 @@ func BenchmarkDiffPartial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sides [2]*core.ServiceResult
 		for j, ref := range [2]string{"1", "2"} {
-			view, err := st.View(ref)
+			meta, err := st.Resolve(ref)
+			if err != nil {
+				b.Fatal(err)
+			}
+			view, err := st.View(meta)
 			if err != nil {
 				b.Fatal(err)
 			}

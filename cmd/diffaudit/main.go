@@ -30,8 +30,8 @@
 // Serve mode shuts down gracefully on SIGINT or SIGTERM: the listener
 // closes, in-flight requests get a deadline, and queued audit jobs drain
 // before the process exits. With -data-dir, finished audits persist as
-// snapshots: reports survive restarts and eviction, and GET /snapshots
-// plus GET /diff serve the longitudinal API. -data-dir also enables the
+// snapshots: reports survive restarts and eviction, and GET /v1/snapshots
+// plus GET /v1/diff serve the longitudinal API. -data-dir also enables the
 // crash-safe job journal (<data-dir>/journal): accepted uploads survive
 // even an unclean kill and re-run on the next start. -job-timeout bounds
 // one audit's run time so a pathological capture cannot wedge a worker.
@@ -224,7 +224,7 @@ func serve(args []string) {
 	queue := fs.Int("queue", 16, "bounded job queue depth")
 	maxUpload := fs.Int64("max-upload", 1<<30, "max upload size in bytes")
 	tempDir := fs.String("tempdir", "", "staging dir for uploads (default: system temp)")
-	dataDir := fs.String("data-dir", "", "snapshot store directory: finished audits persist (and survive restarts); enables /snapshots, /diff, and the crash-safe job journal")
+	dataDir := fs.String("data-dir", "", "snapshot store directory: finished audits persist (and survive restarts); enables /v1/snapshots, /v1/diff, and the crash-safe job journal")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job audit deadline, e.g. 10m; a job exceeding it lands in the \"timeout\" state (0 = unlimited)")
 	journalBatch := fs.Duration("journal-batch", 0, "journal group-commit window, e.g. 2ms: concurrent submits journaled within it share one fsync; a lone submit commits immediately (0 = default 2ms; needs -data-dir)")
 	cacheMB := fs.Int64("cache-mb", 64, "decoded-snapshot cache budget in MiB shared by the report/snapshot/diff read path (0 disables)")
@@ -253,7 +253,7 @@ func serve(args []string) {
 	if *pprofAddr != "" {
 		// The profiler listens on its own (typically loopback-only)
 		// address, never on the audit port: profiles expose internals and
-		// must not be reachable wherever /audit is exposed. The blank
+		// must not be reachable wherever /v1/audits is exposed. The blank
 		// net/http/pprof import registers its handlers on the default
 		// mux, which only this listener serves.
 		go func() {
@@ -285,7 +285,7 @@ func serve(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	drained := shutdownOnSignal(httpSrv, stop)
@@ -302,6 +302,21 @@ func serve(args []string) {
 	<-drained
 	srv.Close() // run every queued job to completion before exiting
 	log.Printf("diffaudit serve: all jobs drained; exiting")
+}
+
+// Connection deadlines of the serve listener. A client that dribbles its
+// request headers, or parks an idle keep-alive connection, would otherwise
+// hold a connection forever without ever reaching the admission controller.
+// There is deliberately no ReadTimeout: it would also bound the body, and
+// a legitimate 1 GiB upload over a slow link takes as long as it takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the serve-mode HTTP server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // runDiff implements the diff subcommand: load two snapshots (file paths,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -211,7 +213,7 @@ func TestShutdownOnSignal(t *testing.T) {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	// The server answers before the signal.
-	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,48 @@ func TestShutdownOnSignal(t *testing.T) {
 		t.Fatal("drain channel never closed")
 	}
 	// After shutdown the listener refuses connections.
-	if _, err := http.Get("http://" + ln.Addr().String() + "/healthz"); err == nil {
+	if _, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz"); err == nil {
 		t.Error("listener still accepting after shutdown")
+	}
+}
+
+// TestSlowHeaderClientIsDisconnected: the serve listener gives a client a
+// bounded time to finish its request headers, so a connection that sends
+// half a request line and stalls is closed by the server instead of being
+// held forever.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	httpSrv := newHTTPServer("", http.NotFoundHandler())
+	if httpSrv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 || httpSrv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("serve listener deadlines: header %v, idle %v", httpSrv.ReadHeaderTimeout, httpSrv.IdleTimeout)
+	}
+	if httpSrv.ReadTimeout != 0 {
+		t.Errorf("ReadTimeout = %v: it would cut long uploads short", httpSrv.ReadTimeout)
+	}
+	httpSrv.ReadHeaderTimeout = 100 * time.Millisecond // the same mechanism, without the ten-second wait
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go httpSrv.Serve(ln)
+	defer httpSrv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/hea")); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 408 before closing; what matters is that the
+	// stream ends (EOF or reset) rather than the read running into its
+	// own deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		var nerr net.Error
+		if errors.As(err, &nerr) && nerr.Timeout() {
+			t.Fatal("server kept a half-sent request line open past its header deadline")
+		}
 	}
 }

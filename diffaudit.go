@@ -145,19 +145,16 @@ type (
 	// SnapshotView is a lazily-materialized handle over one stored
 	// snapshot: the envelope (magic, version, CRC) is validated once at
 	// open, and decoding happens only when Result or PartialResult is
-	// called. Close releases the underlying mapping.
+	// called (SnapshotStore.Resolve, then View). Close releases the
+	// underlying mapping.
 	SnapshotView = store.SnapshotView
-	// SnapshotViewer is implemented by snapshot stores whose snapshots
-	// can be opened as lazy views instead of eagerly decoded (both
-	// built-in backends implement it).
-	SnapshotViewer = store.Viewer
 	// LongitudinalDiff compares two audits of one service over time,
 	// per persona.
 	LongitudinalDiff = core.LongitudinalDiff
 	// PersonaDelta is one persona's longitudinal flow delta.
 	PersonaDelta = core.PersonaDelta
 	// DiffDoc is the machine-readable longitudinal diff document served
-	// by GET /diff.
+	// by GET /v1/diff.
 	DiffDoc = report.DiffDoc
 )
 
@@ -327,10 +324,10 @@ const (
 	ServerJobTimedOut = server.JobTimedOut
 )
 
-// NewServer starts an audit server: POST /audit uploads captures onto a
-// bounded job queue, GET /jobs/{id}/report.{json,csv} fetches results.
+// NewServer starts an audit server: POST /v1/audits uploads captures onto a
+// bounded job queue, GET /v1/jobs/{id}/report.{json,csv} fetches results.
 // With ServerConfig.Store set, finished audits persist as snapshots and
-// GET /snapshots and GET /diff serve the longitudinal API.
+// GET /v1/snapshots and GET /v1/diff serve the longitudinal API.
 func NewServer(cfg ServerConfig) *AuditServer { return server.New(cfg) }
 
 // OpenServer is NewServer with the crash-safety surface: when
@@ -382,7 +379,7 @@ func DiffSnapshots(from, to *ServiceResult) LongitudinalDiff {
 func RenderDiffReport(d LongitudinalDiff) string { return report.DiffReport(d) }
 
 // ExportDiffJSON renders a longitudinal diff as machine-readable JSON —
-// the GET /diff response body.
+// the GET /v1/diff response body.
 func ExportDiffJSON(d LongitudinalDiff) ([]byte, error) { return report.ExportDiffJSON(d) }
 
 // LoadHARFile parses a website capture exported from the browser's network

@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("after:  snapshot seq=%d hash=%s\n\n", metaAfter.Seq, metaAfter.Hash[:12])
 
 	// 4. Diff the two stored snapshots, oldest first. The same diff is
-	// served by `GET /diff?from=1&to=2` on a `diffaudit serve -data-dir`
+	// served by `GET /v1/diff?from=1&to=2` on a `diffaudit serve -data-dir`
 	// server, and by `diffaudit diff -data-dir <dir> 1 2`.
 	fromRes, _, err := store.Get(fmt.Sprint(metaBefore.Seq))
 	if err != nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"diffaudit/internal/core"
+	"diffaudit/internal/report"
 	"diffaudit/internal/store"
 )
 
@@ -59,14 +61,13 @@ func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, Job) {
 	return srv, ts, job
 }
 
-// TestV1RouteTable is the golden route-table test: every v1 route
-// answers, its legacy alias answers the same status with the same body,
-// and only the alias carries the Deprecation and successor-version Link
-// headers.
+// TestV1RouteTable is the golden route-table test: every route answers
+// under /v1 and only there — the unprefixed paths of the pre-versioning
+// API are gone, not aliased.
 func TestV1RouteTable(t *testing.T) {
 	_, ts, job := storeServer(t, Config{})
 
-	paths := []string{
+	for _, path := range []string{
 		"/jobs",
 		"/jobs/" + job.ID,
 		"/jobs/" + job.ID + "/report.json",
@@ -76,46 +77,26 @@ func TestV1RouteTable(t *testing.T) {
 		"/diff?from=1&to=1",
 		"/personas",
 		"/healthz",
-	}
-	for _, path := range paths {
-		v1 := get(t, ts, "/v1"+path)
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if v1.StatusCode != http.StatusOK {
-			t.Errorf("GET /v1%s = %d: %s", path, v1.StatusCode, v1Body)
-			continue
-		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("GET /v1%s carries a Deprecation header", path)
-		}
-
-		legacy := get(t, ts, path)
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("GET %s = %d, v1 = %d", path, legacy.StatusCode, v1.StatusCode)
-		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Errorf("GET %s body differs from its v1 route", path)
-		}
-		if legacy.Header.Get("Deprecation") == "" {
-			t.Errorf("GET %s (legacy) missing Deprecation header", path)
-		}
-		wantLink := "/v1" + strings.SplitN(path, "?", 2)[0]
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, wantLink) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s Link = %q, want successor %s", path, link, wantLink)
+	} {
+		if code, body := getBody(t, ts, "/v1"+path); code != http.StatusOK {
+			t.Errorf("GET /v1%s = %d: %s", path, code, body)
 		}
 	}
-
-	// The renamed submit route: POST /v1/audits is POST /audit's
-	// successor, and each surface's Location points at itself.
-	var buf bytes.Buffer
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/audits", &buf)
+	if code, _ := getBody(t, ts, "/jobs"); code != http.StatusNotFound {
+		t.Errorf("GET /jobs (unprefixed) = %d, want 404", code)
+	}
+	resp, err := http.Post(ts.URL+"/audit", "multipart/form-data; boundary=x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "multipart/form-data; boundary=x")
-	resp, err := http.DefaultClient.Do(req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /audit (unprefixed) = %d, want 404", resp.StatusCode)
+	}
+
+	// POST /v1/audits rejects an empty body and answers an accepted upload
+	// with the job's /v1 URL.
+	resp, err = http.Post(ts.URL+"/v1/audits", "multipart/form-data; boundary=x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,42 +104,15 @@ func TestV1RouteTable(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("POST /v1/audits (empty) = %d, want 400", resp.StatusCode)
 	}
-	v1Job := runJobAt(t, ts, "/v1/audits", map[string][2]string{
+	resp = submit(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
 		"name":  {"", "Quizlet"},
 	})
-	if !strings.HasPrefix(v1Job.location, "/v1/jobs/") {
-		t.Errorf("v1 submit Location = %q, want /v1/jobs/...", v1Job.location)
+	accepted := decodeJob(t, resp)
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusAccepted || loc != "/v1/jobs/"+accepted.ID {
+		t.Errorf("submit = %d, Location %q, want 202 and /v1/jobs/%s", resp.StatusCode, loc, accepted.ID)
 	}
-}
-
-// submittedJob is runJobAt's result: the finished job plus the Location
-// header the submit answered with.
-type submittedJob struct {
-	Job
-	location string
-}
-
-// runJobAt submits to an explicit submit path (v1 or legacy) and waits.
-func runJobAt(t *testing.T, ts *httptest.Server, path string, parts map[string][2]string) submittedJob {
-	t.Helper()
-	var buf bytes.Buffer
-	resp := submitTo(t, ts, path, parts, &buf)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit %s: %d: %s", path, resp.StatusCode, body)
-	}
-	location := resp.Header.Get("Location")
-	var job Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	done := wait(t, ts, job.ID)
-	if done.State != JobDone {
-		t.Fatalf("job %s failed: %s", job.ID, done.Error)
-	}
-	return submittedJob{Job: done, location: location}
+	wait(t, ts, accepted.ID)
 }
 
 // TestErrorEnvelope pins the one error shape every handler emits:
@@ -330,6 +284,73 @@ func TestPagination(t *testing.T) {
 	}
 	if end := readSnaps("/v1/snapshots?limit=1&cursor=999"); len(end.Snapshots) != 0 || end.NextCursor != "" {
 		t.Errorf("past-end snapshots page = %+v", end)
+	}
+}
+
+// rerunStore stores the next queued result under the looked-up job ID
+// right after every job lookup: a recovered re-run of the same job landing
+// mid-request, at the worst moment.
+type rerunStore struct {
+	store.Store
+	mu     sync.Mutex
+	reruns []*core.ServiceResult
+}
+
+func (r *rerunStore) JobSnapshot(jobID string) (store.Meta, bool) {
+	meta, ok := r.Store.JobSnapshot(jobID)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.reruns) > 0 {
+		r.Store.Put(jobID, r.reruns[0])
+		r.reruns = r.reruns[1:]
+	}
+	return meta, ok
+}
+
+// TestReportETagNamesItsBody: the report endpoints resolve the job's
+// snapshot once per request, so however re-runs of the job ID interleave
+// with requests, a response's ETag is the content hash of the snapshot its
+// body renders — never one snapshot's validator on another's bytes.
+func TestReportETagNamesItsBody(t *testing.T) {
+	st := &rerunStore{Store: store.NewMemStore()}
+	srv, ts, job := storeServer(t, Config{Store: st})
+	results := []*core.ServiceResult{nil, nil, nil}
+	results[0], _ = srv.Result(job.ID)
+	for i, url := range []string{"https://api.quizlet.com/v1/profile?user_id=u123", "https://stats.g.doubleclick.net/collect?advertising_id=adid9"} {
+		rerun := runJob(t, ts, map[string][2]string{"child": {"c.har", deltaHAR(t, url)}, "name": {"", "Quizlet"}})
+		results[i+1], _ = srv.Result(rerun.ID)
+	}
+	exports := map[string][]byte{} // ETag → the export of the content it names
+	for _, res := range results {
+		data, err := report.ExportJSON([]*core.ServiceResult{res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exports[`"`+store.Hash(store.EncodeResult(res))+`"`] = data
+	}
+	if len(exports) != 3 {
+		t.Fatalf("want three distinct contents, got %d", len(exports))
+	}
+
+	// job-99 is in the store only (an evicted job); its re-runs land during
+	// the first two requests.
+	if _, err := st.Put("job-99", results[0]); err != nil {
+		t.Fatal(err)
+	}
+	st.reruns = results[1:]
+	seen := map[string]bool{}
+	for i := 0; i < 3; i++ {
+		resp := get(t, ts, "/v1/jobs/job-99/report.json")
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		etag := resp.Header.Get("ETag")
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, exports[etag]) {
+			t.Fatalf("request %d: status %d, ETag %s does not name the body served", i, resp.StatusCode, etag)
+		}
+		seen[etag] = true
+	}
+	if len(seen) != 3 {
+		t.Errorf("three requests across two re-runs served %d distinct snapshots, want 3 (newest at resolve time)", len(seen))
 	}
 }
 
@@ -545,31 +566,4 @@ func TestHealthzCacheStats(t *testing.T) {
 	if stats.Misses == 0 || stats.Hits == 0 || stats.Entries == 0 {
 		t.Errorf("cache stats after warm read = %+v; want movement", stats)
 	}
-}
-
-// submitTo posts a multipart audit request to an explicit path.
-func submitTo(t *testing.T, ts *httptest.Server, path string, parts map[string][2]string, buf *bytes.Buffer) *http.Response {
-	t.Helper()
-	mw := multipart.NewWriter(buf)
-	for field, fc := range parts {
-		if fc[0] == "" { // value part
-			if err := mw.WriteField(field, fc[1]); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		fw, err := mw.CreateFormFile(field, fc[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.WriteString(fw, fc[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mw.Close()
-	resp, err := http.Post(ts.URL+path, mw.FormDataContentType(), buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
 }

@@ -159,7 +159,7 @@ func TestPermanentStorePutFails(t *testing.T) {
 		t.Errorf("store.put attempts = %d, want 1 (permanent errors must not retry)", got)
 	}
 	// The in-memory result still serves.
-	code, _ := getBody(t, ts, "/jobs/"+job.ID+"/report.json")
+	code, _ := getBody(t, ts, "/v1/jobs/"+job.ID+"/report.json")
 	if code != http.StatusOK {
 		t.Errorf("report after snapshot failure: %d", code)
 	}
@@ -196,7 +196,7 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 	if timedOut.State != JobTimedOut || !strings.Contains(timedOut.Error, "job timeout") {
 		t.Fatalf("job = %+v, want state %q", timedOut, JobTimedOut)
 	}
-	code, body := getBody(t, ts, "/jobs/"+job.ID+"/report.json")
+	code, body := getBody(t, ts, "/v1/jobs/"+job.ID+"/report.json")
 	if code != http.StatusConflict || !strings.Contains(string(body), "timed out") {
 		t.Errorf("timed-out report fetch = %d: %s", code, body)
 	}
@@ -227,7 +227,7 @@ func TestOverloadRetryAfter(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started running")
 		}
-		resp, err := http.Get(ts.URL + "/jobs/" + first.ID)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestSubmitJournalWriteFailure(t *testing.T) {
 
 	// No job, no record, and — once the handler's deferred cleanup runs —
 	// no staged files.
-	code, body := getBody(t, ts, "/jobs")
+	code, body := getBody(t, ts, "/v1/jobs")
 	if code != http.StatusOK || !strings.Contains(string(body), `"jobs":[]`) {
 		t.Errorf("jobs after rejected submit = %d: %s", code, body)
 	}

@@ -1,5 +1,5 @@
 // Negotiated gzip response compression for the heavy export endpoints —
-// report.json, report.csv, and /v1/diff. Reports run to hundreds of
+// report.json, report.csv, /v1/snapshots/{ref}, and /v1/diff. Reports run to hundreds of
 // kilobytes of highly repetitive JSON/CSV; compressing them is the
 // cheapest bandwidth win the server has, and it composes with the
 // conditional-GET machinery untouched: the ETag names the content, not

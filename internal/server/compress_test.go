@@ -82,6 +82,7 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 		"report.json": "/v1/jobs/" + job.ID + "/report.json",
 		"report.csv":  "/v1/jobs/" + job.ID + "/report.csv",
 		"diff":        "/v1/diff?from=" + job.SnapshotHash + "&to=" + job2.SnapshotHash,
+		"snapshot":    "/v1/snapshots/" + job.SnapshotHash,
 	}
 	for name, path := range paths {
 		t.Run(name, func(t *testing.T) {

@@ -196,7 +196,7 @@ func TestBreakerOpenWritesJournaled(t *testing.T) {
 	if metas, _ := st.List(); len(metas) != 0 {
 		t.Fatalf("store has %d snapshots during outage, want 0", len(metas))
 	}
-	if code, _ := getBody(t, ts, "/jobs/"+done.ID+"/report.json"); code != http.StatusOK {
+	if code, _ := getBody(t, ts, "/v1/jobs/"+done.ID+"/report.json"); code != http.StatusOK {
 		t.Errorf("report under open breaker = %d, want 200 from memory", code)
 	}
 	ts.Close()

@@ -46,7 +46,7 @@ func (s *stalledPutStore) Put(jobID string, r *core.ServiceResult) (store.Meta, 
 // healthSnapshot decodes GET /healthz.
 func healthSnapshot(t *testing.T, ts *httptest.Server) map[string]any {
 	t.Helper()
-	code, body := getBody(t, ts, "/healthz")
+	code, body := getBody(t, ts, "/v1/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d: %s", code, body)
 	}
@@ -79,7 +79,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 	baseSrv := New(Config{Workers: 1, JournalDir: filepath.Join(baseDir, "journal"), Store: baseStore})
 	baseTS := httptest.NewServer(baseSrv)
 	job := runJob(t, baseTS, parts)
-	_, want := getBody(t, baseTS, "/jobs/"+job.ID+"/report.json")
+	_, want := getBody(t, baseTS, "/v1/jobs/"+job.ID+"/report.json")
 	baseTS.Close()
 	baseSrv.Close()
 
@@ -113,7 +113,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 			if done.State != JobDone {
 				t.Fatalf("recovered %s = %+v", id, done)
 			}
-			code, got := getBody(t, ts, "/jobs/"+id+"/report.json")
+			code, got := getBody(t, ts, "/v1/jobs/"+id+"/report.json")
 			if code != http.StatusOK {
 				t.Fatalf("recovered report %s: %d", id, code)
 			}
@@ -187,7 +187,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("job never reached running")
 			}
-			resp, err := http.Get(ts.URL + "/jobs/" + j1.ID)
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + j1.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestJournalRecoveryMissingUpload(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body := getBody(t, ts, "/jobs/job-3")
+	code, body := getBody(t, ts, "/v1/jobs/job-3")
 	if code != http.StatusOK {
 		t.Fatalf("recovered job: %d: %s", code, body)
 	}
@@ -486,7 +486,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	base := New(Config{Workers: 1})
 	baseTS := httptest.NewServer(base)
 	baseJob := runJob(t, baseTS, parts)
-	_, want := getBody(t, baseTS, "/jobs/"+baseJob.ID+"/report.json")
+	_, want := getBody(t, baseTS, "/v1/jobs/"+baseJob.ID+"/report.json")
 	baseTS.Close()
 	base.Close()
 
@@ -578,7 +578,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 			if done.State != JobDone {
 				t.Fatalf("recovered %s = %+v", id, done)
 			}
-			code, got := getBody(t, ts, "/jobs/"+id+"/report.json")
+			code, got := getBody(t, ts, "/v1/jobs/"+id+"/report.json")
 			if code != http.StatusOK {
 				t.Fatalf("recovered report %s: %d", id, code)
 			}
@@ -653,7 +653,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		if done.State != JobDone {
 			t.Fatalf("job-7 = %+v: the stale batch entry won over the per-job record", done)
 		}
-		code, got := getBody(t, ts, "/jobs/job-7/report.json")
+		code, got := getBody(t, ts, "/v1/jobs/job-7/report.json")
 		if code != http.StatusOK || !bytes.Equal(got, want) {
 			t.Fatalf("superseded recovery report differs from baseline (code %d)", code)
 		}

@@ -6,81 +6,22 @@ import (
 	"strings"
 )
 
-// The versioned route table. Every endpoint lives under /v1/; the legacy
-// unprefixed paths (the pre-versioning API) stay mounted as thin aliases
-// to the same handlers so existing clients keep working, but answer with
-// a Deprecation header (RFC 9745) and a Link to their successor so those
-// clients learn where to migrate. Aliases are exact equivalents — same
-// handler, same body, same status codes — differing only in those two
-// headers (and in the Location a legacy submit returns, which stays
-// unprefixed so a legacy client polls a route it knows).
-type route struct {
-	method string
-	// path is the route suffix shared by both mounts ("/jobs/{id}");
-	// legacyPath overrides the unprefixed mount when the v1 surface
-	// renamed the resource ("/v1/audits" was "/audit").
-	path       string
-	legacyPath string
-	handler    http.HandlerFunc
-}
-
-// legacyDeprecation dates the legacy surface's deprecation (RFC 9745
-// @unix-timestamp form): 2026-08-01, the v1 API's introduction.
-const legacyDeprecation = "@1785542400"
-
-func (s *Server) routes() []route {
-	return []route{
-		{method: "POST", path: "/audits", legacyPath: "/audit", handler: s.handleSubmit},
-		{method: "GET", path: "/personas", handler: s.handlePersonas},
-		{method: "GET", path: "/jobs", handler: s.handleJobs},
-		{method: "GET", path: "/jobs/{id}", handler: s.handleJob},
-		{method: "GET", path: "/jobs/{id}/report.json", handler: s.handleReportJSON},
-		{method: "GET", path: "/jobs/{id}/report.csv", handler: s.handleReportCSV},
-		{method: "GET", path: "/snapshots", handler: s.handleSnapshots},
-		{method: "GET", path: "/snapshots/{ref}", handler: s.handleSnapshot},
-		{method: "GET", path: "/diff", handler: s.handleDiff},
-		{method: "GET", path: "/healthz", handler: s.handleHealth},
-	}
-}
-
-// registerRoutes mounts the v1 table and its legacy aliases.
+// registerRoutes mounts the route table. Every endpoint lives under /v1/.
 func (s *Server) registerRoutes() {
-	for _, rt := range s.routes() {
-		s.mux.HandleFunc(rt.method+" /v1"+rt.path, rt.handler)
-		legacy := rt.legacyPath
-		if legacy == "" {
-			legacy = rt.path
-		}
-		s.mux.HandleFunc(rt.method+" "+legacy, deprecated(rt.handler))
-	}
-}
-
-// deprecated wraps a handler for its legacy unprefixed mount.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", legacyDeprecation)
-		w.Header().Set("Link", "</v1"+successorPath(r.URL.Path)+">; rel=\"successor-version\"")
-		h(w, r)
-	}
-}
-
-// successorPath maps a legacy request path to its /v1 suffix.
-func successorPath(path string) string {
-	if path == "/audit" {
-		return "/audits"
-	}
-	return path
-}
-
-// v1Request reports whether a request arrived on the versioned mount —
-// what decides the prefix of self-referential URLs in responses (the
-// submit Location).
-func v1Request(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/v1/")
+	s.mux.HandleFunc("POST /v1/audits", s.handleSubmit)
+	s.mux.HandleFunc("GET /v1/personas", s.handlePersonas)
+	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/report.json", s.handleReportJSON)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/report.csv", s.handleReportCSV)
+	s.mux.HandleFunc("GET /v1/snapshots", s.handleSnapshots)
+	s.mux.HandleFunc("GET /v1/snapshots/{ref}", s.handleSnapshot)
+	s.mux.HandleFunc("GET /v1/diff", s.handleDiff)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 }
 
 // pageParams parses the shared pagination query parameters. limit == 0
-// means unpaginated (the default, and the legacy behavior); cursor is the
+// means unpaginated (the default); cursor is the
 // opaque position returned as next_cursor by the previous page.
 func pageParams(r *http.Request) (limit int, cursor string, err string) {
 	q := r.URL.Query()

@@ -1,5 +1,5 @@
 // The server's background integrity scrubber: a low-priority loop that
-// runs store.Scrubber passes on a timer (Config.ScrubInterval, the CLI's
+// runs store scrub passes on a timer (Config.ScrubInterval, the CLI's
 // -scrub-interval), finding at-rest snapshot corruption before a client
 // request does. Repair bytes come from the decoded-snapshot cache: a
 // result that is still cached re-encodes to exactly its original bytes
@@ -54,10 +54,10 @@ func (st *scrubState) stats() scrubStats {
 }
 
 // scrubbable returns the store's scrub surface, nil when the configured
-// store cannot scrub (MemStore corruption is a RAM problem, not ours).
-func (s *Server) scrubbable() store.Scrubber {
-	sc, ok := s.cfg.Store.(store.Scrubber)
-	if !ok {
+// store cannot scrub (a memory-backed store keeps nothing at rest).
+func (s *Server) scrubbable() *store.Snapshots {
+	sc, ok := s.cfg.Store.(*store.Snapshots)
+	if !ok || sc.QuarantineDir() == "" {
 		return nil
 	}
 	return sc

@@ -6,8 +6,7 @@
 // stream from disk, and no request ever materializes a whole capture in
 // memory.
 //
-// API (v1 — every route also answers without the /v1 prefix as a
-// deprecated legacy alias; see routes.go):
+// API (v1; see routes.go):
 //
 //	POST /v1/audits        multipart upload; field name = persona (any
 //	                       registered persona name or alias — built-ins:
@@ -40,14 +39,14 @@
 //
 // With no snapshot store configured (Config.Store nil), results are
 // memory-only: once the MaxJobs retention cap evicts a finished job, its
-// ID answers 404 on /jobs/{id} and on both report endpoints — the
+// ID answers 404 on /v1/jobs/{id} and on both report endpoints — the
 // pre-snapshot behavior. With a Store configured, every successful audit
 // is persisted as a content-addressed snapshot before it becomes
 // evictable; eviction then drops only the in-memory Job bookkeeping, and
 // the report endpoints keep answering 200 for evicted IDs by decoding the
-// stored snapshot (/jobs/{id} itself still answers 404 — the job metadata
-// is gone, the result is not). An FSStore-backed server therefore serves
-// byte-identical reports across restarts.
+// stored snapshot (/v1/jobs/{id} itself still answers 404 — the job
+// metadata is gone, the result is not). A server over a directory-backed
+// store therefore serves byte-identical reports across restarts.
 package server
 
 import (
@@ -103,9 +102,9 @@ type Config struct {
 	// retained past the cap rather than silently lost.
 	MaxJobs int
 	// Store persists finished audits as content-addressed snapshots,
-	// enabling the /snapshots and /diff endpoints, report fetching for
-	// evicted jobs, and (with store.FSStore) restart durability. Nil
-	// keeps results memory-only.
+	// enabling the /v1/snapshots and /v1/diff endpoints, report fetching
+	// for evicted jobs, and (with store.OpenFSStore) restart durability.
+	// Nil keeps results memory-only.
 	Store store.Store
 	// NewPipeline constructs the analysis pipeline for each job (default
 	// core.NewPipeline). Jobs never share a pipeline, so label caches are
@@ -161,7 +160,7 @@ type Config struct {
 	// interval, one low-priority pass re-verifies each stored snapshot's
 	// CRC and content hash, quarantining corrupt files (repairing them
 	// from cache when possible). 0 disables (the default); requires a
-	// store that implements store.Scrubber (FSStore does).
+	// store that can scrub (store.OpenFSStore's can).
 	ScrubInterval time.Duration
 }
 
@@ -309,7 +308,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.registerRoutes()
 	// A restarted server must not mint job IDs that collide with the IDs
-	// recorded in its store's snapshots, or /jobs/{id}/report.* would
+	// recorded in its store's snapshots, or /v1/jobs/{id}/report.* would
 	// serve the wrong audit. Seed the counter past every stored job ID.
 	if cfg.Store != nil {
 		if metas, err := cfg.Store.List(); err == nil {
@@ -721,12 +720,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	ok = true
-	// A legacy client polls the legacy surface; a v1 client the v1 one.
-	location := "/jobs/" + job.ID
-	if v1Request(r) {
-		location = "/v1/jobs/" + job.ID
-	}
-	w.Header().Set("Location", location)
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, snap)
 }
 
@@ -862,78 +856,64 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// fetchResult resolves a job ID to its audit result: live finished jobs
-// from memory, evicted-but-stored jobs through the decoded-snapshot
-// cache. stale marks a result served from cache while the store circuit
-// breaker is open. On failure it returns the HTTP status, typed error
-// code, and message the caller should write.
-func (s *Server) fetchResult(id string) (res *core.ServiceResult, stale bool, status int, code, msg string) {
-	job, okJob := s.lookup(id)
-	if !okJob {
-		res, stale, err := s.storedJobResult(id)
-		if err != nil {
-			// A snapshot for this job exists but cannot be served: a
-			// breaker-open short circuit answers 503 (transient), anything
-			// else is a storage failure a 404 would mask (500).
-			st, c := snapshotErrStatus(err)
-			return nil, false, st, c, fmt.Sprintf("stored snapshot for %s: %v", id, err)
-		}
-		if res != nil {
-			return res, stale, 0, "", ""
-		}
-		return nil, false, http.StatusNotFound, codeNotFound, "no such job"
-	}
-	s.mu.Lock()
-	state, jres, errMsg := job.State, job.result, job.Error
-	s.mu.Unlock()
-	switch state {
-	case JobDone:
-		return jres, false, 0, "", ""
-	case JobFailed:
-		return nil, false, http.StatusConflict, codeJobFailed, fmt.Sprintf("job failed: %s", errMsg)
-	case JobTimedOut:
-		return nil, false, http.StatusConflict, codeJobTimedOut, fmt.Sprintf("job timed out: %s", errMsg)
-	default:
-		return nil, false, http.StatusConflict, codeJobNotReady, fmt.Sprintf("job is %s; report not ready", state)
-	}
+// jobRef is what a job ID denotes on the report endpoints, decided once per
+// request so the ETag and the body always name the same snapshot.
+type jobRef struct {
+	// hash is the content hash behind the ETag; "" when none exists yet
+	// (no store, or snapshot persistence failed) and the response is
+	// simply unconditional.
+	hash string
+	// res is a live finished job's in-memory result; nil means the job was
+	// evicted and meta is its stored snapshot.
+	res  *core.ServiceResult
+	meta store.Meta
 }
 
-// storedJobMeta finds the newest stored snapshot whose recorded job ID
-// matches exactly. Job endpoints must never fall back to the store's
-// general reference resolution (sequence, hash, hash prefix) — otherwise
-// GET /jobs/1/report.json would serve the sequence-1 snapshot of a job
-// that never existed. ok reports a match; err a List failure.
-func (s *Server) storedJobMeta(id string) (meta store.Meta, ok bool, err error) {
-	if s.cfg.Store == nil {
-		return store.Meta{}, false, nil
-	}
-	metas, err := s.cfg.Store.List()
-	if err != nil {
-		return store.Meta{}, false, err
-	}
-	for i := len(metas) - 1; i >= 0; i-- {
-		if metas[i].JobID == id {
-			return metas[i], true, nil
+// resolveJob finds what a job ID denotes: a live finished job from memory,
+// otherwise the newest stored snapshot recorded under exactly that job ID.
+// Job endpoints never fall back to the store's general reference
+// resolution (sequence, hash, hash prefix) — otherwise GET
+// /v1/jobs/1/report.json would serve the sequence-1 snapshot of a job that
+// never existed. On failure it returns the HTTP status, typed error code,
+// and message the caller should write.
+func (s *Server) resolveJob(id string) (ref jobRef, status int, code, msg string) {
+	if job, okJob := s.lookup(id); okJob {
+		s.mu.Lock()
+		state, res, hash, errMsg := job.State, job.result, job.SnapshotHash, job.Error
+		s.mu.Unlock()
+		switch state {
+		case JobDone:
+			return jobRef{hash: hash, res: res}, 0, "", ""
+		case JobFailed:
+			return jobRef{}, http.StatusConflict, codeJobFailed, fmt.Sprintf("job failed: %s", errMsg)
+		case JobTimedOut:
+			return jobRef{}, http.StatusConflict, codeJobTimedOut, fmt.Sprintf("job timed out: %s", errMsg)
+		default:
+			return jobRef{}, http.StatusConflict, codeJobNotReady, fmt.Sprintf("job is %s; report not ready", state)
 		}
 	}
-	return store.Meta{}, false, nil
+	if s.cfg.Store != nil {
+		if meta, okMeta := s.cfg.Store.JobSnapshot(id); okMeta {
+			return jobRef{hash: meta.Hash, meta: meta}, 0, "", ""
+		}
+	}
+	return jobRef{}, http.StatusNotFound, codeNotFound, "no such job"
 }
 
-// storedJobResult fetches an evicted job's result from its stored
-// snapshot, through the cache. (nil, nil) means no snapshot for this job;
-// a non-nil error means a matching snapshot exists but cannot be served.
-func (s *Server) storedJobResult(id string) (*core.ServiceResult, bool, error) {
-	meta, okMeta, err := s.storedJobMeta(id)
-	if err != nil || !okMeta {
-		return nil, false, err
+// result returns the audit result a resolved job denotes: the in-memory
+// one, or the stored snapshot through the decoded-snapshot cache. stale
+// marks a result served from cache while the store circuit breaker is open.
+func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err error) {
+	if ref.res != nil {
+		return ref.res, false, nil
 	}
-	return s.snapshotResult(meta)
+	return s.snapshotResult(ref.meta)
 }
 
 // snapshotResult materializes the snapshot meta describes: a cache hit
 // returns the already-decoded result (zero decode work); a miss opens a
-// lazy view where the store supports it (mmap on FSStore), materializes,
-// and caches the result under its content hash for every later reader —
+// lazy view (an mmap over the directory backend), materializes, and
+// caches the result under its content hash for every later reader —
 // report, snapshot, and diff handlers all share this path and therefore
 // this cache.
 //
@@ -1025,36 +1005,48 @@ func breakerOutcome(err error) error {
 	return err
 }
 
-// decodeSnapshot decodes a snapshot by its exact sequence, lazily via the
-// store's Viewer when available (only selects the persona flow sections
-// to materialize; nil means all), eagerly otherwise.
+// decodeSnapshot opens the snapshot meta describes as a lazy view and
+// materializes it (only selects the persona flow sections; nil means all).
 func (s *Server) decodeSnapshot(meta store.Meta, only []string) (*core.ServiceResult, error) {
-	ref := strconv.FormatUint(meta.Seq, 10)
-	if viewer, okView := s.cfg.Store.(store.Viewer); okView {
-		view, err := viewer.View(ref)
-		if err != nil {
-			return nil, err
-		}
-		defer view.Close()
-		return view.PartialResult(only)
+	view, err := s.cfg.Store.View(meta)
+	if err != nil {
+		return nil, err
 	}
-	res, _, err := s.cfg.Store.Get(ref)
-	return res, err
+	defer view.Close()
+	return view.PartialResult(only)
 }
 
-// reportResult is fetchResult with the error path written to the
-// response (breaker-open 503s carry the shared adaptive retry hint).
-func (s *Server) reportResult(w http.ResponseWriter, id string) (*core.ServiceResult, bool, bool) {
-	res, stale, status, code, msg := s.fetchResult(id)
+// reportResult does everything the report endpoints share before
+// rendering: it resolves the job ID once, answers a matching If-None-Match
+// with 304 from the hash alone (no snapshot is decoded), fetches the
+// result, and stamps the stale headers. The returned ETag carries the
+// variant suffix distinguishing representations — the JSON and CSV exports
+// of one snapshot must not validate against each other. ok is false when
+// the response (error or 304) has already been written.
+func (s *Server) reportResult(w http.ResponseWriter, r *http.Request, variant string) (res *core.ServiceResult, etag string, ok bool) {
+	id := r.PathValue("id")
+	ref, status, code, msg := s.resolveJob(id)
 	if status != 0 {
-		if status == http.StatusServiceUnavailable {
-			s.unavailable(w, msg)
-		} else {
-			apiError(w, status, code, "%s", msg)
-		}
-		return nil, false, false
+		apiError(w, status, code, "%s", msg)
+		return nil, "", false
 	}
-	return res, stale, true
+	if ref.hash != "" {
+		etag = `"` + ref.hash + variant + `"`
+		if etagMatch(r, etag) {
+			notModified(w, etag, ccRevalidate)
+			return nil, "", false
+		}
+	}
+	res, stale, err := s.result(ref)
+	if err != nil {
+		// A snapshot for this job exists but cannot be served: a
+		// breaker-open short circuit answers 503 (transient), anything
+		// else is a storage failure a 404 would mask (500).
+		s.storeErrResponse(w, err, "stored snapshot for %s: %v", id, err)
+		return nil, "", false
+	}
+	s.staleHeaders(w, stale)
+	return res, etag, true
 }
 
 // staleHeaders marks a response that was served from the decoded-
@@ -1072,41 +1064,19 @@ func (s *Server) staleHeaders(w http.ResponseWriter, stale bool) {
 	}
 }
 
-// jobETag returns the strong ETag of a job's report (with a variant
-// suffix distinguishing representations: the JSON and CSV exports of one
-// snapshot must not validate against each other). "" when no content
-// hash exists yet — job unfinished, no store, or snapshot persistence
-// failed — in which case the response is simply unconditional. The hash
-// comes from job bookkeeping or stored metadata; no snapshot is decoded.
-func (s *Server) jobETag(id, variant string) string {
-	hash := ""
-	if job, okJob := s.lookup(id); okJob {
-		s.mu.Lock()
-		if job.State == JobDone {
-			hash = job.SnapshotHash
-		}
-		s.mu.Unlock()
-	} else if meta, okMeta, err := s.storedJobMeta(id); err == nil && okMeta {
-		hash = meta.Hash
-	}
-	if hash == "" {
-		return ""
-	}
-	return `"` + hash + variant + `"`
-}
-
 // writeRendered writes one rendered export, folding the render-error path
-// every report/diff handler shares. A non-empty etag stamps the response
-// cacheable; the body is gzip-compressed when the request negotiated it.
-// Vary is stamped unconditionally — the representation depends on
-// Accept-Encoding whether or not this particular response compressed.
-func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, data []byte, err error, etag string) {
+// every read handler shares. A non-empty etag stamps the response
+// cacheable under cacheControl; the body is gzip-compressed when the
+// request negotiated it. Vary is stamped unconditionally — the
+// representation depends on Accept-Encoding whether or not this particular
+// response compressed.
+func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, data []byte, err error, etag, cacheControl string) {
 	if err != nil {
 		apiError(w, http.StatusInternalServerError, codeInternal, "render: %v", err)
 		return
 	}
 	if etag != "" {
-		setCacheHeaders(w, etag, ccRevalidate)
+		setCacheHeaders(w, etag, cacheControl)
 	}
 	w.Header().Add("Vary", "Accept-Encoding")
 	w.Header().Set("Content-Type", contentType)
@@ -1114,39 +1084,25 @@ func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, d
 }
 
 func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	etag := s.jobETag(id, "")
-	if etag != "" && etagMatch(r, etag) {
-		notModified(w, etag, ccRevalidate)
-		return
-	}
-	res, stale, okRes := s.reportResult(w, id)
+	res, etag, okRes := s.reportResult(w, r, "")
 	if !okRes {
 		return
 	}
-	s.staleHeaders(w, stale)
 	data, err := report.ExportJSON([]*core.ServiceResult{res})
-	writeRendered(w, r, "application/json", data, err, etag)
+	writeRendered(w, r, "application/json", data, err, etag, ccRevalidate)
 }
 
 func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	etag := s.jobETag(id, "+csv")
-	if etag != "" && etagMatch(r, etag) {
-		notModified(w, etag, ccRevalidate)
-		return
-	}
-	res, stale, okRes := s.reportResult(w, id)
+	res, etag, okRes := s.reportResult(w, r, "+csv")
 	if !okRes {
 		return
 	}
-	s.staleHeaders(w, stale)
 	// Render into pooled scratch: the CSV bytes only live until the
 	// response write, so steady-state CSV serving recycles one buffer
 	// instead of rebuilding the whole export per request.
 	buf := wire.GetBuf(32 << 10)
 	out, err := report.AppendFlowsCSV(buf, []*core.ServiceResult{res})
-	writeRendered(w, r, "text/csv", out, err, etag)
+	writeRendered(w, r, "text/csv", out, err, etag, ccRevalidate)
 	if out != nil {
 		wire.PutBuf(out)
 	} else {
@@ -1184,22 +1140,10 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	metas, err := s.cfg.Store.List()
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, codeInternal, "store: %v", err)
-		return
-	}
-	if after > 0 {
-		cut := 0
-		for cut < len(metas) && metas[cut].Seq <= after {
-			cut++
-		}
-		metas = metas[cut:]
-	}
+	metas, more := s.cfg.Store.Page(after, limit)
 	body := map[string]any{}
-	if limit > 0 && len(metas) > limit {
-		metas = metas[:limit]
-		body["next_cursor"] = strconv.FormatUint(metas[limit-1].Seq, 10)
+	if more {
+		body["next_cursor"] = strconv.FormatUint(metas[len(metas)-1].Seq, 10)
 	}
 	body["snapshots"] = metas
 	writeJSON(w, http.StatusOK, body)
@@ -1215,12 +1159,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ref := r.PathValue("ref")
-	metas, err := s.cfg.Store.List()
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, codeInternal, "store: %v", err)
-		return
-	}
-	meta, err := store.Resolve(metas, ref)
+	meta, err := s.cfg.Store.Resolve(ref)
 	if err != nil {
 		status, code := snapshotErrStatus(err)
 		apiError(w, status, code, "%v", err)
@@ -1240,15 +1179,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.storeErrResponse(w, err, "%v", err)
 		return
 	}
-	data, err := report.ExportJSON([]*core.ServiceResult{res})
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, codeInternal, "render: %v", err)
-		return
-	}
 	s.staleHeaders(w, stale)
-	setCacheHeaders(w, etag, cacheControl)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	data, err := report.ExportJSON([]*core.ServiceResult{res})
+	writeRendered(w, r, "application/json", data, err, etag, cacheControl)
 }
 
 // handleDiff renders the longitudinal diff between two stored snapshots.
@@ -1302,18 +1235,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(personaNames)
 	}
 
-	metas, err := s.cfg.Store.List()
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, codeInternal, "store: %v", err)
-		return
-	}
-	fromMeta, err := store.Resolve(metas, fromRef)
+	fromMeta, err := s.cfg.Store.Resolve(fromRef)
 	if err != nil {
 		status, code := snapshotErrStatus(err)
 		apiError(w, status, code, "from: %v", err)
 		return
 	}
-	toMeta, err := store.Resolve(metas, toRef)
+	toMeta, err := s.cfg.Store.Resolve(toRef)
 	if err != nil {
 		status, code := snapshotErrStatus(err)
 		apiError(w, status, code, "to: %v", err)
@@ -1361,10 +1289,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	diff := core.LongitudinalFiltered(from, to, only)
 	switch format {
 	case "md":
-		writeRendered(w, r, "text/markdown; charset=utf-8", []byte(report.DiffReport(diff)), nil, etag)
+		writeRendered(w, r, "text/markdown; charset=utf-8", []byte(report.DiffReport(diff)), nil, etag, ccRevalidate)
 	default:
 		data, err := report.ExportDiffJSON(diff)
-		writeRendered(w, r, "application/json", data, err, etag)
+		writeRendered(w, r, "application/json", data, err, etag, ccRevalidate)
 	}
 }
 
@@ -1447,9 +1375,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if s.cfg.Store != nil {
-		if metas, err := s.cfg.Store.List(); err == nil {
-			health["snapshots"] = len(metas)
-		}
+		health["snapshots"] = s.cfg.Store.Len()
 		// The decoded-snapshot cache only matters when there are
 		// snapshots to decode; its hit/miss/eviction counters tell an
 		// operator whether CacheBytes is sized to the working set.
@@ -1488,13 +1414,17 @@ func (j *Job) snapshot() Job {
 	}
 }
 
-// Result returns a finished job's audit result (nil until JobDone) — the
-// programmatic counterpart of the report endpoints, including their
-// evicted-but-stored fallback.
+// Result returns a finished job's audit result — the programmatic
+// counterpart of the report endpoints, including their evicted-but-stored
+// fallback.
 func (s *Server) Result(id string) (*core.ServiceResult, error) {
-	res, _, status, _, msg := s.fetchResult(id)
+	ref, status, _, msg := s.resolveJob(id)
 	if status != 0 {
 		return nil, errors.New("server: " + msg)
+	}
+	res, _, err := s.result(ref)
+	if err != nil {
+		return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, err)
 	}
 	return res, nil
 }
@@ -1506,11 +1436,7 @@ func (s *Server) SnapshotResult(ref string) (*core.ServiceResult, store.Meta, er
 	if s.cfg.Store == nil {
 		return nil, store.Meta{}, errors.New("server: no snapshot store configured")
 	}
-	metas, err := s.cfg.Store.List()
-	if err != nil {
-		return nil, store.Meta{}, err
-	}
-	meta, err := store.Resolve(metas, ref)
+	meta, err := s.cfg.Store.Resolve(ref)
 	if err != nil {
 		return nil, store.Meta{}, err
 	}

@@ -56,7 +56,7 @@ func submit(t *testing.T, ts *httptest.Server, parts map[string][2]string) *http
 		}
 	}
 	mw.Close()
-	resp, err := http.Post(ts.URL+"/audit", mw.FormDataContentType(), &buf)
+	resp, err := http.Post(ts.URL+"/v1/audits", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func wait(t *testing.T, ts *httptest.Server, id string) Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	}
 
 	// Served report vs direct pipeline run.
-	gotResp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/report.json")
+	gotResp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	}
 
 	// CSV renders with the header and at least one flow.
-	csvResp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/report.csv")
+	csvResp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/report.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestSubmitValidation(t *testing.T) {
 
 	// Unknown job and unready report.
 	for path, want := range map[string]int{
-		"/jobs/nope":             http.StatusNotFound,
-		"/jobs/nope/report.json": http.StatusNotFound,
+		"/v1/jobs/nope":             http.StatusNotFound,
+		"/v1/jobs/nope/report.json": http.StatusNotFound,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -239,7 +239,7 @@ func TestFailedJob(t *testing.T) {
 	if done.State != JobFailed || done.Error == "" {
 		t.Fatalf("job = %+v", done)
 	}
-	rresp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/report.json")
+	rresp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 			}
 			job := decodeJob(t, resp)
 			// Interleave list reads with the polling.
-			lresp, err := http.Get(ts.URL + "/jobs")
+			lresp, err := http.Get(ts.URL + "/v1/jobs")
 			if err == nil {
 				io.Copy(io.Discard, lresp.Body)
 				lresp.Body.Close()
@@ -344,7 +344,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 		t.Error(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestJobEviction(t *testing.T) {
 		wait(t, ts, job.ID) // serialize so earlier jobs are evictable
 	}
 
-	resp, err := http.Get(ts.URL + "/jobs")
+	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestJobEviction(t *testing.T) {
 		t.Errorf("newest job evicted: %v", err)
 	}
 	// The oldest is gone.
-	r, err := http.Get(ts.URL + "/jobs/" + ids[0])
+	r, err := http.Get(ts.URL + "/v1/jobs/" + ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,24 +448,24 @@ func TestJobEvictionOldestFirstAnd404Reports(t *testing.T) {
 
 	// The two oldest are gone from every endpoint; the two newest serve.
 	for _, id := range ids[:2] {
-		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/report.json", "/jobs/" + id + "/report.csv"} {
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/report.json", "/v1/jobs/" + id + "/report.csv"} {
 			if code := status(path); code != http.StatusNotFound {
 				t.Errorf("evicted %s: %d, want 404", path, code)
 			}
 		}
 	}
 	for _, id := range ids[2:] {
-		if code := status("/jobs/" + id); code != http.StatusOK {
+		if code := status("/v1/jobs/" + id); code != http.StatusOK {
 			t.Errorf("retained /jobs/%s: %d, want 200", id, code)
 		}
-		if code := status("/jobs/" + id + "/report.json"); code != http.StatusOK {
+		if code := status("/v1/jobs/" + id + "/report.json"); code != http.StatusOK {
 			t.Errorf("retained report %s: %d, want 200", id, code)
 		}
 	}
 
 	// The listing reflects the same order: exactly the newest two, oldest
 	// first among the survivors.
-	r, err := http.Get(ts.URL + "/jobs")
+	r, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,21 +529,21 @@ func TestEvictedJobServedFromStore(t *testing.T) {
 			t.Fatalf("finished job carries no snapshot ref: %+v", job)
 		}
 		if i == 0 {
-			_, preEvictionJSON = getBody(t, ts, "/jobs/"+job.ID+"/report.json")
-			_, preEvictionCSV = getBody(t, ts, "/jobs/"+job.ID+"/report.csv")
+			_, preEvictionJSON = getBody(t, ts, "/v1/jobs/"+job.ID+"/report.json")
+			_, preEvictionCSV = getBody(t, ts, "/v1/jobs/"+job.ID+"/report.csv")
 		}
 	}
 
 	// The oldest job is evicted from memory...
-	if code, _ := getBody(t, ts, "/jobs/"+ids[0]); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts, "/v1/jobs/"+ids[0]); code != http.StatusNotFound {
 		t.Errorf("evicted /jobs/%s: %d, want 404", ids[0], code)
 	}
 	// ...but its reports still serve, byte-identically, from the store.
-	code, gotJSON := getBody(t, ts, "/jobs/"+ids[0]+"/report.json")
+	code, gotJSON := getBody(t, ts, "/v1/jobs/"+ids[0]+"/report.json")
 	if code != http.StatusOK || !bytes.Equal(gotJSON, preEvictionJSON) {
 		t.Errorf("evicted report.json: %d, identical=%v", code, bytes.Equal(gotJSON, preEvictionJSON))
 	}
-	code, gotCSV := getBody(t, ts, "/jobs/"+ids[0]+"/report.csv")
+	code, gotCSV := getBody(t, ts, "/v1/jobs/"+ids[0]+"/report.csv")
 	if code != http.StatusOK || !bytes.Equal(gotCSV, preEvictionCSV) {
 		t.Errorf("evicted report.csv: %d, identical=%v", code, bytes.Equal(gotCSV, preEvictionCSV))
 	}
@@ -559,8 +559,8 @@ func TestEvictedJobServedFromStore(t *testing.T) {
 		t.Fatalf("store listing: %v", err)
 	}
 	for _, ref := range []string{"1", snaps[0].Hash[:8]} {
-		if code, _ := getBody(t, ts, "/jobs/"+ref+"/report.json"); code != http.StatusNotFound {
-			t.Errorf("/jobs/%s/report.json resolved a non-job store reference: %d", ref, code)
+		if code, _ := getBody(t, ts, "/v1/jobs/"+ref+"/report.json"); code != http.StatusNotFound {
+			t.Errorf("/v1/jobs/%s/report.json resolved a non-job store reference: %d", ref, code)
 		}
 	}
 }
@@ -595,47 +595,56 @@ func TestSnapshotFailureBlocksEviction(t *testing.T) {
 	// Every job survives the cap: none were persisted, so none may be
 	// evicted, and every report still serves from memory.
 	for _, id := range ids {
-		if code, _ := getBody(t, ts, "/jobs/"+id+"/report.json"); code != http.StatusOK {
+		if code, _ := getBody(t, ts, "/v1/jobs/"+id+"/report.json"); code != http.StatusOK {
 			t.Errorf("unpersisted job %s evicted: report %d, want 200", id, code)
 		}
 	}
 }
 
-// brokenGetStore lists one snapshot for job-9 but fails to serve it —
-// the deleted/bit-rotted snapshot file case.
-type brokenGetStore struct {
+// brokenViewStore resolves one snapshot for job-9 but fails to open it —
+// the bit-rotted snapshot file case.
+type brokenViewStore struct {
 	store.Store
 }
 
-func (b brokenGetStore) List() ([]store.Meta, error) {
-	return []store.Meta{{Seq: 1, Hash: "deadbeef", JobID: "job-9", Service: "X"}}, nil
+var brokenMeta = store.Meta{Seq: 1, Hash: "deadbeef", JobID: "job-9", Service: "X"}
+
+func (b brokenViewStore) JobSnapshot(jobID string) (store.Meta, bool) {
+	return brokenMeta, jobID == brokenMeta.JobID
 }
 
-func (b brokenGetStore) Get(ref string) (*core.ServiceResult, store.Meta, error) {
-	return nil, store.Meta{}, errors.New("snapshot checksum mismatch")
+func (b brokenViewStore) Resolve(ref string) (store.Meta, error) {
+	if ref != "1" {
+		return store.Meta{}, store.ErrUnresolved
+	}
+	return brokenMeta, nil
+}
+
+func (b brokenViewStore) View(store.Meta) (*store.SnapshotView, error) {
+	return nil, errors.New("snapshot checksum mismatch")
 }
 
 // TestUnreadableStoredSnapshotIs500: a job whose snapshot exists but
 // cannot be read is a storage failure, not a missing job — the report
 // endpoint must answer 500, never a masking 404.
 func TestUnreadableStoredSnapshotIs500(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: brokenGetStore{store.NewMemStore()}})
+	srv := New(Config{TempDir: t.TempDir(), Store: brokenViewStore{store.NewMemStore()}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body := getBody(t, ts, "/jobs/job-9/report.json")
+	code, body := getBody(t, ts, "/v1/jobs/job-9/report.json")
 	if code != http.StatusInternalServerError || !strings.Contains(string(body), "checksum") {
 		t.Errorf("unreadable snapshot: %d %s, want 500 with the store error", code, body)
 	}
 	// A job that never existed anywhere still answers 404.
-	if code, _ := getBody(t, ts, "/jobs/job-77/report.json"); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts, "/v1/jobs/job-77/report.json"); code != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", code)
 	}
 	// The diff endpoint draws the same line: a serving failure is 500,
 	// not a masking 404 (unresolvable refs stay 404, see
 	// TestSnapshotsAndDiffEndpoints).
-	if code, body := getBody(t, ts, "/diff?from=1&to=1"); code != http.StatusInternalServerError {
+	if code, body := getBody(t, ts, "/v1/diff?from=1&to=1"); code != http.StatusInternalServerError {
 		t.Errorf("diff over unreadable snapshot: %d %s, want 500", code, body)
 	}
 }
@@ -699,9 +708,9 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	}
 
 	// Both snapshots are listed.
-	code, body := getBody(t, ts2, "/snapshots")
+	code, body := getBody(t, ts2, "/v1/snapshots")
 	if code != http.StatusOK {
-		t.Fatalf("/snapshots: %d: %s", code, body)
+		t.Fatalf("/v1/snapshots: %d: %s", code, body)
 	}
 	var listing struct {
 		Snapshots []store.Meta `json:"snapshots"`
@@ -714,9 +723,9 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	}
 
 	// The diff reports the injected flow, via job-ID refs...
-	code, gotDiff := getBody(t, ts2, "/diff?from="+job1.ID+"&to="+job2.ID)
+	code, gotDiff := getBody(t, ts2, "/v1/diff?from="+job1.ID+"&to="+job2.ID)
 	if code != http.StatusOK {
-		t.Fatalf("/diff: %d: %s", code, gotDiff)
+		t.Fatalf("/v1/diff: %d: %s", code, gotDiff)
 	}
 	var doc report.DiffDoc
 	if err := json.Unmarshal(gotDiff, &doc); err != nil {
@@ -748,19 +757,19 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	}
 
 	// Sequence-number refs and the markdown rendering agree.
-	code, md := getBody(t, ts2, "/diff?from=1&to=2&format=md")
+	code, md := getBody(t, ts2, "/v1/diff?from=1&to=2&format=md")
 	if code != http.StatusOK || !strings.Contains(string(md), "stats.g.doubleclick.net") {
 		t.Errorf("markdown diff: %d: %s", code, md)
 	}
 
 	// Unknown refs 404; missing params and unknown formats 400.
-	if code, _ := getBody(t, ts2, "/diff?from=99&to=1"); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts2, "/v1/diff?from=99&to=1"); code != http.StatusNotFound {
 		t.Errorf("unknown ref: %d, want 404", code)
 	}
-	if code, _ := getBody(t, ts2, "/diff?from=1"); code != http.StatusBadRequest {
+	if code, _ := getBody(t, ts2, "/v1/diff?from=1"); code != http.StatusBadRequest {
 		t.Errorf("missing param: %d, want 400", code)
 	}
-	if code, _ := getBody(t, ts2, "/diff?from=1&to=2&format=csv"); code != http.StatusBadRequest {
+	if code, _ := getBody(t, ts2, "/v1/diff?from=1&to=2&format=csv"); code != http.StatusBadRequest {
 		t.Errorf("unknown format: %d, want 400", code)
 	}
 }
@@ -792,7 +801,7 @@ func TestSnapshotEndpointsWithoutStore(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	for _, path := range []string{"/snapshots", "/diff?from=1&to=2"} {
+	for _, path := range []string{"/v1/snapshots", "/v1/diff?from=1&to=2"} {
 		if code, _ := getBody(t, ts, path); code != http.StatusNotImplemented {
 			t.Errorf("GET %s without store: %d, want 501", path, code)
 		}
@@ -811,7 +820,7 @@ func TestRestartDurability(t *testing.T) {
 	srv1 := New(Config{TempDir: t.TempDir(), Store: st1})
 	ts1 := httptest.NewServer(srv1)
 	job := runJob(t, ts1, map[string][2]string{"child": {"c.har", string(childHAR(t))}, "name": {"", "Quizlet"}})
-	code, want := getBody(t, ts1, "/jobs/"+job.ID+"/report.json")
+	code, want := getBody(t, ts1, "/v1/jobs/"+job.ID+"/report.json")
 	if code != http.StatusOK {
 		t.Fatalf("pre-restart report: %d", code)
 	}
@@ -827,7 +836,7 @@ func TestRestartDurability(t *testing.T) {
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 
-	code, got := getBody(t, ts2, "/jobs/"+job.ID+"/report.json")
+	code, got := getBody(t, ts2, "/v1/jobs/"+job.ID+"/report.json")
 	if code != http.StatusOK {
 		t.Fatalf("post-restart report: %d: %s", code, got)
 	}
@@ -835,7 +844,7 @@ func TestRestartDurability(t *testing.T) {
 		t.Error("report.json differs across restart")
 	}
 	// CSV too.
-	if code, csv := getBody(t, ts2, "/jobs/"+job.ID+"/report.csv"); code != http.StatusOK || len(csv) == 0 {
+	if code, csv := getBody(t, ts2, "/v1/jobs/"+job.ID+"/report.csv"); code != http.StatusOK || len(csv) == 0 {
 		t.Errorf("post-restart report.csv: %d", code)
 	}
 }
@@ -856,7 +865,7 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/personas")
+	resp, err := http.Get(ts.URL + "/v1/personas")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -901,7 +910,7 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 	if done := wait(t, ts, job.ID); done.State != JobDone {
 		t.Fatalf("job = %+v", done)
 	}
-	rep, err := http.Get(ts.URL + "/jobs/" + job.ID + "/report.json")
+	rep, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,8 @@
 package store
 
 import (
-	"fmt"
-	"os"
-	"strconv"
-	"sync"
 	"testing"
-	"time"
 
-	"diffaudit/internal/core"
-	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 )
 
@@ -123,275 +116,6 @@ func BenchmarkPersonaLinkability(b *testing.B) {
 				}
 				view.Close()
 			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Mutex-convoy benchmark: the pre-sharding store layouts, replicated here
-// byte-for-byte from the old Put/Get/Delete bodies, against the live
-// sharded implementations. The old MemStore hashed the encoding under its
-// global mutex and copied the whole snapshot slice per Get; the old
-// FSStore held its global mutex across the temp-write+fsync+link+dirsync
-// of every Put. Under a parallel mixed workload (mostly reads, some
-// write+delete churn) those critical sections convoy every other
-// operation behind them; the sharded layout keeps only short metadata
-// sections under the index lock.
-
-// oldMemStore is the pre-sharding in-memory layout.
-type oldMemStore struct {
-	mu      sync.Mutex
-	snaps   []oldMemSnap
-	nextSeq uint64
-}
-
-type oldMemSnap struct {
-	meta Meta
-	data []byte
-}
-
-func (s *oldMemStore) Put(jobID string, r *core.ServiceResult) (Meta, error) {
-	data := EncodeResult(r)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	meta := Meta{
-		Seq:       s.nextSeq,
-		Hash:      Hash(data),
-		Service:   r.Identity.Name,
-		JobID:     jobID,
-		CreatedAt: time.Now().UTC(),
-		Bytes:     len(data),
-	}
-	s.nextSeq++
-	s.snaps = append(s.snaps, oldMemSnap{meta: meta, data: data})
-	return meta, nil
-}
-
-func (s *oldMemStore) Get(ref string) (*core.ServiceResult, Meta, error) {
-	s.mu.Lock()
-	snaps := append([]oldMemSnap(nil), s.snaps...)
-	s.mu.Unlock()
-	metas := make([]Meta, len(snaps))
-	for i, sn := range snaps {
-		metas[i] = sn.meta
-	}
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	for _, sn := range snaps {
-		if sn.meta.Seq == meta.Seq {
-			res, err := DecodeResult(sn.data)
-			return res, meta, err
-		}
-	}
-	return nil, Meta{}, fmt.Errorf("store: snapshot %d vanished", meta.Seq)
-}
-
-func (s *oldMemStore) List() ([]Meta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	metas := make([]Meta, len(s.snaps))
-	for i, sn := range s.snaps {
-		metas[i] = sn.meta
-	}
-	return metas, nil
-}
-
-func (s *oldMemStore) Delete(ref string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	metas := make([]Meta, len(s.snaps))
-	for i, sn := range s.snaps {
-		metas[i] = sn.meta
-	}
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return err
-	}
-	for i, sn := range s.snaps {
-		if sn.meta.Seq == meta.Seq {
-			s.snaps = append(s.snaps[:i], s.snaps[i+1:]...)
-			return nil
-		}
-	}
-	return nil
-}
-
-// oldFSStore is the pre-sharding filesystem layout: one mutex held across
-// the whole publish (temp write, fsync, hard link, dirsync) and across
-// Delete's unlink.
-type oldFSStore struct {
-	dir     string
-	mu      sync.Mutex
-	metas   []Meta
-	nextSeq uint64
-}
-
-func (s *oldFSStore) path(seq uint64) string {
-	return fmt.Sprintf("%s/%012d.snap", s.dir, seq)
-}
-
-func (s *oldFSStore) Put(jobID string, r *core.ServiceResult) (Meta, error) {
-	data := EncodeResult(r)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		meta := Meta{
-			Seq:       s.nextSeq,
-			Hash:      Hash(data),
-			Service:   r.Identity.Name,
-			JobID:     jobID,
-			CreatedAt: time.Now().UTC(),
-			Bytes:     len(data),
-		}
-		err := publishSnapFile(s.dir, s.path(meta.Seq), meta, data)
-		if os.IsExist(err) {
-			s.nextSeq++
-			continue
-		}
-		if err != nil {
-			return Meta{}, err
-		}
-		s.nextSeq++
-		s.metas = append(s.metas, meta)
-		return meta, nil
-	}
-}
-
-func (s *oldFSStore) Get(ref string) (*core.ServiceResult, Meta, error) {
-	metas, _ := s.List()
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	stored, data, err := readSnapFile(s.path(meta.Seq))
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if stored.Hash != meta.Hash {
-		return nil, Meta{}, fmt.Errorf("store: snapshot %d changed on disk", meta.Seq)
-	}
-	res, err := DecodeResult(data)
-	return res, meta, err
-}
-
-func (s *oldFSStore) List() ([]Meta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Meta(nil), s.metas...), nil
-}
-
-func (s *oldFSStore) Delete(ref string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	meta, err := Resolve(s.metas, ref)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(s.path(meta.Seq)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	for i, m := range s.metas {
-		if m.Seq == meta.Seq {
-			s.metas = append(s.metas[:i], s.metas[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// armSlowDisk injects 2ms of latency into every store.write (the temp
-// write both layouts publish through), simulating an ordinary disk's
-// fsync cost on runners whose temp filesystem syncs for free.
-func armSlowDisk(b *testing.B) {
-	faults.Set("store.write", faults.Plan{Delay: 2 * time.Millisecond, Count: -1})
-	b.Cleanup(func() { faults.Clear("store.write") })
-}
-
-// BenchmarkStoreMutexConvoy runs the same parallel mixed workload — seven
-// Gets of pre-stored snapshots, then one Put+Delete churn — against the
-// old coarse-locked layouts and the live sharded ones. The gap between
-// coarse and sharded is the convoy: on the coarse FSStore every reader
-// in the run queues behind whichever writer is inside its fsync.
-func BenchmarkStoreMutexConvoy(b *testing.B) {
-	names := []string{"Quizlet", "Roblox", "Duolingo", "YouTube"}
-	results := make([]*core.ServiceResult, len(names))
-	for i, n := range names {
-		results[i] = auditOne(b, n)
-	}
-	churn := auditOne(b, "TikTok")
-
-	backends := []struct {
-		name string
-		open func(b *testing.B) Store
-	}{
-		{"mem-coarse", func(b *testing.B) Store { return &oldMemStore{nextSeq: 1} }},
-		{"mem-sharded", func(b *testing.B) Store { return NewMemStore() }},
-		{"fs-coarse", func(b *testing.B) Store { return &oldFSStore{dir: b.TempDir(), nextSeq: 1} }},
-		{"fs-sharded", func(b *testing.B) Store {
-			s, err := OpenFSStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		}},
-		// The slowdisk pair is the convoy made visible on any hardware:
-		// tmpfs fsyncs return in microseconds, so the latency a coarse
-		// lock holds everyone behind is injected at the store.write point
-		// (2ms per temp write — an ordinary disk's fsync). Coarse: every
-		// reader queues behind the writer's sleep. Sharded: reads flow on
-		// while the writer waits.
-		{"fs-coarse-slowdisk", func(b *testing.B) Store {
-			armSlowDisk(b)
-			return &oldFSStore{dir: b.TempDir(), nextSeq: 1}
-		}},
-		{"fs-sharded-slowdisk", func(b *testing.B) Store {
-			armSlowDisk(b)
-			s, err := OpenFSStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		}},
-	}
-	for _, be := range backends {
-		b.Run(be.name, func(b *testing.B) {
-			s := be.open(b)
-			refs := make([]string, len(results))
-			for i, r := range results {
-				m, err := s.Put(fmt.Sprintf("seed-%d", i), r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				refs[i] = m.Hash
-			}
-			b.ResetTimer()
-			// 8× GOMAXPROCS goroutines: the convoy is about waiters queuing
-			// behind a lock held across blocking I/O, which shows up even
-			// when cores are scarce — a coarse store pins every goroutine
-			// behind the fsync; a sharded one lets the scheduler run other
-			// requests' decodes while the writer waits on the disk.
-			b.SetParallelism(8)
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					if i%8 == 0 {
-						m, err := s.Put("churn", churn)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := s.Delete(strconv.FormatUint(m.Seq, 10)); err != nil {
-							b.Fatal(err)
-						}
-						continue
-					}
-					if _, _, err := s.Get(refs[i%len(refs)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		})
 	}
 }

@@ -204,25 +204,18 @@ func checkSnapshot(data []byte) (version uint16, payload []byte, err error) {
 	return version, body[headerLen:], nil
 }
 
-// DecodeResult parses a snapshot back into a service result. Personas the
-// snapshot references are registered into the process-wide registry
-// (idempotently); a snapshot persona conflicting with an already-registered
-// one of the same name is an error. Current (columnar, v3), v2, and v1
-// snapshots all decode.
+// DecodeResult parses a snapshot back into a service result: a view over
+// the bytes, fully materialized — the same path every store read takes.
+// Personas the snapshot references are registered into the process-wide
+// registry (idempotently); a snapshot persona conflicting with an
+// already-registered one of the same name is an error. Current (columnar,
+// v3), v2, and v1 snapshots all decode.
 func DecodeResult(data []byte) (*core.ServiceResult, error) {
-	version, payload, err := checkSnapshot(data)
+	v, err := NewSnapshotView(data, Meta{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	decodes.Add(1)
-	if version == 1 {
-		return decodeV1(payload)
-	}
-	secs, err := splitSections(version, payload)
-	if err != nil {
-		return nil, err
-	}
-	return secs.materialize(nil)
+	return v.Result()
 }
 
 // snapSections is a parsed v2/v3 section directory: zero-copy slices into
@@ -398,32 +391,6 @@ func decodeSymbolSection(data []byte) (*flows.SetDecoder, error) {
 		return nil, fmt.Errorf("store: snapshot symbol tables: %w", err)
 	}
 	return dec, nil
-}
-
-// materialize decodes the sections into a result. A non-nil only set
-// restricts which personas' flow sections are decoded at all — the
-// sections of personas outside the filter are never touched, which is the
-// partial-materialization fast path /v1/diff uses.
-func (s *snapSections) materialize(only map[flows.Persona]bool) (*core.ServiceResult, error) {
-	res, err := decodeMetaSection(s.meta)
-	if err != nil {
-		return nil, err
-	}
-	personas, err := decodePersonaSection(s.personas)
-	if err != nil {
-		return nil, err
-	}
-	if len(personas) != len(s.flowSets) {
-		return nil, fmt.Errorf("store: snapshot has %d personas but %d flow sections", len(personas), len(s.flowSets))
-	}
-	dec, err := decodeSymbolSection(s.symbols)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.decodeFlowSetsInto(dec, personas, only, res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // decodeV1 parses the unframed version-1 payload — the PR-5 layout, kept

@@ -1,11 +1,11 @@
 // Snapshot integrity scrubbing: proactive detection of at-rest
-// corruption. FSStore already *tolerates* corruption — a damaged file is
-// skipped at Open, and Get re-hashes what it reads — but tolerance is
-// reactive: the damage is discovered by whichever request trips over it,
-// and until then the store advertises a snapshot it cannot serve. A
-// scrub pass walks every listed snapshot, re-verifies the whole chain of
-// custody (envelope parse, codec CRC32, SHA-256 content hash against the
-// listed metadata), and handles what it finds:
+// corruption. The directory backend already *tolerates* corruption — a
+// damaged file is skipped at open, and every View checks the CRC — but
+// tolerance is reactive: the damage is discovered by whichever request
+// trips over it, and until then the store advertises a snapshot it cannot
+// serve. A scrub pass walks every listed snapshot, re-verifies the whole
+// chain of custody (envelope parse, codec CRC32, SHA-256 content hash
+// against the listed metadata), and handles what it finds:
 //
 //   - Corrupt files are moved to <dir>/quarantine/ — off the serving
 //     path but preserved byte-for-byte, because a later build (or a
@@ -26,8 +26,6 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"diffaudit/internal/faults"
 )
@@ -56,33 +54,37 @@ func (r *ScrubResult) Add(o ScrubResult) {
 	r.Quarantined += o.Quarantined
 }
 
-// Scrubber is implemented by stores that can proactively verify their
-// at-rest snapshots. fetch, when non-nil, maps a content hash to clean
-// encoded bytes for repair (return false when no clean copy exists).
-type Scrubber interface {
-	ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResult
+// QuarantineDir is where a scrub pass parks corrupt snapshot files. It is
+// "" when the store keeps nothing at rest (the memory backend: corruption
+// there is a RAM problem, not ours) and so has nothing to scrub.
+func (s *Snapshots) QuarantineDir() string {
+	if d, ok := s.blobs.(*dirBackend); ok {
+		return d.quarantineDir()
+	}
+	return ""
 }
 
-// QuarantineDir is where a scrubbed FSStore parks corrupt snapshot
-// files.
-func (s *FSStore) QuarantineDir() string { return filepath.Join(s.dir, "quarantine") }
-
-// ScrubPass implements Scrubber: one low-priority walk over every listed
-// snapshot. File I/O happens outside the store lock — a pass over a
-// large store must not stall Puts — and each corrupt file is handled
-// under the lock with a re-check, so a concurrent Delete cannot race the
-// quarantine into resurrecting metadata.
-func (s *FSStore) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResult {
-	metas, _ := s.List()
+// ScrubPass is one low-priority walk over every listed snapshot of a
+// directory-backed store. fetch, when non-nil, maps a content hash to
+// clean encoded bytes for repair (return false when no clean copy exists).
+// File I/O happens outside the store lock — a pass over a large store must
+// not stall Puts — and each corrupt file is handled under the lock with a
+// re-check, so a concurrent Delete cannot race the quarantine into
+// resurrecting metadata.
+func (s *Snapshots) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResult {
 	var res ScrubResult
+	d, ok := s.blobs.(*dirBackend)
+	if !ok {
+		return res
+	}
+	metas, _ := s.List()
 	for _, m := range metas {
 		res.Scanned++
-		err := s.verifySnapshotFile(m)
-		if err == nil {
+		if s.verify(m) == nil {
 			continue
 		}
 		res.Corrupt++
-		if s.quarantineAndMaybeRepair(m, fetch) {
+		if s.quarantineAndMaybeRepair(d, m, fetch) {
 			res.Repaired++
 		} else {
 			res.Quarantined++
@@ -91,25 +93,22 @@ func (s *FSStore) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResult 
 	return res
 }
 
-// verifySnapshotFile re-verifies one snapshot file end to end: envelope
-// parse, envelope metadata against the listed metadata, codec CRC32,
-// and the SHA-256 content hash. Any failure — including an unreadable
-// file — reports corrupt; the quarantine path tolerates a file that
-// turns out to be missing.
-func (s *FSStore) verifySnapshotFile(m Meta) error {
+// verify re-verifies one stored snapshot end to end: what every open
+// checks (readable envelope whose recorded hash matches the listed
+// metadata), then the codec CRC32 (cheap, catches truncation and bit rot
+// inside the codec frame), then the SHA-256 content hash (end-to-end,
+// catches everything else including a consistently re-written wrong
+// snapshot). Any failure — including a missing file, which the quarantine
+// path tolerates — reports corrupt.
+func (s *Snapshots) verify(m Meta) error {
 	if err := faults.Inject("scrub.corrupt"); err != nil {
 		return fmt.Errorf("store: scrub: %w", err)
 	}
-	stored, data, err := readSnapFile(s.path(m.Seq))
+	data, release, err := s.open(m)
 	if err != nil {
 		return err
 	}
-	if stored.Hash != m.Hash {
-		return fmt.Errorf("store: scrub: snapshot %d envelope hash %s != listed %s", m.Seq, stored.Hash, m.Hash)
-	}
-	// CRC32 first (cheap, catches truncation and bit rot inside the codec
-	// frame), then the content hash (end-to-end, catches everything else
-	// including a consistently re-written wrong snapshot).
+	defer release()
 	if _, _, err := checkSnapshot(data); err != nil {
 		return fmt.Errorf("store: scrub: snapshot %d: %w", m.Seq, err)
 	}
@@ -124,50 +123,23 @@ func (s *FSStore) verifySnapshotFile(m Meta) error {
 // the file in place. Returns true when the snapshot was repaired and
 // keeps serving; false when it was quarantined and dropped from the
 // listing.
-func (s *FSStore) quarantineAndMaybeRepair(m Meta, fetch func(hash string) ([]byte, bool)) bool {
+func (s *Snapshots) quarantineAndMaybeRepair(d *dirBackend, m Meta, fetch func(hash string) ([]byte, bool)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Re-check under the lock: a concurrent Delete may have removed the
 	// snapshot while verification ran; there is nothing left to handle.
-	live := false
-	for _, cur := range s.metas {
-		if cur.Seq == m.Seq && cur.Hash == m.Hash {
-			live = true
-			break
-		}
-	}
-	if !live {
+	if cur, live := s.ix.at(m.Seq); !live || cur.Hash != m.Hash {
 		return false
 	}
-
-	// Park the corrupt bytes. A rename preserves them exactly; failure to
-	// quarantine (quarantine dir unwritable) must not block dropping the
-	// metadata — serving 404 beats serving corruption either way.
-	if err := os.MkdirAll(s.QuarantineDir(), 0o755); err == nil {
-		dest := filepath.Join(s.QuarantineDir(), fmt.Sprintf("%012d.snap", m.Seq))
-		if _, err := os.Stat(dest); err == nil {
-			// A previous pass already parked this sequence; keep the first
-			// evidence and make room for the fresh copy.
-			dest = filepath.Join(s.QuarantineDir(), fmt.Sprintf("%012d.snap.%d", m.Seq, os.Getpid()))
-		}
-		os.Rename(s.path(m.Seq), dest)
-	}
-	os.Remove(s.path(m.Seq)) // if the rename failed, do not leave corruption serveable
-
+	d.quarantine(m.Seq)
 	if fetch != nil {
 		if data, ok := fetch(m.Hash); ok && Hash(data) == m.Hash {
-			if err := publishSnapFile(s.dir, s.path(m.Seq), m, data); err == nil {
+			if err := d.publish(m, data); err == nil {
 				return true // metadata stays; the snapshot never stopped serving
 			}
 		}
 	}
-
 	// No clean copy: drop the listing so reads 404 instead of 500.
-	for i, cur := range s.metas {
-		if cur.Seq == m.Seq {
-			s.metas = append(s.metas[:i], s.metas[i+1:]...)
-			break
-		}
-	}
+	s.ix.drop(m.Seq)
 	return false
 }

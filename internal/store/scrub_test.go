@@ -10,10 +10,10 @@ import (
 	"diffaudit/internal/faults"
 )
 
-// scrubStore builds an FSStore with two snapshots and returns it with
+// scrubStore builds a directory-backed store with two snapshots and returns it with
 // their metadata and clean encoded bytes (the repair source the server's
 // cache would provide).
-func scrubStore(t *testing.T) (*FSStore, []Meta, map[string][]byte) {
+func scrubStore(t *testing.T) (*Snapshots, []Meta, map[string][]byte) {
 	t.Helper()
 	st, err := OpenFSStore(filepath.Join(t.TempDir(), "snapshots"))
 	if err != nil {
@@ -34,6 +34,9 @@ func scrubStore(t *testing.T) (*FSStore, []Meta, map[string][]byte) {
 	}
 	return st, metas, clean
 }
+
+// dirOf returns the directory backend under a store opened by OpenFSStore.
+func dirOf(st *Snapshots) *dirBackend { return st.blobs.(*dirBackend) }
 
 // corruptFile flips a byte deep inside a snapshot file's payload, past
 // the envelope header so the file still parses but the codec CRC fails.
@@ -70,7 +73,7 @@ func TestScrubPassClean(t *testing.T) {
 func TestScrubQuarantinesCorruption(t *testing.T) {
 	st, metas, _ := scrubStore(t)
 	bad := metas[0]
-	mangled := corruptFile(t, st.path(bad.Seq))
+	mangled := corruptFile(t, dirOf(st).path(bad.Seq))
 
 	r := st.ScrubPass(nil) // no repair source
 	if r.Scanned != 2 || r.Corrupt != 1 || r.Quarantined != 1 || r.Repaired != 0 {
@@ -91,7 +94,7 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 	}
 
 	// Evidence preserved exactly.
-	parked, err := os.ReadFile(filepath.Join(st.QuarantineDir(), filepath.Base(st.path(bad.Seq))))
+	parked, err := os.ReadFile(filepath.Join(st.QuarantineDir(), filepath.Base(dirOf(st).path(bad.Seq))))
 	if err != nil {
 		t.Fatalf("quarantined file: %v", err)
 	}
@@ -99,13 +102,13 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 		t.Error("quarantined bytes differ from the corrupt original")
 	}
 	// The serving path no longer holds the file.
-	if _, err := os.Stat(st.path(bad.Seq)); !os.IsNotExist(err) {
+	if _, err := os.Stat(dirOf(st).path(bad.Seq)); !os.IsNotExist(err) {
 		t.Errorf("corrupt file still in serving dir: %v", err)
 	}
 
 	// A restart agrees: reopening the directory sees one snapshot and
 	// ignores the quarantine subdirectory.
-	st2, err := OpenFSStore(st.dir)
+	st2, err := OpenFSStore(dirOf(st).dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 func TestScrubRepairsFromFetch(t *testing.T) {
 	st, metas, clean := scrubStore(t)
 	bad := metas[1]
-	corruptFile(t, st.path(bad.Seq))
+	corruptFile(t, dirOf(st).path(bad.Seq))
 
 	fetch := func(hash string) ([]byte, bool) {
 		data, ok := clean[hash]
@@ -137,7 +140,7 @@ func TestScrubRepairsFromFetch(t *testing.T) {
 	if err != nil || res == nil || meta.Seq != bad.Seq {
 		t.Fatalf("Get after repair = %v (meta %+v)", err, meta)
 	}
-	if err := st.verifySnapshotFile(bad); err != nil {
+	if err := st.verify(bad); err != nil {
 		t.Errorf("repaired file fails verification: %v", err)
 	}
 	if r2 := st.ScrubPass(fetch); r2.Corrupt != 0 {
@@ -151,7 +154,7 @@ func TestScrubRepairsFromFetch(t *testing.T) {
 func TestScrubRejectsWrongRepairBytes(t *testing.T) {
 	st, metas, clean := scrubStore(t)
 	bad := metas[0]
-	corruptFile(t, st.path(bad.Seq))
+	corruptFile(t, dirOf(st).path(bad.Seq))
 
 	wrong := clean[metas[1].Hash] // valid encoding, wrong snapshot
 	r := st.ScrubPass(func(string) ([]byte, bool) { return wrong, true })

@@ -3,37 +3,36 @@
 // features build on. A snapshot is one core.ServiceResult serialized with
 // the versioned codec (codec.go), keyed by its content hash (SHA-256 over
 // the canonical encoding) plus a monotonic sequence number assigned at Put
-// time. Two backends implement the Store interface:
+// time.
 //
-//   - MemStore keeps snapshots in process memory — the ephemeral behavior
-//     the server had before snapshots existed, now behind the same
-//     interface, useful for tests and single-run tooling.
-//   - FSStore appends snapshots as individual files under a data
-//     directory. Writes are crash-safe (write to a temp file in the same
-//     directory, fsync, then rename), and opening the store rescans the
-//     directory so a restarted process serves everything the previous one
-//     stored.
+// There is one store type, Snapshots: an in-memory index (index.go — the
+// only place a reference is resolved) over a blob backend (backend.go)
+// that holds the bytes: a map (NewMemStore; process-lifetime durability,
+// for tests and single-run tooling) or a directory with one crash-safely
+// published file per snapshot (OpenFSStore; rescanned on open, so a
+// restarted process serves everything the previous one stored).
 //
-// References are user-facing: Get and Delete resolve a snapshot by decimal
-// sequence number, full content hash, unique hash prefix (≥ 6 hex chars),
-// or the job ID recorded at Put time.
+// One mutex guards the index, in critical sections of a few loads and
+// stores. Encoding, hashing, decoding and every byte of backend I/O run
+// outside it, so concurrent Puts overlap their fsyncs and readers never
+// wait on a writer's disk; only the cold scrub-repair path does I/O under
+// the lock (quarantine must be atomic against Delete).
+//
+// References are user-facing: a decimal sequence number, a full content
+// hash, a unique hash prefix (≥ 6 hex chars), or the job ID recorded at
+// Put time. The first three kinds are map or binary-search lookups; only
+// prefixes scan.
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"diffaudit/internal/core"
-	"diffaudit/internal/faults"
-	"diffaudit/internal/wire"
 )
 
 // Meta describes one stored snapshot.
@@ -60,11 +59,30 @@ type Store interface {
 	// Put serializes and stores a result, returning its metadata. jobID
 	// may be "" when the snapshot is not tied to a server job.
 	Put(jobID string, r *core.ServiceResult) (Meta, error)
-	// Get resolves a reference (sequence number, hash, unique hash
-	// prefix, or job ID) and decodes the snapshot.
+	// Resolve finds the snapshot a reference denotes: a decimal number
+	// matches the sequence (falling through when no such sequence exists),
+	// otherwise a job ID (its newest snapshot), a full hash, or a unique
+	// hash prefix of at least 6 characters. Identical content stored twice
+	// resolves to the newest copy; a prefix spanning distinct contents is
+	// ambiguous. Failures wrap ErrUnresolved.
+	Resolve(ref string) (Meta, error)
+	// JobSnapshot returns the newest snapshot recorded under exactly this
+	// job ID — unlike Resolve it never matches a sequence, hash or prefix.
+	JobSnapshot(jobID string) (Meta, bool)
+	// View opens the snapshot m describes (as returned by Resolve, List or
+	// Put) as a lazy view: envelope hash and CRC are checked, nothing is
+	// decoded. The caller must Close it. A snapshot deleted since m was
+	// resolved fails with ErrUnresolved.
+	View(m Meta) (*SnapshotView, error)
+	// Get resolves a reference and decodes the snapshot.
 	Get(ref string) (*core.ServiceResult, Meta, error)
 	// List returns all snapshot metadata in ascending sequence order.
 	List() ([]Meta, error)
+	// Page returns up to limit snapshots with a sequence above after, in
+	// ascending order (limit 0: all of them), and whether more remain.
+	Page(after uint64, limit int) (page []Meta, more bool)
+	// Len returns the number of stored snapshots.
+	Len() int
 	// Delete removes the snapshot a reference resolves to.
 	Delete(ref string) error
 }
@@ -76,515 +94,185 @@ type Store interface {
 // 404 and the latter to 500.
 var ErrUnresolved = errors.New("unresolved snapshot reference")
 
-// Resolve finds the snapshot a user-facing reference denotes among metas:
-// a decimal number matches the sequence, otherwise the reference matches a
-// job ID, a full hash, or a unique hash prefix of at least 6 characters.
-// When several snapshots share a hash (identical content stored twice),
-// the newest wins.
-func Resolve(metas []Meta, ref string) (Meta, error) {
-	ref = strings.TrimSpace(ref)
-	if ref == "" {
-		return Meta{}, fmt.Errorf("store: %w: empty reference", ErrUnresolved)
-	}
-	if seq, err := strconv.ParseUint(ref, 10, 64); err == nil {
-		for _, m := range metas {
-			if m.Seq == seq {
-				return m, nil
-			}
-		}
-		// No such sequence — fall through: an all-digit reference can
-		// still be a valid hash prefix (≈6% of hex hashes open with six
-		// decimal digits) or an all-digit job ID.
-	}
-	var jobMatches, hashMatches []Meta
-	for _, m := range metas {
-		switch {
-		case m.JobID != "" && m.JobID == ref:
-			jobMatches = append(jobMatches, m)
-		case m.Hash == ref:
-			hashMatches = append(hashMatches, m)
-		case len(ref) >= 6 && strings.HasPrefix(m.Hash, ref):
-			hashMatches = append(hashMatches, m)
-		}
-	}
-	// A job ID resolves to its latest snapshot (a re-run job overwrites
-	// nothing; the newer audit wins), and takes precedence over a hash
-	// prefix that happens to collide with it.
-	if len(jobMatches) > 0 {
-		best := jobMatches[0]
-		for _, m := range jobMatches {
-			if m.Seq > best.Seq {
-				best = m
-			}
-		}
-		return best, nil
-	}
-	if len(hashMatches) == 0 {
-		return Meta{}, fmt.Errorf("store: %w: no snapshot matches %q", ErrUnresolved, ref)
-	}
-	// Identical content stored twice shares a hash and resolves to the
-	// newest copy; a prefix spanning different contents is ambiguous.
-	best := hashMatches[0]
-	distinct := map[string]bool{}
-	for _, m := range hashMatches {
-		distinct[m.Hash] = true
-		if m.Seq > best.Seq {
-			best = m
-		}
-	}
-	if len(distinct) > 1 {
-		return Meta{}, fmt.Errorf("store: %w: %q is ambiguous (%d snapshots match)", ErrUnresolved, ref, len(hashMatches))
-	}
-	return best, nil
-}
-
-// storeShards is the number of payload shards in MemStore. Snapshots land
-// in a shard by FNV-1a over their content hash, so concurrent operations
-// on different snapshots almost never share a lock. 32 shards comfortably
-// exceeds the worker/reader parallelism the server runs (GOMAXPROCS-ish)
-// while keeping the fixed footprint trivial; the map in each shard stays
-// small enough that per-shard operations are O(1) lookups.
-const storeShards = 32
-
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// shardOf maps a content hash to its payload shard index.
-func shardOf(hash string) uint32 {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(hash); i++ {
-		h ^= uint32(hash[i])
-		h *= fnvPrime32
-	}
-	return h % storeShards
-}
-
-// insertMeta inserts m into a seq-ascending meta list. Concurrent Puts
-// reserve sequence numbers in order but can finish out of order, so a
-// plain append is not enough to keep List sorted.
-func insertMeta(metas []Meta, m Meta) []Meta {
-	i := sort.Search(len(metas), func(i int) bool { return metas[i].Seq >= m.Seq })
-	metas = append(metas, Meta{})
-	copy(metas[i+1:], metas[i:])
-	metas[i] = m
-	return metas
-}
-
-// MemStore keeps snapshots in process memory: the full snapshot API with
-// process-lifetime durability. A server only uses it when configured
-// (ServerConfig.Store) — the server's default remains no store at all,
-// with memory-only result semantics. Memory grows with every Put;
-// long-lived servers that need durability or a bound should use FSStore.
-//
-// Concurrency layout: the meta index (seq assignment + the seq-ordered
-// listing) lives under one mutex whose critical sections are a few loads
-// and stores — encoding, hashing, and decoding never run under it. The
-// payload bytes live in FNV(content-hash)-sharded maps so readers of
-// different snapshots fetch their bytes without sharing a lock.
-type MemStore struct {
-	mu      sync.Mutex // guards metas + nextSeq; short critical sections only
-	metas   []Meta     // ascending seq
-	nextSeq uint64
-
-	shards [storeShards]memShard
-}
-
-type memShard struct {
-	mu   sync.Mutex
-	data map[uint64][]byte // seq → canonical encoding
+// Snapshots is the store implementation: the index under one mutex, the
+// bytes in a backend. Memory grows with every Put on the map backend;
+// long-lived servers that need durability or a bound use the directory one.
+type Snapshots struct {
+	mu    sync.Mutex // guards ix; backend I/O never runs under it (scrub repair excepted)
+	ix    index
+	blobs backend
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{nextSeq: 1}
+func NewMemStore() *Snapshots {
+	return &Snapshots{ix: newIndex(), blobs: &memBackend{}}
 }
-
-// Put implements Store. The encode and the SHA-256 over it — the
-// expensive part of a Put — run before any lock is taken; the index lock
-// covers only the sequence reservation and the sorted meta insert.
-func (s *MemStore) Put(jobID string, r *core.ServiceResult) (Meta, error) {
-	data := EncodeResult(r)
-	hash := Hash(data)
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
-	meta := Meta{
-		Seq:       seq,
-		Hash:      hash,
-		Service:   r.Identity.Name,
-		JobID:     jobID,
-		CreatedAt: time.Now().UTC(),
-		Bytes:     len(data),
-	}
-	sh := &s.shards[shardOf(hash)]
-	sh.mu.Lock()
-	if sh.data == nil {
-		sh.data = make(map[uint64][]byte)
-	}
-	sh.data[seq] = data
-	sh.mu.Unlock()
-	// Publish the meta last: a reference never resolves to a snapshot
-	// whose bytes are not yet in place.
-	s.mu.Lock()
-	s.metas = insertMeta(s.metas, meta)
-	s.mu.Unlock()
-	return meta, nil
-}
-
-// fetch returns the stored bytes for a resolved meta. The bytes are
-// immutable after Put, so the reference is shared, not copied. A false
-// return means a concurrent Delete won the race after resolution.
-func (s *MemStore) fetch(meta Meta) ([]byte, bool) {
-	sh := &s.shards[shardOf(meta.Hash)]
-	sh.mu.Lock()
-	data, ok := sh.data[meta.Seq]
-	sh.mu.Unlock()
-	return data, ok
-}
-
-// Get implements Store. Decoding runs outside every lock.
-func (s *MemStore) Get(ref string) (*core.ServiceResult, Meta, error) {
-	metas, _ := s.List()
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	data, ok := s.fetch(meta)
-	if !ok {
-		// Deleted between resolution and fetch: the reference no longer
-		// denotes anything, which is a 404, not a 500.
-		return nil, Meta{}, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, meta.Seq)
-	}
-	res, err := DecodeResult(data)
-	return res, meta, err
-}
-
-// List implements Store.
-func (s *MemStore) List() ([]Meta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Meta(nil), s.metas...), nil
-}
-
-// Delete implements Store. The meta is dropped first so no new reference
-// resolves to the snapshot, then the payload is released from its shard.
-func (s *MemStore) Delete(ref string) error {
-	s.mu.Lock()
-	meta, err := Resolve(s.metas, ref)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	for i, m := range s.metas {
-		if m.Seq == meta.Seq {
-			s.metas = append(s.metas[:i], s.metas[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-	sh := &s.shards[shardOf(meta.Hash)]
-	sh.mu.Lock()
-	delete(sh.data, meta.Seq)
-	sh.mu.Unlock()
-	return nil
-}
-
-// FSStore persists snapshots as append-only files under a directory. One
-// snapshot is one file, <seq>.snap, holding a small envelope (JSON metadata)
-// followed by the codec bytes. Files are written to a temp name in the same
-// directory and renamed into place, so a crash mid-write never leaves a
-// half-visible snapshot — at worst a .tmp-* orphan, which Open removes.
-//
-// Concurrency layout: like MemStore, the meta index lives under one
-// mutex with short critical sections. File I/O — the temp write, the
-// fsync, the hard-link publish, the dirsync, the unlink — runs entirely
-// outside that lock, so concurrent Puts overlap their fsyncs instead of
-// convoying behind a single global mutex, and readers never wait on a
-// writer's disk. Only the cold scrub-repair path still does I/O under
-// the lock (quarantine must be atomic against Delete).
-type FSStore struct {
-	dir string
-
-	mu      sync.Mutex // guards metas + nextSeq; hot-path file I/O never runs under it
-	metas   []Meta     // ascending seq
-	nextSeq uint64
-}
-
-// envelope magic and version for the FSStore file framing (distinct from
-// the snapshot codec version: the framing can evolve independently).
-const (
-	fileMagic   = "DASF"
-	fileVersion = 1
-)
 
 // OpenFSStore opens (creating if needed) a snapshot directory and rescans
 // it, so snapshots stored by previous processes are served again.
-// Unreadable or corrupted files are skipped rather than failing the open:
-// a damaged snapshot must not take down the store that holds the healthy
-// ones.
-func OpenFSStore(dir string) (*FSStore, error) {
+func OpenFSStore(dir string) (*Snapshots, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: data directory required")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &FSStore{dir: dir, nextSeq: 1}
-	entries, err := os.ReadDir(dir)
+	blobs := &dirBackend{dir: dir}
+	metas, claimed, err := blobs.rescan()
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			// Orphan from a crashed write; never renamed, never visible.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if e.IsDir() || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		// Every .snap file claims the sequence its name encodes, even when
-		// it cannot be read (corrupt, or written by a newer build): a
-		// later Put must never rename over it and destroy bytes a better
-		// decoder could still recover.
-		if n, err := strconv.ParseUint(strings.TrimSuffix(name, ".snap"), 10, 64); err == nil && n >= s.nextSeq {
-			s.nextSeq = n + 1
-		}
-		meta, data, err := readSnapFile(filepath.Join(dir, name))
-		if err != nil || Hash(data) != meta.Hash {
-			continue
-		}
-		s.metas = append(s.metas, meta)
-		if meta.Seq >= s.nextSeq {
-			s.nextSeq = meta.Seq + 1
-		}
+	s := &Snapshots{ix: newIndex(), blobs: blobs}
+	s.ix.fence(claimed)
+	for _, m := range metas {
+		s.ix.insert(m)
 	}
-	sort.Slice(s.metas, func(i, j int) bool { return s.metas[i].Seq < s.metas[j].Seq })
 	return s, nil
 }
 
-// Dir returns the store's data directory.
-func (s *FSStore) Dir() string { return s.dir }
-
-// path returns the file backing a sequence number.
-func (s *FSStore) path(seq uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%012d.snap", seq))
+// Put implements Store. The encode and the SHA-256 over it — the
+// expensive part of a Put — run before any lock is taken.
+func (s *Snapshots) Put(jobID string, r *core.ServiceResult) (Meta, error) {
+	data := EncodeResult(r)
+	return s.put(Meta{
+		Hash:      Hash(data),
+		Service:   r.Identity.Name,
+		JobID:     jobID,
+		CreatedAt: time.Now().UTC(),
+		Bytes:     len(data),
+	}, data)
 }
 
-// Put implements Store. Publication is exclusive (hard link, not rename):
-// if another handle or process over the same directory already claimed
-// the sequence, this writer skips past it instead of overwriting — two
-// concurrent writers never destroy each other's snapshots. A concurrent
-// writer's own snapshots become visible to this handle on the next Open.
-func (s *FSStore) Put(jobID string, r *core.ServiceResult) (Meta, error) {
-	data := EncodeResult(r)
-	hash := Hash(data)
+// put reserves a sequence under a short critical section, publishes the
+// bytes with no lock held, and lists the meta last: a reference never
+// resolves to a snapshot whose bytes are not yet durable. Publication is
+// exclusive, so when another handle or process over the same directory
+// already claimed the sequence, this writer skips past it instead of
+// overwriting — concurrent writers never destroy each other's snapshots
+// (theirs become visible to this handle on the next open).
+func (s *Snapshots) put(m Meta, data []byte) (Meta, error) {
 	for {
-		// Reserve a sequence number under a short critical section, then
-		// do every byte of file I/O with no lock held: concurrent Puts
-		// write and fsync in parallel, each against its own reserved file.
 		s.mu.Lock()
-		seq := s.nextSeq
-		s.nextSeq++
+		m.Seq = s.ix.reserve()
 		s.mu.Unlock()
-		meta := Meta{
-			Seq:       seq,
-			Hash:      hash,
-			Service:   r.Identity.Name,
-			JobID:     jobID,
-			CreatedAt: time.Now().UTC(),
-			Bytes:     len(data),
-		}
-		err := publishSnapFile(s.dir, s.path(meta.Seq), meta, data)
-		if os.IsExist(err) {
-			// Sequence taken by a foreign writer over the same directory;
-			// reserve the next one and retry.
+		err := s.blobs.publish(m, data)
+		if errors.Is(err, os.ErrExist) {
 			continue
 		}
 		if err != nil {
 			return Meta{}, err
 		}
 		s.mu.Lock()
-		s.metas = insertMeta(s.metas, meta)
+		s.ix.insert(m)
 		s.mu.Unlock()
-		return meta, nil
+		return m, nil
 	}
 }
 
-// Get implements Store.
-func (s *FSStore) Get(ref string) (*core.ServiceResult, Meta, error) {
-	metas, _ := s.List()
-	meta, err := Resolve(metas, ref)
+// Resolve implements Store.
+func (s *Snapshots) Resolve(ref string) (Meta, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ix.resolve(ref)
+}
+
+// JobSnapshot implements Store.
+func (s *Snapshots) JobSnapshot(jobID string) (Meta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ix.job(jobID)
+}
+
+// open returns the codec bytes stored for m, once the stored envelope
+// agrees they are the content m names. The bytes are valid until release.
+func (s *Snapshots) open(m Meta) (data []byte, release func() error, err error) {
+	stored, data, release, err := s.blobs.open(m.Seq)
+	if errors.Is(err, os.ErrNotExist) {
+		// Deleted between resolution and the open: the reference no longer
+		// denotes anything, which is a 404, not a 500.
+		return nil, nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, m.Seq)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if stored.Hash != m.Hash {
+		release()
+		return nil, nil, fmt.Errorf("store: snapshot %d changed on disk (hash %s != %s)", m.Seq, stored.Hash, m.Hash)
+	}
+	return data, release, nil
+}
+
+// View implements Store. The view shares the backend's bytes (mapped file
+// or immutable in-memory slice), so it stays readable even if the snapshot
+// is deleted while it is open.
+func (s *Snapshots) View(m Meta) (*SnapshotView, error) {
+	data, release, err := s.open(m)
+	if err != nil {
+		return nil, err
+	}
+	return NewSnapshotView(data, m, release)
+}
+
+// Get implements Store: resolve, open, materialize. Decoding runs outside
+// every lock.
+func (s *Snapshots) Get(ref string) (*core.ServiceResult, Meta, error) {
+	m, err := s.Resolve(ref)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	stored, data, err := readSnapFile(s.path(meta.Seq))
+	v, err := s.View(m)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Deleted between resolution and the read: a stale reference,
-			// not a storage failure.
-			return nil, Meta{}, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, meta.Seq)
-		}
 		return nil, Meta{}, err
 	}
-	if stored.Hash != meta.Hash {
-		return nil, Meta{}, fmt.Errorf("store: snapshot %d changed on disk (hash %s != %s)", meta.Seq, stored.Hash, meta.Hash)
-	}
-	res, err := DecodeResult(data)
+	defer v.Close()
+	res, err := v.Result()
 	if err != nil {
-		return nil, Meta{}, fmt.Errorf("store: snapshot %d: %w", meta.Seq, err)
+		return nil, Meta{}, fmt.Errorf("store: snapshot %d: %w", m.Seq, err)
 	}
-	return res, meta, nil
+	return res, m, nil
 }
 
 // List implements Store.
-func (s *FSStore) List() ([]Meta, error) {
+func (s *Snapshots) List() ([]Meta, error) {
+	page, _ := s.Page(0, 0)
+	return page, nil
+}
+
+// Page implements Store.
+func (s *Snapshots) Page(after uint64, limit int) ([]Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Meta(nil), s.metas...), nil
+	return s.ix.page(after, limit)
 }
 
-// Delete implements Store. The meta is dropped under the lock first —
-// no new reference resolves to the snapshot — and the file is unlinked
-// with no lock held. An open View keeps serving: it reads mapped (or
-// copied) bytes whose inode survives the unlink.
-func (s *FSStore) Delete(ref string) error {
+// Len implements Store.
+func (s *Snapshots) Len() int {
 	s.mu.Lock()
-	meta, err := Resolve(s.metas, ref)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	for i, m := range s.metas {
-		if m.Seq == meta.Seq {
-			s.metas = append(s.metas[:i], s.metas[i+1:]...)
-			break
-		}
+	defer s.mu.Unlock()
+	return len(s.ix.metas)
+}
+
+// Delete implements Store. The meta is dropped under the lock first — no
+// new reference resolves to the snapshot — and the bytes are removed with
+// no lock held.
+func (s *Snapshots) Delete(ref string) error {
+	s.mu.Lock()
+	m, err := s.ix.resolve(ref)
+	if err == nil {
+		s.ix.drop(m.Seq)
 	}
 	s.mu.Unlock()
-	if err := os.Remove(s.path(meta.Seq)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// syncDir flushes a directory's entry metadata so a just-published link
-// or rename survives power loss, not only process crash. Open failure is
-// real (the directory vanished); a failing Sync degrades silently — the
-// snapshot bytes themselves are already fsynced, and some filesystems
-// cannot sync a directory handle at all.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.Sync()
-	d.Close()
-	return nil
-}
-
-// writeTemp writes data durably to a fresh .tmp-* file in dir (write,
-// fsync, close) and returns its path. The caller publishes it via link or
-// rename and removes it on failure. The "store.write" injection point
-// models the write failing before any byte lands — the transient-I/O case
-// the server's retry loop exists for.
-func writeTemp(dir string, data []byte) (string, error) {
-	if err := faults.Inject("store.write"); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	f, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return "", fmt.Errorf("store: %w", err)
-	}
-	return f.Name(), nil
-}
-
-// publishSnapFile writes one snapshot file crash-safely and exclusively:
-// temp file in the same directory, fsync, then a hard link to the final
-// name — which fails with os.IsExist (passed through un-wrapped) when the
-// name is already taken, instead of overwriting it as a rename would.
-func publishSnapFile(dir, path string, meta Meta, data []byte) error {
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w := &wire.Writer{}
-	var hdr [6]byte
-	copy(hdr[:], fileMagic)
-	hdr[4] = fileVersion
-	hdr[5] = 0
-	w.Raw(hdr[:])
-	w.Int(len(metaJSON))
-	w.Raw(metaJSON)
-	w.Raw(data)
-
-	tmp, err := writeTemp(dir, w.Bytes())
 	if err != nil {
 		return err
 	}
-	err = os.Link(tmp, path)
-	os.Remove(tmp)
-	if err != nil {
-		if os.IsExist(err) {
-			return err
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// readSnapFile parses one snapshot file's envelope, returning the metadata
-// and the codec bytes.
-func readSnapFile(path string) (Meta, []byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("store: %w", err)
-	}
-	return parseSnapEnvelope(path, raw)
-}
-
-// parseSnapEnvelope parses a snapshot file's envelope from bytes already
-// in hand (read or mapped). The returned codec bytes alias raw.
-func parseSnapEnvelope(path string, raw []byte) (Meta, []byte, error) {
-	if len(raw) < 6 || string(raw[:4]) != fileMagic {
-		return Meta{}, nil, fmt.Errorf("store: %s: not a snapshot file", filepath.Base(path))
-	}
-	if raw[4] != fileVersion {
-		return Meta{}, nil, fmt.Errorf("store: %s: file version %d not supported (this build reads %d)", filepath.Base(path), raw[4], fileVersion)
-	}
-	r := wire.NewReader(raw[6:])
-	n := r.Count(1)
-	if r.Err() != nil || n > r.Remaining() {
-		return Meta{}, nil, fmt.Errorf("store: %s: corrupt envelope", filepath.Base(path))
-	}
-	rest := raw[len(raw)-r.Remaining():]
-	metaJSON, data := rest[:n], rest[n:]
-	var meta Meta
-	if err := json.Unmarshal(metaJSON, &meta); err != nil {
-		return Meta{}, nil, fmt.Errorf("store: %s: envelope metadata: %w", filepath.Base(path), err)
-	}
-	return meta, data, nil
+	return s.blobs.remove(m.Seq)
 }
 
 // SaveFile writes one result as a standalone snapshot file (the raw codec
 // encoding, no envelope — the `diffaudit diff` CLI reads these directly).
-// The write is crash-safe like FSStore's; unlike a store sequence file,
-// the caller named the target, so an existing file is replaced.
+// The write is crash-safe like the directory backend's; unlike a store
+// sequence file, the caller named the target, so an existing file is
+// replaced.
 func SaveFile(path string, r *core.ServiceResult) error {
 	dir := filepath.Dir(path)
 	tmp, err := writeTemp(dir, EncodeResult(r))

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -264,65 +267,234 @@ func TestFSStoreConcurrentHandles(t *testing.T) {
 	}
 }
 
-// TestResolveJobIDNewestWins: a job ID recorded on several snapshots
-// (re-runs, concurrent writers) resolves to the newest one even when the
-// contents differ — job refs are not subject to the hash ambiguity rule.
-func TestResolveJobIDNewestWins(t *testing.T) {
-	metas := []Meta{
-		{Seq: 1, Hash: "aaaa111111", JobID: "job-1"},
-		{Seq: 2, Hash: "bbbb222222", JobID: "job-1"},
+// resolveOracle is the linear resolution rule the index replaced, kept as
+// the model the index is checked against. metas is seq-ascending, so the
+// last match of a kind is the newest.
+func resolveOracle(metas []Meta, ref string) (Meta, bool) {
+	ref = strings.TrimSpace(ref)
+	if ref == "" {
+		return Meta{}, false
 	}
-	if m, err := Resolve(metas, "job-1"); err != nil || m.Seq != 2 {
-		t.Errorf("job ref: %+v, %v", m, err)
+	if seq, err := strconv.ParseUint(ref, 10, 64); err == nil {
+		for _, m := range metas {
+			if m.Seq == seq {
+				return m, true
+			}
+		}
+	}
+	var job, hash *Meta
+	distinct := map[string]bool{}
+	for i, m := range metas {
+		switch {
+		case m.JobID != "" && m.JobID == ref:
+			job = &metas[i]
+		case m.Hash == ref || len(ref) >= 6 && strings.HasPrefix(m.Hash, ref):
+			hash = &metas[i]
+			distinct[m.Hash] = true
+		}
+	}
+	if job != nil {
+		return *job, true
+	}
+	if hash != nil && len(distinct) == 1 {
+		return *hash, true
+	}
+	return Meta{}, false
+}
+
+// indexModel drives one store and the brute-force model of it in step.
+type indexModel struct {
+	t    *testing.T
+	s    *Snapshots
+	data []byte // one valid encoding; the crafted hashes stand in for content
+	live []Meta // what the store must list, seq-ascending
+}
+
+// put stores a snapshot under a crafted hash, below Put's hashing.
+func (im *indexModel) put(hash, jobID string) {
+	im.t.Helper()
+	m, err := im.s.put(Meta{Hash: hash, JobID: jobID, Service: "svc", Bytes: len(im.data)}, im.data)
+	if err != nil {
+		im.t.Fatal(err)
+	}
+	im.live = append(im.live, m)
+}
+
+// del deletes by reference; the model says which snapshot that must be.
+func (im *indexModel) del(ref string) {
+	im.t.Helper()
+	want, ok := resolveOracle(im.live, ref)
+	err := im.s.Delete(ref)
+	if !ok {
+		if !errors.Is(err, ErrUnresolved) {
+			im.t.Fatalf("Delete(%q) = %v, want ErrUnresolved", ref, err)
+		}
+		return
+	}
+	if err != nil {
+		im.t.Fatalf("Delete(%q): %v", ref, err)
+	}
+	im.live = slices.DeleteFunc(im.live, func(m Meta) bool { return m.Seq == want.Seq })
+}
+
+// resolves checks one reference against the model and returns the verdict.
+func (im *indexModel) resolves(ref string) (Meta, bool) {
+	im.t.Helper()
+	want, ok := resolveOracle(im.live, ref)
+	got, err := im.s.Resolve(ref)
+	switch {
+	case ok && (err != nil || got != want):
+		im.t.Fatalf("Resolve(%q) = %+v, %v; model says seq %d", ref, got, err, want.Seq)
+	case !ok && !errors.Is(err, ErrUnresolved):
+		im.t.Fatalf("Resolve(%q) = %+v, %v; model says unresolved", ref, got, err)
+	}
+	return want, ok
+}
+
+// check compares every read the index answers against the model, for every
+// reference form of every live snapshot plus some that must miss.
+func (im *indexModel) check() {
+	im.t.Helper()
+	list, err := im.s.List()
+	if err != nil || !slices.Equal(list, im.live) || im.s.Len() != len(im.live) {
+		im.t.Fatalf("List = %+v (err %v, Len %d), model has %+v", list, err, im.s.Len(), im.live)
+	}
+	refs := []string{"", " ", "999999", "zzzzzz", "job-0"}
+	newestJob := map[string]Meta{}
+	for _, m := range im.live {
+		refs = append(refs, strconv.FormatUint(m.Seq, 10), " "+m.Hash+" ", m.Hash[:4], m.Hash[:6], m.Hash[:8], m.Hash[:10], m.JobID)
+		if m.JobID != "" {
+			newestJob[m.JobID] = m
+		}
+	}
+	for _, ref := range refs {
+		im.resolves(ref)
+		// The job lookup is exact: only a recorded job ID, never a sequence,
+		// hash or prefix that Resolve would also accept.
+		got, ok := im.s.JobSnapshot(ref)
+		if want, isJob := newestJob[ref]; ok != isJob || got != want {
+			im.t.Fatalf("JobSnapshot(%q) = %+v, %v; model says %+v, %v", ref, got, ok, want, isJob)
+		}
+	}
+	for _, limit := range []int{0, 1, 3} {
+		for i := -1; i < len(im.live); i++ {
+			after, rest := uint64(0), im.live
+			if i >= 0 {
+				after, rest = im.live[i].Seq, im.live[i+1:]
+			}
+			more := limit > 0 && len(rest) > limit
+			if more {
+				rest = rest[:limit]
+			}
+			if page, gotMore := im.s.Page(after, limit); !slices.Equal(page, rest) || gotMore != more {
+				im.t.Fatalf("Page(%d, %d) = %+v, %v; model says %+v, %v", after, limit, page, gotMore, rest, more)
+			}
+		}
 	}
 }
 
-// TestResolveAmbiguity: a prefix matching two different snapshots errors.
-func TestResolveAmbiguity(t *testing.T) {
-	metas := []Meta{
-		{Seq: 1, Hash: "abcdef1111", JobID: "job-1"},
-		{Seq: 2, Hash: "abcdef2222", JobID: "job-2"},
+// TestIndexModel checks the index against the brute-force model over both
+// backends: first the fixed cases the resolution contract names, then a
+// seeded random walk of puts (duplicate content, re-used job IDs, hashes
+// sharing 6–10-character prefixes, all-digit prefixes and job IDs, a job ID
+// that is also a hash prefix) and deletes by every reference form, with
+// every read compared after every step.
+func TestIndexModel(t *testing.T) {
+	data := EncodeResult(auditOne(t, "Quizlet"))
+	backends := map[string]func(t *testing.T) *Snapshots{
+		"mem": func(t *testing.T) *Snapshots { return NewMemStore() },
+		"dir": func(t *testing.T) *Snapshots {
+			s, err := OpenFSStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 	}
-	if _, err := Resolve(metas, "abcdef"); err == nil {
-		t.Error("ambiguous prefix resolved")
+	fixed := []struct {
+		name string
+		puts [][2]string       // hash, job ID
+		want map[string]uint64 // reference → sequence, 0 = unresolved
+	}{
+		// A job ID recorded on several snapshots (re-runs, concurrent
+		// writers) resolves to the newest even when the contents differ.
+		{"job ID newest wins", [][2]string{{"aaaa111111", "job-1"}, {"bbbb222222", "job-1"}},
+			map[string]uint64{"job-1": 2}},
+		{"ambiguous prefix", [][2]string{{"abcdef1111", "job-1"}, {"abcdef2222", "job-2"}},
+			map[string]uint64{"abcdef": 0, "abcdef1111": 1, "": 0}},
+		// A number that matches no sequence falls through to hash prefixes
+		// (about 6% of hex hashes open with six decimal digits); sequences
+		// keep precedence.
+		{"all-digit hash prefix", [][2]string{{"482913abcdef", "job-1"}, {"feedbeefcafe", "job-2"}},
+			map[string]uint64{"482913": 1, "2": 2, "999999": 0}},
+		// An exact job ID beats a colliding hash prefix; deleting the newest
+		// copy of a content makes the older one resolve again.
+		{"job beats prefix", [][2]string{{"cafe01aaaa", "job-1"}, {"cafe01aaaa", "cafe01"}, {"cafe01aaaa", ""}},
+			map[string]uint64{"cafe01": 2, "cafe01aaaa": 3, "cafe01a": 3}},
 	}
-	if m, err := Resolve(metas, "abcdef1111"); err != nil || m.Seq != 1 {
-		t.Errorf("exact hash: %+v, %v", m, err)
+	for name, open := range backends {
+		for _, tc := range fixed {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				im := &indexModel{t: t, s: open(t), data: data}
+				for _, p := range tc.puts {
+					im.put(p[0], p[1])
+					im.check()
+				}
+				for ref, seq := range tc.want {
+					if m, ok := im.resolves(ref); ok != (seq != 0) || m.Seq != seq {
+						t.Errorf("%q resolves to seq %d (%v), want %d", ref, m.Seq, ok, seq)
+					}
+				}
+				// Newest first, so every delete promotes an older copy.
+				for i := len(tc.puts); i > 0; i-- {
+					im.del(strconv.Itoa(i))
+					im.check()
+				}
+			})
+		}
+		t.Run(name+"/random walk", func(t *testing.T) {
+			im := &indexModel{t: t, s: open(t), data: data}
+			rng := rand.New(rand.NewSource(14))
+			jobs := []string{"", "job-1", "job-2", "job-3", "7", "482913"}
+			for step := 0; step < 120; step++ {
+				switch n := len(im.live); {
+				case n < 30 && rng.Intn(3) > 0 || n == 0:
+					// 16 characters: a prefix from a small pool, two random
+					// bits spelled out, a random byte zero-padded to six.
+					hash := fmt.Sprintf("%s%04b%06x", []string{"abcdef", "482913", "000000"}[rng.Intn(3)], rng.Intn(4), rng.Intn(256))
+					if n > 0 && rng.Intn(3) == 0 {
+						hash = im.live[rng.Intn(n)].Hash // the same content again
+					}
+					im.put(hash, jobs[rng.Intn(len(jobs))])
+				default:
+					m := im.live[rng.Intn(n)]
+					im.del([]string{strconv.FormatUint(m.Seq, 10), m.Hash, m.Hash[:8], m.JobID}[rng.Intn(4)])
+				}
+				im.check()
+			}
+		})
 	}
-	if _, err := Resolve(metas, ""); err == nil {
-		t.Error("empty ref resolved")
+
+	// Concurrent Puts reserve sequences in order but can publish out of
+	// order; the listing stays sorted and the maps never move backwards.
+	ix := newIndex()
+	ix.insert(Meta{Seq: 2, Hash: "aaaaaaaa", JobID: "job-1"})
+	ix.insert(Meta{Seq: 1, Hash: "aaaaaaaa", JobID: "job-1"})
+	byHash, _ := ix.resolve("aaaaaaaa")
+	byJob, _ := ix.job("job-1")
+	if byHash.Seq != 2 || byJob.Seq != 2 || ix.metas[0].Seq != 1 {
+		t.Errorf("out-of-order insert: hash → %d, job → %d, list %+v", byHash.Seq, byJob.Seq, ix.metas)
 	}
 }
 
-// TestResolveAllDigitHashPrefix: a reference that parses as a number but
-// matches no sequence must still fall through to hash-prefix matching —
-// about 6% of hex hashes open with six decimal digits.
-func TestResolveAllDigitHashPrefix(t *testing.T) {
-	metas := []Meta{
-		{Seq: 1, Hash: "482913abcdef", JobID: "job-1"},
-		{Seq: 2, Hash: "feedbeefcafe", JobID: "job-2"},
-	}
-	if m, err := Resolve(metas, "482913"); err != nil || m.Seq != 1 {
-		t.Errorf("all-digit hash prefix: %+v, %v", m, err)
-	}
-	// Sequence matches keep precedence over digit-prefix hashes.
-	if m, err := Resolve(metas, "2"); err != nil || m.Seq != 2 {
-		t.Errorf("seq precedence: %+v, %v", m, err)
-	}
-	// And a number matching neither seq nor hash still errors.
-	if _, err := Resolve(metas, "999999"); err == nil {
-		t.Error("unmatched number resolved")
-	}
-}
-
-// TestStoreConcurrentMixedOps hammers both backends with the mixed
-// workload the sharded index exists for: concurrent Gets of stable
-// snapshots, Put+Delete churn, and List scans, all racing. Run under
-// -race this pins the locking layout; the assertions pin the semantics —
-// stable snapshots never fail to serve, the listing stays seq-ascending,
-// and a view opened before its snapshot is deleted keeps serving
-// byte-identical results (MemStore shares immutable bytes; FSStore's
-// mapped inode survives the unlink).
+// TestStoreConcurrentMixedOps hammers both backends with a mixed
+// workload: concurrent Gets of stable snapshots, Put+Delete churn, and
+// List scans, all racing. Run under -race this pins the locking layout
+// (one index lock, backend I/O outside it); the assertions pin the
+// semantics — stable snapshots never fail to serve, the listing stays
+// seq-ascending, and a view opened before its snapshot is deleted keeps
+// serving byte-identical results (the map backend shares immutable bytes;
+// the directory backend's mapped inode survives the unlink).
 func TestStoreConcurrentMixedOps(t *testing.T) {
 	seeds := []*core.ServiceResult{auditOne(t, "Quizlet"), auditOne(t, "Roblox")}
 	churn := auditOne(t, "Duolingo")
@@ -428,11 +600,6 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				viewer, ok := s.(Viewer)
-				if !ok {
-					fail("backend does not implement Viewer")
-					return
-				}
 				for i := 0; i < 8; i++ {
 					m, err := s.Put("view-churn", churn)
 					if err != nil {
@@ -440,7 +607,7 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 						return
 					}
 					seqRef := strconv.FormatUint(m.Seq, 10)
-					v, err := viewer.View(seqRef)
+					v, err := s.View(m)
 					if err != nil {
 						fail("View(%s): %v", seqRef, err)
 						return

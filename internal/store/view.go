@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"diffaudit/internal/core"
@@ -21,8 +20,8 @@ import (
 // decode work. Version-1 snapshots open fine but materialize all-or-
 // nothing (their payload is one sequential stream).
 //
-// The backing bytes may be an mmap of the store file (FSStore.View on
-// platforms with mmap support). Materialized results never alias those
+// The backing bytes may be an mmap of the store file (Snapshots.View over
+// the directory backend, on platforms with mmap support). Materialized results never alias those
 // bytes — every string and symbol is copied or re-interned during decode —
 // so results outlive the view, but the view itself must not be used after
 // Close. Views are safe for concurrent use.
@@ -327,56 +326,4 @@ func (v *SnapshotView) personaAt(name string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Viewer is implemented by stores that can open snapshots as lazy views
-// instead of eagerly decoding them. The caller owns the returned view and
-// must Close it.
-type Viewer interface {
-	View(ref string) (*SnapshotView, error)
-}
-
-// View implements Viewer: the snapshot file is mmapped where the platform
-// supports it (read the whole file otherwise), the envelope is validated
-// once, and nothing is decoded until the view materializes.
-func (s *FSStore) View(ref string) (*SnapshotView, error) {
-	metas, _ := s.List()
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return nil, err
-	}
-	raw, closer, err := mapFile(s.path(meta.Seq))
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Deleted between resolution and the open: stale reference.
-			return nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, meta.Seq)
-		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	stored, data, err := parseSnapEnvelope(s.path(meta.Seq), raw)
-	if err != nil {
-		closer()
-		return nil, err
-	}
-	if stored.Hash != meta.Hash {
-		closer()
-		return nil, fmt.Errorf("store: snapshot %d changed on disk (hash %s != %s)", meta.Seq, stored.Hash, meta.Hash)
-	}
-	return NewSnapshotView(data, meta, closer)
-}
-
-// View implements Viewer over the in-memory backend. The view shares the
-// stored bytes (immutable after Put), so it stays readable even if the
-// snapshot is deleted while the view is open.
-func (s *MemStore) View(ref string) (*SnapshotView, error) {
-	metas, _ := s.List()
-	meta, err := Resolve(metas, ref)
-	if err != nil {
-		return nil, err
-	}
-	data, ok := s.fetch(meta)
-	if !ok {
-		return nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, meta.Seq)
-	}
-	return NewSnapshotView(data, meta, nil)
 }

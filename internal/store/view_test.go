@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -179,17 +180,17 @@ func TestViewPartialMaterialization(t *testing.T) {
 	}
 }
 
-// TestStoreViewers checks both backends' View path end to end: resolve by
-// any reference, materialize, match the Put result — and count decodes
-// honestly.
+// TestStoreViewers checks the View path over both backends end to end:
+// resolve by any reference, open (zero decodes), materialize (one decode),
+// match the Put result.
 func TestStoreViewers(t *testing.T) {
 	res := auditOne(t, "Roblox")
 	for _, tc := range []struct {
 		name string
 		s    Store
 	}{
-		{"MemStore", NewMemStore()},
-		{"FSStore", func() Store {
+		{"mem", NewMemStore()},
+		{"dir", func() Store {
 			fs, err := OpenFSStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -202,13 +203,13 @@ func TestStoreViewers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viewer, okViewer := tc.s.(Viewer)
-			if !okViewer {
-				t.Fatalf("%T does not implement Viewer", tc.s)
-			}
 			for _, ref := range []string{"1", meta.Hash, meta.Hash[:8], "job-1"} {
 				before := Decodes()
-				view, err := viewer.View(ref)
+				resolved, err := tc.s.Resolve(ref)
+				if err != nil {
+					t.Fatalf("Resolve(%q): %v", ref, err)
+				}
+				view, err := tc.s.View(resolved)
 				if err != nil {
 					t.Fatalf("View(%q): %v", ref, err)
 				}
@@ -236,8 +237,13 @@ func TestStoreViewers(t *testing.T) {
 					t.Error("materializing a closed view succeeded")
 				}
 			}
-			if _, err := viewer.View("no-such-ref"); err == nil {
-				t.Error("View of an unknown reference succeeded")
+			// A meta whose snapshot is gone is a stale reference, not a
+			// storage failure.
+			if err := tc.s.Delete("1"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.s.View(meta); !errors.Is(err, ErrUnresolved) {
+				t.Errorf("View of a deleted snapshot: %v, want ErrUnresolved", err)
 			}
 		})
 	}
