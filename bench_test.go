@@ -382,8 +382,8 @@ func BenchmarkSnapshotLazyOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if view.Version() == 0 {
-			b.Fatal("unversioned view")
+		if view.Meta().Hash != meta.Hash {
+			b.Fatal("view opened over another snapshot")
 		}
 		view.Close()
 	}

@@ -32,11 +32,13 @@
 // before the process exits. With -data-dir, finished audits persist as
 // snapshots: reports survive restarts and eviction, and GET /v1/snapshots
 // plus GET /v1/diff serve the longitudinal API. -data-dir also enables the
-// crash-safe job journal (<data-dir>/journal): accepted uploads survive
-// even an unclean kill and re-run on the next start. -job-timeout bounds
-// one audit's run time so a pathological capture cannot wedge a worker.
-// The HTTP API is versioned under /v1 (unprefixed paths remain as
-// deprecated aliases); stored snapshots are read lazily via mmap and
+// crash-safe job journal (<data-dir>/journal/journal.log): accepted
+// uploads survive even an unclean kill and re-run on the next start; the
+// server refuses to start over a journal directory it cannot read (an
+// older build's *.job / *.batch files) rather than drop the jobs in it.
+// -job-timeout bounds one audit's run time so a pathological capture
+// cannot wedge a worker. The HTTP API is served under /v1 only; stored
+// snapshots (codec version 3) are read lazily via mmap and
 // decoded results are cached under a -cache-mb byte budget, so repeat
 // report/diff reads and conditional GETs (ETag / If-None-Match) skip
 // decoding entirely.
@@ -226,7 +228,6 @@ func serve(args []string) {
 	tempDir := fs.String("tempdir", "", "staging dir for uploads (default: system temp)")
 	dataDir := fs.String("data-dir", "", "snapshot store directory: finished audits persist (and survive restarts); enables /v1/snapshots, /v1/diff, and the crash-safe job journal")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job audit deadline, e.g. 10m; a job exceeding it lands in the \"timeout\" state (0 = unlimited)")
-	journalBatch := fs.Duration("journal-batch", 0, "journal group-commit window, e.g. 2ms: concurrent submits journaled within it share one fsync; a lone submit commits immediately (0 = default 2ms; needs -data-dir)")
 	cacheMB := fs.Int64("cache-mb", 64, "decoded-snapshot cache budget in MiB shared by the report/snapshot/diff read path (0 disables)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client upload rate limit in requests/sec, keyed by X-Client-ID or remote host; over-budget clients draw 429s (0 disables)")
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "snapshot-store circuit breaker failure-rate trip point in [0,1]; while open, reads serve stale from cache and writes defer to the journal (0 = default 0.5, negative disables)")
@@ -275,7 +276,6 @@ func serve(args []string) {
 		TempDir:          *tempDir,
 		Store:            snapStore,
 		JournalDir:       journalDir,
-		JournalBatch:     *journalBatch,
 		JobTimeout:       *jobTimeout,
 		CacheBytes:       cacheBytes,
 		RateLimit:        *rateLimit,

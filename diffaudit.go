@@ -333,7 +333,9 @@ func NewServer(cfg ServerConfig) *AuditServer { return server.New(cfg) }
 // OpenServer is NewServer with the crash-safety surface: when
 // ServerConfig.JournalDir is set, accepted uploads are journaled before
 // they are queued and OpenServer re-enqueues jobs interrupted by a crash
-// before taking new traffic. The error is journal directory creation.
+// before taking new traffic. Errors come from the journal: its directory
+// cannot be created, its log cannot be read or rewritten, or it holds
+// records in a layout this build does not read.
 func OpenServer(cfg ServerConfig) (*AuditServer, error) { return server.Open(cfg) }
 
 // TransientError marks an error as retryable under the server's

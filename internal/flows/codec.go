@@ -24,7 +24,8 @@ import (
 
 // SetEncoder accumulates the symbol tables shared by the sets of one
 // snapshot. Collect every set first (symbols are assigned local indices in
-// first-collected order), then write the tables, then each set.
+// first-collected order), then write the tables, then each set
+// (WriteSetColumnar).
 type SetEncoder struct {
 	catIdx  map[CatID]uint64
 	cats    []CatID
@@ -41,7 +42,8 @@ func NewSetEncoder() *SetEncoder {
 }
 
 // Collect registers the symbols a set references, in deterministic sorted
-// flow order. Every set later passed to WriteSet must have been collected.
+// flow order. Every set later passed to WriteSetColumnar must have been
+// collected.
 func (e *SetEncoder) Collect(s *Set) {
 	if s == nil {
 		return
@@ -80,31 +82,6 @@ func (e *SetEncoder) WriteTables(w *wire.Writer) {
 		w.String(d.Owner)
 		w.Byte(byte(d.Class))
 	}
-}
-
-// WriteSet writes one collected set: a flow count followed by
-// (local category index, local destination index, platform mask) triples
-// in sorted flow order.
-func (e *SetEncoder) WriteSet(w *wire.Writer, s *Set) {
-	if s == nil {
-		w.Int(0)
-		return
-	}
-	w.Int(s.Len())
-	s.RangeSorted(func(key uint64, m PlatformMask) {
-		c, d := SplitFlowKey(key)
-		ci, ok := e.catIdx[c]
-		if !ok {
-			panic(fmt.Sprintf("flows: set written before Collect (category ID %d)", c))
-		}
-		di, ok := e.destIdx[d]
-		if !ok {
-			panic(fmt.Sprintf("flows: set written before Collect (destination ID %d)", d))
-		}
-		w.Uvarint(ci)
-		w.Uvarint(di)
-		w.Byte(byte(m))
-	})
 }
 
 // SetDecoder resolves a snapshot's local symbol indices to live process
@@ -164,46 +141,4 @@ func ReadSetTables(r *wire.Reader) (*SetDecoder, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// DecodeSetBytes decodes one set from a standalone byte slice (a snapshot
-// section), requiring the slice to contain exactly one set. The set copies
-// everything it needs out of data, so the slice may alias a transient
-// buffer (e.g. an mmap) without tying the set's lifetime to it.
-func (d *SetDecoder) DecodeSetBytes(data []byte) (*Set, error) {
-	r := wire.NewReader(data)
-	set, err := d.ReadSet(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
-// ReadSet reads one set written by WriteSet against the decoded tables.
-func (d *SetDecoder) ReadSet(r *wire.Reader) (*Set, error) {
-	// A flow entry is ≥ 3 bytes (two indices + mask).
-	n := r.Count(3)
-	set := NewSetSized(n)
-	for i := 0; i < n; i++ {
-		ci := r.Uvarint()
-		di := r.Uvarint()
-		mask := PlatformMask(r.Byte())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if ci >= uint64(len(d.cats)) {
-			return nil, fmt.Errorf("flows: snapshot flow %d references category %d of %d", i, ci, len(d.cats))
-		}
-		if di >= uint64(len(d.dests)) {
-			return nil, fmt.Errorf("flows: snapshot flow %d references destination %d of %d", i, di, len(d.dests))
-		}
-		if mask == 0 || mask&^(OnWeb|OnMobile) != 0 {
-			return nil, fmt.Errorf("flows: snapshot flow %d has invalid platform mask 0x%02x", i, mask)
-		}
-		set.AddMask(d.cats[ci], d.dests[di], mask)
-	}
-	return set, nil
 }

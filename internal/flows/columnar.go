@@ -7,12 +7,12 @@ import (
 	"diffaudit/internal/wire"
 )
 
-// Columnar flow-set layout (snapshot codec version 3). A version-2 flow-set
-// section interleaves (category index, destination index, platform mask)
-// triples, so a query that needs one attribute per flow still walks all
-// three. Version 3 stores the same flows as three parallel columns framed
-// by the standard section directory, each column self-contained
-// (count-prefixed) and in the same canonical FlowKeyLess order:
+// Columnar flow-set layout (snapshot codec version 3). Interleaving
+// (category index, destination index, platform mask) triples would make a
+// query that needs one attribute per flow walk all three, so a flow-set
+// section stores its flows as three parallel columns framed by the
+// standard section directory, each column self-contained (count-prefixed)
+// and in canonical FlowKeyLess order:
 //
 //	directory | cats: n + n uvarint local category indices
 //	          | dests: n + n uvarint local destination indices
@@ -22,9 +22,9 @@ import (
 // columns with a string-skipping table scan (ScanSetTables) — no
 // interning, no Set map — and a category census never touches the
 // destination column at all. Because the column order and the local-index
-// assignment are both derived from the same sorted iteration the row
-// layout used, re-encoding a decoded set reproduces the original bytes
-// exactly; content hashes stay meaningful.
+// assignment are both derived from the same sorted iteration, re-encoding
+// a decoded set reproduces the original bytes exactly; content hashes stay
+// meaningful.
 
 // Column kinds inside a columnar flow-set section.
 const (
@@ -166,9 +166,10 @@ func checkMask(i int, b byte) (PlatformMask, error) {
 }
 
 // DecodeSetColumnar decodes one columnar flow-set section into a live Set
-// against the decoded symbol tables — the v3 counterpart of
-// DecodeSetBytes. Index scratch comes from the wire pools; the returned
-// set owns everything it needs.
+// against the decoded symbol tables, requiring the slice to contain
+// exactly one set. Index scratch comes from the wire pools; the returned
+// set copies everything it needs out of data, so the slice may alias a
+// transient buffer (e.g. an mmap) without tying the set's lifetime to it.
 func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	c, err := SplitSetColumns(data)
 	if err != nil {

@@ -52,17 +52,19 @@ func TestColumnarRoundTrip(t *testing.T) {
 }
 
 func TestColumnarEmptySet(t *testing.T) {
-	tables, sections := encodeColumnar(nil)
+	tables, sections := encodeColumnar(nil, NewSet())
 	dec, err := ReadSetTables(wire.NewReader(tables))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.DecodeSetColumnar(sections[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("decoded %d flows from empty set", got.Len())
+	for i, sec := range sections {
+		got, err := dec.DecodeSetColumnar(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 {
+			t.Fatalf("set %d: decoded %d flows from an empty set", i, got.Len())
+		}
 	}
 }
 

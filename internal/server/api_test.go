@@ -139,9 +139,9 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		path     string
-		status   int
-		code     string
+		path   string
+		status int
+		code   string
 	}{
 		{"/v1/jobs/nope", http.StatusNotFound, "not_found"},
 		{"/v1/jobs/nope/report.json", http.StatusNotFound, "not_found"},

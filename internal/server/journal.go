@@ -2,50 +2,30 @@
 // survive a process kill at any point before its snapshot lands.
 //
 // With Config.JournalDir set, handleSubmit stages uploads under
-// <JournalDir>/staging and, before the job is queued, records it in the
-// journal. Submit records go through a leader/follower group commit:
-// every submitter queues its record, and the first one to take the
-// leader token drains the queue — closing the batch as soon as the
-// queue empties or the Config.JournalBatch window (default 2ms)
-// elapses, whichever comes first — and lands the whole batch in one
-// batch-<seq>.batch file with a single temp+fsync+rename+dirsync
-// instead of four syscalls per record. Submitters whose record was
-// taken by a leader block until that batch's sync completes, so the
-// 202 a client sees is still a durability promise: an isolated submit
-// leads its own batch of one with no goroutine handoff at all, and a
-// concurrent burst piles up behind the current leader's fsync and
-// shares the next. There is no dedicated committer goroutine — on
-// small-core machines the two scheduler handoffs one would cost per
-// submit are worth more than the fsync it saves.
+// <JournalDir>/staging and, before the job is queued, records it in
+// <JournalDir>/journal.log — one append-only file of CRC-framed lines:
 //
-// State transitions after submit rewrite the job's own <id>.job record
-// synchronously (same temp+fsync+rename discipline — they are rare and
-// off the submit hot path); at recovery a per-job record supersedes the
-// job's batch entry. Reaching a safe terminal state (snapshot
-// persisted, or a deterministic failure/timeout) deletes the per-job
-// record and tombstones the job's batch entry: one line appended to the
-// batch's .rm sidecar, not a rewrite of the batch file — completions
-// overlap submit storms, and rewriting a batch file per completion costs
-// the storm several ms of 202 tail on one core.
+//	<crc32 of the rest of the line, 8 hex digits> S <submit record, JSON>\n
+//	<crc32 of the rest of the line, 8 hex digits> D <job ID>\n
 //
-// On the next Open over the same directory, the journal is rescanned:
-// every surviving record — batch entry or per-job file — is an
-// interrupted job and is re-enqueued from its staged files, so a
-// kill -9 between upload and snapshot loses nothing. Recovery rewrites
-// each re-runnable batch entry as a per-job record and deletes the
-// batch files, so batch state never outlives one crash. Staging files
-// no record references (the upload crashed mid-stage, or its record was
-// corrupt) and .tmp-* leftovers from interrupted writes are deleted, so
-// crashes cannot leak disk forever.
+// The live set — submits no done follows — is the whole meaning of the
+// file. Submit lines go through a group commit (see append) and are
+// fsynced before the client sees its 202. Done lines are unsynced
+// appends: completions overlap submit storms on the same core, and losing
+// one in a crash only re-runs an idempotent job whose snapshot is already
+// stored. There is no "running" record — recovery re-runs a job the same
+// whether it died queued or mid-audit — and a job whose snapshot could
+// not persist gets no done line, which keeps it live.
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,174 +33,136 @@ import (
 	"diffaudit/internal/flows"
 )
 
-// journalVersion versions the record format; readers reject records from
-// a future format instead of misinterpreting them.
-const journalVersion = 1
+const (
+	// journalVersion versions the submit record; Open refuses a log
+	// holding records from a future format instead of misreading them.
+	journalVersion = 1
+	// journalWindow is the group-commit window: long enough to absorb a
+	// burst, short enough to vanish next to the fsync it amortizes.
+	journalWindow = 2 * time.Millisecond
+	// journalMaxGarbage caps the bytes of finished jobs' lines the log may
+	// carry before a batch rewrites it; a cap on size instead would have a
+	// deep queue's live lines forcing rewrites.
+	journalMaxGarbage = 1 << 20
+)
 
-// defaultJournalBatch is the group-commit window when Config.JournalBatch
-// is zero: long enough to absorb a concurrent burst, short enough to be
-// invisible next to the fsync it amortizes.
-const defaultJournalBatch = 2 * time.Millisecond
-
-// journalRecord is one job's durable form. Personas are recorded by name,
-// not ID: registry IDs depend on registration order, which a restarted
-// process may not replay identically.
+// journalRecord is one accepted job's durable form.
 type journalRecord struct {
-	Version     int             `json:"version"`
-	ID          string          `json:"id"`
-	Service     string          `json:"service"`
-	State       JobState        `json:"state"`
-	SubmittedAt time.Time       `json:"submitted_at"`
-	Keylog      string          `json:"keylog,omitempty"`
-	Uploads     []journalUpload `json:"uploads"`
+	Version     int       `json:"version"`
+	ID          string    `json:"id"`
+	Service     string    `json:"service"`
+	SubmittedAt time.Time `json:"submitted_at"`
+	Keylog      string    `json:"keylog,omitempty"`
+	KeylogBytes int64     `json:"keylog_bytes,omitempty"`
+	Uploads     []upload  `json:"uploads"`
 }
 
-// journalUpload is one staged capture file.
-type journalUpload struct {
-	Path    string `json:"path"`
-	HAR     bool   `json:"har"`
-	Persona string `json:"persona"`
-}
-
-// journalBatch is the on-disk form of one group commit: every record the
-// committer gathered for one sync, in one file.
-type journalBatch struct {
-	Version int             `json:"version"`
-	Records []journalRecord `json:"records"`
-}
-
-// commitReq is one submit record waiting for its batch to sync. The
-// leader that commits the batch sends exactly one value on done — the
-// batch's outcome.
+// commitReq is a submit frame waiting for its batch; result gets its outcome.
 type commitReq struct {
-	rec  journalRecord
-	done chan error
+	id     string
+	frame  []byte
+	result chan error
 }
 
-// journal persists job records under one directory.
+// journal persists job records in one log file under one directory.
 type journal struct {
-	dir    string
-	window time.Duration // group-commit gather window
+	dir string
 
-	// pending queues submit records for the next batch; leaderTok is a
-	// one-slot token channel — whoever holds the token is the leader
-	// and commits everything pending.
+	// pending queues submit frames for the next batch; whoever holds the
+	// one leaderTok token commits everything pending. The buffer only keeps
+	// a burst's submitters from blocking before they contend for the token.
 	pending   chan commitReq
 	leaderTok chan struct{}
 
-	// Batch membership: which live batch file holds which job's submit
-	// record, so remove can tombstone it and know when a batch has fully
-	// emptied. Guarded by mu; the maps only ever describe files that are
-	// already durable. mu is on the commit hot path, so it only ever
-	// covers map work — remove's sidecar append happens with it free.
+	// mu guards the log file and the live set. The leader holds it for its
+	// write but not its fsync, so a done line never waits on a disk flush.
+	// A submit enters live when its frame is written, before it is synced:
+	// a done can never find the live set empty — and unlink the log —
+	// under a batch still on its way to disk.
 	mu      sync.Mutex
-	seq     uint64
-	batches map[uint64]map[string]struct{}
-	batchOf map[string]uint64
+	f       *os.File          // nil while no job is live
+	live    map[string][]byte // job ID → its submit frame
+	garbage int64             // bytes in f that belong to finished jobs
 }
 
-// openJournal creates (if needed) the journal and staging directories.
-// window <= 0 takes the default.
-func openJournal(dir string, window time.Duration) (*journal, error) {
-	if window <= 0 {
-		window = defaultJournalBatch
-	}
-	j := &journal{
-		dir:       dir,
-		window:    window,
-		pending:   make(chan commitReq, 64),
-		leaderTok: make(chan struct{}, 1),
-		batches:   make(map[uint64]map[string]struct{}),
-		batchOf:   make(map[string]uint64),
-	}
-	j.leaderTok <- struct{}{}
-	for _, d := range []string{dir, j.staging()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-	}
-	return j, nil
-}
-
-// staging is where journaled servers stage uploads: next to the records,
-// on the same (durable) volume, so a journal record's file paths survive
-// exactly as long as the record does.
+// staging holds the uploads: beside the log, on the same volume, so a
+// record's file paths live as long as the record.
 func (j *journal) staging() string { return filepath.Join(j.dir, "staging") }
 
-// path returns the per-job record file for a job ID.
-func (j *journal) path(id string) string { return filepath.Join(j.dir, id+".job") }
+func (j *journal) logPath() string { return filepath.Join(j.dir, "journal.log") }
 
-// batchPath returns the batch file for a commit sequence number.
-func (j *journal) batchPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("batch-%06d.batch", seq))
-}
-
-// rmPath returns a batch's tombstone sidecar: one removed job ID per
-// line, appended as jobs from that batch reach terminal states.
-func (j *journal) rmPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("batch-%06d.rm", seq))
-}
-
-// recordOf builds a job's journal record. The caller owns the job or
+// recordOf builds a job's submit record. The caller owns the job or
 // holds s.mu; uploads and keylog are immutable after submit.
-func recordOf(job *Job, state JobState) journalRecord {
-	rec := journalRecord{
+func recordOf(job *Job) journalRecord {
+	return journalRecord{
 		Version:     journalVersion,
 		ID:          job.ID,
 		Service:     job.Service,
-		State:       state,
 		SubmittedAt: job.SubmittedAt,
 		Keylog:      job.keylog,
+		KeylogBytes: job.keylogSize,
+		Uploads:     job.uploads,
 	}
-	for _, up := range job.uploads {
-		rec.Uploads = append(rec.Uploads, journalUpload{Path: up.path, HAR: up.har, Persona: up.trace.String()})
+}
+
+// frame renders one log line.
+func frame(kind byte, payload []byte) []byte {
+	body := append([]byte{kind, ' '}, payload...)
+	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body)
+}
+
+// nextFrame splits the first line off data. ok is false when that line is
+// torn, fails its checksum, or is absent: the end of what recovery trusts.
+func nextFrame(data []byte) (kind byte, payload, rest []byte, ok bool) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 11 || data[8] != ' ' || string(data[:8]) != fmt.Sprintf("%08x", crc32.ChecksumIEEE(data[9:nl])) {
+		return 0, nil, nil, false
 	}
-	return rec
+	return data[9], data[11:nl], data[nl+1:], true
 }
 
 // append journals a submit record through the group commit and blocks
-// until the batch holding it is durable (or failed). This is what gates
-// handleSubmit's 202: the client's acknowledgment is its batch's fsync.
-// The "journal.write" injection point models the record write failing.
+// until the batch holding it is durable (or failed): the client's 202 is
+// its batch's fsync. "journal.write" injects the record write failing.
 //
-// The commit itself runs leader/follower: the record is queued, then
-// the submitter either takes the leader token and commits everything
-// queued (its own record included, unless an earlier leader already
-// took it), or learns on done that a leader committed for it. An
-// uncontended submit takes the token immediately and commits a batch
-// of one on its own goroutine — no handoff, same scheduling profile as
-// a direct write; under contention submitters pile up behind the
-// current leader's fsync and the next leader drains them all into one.
+// The commit runs leader/follower: the frame is queued, then the
+// submitter either takes the leader token and commits everything queued,
+// or learns on result that a leader committed for it. A lone submit leads
+// its own batch of one with no goroutine handoff; a burst piles up behind
+// the current leader's fsync and shares the next. There is no committer
+// goroutine — on small-core machines the two scheduler handoffs one would
+// cost per submit are worth more than the fsync it saves.
 func (j *journal) append(rec journalRecord) error {
 	if err := faults.Inject("journal.write"); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	req := commitReq{rec: rec, done: make(chan error, 1)}
+	payload, _ := json.Marshal(rec) // strings, numbers and a time: cannot fail
+	req := commitReq{id: rec.ID, frame: frame('S', payload), result: make(chan error, 1)}
 	j.pending <- req
 	for {
 		select {
-		case err := <-req.done:
+		case err := <-req.result:
 			return err
 		case <-j.leaderTok:
 			j.commitPending()
 			j.leaderTok <- struct{}{}
-			// Loop: our record was committed either by the batch we
-			// just led or by an earlier leader — done has the verdict.
-			// (If another leader drained our record while we waited
-			// for the token, our own batch was empty or all-others.)
+			// Loop: our frame was committed by the batch we just led or by
+			// an earlier leader (then ours was empty or all-others) —
+			// result has the verdict.
 		}
 	}
 }
 
-// commitPending drains the pending queue into one batch and commits it,
-// one staging pass and one fsync+dirsync for the lot. The batch closes
-// as soon as the queue empties or the window elapses — batching costs
-// an idle submit nothing, and bursts that pile up behind one sync (or
-// arrive within the window) share the next. No-op when an earlier
-// leader already drained everything.
+// commitPending drains the pending queue into one batch and lands it
+// durably: every frame in one write and one fsync, or in the rewritten
+// log when there is none yet or too much of it is garbage. The batch
+// closes as soon as the queue empties or the window elapses — batching
+// costs an idle submit nothing. Only the leader runs this, so nothing
+// else syncs or rewrites the file meanwhile. "journal.batch" injects the
+// batch failing (or stalling) unacknowledged, between write and sync.
 func (j *journal) commitPending() {
 	var batch []commitReq
-	deadline := time.Now().Add(j.window)
+	deadline := time.Now().Add(journalWindow)
 gather:
 	for {
 		select {
@@ -234,241 +176,177 @@ gather:
 		}
 	}
 	if len(batch) == 0 {
-		return
+		return // an earlier leader already drained everything
 	}
-	err := j.commitBatch(batch)
+	var buf []byte
+	var err error
+	j.mu.Lock()
 	for _, req := range batch {
-		req.done <- err
+		buf = append(buf, req.frame...)
+		j.live[req.id] = req.frame
 	}
-}
-
-// commitBatch lands one batch durably: every record in one batch file,
-// written with one temp write, one fsync, one rename, one directory
-// sync. Membership is registered before any waiter is released, so a job
-// that finishes immediately after its 202 can already find (and rewrite
-// away) its batch entry. The "journal.batch" injection point models the
-// whole batch failing (or stalling) before it reaches disk.
-func (j *journal) commitBatch(batch []commitReq) error {
-	if err := faults.Inject("journal.batch"); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	unsynced := j.f
+	if unsynced == nil || j.garbage > journalMaxGarbage {
+		unsynced, err = nil, j.rewriteLocked() // live holds the batch: written, synced
+	} else {
+		_, err = unsynced.Write(buf)
 	}
-	recs := make([]journalRecord, len(batch))
-	for i, req := range batch {
-		recs[i] = req.rec
-	}
-	sort.Slice(recs, func(a, b int) bool { return jobIDNum(recs[a].ID) < jobIDNum(recs[b].ID) })
-	data, err := json.Marshal(journalBatch{Version: journalVersion, Records: recs})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.mu.Lock()
-	j.seq++
-	seq := j.seq
 	j.mu.Unlock()
-	if err := os.Rename(f.Name(), j.batchPath(seq)); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	j.mu.Lock()
-	m := make(map[string]struct{}, len(recs))
-	for _, r := range recs {
-		m[r.ID] = struct{}{}
-		j.batchOf[r.ID] = seq
-	}
-	j.batches[seq] = m
-	j.mu.Unlock()
-	return nil
-}
-
-// write persists one record crash-safely and synchronously: temp file in
-// the journal directory, fsync, rename over the final name (atomic
-// replace — a state update must overwrite the previous record), then
-// directory sync. Post-submit state transitions use this path directly;
-// it is rare enough that batching it would buy nothing. The
-// "journal.write" injection point models the record write failing.
-func (j *journal) write(rec journalRecord) error {
-	if err := faults.Inject("journal.write"); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, err = f.Write(data)
 	if err == nil {
-		err = f.Sync()
+		err = faults.Inject("journal.batch")
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil && unsynced != nil {
+		err = unsynced.Sync()
 	}
 	if err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(f.Name(), j.path(rec.ID)); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// remove deletes a job's records — the job reached a state recovery must
-// not replay. The per-job file is unlinked; the job's batch entry (if
-// any) is tombstoned by appending its ID to the batch's .rm sidecar, and
-// once every member of a batch is tombstoned both files are unlinked.
-// The append is a single unsynced write — far cheaper than rewriting the
-// batch file, which matters because completions overlap submit storms on
-// the same core. Losing a tombstone in a crash only re-runs an
-// idempotent, already-persisted job, the same contract the fsync-less
-// batch rewrite had before it.
-func (j *journal) remove(id string) {
-	os.Remove(j.path(id))
-	j.mu.Lock()
-	seq, ok := j.batchOf[id]
-	if !ok {
+		// Nobody will be acknowledged, so no job of the batch may come back
+		// after a crash: take whatever reached the file out of it.
+		j.mu.Lock()
+		for _, req := range batch {
+			delete(j.live, req.id)
+		}
+		j.garbage = journalMaxGarbage + 1 // should this rewrite fail too, the next batch retries it
+		j.rewriteLocked()
 		j.mu.Unlock()
-		return
+		err = fmt.Errorf("journal: %w", err)
 	}
-	delete(j.batchOf, id)
-	members := j.batches[seq]
-	delete(members, id)
-	empty := len(members) == 0
-	if empty {
-		delete(j.batches, seq)
+	for _, req := range batch {
+		req.result <- err
 	}
-	j.mu.Unlock()
-	if empty {
-		os.Remove(j.batchPath(seq))
-		os.Remove(j.rmPath(seq))
-		return
-	}
-	// O_APPEND writes of short lines don't interleave, so concurrent
-	// removes from the same batch need no lock of their own.
-	f, err := os.OpenFile(j.rmPath(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	fmt.Fprintln(f, id)
-	f.Close()
 }
 
-// recoverJobs rescans the journal after a restart. Every surviving record
-// — batch entry or per-job file, with the per-job file superseding the
-// job's batch entry when both exist — becomes a Job: re-runnable ones
-// (staged files present, personas registered) come back queued;
-// unrecoverable ones come back failed with a diagnostic, so the
-// interruption is visible rather than silent. Re-runnable batch entries
-// are rewritten as per-job records and every batch file — with its
-// tombstone sidecar — is then deleted: batch state never carries across
-// more than one crash. As it scans it
-// garbage-collects crash leftovers — .tmp-* files from interrupted
-// writes, corrupt records, and staging files no surviving record
-// references.
-func (j *journal) recoverJobs() []*Job {
-	entries, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil
+// done records that a job reached a state recovery must not replay: its
+// snapshot is stored, or it failed deterministically. The line is one
+// unsynced write; the last live job takes the whole log with it instead.
+func (j *journal) done(id string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	submit, ok := j.live[id]
+	if !ok {
+		return
 	}
-	// Pass 1: collect records. Batch entries first, then per-job files on
-	// top — a per-job record is always the newer state.
+	delete(j.live, id)
+	if len(j.live) == 0 {
+		j.rewriteLocked() // nothing live: an unlink, which cannot fail
+		return
+	}
+	line := frame('D', []byte(id))
+	j.garbage += int64(len(submit) + len(line))
+	if _, err := j.f.Write(line); err != nil {
+		// A partial frame mid-log would hide every later line from
+		// recovery: count it all as garbage, so the next batch rewrites.
+		j.garbage = journalMaxGarbage + 1
+	}
+}
+
+// rewriteLocked replaces the log with exactly the live submit frames
+// (temp + fsync + rename + dirsync), or with no file when nothing is live
+// — a drained journal directory is empty. It creates the log for the
+// first job, shrinks it once garbage passes journalMaxGarbage, and runs at
+// Open, so damage never outlives one start. The old file stays current
+// until the new one is in place. Callers hold j.mu.
+func (j *journal) rewriteLocked() error {
+	var f *os.File
+	if len(j.live) == 0 {
+		os.Remove(j.logPath())
+	} else {
+		var buf []byte
+		for _, submit := range j.live {
+			buf = append(buf, submit...)
+		}
+		var err error
+		if f, err = os.CreateTemp(j.dir, ".tmp-*"); err != nil {
+			return err
+		}
+		_, err = f.Write(buf)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err == nil {
+			err = os.Rename(f.Name(), j.logPath())
+		}
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			return err
+		}
+		// Make the rename durable, best effort: not every filesystem can
+		// sync a directory, and the file's own fsync already happened.
+		if d, err := os.Open(j.dir); err == nil {
+			d.Sync()
+			d.Close()
+		}
+	}
+	if j.f != nil {
+		j.f.Close()
+	}
+	// The new handle followed its file through the rename and sits at its end.
+	j.f, j.garbage = f, 0
+	return nil
+}
+
+// openJournal creates (if needed) the journal and staging directories and
+// rebuilds the jobs a previous process left unfinished. It reads the log
+// up to its first torn or corrupt frame — everything past it was never
+// acknowledged, or is a lost done — and rewrites it down to the live
+// submits. Each becomes a Job: re-runnable ones come back queued, the
+// rest failed with a diagnostic, so the interruption is visible rather
+// than silent. Crash leftovers — .tmp-* files of interrupted rewrites,
+// staging files no live record references — are deleted, so crashes
+// cannot leak disk. Records it cannot read are an error, not damage:
+// files of the layout before journal.log, or a frame that passes its
+// checksum but comes from another build. Starting anyway would silently
+// drop the acknowledged jobs in them.
+func openJournal(dir string) (*journal, []*Job, error) {
+	j := &journal{
+		dir:       dir,
+		pending:   make(chan commitReq, 64),
+		leaderTok: make(chan struct{}, 1),
+		live:      make(map[string][]byte),
+	}
+	j.leaderTok <- struct{}{}
+	if err := os.MkdirAll(j.staging(), 0o755); err != nil { // and dir above it
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	tmps, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	for _, path := range tmps {
+		os.Remove(path)
+	}
+	for _, pattern := range []string{"*.job", "*.batch"} {
+		if old, _ := filepath.Glob(filepath.Join(dir, pattern)); len(old) > 0 {
+			return nil, nil, fmt.Errorf("journal: %s is a job record in the layout before journal.log, which this build does not read; let the build that wrote it finish its jobs, or delete it to abandon them", old[0])
+		}
+	}
+	data, err := os.ReadFile(j.logPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
 	recs := map[string]journalRecord{}
-	fromBatch := map[string]bool{}
-	var batchFiles []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(filepath.Join(j.dir, name))
-			continue
-		}
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(name, ".rm") {
-			// Tombstone sidecars die with their batch files; one orphaned
-			// by a remove/unlink race is swept here too.
-			batchFiles = append(batchFiles, filepath.Join(j.dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".batch") {
-			continue
-		}
-		path := filepath.Join(j.dir, name)
-		batchFiles = append(batchFiles, path)
-		var b journalBatch
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(data, &b)
-		}
-		if err != nil || b.Version > journalVersion {
-			continue // deleted with the other batch files below
-		}
-		// The .rm sidecar lists batch members that reached a terminal
-		// state before the crash: their entries must not resurrect. A
-		// torn final line just fails to match an ID, which re-runs one
-		// idempotent job — same contract as losing the append entirely.
-		removed := map[string]bool{}
-		if data, err := os.ReadFile(strings.TrimSuffix(path, ".batch") + ".rm"); err == nil {
-			for _, id := range strings.Fields(string(data)) {
-				removed[id] = true
-			}
-		}
-		for _, rec := range b.Records {
-			if rec.ID == "" || rec.Version > journalVersion || removed[rec.ID] {
-				continue
-			}
-			recs[rec.ID] = rec
-			fromBatch[rec.ID] = true
-		}
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".job") {
-			continue
-		}
-		path := filepath.Join(j.dir, name)
+	for kind, payload, rest, ok := nextFrame(data); ok; kind, payload, rest, ok = nextFrame(data) {
 		var rec journalRecord
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(data, &rec)
+		switch {
+		case kind == 'D':
+			delete(recs, string(payload))
+			delete(j.live, string(payload))
+		case kind == 'S' && json.Unmarshal(payload, &rec) == nil && rec.ID != "" && rec.Version <= journalVersion:
+			recs[rec.ID], j.live[rec.ID] = rec, data[:len(data)-len(rest)]
+		default:
+			return nil, nil, fmt.Errorf("journal: %s holds a record this build cannot read (kind %q, version %d; this build writes version %d)", j.logPath(), kind, rec.Version, journalVersion)
 		}
-		if err != nil || rec.ID == "" || rec.Version > journalVersion {
-			// Unreadable or from a future build: drop the record; its
-			// staging files fall out as unreferenced orphans below.
-			os.Remove(path)
-			continue
-		}
-		recs[rec.ID] = rec
-		fromBatch[rec.ID] = false
+		data = rest
+	}
+	if err := j.rewriteLocked(); err != nil { // nobody else holds j yet
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 
-	// Pass 2: rebuild jobs.
+	staged := func(what, path string, want int64) string {
+		if fi, err := os.Stat(path); err != nil {
+			return fmt.Sprintf("staged %s missing: %v", what, err)
+		} else if fi.Size() != want {
+			return fmt.Sprintf("staged %s truncated: %d of the %d acknowledged bytes survived", what, fi.Size(), want)
+		}
+		return ""
+	}
 	referenced := map[string]bool{}
 	var jobs []*Job
 	for _, rec := range recs {
@@ -478,76 +356,47 @@ func (j *journal) recoverJobs() []*Job {
 			Service:     rec.Service,
 			SubmittedAt: rec.SubmittedAt,
 			Files:       len(rec.Uploads),
+			uploads:     rec.Uploads,
 			keylog:      rec.Keylog,
+			keylogSize:  rec.KeylogBytes,
 			recovered:   true,
 		}
 		broken := ""
-		for _, up := range rec.Uploads {
-			persona, ok := flows.ParsePersona(up.Persona)
-			if !ok {
+		for i := range job.uploads {
+			up, ok := &job.uploads[i], false
+			if up.trace, ok = flows.ParsePersona(up.Persona); !ok {
 				broken = fmt.Sprintf("persona %q is not registered in this process", up.Persona)
+			} else {
+				broken = staged("capture", up.Path, up.Bytes)
+			}
+			if broken != "" {
 				break
 			}
-			if _, err := os.Stat(up.Path); err != nil {
-				broken = fmt.Sprintf("staged capture missing: %v", err)
-				break
-			}
-			job.uploads = append(job.uploads, upload{path: up.Path, har: up.HAR, trace: persona})
+			referenced[up.Path] = true
 		}
 		if broken == "" && job.keylog != "" {
-			if _, err := os.Stat(job.keylog); err != nil {
-				broken = fmt.Sprintf("staged keylog missing: %v", err)
-			}
+			broken = staged("keylog", job.keylog, job.keylogSize)
+			referenced[job.keylog] = true
 		}
 		if broken != "" {
-			// Not re-runnable: surface the loss as a failed job instead of
-			// re-queueing something that cannot succeed, and release what
-			// is left of its staging.
+			// Not re-runnable: surface the loss as a failed job, not a
+			// re-queue that cannot succeed, and release what staging is left.
 			job.State = JobFailed
 			job.Error = "crash recovery: " + broken
 			job.FinishedAt = time.Now().UTC()
 			job.cleanup()
-			os.Remove(j.path(rec.ID))
-		} else {
-			for _, up := range job.uploads {
-				referenced[up.path] = true
-			}
-			if job.keylog != "" {
-				referenced[job.keylog] = true
-			}
-			if fromBatch[rec.ID] {
-				// Promote the batch entry to a per-job record before its
-				// batch file goes away: if this process also crashes, the
-				// job must still be on disk.
-				rec.State = JobQueued
-				j.write(rec)
-			}
+			j.done(rec.ID)
 		}
 		jobs = append(jobs, job)
 	}
-	for _, path := range batchFiles {
-		os.Remove(path)
-	}
-	// Staging orphans: uploads whose submit crashed before the journal
-	// record landed (or whose record was corrupt) accumulate forever
-	// without this sweep.
-	if stray, err := os.ReadDir(j.staging()); err == nil {
-		for _, e := range stray {
-			p := filepath.Join(j.staging(), e.Name())
-			if !e.IsDir() && !referenced[p] {
-				os.Remove(p)
-			}
+	// Staging orphans: uploads whose submit crashed before its batch synced.
+	stray, _ := filepath.Glob(filepath.Join(j.staging(), "*"))
+	for _, path := range stray {
+		if !referenced[path] {
+			os.Remove(path)
 		}
 	}
-	// Deterministic re-enqueue order: job IDs are "job-<n>", so numeric
-	// order is submission order.
+	// Job IDs are "job-<n>": numeric order is submission order.
 	sort.Slice(jobs, func(a, b int) bool { return jobIDNum(jobs[a].ID) < jobIDNum(jobs[b].ID) })
-	return jobs
-}
-
-// jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).
-func jobIDNum(id string) int {
-	var n int
-	fmt.Sscanf(id, "job-%d", &n)
-	return n
+	return j, jobs, nil
 }

@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +60,102 @@ func healthSnapshot(t *testing.T, ts *httptest.Server) map[string]any {
 	return h
 }
 
+// submitFrame and doneFrame render the two kinds of log line.
+func submitFrame(t *testing.T, rec journalRecord) []byte {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame('S', payload)
+}
+
+func doneFrame(id string) []byte { return frame('D', []byte(id)) }
+
+// mkJournalDir creates an empty journal directory with its staging
+// directory, the state every hand-built crash scene starts from.
+func mkJournalDir(t *testing.T) string {
+	t.Helper()
+	jdir := filepath.Join(t.TempDir(), "journal")
+	if err := os.MkdirAll(filepath.Join(jdir, "staging"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return jdir
+}
+
+// writeLog leaves journal.log holding exactly data.
+func writeLog(t *testing.T, jdir string, data ...[]byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(jdir, "journal.log"), bytes.Join(data, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stageCapture writes data into the journal's staging directory and
+// returns a submit record referencing it.
+func stageCapture(t *testing.T, jdir, id string, data []byte) journalRecord {
+	t.Helper()
+	staged := filepath.Join(jdir, "staging", "diffaudit-child-"+id+".har")
+	if err := os.WriteFile(staged, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return journalRecord{
+		Version:     journalVersion,
+		ID:          id,
+		Service:     "Quizlet",
+		SubmittedAt: time.Now().UTC(),
+		Uploads:     []upload{{Path: staged, Bytes: int64(len(data)), HAR: true, Persona: "child"}},
+	}
+}
+
+// journalFiles lists every regular file under a journal directory — what
+// the next start would re-run, sweep, or refuse.
+func journalFiles(t *testing.T, jdir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(jdir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files = append(files, strings.TrimPrefix(path, jdir+"/"))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// waitDrained is called once every job is visible as finished. The log
+// must be gone by then — a job's done line is written before the job turns
+// visible, so a serial client's next submit never races it — and the
+// staged files, removed just after, get a moment to follow.
+func waitDrained(t *testing.T, jdir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(jdir, "journal.log")); !os.IsNotExist(err) {
+		t.Fatalf("journal.log outlived the last job turning visible as finished (stat: %v)", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		left := journalFiles(t, jdir)
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal not drained: %v left", left)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// jobIDs lists recovered jobs' IDs in the order recovery returned them.
+func jobIDs(jobs []*Job) []string {
+	ids := []string{}
+	for _, job := range jobs {
+		ids = append(ids, job.ID)
+	}
+	return ids
+}
+
 // TestJournalCrashRecoveryMatrix is the acceptance matrix for the
 // journal: a server is abandoned (never Closed — the in-process stand-in
 // for kill -9) at three points in a job's life, a fresh server is opened
@@ -93,10 +192,16 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		return decodeJob(t, resp)
 	}
 
-	// recover opens a healthy server over the crashed one's directories
-	// and asserts every interrupted job re-runs to a byte-identical done.
+	// recover asserts the crash left a log behind, opens a healthy server
+	// over the crashed one's directories and asserts every interrupted job
+	// re-runs to a byte-identical done.
 	recoverAndCheck := func(t *testing.T, dir string, ids ...string) {
 		t.Helper()
+		// The 202s were gated on group commits: the crashed server must
+		// have left the log for the recovery to read.
+		if _, err := os.Stat(filepath.Join(dir, "journal", "journal.log")); err != nil {
+			t.Fatalf("no journal.log survived the crash — the 202s were not backed by a commit: %v", err)
+		}
 		st, err := store.OpenFSStore(filepath.Join(dir, "snapshots"))
 		if err != nil {
 			t.Fatal(err)
@@ -121,21 +226,12 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 				t.Fatalf("recovered %s report differs from the uninterrupted baseline", id)
 			}
 		}
-		// All recovered jobs settled: the journal must be empty again and
-		// healthz back to non-degraded.
+		// All recovered jobs settled: the journal must be empty again —
+		// no log, no staged capture — and healthz back to non-degraded.
 		if h := healthSnapshot(t, ts); h["degraded"] != false {
 			t.Fatalf("healthz after recovery = %v", h)
 		}
-		left, _ := filepath.Glob(filepath.Join(dir, "journal", "*.job"))
-		if len(left) != 0 {
-			t.Fatalf("journal records left after recovery: %v", left)
-		}
-		// Batch files never outlive one recovery: surviving entries were
-		// promoted to per-job records (and have since settled away).
-		batches, _ := filepath.Glob(filepath.Join(dir, "journal", "*.batch"))
-		if len(batches) != 0 {
-			t.Fatalf("batch files left after recovery: %v", batches)
-		}
+		waitDrained(t, filepath.Join(dir, "journal"))
 	}
 
 	t.Run("killed-with-job-queued-and-job-running", func(t *testing.T) {
@@ -156,18 +252,12 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		j1 := accept(t, ts)
 		j2 := accept(t, ts)
 		ts.Close() // abandon crashed without Close: the "kill -9"
-		// The 202s were gated on group commits: the crashed server must
-		// have left durable batch files for the recovery to read.
-		batches, _ := filepath.Glob(filepath.Join(dir, "journal", "*.batch"))
-		if len(batches) == 0 {
-			t.Fatal("no batch files survived the crash — the 202s were not backed by a group commit")
-		}
 		recoverAndCheck(t, dir, j1.ID, j2.ID)
 	})
 
 	t.Run("killed-mid-store-put", func(t *testing.T) {
-		// The audit finished but the snapshot write never returned: the
-		// journal record must survive so the restart re-runs the job.
+		// The audit finished but the snapshot write never returned: no
+		// done line was written, so the restart re-runs the job.
 		dir := t.TempDir()
 		st, err := store.OpenFSStore(filepath.Join(dir, "snapshots"))
 		if err != nil {
@@ -180,8 +270,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		})
 		ts := httptest.NewServer(crashed)
 		j1 := accept(t, ts)
-		// Wait until the worker is provably inside Put (job running and
-		// its journal record rewritten to running) before "killing" it.
+		// Wait until the worker has the job before "killing" it.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			if time.Now().After(deadline) {
@@ -206,85 +295,157 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 }
 
 // TestJournalStartupGC: opening a server over a journal littered with
-// crash leftovers — interrupted record writes (.tmp-*), corrupt records,
-// and staging files no record references — deletes all of them.
+// crash leftovers — an interrupted rewrite (.tmp-*), a log that is
+// garbage from its first byte, and staging files no record references —
+// deletes all of them.
 func TestJournalStartupGC(t *testing.T) {
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "journal")
-	if err := os.MkdirAll(filepath.Join(jdir, "staging"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	tmpLeft := filepath.Join(jdir, ".tmp-interrupted")
-	corrupt := filepath.Join(jdir, "job-9.job")
-	corruptBatch := filepath.Join(jdir, "batch-000009.batch")
-	orphan := filepath.Join(jdir, "staging", "diffaudit-child-orphan")
-	for _, f := range []string{tmpLeft, corrupt, corruptBatch, orphan} {
-		if err := os.WriteFile(f, []byte("{not json"), 0o644); err != nil {
+	jdir := mkJournalDir(t)
+	for _, f := range []string{".tmp-interrupted", "staging/diffaudit-child-orphan"} {
+		if err := os.WriteFile(filepath.Join(jdir, f), []byte("leftover"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	writeLog(t, jdir, []byte("{not a frame"))
 
 	srv, err := Open(Config{JournalDir: jdir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if left := journalFiles(t, jdir); len(left) != 0 {
+		t.Errorf("survived startup GC: %v", left)
+	}
+}
 
-	for _, f := range []string{tmpLeft, corrupt, corruptBatch, orphan} {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Errorf("%s survived startup GC (err=%v)", f, err)
+// TestJournalRefusesUnreadableRecords: Open does not start over records
+// it cannot read — the per-job and batch files of the layout before
+// journal.log, or a log frame that passes its checksum but comes from a
+// newer build. Each holds acknowledged jobs; starting anyway would drop
+// them silently. The error names the file.
+func TestJournalRefusesUnreadableRecords(t *testing.T) {
+	future := journalRecord{Version: journalVersion + 1, ID: "job-1"}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"job-9.job", []byte(`{"version":1,"id":"job-9"}`)},
+		{"batch-000001.batch", []byte(`{"version":1,"records":[]}`)},
+		{"journal.log", submitFrame(t, future)},
+		{"journal.log", frame('X', []byte("job-1"))},
+	} {
+		jdir := mkJournalDir(t)
+		path := filepath.Join(jdir, tc.name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Open(Config{JournalDir: jdir})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Open over %s (%q) succeeded, want a refusal", tc.name, tc.data)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("refusal of %s does not name the file: %v", tc.name, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, tc.data) {
+			t.Errorf("refused %s was not left as it was", tc.name)
 		}
 	}
 }
 
-// TestJournalRecoveryMissingUpload: a record whose staged capture is gone
-// (the crash interleaved with cleanup, or an operator pruned staging)
-// recovers as a failed job with a diagnostic — visible loss, not a
-// silent drop and not an endless crash-rerun loop.
-func TestJournalRecoveryMissingUpload(t *testing.T) {
+// TestJournalRecoveryDamagedStaging: a record whose staged files are not
+// what the server acknowledged recovers as a failed job with a
+// diagnostic — visible loss, not a silent drop, not an endless
+// crash-rerun loop, and above all not an error-free audit of a capture
+// that a power loss cut short (staged files are never fsynced).
+func TestJournalRecoveryDamagedStaging(t *testing.T) {
+	har := childHAR(t)
+	for name, tc := range map[string]struct {
+		damage func(t *testing.T, rec *journalRecord)
+		want   string
+	}{
+		// The crash interleaved with cleanup, or an operator pruned staging.
+		"capture missing": {func(t *testing.T, rec *journalRecord) { os.Remove(rec.Uploads[0].Path) }, "staged capture missing"},
+		"capture truncated": {func(t *testing.T, rec *journalRecord) {
+			if err := os.Truncate(rec.Uploads[0].Path, int64(len(har)/2)); err != nil {
+				t.Fatal(err)
+			}
+		}, "staged capture truncated"},
+		"keylog truncated": {func(t *testing.T, rec *journalRecord) {
+			rec.Keylog = filepath.Join(filepath.Dir(rec.Uploads[0].Path), "diffaudit-keylog-1")
+			rec.KeylogBytes = 64
+			if err := os.WriteFile(rec.Keylog, []byte("CLIENT_RANDOM"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "staged keylog truncated"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			jdir := mkJournalDir(t)
+			rec := stageCapture(t, jdir, "job-3", har)
+			tc.damage(t, &rec)
+			writeLog(t, jdir, submitFrame(t, rec))
+
+			srv, err := Open(Config{JournalDir: jdir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+
+			code, body := getBody(t, ts, "/v1/jobs/job-3")
+			if code != http.StatusOK {
+				t.Fatalf("recovered job: %d: %s", code, body)
+			}
+			var job Job
+			if err := json.Unmarshal(body, &job); err != nil {
+				t.Fatal(err)
+			}
+			if job.State != JobFailed || !strings.Contains(job.Error, "crash recovery: "+tc.want) {
+				t.Fatalf("job = %+v, want failed with a %q diagnostic", job, tc.want)
+			}
+			// The unrecoverable record must not survive to fail again next
+			// boot, and what was left of its staging is released.
+			if left := journalFiles(t, jdir); len(left) != 0 {
+				t.Fatalf("unrecoverable job left %v behind", left)
+			}
+			// healthz: a recovered-failed job settled immediately; not degraded.
+			if h := healthSnapshot(t, ts); h["degraded"] != false {
+				t.Fatalf("healthz = %v", h)
+			}
+		})
+	}
+
+	// The byte count recovery compares against is the one the upload
+	// path counted, end to end: cut a real staged upload short behind an
+	// abandoned server's back.
 	jdir := filepath.Join(t.TempDir(), "journal")
-	j, err := openJournal(jdir, 0)
+	crashed := New(Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(make(chan struct{}))})
+	ts := httptest.NewServer(crashed)
+	resp := submit(t, ts, quizletParts(t))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	id := decodeJob(t, resp).ID
+	ts.Close() // abandon
+	stagedFiles, _ := filepath.Glob(filepath.Join(jdir, "staging", "*"))
+	if len(stagedFiles) != 1 {
+		t.Fatalf("staged files = %v, want one", stagedFiles)
+	}
+	fi, err := os.Stat(stagedFiles[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := journalRecord{
-		Version:     journalVersion,
-		ID:          "job-3",
-		Service:     "custom-service",
-		State:       JobQueued,
-		SubmittedAt: time.Now().UTC(),
-		Uploads:     []journalUpload{{Path: filepath.Join(jdir, "staging", "gone.har"), HAR: true, Persona: "child"}},
-	}
-	if err := j.write(rec); err != nil {
+	if err := os.Truncate(stagedFiles[0], fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-
-	srv, err := Open(Config{JournalDir: jdir})
+	srv, err := Open(Config{Workers: 1, JournalDir: jdir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	code, body := getBody(t, ts, "/v1/jobs/job-3")
-	if code != http.StatusOK {
-		t.Fatalf("recovered job: %d: %s", code, body)
-	}
-	var job Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	if job.State != JobFailed || !strings.Contains(job.Error, "crash recovery") {
-		t.Fatalf("job = %+v, want failed with a crash-recovery diagnostic", job)
-	}
-	// The unrecoverable record must not survive to fail again next boot.
-	if _, err := os.Stat(j.path("job-3")); !os.IsNotExist(err) {
-		t.Fatalf("journal record for unrecoverable job survived (err=%v)", err)
-	}
-	// healthz: a recovered-failed job settled immediately; not degraded.
-	if h := healthSnapshot(t, ts); h["degraded"] != false {
-		t.Fatalf("healthz = %v", h)
+	job, ok := srv.lookup(id)
+	if !ok || job.State != JobFailed || !strings.Contains(job.Error, "staged capture truncated") {
+		t.Fatalf("upload cut one byte short recovered as %+v, want failed with the truncation diagnostic", job)
 	}
 }
 
@@ -380,14 +541,12 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommitBurstAndRemove pins the group-commit mechanics at
-// the journal level: a burst of submits that piles up behind one stalled
-// commit lands in a single batch file (one staging pass, one sync for the
-// whole burst), and remove tombstones a finished job in the batch's .rm
-// sidecar — deleting batch file and sidecar once the last member is gone
-// — so recovery can never resurrect a settled job.
-func TestJournalGroupCommitBurstAndRemove(t *testing.T) {
-	j, err := openJournal(filepath.Join(t.TempDir(), "journal"), 0)
+// TestJournalGroupCommitBurst pins the group-commit mechanics at the
+// journal level: a burst of submits that piles up behind one stalled
+// commit shares a single write and sync, done lines are appended without
+// rewriting anything, and the last done takes the log with it.
+func TestJournalGroupCommitBurst(t *testing.T) {
+	j, _, err := openJournal(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,15 +556,12 @@ func TestJournalGroupCommitBurstAndRemove(t *testing.T) {
 	faults.Set("journal.batch", faults.Plan{Delay: 300 * time.Millisecond, Count: 1})
 	defer faults.Reset()
 
-	rec := func(n int) journalRecord {
-		return journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", State: JobQueued, SubmittedAt: time.Now().UTC()}
-	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
 	appendOne := func(n int) {
 		defer wg.Done()
-		if err := j.append(rec(n)); err != nil {
-			errs <- fmt.Errorf("append job-%d: %w", n, err)
+		rec := journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", SubmittedAt: time.Now().UTC()}
+		if err := j.append(rec); err != nil {
+			t.Errorf("append job-%d: %v", n, err)
 		}
 	}
 	wg.Add(1)
@@ -416,65 +572,82 @@ func TestJournalGroupCommitBurstAndRemove(t *testing.T) {
 		go appendOne(n)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	if commits := faults.Calls("journal.batch"); commits != 2 {
+		t.Fatalf("4 appends (1 + burst of 3) took %d commits, want 2", commits)
 	}
 
-	readBatch := func(path string) []journalRecord {
-		t.Helper()
-		data, err := os.ReadFile(path)
+	logSize := func() int64 {
+		fi, err := os.Stat(j.logPath())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b journalBatch
-		if err := json.Unmarshal(data, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Records
+		return fi.Size()
 	}
-	batches, _ := filepath.Glob(filepath.Join(j.dir, "batch-*.batch"))
-	if len(batches) != 2 {
-		t.Fatalf("4 appends (1 + burst of 3) produced %d batch files, want 2: %v", len(batches), batches)
+	before := logSize()
+	j.done("job-3")
+	if grew := logSize() - before; grew != int64(len(doneFrame("job-3"))) {
+		t.Fatalf("done(job-3) changed the log by %d bytes, want one appended done line", grew)
 	}
-	sort.Strings(batches)
-	if got := len(readBatch(batches[0])); got != 1 {
-		t.Fatalf("first batch holds %d records, want 1", got)
+	j.done("job-3") // a second done for the same job is not a second line
+	j.done("job-2")
+	j.done("job-4")
+	if grew := logSize() - before; grew != int64(len(doneFrame("job-3"))*3) {
+		t.Fatalf("three dones grew the log by %d bytes, want three lines", grew)
 	}
-	if got := len(readBatch(batches[1])); got != 3 {
-		t.Fatalf("burst batch holds %d records, want all 3 in one sync", got)
-	}
-
-	// remove tombstones the member in the batch's .rm sidecar — the batch
-	// file itself is never rewritten on the completion path...
-	j.remove("job-3")
-	if got := len(readBatch(batches[1])); got != 3 {
-		t.Fatalf("remove(job-3) rewrote the batch file (%d records), want it untouched with a tombstone instead", got)
-	}
-	rmFile := strings.TrimSuffix(batches[1], ".batch") + ".rm"
-	data, err := os.ReadFile(rmFile)
-	if err != nil {
-		t.Fatalf("remove(job-3) left no tombstone sidecar: %v", err)
-	}
-	if got := strings.Fields(string(data)); len(got) != 1 || got[0] != "job-3" {
-		t.Fatalf("tombstone sidecar holds %v, want [job-3]", got)
-	}
-	// ...and deletes batch file and sidecar with the last member.
-	j.remove("job-2")
-	j.remove("job-4")
-	j.remove("job-1")
-	if leftovers, _ := filepath.Glob(filepath.Join(j.dir, "batch-*")); len(leftovers) != 0 {
-		t.Fatalf("batch files survive their last member: %v", leftovers)
+	j.done("job-1")
+	if left := journalFiles(t, j.dir); len(left) != 0 {
+		t.Fatalf("the log survives its last live job: %v", left)
 	}
 }
 
-// TestJournalCrashBetweenBatchStages pins the group commit's crash
-// contract at each stage boundary by recovering over the exact directory
-// state a kill at that point leaves behind. Before the rename, no client
-// saw a 202, so the records owe nothing and are garbage; after the
-// rename the batch is the durability promise and every record re-runs to
-// a byte-identical report; and a per-job record written after the batch
-// always supersedes the job's (staler) batch entry.
+// TestJournalFailedBatchCancelled: a batch that reached the log but not
+// the disk was never acknowledged, so its jobs must not come back — not
+// beside a job that was, and not when they were the only ones.
+func TestJournalFailedBatchCancelled(t *testing.T) {
+	defer faults.Reset()
+	jdir := filepath.Join(t.TempDir(), "journal")
+	j, _, err := openJournal(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(n int) journalRecord {
+		return journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet"}
+	}
+	reopened := func() []string {
+		t.Helper()
+		_, jobs, err := openJournal(jdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobIDs(jobs)
+	}
+	faults.Set("journal.batch", faults.Plan{Err: errors.New("disk detached"), Count: -1})
+	if err := j.append(rec(1)); err == nil {
+		t.Fatal("append succeeded through a failing sync")
+	}
+	if left := journalFiles(t, jdir); len(left) != 0 {
+		t.Fatalf("a failed lone batch left %v", left)
+	}
+	faults.Reset()
+	if err := j.append(rec(2)); err != nil {
+		t.Fatal(err)
+	}
+	faults.Set("journal.batch", faults.Plan{Err: errors.New("disk detached"), Count: -1})
+	if err := j.append(rec(3)); err == nil {
+		t.Fatal("append succeeded through a failing sync")
+	}
+	if got := reopened(); !reflect.DeepEqual(got, []string{"job-2"}) {
+		t.Fatalf("recovered %v, want only the acknowledged job-2", got)
+	}
+}
+
+// TestJournalCrashBetweenBatchStages pins the crash contract by
+// recovering over the exact log a kill at each point leaves behind: a
+// synced batch is the durability promise and every record in it re-runs
+// to a byte-identical report; a frame the crash tore, and everything
+// after the first damaged frame, was never acknowledged and owes
+// nothing; a done line keeps its job dead; and a done line the crash
+// lost only re-runs a job whose result is already stored.
 func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	harData := childHAR(t)
 	parts := map[string][2]string{
@@ -482,180 +655,291 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		"name":  {"", "Quizlet"},
 	}
 
-	// The uninterrupted baseline report every recovered job must match.
-	base := New(Config{Workers: 1})
+	// The uninterrupted baseline every recovered job must match. Its
+	// store goes on to play the store a crashed server had already
+	// persisted job-1 into.
+	dir := t.TempDir()
+	st, err := store.OpenFSStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := New(Config{Workers: 1, Store: st})
 	baseTS := httptest.NewServer(base)
 	baseJob := runJob(t, baseTS, parts)
 	_, want := getBody(t, baseTS, "/v1/jobs/"+baseJob.ID+"/report.json")
 	baseTS.Close()
 	base.Close()
 
-	// stage writes a capture into the journal's staging dir and returns a
-	// queued submit record referencing it.
-	stage := func(t *testing.T, jdir, name, id string) journalRecord {
+	// recover opens a server over jdir and requires exactly the jobs in
+	// ids to come back, each re-running to the baseline report, and the
+	// journal directory to end up empty.
+	recoverOnly := func(t *testing.T, jdir string, cfg Config, ids ...string) {
 		t.Helper()
-		staged := filepath.Join(jdir, "staging", name)
-		if err := os.WriteFile(staged, harData, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return journalRecord{
-			Version:     journalVersion,
-			ID:          id,
-			Service:     "Quizlet",
-			State:       JobQueued,
-			SubmittedAt: time.Now().UTC(),
-			Uploads:     []journalUpload{{Path: staged, HAR: true, Persona: "child"}},
-		}
-	}
-	mkJournalDir := func(t *testing.T) string {
-		t.Helper()
-		jdir := filepath.Join(t.TempDir(), "journal")
-		if err := os.MkdirAll(filepath.Join(jdir, "staging"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		return jdir
-	}
-	writeJSON := func(t *testing.T, path string, v any) {
-		t.Helper()
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("killed-before-rename", func(t *testing.T) {
-		// The batch died as a temp file: its submitters never got their
-		// 202, so recovery must not resurrect the jobs — and must GC the
-		// temp file and the staged upload it references.
-		jdir := mkJournalDir(t)
-		rec := stage(t, jdir, "diffaudit-child-1.har", "job-1")
-		tmp := filepath.Join(jdir, ".tmp-batch-interrupted")
-		writeJSON(t, tmp, journalBatch{Version: journalVersion, Records: []journalRecord{rec}})
-
-		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srv.mu.Lock()
-		n := len(srv.jobs)
-		srv.mu.Unlock()
-		if n != 0 {
-			t.Fatalf("unacknowledged batch resurrected %d jobs", n)
-		}
-		for _, f := range []string{tmp, rec.Uploads[0].Path} {
-			if _, err := os.Stat(f); !os.IsNotExist(err) {
-				t.Errorf("%s survived startup GC (err=%v)", f, err)
-			}
-		}
-	})
-
-	t.Run("killed-after-rename", func(t *testing.T) {
-		// The batch file landed (a lost directory sync leaves this same
-		// state when the entry is still visible): both acknowledged jobs
-		// re-run to reports byte-identical to the uninterrupted baseline,
-		// and the batch file itself does not outlive the recovery.
-		jdir := mkJournalDir(t)
-		recs := []journalRecord{
-			stage(t, jdir, "diffaudit-child-1.har", "job-1"),
-			stage(t, jdir, "diffaudit-child-2.har", "job-2"),
-		}
-		batchFile := filepath.Join(jdir, "batch-000001.batch")
-		writeJSON(t, batchFile, journalBatch{Version: journalVersion, Records: recs})
-
-		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+		cfg.Workers, cfg.JournalDir = 1, jdir
+		srv, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		for _, id := range []string{"job-1", "job-2"} {
-			done := wait(t, ts, id)
-			if done.State != JobDone {
+		if h := healthSnapshot(t, ts); h["jobs"] != float64(len(ids)) {
+			t.Fatalf("recovery came back with %v jobs, want exactly %v", h["jobs"], ids)
+		}
+		for _, id := range ids {
+			if done := wait(t, ts, id); done.State != JobDone {
 				t.Fatalf("recovered %s = %+v", id, done)
 			}
 			code, got := getBody(t, ts, "/v1/jobs/"+id+"/report.json")
-			if code != http.StatusOK {
-				t.Fatalf("recovered report %s: %d", id, code)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("recovered %s report differs from the uninterrupted baseline", id)
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("recovered %s report differs from the uninterrupted baseline (code %d)", id, code)
 			}
 		}
-		if _, err := os.Stat(batchFile); !os.IsNotExist(err) {
-			t.Errorf("batch file survived recovery (err=%v)", err)
-		}
+		waitDrained(t, jdir)
+	}
+
+	t.Run("killed-after-sync", func(t *testing.T) {
+		jdir := mkJournalDir(t)
+		writeLog(t, jdir,
+			submitFrame(t, stageCapture(t, jdir, "job-1", harData)),
+			submitFrame(t, stageCapture(t, jdir, "job-2", harData)))
+		recoverOnly(t, jdir, Config{}, "job-1", "job-2")
 	})
 
-	t.Run("tombstoned-entry-stays-dead", func(t *testing.T) {
-		// One batch member finished (its staging was cleaned and its ID
-		// appended to the .rm sidecar) before the crash; the other was
-		// still in flight. Recovery must re-run only the live member —
-		// resurrecting the tombstoned one would surface a completed job
-		// as a phantom "staged capture missing" failure — and neither the
-		// batch file nor its sidecar may outlive the recovery.
+	t.Run("torn-tail-never-acked", func(t *testing.T) {
+		// The batch's write was cut short: its submitter never got a 202,
+		// so recovery must not resurrect the job — and must GC the staged
+		// upload the torn frame references, and a rewrite's temp file.
 		jdir := mkJournalDir(t)
-		live := stage(t, jdir, "diffaudit-child-3.har", "job-3")
-		settled := live
-		settled.ID = "job-8"
-		settled.Uploads = []journalUpload{{Path: filepath.Join(jdir, "staging", "cleaned-up.har"), HAR: true, Persona: "child"}}
-		writeJSON(t, filepath.Join(jdir, "batch-000001.batch"), journalBatch{Version: journalVersion, Records: []journalRecord{live, settled}})
-		if err := os.WriteFile(filepath.Join(jdir, "batch-000001.rm"), []byte("job-8\n"), 0o644); err != nil {
+		torn := submitFrame(t, stageCapture(t, jdir, "job-2", harData))
+		writeLog(t, jdir, submitFrame(t, stageCapture(t, jdir, "job-1", harData)), torn[:len(torn)/2])
+		if err := os.WriteFile(filepath.Join(jdir, ".tmp-interrupted"), torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		recoverOnly(t, jdir, Config{}, "job-1")
+	})
 
-		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+	t.Run("corrupt-frame-in-the-middle", func(t *testing.T) {
+		// Nothing past the first frame that fails its checksum can be
+		// trusted to be in acknowledged order; recovery stops there.
+		jdir := mkJournalDir(t)
+		bad := submitFrame(t, stageCapture(t, jdir, "job-2", harData))
+		bad[len(bad)/2] ^= 0x01
+		writeLog(t, jdir,
+			submitFrame(t, stageCapture(t, jdir, "job-1", harData)),
+			bad,
+			submitFrame(t, stageCapture(t, jdir, "job-3", harData)))
+		recoverOnly(t, jdir, Config{}, "job-1")
+	})
+
+	t.Run("done-entry-stays-dead", func(t *testing.T) {
+		// job-8 finished (its staging was cleaned and its done line
+		// appended) before the crash; job-3 was still in flight. Recovery
+		// must re-run only job-3 — resurrecting job-8 would surface a
+		// completed job as a phantom "staged capture missing" failure.
+		jdir := mkJournalDir(t)
+		settled := stageCapture(t, jdir, "job-8", harData)
+		os.Remove(settled.Uploads[0].Path)
+		writeLog(t, jdir,
+			submitFrame(t, stageCapture(t, jdir, "job-3", harData)),
+			submitFrame(t, settled),
+			doneFrame("job-8"))
+		recoverOnly(t, jdir, Config{}, "job-3")
+	})
+
+	t.Run("lost-done-reruns-idempotent-job", func(t *testing.T) {
+		// The snapshot landed in the store but the unsynced done line did
+		// not reach the disk: the job re-runs to the same content under
+		// the same ID.
+		jdir := mkJournalDir(t)
+		writeLog(t, jdir, submitFrame(t, stageCapture(t, jdir, baseJob.ID, harData)))
+		recoverOnly(t, jdir, Config{Store: st}, baseJob.ID)
+		metas, err := st.List()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		if done := wait(t, ts, "job-3"); done.State != JobDone {
-			t.Fatalf("live batch member job-3 = %+v", done)
-		}
-		srv.mu.Lock()
-		_, resurrected := srv.jobs["job-8"]
-		srv.mu.Unlock()
-		if resurrected {
-			t.Fatal("tombstoned job-8 resurrected as a job")
-		}
-		if leftovers, _ := filepath.Glob(filepath.Join(jdir, "batch-*")); len(leftovers) != 0 {
-			t.Errorf("batch file or sidecar survived recovery: %v", leftovers)
+		for _, m := range metas {
+			if m.JobID != baseJob.ID || m.Hash != baseJob.SnapshotHash {
+				t.Errorf("re-run stored %+v, want only %s's content %s", m, baseJob.ID, baseJob.SnapshotHash)
+			}
 		}
 	})
+}
 
-	t.Run("per-job-record-supersedes-batch-entry", func(t *testing.T) {
-		// After the batch, the job's state moved on and wrote a per-job
-		// record; the crash left both. The batch entry points at a capture
-		// that no longer exists — replaying it would fail the job — so
-		// recovery must prefer the newer per-job record, which points at
-		// the real one.
-		jdir := mkJournalDir(t)
-		real := stage(t, jdir, "diffaudit-child-7.har", "job-7")
-		staleEntry := real
-		staleEntry.Uploads = []journalUpload{{Path: filepath.Join(jdir, "staging", "long-gone.har"), HAR: true, Persona: "child"}}
-		writeJSON(t, filepath.Join(jdir, "batch-000001.batch"), journalBatch{Version: journalVersion, Records: []journalRecord{staleEntry}})
-		writeJSON(t, filepath.Join(jdir, "job-7.job"), real)
+// TestJournalModel drives the log with a seeded random walk of submit
+// bursts, dones and abandon-and-reopen against the obvious model: a list
+// of live IDs. After every reopen recovery must return exactly the
+// model's IDs in submission order; the log must exist exactly when some
+// job is live; and — the records are fat so that a dozen jobs get there
+// — finished jobs' lines must be rewritten away once they exceed
+// journalMaxGarbage, so the file never outgrows that plus its live
+// lines. Some bursts race dones for older live jobs, sometimes for all
+// of them: a done that unlinked or rewrote the log under a
+// written-but-unsynced batch, or under an acknowledged job still
+// running, loses that job at the next reopen.
+func TestJournalModel(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	rng := rand.New(rand.NewSource(15))
+	pad := strings.Repeat("x", 128<<10)
+	const maxLive, maxBurst = 16, 4
+	var (
+		j        *journal
+		live     []string // the model
+		next     int
+		rewrites int
+	)
+	logSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "journal.log"))
+		if err != nil {
+			if len(live) > 0 {
+				t.Fatalf("%d jobs live but no log: %v", len(live), err)
+			}
+			return 0
+		}
+		if len(live) == 0 {
+			t.Fatalf("no job live but the log exists (%d bytes)", fi.Size())
+		}
+		// Garbage is capped when a batch is written; until the next one
+		// the file grows only by done lines.
+		if limit := int64(journalMaxGarbage + (maxLive+maxBurst)*(len(pad)+1024)); fi.Size() > limit {
+			t.Fatalf("log grew to %d bytes with %d jobs live, cap is %d", fi.Size(), len(live), limit)
+		}
+		return fi.Size()
+	}
+	reopen := func() {
+		if j != nil && j.f != nil {
+			j.f.Close() // the dead process's descriptor; nothing is flushed or removed
+		}
+		var jobs []*Job
+		var err error
+		if j, jobs, err = openJournal(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got := jobIDs(jobs); !reflect.DeepEqual(got, append([]string{}, live...)) {
+			t.Fatalf("recovered %v, model has %v", got, live)
+		}
+		logSize()
+	}
+	// finish marks the model's jobs at the given indexes done, in the
+	// journal and in the model.
+	finish := func(idx ...int) {
+		kept := live[:0:0]
+		for i, id := range live {
+			if len(idx) > 0 && idx[0] == i {
+				j.done(id)
+				idx = idx[1:]
+			} else {
+				kept = append(kept, id)
+			}
+		}
+		live = kept
+	}
+	reopen()
+	for step := 0; step < 600; step++ {
+		switch r := rng.Intn(40); {
+		case r == 0:
+			reopen()
+		case r < 18 && len(live) < maxLive:
+			before := logSize()
+			var racing []int // older jobs finishing while the burst commits
+			mode := rng.Intn(10)
+			if mode < 5 {
+				for i := range live {
+					if mode == 0 || rng.Intn(2) == 0 {
+						racing = append(racing, i)
+					}
+				}
+			}
+			if mode == 0 {
+				// Hold the batch between its write and its sync, and let
+				// every older job finish inside that window.
+				faults.Set("journal.batch", faults.Plan{Delay: 10 * time.Millisecond})
+			}
+			var wg sync.WaitGroup
+			for k := rng.Intn(maxBurst); k >= 0; k-- {
+				next++
+				rec := journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", next), Service: pad}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := j.append(rec); err != nil {
+						t.Errorf("append %s: %v", rec.ID, err)
+					}
+				}()
+				live = append(live, rec.ID)
+			}
+			for mode == 0 && faults.Calls("journal.batch") == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			finish(racing...)
+			wg.Wait()
+			faults.Reset()
+			// Appends only grow a log, and with an older job still live
+			// nothing unlinked it: a smaller file was rewritten.
+			if after := logSize(); after < before && len(racing) == 0 {
+				rewrites++
+			}
+		case len(live) > 1 || len(live) == 1 && rng.Intn(4) == 0:
+			finish(rng.Intn(len(live)))
+			logSize()
+		}
+	}
+	reopen()
+	for len(live) > 0 {
+		finish(0)
+		logSize()
+	}
+	if rewrites == 0 {
+		t.Error("the walk never pushed the log over its garbage cap; the rewrite-before-batch path went untested")
+	}
+	t.Logf("%d jobs, %d rewrites at the garbage cap", next, rewrites)
+}
 
-		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+// TestJournalDamagedLog cuts a valid multi-record log at every byte
+// offset, and flips every byte of it in turn: recovery must return
+// exactly what the frames before the damage say, and never panic.
+func TestJournalDamagedLog(t *testing.T) {
+	rec := func(n int) []byte {
+		return submitFrame(t, journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet"})
+	}
+	frames := [][]byte{rec(1), rec(2), doneFrame("job-1"), rec(3), rec(4), doneFrame("job-3"), rec(5)}
+	// wantAfter[n] is the live set n whole frames describe.
+	wantAfter := [][]string{{}, {"job-1"}, {"job-1", "job-2"}, {"job-2"}, {"job-2", "job-3"},
+		{"job-2", "job-3", "job-4"}, {"job-2", "job-4"}, {"job-2", "job-4", "job-5"}}
+	data := bytes.Join(frames, nil)
+	// frameAt[off] is the index of the frame holding byte off.
+	var frameAt []int
+	for i, f := range frames {
+		for range f {
+			frameAt = append(frameAt, i)
+		}
+	}
+	jdir := mkJournalDir(t)
+	recovered := func(log []byte) []string {
+		writeLog(t, jdir, log)
+		j, jobs, err := openJournal(jdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		done := wait(t, ts, "job-7")
-		if done.State != JobDone {
-			t.Fatalf("job-7 = %+v: the stale batch entry won over the per-job record", done)
+		if j.f != nil {
+			j.f.Close()
 		}
-		code, got := getBody(t, ts, "/v1/jobs/job-7/report.json")
-		if code != http.StatusOK || !bytes.Equal(got, want) {
-			t.Fatalf("superseded recovery report differs from baseline (code %d)", code)
+		return jobIDs(jobs)
+	}
+	for cut := 0; cut <= len(data); cut++ {
+		whole := len(frames)
+		if cut < len(data) {
+			whole = frameAt[cut]
 		}
-	})
+		if got := recovered(data[:cut]); !reflect.DeepEqual(got, wantAfter[whole]) {
+			t.Fatalf("log cut at byte %d of %d recovered %v, want %v", cut, len(data), got, wantAfter[whole])
+		}
+	}
+	for off := range data {
+		damaged := bytes.Clone(data)
+		damaged[off] ^= 0x01
+		if got := recovered(damaged); !reflect.DeepEqual(got, wantAfter[frameAt[off]]) {
+			t.Fatalf("byte %d (frame %d) flipped: recovered %v, want %v", off, frameAt[off], got, wantAfter[frameAt[off]])
+		}
+	}
 }

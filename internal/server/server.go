@@ -111,21 +111,14 @@ type Config struct {
 	// per-job and results stay deterministic.
 	NewPipeline func() *core.Pipeline
 	// JournalDir enables the crash-safe job journal: accepted uploads are
-	// staged under <JournalDir>/staging and journaled before they are
-	// queued, and Open re-enqueues interrupted jobs from the journal after
-	// a crash. Empty disables journaling (jobs accepted before a crash are
-	// lost, the pre-journal behavior). Point it at the same volume as the
-	// snapshot store (serve -data-dir does this) so a job and its eventual
-	// snapshot share durability.
+	// staged under <JournalDir>/staging and recorded in
+	// <JournalDir>/journal.log (fsynced, concurrent submits sharing one
+	// sync) before they are queued, and Open re-enqueues interrupted jobs
+	// from the log after a crash. Empty disables journaling (jobs accepted
+	// before a crash are lost, the pre-journal behavior). Point it at the
+	// same volume as the snapshot store (serve -data-dir does this) so a
+	// job and its eventual snapshot share durability.
 	JournalDir string
-	// JournalBatch is the journal's group-commit window. Submit records
-	// are journaled by a committer that gathers everything arriving while
-	// a batch forms — the batch closes as soon as its queue drains or
-	// this window elapses, whichever comes first — and lands the whole
-	// batch with a single fsync+dirsync. An isolated submit commits
-	// immediately; a concurrent burst shares one sync. 0 takes the 2ms
-	// default; only meaningful with JournalDir set.
-	JournalBatch time.Duration
 	// JobTimeout bounds one audit job's run time (0 = unlimited). A job
 	// that exceeds it is marked with the "timeout" state and its worker
 	// moves on at the next pipeline batch boundary — a pathological
@@ -207,17 +200,27 @@ type Job struct {
 
 	uploads []upload
 	keylog  string // temp path of the uploaded SSLKEYLOGFILE ("" if none)
-	result  *core.ServiceResult
+	// keylogSize is the staged keylog's byte count (see upload.Bytes).
+	keylogSize int64
+	result     *core.ServiceResult
 	// recovered marks a job re-enqueued from the journal after a crash;
 	// healthz reports "degraded" until every recovered job settles.
 	recovered bool
 }
 
-// upload is one capture file staged on disk.
+// upload is one capture file staged on disk, in the form the journal
+// records it. Bytes is the length the server acknowledged: staged files
+// are not fsynced, so after a power loss a shorter file can sit under the
+// same path, and a shorter capture parses to a different report without
+// any error. The persona is journaled by name, not ID: registry IDs
+// depend on registration order, which a restarted process may not replay
+// identically.
 type upload struct {
-	path  string
-	har   bool
-	trace flows.TraceCategory
+	Path    string              `json:"path"`
+	Bytes   int64               `json:"bytes"`
+	HAR     bool                `json:"har"`
+	Persona string              `json:"persona"`
+	trace   flows.TraceCategory // Persona, resolved in this process
 }
 
 // Server is the audit server. Create with Open (or New), mount via
@@ -267,8 +270,11 @@ func New(cfg Config) *Server {
 // first when Config.JournalDir is set: surviving journal records are
 // re-enqueued ahead of new submissions (in original submission order),
 // crash leftovers in the journal and staging directories are deleted, and
-// only then does the worker pool start. The only error source is journal
-// directory creation.
+// only then does the worker pool start. Every error comes from the
+// journal: its directories cannot be created, its log cannot be read or
+// rewritten, or the directory holds records in a layout this build does
+// not read (an older build's *.job / *.batch files, or a newer build's
+// log).
 func Open(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -322,12 +328,10 @@ func Open(cfg Config) (*Server, error) {
 
 	var recovered []*Job
 	if cfg.JournalDir != "" {
-		j, err := openJournal(cfg.JournalDir, cfg.JournalBatch)
-		if err != nil {
+		var err error
+		if s.journal, recovered, err = openJournal(cfg.JournalDir); err != nil {
 			return nil, err
 		}
-		s.journal = j
-		recovered = j.recoverJobs()
 	}
 	// Recovered job IDs must also be fenced off, including the failed
 	// ones — reusing a crashed job's ID would alias two distinct uploads.
@@ -378,7 +382,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	// The journal needs no teardown: group commits run on submitter
 	// goroutines (leader/follower), so there is no background committer
-	// to stop.
+	// to stop, and the log's handle — open only while unfinished jobs
+	// remain — must outlive Close for the uploads still racing it.
 }
 
 // worker drains the job queue.
@@ -401,11 +406,6 @@ func (s *Server) run(job *Job) {
 	job.State = JobRunning
 	job.StartedAt = time.Now().UTC()
 	s.mu.Unlock()
-	// Best-effort state update: recovery re-runs a "running" record the
-	// same as a "queued" one, so losing this write costs nothing.
-	if s.journal != nil {
-		s.journal.write(recordOf(job, JobRunning))
-	}
 
 	// The deadline covers the audit only. Snapshot persistence runs under
 	// its own clock (the retry policy bounds it): abandoning a finished
@@ -446,6 +446,19 @@ func (s *Server) run(job *Job) {
 		}
 	}
 
+	// A done job whose snapshot could not persist gets no done line and
+	// keeps its staged files: the in-memory result is the only copy, and a
+	// restart re-runs the audit and re-attempts persistence. Every other
+	// terminal state is safe to forget — done-and-persisted is durable in
+	// the store, failed/timeout are deterministic re-runs of the same
+	// inputs. The line goes in before the job is visible as finished, so a
+	// client that saw it finish and submits the next one always finds the
+	// log retired: what a submit costs does not hang on who wins that race.
+	forget := err != nil || storeErr == nil
+	if s.journal != nil && forget {
+		s.journal.done(job.ID)
+	}
+
 	s.mu.Lock()
 	job.FinishedAt = time.Now().UTC()
 	switch {
@@ -464,26 +477,14 @@ func (s *Server) run(job *Job) {
 			job.SnapshotError = storeErr.Error()
 		}
 	}
-	state := job.State
 	if job.recovered {
 		s.recovering--
 	}
 	s.mu.Unlock()
 
-	// A done job whose snapshot could not persist keeps its journal record
-	// and staged files: the in-memory result is the only copy, and a
-	// restart re-runs the audit and re-attempts persistence. Every other
-	// terminal state is safe to forget — done-and-persisted is durable in
-	// the store, failed/timeout are deterministic re-runs of the same
-	// inputs.
-	if s.journal != nil && state == JobDone && job.SnapshotError != "" && s.cfg.Store != nil {
-		s.journal.write(recordOf(job, JobQueued))
-		return
+	if s.journal == nil || forget {
+		job.cleanup()
 	}
-	if s.journal != nil {
-		s.journal.remove(job.ID)
-	}
-	job.cleanup()
 }
 
 // runAudit is audit with panic containment: a panicking decoder or
@@ -533,10 +534,10 @@ func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, erro
 		for _, up := range job.uploads {
 			var fs *core.FileSource
 			var err error
-			if up.har {
-				fs, err = core.OpenHARFileSource(up.path, up.trace, flows.Web)
+			if up.HAR {
+				fs, err = core.OpenHARFileSource(up.Path, up.trace, flows.Web)
 			} else {
-				fs, err = core.OpenPCAPFileSource(up.path, job.keylog, up.trace)
+				fs, err = core.OpenPCAPFileSource(up.Path, job.keylog, up.trace)
 			}
 			if err != nil {
 				for _, f := range files {
@@ -620,7 +621,7 @@ func (s *Server) evictLocked() {
 // cleanup removes a job's staged files.
 func (j *Job) cleanup() {
 	for _, up := range j.uploads {
-		os.Remove(up.path)
+		os.Remove(up.Path)
 	}
 	if j.keylog != "" {
 		os.Remove(j.keylog)
@@ -688,7 +689,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// cannot promise to keep. (The minted ID is abandoned on failure — ID
 	// gaps are harmless, reuse is not.)
 	if s.journal != nil {
-		if err := s.retry(r.Context(), func() error { return s.journal.append(recordOf(job, JobQueued)) }); err != nil {
+		if err := s.retry(r.Context(), func() error { return s.journal.append(recordOf(job)) }); err != nil {
 			apiError(w, http.StatusInternalServerError, codeInternal, "journaling job: %v", err)
 			return
 		}
@@ -698,7 +699,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.closed {
 		s.mu.Unlock()
 		if s.journal != nil {
-			s.journal.remove(job.ID)
+			s.journal.done(job.ID)
 		}
 		s.unavailable(w, "server shutting down")
 		return
@@ -711,7 +712,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		if s.journal != nil {
-			s.journal.remove(job.ID)
+			s.journal.done(job.ID)
 		}
 		s.unavailable(w, fmt.Sprintf("job queue full (depth %d); retry later", s.cfg.QueueDepth))
 		return
@@ -740,11 +741,11 @@ func (s *Server) consumePart(job *Job, part *multipart.Part) error {
 		}
 		return nil
 	case field == "keylog":
-		path, err := s.stageFile(part, "keylog")
+		path, size, err := s.stageFile(part, "keylog")
 		if err != nil {
 			return err
 		}
-		job.keylog = path
+		job.keylog, job.keylogSize = path, size
 		return nil
 	}
 	trace, okTrace := flows.ParsePersona(field)
@@ -761,11 +762,11 @@ func (s *Server) consumePart(job *Job, part *multipart.Part) error {
 	default:
 		return fmt.Errorf("field %q: cannot tell capture format from filename %q (want .har or .pcap/.pcapng)", field, part.FileName())
 	}
-	path, err := s.stageFile(part, field)
+	path, size, err := s.stageFile(part, field)
 	if err != nil {
 		return err
 	}
-	job.uploads = append(job.uploads, upload{path: path, har: isHAR, trace: trace})
+	job.uploads = append(job.uploads, upload{Path: path, Bytes: size, HAR: isHAR, Persona: trace.String(), trace: trace})
 	return nil
 }
 
@@ -779,21 +780,26 @@ func (s *Server) stagingDir() string {
 	return s.cfg.TempDir
 }
 
-// stageFile streams one part to a temp file and returns its path.
-func (s *Server) stageFile(part *multipart.Part, label string) (string, error) {
+// stageFile streams one part to a temp file and returns its path and
+// length. The file is not fsynced — a multi-hundred-megabyte flush per
+// upload is not worth what it buys: process death cannot lose page-cache
+// writes, and after a power loss recovery compares the journaled length
+// with what is on disk and fails the job rather than audit a shorter
+// capture.
+func (s *Server) stageFile(part *multipart.Part, label string) (string, int64, error) {
 	f, err := os.CreateTemp(s.stagingDir(), "diffaudit-"+label+"-*")
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
-	_, err = io.Copy(f, part)
+	n, err := io.Copy(f, part)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(f.Name())
-		return "", fmt.Errorf("staging %s: %w", label, err)
+		return "", 0, fmt.Errorf("staging %s: %w", label, err)
 	}
-	return f.Name(), nil
+	return f.Name(), n, nil
 }
 
 // readSmallValue reads a non-file form value with a sanity cap.
@@ -1355,7 +1361,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// operator graphs to see overload coming.
 		"queue_depth":    queued,
 		"queue_capacity": s.cfg.QueueDepth,
-		"queued":         queued,
 		"workers":        s.cfg.Workers,
 		"workers_busy":   busy,
 		"jobs_inflight":  queued + busy,
@@ -1386,6 +1391,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, health)
+}
+
+// jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).
+func jobIDNum(id string) int {
+	var n int
+	fmt.Sscanf(id, "job-%d", &n)
+	return n
 }
 
 // lookup finds a job by ID.

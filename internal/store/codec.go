@@ -44,28 +44,25 @@ import (
 // lets SnapshotView materialize a single persona's flows without decoding
 // (or re-interning) anything else.
 //
-// Version 3 stores each flow-set section in columnar form (parallel
-// category/destination/mask columns, flows.WriteSetColumnar), so queries
-// decode only the columns they touch; version 2 interleaved the three per
-// flow, and version 1 wrote the same logical fields as one unframed
-// stream. Decoders accept all three.
+// Each flow-set section is columnar (parallel category/destination/mask
+// columns, flows.WriteSetColumnar), so queries decode only the columns
+// they touch.
 //
 // The CRC covers magic, version, and payload. Truncated or corrupted input
 // fails cleanly: every payload read is bounds-checked (package wire), so
 // even a CRC collision cannot make the decoder panic or over-allocate.
-// Decoders reject versions newer than SnapshotVersion with a clear error,
-// leaving room for forward-versioned format evolution.
+// Version 3 is the only version any build has written to a deployed
+// store, and the only one decoders accept: every other version number,
+// older or newer, is rejected with a clear error.
 
 // snapMagic identifies a DiffAudit snapshot ("DiffAudit SNapshot").
 const snapMagic = "DASN"
 
-// SnapshotVersion is the current snapshot format version. Version 3 made
-// the flow-set sections columnar; version 2 added the seekable section
-// framing; version-1 snapshots (PR 5/6 stores) still decode, they just
-// cannot be partially materialized.
+// SnapshotVersion is the snapshot format version this build writes and
+// reads.
 const SnapshotVersion = 3
 
-// Section kinds of the sectioned (v2/v3) framing.
+// Section kinds of the section framing.
 const (
 	secMeta     byte = 1 // identity, counters, dataset string sets
 	secPersonas byte = 2 // persona registration records, sorted by name
@@ -183,33 +180,30 @@ func EncodeResult(r *core.ServiceResult) []byte {
 }
 
 // checkSnapshot validates the envelope every snapshot read shares — magic,
-// version gate, CRC — and returns the version and payload. This is the
-// one full pass over the bytes a lazy view performs; everything after it
-// is on-demand.
-func checkSnapshot(data []byte) (version uint16, payload []byte, err error) {
+// version gate, CRC — and returns the payload. This is the one full pass
+// over the bytes a lazy view performs; everything after it is on-demand.
+func checkSnapshot(data []byte) (payload []byte, err error) {
 	if len(data) < headerLen+trailerLen {
-		return 0, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
+		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("store: not a snapshot (bad magic %q)", data[:len(snapMagic)])
+		return nil, fmt.Errorf("store: not a snapshot (bad magic %q)", data[:len(snapMagic)])
 	}
-	version = binary.LittleEndian.Uint16(data[len(snapMagic):headerLen])
-	if version == 0 || version > SnapshotVersion {
-		return 0, nil, fmt.Errorf("store: snapshot version %d not supported (this build reads up to %d)", version, SnapshotVersion)
+	if version := binary.LittleEndian.Uint16(data[len(snapMagic):headerLen]); version != SnapshotVersion {
+		return nil, fmt.Errorf("store: snapshot version %d not supported (this build reads version %d)", version, SnapshotVersion)
 	}
 	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
-		return 0, nil, fmt.Errorf("store: snapshot checksum mismatch (corrupted or truncated)")
+		return nil, fmt.Errorf("store: snapshot checksum mismatch (corrupted or truncated)")
 	}
-	return version, body[headerLen:], nil
+	return body[headerLen:], nil
 }
 
 // DecodeResult parses a snapshot back into a service result: a view over
 // the bytes, fully materialized — the same path every store read takes.
 // Personas the snapshot references are registered into the process-wide
 // registry (idempotently); a snapshot persona conflicting with an
-// already-registered one of the same name is an error. Current (columnar,
-// v3), v2, and v1 snapshots all decode.
+// already-registered one of the same name is an error.
 func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	v, err := NewSnapshotView(data, Meta{}, nil)
 	if err != nil {
@@ -218,11 +212,9 @@ func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	return v.Result()
 }
 
-// snapSections is a parsed v2/v3 section directory: zero-copy slices into
-// the payload, one per section, ready for independent decoding. The
-// version picks the flow-set decoder (interleaved rows vs columns).
+// snapSections is a parsed section directory: zero-copy slices into the
+// payload, one per section, ready for independent decoding.
 type snapSections struct {
-	version  uint16
 	meta     []byte
 	personas []byte
 	symbols  []byte
@@ -235,7 +227,7 @@ type snapSections struct {
 // already proved the bytes are what the writer wrote, so an unknown kind
 // means a format this build does not speak (the version gate should have
 // caught it).
-func splitSections(version uint16, payload []byte) (*snapSections, error) {
+func splitSections(payload []byte) (*snapSections, error) {
 	all, err := wire.ReadSections(wire.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot sections: %w", err)
@@ -243,7 +235,7 @@ func splitSections(version uint16, payload []byte) (*snapSections, error) {
 	if len(all) < 3 || all[0].Kind != secMeta || all[1].Kind != secPersonas || all[2].Kind != secSymbols {
 		return nil, fmt.Errorf("store: snapshot missing canonical sections")
 	}
-	s := &snapSections{version: version, meta: all[0].Data, personas: all[1].Data, symbols: all[2].Data}
+	s := &snapSections{meta: all[0].Data, personas: all[1].Data, symbols: all[2].Data}
 	for _, sec := range all[3:] {
 		if sec.Kind != secFlowSet {
 			return nil, fmt.Errorf("store: unexpected snapshot section kind %d", sec.Kind)
@@ -251,15 +243,6 @@ func splitSections(version uint16, payload []byte) (*snapSections, error) {
 		s.flowSets = append(s.flowSets, sec.Data)
 	}
 	return s, nil
-}
-
-// decodeFlowSet decodes one flow-set section body in this snapshot's
-// format: columnar from version 3, interleaved rows before.
-func (s *snapSections) decodeFlowSet(dec *flows.SetDecoder, data []byte) (*flows.Set, error) {
-	if s.version >= 3 {
-		return dec.DecodeSetColumnar(data)
-	}
-	return dec.DecodeSetBytes(data)
 }
 
 // maxSectionDecoders bounds the pool that decodes persona flow sections
@@ -286,7 +269,7 @@ func (s *snapSections) decodeFlowSetsInto(dec *flows.SetDecoder, personas []flow
 	}
 	if len(idx) < 2 {
 		for _, i := range idx {
-			set, err := s.decodeFlowSet(dec, s.flowSets[i])
+			set, err := dec.DecodeSetColumnar(s.flowSets[i])
 			if err != nil {
 				return fmt.Errorf("store: snapshot flow set for %s: %w", personas[i], err)
 			}
@@ -304,7 +287,7 @@ func (s *snapSections) decodeFlowSetsInto(dec *flows.SetDecoder, personas []flow
 			defer wg.Done()
 			for k := range work {
 				i := idx[k]
-				set, err := s.decodeFlowSet(dec, s.flowSets[i])
+				set, err := dec.DecodeSetColumnar(s.flowSets[i])
 				if err != nil {
 					errs[k] = fmt.Errorf("store: snapshot flow set for %s: %w", personas[i], err)
 					continue
@@ -391,62 +374,6 @@ func decodeSymbolSection(data []byte) (*flows.SetDecoder, error) {
 		return nil, fmt.Errorf("store: snapshot symbol tables: %w", err)
 	}
 	return dec, nil
-}
-
-// decodeV1 parses the unframed version-1 payload — the PR-5 layout, kept
-// so stores written before the section framing still serve.
-func decodeV1(payload []byte) (*core.ServiceResult, error) {
-	r := wire.NewReader(payload)
-	res := &core.ServiceResult{
-		Identity: core.ServiceIdentity{
-			Name:  r.String(),
-			Owner: r.String(),
-		},
-		ByTrace: make(map[flows.Persona]*flows.Set),
-	}
-	nESLDs := r.Count(1)
-	for i := 0; i < nESLDs; i++ {
-		res.Identity.FirstPartyESLDs = append(res.Identity.FirstPartyESLDs, r.String())
-	}
-
-	res.Packets = r.Int()
-	res.TCPFlows = r.Int()
-	res.DroppedKeys = r.Int()
-
-	res.Domains = readStringSet(r)
-	res.ESLDs = readStringSet(r)
-	res.RawKeys = readStringSet(r)
-
-	nPersonas := r.Count(1)
-	personas := make([]flows.Persona, 0, nPersonas)
-	for i := 0; i < nPersonas; i++ {
-		info, err := readPersonaInfo(r)
-		if err != nil {
-			return nil, err
-		}
-		p, err := flows.RegisterPersona(info)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot persona %q: %w", info.Name, err)
-		}
-		personas = append(personas, p)
-	}
-
-	dec, err := flows.ReadSetTables(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot symbol tables: %w", err)
-	}
-	for _, p := range personas {
-		set, err := dec.ReadSet(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot flow set for %s: %w", p, err)
-		}
-		res.ByTrace[p] = set
-	}
-
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("store: snapshot payload: %w", err)
-	}
-	return res, nil
 }
 
 // writeMetaSection writes identity, counters, and the dataset-level string

@@ -109,7 +109,7 @@ func (s *Snapshots) verify(m Meta) error {
 		return err
 	}
 	defer release()
-	if _, _, err := checkSnapshot(data); err != nil {
+	if _, err := checkSnapshot(data); err != nil {
 		return fmt.Errorf("store: scrub: snapshot %d: %w", m.Seq, err)
 	}
 	if got := Hash(data); got != m.Hash {

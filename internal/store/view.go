@@ -14,11 +14,9 @@ import (
 // SnapshotView is a lazy handle over one encoded snapshot: the envelope
 // (magic, version, CRC) is validated exactly once when the view opens, and
 // everything else — symbol tables, persona records, per-persona flow sets —
-// materializes on demand. For version-2 (sectioned) snapshots a view can
-// materialize a subset of personas without ever touching the flow bytes of
-// the others, which is what lets a filtered /v1/diff skip most of the
-// decode work. Version-1 snapshots open fine but materialize all-or-
-// nothing (their payload is one sequential stream).
+// materializes on demand. A view can materialize a subset of personas
+// without ever touching the flow bytes of the others, which is what lets a
+// filtered /v1/diff skip most of the decode work.
 //
 // The backing bytes may be an mmap of the store file (Snapshots.View over
 // the directory backend, on platforms with mmap support). Materialized results never alias those
@@ -26,10 +24,8 @@ import (
 // so results outlive the view, but the view itself must not be used after
 // Close. Views are safe for concurrent use.
 type SnapshotView struct {
-	meta    Meta
-	version uint16
-	secs    *snapSections // nil for version-1 snapshots
-	payload []byte        // version-1 payload (nil for v2/v3)
+	meta Meta
+	secs *snapSections
 
 	mu     sync.Mutex
 	closer func() error
@@ -42,42 +38,30 @@ type SnapshotView struct {
 	// are append-only, so resolved IDs never go stale.
 	personas []flows.Persona    // registered personas, section order
 	dec      *flows.SetDecoder  // re-interned symbol tables
-	scan     *flows.TableScan   // column-selective table view (v3 only)
-	cols     []flows.SetColumns // split flow columns, persona order (v3 only)
+	scan     *flows.TableScan   // column-selective table view
+	cols     []flows.SetColumns // split flow columns, persona order
 }
 
 // NewSnapshotView validates a snapshot's envelope and returns a lazy view.
 // closer, if non-nil, releases the backing bytes (e.g. munmap) and runs
 // exactly once, on Close.
 func NewSnapshotView(data []byte, meta Meta, closer func() error) (*SnapshotView, error) {
-	version, payload, err := checkSnapshot(data)
+	payload, err := checkSnapshot(data)
+	var secs *snapSections
+	if err == nil {
+		secs, err = splitSections(payload)
+	}
 	if err != nil {
 		if closer != nil {
 			closer()
 		}
 		return nil, err
 	}
-	v := &SnapshotView{meta: meta, version: version, closer: closer}
-	if version == 1 {
-		v.payload = payload
-		return v, nil
-	}
-	secs, err := splitSections(version, payload)
-	if err != nil {
-		if closer != nil {
-			closer()
-		}
-		return nil, err
-	}
-	v.secs = secs
-	return v, nil
+	return &SnapshotView{meta: meta, secs: secs, closer: closer}, nil
 }
 
 // Meta returns the stored metadata the view was opened with.
 func (v *SnapshotView) Meta() Meta { return v.meta }
-
-// Version returns the snapshot codec version of the backing bytes.
-func (v *SnapshotView) Version() uint16 { return v.version }
 
 // Close releases the backing bytes. The view (and any zero-copy section
 // slices, but not materialized results) is unusable afterwards.
@@ -89,7 +73,6 @@ func (v *SnapshotView) Close() error {
 	}
 	v.closed = true
 	v.secs = nil
-	v.payload = nil
 	v.scan = nil
 	v.cols = nil
 	if v.closer != nil {
@@ -98,8 +81,7 @@ func (v *SnapshotView) Close() error {
 	return nil
 }
 
-// index builds (once) the decode state every sectioned materialization
-// shares: the registered persona list and the re-interned symbol decoder.
+// index builds (once) the decode state every materialization shares: the registered persona list and the re-interned symbol decoder.
 // Callers hold v.mu.
 func (v *SnapshotView) index() error {
 	if v.personas != nil && v.dec != nil {
@@ -120,8 +102,7 @@ func (v *SnapshotView) index() error {
 	return nil
 }
 
-// columnIndex builds (once) the column-selective decode state of a v3
-// snapshot: registered personas, the string-skipping table scan, and the
+// columnIndex builds (once) the column-selective decode state: registered personas, the string-skipping table scan, and the
 // split columns of every flow section. Unlike index it interns nothing.
 // Callers hold v.mu.
 func (v *SnapshotView) columnIndex() error {
@@ -166,9 +147,7 @@ func (v *SnapshotView) Result() (*core.ServiceResult, error) {
 // persona registrations, but only the flow sets of the named personas
 // (matched against persona names and aliases) — the other personas'
 // flow sections are never decoded. Personas outside the filter are absent
-// from ByTrace entirely. A nil filter materializes everything. Version-1
-// snapshots cannot seek, so the filter degrades to a full decode followed
-// by trimming.
+// from ByTrace entirely. A nil filter materializes everything.
 func (v *SnapshotView) PartialResult(only []string) (*core.ServiceResult, error) {
 	if only == nil {
 		return v.materialize(nil)
@@ -202,20 +181,6 @@ func (v *SnapshotView) materialize(filter func([]flows.Persona) map[flows.Person
 		return nil, fmt.Errorf("store: snapshot view is closed")
 	}
 	decodes.Add(1)
-	if v.version == 1 {
-		res, err := decodeV1(v.payload)
-		if err != nil || filter == nil {
-			return res, err
-		}
-		keep := filter(res.Personas())
-		for p := range res.ByTrace {
-			if !keep[p] {
-				delete(res.ByTrace, p)
-			}
-		}
-		return res, nil
-	}
-
 	res, err := decodeMetaSection(v.secs.meta)
 	if err != nil {
 		return nil, err
@@ -235,82 +200,59 @@ func (v *SnapshotView) materialize(filter func([]flows.Persona) map[flows.Person
 
 // PersonaGrid reduces one persona's flows to Table 4 granularity — level-2
 // data type group × destination class → platform mask — equal to
-// materializing the persona and calling Set.GroupGrid. On a columnar (v3)
-// snapshot it decodes only that persona's three columns against a
-// string-skipping table scan: no symbol interning, no Set construction,
-// none of the other personas' bytes. Earlier versions fall back to partial
-// materialization. The name matches persona names and aliases, like
-// PartialResult.
+// materializing the persona and calling Set.GroupGrid. It decodes only
+// that persona's three columns against a string-skipping table scan: no
+// symbol interning, no Set construction, none of the other personas'
+// bytes. The name matches persona names and aliases, like PartialResult.
 func (v *SnapshotView) PersonaGrid(name string) (map[ontology.Level2]map[flows.DestClass]flows.PlatformMask, error) {
-	if v.Version() >= 3 {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		if v.closed {
-			return nil, fmt.Errorf("store: snapshot view is closed")
-		}
-		decodes.Add(1)
-		if err := v.columnIndex(); err != nil {
-			return nil, err
-		}
-		i, ok := v.personaAt(name)
-		if !ok {
-			return nil, fmt.Errorf("store: snapshot has no persona %q", name)
-		}
-		grid, err := v.cols[i].Grid(v.scan)
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot flow set for %s: %w", v.personas[i], err)
-		}
-		return grid, nil
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.closed {
+		return nil, fmt.Errorf("store: snapshot view is closed")
 	}
-	res, err := v.PartialResult([]string{name})
-	if err != nil {
+	decodes.Add(1)
+	if err := v.columnIndex(); err != nil {
 		return nil, err
 	}
-	for _, set := range res.ByTrace {
-		return set.GroupGrid(), nil
+	i, ok := v.personaAt(name)
+	if !ok {
+		return nil, fmt.Errorf("store: snapshot has no persona %q", name)
 	}
-	return nil, fmt.Errorf("store: snapshot has no persona %q", name)
+	grid, err := v.cols[i].Grid(v.scan)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot flow set for %s: %w", v.personas[i], err)
+	}
+	return grid, nil
 }
 
 // PersonaLinkability builds the third-party linkability index of one
-// persona's flows. On a columnar snapshot the index streams straight off
-// the persona's category and destination columns — the platform-mask
-// column and the flow Set are never materialized. Earlier versions fall
-// back to partial materialization. Name matching follows PartialResult.
+// persona's flows. The index streams straight off the persona's category
+// and destination columns — the platform-mask column and the flow Set are
+// never materialized. Name matching follows PartialResult.
 func (v *SnapshotView) PersonaLinkability(name string) (*linkability.Index, error) {
-	if v.Version() >= 3 {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		if v.closed {
-			return nil, fmt.Errorf("store: snapshot view is closed")
-		}
-		decodes.Add(1)
-		// Linkability resolves live symbols, so it needs the re-interned
-		// tables (index) plus the split columns (columnIndex).
-		if err := v.index(); err != nil {
-			return nil, err
-		}
-		if err := v.columnIndex(); err != nil {
-			return nil, err
-		}
-		i, ok := v.personaAt(name)
-		if !ok {
-			return nil, fmt.Errorf("store: snapshot has no persona %q", name)
-		}
-		ix, err := linkability.NewIndexColumns(v.dec, v.cols[i])
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot flow set for %s: %w", v.personas[i], err)
-		}
-		return ix, nil
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.closed {
+		return nil, fmt.Errorf("store: snapshot view is closed")
 	}
-	res, err := v.PartialResult([]string{name})
-	if err != nil {
+	decodes.Add(1)
+	// Linkability resolves live symbols, so it needs the re-interned
+	// tables (index) plus the split columns (columnIndex).
+	if err := v.index(); err != nil {
 		return nil, err
 	}
-	for _, set := range res.ByTrace {
-		return linkability.NewIndex(set), nil
+	if err := v.columnIndex(); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("store: snapshot has no persona %q", name)
+	i, ok := v.personaAt(name)
+	if !ok {
+		return nil, fmt.Errorf("store: snapshot has no persona %q", name)
+	}
+	ix, err := linkability.NewIndexColumns(v.dec, v.cols[i])
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot flow set for %s: %w", v.personas[i], err)
+	}
+	return ix, nil
 }
 
 // personaAt resolves a persona name or alias to its section index.
