@@ -52,6 +52,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -159,7 +160,9 @@ func main() {
 
 	auditor := diffaudit.New()
 	if len(hars.entries) > 0 || len(pcaps.entries) > 0 {
-		auditFiles(auditor, *name, *keylog, hars, pcaps, *findings, scenario, *snapshotOut, *dataDir)
+		if err := auditFiles(os.Stdout, auditor, *name, *keylog, hars, pcaps, *findings, scenario, *snapshotOut, *dataDir); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -386,8 +389,9 @@ func runDiff(args []string, out io.Writer) error {
 
 // openSources opens every capture as a streaming source. The caller owns
 // the returned sources; pcap-backed ones report ingestion stats after the
-// audit drains them.
-func openSources(keylog string, hars, pcaps traceFlag) ([]*diffaudit.FileSource, []string, error) {
+// audit drains them. The keylog is parsed once, however many captures it
+// serves.
+func openSources(keylogPath string, hars, pcaps traceFlag) ([]*diffaudit.FileSource, []string, error) {
 	var srcs []*diffaudit.FileSource
 	var paths []string
 	fail := func(err error) ([]*diffaudit.FileSource, []string, error) {
@@ -403,7 +407,14 @@ func openSources(keylog string, hars, pcaps traceFlag) ([]*diffaudit.FileSource,
 		}
 		srcs, paths = append(srcs, s), append(paths, e.path)
 	}
+	var keylog *diffaudit.KeyLog
 	for _, e := range pcaps.entries {
+		if keylog == nil && keylogPath != "" {
+			var err error
+			if keylog, err = diffaudit.LoadKeyLog(keylogPath); err != nil {
+				return fail(fmt.Errorf("%s: %w", e.path, err))
+			}
+		}
 		s, err := diffaudit.OpenPCAPSource(e.path, keylog, e.trace)
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", e.path, err))
@@ -413,84 +424,57 @@ func openSources(keylog string, hars, pcaps traceFlag) ([]*diffaudit.FileSource,
 	return srcs, paths, nil
 }
 
-// countingSource counts records passing through, so file mode can still
-// report an empty capture set distinctly from an unresolvable identity.
-type countingSource struct {
-	src diffaudit.RecordSource
-	n   int
-}
-
-func (c *countingSource) Next() (diffaudit.RequestRecord, error) {
-	rec, err := c.src.Next()
-	if err == nil {
-		c.n++
-	}
-	return rec, err
-}
-
-// auditFiles streams the given captures through the pipeline twice: one
-// pass to guess the service identity, one to audit — so whole captures are
+// auditFiles streams the given captures through the pipeline once — the
+// service identity falls out of the same pass — so whole captures are
 // never resident no matter their size.
-func auditFiles(auditor *diffaudit.Auditor, name, keylog string, hars, pcaps traceFlag, findings bool, scenario *diffaudit.Scenario, snapshotOut, dataDir string) {
-	srcs, _, err := openSources(keylog, hars, pcaps)
+func auditFiles(out io.Writer, auditor *diffaudit.Auditor, name, keylog string, hars, pcaps traceFlag, findings bool, scenario *diffaudit.Scenario, snapshotOut, dataDir string) error {
+	srcs, paths, err := openSources(keylog, hars, pcaps)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	multi := make([]diffaudit.RecordSource, len(srcs))
 	for i, s := range srcs {
 		multi[i] = s
+		defer s.Close()
 	}
-	counter := &countingSource{src: diffaudit.MultiSource(multi...)}
-	id, err := diffaudit.GuessIdentityStream(name, counter)
+	res, err := auditor.AuditUnknownStream(name, diffaudit.MultiSource(multi...))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if counter.n == 0 {
-		log.Fatal("no requests parsed from the given captures")
-	}
-
-	// Second pass: reopen and audit.
-	srcs, paths, err := openSources(keylog, hars, pcaps)
-	if err != nil {
-		log.Fatal(err)
-	}
-	multi = multi[:0]
-	for _, s := range srcs {
-		multi = append(multi, s)
-	}
-	res, err := auditor.AuditStream(id, diffaudit.MultiSource(multi...))
-	if err != nil {
-		log.Fatal(err)
+	if res.Packets == 0 {
+		return errors.New("no requests parsed from the given captures")
 	}
 	for i, s := range srcs {
 		if stats, ok := s.PCAPStats(); ok {
-			fmt.Printf("%s: %d packets, %d TCP flows, %d/%d TLS streams decrypted\n",
+			fmt.Fprintf(out, "%s: %d packets, %d TCP flows, %d/%d TLS streams decrypted\n",
 				paths[i], stats.Packets, stats.TCPFlows, stats.DecryptedStreams, stats.TLSStreams)
 		}
 	}
-	fmt.Printf("=== %s (first party: %s) ===\n", id.Name, strings.Join(id.FirstPartyESLDs, ", "))
-	fmt.Printf("domains=%d eSLDs=%d unique-data-types=%d dropped-keys=%d\n",
+	id := res.Identity
+	fmt.Fprintf(out, "=== %s (first party: %s) ===\n", id.Name, strings.Join(id.FirstPartyESLDs, ", "))
+	fmt.Fprintf(out, "domains=%d eSLDs=%d unique-data-types=%d dropped-keys=%d\n",
 		len(res.Domains), len(res.ESLDs), len(res.RawKeys), res.DroppedKeys)
 	if findings {
 		for _, f := range diffaudit.FindingsScenario(res, scenario) {
-			fmt.Println(" ", f)
+			fmt.Fprintln(out, " ", f)
 		}
 	}
 	if snapshotOut != "" {
 		if err := diffaudit.SaveSnapshot(snapshotOut, res); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("snapshot written to %s\n", snapshotOut)
+		fmt.Fprintf(out, "snapshot written to %s\n", snapshotOut)
 	}
 	if dataDir != "" {
 		st, err := diffaudit.OpenSnapshotStore(dataDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		meta, err := st.Put("", res)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("snapshot stored: seq=%d hash=%s\n", meta.Seq, meta.Hash[:12])
+		fmt.Fprintf(out, "snapshot stored: seq=%d hash=%s\n", meta.Seq, meta.Hash[:12])
 	}
+	return nil
 }

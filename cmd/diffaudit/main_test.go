@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"diffaudit"
+	"diffaudit/internal/netcap/pcapio"
 )
 
 func TestTraceFlagSet(t *testing.T) {
@@ -277,5 +279,87 @@ func TestSlowHeaderClientIsDisconnected(t *testing.T) {
 		if errors.As(err, &nerr) && nerr.Timeout() {
 			t.Fatal("server kept a half-sent request line open past its header deadline")
 		}
+	}
+}
+
+// TestAuditFilesOnePass drives file mode over a web and a mobile capture.
+// Each file is read once, and what is printed must be what the two-step
+// reference (load, GuessIdentity, AuditRecords) reports for the same files.
+func TestAuditFilesOnePass(t *testing.T) {
+	st := diffaudit.GenerateDataset(0.01).Service("Duolingo")
+	dir := t.TempDir()
+	harPath := filepath.Join(dir, "child.har")
+	if err := st.EmitHAR(diffaudit.Child).WriteFile(harPath); err != nil {
+		t.Fatal(err)
+	}
+	capt, err := st.EmitPCAP(diffaudit.Adult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcapPath := filepath.Join(dir, "adult.pcapng")
+	f, err := os.Create(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pcapio.WritePcapng(f, capt); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	auditor := diffaudit.New()
+	recs, err := auditor.LoadHARFile(harPath, diffaudit.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobile, stats, err := auditor.LoadPCAPFile(pcapPath, "", diffaudit.Adult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, mobile...)
+	id := diffaudit.GuessIdentity("MyApp", recs)
+	res := auditor.AuditRecords(id, recs)
+	want := fmt.Sprintf("%s: %d packets, %d TCP flows, %d/%d TLS streams decrypted\n", pcapPath, stats.Packets, stats.TCPFlows, stats.DecryptedStreams, stats.TLSStreams) +
+		fmt.Sprintf("=== MyApp (first party: %s) ===\n", strings.Join(id.FirstPartyESLDs, ", ")) +
+		fmt.Sprintf("domains=%d eSLDs=%d unique-data-types=%d dropped-keys=%d\n", len(res.Domains), len(res.ESLDs), len(res.RawKeys), res.DroppedKeys)
+
+	var hars, pcaps traceFlag
+	if err := hars.Set("child=" + harPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := pcaps.Set("adult=" + pcapPath); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := auditFiles(&out, auditor, "MyApp", "", hars, pcaps, false, nil, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Errorf("file mode printed\n%s\nwant\n%s", out.String(), want)
+	}
+
+	// An empty capture set is told apart from an unresolvable identity.
+	emptyPath := filepath.Join(dir, "empty.har")
+	if err := os.WriteFile(emptyPath, []byte(`{"log":{"version":"1.2","entries":[]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var empty traceFlag
+	if err := empty.Set("child=" + emptyPath); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = auditFiles(&out, auditor, "MyApp", "", empty, traceFlag{}, false, nil, "", "")
+	if err == nil || err.Error() != "no requests parsed from the given captures" || out.Len() != 0 {
+		t.Errorf("empty capture: err = %v, printed %q", err, out.String())
+	}
+
+	// A malformed keylog fails the run once, named after the capture.
+	badKeys := filepath.Join(dir, "bad.keylog")
+	if err := os.WriteFile(badKeys, []byte("CLIENT_RANDOM zz zz\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := auditFiles(io.Discard, auditor, "MyApp", badKeys, hars, pcaps, false, nil, "", ""); err == nil || !strings.HasPrefix(err.Error(), pcapPath+": ") {
+		t.Errorf("malformed keylog: err = %v, want one prefixed with the capture path", err)
 	}
 }

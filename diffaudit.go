@@ -24,6 +24,7 @@
 package diffaudit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -123,6 +124,8 @@ type (
 	FileSource = core.FileSource
 	// PCAPSource streams records out of a packet iterator.
 	PCAPSource = core.PCAPSource
+	// KeyLog is parsed TLS key material (an SSLKEYLOGFILE).
+	KeyLog = tlsx.KeyLog
 	// AuditServer is the HTTP audit service behind `diffaudit serve`.
 	AuditServer = server.Server
 	// ServerConfig tunes the audit server.
@@ -232,6 +235,14 @@ func (a *Auditor) AuditStream(id ServiceIdentity, src RecordSource) (*ServiceRes
 	return a.Pipeline.AnalyzeStream(id, src)
 }
 
+// AuditUnknownStream is AuditStream for a service without a profile: the
+// first party is the eSLD most of the stream's requests went to, found
+// during the same single pass. The result, Identity included, equals
+// AuditRecords(GuessIdentity(name, records), records).
+func (a *Auditor) AuditUnknownStream(name string, src RecordSource) (*ServiceResult, error) {
+	return a.Pipeline.AnalyzeUnknownStream(context.Background(), name, src)
+}
+
 // SliceSource adapts in-memory records to a RecordSource.
 func SliceSource(recs []RequestRecord) RecordSource { return core.SliceSource(recs) }
 
@@ -247,21 +258,19 @@ func OpenHARSource(path string, trace TraceCategory) (*FileSource, error) {
 
 // OpenPCAPSource opens a mobile capture (pcap or pcapng) for streaming
 // audit; packet frames are never all resident. TLS keys come from
-// embedded Decryption Secrets Blocks plus the optional SSLKEYLOGFILE.
-func OpenPCAPSource(path, keylogPath string, trace TraceCategory) (*FileSource, error) {
-	return core.OpenPCAPFileSource(path, keylogPath, trace)
+// embedded Decryption Secrets Blocks plus the optional key log (nil for
+// none), which several captures may share.
+func OpenPCAPSource(path string, keylog *KeyLog, trace TraceCategory) (*FileSource, error) {
+	return core.OpenPCAPFileSource(context.Background(), path, keylog, trace)
 }
+
+// LoadKeyLog reads and parses an SSLKEYLOGFILE.
+func LoadKeyLog(path string) (*KeyLog, error) { return core.LoadKeyLog(path) }
 
 // NewHARSource wraps a streaming HAR decoder (har.NewStreamDecoder over
 // any reader) as a RecordSource.
 func NewHARSource(r io.Reader, trace TraceCategory, platform Platform) RecordSource {
 	return core.NewHARSource(har.NewStreamDecoder(r), trace, platform)
-}
-
-// GuessIdentityStream is GuessIdentity over a record stream (constant
-// memory; drains the source).
-func GuessIdentityStream(name string, src RecordSource) (ServiceIdentity, error) {
-	return core.GuessIdentitySource(name, src)
 }
 
 // ParseTrace maps a user-facing trace name (child, adolescent/teen,
@@ -406,13 +415,9 @@ func (a *Auditor) LoadPCAPFile(path, keylogPath string, trace TraceCategory) ([]
 	if err != nil {
 		return nil, PCAPStats{}, err
 	}
-	var extra *tlsx.KeyLog
+	var extra *KeyLog
 	if keylogPath != "" {
-		klData, err := os.ReadFile(keylogPath)
-		if err != nil {
-			return nil, PCAPStats{}, err
-		}
-		if extra, err = tlsx.ParseKeyLog(klData); err != nil {
+		if extra, err = core.LoadKeyLog(keylogPath); err != nil {
 			return nil, PCAPStats{}, err
 		}
 	}

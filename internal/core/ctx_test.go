@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
+	"diffaudit/internal/netcap/pcapio"
 )
 
 // ctxTestRecords fabricates enough records for several stream batches.
@@ -100,19 +102,118 @@ func TestAnalyzeStreamDeadlineAborts(t *testing.T) {
 	}
 }
 
-// TestWatchedSourceAborts: a watched source passes records through until
-// the context dies, then fails at the next batch-sized checkpoint.
-func TestWatchedSourceAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	src := WatchedSource(ctx, SliceSource(ctxTestRecords(2*streamBatchSize)))
-	for i := 0; i < streamBatchSize; i++ {
-		if _, err := src.Next(); err != nil {
-			t.Fatalf("record %d: %v", i, err)
+// cancellingSource yields records and cancels the run's own context once
+// `after` of them have been pulled, counting every pull.
+type cancellingSource struct {
+	src    RecordSource
+	after  int
+	cancel context.CancelFunc
+	pulled int
+}
+
+func (c *cancellingSource) Next() (RequestRecord, error) {
+	if c.pulled == c.after {
+		c.cancel()
+	}
+	c.pulled++
+	return c.src.Next()
+}
+
+// TestAnalyzeUnknownStreamDeadlineAborts: the single pass of an
+// identity-unknown audit is the only pass, so it is the one the deadline
+// has to reach — a context that dies mid-capture stops the pull at the next
+// batch boundary, with ctx.Err() and no result.
+func TestAnalyzeUnknownStreamDeadlineAborts(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancellingSource{src: SliceSource(ctxTestRecords(8 * streamBatchSize)), after: streamBatchSize + 1, cancel: cancel}
+		p := NewPipeline()
+		p.Workers = workers
+		res, err := p.AnalyzeUnknownStream(ctx, "ctx-test", src)
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d = (%v, %v), want (nil, Canceled)", workers, res, err)
+		}
+		if src.pulled > 2*streamBatchSize {
+			t.Errorf("workers=%d pulled %d records after a cancel at %d, want the pull to stop at the batch boundary (%d)",
+				workers, src.pulled, src.after, 2*streamBatchSize)
 		}
 	}
-	cancel()
-	if _, err := src.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("post-cancel Next = %v, want Canceled at the batch checkpoint", err)
+
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := NewPipeline().AnalyzeUnknownStream(ctx, "ctx-test", SliceSource(ctxTestRecords(8)))
+	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired deadline = (%v, %v), want (nil, DeadlineExceeded)", res, err)
+	}
+}
+
+// junkPackets is a packet source of n undecodable frames: the packet phase
+// counts each and parses none, so a test sees exactly how far it read.
+type junkPackets struct {
+	n, read int
+	onRead  func(read int)
+}
+
+func (j *junkPackets) Next() (pcapio.Packet, error) {
+	if j.read >= j.n {
+		return pcapio.Packet{}, io.EOF
+	}
+	if j.onRead != nil {
+		j.onRead(j.read)
+	}
+	j.read++
+	return pcapio.Packet{Data: []byte{0xde, 0xad}}, nil
+}
+
+func (j *junkPackets) LinkType() pcapio.LinkType { return pcapio.LinkEthernet }
+func (j *junkPackets) Secrets() [][]byte         { return nil }
+
+// TestPCAPSourceDeadlineReachesPacketPhase: the first Next of a pcap
+// source drains the whole capture, so that is where a job deadline must be
+// looked at — an expired context stops the drain within
+// pcapCtxCheckPackets frames instead of at end of file.
+func TestPCAPSourceDeadlineReachesPacketPhase(t *testing.T) {
+	const packets = 50 * pcapCtxCheckPackets
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	pk := &junkPackets{n: packets}
+	src := NewPCAPSource(expired, pk, nil, flows.Child)
+	if _, err := src.Next(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired context: Next = %v, want DeadlineExceeded", err)
+	}
+	if pk.read > pcapCtxCheckPackets {
+		t.Fatalf("expired context: read %d of %d packets, want at most %d", pk.read, packets, pcapCtxCheckPackets)
+	}
+	if _, err := src.Next(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Next = %v, want the error to stick", err)
+	}
+
+	// Dying mid-capture: the drain stops at the next checkpoint.
+	const dieAt = 3*pcapCtxCheckPackets + 7
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	pk = &junkPackets{n: packets, onRead: func(read int) {
+		if read == dieAt {
+			stop()
+		}
+	}}
+	if _, err := NewPCAPSource(ctx, pk, nil, flows.Child).Next(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-capture: Next = %v, want Canceled", err)
+	}
+	if pk.read > dieAt+pcapCtxCheckPackets {
+		t.Fatalf("cancelled at packet %d: read %d, want at most %d", dieAt, pk.read, dieAt+pcapCtxCheckPackets)
+	}
+
+	// A live context changes nothing: the capture drains to EOF.
+	pk = &junkPackets{n: packets}
+	src = NewPCAPSource(context.Background(), pk, nil, flows.Child)
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("live context: Next = %v, want EOF", err)
+	}
+	if got := src.Stats().Packets; got != packets {
+		t.Fatalf("live context: counted %d packets, want %d", got, packets)
 	}
 }
 

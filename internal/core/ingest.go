@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -85,7 +86,7 @@ func FromPCAP(capt *pcapio.Capture, extraKeylog *tlsx.KeyLog, trace flows.TraceC
 	if capt == nil {
 		return nil, PCAPStats{}, errors.New("core: nil capture")
 	}
-	src := NewPCAPSource(capt.Source(), extraKeylog, trace)
+	src := NewPCAPSource(context.Background(), capt.Source(), extraKeylog, trace)
 	var out []RequestRecord
 	for {
 		rec, err := src.Next()
@@ -167,7 +168,9 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 
 // GuessIdentity derives a service identity from a set of records by taking
 // the most-contacted eSLD as the first party, for auditing services without
-// a profile (the custom-service example).
+// a profile (the custom-service example). AnalyzeUnknownStream applies the
+// same rule inside its one pass; this is the reference it is tested
+// against.
 func GuessIdentity(name string, recs []RequestRecord) ServiceIdentity {
 	counts := map[string]int{}
 	for i := range recs {
@@ -176,27 +179,6 @@ func GuessIdentity(name string, recs []RequestRecord) ServiceIdentity {
 		}
 	}
 	return identityFromESLDCounts(name, counts)
-}
-
-// GuessIdentitySource is GuessIdentity over a record stream: it drains the
-// source counting eSLDs (constant memory — only the count map is held).
-// Callers auditing the same capture afterwards must reopen their sources;
-// file-backed sources make that cheap.
-func GuessIdentitySource(name string, src RecordSource) (ServiceIdentity, error) {
-	counts := map[string]int{}
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return ServiceIdentity{}, err
-		}
-		if e := domains.ESLD(rec.FQDN); e != "" {
-			counts[e]++
-		}
-	}
-	return identityFromESLDCounts(name, counts), nil
 }
 
 // identityFromESLDCounts picks the most-contacted eSLD as first party,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -175,22 +176,50 @@ func TestLabelCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestDestMemoConsistency checks the per-call destination memo returns the
-// same resolution a direct call does, including the first-party split.
-func TestDestMemoConsistency(t *testing.T) {
+// TestResultResolvesDestinations checks finalize-time party resolution:
+// every distinct FQDN a partial indexed comes out of result resolved as a
+// direct call resolves it, first-party split included, and the flows are
+// keyed by the interned destinations.
+func TestResultResolvesDestinations(t *testing.T) {
 	p := NewPipeline()
-	memo := &destMemo{owner: "Quizlet Inc", eslds: []string{"quizlet.com"}, ats: p.ATS}
-	for _, fqdn := range []string{"api.quizlet.com", "stats.g.doubleclick.net", "api.quizlet.com", ""} {
-		got := memo.resolve(fqdn)
-		want := flows.ResolveDestination("Quizlet Inc", []string{"quizlet.com"}, fqdn, p.ATS)
-		if got.dest != want {
-			t.Fatalf("memo.resolve(%q) = %+v, direct = %+v", fqdn, got.dest, want)
+	id := ServiceIdentity{Name: "Quizlet", Owner: "Quizlet Inc", FirstPartyESLDs: []string{"quizlet.com"}}
+	fqdns := []string{"api.quizlet.com", "stats.g.doubleclick.net", "API.Quizlet.com ", "api.quizlet.com", "", "  "}
+	var recs []RequestRecord
+	for _, fqdn := range fqdns {
+		recs = append(recs, RequestRecord{Trace: flows.Child, Platform: flows.Web, Method: "GET", FQDN: fqdn,
+			URL: "https://" + strings.TrimSpace(fqdn) + "/x?user_id=u1"})
+	}
+	pr := newPartialResult(len(recs))
+	p.analyzeChunk(recs, pr)
+	if len(pr.fqdns) != 5 {
+		t.Fatalf("indexed %d distinct spellings, want 5", len(pr.fqdns))
+	}
+	res := pr.result(id, false, p.ATS)
+
+	wantDomains := map[string]bool{}
+	for _, fqdn := range fqdns {
+		want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, p.ATS)
+		if want.FQDN == "" {
+			continue
 		}
-		if wantOK := want.FQDN != ""; got.ok != wantOK {
-			t.Fatalf("memo.resolve(%q).ok = %v, want %v", fqdn, got.ok, wantOK)
+		wantDomains[want.FQDN] = true
+		if _, ok := flows.LookupDestination(want); !ok {
+			t.Errorf("%q: %+v was not interned", fqdn, want)
 		}
-		if got.ok && flows.DestinationByID(got.id) != want {
-			t.Fatalf("memo.resolve(%q) interned %+v", fqdn, flows.DestinationByID(got.id))
+	}
+	if !reflect.DeepEqual(res.Domains, wantDomains) {
+		t.Errorf("Domains = %v, want %v", res.Domains, wantDomains)
+	}
+	got := map[flows.Destination]bool{}
+	for _, d := range res.ByTrace[flows.Child].Destinations() {
+		got[d] = true
+	}
+	for fqdn := range wantDomains {
+		if want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, p.ATS); !got[want] {
+			t.Errorf("child flows lack destination %+v (have %v)", want, got)
 		}
+	}
+	if len(got) != len(wantDomains) {
+		t.Errorf("child flows reach %d destinations, want %d", len(got), len(wantDomains))
 	}
 }

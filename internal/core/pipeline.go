@@ -11,10 +11,12 @@ package core
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 
 	"diffaudit/internal/ats"
 	"diffaudit/internal/classifier"
+	"diffaudit/internal/domains"
 	"diffaudit/internal/extract"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
@@ -211,101 +213,84 @@ func (p *Pipeline) label(key string) (*ontology.Category, flows.CatID, bool) {
 	return call.cat, call.id, call.ok
 }
 
-// destRef is a memoized destination resolution: the resolved value plus
-// its interned symbol, so the flow-accumulation inner loop adds flows by
-// ID. ok is false for unresolvable (empty-FQDN) destinations, which are
-// never interned.
-type destRef struct {
-	dest flows.Destination
-	id   flows.DestID
-	ok   bool
+// fqdnTally is one entry of a partial's FQDN index: a destination exactly
+// as the records spelled it. Its eSLD, owner and first/third-party class
+// wait for result, which may have to learn from these very tallies whose
+// traffic this is.
+type fqdnTally struct {
+	name    string
+	records int  // one per record whatever its Repeat, as GuessIdentity counts
+	blank   bool // normalises to "": counted as packets, carries no flows
 }
 
-// destMemo memoizes flows.ResolveDestination for one AnalyzeRecords call.
-// The service identity is fixed for the call, so the memo key is the raw
-// FQDN; traces repeat a few hundred FQDNs across tens of thousands of
-// records, making resolution (eSLD extraction, entity lookup, block-list
-// walk) almost always a cache hit. The read-mostly access pattern is what
-// sync.Map is built for.
-type destMemo struct {
-	owner string
-	eslds []string
-	ats   *ats.Engine
-	m     sync.Map // raw FQDN → destRef
-}
-
-func (d *destMemo) resolve(fqdn string) destRef {
-	if v, ok := d.m.Load(fqdn); ok {
-		return v.(destRef)
-	}
-	ref := destRef{dest: flows.ResolveDestination(d.owner, d.eslds, fqdn, d.ats)}
-	if ref.dest.FQDN != "" {
-		ref.id = flows.InternDestination(ref.dest)
-		ref.ok = true
-	}
-	d.m.Store(fqdn, ref)
-	return ref
-}
-
-// partialResult accumulates one worker's share of an analysis. Every field
-// merges commutatively (set unions, sums, platform-mask ORs), so combining
-// partials in any order yields the same ServiceResult the sequential loop
-// builds.
+// partialResult accumulates one worker's share of an analysis. Flows are
+// keyed by localFlowKey against the partial's own FQDN index, so the
+// process-wide symbol tables see a destination only once its class is
+// known. Every field merges commutatively (set unions, sums, platform-mask
+// ORs), so combining partials in any order yields the same ServiceResult
+// the sequential loop builds.
 type partialResult struct {
-	byTrace     map[flows.Persona]*flows.Set
-	domains     map[string]bool
-	eslds       map[string]bool
+	fqdnIdx     map[string]uint32 // FQDN as recorded → index into fqdns
+	fqdns       []fqdnTally
+	byTrace     map[flows.Persona]map[uint64]flows.PlatformMask
 	rawKeys     map[string]bool
 	conns       map[string]bool
 	packets     int
 	droppedKeys int
-	// destHint sizes flow sets created lazily for custom personas.
-	destHint int
+	// flowHint sizes the per-persona flow maps, created on first sight of
+	// a persona's records.
+	flowHint int
 }
+
+// localFlowKey packs a category and an index into the partial's fqdns,
+// the run-local stand-in for flows.PackFlowKey.
+func localFlowKey(c flows.CatID, fqdn uint32) uint64 { return uint64(c)<<32 | uint64(fqdn) }
 
 // newPartialResult pre-sizes the accumulation maps from the number of
 // records the partial will see. Distinct destinations are far fewer than
 // records (traces repeat a few hundred FQDNs), so those maps get a capped
 // hint; raw keys and connections scale closer to record count.
-//
-// Flow sets for the four built-in personas are created eagerly, so every
-// result exposes the paper's trace columns even when a capture covers
-// only some of them; sets for custom personas are created on first sight
-// of their records.
 func newPartialResult(recHint int) *partialResult {
 	destHint := recHint / 8
 	if destHint > 256 {
 		destHint = 256
 	}
-	pr := &partialResult{
-		byTrace:  make(map[flows.Persona]*flows.Set),
-		domains:  make(map[string]bool, destHint),
-		eslds:    make(map[string]bool, destHint),
+	return &partialResult{
+		fqdnIdx:  make(map[string]uint32, destHint),
+		byTrace:  make(map[flows.Persona]map[uint64]flows.PlatformMask),
 		rawKeys:  make(map[string]bool, recHint),
 		conns:    make(map[string]bool, recHint/4),
-		destHint: destHint,
+		flowHint: destHint,
 	}
-	for _, t := range flows.BuiltinPersonas() {
-		pr.byTrace[t] = flows.NewSetSized(destHint)
-	}
-	return pr
 }
 
-// set returns the persona's flow set, creating it on first use — the
+// index returns the FQDN's slot in the partial's index, adding it on
+// first sight.
+func (pr *partialResult) index(fqdn string) uint32 {
+	i, ok := pr.fqdnIdx[fqdn]
+	if !ok {
+		i = uint32(len(pr.fqdns))
+		pr.fqdns = append(pr.fqdns, fqdnTally{name: fqdn, blank: strings.TrimSpace(fqdn) == ""})
+		pr.fqdnIdx[fqdn] = i
+	}
+	return i
+}
+
+// flowsOf returns the persona's flow map, creating it on first use — the
 // grouping step that lets the pipeline accumulate over arbitrary persona
 // sets without reconfiguration.
-func (pr *partialResult) set(p flows.Persona) *flows.Set {
-	s := pr.byTrace[p]
-	if s == nil {
-		s = flows.NewSetSized(pr.destHint)
-		pr.byTrace[p] = s
+func (pr *partialResult) flowsOf(p flows.Persona) map[uint64]flows.PlatformMask {
+	m := pr.byTrace[p]
+	if m == nil {
+		m = make(map[uint64]flows.PlatformMask, pr.flowHint)
+		pr.byTrace[p] = m
 	}
-	return s
+	return m
 }
 
 // analyzeChunk runs the sequential pipeline body over a slice of records,
 // accumulating into pr.
-func (p *Pipeline) analyzeChunk(recs []RequestRecord, memo *destMemo, pr *partialResult) {
+func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 	for i := range recs {
 		rec := &recs[i]
 		repeat := rec.Repeat
@@ -316,15 +301,13 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, memo *destMemo, pr *partia
 		if rec.ConnID != "" {
 			pr.conns[rec.ConnID] = true
 		}
-		ref := memo.resolve(rec.FQDN)
-		if !ref.ok {
+		fqdn := pr.index(rec.FQDN)
+		pr.fqdns[fqdn].records++
+		if pr.fqdns[fqdn].blank {
 			continue
 		}
-		pr.domains[ref.dest.FQDN] = true
-		if ref.dest.ESLD != "" {
-			pr.eslds[ref.dest.ESLD] = true
-		}
 
+		bit := rec.Platform.Mask()
 		view := extract.RequestView{
 			Method:   rec.Method,
 			URL:      rec.URL,
@@ -346,21 +329,24 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, memo *destMemo, pr *partia
 				pr.droppedKeys++
 				continue
 			}
-			pr.set(rec.Trace).AddIDs(catID, ref.id, rec.Platform)
+			pr.flowsOf(rec.Trace)[localFlowKey(catID, fqdn)] |= bit
 		}
 	}
 }
 
-// merge folds another partial into this one.
+// merge folds another partial into this one, translating the other's FQDN
+// indices into this partial's.
 func (pr *partialResult) merge(o *partialResult) {
-	for t, set := range o.byTrace {
-		pr.set(t).Merge(set)
+	remap := make([]uint32, len(o.fqdns))
+	for i, f := range o.fqdns {
+		remap[i] = pr.index(f.name)
+		pr.fqdns[remap[i]].records += f.records
 	}
-	for d := range o.domains {
-		pr.domains[d] = true
-	}
-	for e := range o.eslds {
-		pr.eslds[e] = true
+	for t, fl := range o.byTrace {
+		dst := pr.flowsOf(t)
+		for k, m := range fl {
+			dst[localFlowKey(flows.CatID(k>>32), remap[uint32(k)])] |= m
+		}
 	}
 	for k := range o.rawKeys {
 		pr.rawKeys[k] = true
@@ -373,17 +359,58 @@ func (pr *partialResult) merge(o *partialResult) {
 }
 
 // result converts the accumulated partial into the public ServiceResult.
-func (pr *partialResult) result(id ServiceIdentity) *ServiceResult {
-	return &ServiceResult{
+// This is where destinations get their party: each distinct FQDN is
+// resolved against the audited service and interned exactly once, and the
+// flows are rekeyed from index slots to the resulting DestIDs. With guess
+// set only id.Name is given and the first party is the eSLD most records
+// went to — GuessIdentity's rule, read off the tallies.
+//
+// Flow sets for the four built-in personas always exist, so every result
+// exposes the paper's trace columns; custom personas appear with their flows.
+func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engine) *ServiceResult {
+	if guess {
+		counts := make(map[string]int)
+		for _, f := range pr.fqdns {
+			if e := domains.ESLD(f.name); e != "" {
+				counts[e] += f.records
+			}
+		}
+		id = identityFromESLDCounts(id.Name, counts)
+	}
+
+	res := &ServiceResult{
 		Identity:    id,
-		ByTrace:     pr.byTrace,
+		ByTrace:     make(map[flows.Persona]*flows.Set, len(pr.byTrace)),
 		Packets:     pr.packets,
 		TCPFlows:    len(pr.conns),
-		Domains:     pr.domains,
-		ESLDs:       pr.eslds,
+		Domains:     make(map[string]bool, len(pr.fqdns)),
+		ESLDs:       make(map[string]bool, len(pr.fqdns)),
 		RawKeys:     pr.rawKeys,
 		DroppedKeys: pr.droppedKeys,
 	}
+	dests := make([]flows.DestID, len(pr.fqdns))
+	for i, f := range pr.fqdns {
+		if f.blank {
+			continue
+		}
+		d := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, f.name, engine)
+		res.Domains[d.FQDN] = true
+		if d.ESLD != "" {
+			res.ESLDs[d.ESLD] = true
+		}
+		dests[i] = flows.InternDestination(d)
+	}
+	for _, t := range flows.BuiltinPersonas() {
+		res.ByTrace[t] = flows.NewSet()
+	}
+	for t, fl := range pr.byTrace {
+		set := flows.NewSetSized(len(fl))
+		for k, m := range fl {
+			set.AddMask(flows.CatID(k>>32), dests[uint32(k)], m)
+		}
+		res.ByTrace[t] = set
+	}
+	return res
 }
 
 // analyzeChunkSize is the unit of work the parallel path hands out. Small
@@ -411,8 +438,12 @@ func (p *Pipeline) AnalyzeRecords(id ServiceIdentity, recs []RequestRecord) *Ser
 // short returns ctx.Err() and no partial result. With the background
 // context the error is always nil.
 func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity, recs []RequestRecord) (*ServiceResult, error) {
-	memo := &destMemo{owner: id.Owner, eslds: id.FirstPartyESLDs, ats: p.ATS}
+	return p.analyzeRecords(ctx, id, false, recs)
+}
 
+// analyzeRecords is the slice entry point for given and guessed (see
+// partialResult.result) identities alike.
+func (p *Pipeline) analyzeRecords(ctx context.Context, id ServiceIdentity, guess bool, recs []RequestRecord) (*ServiceResult, error) {
 	workers := p.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
@@ -431,9 +462,9 @@ func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity
 			if hi > len(recs) {
 				hi = len(recs)
 			}
-			p.analyzeChunk(recs[lo:hi], memo, pr)
+			p.analyzeChunk(recs[lo:hi], pr)
 		}
-		return pr.result(id), nil
+		return pr.result(id, guess, p.ATS), nil
 	}
 
 	partials := make([]*partialResult, workers)
@@ -468,7 +499,7 @@ func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity
 				if !ok {
 					return
 				}
-				p.analyzeChunk(recs[lo:hi], memo, pr)
+				p.analyzeChunk(recs[lo:hi], pr)
 			}
 		}(w)
 	}
@@ -481,7 +512,7 @@ func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity
 	for _, pr := range partials[1:] {
 		total.merge(pr)
 	}
-	return total.result(id), nil
+	return total.result(id, guess, p.ATS), nil
 }
 
 // Table1Totals aggregates results into the unique-total row of Table 1.

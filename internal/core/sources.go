@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -47,8 +48,12 @@ func (s *harSource) Next() (RequestRecord, error) {
 // The source works in two phases behind a single Next API: the first call
 // drains the packet iterator into the reassembler (collecting DNS and
 // packet counts on the way), then streams are decrypted and parsed lazily,
-// one flow at a time.
+// one flow at a time. The context is consulted every pcapCtxCheckPackets
+// frames of the first phase and before each stream of the second, so a
+// deadline reaches a capture of any size; a run it does not cut short is
+// unaffected.
 type PCAPSource struct {
+	ctx   context.Context
 	pkts  pcapio.PacketSource
 	extra *tlsx.KeyLog
 	trace flows.TraceCategory
@@ -64,10 +69,16 @@ type PCAPSource struct {
 
 // NewPCAPSource returns a RecordSource over a packet stream. TLS key
 // material is taken from the stream's Decryption Secrets Blocks plus the
-// optional extra key log. Stats are valid once Next has returned io.EOF.
-func NewPCAPSource(pkts pcapio.PacketSource, extra *tlsx.KeyLog, trace flows.TraceCategory) *PCAPSource {
-	return &PCAPSource{pkts: pkts, extra: extra, trace: trace}
+// optional extra key log, which is only read and may be shared between
+// sources. Stats are valid once Next has returned io.EOF; once ctx is done
+// Next fails with ctx.Err().
+func NewPCAPSource(ctx context.Context, pkts pcapio.PacketSource, extra *tlsx.KeyLog, trace flows.TraceCategory) *PCAPSource {
+	return &PCAPSource{ctx: ctx, pkts: pkts, extra: extra, trace: trace}
 }
+
+// pcapCtxCheckPackets is how many frames the packet phase decodes between
+// looks at the context.
+const pcapCtxCheckPackets = 1024
 
 // Stats reports ingestion counters. Packet-level fields are complete after
 // the first Next call; stream-level fields (TLS, decryption) are complete
@@ -89,6 +100,10 @@ func (s *PCAPSource) Next() (RequestRecord, error) {
 			s.err = io.EOF
 			return RequestRecord{}, io.EOF
 		}
+		if err := s.ctx.Err(); err != nil {
+			s.err = err
+			return RequestRecord{}, err
+		}
 		stream := s.streams[s.si]
 		s.si++
 		s.streams[s.si-1] = nil // release the stream's payload eagerly
@@ -106,6 +121,11 @@ func (s *PCAPSource) start() error {
 	asm := reassembly.New()
 	queried := map[string]bool{}
 	for {
+		if s.stats.Packets%pcapCtxCheckPackets == 0 {
+			if err := s.ctx.Err(); err != nil {
+				return err
+			}
+		}
 		pkt, err := s.pkts.Next()
 		if err == io.EOF {
 			break
@@ -154,9 +174,7 @@ func (s *PCAPSource) start() error {
 
 // FileSource is a record source streaming from a capture file on disk.
 // The file closes itself when the stream ends (EOF or error); Close is
-// for early abort. Reopen by calling the Open function again — file-backed
-// sources are how two-pass flows (identity guess, then audit) stay
-// constant-memory.
+// for early abort. An audit drains each source once.
 type FileSource struct {
 	inner  RecordSource
 	f      *os.File
@@ -204,19 +222,10 @@ func OpenHARFileSource(path string, trace flows.TraceCategory, platform flows.Pl
 }
 
 // OpenPCAPFileSource opens a mobile capture (pcap or pcapng) for streaming
-// audit. TLS key material comes from embedded Decryption Secrets Blocks
-// plus, optionally, an external SSLKEYLOGFILE.
-func OpenPCAPFileSource(path, keylogPath string, trace flows.TraceCategory) (*FileSource, error) {
-	var extra *tlsx.KeyLog
-	if keylogPath != "" {
-		klData, err := os.ReadFile(keylogPath)
-		if err != nil {
-			return nil, err
-		}
-		if extra, err = tlsx.ParseKeyLog(klData); err != nil {
-			return nil, err
-		}
-	}
+// audit under ctx (see PCAPSource). TLS key material comes from embedded
+// Decryption Secrets Blocks plus, optionally, an external key log, which
+// the captures of one audit share (LoadKeyLog).
+func OpenPCAPFileSource(ctx context.Context, path string, extra *tlsx.KeyLog, trace flows.TraceCategory) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -226,6 +235,15 @@ func OpenPCAPFileSource(path, keylogPath string, trace flows.TraceCategory) (*Fi
 		f.Close()
 		return nil, err
 	}
-	src := NewPCAPSource(rd, extra, trace)
+	src := NewPCAPSource(ctx, rd, extra, trace)
 	return &FileSource{inner: src, f: f, pcap: src}, nil
+}
+
+// LoadKeyLog reads and parses an SSLKEYLOGFILE.
+func LoadKeyLog(path string) (*tlsx.KeyLog, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return tlsx.ParseKeyLog(data)
 }

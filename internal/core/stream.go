@@ -67,33 +67,6 @@ func (m *multiSource) Next() (RequestRecord, error) {
 	return RequestRecord{}, io.EOF
 }
 
-// watchedSource threads a context into any RecordSource consumer that
-// does not take one itself (e.g. the identity-guess pass): Next fails
-// with ctx.Err() once the context dies, checked every streamBatchSize
-// records so the per-record cost stays negligible.
-type watchedSource struct {
-	ctx context.Context
-	src RecordSource
-	n   int
-}
-
-// WatchedSource wraps src so an expired or cancelled ctx aborts the
-// stream at batch-sized intervals — the deadline discipline for pull
-// paths outside AnalyzeStreamContext.
-func WatchedSource(ctx context.Context, src RecordSource) RecordSource {
-	return &watchedSource{ctx: ctx, src: src}
-}
-
-func (w *watchedSource) Next() (RequestRecord, error) {
-	if w.n%streamBatchSize == 0 {
-		if err := w.ctx.Err(); err != nil {
-			return RequestRecord{}, err
-		}
-	}
-	w.n++
-	return w.src.Next()
-}
-
 // streamBatchSize is the number of records pulled from a source per batch.
 // It matches analyzeChunkSize so the parallel stream path hands workers the
 // same unit of work the in-memory path does.
@@ -135,13 +108,24 @@ func (p *Pipeline) AnalyzeStream(id ServiceIdentity, src RecordSource) (*Service
 // gives every server job a deadline without ever wedging a worker
 // mid-record.
 func (p *Pipeline) AnalyzeStreamContext(ctx context.Context, id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
-	res, _, err := p.analyzeStream(ctx, id, src)
+	res, _, err := p.analyzeStream(ctx, id, false, src)
 	return res, err
 }
 
-// analyzeStream is AnalyzeStreamContext plus residency instrumentation.
-func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, src RecordSource) (*ServiceResult, *streamStats, error) {
-	memo := &destMemo{owner: id.Owner, eslds: id.FirstPartyESLDs, ats: p.ATS}
+// AnalyzeUnknownStream audits a capture of a service nobody has profiled:
+// the same single pass as AnalyzeStreamContext, with the first party taken
+// from the traffic itself — the most-contacted eSLD, exactly as
+// GuessIdentity picks it. The result (its Identity included) is identical
+// to AnalyzeStreamContext under GuessIdentity(name, records), without the
+// records ever being held or read twice.
+func (p *Pipeline) AnalyzeUnknownStream(ctx context.Context, name string, src RecordSource) (*ServiceResult, error) {
+	res, _, err := p.analyzeStream(ctx, ServiceIdentity{Name: name}, true, src)
+	return res, err
+}
+
+// analyzeStream is the stream entry point for given and guessed identities
+// alike, plus residency instrumentation.
+func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource) (*ServiceResult, *streamStats, error) {
 	stats := &streamStats{}
 
 	workers := p.Workers
@@ -150,7 +134,7 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, src Re
 	}
 
 	if workers <= 1 {
-		return p.analyzeStreamSequential(ctx, id, src, memo, stats)
+		return p.analyzeStreamSequential(ctx, id, guess, src, stats)
 	}
 
 	// live counts batches currently resident (filled but not yet fully
@@ -176,7 +160,7 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, src Re
 			pr := newPartialResult(streamBatchSize * streamQueueDepth)
 			partials[w] = pr
 			for batch := range batches {
-				p.analyzeChunk(batch, memo, pr)
+				p.analyzeChunk(batch, pr)
 				atomic.AddInt32(&live, -1)
 			}
 		}(w)
@@ -225,12 +209,12 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, src Re
 	for _, pr := range partials[1:] {
 		total.merge(pr)
 	}
-	return total.result(id), stats, nil
+	return total.result(id, guess, p.ATS), stats, nil
 }
 
 // analyzeStreamSequential is the workers<=1 path: one reused batch buffer,
 // so exactly one batch is ever resident.
-func (p *Pipeline) analyzeStreamSequential(ctx context.Context, id ServiceIdentity, src RecordSource, memo *destMemo, stats *streamStats) (*ServiceResult, *streamStats, error) {
+func (p *Pipeline) analyzeStreamSequential(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource, stats *streamStats) (*ServiceResult, *streamStats, error) {
 	pr := newPartialResult(streamBatchSize)
 	batch := make([]RequestRecord, 0, streamBatchSize)
 	stats.peakBatches = 1
@@ -251,9 +235,9 @@ func (p *Pipeline) analyzeStreamSequential(ctx context.Context, id ServiceIdenti
 			}
 			batch = append(batch, rec)
 		}
-		p.analyzeChunk(batch, memo, pr)
+		p.analyzeChunk(batch, pr)
 		if srcErr == io.EOF {
-			return pr.result(id), stats, nil
+			return pr.result(id, guess, p.ATS), stats, nil
 		}
 		if srcErr != nil {
 			return nil, stats, srcErr

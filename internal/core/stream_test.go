@@ -105,7 +105,7 @@ func TestAnalyzeStreamConstantMemory(t *testing.T) {
 	peak := func(n int) int32 {
 		pipe := NewPipeline()
 		pipe.Workers = workers
-		_, stats, err := pipe.analyzeStream(context.Background(), id, &generatorSource{n: n})
+		_, stats, err := pipe.analyzeStream(context.Background(), id, false, &generatorSource{n: n})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -128,7 +128,7 @@ func TestAnalyzeStreamConstantMemory(t *testing.T) {
 	// The sequential path reuses one buffer.
 	pipe := NewPipeline()
 	pipe.Workers = 1
-	_, stats, err := pipe.analyzeStream(context.Background(), id, &generatorSource{n: 10 * streamBatchSize})
+	_, stats, err := pipe.analyzeStream(context.Background(), id, false, &generatorSource{n: 10 * streamBatchSize})
 	if err != nil {
 		t.Fatal(err)
 	}

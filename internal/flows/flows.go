@@ -64,13 +64,16 @@ const (
 	OnMobile
 )
 
-// Has reports whether the mask includes the platform.
-func (m PlatformMask) Has(p Platform) bool {
+// Mask returns the platform's bit.
+func (p Platform) Mask() PlatformMask {
 	if p == Web {
-		return m&OnWeb != 0
+		return OnWeb
 	}
-	return m&OnMobile != 0
+	return OnMobile
 }
+
+// Has reports whether the mask includes the platform.
+func (m PlatformMask) Has(p Platform) bool { return m&p.Mask() != 0 }
 
 // Symbol renders the Table 4 cell marker: "●" both, "◐" web-only, "◑"
 // mobile-only, "—" neither.
@@ -212,13 +215,9 @@ func (s *Set) Add(f Flow, p Platform) {
 // AddIDs records a flow by its interned IDs — the pipeline's inner loop.
 // One map operation, no allocation.
 func (s *Set) AddIDs(c CatID, d DestID, p Platform) {
-	bit := OnWeb
-	if p != Web {
-		bit = OnMobile
-	}
 	k := PackFlowKey(c, d)
 	n := len(s.flows)
-	s.flows[k] |= bit
+	s.flows[k] |= p.Mask()
 	if len(s.flows) != n {
 		s.sorted.Store(nil)
 	}

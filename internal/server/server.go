@@ -50,6 +50,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -71,6 +72,7 @@ import (
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/lawaudit"
+	"diffaudit/internal/netcap/tlsx"
 	"diffaudit/internal/report"
 	"diffaudit/internal/services"
 	"diffaudit/internal/store"
@@ -526,63 +528,42 @@ func (s *Server) retry(ctx context.Context, op func() error) error {
 	return faults.Retry(ctx, p, op)
 }
 
-// audit runs the streaming pipeline over a job's staged captures.
+// audit runs the streaming pipeline over a job's staged captures, each of
+// which is opened and parsed exactly once.
 func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, error) {
-	open := func() (core.RecordSource, []*core.FileSource, error) {
-		srcs := make([]core.RecordSource, 0, len(job.uploads))
-		files := make([]*core.FileSource, 0, len(job.uploads))
-		for _, up := range job.uploads {
-			var fs *core.FileSource
-			var err error
-			if up.HAR {
-				fs, err = core.OpenHARFileSource(up.Path, up.trace, flows.Web)
-			} else {
-				fs, err = core.OpenPCAPFileSource(up.Path, job.keylog, up.trace)
-			}
-			if err != nil {
-				for _, f := range files {
-					f.Close()
+	srcs := make([]core.RecordSource, 0, len(job.uploads))
+	// The keylog is parsed on the first mobile capture and shared,
+	// read-only, by the rest.
+	var keylog *tlsx.KeyLog
+	for _, up := range job.uploads {
+		var fs *core.FileSource
+		var err error
+		if up.HAR {
+			fs, err = core.OpenHARFileSource(up.Path, up.trace, flows.Web)
+		} else {
+			if keylog == nil && job.keylog != "" {
+				if keylog, err = core.LoadKeyLog(job.keylog); err != nil {
+					return nil, err
 				}
-				return nil, nil, err
 			}
-			srcs = append(srcs, fs)
-			files = append(files, fs)
+			fs, err = core.OpenPCAPFileSource(ctx, up.Path, keylog, up.trace)
 		}
-		return core.MultiSource(srcs...), files, nil
+		if err != nil {
+			return nil, err
+		}
+		defer fs.Close() // at return: the audit below drains every source
+		srcs = append(srcs, fs)
 	}
+	src := core.MultiSource(srcs...)
 
-	// Identity: a known service profile wins; otherwise a first streaming
-	// pass guesses the most-contacted eSLD (the files are on disk, so the
-	// second pass just reopens them — memory stays constant).
-	var id core.ServiceIdentity
+	// Identity: a known service profile wins; otherwise the first party is
+	// whatever the pass itself finds most contacted.
+	p := s.cfg.NewPipeline()
 	if spec, ok := services.ByName(job.Service); ok {
-		id = core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
-	} else {
-		src, files, err := open()
-		if err != nil {
-			return nil, err
-		}
-		// The guess pass pulls records itself, so the deadline reaches it
-		// through a watched source rather than a context parameter.
-		id, err = core.GuessIdentitySource(job.Service, core.WatchedSource(ctx, src))
-		for _, f := range files {
-			f.Close()
-		}
-		if err != nil {
-			return nil, err
-		}
+		id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
+		return p.AnalyzeStreamContext(ctx, id, src)
 	}
-
-	src, files, err := open()
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	return s.cfg.NewPipeline().AnalyzeStreamContext(ctx, id, src)
+	return p.AnalyzeUnknownStream(ctx, job.Service, src)
 }
 
 // evictLocked drops the oldest finished jobs once the retention cap is
@@ -780,6 +761,10 @@ func (s *Server) stagingDir() string {
 	return s.cfg.TempDir
 }
 
+// stageBufBytes is the staging write size: a few-MB capture lands in a
+// handful of write(2) calls instead of one per 4 KiB.
+const stageBufBytes = 256 << 10
+
 // stageFile streams one part to a temp file and returns its path and
 // length. The file is not fsynced — a multi-hundred-megabyte flush per
 // upload is not worth what it buys: process death cannot lose page-cache
@@ -791,7 +776,14 @@ func (s *Server) stageFile(part *multipart.Part, label string) (string, int64, e
 	if err != nil {
 		return "", 0, err
 	}
-	n, err := io.Copy(f, part)
+	// A part never reads more than its 4 KiB peek buffer at a time. The
+	// struct hides bufio.Writer's ReadFrom, which would hand the reader of
+	// an empty buffer straight to the file, 4 KiB reads and all.
+	w := bufio.NewWriterSize(f, stageBufBytes)
+	n, err := io.Copy(struct{ io.Writer }{w}, part)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

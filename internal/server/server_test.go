@@ -9,6 +9,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,8 @@ import (
 	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/har"
+	"diffaudit/internal/netcap/pcapio"
+	"diffaudit/internal/netcap/tlsx"
 	"diffaudit/internal/report"
 	"diffaudit/internal/services"
 	"diffaudit/internal/store"
@@ -159,29 +163,63 @@ func TestAuditEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGuessedIdentity audits under an unknown name: the most-contacted
-// eSLD must become the first party via the streaming identity guess.
+// TestGuessedIdentity audits a web and a mobile capture under an unknown
+// name. The job reads each staged file once, yet what it serves and stores
+// must be what the two-step reference produces: parse everything, guess the
+// identity from the records, audit them under it.
 func TestGuessedIdentity(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(Config{TempDir: t.TempDir(), Store: store.NewMemStore()})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp := submit(t, ts, map[string][2]string{
-		"child": {"c.har", string(childHAR(t))},
-		"name":  {"", "mystery-service"},
-	})
-	job := decodeJob(t, resp)
-	done := wait(t, ts, job.ID)
-	if done.State != JobDone {
-		t.Fatalf("job failed: %s", done.Error)
-	}
-	res, err := srv.Result(job.ID)
+	harData := childHAR(t)
+	capt, err := synth.Generate(synth.Config{Scale: 0.01}).Service("Quizlet").EmitPCAP(flows.Adult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Identity.Name != "mystery-service" || len(res.Identity.FirstPartyESLDs) != 1 {
-		t.Fatalf("identity = %+v", res.Identity)
+	var pcapData bytes.Buffer
+	if err := pcapio.WritePcapng(&pcapData, capt); err != nil {
+		t.Fatal(err)
+	}
+	done := runJob(t, ts, map[string][2]string{
+		"child": {"c.har", string(harData)},
+		"adult": {"a.pcapng", pcapData.String()},
+		"name":  {"", "mystery-service"},
+	})
+
+	h, err := har.Parse(harData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := core.FromHAR(h, flows.Child, flows.Web)
+	mobile, _, err := core.FromPCAP(capt, nil, flows.Adult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, mobile...)
+	id := core.GuessIdentity("mystery-service", recs)
+	if len(id.FirstPartyESLDs) != 1 {
+		t.Fatalf("reference identity = %+v", id)
+	}
+	want := core.NewPipeline().AnalyzeRecords(id, recs)
+
+	res, err := srv.Result(done.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Identity, id) {
+		t.Fatalf("identity = %+v, two-step guess %+v", res.Identity, id)
+	}
+	wantJSON, err := report.ExportJSON([]*core.ServiceResult{want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := getBody(t, ts, "/v1/jobs/"+done.ID+"/report.json"); !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(wantJSON)) {
+		t.Error("served report.json differs from the two-step audit's export")
+	}
+	if wantHash := store.Hash(store.EncodeResult(want)); done.SnapshotHash != wantHash {
+		t.Errorf("stored snapshot hash %s, two-step audit encodes to %s", done.SnapshotHash, wantHash)
 	}
 }
 
@@ -919,4 +957,76 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 	if !strings.Contains(string(body), `"trace": "Server Kid"`) {
 		t.Error("served report does not group flows under the custom persona")
 	}
+}
+
+// TestStageFileFlushesEveryByte: staging writes through a fixed buffer, so
+// the tail of a capture sits in memory until the flush — the length handed
+// to the journal must be what is on disk, for sizes under, at and over the
+// buffer.
+func TestStageFileFlushesEveryByte(t *testing.T) {
+	srv := New(Config{TempDir: t.TempDir()})
+	defer srv.Close()
+	for _, size := range []int{0, 1, stageBufBytes - 1, stageBufBytes, 2*stageBufBytes + 4097} {
+		content := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
+		var body bytes.Buffer
+		mw := multipart.NewWriter(&body)
+		fw, err := mw.CreateFormFile("child", "c.har")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(content)
+		mw.Close()
+		part, err := multipart.NewReader(&body, mw.Boundary()).NextPart()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, n, err := srv.stageFile(part, "child")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(size) || !bytes.Equal(got, content) {
+			t.Fatalf("size %d: stageFile reported %d bytes, %d on disk (equal=%v)", size, n, len(got), bytes.Equal(got, content))
+		}
+	}
+}
+
+// TestMalformedKeylogFailsMobileJobs: the job's keylog is parsed when its
+// first mobile capture is opened, so a malformed one fails the job with
+// the parser's own error text — and a job with no mobile capture never
+// looks at it.
+func TestMalformedKeylogFailsMobileJobs(t *testing.T) {
+	srv := New(Config{TempDir: t.TempDir()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const badKeys = "CLIENT_RANDOM zz zz\n"
+	_, wantErr := tlsx.ParseKeyLog([]byte(badKeys))
+	if wantErr == nil {
+		t.Fatal("test keylog parses")
+	}
+	capt, err := synth.Generate(synth.Config{Scale: 0.01}).Service("Quizlet").EmitPCAP(flows.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pcapData bytes.Buffer
+	if err := pcapio.WritePcapng(&pcapData, capt); err != nil {
+		t.Fatal(err)
+	}
+	resp := submit(t, ts, map[string][2]string{
+		"child":  {"c.pcapng", pcapData.String()},
+		"adult":  {"a.pcapng", pcapData.String()},
+		"keylog": {"keys.log", badKeys},
+	})
+	if failed := wait(t, ts, decodeJob(t, resp).ID); failed.State != JobFailed || failed.Error != wantErr.Error() {
+		t.Errorf("mobile job = %s %q, want failed with %q", failed.State, failed.Error, wantErr)
+	}
+	runJob(t, ts, map[string][2]string{
+		"child":  {"c.har", string(childHAR(t))},
+		"keylog": {"keys.log", badKeys},
+	})
 }

@@ -143,7 +143,7 @@ func TestStreamedPCAPFileEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src, err := diffaudit.OpenPCAPSource(path, "", diffaudit.Child)
+	src, err := diffaudit.OpenPCAPSource(path, nil, diffaudit.Child)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +198,80 @@ func TestAuditStreamPublicAPI(t *testing.T) {
 	}
 	if !bytes.Equal(wantJSON, gotJSON) {
 		t.Error("AuditStream over split sources differs from AuditRecords")
+	}
+}
+
+// TestOnePassFileEquivalence audits capture files of a service nobody has
+// profiled the way `diffaudit serve` and file mode do — every file opened
+// and parsed once, the identity a by-product of the pass — and checks the
+// outcome against the two-step reference (load everything, GuessIdentity,
+// AuditRecords): same identity, same report bytes, same snapshot encoding.
+func TestOnePassFileEquivalence(t *testing.T) {
+	ds := synth.Generate(synth.Config{Scale: 0.01})
+	st := ds.Service("Duolingo")
+	dir := t.TempDir()
+	harPath := filepath.Join(dir, "child.har")
+	if err := st.EmitHAR(flows.Child).WriteFile(harPath); err != nil {
+		t.Fatal(err)
+	}
+	capt, err := st.EmitPCAP(diffaudit.Adult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcapPath := filepath.Join(dir, "adult.pcapng")
+	f, err := os.Create(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pcapng(f, capt); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	auditor := diffaudit.New()
+	auditor.Pipeline.Workers = 1
+	recs, err := auditor.LoadHARFile(harPath, diffaudit.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobile, _, err := auditor.LoadPCAPFile(pcapPath, "", diffaudit.Adult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, mobile...)
+	id := diffaudit.GuessIdentity("unprofiled", recs)
+	want := auditor.AuditRecords(id, recs)
+	wantJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{want})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		web, err := diffaudit.OpenHARSource(harPath, diffaudit.Child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := diffaudit.OpenPCAPSource(pcapPath, nil, diffaudit.Adult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auditor.Pipeline.Workers = workers
+		got, err := auditor.AuditUnknownStream("unprofiled", diffaudit.MultiSource(web, app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Identity, id) {
+			t.Fatalf("workers=%d: identity %+v, two-step guess %+v", workers, got.Identity, id)
+		}
+		gotJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("workers=%d: ExportJSON differs from the two-step audit", workers)
+		}
+		if !bytes.Equal(diffaudit.EncodeSnapshot(got), diffaudit.EncodeSnapshot(want)) {
+			t.Errorf("workers=%d: snapshot encoding differs from the two-step audit", workers)
+		}
 	}
 }
