@@ -359,36 +359,6 @@ func BenchmarkFSStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLazyOpen measures opening a lazy snapshot view over the
-// directory store — resolve, mmap, envelope + CRC validation — without
-// materializing anything: the fixed cost a partial read pays before
-// touching only the sections it needs.
-func BenchmarkSnapshotLazyOpen(b *testing.B) {
-	res := audited(b)[0]
-	st, err := store.OpenFSStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Put("bench-job", res); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meta, err := st.Resolve("1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		view, err := st.View(meta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if view.Meta().Hash != meta.Hash {
-			b.Fatal("view opened over another snapshot")
-		}
-		view.Close()
-	}
-}
-
 // benchReportServer stores one audited snapshot in an FSStore behind a
 // server and returns the server plus the snapshot's reference.
 func benchReportServer(b *testing.B, cacheBytes int64) (*server.Server, string) {
@@ -407,9 +377,8 @@ func benchReportServer(b *testing.B, cacheBytes int64) (*server.Server, string) 
 }
 
 // BenchmarkReportFromStoreCold measures the server's snapshot read path
-// with the decoded-snapshot cache disabled: every fetch resolves, opens a
-// lazy view, and fully materializes — the per-request cost the PR-5
-// server paid on every report for an evicted job.
+// with the decoded-snapshot cache disabled: every fetch resolves, reads
+// and decodes.
 func BenchmarkReportFromStoreCold(b *testing.B) {
 	srv, ref := benchReportServer(b, -1)
 	b.ResetTimer()
@@ -478,46 +447,6 @@ func BenchmarkReportCSV(b *testing.B) {
 			buf = out
 		}
 	})
-}
-
-// BenchmarkDiffPartial measures a persona-filtered longitudinal diff on
-// the zero-copy path: both snapshots open as mmap views and only the
-// compared persona's flow sections materialize.
-func BenchmarkDiffPartial(b *testing.B) {
-	res := audited(b)[0]
-	st, err := store.OpenFSStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := st.Put(fmt.Sprintf("bench-job-%d", i), res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	only := map[flows.Persona]bool{flows.Child: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sides [2]*core.ServiceResult
-		for j, ref := range [2]string{"1", "2"} {
-			meta, err := st.Resolve(ref)
-			if err != nil {
-				b.Fatal(err)
-			}
-			view, err := st.View(meta)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sides[j], err = view.PartialResult([]string{"child"})
-			view.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		d := core.LongitudinalFiltered(sides[0], sides[1], only)
-		if len(d.Personas) != 1 {
-			b.Fatal("diff compared the wrong personas")
-		}
-	}
 }
 
 // ---- Ablation benchmarks (DESIGN.md) -------------------------------------

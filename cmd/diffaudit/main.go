@@ -37,9 +37,8 @@
 // server refuses to start over a journal directory it cannot read (an
 // older build's *.job / *.batch files) rather than drop the jobs in it.
 // -job-timeout bounds one audit's run time so a pathological capture
-// cannot wedge a worker. The HTTP API is served under /v1 only; stored
-// snapshots (codec version 3) are read lazily via mmap and
-// decoded results are cached under a -cache-mb byte budget, so repeat
+// cannot wedge a worker. The HTTP API is served under /v1 only; decoded
+// snapshots are cached under a -cache-mb byte budget, so repeat
 // report/diff reads and conditional GETs (ETag / If-None-Match) skip
 // decoding entirely.
 //

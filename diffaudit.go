@@ -145,12 +145,6 @@ type (
 	// SnapshotMeta describes one stored snapshot (sequence, content
 	// hash, service, originating job).
 	SnapshotMeta = store.Meta
-	// SnapshotView is a lazily-materialized handle over one stored
-	// snapshot: the envelope (magic, version, CRC) is validated once at
-	// open, and decoding happens only when Result or PartialResult is
-	// called (SnapshotStore.Resolve, then View). Close releases the
-	// underlying mapping.
-	SnapshotView = store.SnapshotView
 	// LongitudinalDiff compares two audits of one service over time,
 	// per persona.
 	LongitudinalDiff = core.LongitudinalDiff

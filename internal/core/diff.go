@@ -169,9 +169,8 @@ func Longitudinal(from, to *ServiceResult) LongitudinalDiff {
 
 // LongitudinalFiltered diffs two audits like Longitudinal, restricted to
 // the personas the filter selects (nil selects every persona present in
-// either audit). Pairs with partially-materialized snapshots: a diff over
-// two personas needs only those personas' flow sets decoded, and the
-// output for the selected personas is identical to the unfiltered diff's.
+// either audit). The output for the selected personas is identical to the
+// unfiltered diff's.
 func LongitudinalFiltered(from, to *ServiceResult, only map[flows.Persona]bool) LongitudinalDiff {
 	d := LongitudinalDiff{From: from.Identity, To: to.Identity}
 	seen := make(map[flows.Persona]bool, len(from.ByTrace)+len(to.ByTrace))

@@ -68,47 +68,6 @@ func TestColumnarEmptySet(t *testing.T) {
 	}
 }
 
-// TestColumnarGridEquivalence proves the no-intern scan path produces the
-// exact grid the full decoder produces, including for custom categories
-// absent from the canonical ontology.
-func TestColumnarGridEquivalence(t *testing.T) {
-	s := buildSet(t)
-	tables, sections := encodeColumnar(s)
-
-	ts, err := ScanSetTables(wire.NewReader(tables))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, err := SplitSetColumns(sections[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cols.Len() != s.Len() {
-		t.Fatalf("columns report %d flows, want %d", cols.Len(), s.Len())
-	}
-	grid, err := cols.Grid(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := s.GroupGrid(); !reflect.DeepEqual(grid, want) {
-		t.Errorf("columnar grid = %v, want %v", grid, want)
-	}
-
-	census, err := cols.GroupCensus(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, row := range s.GroupGrid() {
-		var want PlatformMask
-		for _, m := range row {
-			want |= m
-		}
-		if census[g] != want {
-			t.Errorf("census[%v] = %v, want %v", g, census[g], want)
-		}
-	}
-}
-
 func TestColumnarRejectsCorruption(t *testing.T) {
 	s := buildSet(t)
 	tables, sections := encodeColumnar(s)
@@ -133,14 +92,14 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 	}
 
 	// Out-of-range indices are caught by the table bounds.
-	cols, err := SplitSetColumns(sec)
+	cols, err := splitSetColumns(sec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cols.CatIndices(nil, 0); err == nil {
+	if _, err := decodeIndexColumn(nil, cols.cats, cols.n, 0, "category"); err == nil {
 		t.Error("accepted category index beyond table")
 	}
-	if _, err := cols.DestIndices(nil, 0); err == nil {
+	if _, err := decodeIndexColumn(nil, cols.dests, cols.n, 0, "destination"); err == nil {
 		t.Error("accepted destination index beyond table")
 	}
 }

@@ -86,10 +86,8 @@ func (a *indexAcc) count() int {
 	return bits.OnesCount64(a.bits) + len(a.overflow)
 }
 
-// indexState accumulates the single pass over a packed-key stream. The
-// iteration itself stays with the caller (Set range or columnar scan) so
-// the hot Set path keeps its direct, escape-free loop; the shared logic
-// lives in the accumulate/represent/finish methods.
+// indexState accumulates the single pass over a set's packed keys
+// (accumulate, then represent for the rare multi-role FQDNs, then finish).
 type indexState struct {
 	byFQDN   map[uint32]indexAcc
 	anyMulti bool
@@ -106,30 +104,6 @@ func NewIndex(set *flows.Set) *Index {
 		set.RangeKeys(func(key uint64) { st.represent(key) })
 	}
 	return st.finish()
-}
-
-// NewIndexColumns builds the same index straight off one columnar flow
-// section (snapshot codec v3): the linkability analysis is platform-
-// blind, so neither the mask column nor a Set is ever materialized —
-// only the category and destination columns are decoded against the
-// re-interned tables.
-func NewIndexColumns(dec *flows.SetDecoder, cols flows.SetColumns) (*Index, error) {
-	st := indexState{byFQDN: make(map[uint32]indexAcc)}
-	err := dec.RangeFlows(cols, func(c flows.CatID, d flows.DestID) {
-		st.accumulate(flows.PackFlowKey(c, d))
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st.anyMulti {
-		err := dec.RangeFlows(cols, func(c flows.CatID, d flows.DestID) {
-			st.represent(flows.PackFlowKey(c, d))
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return st.finish(), nil
 }
 
 // accumulate folds one flow key into the per-FQDN accumulators.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"diffaudit/internal/core"
+	"diffaudit/internal/flows"
 	"diffaudit/internal/report"
 	"diffaudit/internal/store"
 )
@@ -505,31 +506,55 @@ func TestWarmPathsPerformZeroDecodes(t *testing.T) {
 	}
 }
 
-// TestPartialDiffDecodesOnlyComparedPersonas pins the partial-
-// materialization contract end to end: with the cache disabled, a
-// persona-filtered diff yields the same artifact as the full-decode diff
-// restricted to that persona, while the full snapshots are never
-// materialized (their results never enter the cache).
-func TestPartialDiffDecodesOnlyComparedPersonas(t *testing.T) {
-	srv, ts, _ := storeServer(t, Config{Workers: 1, CacheBytes: -1})
-
-	code, filtered := getBody(t, ts, "/v1/diff?from=1&to=1&personas=child")
-	if code != http.StatusOK {
-		t.Fatalf("filtered diff = %d: %s", code, filtered)
-	}
-	var diff struct {
-		Personas []struct {
-			Persona string `json:"persona"`
-		} `json:"personas"`
-	}
-	if err := json.Unmarshal(filtered, &diff); err != nil {
+// TestFilteredDiffFillsCache pins what replaced partial materialization:
+// /v1/diff?personas=child over two different snapshots, served cold and
+// then warm, is both times byte-identical to the facade's render of
+// LongitudinalFiltered over the two full results; the cold request decodes
+// each side once and leaves both in the cache, so the warm one decodes
+// nothing.
+func TestFilteredDiffFillsCache(t *testing.T) {
+	srv, ts, _ := storeServer(t, Config{Workers: 1})
+	runJob(t, ts, map[string][2]string{
+		"child": {"after.har", deltaHAR(t,
+			"https://api.quizlet.com/v1/profile?user_id=u123",
+			"https://stats.g.doubleclick.net/collect?advertising_id=adid9")},
+		"name": {"", "Quizlet"},
+	})
+	from, _, err := srv.cfg.Store.Get("1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.Personas) != 1 {
-		t.Fatalf("filtered diff compares %d personas, want 1", len(diff.Personas))
+	to, _, err := srv.cfg.Store.Get("2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats := srv.cache.stats(); stats.Entries != 0 {
-		t.Errorf("partial diff cached %d results; partial materializations must never be cached", stats.Entries)
+	diff := core.LongitudinalFiltered(from, to, map[flows.Persona]bool{flows.Child: true})
+	if len(diff.Personas) != 1 || len(diff.Personas[0].Added)+len(diff.Personas[0].Removed) == 0 {
+		t.Fatalf("reference diff compares %d personas with no delta; the test needs one persona and a real delta", len(diff.Personas))
+	}
+	want, err := report.ExportDiffJSON(diff)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, pass := range []struct {
+		name    string
+		decodes uint64
+	}{{"cold", 2}, {"warm", 0}} {
+		before := store.Decodes()
+		code, got := getBody(t, ts, "/v1/diff?from=1&to=2&personas=child")
+		if code != http.StatusOK {
+			t.Fatalf("%s filtered diff = %d: %s", pass.name, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s filtered diff differs from the facade render", pass.name)
+		}
+		if n := store.Decodes() - before; n != pass.decodes {
+			t.Errorf("%s filtered diff performed %d decodes, want %d", pass.name, n, pass.decodes)
+		}
+		if stats := srv.cache.stats(); stats.Entries != 2 {
+			t.Errorf("after the %s filtered diff the cache holds %d results, want both sides", pass.name, stats.Entries)
+		}
 	}
 }
 

@@ -15,21 +15,16 @@ import (
 //
 // Entries are charged their encoded snapshot size (store.Meta.Bytes): it
 // is known without measuring the decoded graph and tracks it closely
-// enough for a bound. Only fully-materialized results are cached;
-// partially-materialized ones (a filtered diff side) are not, so a later
-// full read can never see a hole. Cached results are shared across
-// requests and must be treated as immutable by everyone who reads them —
-// the handlers only render from them.
+// enough for a bound. Cached results are shared across requests and must
+// be treated as immutable by everyone who reads them — the handlers only
+// render from them.
 // The cache also owns the decode singleflight: concurrent cold misses
-// for the same snapshot (same content hash, same persona variant) share
-// one decode instead of performing K. The first caller to miss becomes
-// the flight's leader and decodes; everyone else who arrives before the
-// leader finishes blocks on the flight and shares its outcome — result,
-// staleness flag, and error alike. Flights are keyed by content hash
-// plus the partial-materialization variant, so a filtered diff never
-// satisfies (or waits on) a full materialization. The singleflight works
-// even when caching is disabled (capacity <= 0): deduplicating the
-// decodes in flight requires no retention policy.
+// for the same content hash share one decode instead of performing K. The
+// first caller to miss becomes the flight's leader and decodes; everyone
+// else who arrives before the leader finishes blocks on the flight and
+// shares its outcome — result, staleness flag, and error alike. The
+// singleflight works even when caching is disabled (capacity <= 0):
+// deduplicating the decodes in flight requires no retention policy.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -109,7 +104,19 @@ func (c *resultCache) get(hash string) *core.ServiceResult {
 	return el.Value.(*cacheEntry).res
 }
 
-// put caches a fully-materialized result under its content hash, charging
+// peek returns the cached result for a content hash, or nil, without
+// counting a hit or miss and without touching the eviction order: the
+// scrubber's look must not pass for client traffic.
+func (c *resultCache) peek(hash string) *core.ServiceResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[hash]; ok {
+		return el.Value.(*cacheEntry).res
+	}
+	return nil
+}
+
+// put caches a decoded result under its content hash, charging
 // it the encoded snapshot size, and evicts from the cold end until the
 // cache fits its capacity again. An entry larger than the whole capacity
 // is not cached at all.

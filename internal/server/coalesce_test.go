@@ -31,13 +31,12 @@ func TestDecodeFlightJoinFinish(t *testing.T) {
 	if f2 != f {
 		t.Fatal("joiner got a different flight")
 	}
-	// A different key — a partial variant of the same hash, say — is its
-	// own flight.
-	fv, leaderV := c.join("h|child")
+	// A different hash is its own flight.
+	fv, leaderV := c.join("g")
 	if !leaderV {
 		t.Fatal("distinct key did not start its own flight")
 	}
-	c.finish("h|child", fv, nil, false, nil)
+	c.finish("g", fv, nil, false, nil)
 
 	done := make(chan struct{})
 	go func() {

@@ -421,12 +421,29 @@ func TestScrubberRepairAndQuarantine(t *testing.T) {
 		t.Fatalf("healthy snapshot read = %d", code)
 	}
 
+	// A second snapshot read after it, so the first is the cache's coldest
+	// entry: the next one out.
+	later := runJob(t, ts, map[string][2]string{"child": {"child.har", string(childHAR(t))}, "name": {"", "Quizlet-later"}})
+	if code, _ := getBody(t, ts, "/v1/snapshots/"+later.SnapshotHash); code != http.StatusOK {
+		t.Fatalf("second snapshot read = %d", code)
+	}
+
 	// Corrupt the snapshot on disk mid-run. The cache still holds a clean
-	// decode, so a scrub pass repairs the file in place.
+	// decode, so a scrub pass repairs the file in place — and the
+	// scrubber's look at the cache is not client traffic: hit and miss
+	// counters stay put (the healthy store file of the second snapshot is
+	// never looked up at all) and the repaired entry is still the coldest.
 	path := dir + "/snapshots/" + fmt.Sprintf("%012d.snap", job.SnapshotSeq)
 	mangle(t, path)
+	before := srv.cache.stats()
 	if r := srv.Scrub(); r.Corrupt != 1 || r.Repaired != 1 {
 		t.Fatalf("scrub with warm cache = %+v, want repair", r)
+	}
+	if after := srv.cache.stats(); after != before {
+		t.Errorf("scrub repair moved the cache counters: %+v -> %+v", before, after)
+	}
+	if coldest := srv.cache.order.Back().Value.(*cacheEntry).hash; coldest != job.SnapshotHash {
+		t.Errorf("scrub repair promoted the entry it read: coldest is %s, want %s", coldest, job.SnapshotHash)
 	}
 	code, repaired := getBody(t, ts, "/v1/snapshots/"+job.SnapshotHash)
 	if code != http.StatusOK || !bytes.Equal(repaired, healthy) {

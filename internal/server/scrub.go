@@ -106,7 +106,7 @@ func (s *Server) Scrub() store.ScrubResult {
 // cached result is not actually the snapshot's content (paranoia check —
 // never "repair" a file into different bytes than its metadata claims).
 func (s *Server) cachedEncoded(hash string) ([]byte, bool) {
-	res := s.cache.get(hash)
+	res := s.cache.peek(hash)
 	if res == nil {
 		return nil, false
 	}

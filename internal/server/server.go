@@ -25,8 +25,7 @@
 //	GET  /v1/diff?from=&to=    longitudinal diff between two snapshots
 //	                       (refs: seq, hash, unique hash prefix, or job
 //	                       ID; ?format=md for markdown, default JSON;
-//	                       ?personas=a,b restricts the diff — served
-//	                       from partial materialization)
+//	                       ?personas=a,b restricts the diff)
 //	GET  /v1/healthz       liveness + queue depth + cache stats
 //
 // Errors use one JSON envelope with typed codes (errors.go). Cacheable
@@ -909,11 +908,13 @@ func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err er
 }
 
 // snapshotResult materializes the snapshot meta describes: a cache hit
-// returns the already-decoded result (zero decode work); a miss opens a
-// lazy view (an mmap over the directory backend), materializes, and
-// caches the result under its content hash for every later reader —
-// report, snapshot, and diff handlers all share this path and therefore
-// this cache.
+// returns the already-decoded result (zero decode work); a miss joins the
+// per-hash singleflight, whose leader loads the snapshot from the store
+// and caches it under its content hash for every later reader — report,
+// snapshot, and diff handlers all share this path and therefore this
+// cache. Exactly one of K concurrent cold readers decodes; the rest block
+// on the flight and share its result, staleness, and error. The breaker
+// sees one sample per actual store operation, not one per waiter.
 //
 // The cache doubles as the breaker's stale-serving fallback: while the
 // circuit is open a hit is served anyway — byte-identical to the healthy
@@ -921,37 +922,6 @@ func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err er
 // short-circuits with errBreakerOpen (fast 503) instead of dispatching a
 // doomed store call (slow 500).
 func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, bool, error) {
-	return s.coalescedSnapshot(meta, nil, meta.Hash)
-}
-
-// partialSnapshot materializes only the named personas of a snapshot. A
-// cache hit still wins (the full result subsumes any subset); a miss
-// decodes just the requested flow sections and does NOT cache — a
-// partial result must never satisfy a later full read. Breaker gating
-// mirrors snapshotResult.
-func (s *Server) partialSnapshot(meta store.Meta, only []string) (*core.ServiceResult, bool, error) {
-	return s.coalescedSnapshot(meta, only, partialKey(meta.Hash, only))
-}
-
-// partialKey is the singleflight key of a partial materialization: the
-// content hash plus the normalized persona filter, so two concurrent
-// diffs of the same snapshot restricted to the same personas share one
-// decode, while a differently-filtered (or full) request never does.
-func partialKey(hash string, only []string) string {
-	names := make([]string, len(only))
-	for i, n := range only {
-		names[i] = strings.ToLower(strings.TrimSpace(n))
-	}
-	sort.Strings(names)
-	return hash + "|" + strings.Join(names, ",")
-}
-
-// coalescedSnapshot is the shared cold path behind snapshotResult and
-// partialSnapshot: check the cache, then join the per-key singleflight.
-// Exactly one of K concurrent cold readers decodes; the rest block on
-// the flight and share its result, staleness, and error. The breaker
-// sees one sample per actual store operation, not one per waiter.
-func (s *Server) coalescedSnapshot(meta store.Meta, only []string, key string) (*core.ServiceResult, bool, error) {
 	if res := s.cache.get(meta.Hash); res != nil {
 		if s.breaker.isOpen() {
 			s.breaker.staleServed.Add(1)
@@ -959,22 +929,22 @@ func (s *Server) coalescedSnapshot(meta store.Meta, only []string, key string) (
 		}
 		return res, false, nil
 	}
-	f, leader := s.cache.join(key)
+	f, leader := s.cache.join(meta.Hash)
 	if !leader {
 		<-f.done
 		return f.res, f.stale, f.err
 	}
-	res, stale, err := s.decodeGated(meta, only)
-	s.cache.finish(key, f, res, stale, err)
+	res, stale, err := s.decodeGated(meta)
+	s.cache.finish(meta.Hash, f, res, stale, err)
 	return res, stale, err
 }
 
-// decodeGated performs the flight leader's work: breaker gate, decode,
-// breaker sample, and (for full materializations only) cache fill. The
-// "snapshot.decode" injection point fires inside the flight — with a
-// delay plan it holds the leader mid-decode so tests can pile waiters
-// onto the singleflight deterministically.
-func (s *Server) decodeGated(meta store.Meta, only []string) (*core.ServiceResult, bool, error) {
+// decodeGated performs the flight leader's work: breaker gate, load,
+// breaker sample, and cache fill. The "snapshot.decode" injection point
+// fires inside the flight — with a delay plan it holds the leader
+// mid-decode so tests can pile waiters onto the singleflight
+// deterministically.
+func (s *Server) decodeGated(meta store.Meta) (*core.ServiceResult, bool, error) {
 	if !s.breaker.allow() {
 		return nil, false, fmt.Errorf("snapshot %d: %w", meta.Seq, errBreakerOpen)
 	}
@@ -982,14 +952,12 @@ func (s *Server) decodeGated(meta store.Meta, only []string) (*core.ServiceResul
 		s.breaker.record(breakerOutcome(err))
 		return nil, false, fmt.Errorf("snapshot %d: %w", meta.Seq, err)
 	}
-	res, err := s.decodeSnapshot(meta, only)
+	res, err := s.cfg.Store.Load(meta)
 	s.breaker.record(breakerOutcome(err))
 	if err != nil {
 		return nil, false, err
 	}
-	if only == nil {
-		s.cache.put(meta.Hash, res, int64(meta.Bytes))
-	}
+	s.cache.put(meta.Hash, res, int64(meta.Bytes))
 	return res, false, nil
 }
 
@@ -1001,17 +969,6 @@ func breakerOutcome(err error) error {
 		return nil
 	}
 	return err
-}
-
-// decodeSnapshot opens the snapshot meta describes as a lazy view and
-// materializes it (only selects the persona flow sections; nil means all).
-func (s *Server) decodeSnapshot(meta store.Meta, only []string) (*core.ServiceResult, error) {
-	view, err := s.cfg.Store.View(meta)
-	if err != nil {
-		return nil, err
-	}
-	defer view.Close()
-	return view.PartialResult(only)
 }
 
 // reportResult does everything the report endpoints share before
@@ -1185,8 +1142,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleDiff renders the longitudinal diff between two stored snapshots.
 // from and to accept any store reference: sequence number, content hash,
 // unique hash prefix, or job ID. An optional personas=a,b parameter
-// restricts the diff to those personas — and on a cold cache only their
-// flow sections are ever decoded (partial materialization). The response
+// restricts the diff to those personas (core.LongitudinalFiltered over the
+// two full, cached results). The response
 // ETag derives from both content hashes plus the requested personas and
 // format, so a matching If-None-Match answers 304 with zero decodes.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -1260,14 +1217,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 
 	anyStale := false
 	fetch := func(meta store.Meta, side string) (*core.ServiceResult, bool) {
-		var res *core.ServiceResult
-		var stale bool
-		var ferr error
-		if only != nil {
-			res, stale, ferr = s.partialSnapshot(meta, personaNames)
-		} else {
-			res, stale, ferr = s.snapshotResult(meta)
-		}
+		res, stale, ferr := s.snapshotResult(meta)
 		if ferr != nil {
 			s.storeErrResponse(w, ferr, "%s: %v", side, ferr)
 			return nil, false

@@ -639,26 +639,26 @@ func TestSnapshotFailureBlocksEviction(t *testing.T) {
 	}
 }
 
-// brokenViewStore resolves one snapshot for job-9 but fails to open it —
+// brokenLoadStore resolves one snapshot for job-9 but fails to load it —
 // the bit-rotted snapshot file case.
-type brokenViewStore struct {
+type brokenLoadStore struct {
 	store.Store
 }
 
 var brokenMeta = store.Meta{Seq: 1, Hash: "deadbeef", JobID: "job-9", Service: "X"}
 
-func (b brokenViewStore) JobSnapshot(jobID string) (store.Meta, bool) {
+func (b brokenLoadStore) JobSnapshot(jobID string) (store.Meta, bool) {
 	return brokenMeta, jobID == brokenMeta.JobID
 }
 
-func (b brokenViewStore) Resolve(ref string) (store.Meta, error) {
+func (b brokenLoadStore) Resolve(ref string) (store.Meta, error) {
 	if ref != "1" {
 		return store.Meta{}, store.ErrUnresolved
 	}
 	return brokenMeta, nil
 }
 
-func (b brokenViewStore) View(store.Meta) (*store.SnapshotView, error) {
+func (b brokenLoadStore) Load(store.Meta) (*core.ServiceResult, error) {
 	return nil, errors.New("snapshot checksum mismatch")
 }
 
@@ -666,7 +666,7 @@ func (b brokenViewStore) View(store.Meta) (*store.SnapshotView, error) {
 // cannot be read is a storage failure, not a missing job — the report
 // endpoint must answer 500, never a masking 404.
 func TestUnreadableStoredSnapshotIs500(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: brokenViewStore{store.NewMemStore()}})
+	srv := New(Config{TempDir: t.TempDir(), Store: brokenLoadStore{store.NewMemStore()}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

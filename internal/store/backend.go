@@ -21,10 +21,10 @@ type backend interface {
 	// with an error matching os.ErrExist, and leaves the holder untouched,
 	// when the sequence is already taken.
 	publish(m Meta, data []byte) error
-	// open returns the metadata and codec bytes stored under seq. The
-	// bytes are valid until release runs; an error matching os.ErrNotExist
-	// means nothing is stored there.
-	open(seq uint64) (stored Meta, data []byte, release func() error, err error)
+	// open returns the metadata and codec bytes stored under seq, which
+	// the caller must not modify; an error matching os.ErrNotExist means
+	// nothing is stored there.
+	open(seq uint64) (stored Meta, data []byte, err error)
 	// remove deletes what is stored under seq, if anything.
 	remove(seq uint64) error
 }
@@ -48,13 +48,13 @@ func (b *memBackend) publish(m Meta, data []byte) error {
 	return nil
 }
 
-func (b *memBackend) open(seq uint64) (Meta, []byte, func() error, error) {
+func (b *memBackend) open(seq uint64) (Meta, []byte, error) {
 	v, ok := b.blobs.Load(seq)
 	if !ok {
-		return Meta{}, nil, nil, os.ErrNotExist
+		return Meta{}, nil, os.ErrNotExist
 	}
 	blob := v.(memBlob)
-	return blob.meta, blob.data, func() error { return nil }, nil
+	return blob.meta, blob.data, nil
 }
 
 func (b *memBackend) remove(seq uint64) error {
@@ -112,22 +112,14 @@ func (b *dirBackend) publish(m Meta, data []byte) error {
 	return syncDir(b.dir)
 }
 
-// open maps the snapshot file where the platform supports it (reads it
-// whole otherwise) and parses the envelope; the codec bytes alias the
-// mapping. A mapping outlives the unlink of its file, so an open snapshot
-// keeps serving through a Delete.
-func (b *dirBackend) open(seq uint64) (Meta, []byte, func() error, error) {
+// open reads the snapshot file whole and parses the envelope.
+func (b *dirBackend) open(seq uint64) (Meta, []byte, error) {
 	path := b.path(seq)
-	raw, release, err := mapFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return Meta{}, nil, nil, fmt.Errorf("store: %w", err)
+		return Meta{}, nil, fmt.Errorf("store: %w", err)
 	}
-	m, data, err := parseSnapEnvelope(filepath.Base(path), raw)
-	if err != nil {
-		release()
-		return Meta{}, nil, nil, err
-	}
-	return m, data, release, nil
+	return parseSnapEnvelope(filepath.Base(path), raw)
 }
 
 func (b *dirBackend) remove(seq uint64) error {
@@ -161,14 +153,10 @@ func (b *dirBackend) rescan() (metas []Meta, claimed uint64, err error) {
 			continue
 		}
 		claimed = max(claimed, seq)
-		m, data, release, err := b.open(seq)
-		if err != nil {
-			continue
-		}
-		if m.Seq == seq && Hash(data) == m.Hash {
+		m, data, err := b.open(seq)
+		if err == nil && m.Seq == seq && Hash(data) == m.Hash {
 			metas = append(metas, m)
 		}
-		release()
 	}
 	return metas, claimed, nil
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"diffaudit/internal/core"
@@ -39,14 +38,9 @@ import (
 // The payload is framed into independently seekable sections
 // (wire.WriteSections): a directory of (kind, length) entries, then the
 // bodies. Section order is fixed and canonical — meta, personas, symbol
-// tables, then one flow-set section per persona in persona order — but a
-// reader can locate any section from the directory alone, which is what
-// lets SnapshotView materialize a single persona's flows without decoding
-// (or re-interning) anything else.
-//
-// Each flow-set section is columnar (parallel category/destination/mask
-// columns, flows.WriteSetColumnar), so queries decode only the columns
-// they touch.
+// tables, then one flow-set section per persona in persona order. Each
+// flow-set section is columnar (parallel category/destination/mask
+// columns, flows.WriteSetColumnar).
 //
 // The CRC covers magic, version, and payload. Truncated or corrupted input
 // fails cleanly: every payload read is bounds-checked (package wire), so
@@ -77,10 +71,10 @@ const (
 )
 
 // decodes counts snapshot decode operations process-wide: every
-// DecodeResult call and every SnapshotView materialization that actually
-// touched section bytes. The server's warm read paths (decoded-snapshot
-// cache hits, If-None-Match 304s) are required to leave it untouched —
-// the decode-counter tests pin exactly that.
+// DecodeResult call whose bytes passed the envelope check. The server's
+// warm read paths (decoded-snapshot cache hits, If-None-Match 304s) are
+// required to leave it untouched — the decode-counter tests pin exactly
+// that.
 var decodes atomic.Uint64
 
 // Decodes returns the process-wide snapshot decode count.
@@ -180,8 +174,7 @@ func EncodeResult(r *core.ServiceResult) []byte {
 }
 
 // checkSnapshot validates the envelope every snapshot read shares — magic,
-// version gate, CRC — and returns the payload. This is the one full pass
-// over the bytes a lazy view performs; everything after it is on-demand.
+// version gate, CRC — and returns the payload.
 func checkSnapshot(data []byte) (payload []byte, err error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
@@ -199,21 +192,51 @@ func checkSnapshot(data []byte) (payload []byte, err error) {
 	return body[headerLen:], nil
 }
 
-// DecodeResult parses a snapshot back into a service result: a view over
-// the bytes, fully materialized — the same path every store read takes.
-// Personas the snapshot references are registered into the process-wide
-// registry (idempotently); a snapshot persona conflicting with an
-// already-registered one of the same name is an error.
+// DecodeResult parses a snapshot back into a service result, in one
+// sequential pass: envelope, section directory, meta, personas, symbol
+// tables, then each persona's flow set. It is the only decoder — every
+// store read and every standalone file goes through it. Personas the
+// snapshot references are registered into the process-wide registry
+// (idempotently); a snapshot persona conflicting with an
+// already-registered one of the same name is an error. The result copies
+// or re-interns everything it keeps, so it never aliases data.
 func DecodeResult(data []byte) (*core.ServiceResult, error) {
-	v, err := NewSnapshotView(data, Meta{}, nil)
+	payload, err := checkSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	return v.Result()
+	secs, err := splitSections(payload)
+	if err != nil {
+		return nil, err
+	}
+	decodes.Add(1)
+	res, err := decodeMetaSection(secs.meta)
+	if err != nil {
+		return nil, err
+	}
+	personas, err := decodePersonaSection(secs.personas)
+	if err != nil {
+		return nil, err
+	}
+	if len(personas) != len(secs.flowSets) {
+		return nil, fmt.Errorf("store: snapshot has %d personas but %d flow sections", len(personas), len(secs.flowSets))
+	}
+	dec, err := decodeSymbolSection(secs.symbols)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range personas {
+		set, err := dec.DecodeSetColumnar(secs.flowSets[i])
+		if err != nil {
+			return nil, fmt.Errorf("store: snapshot flow set for %s: %w", p, err)
+		}
+		res.ByTrace[p] = set
+	}
+	return res, nil
 }
 
-// snapSections is a parsed section directory: zero-copy slices into the
-// payload, one per section, ready for independent decoding.
+// snapSections is a parsed section directory: slices into the payload,
+// one per section.
 type snapSections struct {
 	meta     []byte
 	personas []byte
@@ -243,73 +266,6 @@ func splitSections(payload []byte) (*snapSections, error) {
 		s.flowSets = append(s.flowSets, sec.Data)
 	}
 	return s, nil
-}
-
-// maxSectionDecoders bounds the pool that decodes persona flow sections
-// concurrently. Snapshots carry a handful of personas (the paper's corpus
-// has three), so a small pool captures all the available parallelism
-// without letting one wide materialization flood the scheduler while the
-// server is already running one goroutine per request.
-const maxSectionDecoders = 4
-
-// decodeFlowSetsInto decodes the selected persona flow sections into
-// res.ByTrace. With two or more sections selected the decodes run
-// concurrently on a bounded pool — safe because the SetDecoder's symbol
-// tables are read-only after ReadSetTables, each decode builds its own
-// Set, and the wire scratch pools are sync.Pool-backed. Results merge in
-// canonical persona (section) order, and the first error in that order
-// wins, so outputs and errors are identical to the sequential loop.
-func (s *snapSections) decodeFlowSetsInto(dec *flows.SetDecoder, personas []flows.Persona, keep map[flows.Persona]bool, res *core.ServiceResult) error {
-	idx := make([]int, 0, len(personas))
-	for i, p := range personas {
-		if keep != nil && !keep[p] {
-			continue
-		}
-		idx = append(idx, i)
-	}
-	if len(idx) < 2 {
-		for _, i := range idx {
-			set, err := dec.DecodeSetColumnar(s.flowSets[i])
-			if err != nil {
-				return fmt.Errorf("store: snapshot flow set for %s: %w", personas[i], err)
-			}
-			res.ByTrace[personas[i]] = set
-		}
-		return nil
-	}
-	sets := make([]*flows.Set, len(idx))
-	errs := make([]error, len(idx))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(maxSectionDecoders, len(idx)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range work {
-				i := idx[k]
-				set, err := dec.DecodeSetColumnar(s.flowSets[i])
-				if err != nil {
-					errs[k] = fmt.Errorf("store: snapshot flow set for %s: %w", personas[i], err)
-					continue
-				}
-				sets[k] = set
-			}
-		}()
-	}
-	for k := range idx {
-		work <- k
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for k, i := range idx {
-		res.ByTrace[personas[i]] = sets[k]
-	}
-	return nil
 }
 
 // decodeMetaSection parses identity, counters, and the dataset string sets

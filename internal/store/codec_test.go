@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"strings"
 	"sync"
 	"testing"
 
@@ -161,7 +163,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestConcurrentPooledEncodeIdentical(t *testing.T) {
 	res := auditOne(t, "Quizlet")
 	want := EncodeResult(res)
-	meta := Meta{Hash: Hash(want)}
 
 	const goroutines, rounds = 8, 20
 	var wg sync.WaitGroup
@@ -176,13 +177,7 @@ func TestConcurrentPooledEncodeIdentical(t *testing.T) {
 					errs[g] = fmt.Errorf("round %d: pooled encode diverged from reference", i)
 					return
 				}
-				view, err := NewSnapshotView(enc, meta, nil)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				dec, err := view.Result()
-				view.Close()
+				dec, err := DecodeResult(enc)
 				if err != nil {
 					errs[g] = err
 					return
@@ -199,5 +194,152 @@ func TestConcurrentPooledEncodeIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// refreshCRC recomputes the trailer CRC so payload mutations reach the
+// section decoders instead of dying at the envelope check.
+func refreshCRC(data []byte) []byte {
+	body := data[:len(data)-trailerLen]
+	binary.LittleEndian.PutUint32(data[len(data)-trailerLen:], crc32.ChecksumIEEE(body))
+	return data
+}
+
+// smallSnapshot encodes an audit of every 50th Quizlet record — four
+// personas, some 100 flows, about 4 KB — so sweeps over every byte of it
+// stay fast.
+func smallSnapshot(t *testing.T) []byte {
+	t.Helper()
+	st := synth.Generate(synth.Config{Scale: 0.002}).Service("Quizlet")
+	var recs []core.RequestRecord
+	for i, rec := range st.Records() {
+		if i%50 == 0 {
+			recs = append(recs, rec)
+		}
+	}
+	res := core.NewPipeline().AnalyzeRecords(st.Identity(), recs)
+	if len(res.ByTrace) < 4 {
+		t.Fatalf("sampled audit has %d personas, want 4", len(res.ByTrace))
+	}
+	return EncodeResult(res)
+}
+
+// TestDecodeRefusesOtherVersions: versions 1 and 2 were development
+// formats no deployed build wrote, and this build carries no reader for
+// them. Bytes framed as either (or as version 0, or a future one) — an
+// otherwise valid snapshot, CRC and all — are refused with the version
+// error.
+func TestDecodeRefusesOtherVersions(t *testing.T) {
+	enc := EncodeResult(auditOne(t, "Quizlet"))
+	for _, version := range []uint16{0, 1, 2, SnapshotVersion + 1} {
+		old := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint16(old[len(snapMagic):headerLen], version)
+		refreshCRC(old)
+		_, err := DecodeResult(old)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version %d not supported", version)) {
+			t.Errorf("DecodeResult of version-%d bytes: %v, want the version error", version, err)
+		}
+	}
+}
+
+// TestViewEquivalence (named for the lazy view DecodeResult replaced; the
+// name is what the test floor tracks) proves the one decode path loses
+// nothing: over every synthesized service, audited with the four built-in
+// personas plus a custom one, re-encoding the decoded snapshot reproduces
+// the stored bytes and the decoded result exports the same report.json as
+// the result that was stored.
+func TestViewEquivalence(t *testing.T) {
+	custom, err := flows.RegisterPersona(flows.PersonaInfo{
+		Name: "Decode Teen", Aliases: []string{"decode-teen"},
+		AgeKnown: true, AgeMin: 13, AgeMax: 15, LoggedIn: true,
+		Attrs: map[string]string{"region": "EU"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []synth.PersonaPlan
+	for _, p := range flows.BuiltinPersonas() {
+		plans = append(plans, synth.PersonaPlan{Persona: p, Like: p})
+	}
+	plans = append(plans, synth.PersonaPlan{Persona: custom, Like: flows.Adolescent})
+	ds := synth.Generate(synth.Config{Scale: 0.005, Personas: plans})
+	for _, st := range ds.Services {
+		res := core.NewPipeline().AnalyzeRecords(st.Identity(), st.Records())
+		if res.ByTrace[custom] == nil || res.ByTrace[custom].Len() == 0 {
+			t.Fatalf("%s: custom persona has no flows", st.Spec.Name)
+		}
+		enc := EncodeResult(res)
+		dec, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", st.Spec.Name, err)
+		}
+		if !bytes.Equal(EncodeResult(dec), enc) {
+			t.Errorf("%s: re-encode(decode(x)) != x", st.Spec.Name)
+		}
+		wantJSON, err := report.ExportJSON([]*core.ServiceResult{res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := report.ExportJSON([]*core.ServiceResult{dec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: ExportJSON differs after decode", st.Spec.Name)
+		}
+	}
+}
+
+// TestViewRejectsCorruption (name kept from the view it used to open):
+// every truncation and every single-byte flip of a stored snapshot is
+// refused by DecodeResult — the envelope CRC detects any one damaged byte
+// — and none panics.
+func TestViewRejectsCorruption(t *testing.T) {
+	enc := smallSnapshot(t)
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeResult(enc[:n]); err == nil {
+			t.Fatalf("decoded a %d-byte truncation of %d bytes", n, len(enc))
+		}
+	}
+	bad := append([]byte(nil), enc...)
+	for off := range bad {
+		bad[off] ^= 0xFF
+		if _, err := DecodeResult(bad); err == nil {
+			t.Fatalf("decoded a snapshot with byte %d flipped", off)
+		}
+		bad[off] ^= 0xFF
+	}
+	if _, err := DecodeResult([]byte("not a snapshot at all")); err == nil {
+		t.Error("decoded junk")
+	}
+}
+
+// TestColumnarSectionCorruption drives the same two sweeps past the
+// envelope: every payload truncation and every payload byte flip, each
+// with the CRC recomputed so the damage reaches the section directory,
+// the meta, persona and symbol sections and the flow columns. Each must
+// fail cleanly or decode to a result the canonical encoder accepts (a
+// flipped mask bit or counter survives); none may panic.
+func TestColumnarSectionCorruption(t *testing.T) {
+	enc := smallSnapshot(t)
+	check := func(what string, at int, data []byte) {
+		dec, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		if dec == nil {
+			t.Fatalf("%s %d: nil result without error", what, at)
+		}
+		EncodeResult(dec)
+	}
+	for n := headerLen; n < len(enc)-trailerLen; n++ {
+		cut := append(append([]byte(nil), enc[:n]...), 0, 0, 0, 0)
+		check("truncation at", n, refreshCRC(cut))
+	}
+	bad := append([]byte(nil), enc...)
+	for off := headerLen; off < len(enc)-trailerLen; off++ {
+		bad[off] ^= 0xa5
+		check("flip at", off, refreshCRC(bad))
+		bad[off] ^= 0xa5
 	}
 }

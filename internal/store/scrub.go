@@ -1,6 +1,6 @@
 // Snapshot integrity scrubbing: proactive detection of at-rest
 // corruption. The directory backend already *tolerates* corruption — a
-// damaged file is skipped at open, and every View checks the CRC — but
+// damaged file is skipped at open, and every Load checks the CRC — but
 // tolerance is reactive: the damage is discovered by whichever request
 // trips over it, and until then the store advertises a snapshot it cannot
 // serve. A scrub pass walks every listed snapshot, re-verifies the whole
@@ -104,11 +104,10 @@ func (s *Snapshots) verify(m Meta) error {
 	if err := faults.Inject("scrub.corrupt"); err != nil {
 		return fmt.Errorf("store: scrub: %w", err)
 	}
-	data, release, err := s.open(m)
+	data, err := s.open(m)
 	if err != nil {
 		return err
 	}
-	defer release()
 	if _, err := checkSnapshot(data); err != nil {
 		return fmt.Errorf("store: scrub: snapshot %d: %w", m.Seq, err)
 	}

@@ -69,12 +69,12 @@ type Store interface {
 	// JobSnapshot returns the newest snapshot recorded under exactly this
 	// job ID — unlike Resolve it never matches a sequence, hash or prefix.
 	JobSnapshot(jobID string) (Meta, bool)
-	// View opens the snapshot m describes (as returned by Resolve, List or
-	// Put) as a lazy view: envelope hash and CRC are checked, nothing is
-	// decoded. The caller must Close it. A snapshot deleted since m was
-	// resolved fails with ErrUnresolved.
-	View(m Meta) (*SnapshotView, error)
-	// Get resolves a reference and decodes the snapshot.
+	// Load decodes the snapshot m describes (as returned by Resolve, List
+	// or Put). A snapshot deleted since m was resolved fails with
+	// ErrUnresolved; stored bytes that no longer are the content m names,
+	// or that do not decode, fail with a storage error naming the sequence.
+	Load(m Meta) (*core.ServiceResult, error)
+	// Get resolves a reference and decodes the snapshot: Resolve, then Load.
 	Get(ref string) (*core.ServiceResult, Meta, error)
 	// List returns all snapshot metadata in ascending sequence order.
 	List() ([]Meta, error)
@@ -184,50 +184,45 @@ func (s *Snapshots) JobSnapshot(jobID string) (Meta, bool) {
 }
 
 // open returns the codec bytes stored for m, once the stored envelope
-// agrees they are the content m names. The bytes are valid until release.
-func (s *Snapshots) open(m Meta) (data []byte, release func() error, err error) {
-	stored, data, release, err := s.blobs.open(m.Seq)
+// agrees they are the content m names.
+func (s *Snapshots) open(m Meta) ([]byte, error) {
+	stored, data, err := s.blobs.open(m.Seq)
 	if errors.Is(err, os.ErrNotExist) {
 		// Deleted between resolution and the open: the reference no longer
 		// denotes anything, which is a 404, not a 500.
-		return nil, nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, m.Seq)
+		return nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, m.Seq)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if stored.Hash != m.Hash {
-		release()
-		return nil, nil, fmt.Errorf("store: snapshot %d changed on disk (hash %s != %s)", m.Seq, stored.Hash, m.Hash)
-	}
-	return data, release, nil
-}
-
-// View implements Store. The view shares the backend's bytes (mapped file
-// or immutable in-memory slice), so it stays readable even if the snapshot
-// is deleted while it is open.
-func (s *Snapshots) View(m Meta) (*SnapshotView, error) {
-	data, release, err := s.open(m)
 	if err != nil {
 		return nil, err
 	}
-	return NewSnapshotView(data, m, release)
+	if stored.Hash != m.Hash {
+		return nil, fmt.Errorf("store: snapshot %d changed on disk (hash %s != %s)", m.Seq, stored.Hash, m.Hash)
+	}
+	return data, nil
 }
 
-// Get implements Store: resolve, open, materialize. Decoding runs outside
-// every lock.
+// Load implements Store. Reading and decoding run outside every lock.
+func (s *Snapshots) Load(m Meta) (*core.ServiceResult, error) {
+	data, err := s.open(m)
+	if err != nil {
+		return nil, err
+	}
+	res, err := DecodeResult(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot %d: %w", m.Seq, err)
+	}
+	return res, nil
+}
+
+// Get implements Store.
 func (s *Snapshots) Get(ref string) (*core.ServiceResult, Meta, error) {
 	m, err := s.Resolve(ref)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	v, err := s.View(m)
+	res, err := s.Load(m)
 	if err != nil {
 		return nil, Meta{}, err
-	}
-	defer v.Close()
-	res, err := v.Result()
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("store: snapshot %d: %w", m.Seq, err)
 	}
 	return res, m, nil
 }

@@ -487,14 +487,115 @@ func TestIndexModel(t *testing.T) {
 	}
 }
 
+// TestStoreViewers (the name predates Load replacing View) checks the
+// read path over both backends end to end: resolve by any reference, Load
+// (exactly one decode), match the Put result. Then the three ways a
+// resolved meta can fail to load, each with the one error every caller
+// sees — Get adds nothing to what Load returns: a snapshot deleted since
+// it was resolved is a stale reference (ErrUnresolved, the server's 404);
+// stored bytes recorded under another hash, or bytes that are the right
+// content by their envelope but do not decode, are storage errors naming
+// the sequence (the server's 500).
+func TestStoreViewers(t *testing.T) {
+	res := auditOne(t, "Roblox")
+	other := EncodeResult(auditOne(t, "Quizlet"))
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *Snapshots
+	}{
+		{"mem", func(*testing.T) *Snapshots { return NewMemStore() }},
+		{"dir", func(t *testing.T) *Snapshots {
+			fs, err := OpenFSStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			meta, err := s.Put("job-1", res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range []string{"1", meta.Hash, meta.Hash[:8], "job-1"} {
+				resolved, err := s.Resolve(ref)
+				if err != nil {
+					t.Fatalf("Resolve(%q): %v", ref, err)
+				}
+				before := Decodes()
+				got, err := s.Load(resolved)
+				if err != nil {
+					t.Fatalf("Load(%q): %v", ref, err)
+				}
+				if Decodes() != before+1 {
+					t.Errorf("Load(%q) counted %d decodes, want 1", ref, Decodes()-before)
+				}
+				if !bytes.Equal(EncodeResult(got), EncodeResult(res)) {
+					t.Errorf("Load(%q) result differs from the stored one", ref)
+				}
+			}
+
+			// restore replaces what the backend holds under the sequence.
+			restore := func(stored Meta, data []byte) {
+				t.Helper()
+				if err := s.blobs.remove(meta.Seq); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.blobs.publish(stored, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameFromGet := func(want error) {
+				t.Helper()
+				if _, _, err := s.Get("1"); err == nil || err.Error() != want.Error() {
+					t.Errorf("Get: %v, want Load's error: %v", err, want)
+				}
+			}
+
+			// Right content hash on the envelope, codec bytes that fail
+			// their CRC: one wrapping, naming the sequence.
+			rotten := EncodeResult(res)
+			rotten[len(rotten)/2] ^= 0xFF
+			restore(meta, rotten)
+			_, err = s.Load(meta)
+			if err == nil || errors.Is(err, ErrUnresolved) ||
+				err.Error() != "store: snapshot 1: store: snapshot checksum mismatch (corrupted or truncated)" {
+				t.Errorf("Load of undecodable bytes: %v", err)
+			} else {
+				sameFromGet(err)
+			}
+
+			// Another snapshot's bytes and hash under this sequence.
+			swapped := meta
+			swapped.Hash = Hash(other)
+			restore(swapped, other)
+			_, err = s.Load(meta)
+			if err == nil || errors.Is(err, ErrUnresolved) || !strings.Contains(err.Error(), "snapshot 1 changed on disk") {
+				t.Errorf("Load after the stored hash changed: %v, want a storage error", err)
+			} else {
+				sameFromGet(err)
+			}
+
+			// A meta whose snapshot is gone is a stale reference, not a
+			// storage failure.
+			if err := s.Delete("1"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Load(meta); !errors.Is(err, ErrUnresolved) {
+				t.Errorf("Load of a deleted snapshot: %v, want ErrUnresolved", err)
+			}
+		})
+	}
+}
+
 // TestStoreConcurrentMixedOps hammers both backends with a mixed
 // workload: concurrent Gets of stable snapshots, Put+Delete churn, and
 // List scans, all racing. Run under -race this pins the locking layout
 // (one index lock, backend I/O outside it); the assertions pin the
 // semantics — stable snapshots never fail to serve, the listing stays
-// seq-ascending, and a view opened before its snapshot is deleted keeps
-// serving byte-identical results (the map backend shares immutable bytes;
-// the directory backend's mapped inode survives the unlink).
+// seq-ascending, and a meta loads byte-identical results until its
+// snapshot is deleted and is a stale reference afterwards.
 func TestStoreConcurrentMixedOps(t *testing.T) {
 	seeds := []*core.ServiceResult{auditOne(t, "Quizlet"), auditOne(t, "Roblox")}
 	churn := auditOne(t, "Duolingo")
@@ -594,48 +695,43 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 				}
 			}()
 
-			// Delete-while-view-open: a view opened before the delete keeps
-			// serving the full result, byte-identically, while Gets through
-			// the store agree the snapshot is gone.
+			// Load around a Delete: a meta resolved before the delete loads
+			// the full result, byte-identically, and the same meta after the
+			// delete is a stale reference, as is the ref through Get.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
-					m, err := s.Put("view-churn", churn)
+					m, err := s.Put("load-churn", churn)
 					if err != nil {
-						fail("view Put: %v", err)
+						fail("load Put: %v", err)
 						return
 					}
 					seqRef := strconv.FormatUint(m.Seq, 10)
-					v, err := s.View(m)
+					res, err := s.Load(m)
 					if err != nil {
-						fail("View(%s): %v", seqRef, err)
-						return
-					}
-					if err := s.Delete(seqRef); err != nil {
-						fail("Delete(%s): %v", seqRef, err)
-						return
-					}
-					res, err := v.Result()
-					if err != nil {
-						fail("Result after delete: %v", err)
-						v.Close()
+						fail("Load(%s): %v", seqRef, err)
 						return
 					}
 					// exportOf would t.Fatal off the test goroutine; export
 					// directly and report through the error channel instead.
 					export, err := report.ExportJSON([]*core.ServiceResult{res})
 					if err != nil {
-						fail("export after delete: %v", err)
-						v.Close()
+						fail("export: %v", err)
 						return
 					}
 					if !bytes.Equal(export, churnExport) {
-						fail("view after delete served different bytes")
-						v.Close()
+						fail("Load beside churn served different bytes")
 						return
 					}
-					v.Close()
+					if err := s.Delete(seqRef); err != nil {
+						fail("Delete(%s): %v", seqRef, err)
+						return
+					}
+					if _, err := s.Load(m); !errors.Is(err, ErrUnresolved) {
+						fail("Load(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+						return
+					}
 					if _, _, err := s.Get(seqRef); !errors.Is(err, ErrUnresolved) {
 						fail("Get(%s) after delete: %v, want ErrUnresolved", seqRef, err)
 						return

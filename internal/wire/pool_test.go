@@ -6,39 +6,6 @@ import (
 	"testing"
 )
 
-func TestSkipString(t *testing.T) {
-	w := &Writer{}
-	w.String("skip me")
-	w.String("keep")
-	r := NewReader(w.Bytes())
-	r.SkipString()
-	if got := r.String(); got != "keep" {
-		t.Errorf("String after SkipString = %q", got)
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-
-	// Skipping must bounds-check exactly like String.
-	trunc := NewReader(w.Bytes()[:3])
-	trunc.SkipString()
-	if trunc.Err() == nil {
-		t.Error("SkipString accepted truncated input")
-	}
-}
-
-func TestStringBytes(t *testing.T) {
-	w := &Writer{}
-	w.String("zero-copy")
-	r := NewReader(w.Bytes())
-	if got := r.StringBytes(); string(got) != "zero-copy" {
-		t.Errorf("StringBytes = %q", got)
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-}
-
 func TestWriterResetGrow(t *testing.T) {
 	w := &Writer{}
 	w.String("first")

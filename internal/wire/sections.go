@@ -6,10 +6,8 @@ import "fmt"
 // A framed payload opens with a directory — an entry count followed by one
 // (kind byte, length uvarint) pair per section — and the section bodies
 // follow back to back in directory order. Offsets are implied by the
-// directory (the sum of the preceding lengths), so a reader can locate any
-// section without touching the bytes of the others. That is the property
-// the store's lazy snapshot views build on: validate once, then decode
-// only the sections a request needs.
+// directory (the sum of the preceding lengths), so a reader validates the
+// whole split once, up front, before decoding any section.
 //
 // Kinds are caller-defined tags; the framing itself assigns them no
 // meaning, permits duplicates (e.g. one flow-set section per persona), and

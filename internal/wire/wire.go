@@ -174,8 +174,7 @@ func (r *Reader) Count(minBytes int) int {
 }
 
 // Bytes reads n raw bytes as a subslice of the input — no copy, so the
-// returned slice aliases the reader's backing buffer (for mmap-backed
-// decoders the bytes are only valid while the mapping is).
+// returned slice aliases the reader's backing buffer.
 func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -202,32 +201,6 @@ func (r *Reader) String() string {
 	s := string(r.data[r.off : r.off+n])
 	r.off += n
 	return s
-}
-
-// StringBytes reads a length-prefixed string as a zero-copy subslice of the
-// input — same framing as String, no allocation. The slice aliases the
-// reader's backing buffer (see Bytes).
-func (r *Reader) StringBytes() []byte {
-	n := r.Int()
-	if r.err != nil {
-		return nil
-	}
-	return r.Bytes(n)
-}
-
-// SkipString advances past a length-prefixed string without materializing
-// it — the column-selective snapshot readers use this to walk symbol tables
-// whose strings they do not need.
-func (r *Reader) SkipString() {
-	n := r.Int()
-	if r.err != nil {
-		return
-	}
-	if n > r.Remaining() {
-		r.fail("wire: string length %d exceeds remaining input (%d bytes)", n, r.Remaining())
-		return
-	}
-	r.off += n
 }
 
 // Close asserts the input was fully consumed, returning the sticky error
