@@ -100,9 +100,10 @@ type (
 	// (CountLinkable, LargestSet, CommonSet, TopATSOrgs) without
 	// re-analysis.
 	LinkabilityIndex = linkability.Index
-	// FlowCatID is an interned data type category symbol.
+	// FlowCatID is a data type category symbol, process-wide.
 	FlowCatID = flows.CatID
-	// FlowDestID is an interned resolved-destination symbol.
+	// FlowDestID is a resolved-destination symbol of one flow set's table
+	// (FlowSet.Table); it means nothing in another result's.
 	FlowDestID = flows.DestID
 	// Dataset is a synthetic six-service dataset.
 	Dataset = synth.Dataset

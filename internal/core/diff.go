@@ -28,45 +28,81 @@ func (d FlowDiff) Jaccard() float64 {
 	return float64(len(d.Both)) / float64(union)
 }
 
-// pairKey reduces a packed flow key to the (category, FQDN) identity
-// Flow.Key encodes: destination role differences (possible when sets span
-// services) do not make two flows distinct for diffing, exactly as with
-// string keys.
-func pairKey(key uint64) uint64 {
+// pairKeys gives flows of different symbol tables one comparable identity:
+// the (category, FQDN) pair Flow.Key encodes. Destination role differences
+// (possible when sets span services) do not make two flows distinct for
+// diffing, exactly as with string keys. FQDNs are numbered by content once
+// per destination of each table seen, so the per-flow work stays integer.
+type pairKeys struct {
+	fqdns  map[string]uint32
+	tables map[*flows.Table][]uint32
+}
+
+func newPairKeys() *pairKeys {
+	return &pairKeys{fqdns: map[string]uint32{}, tables: map[*flows.Table][]uint32{}}
+}
+
+// table returns the table's DestID → FQDN number translation.
+func (p *pairKeys) table(t *flows.Table) []uint32 {
+	fqdnOf, ok := p.tables[t]
+	if !ok {
+		fqdnOf = make([]uint32, t.Len())
+		for i := range fqdnOf {
+			fqdn := t.Destination(flows.DestID(i)).FQDN
+			n, seen := p.fqdns[fqdn]
+			if !seen {
+				n = uint32(len(p.fqdns))
+				p.fqdns[fqdn] = n
+			}
+			fqdnOf[i] = n
+		}
+		p.tables[t] = fqdnOf
+	}
+	return fqdnOf
+}
+
+// pairKey reduces a packed flow key to its (category, FQDN number) pair.
+func pairKey(fqdnOf []uint32, key uint64) uint64 {
 	c, d := flows.SplitFlowKey(key)
-	return uint64(c)<<32 | uint64(flows.DestinationSymbols(d).FQDNID)
+	return uint64(c)<<32 | uint64(fqdnOf[d])
 }
 
 // Diff compares two flow sets by flow key. Membership tests run on packed
 // symbol pairs; flows materialize only for the output slices.
 func Diff(a, b *flows.Set) FlowDiff {
+	return newPairKeys().diff(a, b)
+}
+
+func (p *pairKeys) diff(a, b *flows.Set) FlowDiff {
 	var d FlowDiff
+	ta, tb := a.Table(), b.Table()
+	fa, fb := p.table(ta), p.table(tb)
 	inB := make(map[uint64]bool, b.Len())
 	b.Range(func(key uint64, _ flows.PlatformMask) {
-		inB[pairKey(key)] = true
+		inB[pairKey(fb, key)] = true
 	})
 	seenA := make(map[uint64]bool, a.Len())
 	a.RangeSorted(func(key uint64, _ flows.PlatformMask) {
-		pk := pairKey(key)
+		pk := pairKey(fa, key)
 		if seenA[pk] {
 			return
 		}
 		seenA[pk] = true
 		if inB[pk] {
-			d.Both = append(d.Both, flows.FlowOfKey(key))
+			d.Both = append(d.Both, ta.FlowOfKey(key))
 		} else {
-			d.OnlyA = append(d.OnlyA, flows.FlowOfKey(key))
+			d.OnlyA = append(d.OnlyA, ta.FlowOfKey(key))
 		}
 	})
 	seenB := make(map[uint64]bool, b.Len())
 	b.RangeSorted(func(key uint64, _ flows.PlatformMask) {
-		pk := pairKey(key)
+		pk := pairKey(fb, key)
 		if seenB[pk] {
 			return
 		}
 		seenB[pk] = true
 		if !seenA[pk] {
-			d.OnlyB = append(d.OnlyB, flows.FlowOfKey(key))
+			d.OnlyB = append(d.OnlyB, tb.FlowOfKey(key))
 		}
 	})
 	return d
@@ -189,6 +225,7 @@ func LongitudinalFiltered(from, to *ServiceResult, only map[flows.Persona]bool) 
 	}
 	flows.SortPersonas(personas)
 	empty := flows.NewSet()
+	pairs := newPairKeys() // the two audits' tables are numbered once, not per persona
 	for _, p := range personas {
 		a, b := from.ByTrace[p], to.ByTrace[p]
 		if a == nil {
@@ -197,7 +234,7 @@ func LongitudinalFiltered(from, to *ServiceResult, only map[flows.Persona]bool) 
 		if b == nil {
 			b = empty
 		}
-		fd := Diff(a, b)
+		fd := pairs.diff(a, b)
 		d.Personas = append(d.Personas, PersonaDelta{
 			Persona:        p,
 			Added:          fd.OnlyB,

@@ -220,44 +220,3 @@ func topCountTied(recs []core.RequestRecord, winner string) bool {
 	}
 	return false
 }
-
-// TestOnePassInternsNoProvisionalDestination: the symbol tables are
-// process-wide and append-only, so the pass must not park the eventual
-// first party's hosts there under a third-party class while it is still
-// counting. The hostnames exist nowhere else in the test binary.
-func TestOnePassInternsNoProvisionalDestination(t *testing.T) {
-	pipe := core.NewPipeline()
-	first := []string{"onepass-probe.example", "api.onepass-probe.example", "cdn.onepass-probe.example"}
-	var recs []core.RequestRecord
-	for i := 0; i < 3*256; i++ {
-		fqdn := first[i%len(first)]
-		if i%4 == 3 {
-			fqdn = "tracker.onepass-other.example"
-		}
-		recs = append(recs, core.RequestRecord{Trace: flows.Child, Platform: flows.Web, Method: "GET", FQDN: fqdn,
-			URL: fmt.Sprintf("https://%s/x?user_id=u%d", fqdn, i)})
-	}
-	for _, w := range []int{1, 4} {
-		pipe.Workers = w
-		res, err := pipe.AnalyzeUnknownStream(context.Background(), "probe", core.SliceSource(recs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Identity.FirstPartyESLDs; !reflect.DeepEqual(got, []string{"onepass-probe.example"}) {
-			t.Fatalf("workers %d: first party %v", w, got)
-		}
-		for _, fqdn := range first {
-			asFirst := flows.ResolveDestination("", res.Identity.FirstPartyESLDs, fqdn, pipe.ATS)
-			if _, ok := flows.LookupDestination(asFirst); !ok || asFirst.Class.IsThirdParty() {
-				t.Fatalf("workers %d: %s not interned as first party (%+v, found=%v)", w, fqdn, asFirst, ok)
-			}
-			for _, class := range []flows.DestClass{flows.ThirdParty, flows.ThirdPartyATS} {
-				provisional := asFirst
-				provisional.Class = class
-				if _, ok := flows.LookupDestination(provisional); ok {
-					t.Fatalf("workers %d: %s was interned as %v on the way to first party", w, fqdn, class)
-				}
-			}
-		}
-	}
-}

@@ -89,13 +89,24 @@ func (r *ServiceResult) Merged(categories ...flows.Persona) *flows.Set {
 	if len(categories) == 0 {
 		categories = r.Personas()
 	}
-	n := 0
+	// Over the result's own table the union is a direct key union and adds
+	// nothing to it. A hand-assembled result whose sets have tables of
+	// their own is merged by content into a fresh one instead.
+	var tab *flows.Table
+	n, mixed := 0, false
 	for _, t := range categories {
 		if s := r.ByTrace[t]; s != nil {
 			n += s.Len()
+			if tab == nil {
+				tab = s.Table()
+			}
+			mixed = mixed || tab != s.Table()
 		}
 	}
-	out := flows.NewSetSized(n)
+	if tab == nil || mixed {
+		tab = flows.NewTable()
+	}
+	out := tab.NewSet(n)
 	for _, t := range categories {
 		out.Merge(r.ByTrace[t])
 	}
@@ -224,11 +235,11 @@ type fqdnTally struct {
 }
 
 // partialResult accumulates one worker's share of an analysis. Flows are
-// keyed by localFlowKey against the partial's own FQDN index, so the
-// process-wide symbol tables see a destination only once its class is
-// known. Every field merges commutatively (set unions, sums, platform-mask
-// ORs), so combining partials in any order yields the same ServiceResult
-// the sequential loop builds.
+// keyed by localFlowKey against the partial's own FQDN index; destinations
+// are resolved, and the result's symbol table built, only once the whole
+// capture has been seen. Every field merges commutatively (set unions,
+// sums, platform-mask ORs), so combining partials in any order yields the
+// same ServiceResult the sequential loop builds.
 type partialResult struct {
 	fqdnIdx     map[string]uint32 // FQDN as recorded → index into fqdns
 	fqdns       []fqdnTally
@@ -360,10 +371,11 @@ func (pr *partialResult) merge(o *partialResult) {
 
 // result converts the accumulated partial into the public ServiceResult.
 // This is where destinations get their party: each distinct FQDN is
-// resolved against the audited service and interned exactly once, and the
-// flows are rekeyed from index slots to the resulting DestIDs. With guess
-// set only id.Name is given and the first party is the eSLD most records
-// went to — GuessIdentity's rule, read off the tallies.
+// resolved against the audited service exactly once into the result's own
+// symbol table, which every persona set shares, and the flows are rekeyed
+// from index slots to the resulting DestIDs. With guess set only id.Name
+// is given and the first party is the eSLD most records went to —
+// GuessIdentity's rule, read off the tallies.
 //
 // Flow sets for the four built-in personas always exist, so every result
 // exposes the paper's trace columns; custom personas appear with their flows.
@@ -388,6 +400,7 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 		RawKeys:     pr.rawKeys,
 		DroppedKeys: pr.droppedKeys,
 	}
+	tab := flows.NewTableSized(len(pr.fqdns))
 	dests := make([]flows.DestID, len(pr.fqdns))
 	for i, f := range pr.fqdns {
 		if f.blank {
@@ -398,13 +411,14 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 		if d.ESLD != "" {
 			res.ESLDs[d.ESLD] = true
 		}
-		dests[i] = flows.InternDestination(d)
+		dests[i] = tab.Intern(d)
 	}
+	tab.Seal()
 	for _, t := range flows.BuiltinPersonas() {
-		res.ByTrace[t] = flows.NewSet()
+		res.ByTrace[t] = tab.NewSet(0)
 	}
 	for t, fl := range pr.byTrace {
-		set := flows.NewSetSized(len(fl))
+		set := tab.NewSet(len(fl))
 		for k, m := range fl {
 			set.AddMask(flows.CatID(k>>32), dests[uint32(k)], m)
 		}
@@ -524,15 +538,16 @@ type Table1Totals struct {
 
 // Totals computes dataset-wide unique counts across service results
 // (domains and eSLDs are deduplicated across services, as in Table 1).
-// Flow uniqueness dedupes on the packed (category, FQDN) symbol pair —
-// the same identity Flow.Key encodes (one domain holding different roles
-// for different services still counts once), but with no string
-// materialization.
+// Flow uniqueness dedupes on the (category, FQDN) pair — the same identity
+// Flow.Key encodes (one domain holding different roles for different
+// services still counts once) — through one pairKeys across the results'
+// tables, so strings are touched once per destination, not once per flow.
 func Totals(results []*ServiceResult) Table1Totals {
 	domains := map[string]bool{}
 	eslds := map[string]bool{}
 	keys := map[string]bool{}
 	fl := map[uint64]bool{}
+	pairs := newPairKeys()
 	var t Table1Totals
 	for _, r := range results {
 		for d := range r.Domains {
@@ -547,8 +562,9 @@ func Totals(results []*ServiceResult) Table1Totals {
 		t.Packets += r.Packets
 		t.TCPFlows += r.TCPFlows
 		for _, set := range r.ByTrace {
+			fqdnOf := pairs.table(set.Table())
 			set.Range(func(key uint64, _ flows.PlatformMask) {
-				fl[pairKey(key)] = true
+				fl[pairKey(fqdnOf, key)] = true
 			})
 		}
 	}

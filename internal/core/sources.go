@@ -40,10 +40,14 @@ func (s *harSource) Next() (RequestRecord, error) {
 	return recordFromHAREntry(e, s.trace, s.platform), nil
 }
 
-// PCAPSource converts a packet stream into request records. Packet frames
-// are consumed incrementally and never retained — only the reassembled TCP
-// payload of each flow is buffered (TLS decryption needs whole streams),
-// so frame-level memory is constant regardless of capture size.
+// PCAPSource converts a packet stream into request records. Packets are
+// read one at a time, but memory is not constant in the capture: the
+// reassembler keeps every TCP segment that carries payload — a slice of the
+// frame it arrived in, so that frame's whole buffer — until the packet
+// phase ends and the streams are assembled (TLS decryption needs whole
+// streams, and pcapng may put the keys last). Only frames without TCP
+// payload (DNS, ACKs, non-IP) are dropped as they pass. A capture's peak
+// is therefore about its own size, which server.Config.MaxUploadBytes bounds.
 //
 // The source works in two phases behind a single Next API: the first call
 // drains the packet iterator into the reassembler (collecting DNS and

@@ -7,37 +7,42 @@ import (
 	"diffaudit/internal/wire"
 )
 
-// Snapshot codec for flow sets. The process-wide symbol tables (symbols.go)
-// assign IDs in first-seen order, which depends on worker interleaving and
-// on whatever else the process audited before — so raw CatID/DestID values
-// are meaningless outside the process that minted them. A serialized set
-// therefore carries its own local symbol tables: every category and
-// destination referenced by the encoded sets is written once (name + group,
-// and the full FQDN/eSLD/owner/class tuple respectively) and flows refer to
-// those local indices. Decoding re-interns each symbol into the live
-// process tables and rebuilds the packed-key map, so a decoded set is
-// indistinguishable from one the pipeline accumulated directly.
+// Snapshot codec for flow sets. A DestID means something only inside the
+// Table that minted it, and CatIDs only inside one process, so a serialized
+// set carries its own symbol tables: every category and destination
+// referenced by the encoded sets is written once (name + group, and the
+// full FQDN/eSLD/owner/class tuple respectively) and flows refer to those
+// local indices. Decoding turns the destination section straight into the
+// decoded result's Table and rebuilds the packed-key maps over it, so a
+// decoded set is indistinguishable from one the pipeline accumulated
+// directly.
 //
-// Local indices are assigned in sorted flow order (FlowKeyLess), which
+// Local indices are assigned in sorted flow order (Table.KeyLess), which
 // makes the encoding canonical: encoding a decoded set reproduces the
 // original bytes exactly. The store layer's content hashing relies on that.
 
 // SetEncoder accumulates the symbol tables shared by the sets of one
 // snapshot. Collect every set first (symbols are assigned local indices in
 // first-collected order), then write the tables, then each set
-// (WriteSetColumnar).
+// (WriteSetColumnar). The sets need not share a Table: destinations get
+// their local index by content.
 type SetEncoder struct {
 	catIdx  map[CatID]uint64
 	cats    []CatID
-	destIdx map[DestID]uint64
-	dests   []DestID
+	destIdx map[Destination]uint64
+	dests   []Destination
+	// local translates each collected table's DestIDs to local index + 1
+	// (zero: no collected flow references the destination), so content is
+	// hashed once per distinct destination, not once per flow.
+	local map[*Table][]uint64
 }
 
 // NewSetEncoder returns an empty encoder.
 func NewSetEncoder() *SetEncoder {
 	return &SetEncoder{
 		catIdx:  make(map[CatID]uint64),
-		destIdx: make(map[DestID]uint64),
+		destIdx: make(map[Destination]uint64),
+		local:   make(map[*Table][]uint64),
 	}
 }
 
@@ -48,16 +53,28 @@ func (e *SetEncoder) Collect(s *Set) {
 	if s == nil {
 		return
 	}
+	local := e.local[s.tab]
+	if local == nil {
+		local = make([]uint64, s.tab.Len())
+		e.local[s.tab] = local
+	}
 	s.RangeSorted(func(key uint64, _ PlatformMask) {
 		c, d := SplitFlowKey(key)
 		if _, ok := e.catIdx[c]; !ok {
 			e.catIdx[c] = uint64(len(e.cats))
 			e.cats = append(e.cats, c)
 		}
-		if _, ok := e.destIdx[d]; !ok {
-			e.destIdx[d] = uint64(len(e.dests))
-			e.dests = append(e.dests, d)
+		if local[d] != 0 {
+			return
 		}
+		dest := s.tab.Destination(d)
+		i, ok := e.destIdx[dest]
+		if !ok {
+			i = uint64(len(e.dests))
+			e.destIdx[dest] = i
+			e.dests = append(e.dests, dest)
+		}
+		local[d] = i + 1
 	})
 }
 
@@ -68,15 +85,14 @@ func (e *SetEncoder) WriteTables(w *wire.Writer) {
 	for _, id := range e.cats {
 		c := CategoryByID(id)
 		if c == nil {
-			// Unassigned IDs cannot appear in a Set built through Add/AddIDs.
+			// Unassigned IDs cannot appear in a Set built through Add/AddMask.
 			panic(fmt.Sprintf("flows: encoding unassigned category ID %d", id))
 		}
 		w.String(c.Name)
 		w.Byte(byte(c.Group))
 	}
 	w.Int(len(e.dests))
-	for _, id := range e.dests {
-		d := DestinationByID(id)
+	for _, d := range e.dests {
 		w.String(d.FQDN)
 		w.String(d.ESLD)
 		w.String(d.Owner)
@@ -84,19 +100,23 @@ func (e *SetEncoder) WriteTables(w *wire.Writer) {
 	}
 }
 
-// SetDecoder resolves a snapshot's local symbol indices to live process
-// symbol IDs.
+// SetDecoder resolves a snapshot's local symbol indices: categories to the
+// process-wide category IDs, destinations to IDs of the one Table every set
+// it decodes shares.
 type SetDecoder struct {
 	cats  []CatID
+	tab   *Table
 	dests []DestID
 }
 
-// ReadSetTables reads the symbol tables written by WriteTables,
-// re-interning every symbol into the process-wide tables. Category names
-// that match the canonical ontology resolve to the canonical category (so
-// decoded flows carry full level-4 metadata); unknown names reconstruct a
-// minimal category from the serialized name and group.
-func ReadSetTables(r *wire.Reader) (*SetDecoder, error) {
+// ReadSetTables reads the symbol tables written by WriteTables into a
+// fresh Table. Category names that match the canonical ontology resolve to
+// the canonical category (so decoded flows carry full level-4 metadata);
+// unknown names reconstruct a minimal category from the serialized name
+// and group. Destination strings are read through seen (wire.Reader.Shared):
+// eSLDs and owners repeat from destination to destination, and the caller's
+// document may already hold the FQDNs.
+func ReadSetTables(r *wire.Reader, seen map[string]string) (*SetDecoder, error) {
 	d := &SetDecoder{}
 	// A category entry is ≥ 2 bytes (empty name + group byte).
 	nCats := r.Count(2)
@@ -118,12 +138,13 @@ func ReadSetTables(r *wire.Reader) (*SetDecoder, error) {
 	}
 	// A destination entry is ≥ 4 bytes (three empty strings + class byte).
 	nDests := r.Count(4)
+	d.tab = NewTableSized(nDests)
 	d.dests = make([]DestID, 0, nDests)
 	for i := 0; i < nDests; i++ {
 		dest := Destination{
-			FQDN:  r.String(),
-			ESLD:  r.String(),
-			Owner: r.String(),
+			FQDN:  r.Shared(seen),
+			ESLD:  r.Shared(seen),
+			Owner: r.Shared(seen),
 			Class: DestClass(r.Byte()),
 		}
 		if r.Err() != nil {
@@ -135,10 +156,11 @@ func ReadSetTables(r *wire.Reader) (*SetDecoder, error) {
 		if dest.Class < FirstParty || dest.Class > ThirdPartyATS {
 			return nil, fmt.Errorf("flows: snapshot destination %q has invalid class %d", dest.FQDN, dest.Class)
 		}
-		d.dests = append(d.dests, InternDestination(dest))
+		d.dests = append(d.dests, d.tab.Intern(dest))
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	d.tab.Seal()
 	return d, nil
 }

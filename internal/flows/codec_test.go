@@ -25,7 +25,7 @@ func buildSet(t *testing.T) *Set {
 }
 
 // TestSetCodecRoundTrip checks what a decoded set is made of, flow by
-// flow: the symbol tables re-intern to the same keys, destinations and
+// flow: the symbol tables decode to the same keys, destinations and
 // platform masks, custom categories keep their serialized group, and
 // canonical ones resolve to the ontology's own pointer.
 func TestSetCodecRoundTrip(t *testing.T) {
@@ -33,7 +33,7 @@ func TestSetCodecRoundTrip(t *testing.T) {
 	tables, sections := encodeColumnar(s)
 
 	r := wire.NewReader(tables)
-	dec, err := ReadSetTables(r)
+	dec, err := ReadSetTables(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestSetCodecRoundTrip(t *testing.T) {
 func TestAddMask(t *testing.T) {
 	age, _ := ontology.Lookup("Age")
 	c := InternCategory(age)
-	d := InternDestination(Destination{FQDN: "m.example", ESLD: "example", Owner: "E", Class: ThirdParty})
 	s := NewSet()
+	d := s.Table().Intern(Destination{FQDN: "m.example", ESLD: "example", Owner: "E", Class: ThirdParty})
 	s.AddMask(c, d, 0) // no-op
 	if s.Len() != 0 {
 		t.Fatal("zero mask inserted a flow")

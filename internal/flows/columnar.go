@@ -9,7 +9,7 @@ import (
 // Columnar flow-set layout (snapshot codec version 3). A flow-set section
 // stores its flows as three parallel columns framed by the standard
 // section directory, each column self-contained (count-prefixed) and in
-// canonical FlowKeyLess order:
+// canonical Table.KeyLess order:
 //
 //	directory | cats: n + n uvarint local category indices
 //	          | dests: n + n uvarint local destination indices
@@ -44,18 +44,18 @@ func (e *SetEncoder) WriteSetColumnar(w *wire.Writer, s *Set) {
 	dw.Int(n)
 	mw.Int(n)
 	if s != nil {
+		local := e.local[s.tab]
 		s.RangeSorted(func(key uint64, m PlatformMask) {
 			c, d := SplitFlowKey(key)
 			ci, ok := e.catIdx[c]
 			if !ok {
 				panic(fmt.Sprintf("flows: set written before Collect (category ID %d)", c))
 			}
-			di, ok := e.destIdx[d]
-			if !ok {
+			if int(d) >= len(local) || local[d] == 0 {
 				panic(fmt.Sprintf("flows: set written before Collect (destination ID %d)", d))
 			}
 			cw.Uvarint(ci)
-			dw.Uvarint(di)
+			dw.Uvarint(local[d] - 1)
 			mw.Byte(byte(m))
 		})
 	}
@@ -157,7 +157,7 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	if dests, err = decodeIndexColumn(dests, c.dests, c.n, len(d.dests), "destination"); err != nil {
 		return nil, err
 	}
-	set := NewSetSized(c.n)
+	set := d.tab.NewSet(c.n)
 	for i := 0; i < c.n; i++ {
 		m, err := checkMask(i, c.masks[i])
 		if err != nil {

@@ -29,7 +29,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	s := buildSet(t)
 	tables, sections := encodeColumnar(s)
 
-	dec, err := ReadSetTables(wire.NewReader(tables))
+	dec, err := ReadSetTables(wire.NewReader(tables), map[string]string{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 func TestColumnarEmptySet(t *testing.T) {
 	tables, sections := encodeColumnar(nil, NewSet())
-	dec, err := ReadSetTables(wire.NewReader(tables))
+	dec, err := ReadSetTables(wire.NewReader(tables), map[string]string{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestColumnarEmptySet(t *testing.T) {
 func TestColumnarRejectsCorruption(t *testing.T) {
 	s := buildSet(t)
 	tables, sections := encodeColumnar(s)
-	dec, err := ReadSetTables(wire.NewReader(tables))
+	dec, err := ReadSetTables(wire.NewReader(tables), map[string]string{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 func TestColumnarPooledEquivalence(t *testing.T) {
 	s := buildSet(t)
 	tables, want := encodeColumnar(s)
-	dec, err := ReadSetTables(wire.NewReader(tables))
+	dec, err := ReadSetTables(wire.NewReader(tables), map[string]string{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,55 +177,54 @@ type Flow struct {
 func (f Flow) Key() string { return f.Category.Name + flowKeySep + f.Dest.FQDN }
 
 // Set accumulates deduplicated flows with platform provenance. Flows are
-// stored as packed (category ID, destination ID) keys against the shared
-// symbol tables (see symbols.go), so accumulation is allocation-free.
+// stored as packed (category ID, destination ID) keys against the set's
+// destination Table (see symbols.go), so accumulation is allocation-free.
+// The persona sets of one ServiceResult share one table; a set made by
+// NewSet owns a fresh one.
 //
-// A Set is not safe for concurrent mutation; concurrent readers are fine
-// once mutation stops (the pipeline gives each worker a private Set and
-// merges single-threaded).
+// A Set is not safe for concurrent mutation, and Add or a Merge of a
+// foreign set may also add to the table its sibling sets read. Concurrent
+// readers are fine once mutation stops (the pipeline merges
+// single-threaded and builds every set of a result on one goroutine).
 type Set struct {
+	tab   *Table
 	flows map[uint64]PlatformMask
-	// sorted caches the packed keys in FlowKeyLess order; it is
-	// invalidated whenever a new key is inserted and rebuilt lazily by
-	// the first sorted read. The atomic pointer lets concurrent
-	// post-construction readers share one materialization.
+	// sorted caches the packed keys in KeyLess order; it is invalidated
+	// whenever a new key is inserted and rebuilt lazily by the first
+	// sorted read. The atomic pointer lets concurrent post-construction
+	// readers share one materialization.
 	sorted atomic.Pointer[[]uint64]
 }
 
-// NewSet returns an empty flow set.
-func NewSet() *Set {
-	return &Set{flows: make(map[uint64]PlatformMask)}
-}
+// NewSet returns an empty flow set over a table of its own.
+func NewSet() *Set { return NewSetSized(0) }
 
-// NewSetSized returns an empty flow set pre-sized for about n flows,
-// avoiding map growth rehashes when the caller knows the workload.
-func NewSetSized(n int) *Set {
+// NewSetSized is NewSet pre-sized for about n flows, avoiding map growth
+// rehashes when the caller knows the workload.
+func NewSetSized(n int) *Set { return NewTable().NewSet(n) }
+
+// NewSet returns an empty flow set over this table, pre-sized for about n
+// flows.
+func (t *Table) NewSet(n int) *Set {
 	if n < 0 {
 		n = 0
 	}
-	return &Set{flows: make(map[uint64]PlatformMask, n)}
+	return &Set{tab: t, flows: make(map[uint64]PlatformMask, n)}
 }
 
-// Add records a flow observed on a platform, interning its symbols on
-// first sight. Hot paths that already hold IDs should call AddIDs.
+// Table returns the destination table the set's keys refer to.
+func (s *Set) Table() *Table { return s.tab }
+
+// Add records a flow observed on a platform, adding its symbols on first
+// sight. Hot paths that already hold IDs should call AddMask.
 func (s *Set) Add(f Flow, p Platform) {
-	s.AddIDs(InternCategory(f.Category), InternDestination(f.Dest), p)
+	s.AddMask(InternCategory(f.Category), s.tab.Intern(f.Dest), p.Mask())
 }
 
-// AddIDs records a flow by its interned IDs — the pipeline's inner loop.
-// One map operation, no allocation.
-func (s *Set) AddIDs(c CatID, d DestID, p Platform) {
-	k := PackFlowKey(c, d)
-	n := len(s.flows)
-	s.flows[k] |= p.Mask()
-	if len(s.flows) != n {
-		s.sorted.Store(nil)
-	}
-}
-
-// AddMask records a flow by its interned IDs with an explicit platform
-// mask — the snapshot decoder's inner loop, which replays masks that may
-// cover both platforms in one call. A zero mask is a no-op.
+// AddMask records a flow by its category ID and a destination ID of the
+// set's table, with an explicit platform mask — the inner loop of the
+// pipeline's finalize step and of the snapshot decoder, which replay masks
+// that may cover both platforms in one call. A zero mask is a no-op.
 func (s *Set) AddMask(c CatID, d DestID, m PlatformMask) {
 	if m == 0 {
 		return
@@ -238,15 +237,29 @@ func (s *Set) AddMask(c CatID, d DestID, m PlatformMask) {
 	}
 }
 
-// Merge folds another set into this one. Packed keys are global, so this
-// is a direct key-wise mask union.
+// Merge folds another set into this one. Sets over one table (the personas
+// of one result) union their keys directly; a foreign set's destinations
+// are translated by content, once per distinct destination.
 func (s *Set) Merge(other *Set) {
 	if other == nil {
 		return
 	}
 	n := len(s.flows)
-	for k, m := range other.flows {
-		s.flows[k] |= m
+	if other.tab == s.tab {
+		for k, m := range other.flows {
+			s.flows[k] |= m
+		}
+	} else {
+		// remap[d] is the destination's ID in s.tab plus one; zero marks a
+		// destination no merged flow has needed yet.
+		remap := make([]DestID, other.tab.Len())
+		for k, m := range other.flows {
+			c, d := SplitFlowKey(k)
+			if remap[d] == 0 {
+				remap[d] = s.tab.Intern(other.tab.Destination(d)) + 1
+			}
+			s.flows[PackFlowKey(c, remap[d]-1)] |= m
+		}
 	}
 	if len(s.flows) != n {
 		s.sorted.Store(nil)
@@ -257,7 +270,7 @@ func (s *Set) Merge(other *Set) {
 func (s *Set) Len() int { return len(s.flows) }
 
 // sortedKeys returns (building and caching on first use) the packed keys
-// in FlowKeyLess order — the same order the string-keyed core produced.
+// in KeyLess order — the same order the string-keyed core produced.
 func (s *Set) sortedKeys() []uint64 {
 	if p := s.sorted.Load(); p != nil {
 		return *p
@@ -266,7 +279,7 @@ func (s *Set) sortedKeys() []uint64 {
 	for k := range s.flows {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return FlowKeyLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return s.tab.KeyLess(keys[i], keys[j]) })
 	s.sorted.Store(&keys)
 	return keys
 }
@@ -276,13 +289,13 @@ func (s *Set) Flows() []Flow {
 	keys := s.sortedKeys()
 	out := make([]Flow, len(keys))
 	for i, k := range keys {
-		out[i] = FlowOfKey(k)
+		out[i] = s.tab.FlowOfKey(k)
 	}
 	return out
 }
 
 // Range calls fn for every flow in unspecified order — the allocation-free
-// iteration single-pass aggregates build on.
+// iteration single-pass aggregates build on. Keys resolve through Table.
 func (s *Set) Range(fn func(key uint64, m PlatformMask)) {
 	for k, m := range s.flows {
 		fn(k, m)
@@ -306,19 +319,27 @@ func (s *Set) RangeSorted(fn func(key uint64, m PlatformMask)) {
 	}
 }
 
-// Platforms returns the platform mask for a flow key (zero when absent).
-// Lookups resolve through the symbol tables without interning, so probing
-// for an absent flow stays allocation-free and side-effect-free.
+// Platforms returns the platform mask of a flow (zero when absent). It is
+// a binary search of the sorted keys by content, so probing adds nothing
+// to the symbol tables and needs no index on them; loops over a whole set
+// should use RangeSorted, which hands out each flow's mask directly.
 func (s *Set) Platforms(f Flow) PlatformMask {
 	c, ok := LookupCategory(f.Category)
 	if !ok {
 		return 0
 	}
-	d, ok := LookupDestination(f.Dest)
-	if !ok {
+	name := categoryName(c)
+	probe := tableEntry{fqdn: f.Dest.FQDN, esld: f.Dest.ESLD, owner: f.Dest.Owner, class: uint8(f.Dest.Class)}
+	keys := s.sortedKeys()
+	cmp := func(i int) int {
+		kc, kd := SplitFlowKey(keys[i])
+		return flowCompare(categoryName(kc), &s.tab.dests[kd], name, &probe)
+	}
+	i := sort.Search(len(keys), func(i int) bool { return cmp(i) >= 0 })
+	if i == len(keys) || cmp(i) != 0 {
 		return 0
 	}
-	return s.flows[PackFlowKey(c, d)]
+	return s.flows[keys[i]]
 }
 
 // GroupGrid reduces the set to Table 4 granularity: level-2 data type group
@@ -331,7 +352,7 @@ func (s *Set) GroupGrid() map[ontology.Level2]map[DestClass]PlatformMask {
 		if grid[g] == nil {
 			grid[g] = make(map[DestClass]PlatformMask)
 		}
-		grid[g][DestinationSymbols(d).Class] |= m
+		grid[g][s.tab.Class(d)] |= m
 	}
 	return grid
 }
@@ -339,14 +360,10 @@ func (s *Set) GroupGrid() map[ontology.Level2]map[DestClass]PlatformMask {
 // CategoriesToward returns the distinct level-3 categories sent to a
 // specific destination FQDN.
 func (s *Set) CategoriesToward(fqdn string) []*ontology.Category {
-	fid, known := LookupFQDN(fqdn)
 	seen := map[CatID]bool{}
-	if known {
-		for k := range s.flows {
-			c, d := SplitFlowKey(k)
-			if DestinationSymbols(d).FQDNID == fid {
-				seen[c] = true
-			}
+	for k := range s.flows {
+		if c, d := SplitFlowKey(k); s.tab.dests[d].fqdn == fqdn {
+			seen[c] = true
 		}
 	}
 	out := make([]*ontology.Category, 0, len(seen))
@@ -361,17 +378,14 @@ func (s *Set) CategoriesToward(fqdn string) []*ontology.Category {
 // FQDN. When a merged set holds several roles for one FQDN (possible
 // across services), the first in flow-key order wins, deterministically.
 func (s *Set) Destinations() []Destination {
-	seen := map[uint32]Destination{}
+	seen := map[uint32]bool{}
+	var out []Destination
 	for _, k := range s.sortedKeys() {
 		_, d := SplitFlowKey(k)
-		in := DestinationSymbols(d)
-		if _, ok := seen[in.FQDNID]; !ok {
-			seen[in.FQDNID] = DestinationByID(d)
+		if fid := s.tab.FQDNID(d); !seen[fid] {
+			seen[fid] = true
+			out = append(out, s.tab.Destination(d))
 		}
-	}
-	out := make([]Destination, 0, len(seen))
-	for _, d := range seen {
-		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FQDN < out[j].FQDN })
 	return out

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"diffaudit/internal/intern"
 )
 
 // Persona identifies a trace persona: the simulated user whose session a
@@ -16,9 +14,9 @@ import (
 // new jurisdictions draw the age-of-consent line elsewhere (GDPR member
 // states pick 13-16), and differential audits can compare along axes the
 // paper never needed (region, subscription tier). Personas are registered
-// process-wide and identified by interned IDs riding the same symbol-table
-// infrastructure as category and destination symbols, so per-persona
-// grouping in the pipeline stays pure integer work.
+// process-wide — the operator's flags and rule packs bound them, not what
+// a capture contains — and identified by their dense registration index,
+// so per-persona grouping in the pipeline stays pure integer work.
 //
 // The four paper personas are registered as built-ins occupying IDs 0-3 in
 // table order, which keeps every artifact rendered from built-in-only
@@ -71,11 +69,6 @@ type PersonaInfo struct {
 	Attrs map[string]string
 }
 
-// personaSyms interns canonical persona names; the interned symbol IS the
-// persona ID, so IDs are dense, stable, and comparable across the process
-// exactly like category and destination symbols.
-var personaSyms = intern.NewTable()
-
 // personaSnapshot is the immutable published view of the registry.
 type personaSnapshot struct {
 	infos   []PersonaInfo
@@ -118,7 +111,7 @@ func init() {
 }
 
 // RegisterPersona adds a persona to the process-wide registry and returns
-// its interned ID. Registration is idempotent: re-registering an identical
+// its ID. Registration is idempotent: re-registering an identical
 // PersonaInfo returns the existing ID; a conflicting name or alias is an
 // error. Safe for concurrent use.
 func RegisterPersona(info PersonaInfo) (Persona, error) {
@@ -156,7 +149,7 @@ func RegisterPersona(info PersonaInfo) (Persona, error) {
 		}
 	}
 
-	id := Persona(personaSyms.Intern(info.Name))
+	id := Persona(len(snap.infos))
 	grown := &personaSnapshot{
 		infos:   make([]PersonaInfo, len(snap.infos)+1),
 		byAlias: make(map[string]Persona, len(snap.byAlias)+len(spellings)),

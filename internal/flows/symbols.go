@@ -1,104 +1,94 @@
 package flows
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
-	"diffaudit/internal/entity"
-	"diffaudit/internal/intern"
 	"diffaudit/internal/ontology"
 )
 
-// Symbol layer: every string the flow core keys on — category names,
-// destination FQDNs, eSLDs, owner organizations, and whole resolved
-// destinations — is interned once into process-wide append-only tables, and
-// the hot paths operate on the resulting uint32 IDs. A flow is then a
-// single packed uint64 (category ID in the high half, destination ID in
-// the low half), so Set.Add and every aggregate over a Set are pure
-// integer/map operations with no per-flow allocation.
+// Symbol layer: the flow core keys on small integers, not strings. A flow
+// is one packed uint64 — category ID in the high half, destination ID in
+// the low half — so Set.Add and every aggregate over a Set are integer/map
+// operations with no per-flow allocation.
 //
-// Tables are global rather than per-Set so that IDs are comparable across
-// sets: the pipeline's worker pool shares them (reads are lock-free, see
-// package intern), partial-result merges union packed keys directly, and
-// dataset-wide uniqueness counts (Table 1) dedupe on the packed key.
+// The two halves have different lifetimes. Category IDs are process-wide:
+// the ontology bounds them (35 canonical categories plus whatever custom
+// ones the operator's code registers), so one registry serves every set.
+// Destination IDs are not: hostnames come from captures, so each
+// ServiceResult owns one Table that its persona sets share, and a
+// destination lives exactly as long as the result that mentions it. A
+// DestID therefore means nothing outside its table; the operations that
+// span tables (core.Diff, core.Totals, Set.Merge of a foreign set, the
+// snapshot encoder) compare destinations by content.
 
-// CatID identifies an interned category name. The 35 canonical ontology
-// categories occupy IDs 0..34 in ontology order; custom categories get
-// subsequent IDs on first sight.
+// CatID identifies a category name. The 35 canonical ontology categories
+// occupy IDs 0..34 in ontology order; custom categories get subsequent IDs
+// on first sight.
 type CatID uint32
 
-// DestID identifies an interned resolved destination (the full FQDN,
-// eSLD, owner, class tuple — not just the FQDN, since one domain may hold
-// different roles for different audited services).
+// DestID identifies a resolved destination (the full FQDN, eSLD, owner,
+// class tuple — not just the FQDN, since one domain may hold different
+// roles for different audited services) within one Table.
 type DestID uint32
-
-// Shared symbol tables. fqdnSyms/esldSyms/ownerSyms give the destination
-// components compact IDs the linkability index groups by.
-var (
-	fqdnSyms  = intern.NewTable()
-	esldSyms  = intern.NewTable()
-	ownerSyms = intern.NewTable()
-	catSyms   = intern.NewTable()
-)
 
 // canonCats maps the canonical ontology category pointers to their IDs —
 // immutable after init, so the pipeline's hottest lookup is one lock-free
 // map read.
 var canonCats map[*ontology.Category]CatID
 
-// catPtrs is the published ID → category mapping (covers canonical and
-// custom categories); catMu guards growth.
+// catPtrs is the published ID → category mapping (canonical and custom);
+// catNames is its inverse by name. catMu guards catNames and growth.
 var (
-	catMu   sync.Mutex
-	catPtrs atomic.Pointer[[]*ontology.Category]
+	catMu    sync.Mutex
+	catNames map[string]CatID
+	catPtrs  atomic.Pointer[[]*ontology.Category]
 )
 
 func init() {
 	cats := ontology.Categories()
 	byID := make([]*ontology.Category, len(cats))
 	canonCats = make(map[*ontology.Category]CatID, len(cats))
+	catNames = make(map[string]CatID, len(cats))
 	for i := range cats {
 		c := &cats[i]
-		id := CatID(catSyms.Intern(c.Name))
-		byID[id] = c
-		canonCats[c] = id
+		byID[i] = c
+		canonCats[c] = CatID(i)
+		catNames[c.Name] = CatID(i)
 	}
 	catPtrs.Store(&byID)
 }
 
-// InternCategory returns the ID for a category, interning it by name on
+// InternCategory returns the ID for a category, registering it by name on
 // first sight. Two distinct Category values sharing a name share an ID,
 // matching the string-keyed core's dedup-by-name semantics.
 func InternCategory(c *ontology.Category) CatID {
 	if id, ok := canonCats[c]; ok {
 		return id
 	}
-	id := CatID(catSyms.Intern(c.Name))
-	if ptrs := *catPtrs.Load(); int(id) < len(ptrs) && ptrs[id] != nil {
-		return id
-	}
 	catMu.Lock()
 	defer catMu.Unlock()
-	ptrs := *catPtrs.Load()
-	if int(id) < len(ptrs) && ptrs[id] != nil {
+	if id, ok := catNames[c.Name]; ok {
 		return id
 	}
-	grown := make([]*ontology.Category, catSyms.Len())
-	copy(grown, ptrs)
-	if grown[id] == nil {
-		grown[id] = c
-	}
+	ptrs := *catPtrs.Load()
+	id := CatID(len(ptrs))
+	grown := append(ptrs[:len(ptrs):len(ptrs)], c)
+	catNames[c.Name] = id
 	catPtrs.Store(&grown)
 	return id
 }
 
-// LookupCategory returns the ID for a category without interning it.
+// LookupCategory returns the ID for a category without registering it.
 func LookupCategory(c *ontology.Category) (CatID, bool) {
 	if id, ok := canonCats[c]; ok {
 		return id, true
 	}
-	id, ok := catSyms.Lookup(c.Name)
-	return CatID(id), ok
+	catMu.Lock()
+	defer catMu.Unlock()
+	id, ok := catNames[c.Name]
+	return id, ok
 }
 
 // CategoryByID resolves an ID back to its category (the first-registered
@@ -107,158 +97,103 @@ func CategoryByID(id CatID) *ontology.Category {
 	if ptrs := *catPtrs.Load(); int(id) < len(ptrs) {
 		return ptrs[id]
 	}
-	catMu.Lock()
-	defer catMu.Unlock()
-	if ptrs := *catPtrs.Load(); int(id) < len(ptrs) {
-		return ptrs[id]
-	}
 	return nil
 }
 
-// DestSymbols are the interned component symbols of one destination,
-// precomputed at intern time so aggregates over destinations (linkability
-// grouping, Figure 5 org ranking) touch no strings.
-type DestSymbols struct {
-	FQDNID  uint32
-	ESLDID  uint32
-	OwnerID uint32
-	// ATSOrgID is the interned entity.OwnerName(FQDN) — the organization
-	// Figure 5 groups by. It usually equals OwnerID but is resolved from
-	// the live entity registry, mirroring how TopATSOrgs always resolved
-	// owners itself rather than trusting Destination.Owner.
-	ATSOrgID uint32
-	Class    DestClass
-}
-
-// destInfo is one destination-table entry.
-type destInfo struct {
-	dest Destination
-	syms DestSymbols
-}
-
-// destSnapshot is the immutable published view of the destination table.
-type destSnapshot struct {
+// Table is one result's destination symbol table: every resolved
+// destination its flow sets mention, each under a dense DestID, plus a
+// table-local identity per FQDN for the aggregates that group by domain.
+// It has no synchronization: build it on one goroutine
+// (partialResult.result, the snapshot decoder, or whoever calls Set.Add);
+// once mutation stops, concurrent readers are fine.
+//
+// A server holds one table per cached result, so what a finished table
+// keeps is one 56-byte entry per destination and nothing else. The two
+// plain maps Intern dedupes through exist only while a table is being
+// added to.
+type Table struct {
+	dests []tableEntry
+	// ids and heads index dests for Intern: destination → ID, and FQDN →
+	// the first destination holding it. The first Intern builds them and
+	// Seal drops them; no read consults them.
 	ids   map[Destination]DestID
-	infos []destInfo
+	heads map[string]DestID
 }
 
-var emptyDestSnapshot = &destSnapshot{ids: map[Destination]DestID{}}
-
-// destTable interns full Destination values with the same copy-on-write
-// read-mostly design as intern.Table.
-type destTable struct {
-	snap atomic.Pointer[destSnapshot]
-
-	mu          sync.Mutex
-	dirty       map[Destination]DestID
-	infos       []destInfo
-	nextPublish int
+// tableEntry is a Destination, flattened so the class and the FQDN
+// identity share one word.
+type tableEntry struct {
+	fqdn, esld, owner string
+	// head is the first destination of the table with this FQDN; its ID
+	// doubles as the FQDN's identity.
+	head  DestID
+	class uint8
 }
 
-var dests = func() *destTable {
-	t := &destTable{dirty: make(map[Destination]DestID), nextPublish: 1}
-	t.snap.Store(emptyDestSnapshot)
-	return t
-}()
+func (e *tableEntry) dest() Destination {
+	return Destination{FQDN: e.fqdn, ESLD: e.esld, Owner: e.owner, Class: DestClass(e.class)}
+}
 
-func (t *destTable) intern(d Destination) DestID {
-	if id, ok := t.snap.Load().ids[d]; ok {
-		return id
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.dirty[d]; ok {
-		return id
-	}
-	id := DestID(len(t.infos))
-	t.infos = append(t.infos, destInfo{
-		dest: d,
-		syms: DestSymbols{
-			FQDNID:   fqdnSyms.Intern(d.FQDN),
-			ESLDID:   esldSyms.Intern(d.ESLD),
-			OwnerID:  ownerSyms.Intern(d.Owner),
-			ATSOrgID: ownerSyms.Intern(entity.OwnerName(d.FQDN)),
-			Class:    d.Class,
-		},
-	})
-	t.dirty[d] = id
-	if len(t.infos) >= t.nextPublish {
-		ids := make(map[Destination]DestID, 2*len(t.dirty))
-		for k, v := range t.dirty {
-			ids[k] = v
+// NewTable returns an empty table.
+func NewTable() *Table { return &Table{} }
+
+// NewTableSized returns an empty table with room for n destinations.
+func NewTableSized(n int) *Table {
+	return &Table{dests: make([]tableEntry, 0, n)}
+}
+
+// Intern returns the ID for a resolved destination, adding it on first
+// sight.
+func (t *Table) Intern(d Destination) DestID {
+	if t.ids == nil {
+		t.ids = make(map[Destination]DestID, cap(t.dests))
+		t.heads = make(map[string]DestID, cap(t.dests))
+		for i := range t.dests {
+			e := &t.dests[i]
+			t.ids[e.dest()] = DestID(i)
+			t.heads[e.fqdn] = e.head
 		}
-		t.snap.Store(&destSnapshot{ids: ids, infos: t.infos[:len(t.infos):len(t.infos)]})
-		t.nextPublish = 2 * len(t.infos)
 	}
+	if id, ok := t.ids[d]; ok {
+		return id
+	}
+	id := DestID(len(t.dests))
+	head, ok := t.heads[d.FQDN]
+	if !ok {
+		head = id
+		t.heads[d.FQDN] = id
+	}
+	t.dests = append(t.dests, tableEntry{fqdn: d.FQDN, esld: d.ESLD, owner: d.Owner, head: head, class: uint8(d.Class)})
+	t.ids[d] = id
 	return id
 }
 
-func (t *destTable) lookup(d Destination) (DestID, bool) {
-	sn := t.snap.Load()
-	if id, ok := sn.ids[d]; ok {
-		return id, true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.infos) == len(sn.infos) {
-		return 0, false
-	}
-	id, ok := t.dirty[d]
-	return id, ok
-}
+// Seal drops the index Intern keeps, once a table has been built and is
+// only going to be read. A later Intern rebuilds it.
+func (t *Table) Seal() { t.ids, t.heads = nil, nil }
 
-// info returns a pointer into the append-only entry slice; entries are
-// never mutated after insertion, so the pointer stays valid across growth.
-func (t *destTable) info(id DestID) *destInfo {
-	sn := t.snap.Load()
-	if int(id) < len(sn.infos) {
-		return &sn.infos[id]
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) < len(t.infos) {
-		return &t.infos[id]
-	}
-	return nil
-}
+// Len returns the number of destinations in the table.
+func (t *Table) Len() int { return len(t.dests) }
 
-// InternDestination returns the ID for a resolved destination, interning
-// it (and its component symbols) on first sight.
-func InternDestination(d Destination) DestID { return dests.intern(d) }
-
-// LookupDestination returns the ID for a destination without interning it.
-func LookupDestination(d Destination) (DestID, bool) { return dests.lookup(d) }
-
-// DestinationByID resolves an ID back to the full destination.
-func DestinationByID(id DestID) Destination {
-	if in := dests.info(id); in != nil {
-		return in.dest
+// Destination resolves an ID back to the full destination (the zero value
+// when the ID was never assigned).
+func (t *Table) Destination(id DestID) Destination {
+	if int(id) < len(t.dests) {
+		return t.dests[id].dest()
 	}
 	return Destination{}
 }
 
-// DestinationSymbols returns the precomputed component symbols of a
-// destination ID.
-func DestinationSymbols(id DestID) DestSymbols {
-	if in := dests.info(id); in != nil {
-		return in.syms
-	}
-	return DestSymbols{}
-}
+// Class returns a destination's class.
+func (t *Table) Class(id DestID) DestClass { return DestClass(t.dests[id].class) }
 
-// LookupFQDN returns the symbol ID of an FQDN without interning it.
-func LookupFQDN(fqdn string) (uint32, bool) { return fqdnSyms.Lookup(fqdn) }
-
-// FQDNByID resolves an FQDN symbol ID.
-func FQDNByID(id uint32) string { return fqdnSyms.String(id) }
-
-// OwnerNameByID resolves an owner/organization symbol ID.
-func OwnerNameByID(id uint32) string { return ownerSyms.String(id) }
+// FQDNID returns the table-local identity of a destination's FQDN: equal
+// for two destinations of this table exactly when their FQDNs are equal.
+func (t *Table) FQDNID(id DestID) uint32 { return uint32(t.dests[id].head) }
 
 // PackFlowKey packs a flow identity into one uint64: category ID in the
-// high 32 bits, destination ID in the low 32. Because the symbol tables
-// are process-global, packed keys are comparable across Sets — merges and
-// dataset-wide dedup operate on them directly.
+// high 32 bits, destination ID in the low 32. Packed keys are comparable
+// between sets that share a Table, and only between those.
 func PackFlowKey(c CatID, d DestID) uint64 {
 	return uint64(c)<<32 | uint64(d)
 }
@@ -268,48 +203,55 @@ func SplitFlowKey(k uint64) (CatID, DestID) {
 	return CatID(k >> 32), DestID(k & 0xffffffff)
 }
 
-// FlowOfKey materializes the Flow a packed key denotes.
-func FlowOfKey(k uint64) Flow {
+// FlowOfKey materializes the Flow a packed key of this table denotes.
+func (t *Table) FlowOfKey(k uint64) Flow {
 	c, d := SplitFlowKey(k)
-	return Flow{Category: CategoryByID(c), Dest: DestinationByID(d)}
+	return Flow{Category: CategoryByID(c), Dest: t.Destination(d)}
 }
 
-// FlowKeyLess orders packed keys exactly as the string-keyed core ordered
-// flows: by the virtual concatenation Category.Name + "→" + Dest.FQDN.
-// Every sorted iteration (Flows, RangeSorted) uses it, which is what keeps
-// rendered artifacts byte-identical to the pre-interning implementation.
+// KeyLess orders packed keys of this table exactly as the string-keyed
+// core ordered flows: by the virtual concatenation Category.Name + "→" +
+// Dest.FQDN. Every sorted iteration (Flows, RangeSorted) uses it, which is
+// what keeps rendered artifacts and the snapshot encoding byte-identical
+// whatever IDs a table happened to assign.
 //
 // Distinct keys whose names and FQDNs coincide (one FQDN holding several
 // destination roles in a cross-service merged set) tie-break on the
 // remaining destination content — never on the numeric IDs, whose
-// assignment order depends on worker interleaving. The order is therefore
-// total and run-to-run deterministic.
-func FlowKeyLess(a, b uint64) bool {
+// assignment order is an accident of construction. The order is therefore
+// total and the same for every table holding the same flows.
+func (t *Table) KeyLess(a, b uint64) bool {
 	if a == b {
 		return false
 	}
 	ca, da := SplitFlowKey(a)
 	cb, db := SplitFlowKey(b)
-	var an, bn string
-	if c := CategoryByID(ca); c != nil {
-		an = c.Name
+	return flowCompare(categoryName(ca), &t.dests[da], categoryName(cb), &t.dests[db]) < 0
+}
+
+// categoryName is the name KeyLess orders an ID by ("" when unassigned).
+func categoryName(id CatID) string {
+	if c := CategoryByID(id); c != nil {
+		return c.Name
 	}
-	if c := CategoryByID(cb); c != nil {
-		bn = c.Name
+	return ""
+}
+
+// flowCompare is the three-way comparison behind KeyLess, over category
+// names and destination content.
+func flowCompare(an string, x *tableEntry, bn string, y *tableEntry) int {
+	if cmp := compareConcat(an, x.fqdn, bn, y.fqdn); cmp != 0 {
+		return cmp
 	}
-	ia, ib := dests.info(da), dests.info(db)
-	if cmp := compareConcat(an, ia.dest.FQDN, bn, ib.dest.FQDN); cmp != 0 {
-		return cmp < 0
-	}
-	// Equal names imply equal category IDs (interning is by name), so a
+	// Equal names imply equal category IDs (registration is by name), so a
 	// tie means one FQDN with two destination roles; content decides.
-	if ia.dest.ESLD != ib.dest.ESLD {
-		return ia.dest.ESLD < ib.dest.ESLD
+	if cmp := strings.Compare(x.esld, y.esld); cmp != 0 {
+		return cmp
 	}
-	if ia.dest.Owner != ib.dest.Owner {
-		return ia.dest.Owner < ib.dest.Owner
+	if cmp := strings.Compare(x.owner, y.owner); cmp != 0 {
+		return cmp
 	}
-	return ia.dest.Class < ib.dest.Class
+	return int(x.class) - int(y.class)
 }
 
 // flowKeySep is the separator Flow.Key places between category and FQDN.

@@ -1,7 +1,9 @@
 package flows
 
 import (
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"diffaudit/internal/ontology"
@@ -48,30 +50,78 @@ func TestInternCategoryCustomByName(t *testing.T) {
 	}
 }
 
+// TestInternCategoryConcurrent: the category registry is the one symbol
+// table goroutines still share (pipeline workers label keys while servers
+// decode snapshots), so racing registrations of the same custom names must
+// agree on one ID per name and resolve it back.
+func TestInternCategoryConcurrent(t *testing.T) {
+	const goroutines, names = 8, 40
+	ids := make([][names]CatID, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < names; n++ {
+				c := &ontology.Category{Name: fmt.Sprintf("Concurrent Custom %d", (n+g)%names), Group: ontology.Sensors}
+				id := InternCategory(c)
+				ids[g][(n+g)%names] = id
+				if got := CategoryByID(id); got == nil || got.Name != c.Name {
+					t.Errorf("CategoryByID(%d) = %v, want %q", id, got, c.Name)
+				}
+				if lid, ok := LookupCategory(c); !ok || lid != id {
+					t.Errorf("LookupCategory(%q) = %d,%v want %d", c.Name, lid, ok, id)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := map[CatID]bool{}
+	for n := 0; n < names; n++ {
+		for g := 1; g < goroutines; g++ {
+			if ids[g][n] != ids[0][n] {
+				t.Fatalf("name %d: goroutine %d got ID %d, goroutine 0 got %d", n, g, ids[g][n], ids[0][n])
+			}
+		}
+		if seen[ids[0][n]] {
+			t.Fatalf("ID %d assigned to two names", ids[0][n])
+		}
+		seen[ids[0][n]] = true
+	}
+}
+
 func TestInternDestinationSymbols(t *testing.T) {
 	d := Destination{FQDN: "stats.g.doubleclick.net", ESLD: "doubleclick.net",
 		Owner: "Google LLC", Class: ThirdPartyATS}
-	id := InternDestination(d)
-	if got := DestinationByID(id); got != d {
-		t.Fatalf("DestinationByID = %+v", got)
+	tab := NewTable()
+	first := tab.Intern(Destination{FQDN: "first.example", Class: FirstParty})
+	id := tab.Intern(d)
+	if again := tab.Intern(d); again != id || tab.Len() != 2 {
+		t.Fatalf("second Intern = %d (table of %d), want %d in a table of 2", again, tab.Len(), id)
 	}
-	if lid, ok := LookupDestination(d); !ok || lid != id {
-		t.Fatalf("LookupDestination = %d,%v want %d", lid, ok, id)
+	if got := tab.Destination(id); got != d {
+		t.Fatalf("Destination = %+v", got)
 	}
-	syms := DestinationSymbols(id)
-	if FQDNByID(syms.FQDNID) != d.FQDN {
-		t.Errorf("FQDN symbol resolves to %q", FQDNByID(syms.FQDNID))
+	if got := tab.Class(id); got != ThirdPartyATS {
+		t.Errorf("Class = %v", got)
 	}
-	if syms.Class != ThirdPartyATS {
-		t.Errorf("class symbol = %v", syms.Class)
+	// A second role of the same FQDN is another destination with the same
+	// FQDN identity; another FQDN has another.
+	other := d
+	other.Class = FirstPartyATS
+	// Sealing drops the index, not the symbols: IDs and content stay, and
+	// the next Intern still dedupes against everything added before.
+	tab.Seal()
+	oid := tab.Intern(other)
+	if oid == id || tab.FQDNID(oid) != tab.FQDNID(id) || tab.FQDNID(first) == tab.FQDNID(id) {
+		t.Errorf("second role: id %d (first role %d), FQDN identities %d/%d/%d", oid, id,
+			tab.FQDNID(oid), tab.FQDNID(id), tab.FQDNID(first))
 	}
-	// doubleclick.net is owned by Google LLC in the entity dataset, so the
-	// Figure 5 grouping symbol matches the owner.
-	if OwnerNameByID(syms.ATSOrgID) != "Google LLC" {
-		t.Errorf("ATS org symbol = %q", OwnerNameByID(syms.ATSOrgID))
+	if again := tab.Intern(d); again != id || tab.Len() != 3 {
+		t.Errorf("Intern after Seal = %d (table of %d), want %d in a table of 3", again, tab.Len(), id)
 	}
-	if _, ok := LookupDestination(Destination{FQDN: "never-seen.example"}); ok {
-		t.Error("lookup of never-interned destination succeeded")
+	if got := tab.Destination(DestID(99)); got != (Destination{}) {
+		t.Errorf("unassigned ID resolves to %+v", got)
 	}
 }
 
@@ -82,6 +132,7 @@ func TestFlowKeyLessMatchesStringOrder(t *testing.T) {
 	cats := ontology.Categories()
 	hosts := []string{"a.example", "zz.example", "stats.g.doubleclick.net",
 		"m.example", "↑before-arrow.example"}
+	tab := NewTable()
 	var keys []uint64
 	var fls []Flow
 	for i := range cats {
@@ -90,14 +141,14 @@ func TestFlowKeyLessMatchesStringOrder(t *testing.T) {
 		}
 		for _, h := range hosts {
 			f := Flow{Category: &cats[i], Dest: Destination{FQDN: h, Class: ThirdParty}}
-			keys = append(keys, PackFlowKey(InternCategory(f.Category), InternDestination(f.Dest)))
+			keys = append(keys, PackFlowKey(InternCategory(f.Category), tab.Intern(f.Dest)))
 			fls = append(fls, f)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return FlowKeyLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return tab.KeyLess(keys[i], keys[j]) })
 	sort.Slice(fls, func(i, j int) bool { return fls[i].Key() < fls[j].Key() })
 	for i := range keys {
-		if got, want := FlowOfKey(keys[i]).Key(), fls[i].Key(); got != want {
+		if got, want := tab.FlowOfKey(keys[i]).Key(), fls[i].Key(); got != want {
 			t.Fatalf("position %d: packed order %q, string order %q", i, got, want)
 		}
 	}
@@ -125,7 +176,7 @@ func TestRangeAndRangeSorted(t *testing.T) {
 		t.Fatalf("RangeSorted visited %d", len(sortedKeys))
 	}
 	for i := 1; i < len(sortedKeys); i++ {
-		if !FlowKeyLess(sortedKeys[i-1], sortedKeys[i]) {
+		if !s.Table().KeyLess(sortedKeys[i-1], sortedKeys[i]) {
 			t.Fatalf("RangeSorted out of order at %d", i)
 		}
 	}
@@ -139,14 +190,15 @@ func TestRangeAndRangeSorted(t *testing.T) {
 		t.Fatalf("after invalidation: visited %d of %d", len(again), s.Len())
 	}
 	for i := 1; i < len(again); i++ {
-		if !FlowKeyLess(again[i-1], again[i]) {
+		if !s.Table().KeyLess(again[i-1], again[i]) {
 			t.Fatalf("after invalidation: out of order at %d", i)
 		}
 	}
 }
 
 // TestPlatformsNoIntern: probing for an absent flow must not grow the
-// symbol tables (Platforms is called once per exported flow row).
+// set's symbol table (Platforms is called once per exported flow row, on
+// results other goroutines are reading).
 func TestPlatformsNoIntern(t *testing.T) {
 	s := NewSet()
 	cats := ontology.Categories()
@@ -154,8 +206,23 @@ func TestPlatformsNoIntern(t *testing.T) {
 	if got := s.Platforms(probe); got != 0 {
 		t.Fatalf("absent probe = %v", got)
 	}
-	if _, ok := LookupDestination(probe.Dest); ok {
+	if s.Table().Len() != 0 {
 		t.Error("Platforms interned the probed destination")
+	}
+	// Same for a set that holds the probe's neighbours, sealed or not.
+	s.Add(Flow{Category: &cats[0], Dest: Destination{FQDN: "a.example"}}, Web)
+	s.Add(Flow{Category: &cats[0], Dest: Destination{FQDN: "z.example"}}, Mobile)
+	s.Table().Seal()
+	if got := s.Platforms(probe); got != 0 || s.Table().Len() != 2 {
+		t.Errorf("absent probe between neighbours = %v, table of %d", got, s.Table().Len())
+	}
+	role := Flow{Category: &cats[0], Dest: Destination{FQDN: "z.example", Class: ThirdPartyATS}}
+	if got := s.Platforms(role); got != 0 {
+		t.Errorf("another role of a present FQDN = %v, want absent", got)
+	}
+	role.Dest.Class = FirstParty
+	if got := s.Platforms(role); got != OnMobile {
+		t.Errorf("present flow = %v, want mobile", got)
 	}
 }
 
@@ -208,16 +275,18 @@ func TestFlowKeyLessTotalOrderOnRoleTies(t *testing.T) {
 	fqdn := "tie-order.example"
 	d1 := Destination{FQDN: fqdn, ESLD: fqdn, Owner: "Org A", Class: ThirdParty}
 	d2 := Destination{FQDN: fqdn, ESLD: fqdn, Owner: "Org B", Class: ThirdPartyATS}
-	k1 := PackFlowKey(InternCategory(c), InternDestination(d1))
-	k2 := PackFlowKey(InternCategory(c), InternDestination(d2))
-	if FlowKeyLess(k1, k2) == FlowKeyLess(k2, k1) {
+	// Interned in the opposite order, so an ID tie-break would get it wrong.
+	tab := NewTable()
+	k2 := PackFlowKey(InternCategory(c), tab.Intern(d2))
+	k1 := PackFlowKey(InternCategory(c), tab.Intern(d1))
+	if tab.KeyLess(k1, k2) == tab.KeyLess(k2, k1) {
 		t.Fatalf("tie not totally ordered: less(k1,k2)=%v less(k2,k1)=%v",
-			FlowKeyLess(k1, k2), FlowKeyLess(k2, k1))
+			tab.KeyLess(k1, k2), tab.KeyLess(k2, k1))
 	}
-	if !FlowKeyLess(k1, k2) {
+	if !tab.KeyLess(k1, k2) {
 		t.Error("content tie-break: Org A should order before Org B")
 	}
-	if FlowKeyLess(k1, k1) || FlowKeyLess(k2, k2) {
+	if tab.KeyLess(k1, k1) || tab.KeyLess(k2, k2) {
 		t.Error("irreflexivity violated")
 	}
 	// A merged-set sort over the tied keys is stable across rebuilds.

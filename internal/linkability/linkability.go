@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"diffaudit/internal/entity"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 )
@@ -38,16 +39,13 @@ func (p Party) TypeNames() []string {
 	return out
 }
 
-// indexParty is one third-party destination in compact symbol form.
+// indexParty is one third-party destination with its categories in symbol
+// form. Destinations are held by value: the index outlives no table.
 type indexParty struct {
-	fqdn string
-	// destID is the representative destination: the one carried by the
+	// dest is the representative destination: the one carried by the
 	// first flow toward this FQDN in deterministic flow-key order, which
 	// is the destination the string-keyed Analyze exposed.
-	destID flows.DestID
-	class  flows.DestClass
-	// atsOrgID groups Figure 5 by owner organization.
-	atsOrgID uint32
+	dest flows.Destination
 	// cats are the distinct received categories, sorted by name.
 	cats     []flows.CatID
 	linkable bool
@@ -88,7 +86,9 @@ func (a *indexAcc) count() int {
 
 // indexState accumulates the single pass over a set's packed keys
 // (accumulate, then represent for the rare multi-role FQDNs, then finish).
+// FQDNs and destinations are IDs of the set's own table, tab.
 type indexState struct {
+	tab      *flows.Table
 	byFQDN   map[uint32]indexAcc
 	anyMulti bool
 	allCats  indexAcc // union of every party's category set
@@ -98,7 +98,7 @@ type indexState struct {
 // NewIndex builds the index in a single pass over the set's packed keys
 // (plus one extra pass over the rare multi-role FQDNs of merged sets).
 func NewIndex(set *flows.Set) *Index {
-	st := indexState{byFQDN: make(map[uint32]indexAcc)}
+	st := indexState{tab: set.Table(), byFQDN: make(map[uint32]indexAcc)}
 	set.RangeKeys(func(key uint64) { st.accumulate(key) })
 	if st.anyMulti {
 		set.RangeKeys(func(key uint64) { st.represent(key) })
@@ -109,11 +109,11 @@ func NewIndex(set *flows.Set) *Index {
 // accumulate folds one flow key into the per-FQDN accumulators.
 func (st *indexState) accumulate(key uint64) {
 	c, d := flows.SplitFlowKey(key)
-	syms := flows.DestinationSymbols(d)
-	if !syms.Class.IsThirdParty() {
+	if !st.tab.Class(d).IsThirdParty() {
 		return
 	}
-	a, ok := st.byFQDN[syms.FQDNID]
+	fid := st.tab.FQDNID(d)
+	a, ok := st.byFQDN[fid]
 	if !ok {
 		a.repDest = d
 	} else if d != a.repDest {
@@ -133,7 +133,7 @@ func (st *indexState) accumulate(key uint64) {
 		}
 		st.allCats.overflow[c] = true
 	}
-	st.byFQDN[syms.FQDNID] = a
+	st.byFQDN[fid] = a
 }
 
 // represent is the second-pass body: representative destination for
@@ -142,21 +142,21 @@ func (st *indexState) accumulate(key uint64) {
 // sets (anyMulti), so the common case never re-streams.
 func (st *indexState) represent(key uint64) {
 	_, d := flows.SplitFlowKey(key)
-	syms := flows.DestinationSymbols(d)
 	// Same third-party filter as the accumulation pass: a first-party
 	// role of the same FQDN must not become the representative (Analyze
 	// never saw those flows at all).
-	if !syms.Class.IsThirdParty() {
+	if !st.tab.Class(d).IsThirdParty() {
 		return
 	}
-	if a, ok := st.byFQDN[syms.FQDNID]; !ok || !a.multi {
+	fid := st.tab.FQDNID(d)
+	if a, ok := st.byFQDN[fid]; !ok || !a.multi {
 		return
 	}
 	if st.minKey == nil {
 		st.minKey = map[uint32]uint64{}
 	}
-	if cur, ok := st.minKey[syms.FQDNID]; !ok || flows.FlowKeyLess(key, cur) {
-		st.minKey[syms.FQDNID] = key
+	if cur, ok := st.minKey[fid]; !ok || st.tab.KeyLess(key, cur) {
+		st.minKey[fid] = key
 	}
 }
 
@@ -197,8 +197,7 @@ func (st *indexState) finish() *Index {
 	backing := make([]flows.CatID, 0, totalCats)
 
 	ix := &Index{parties: make([]indexParty, 0, len(byFQDN))}
-	for fid, a := range byFQDN {
-		syms := flows.DestinationSymbols(a.repDest)
+	for _, a := range byFQDN {
 		start := len(backing)
 		var hasID, hasPI bool
 		for i, c := range ordered {
@@ -213,15 +212,12 @@ func (st *indexState) finish() *Index {
 			}
 		}
 		ix.parties = append(ix.parties, indexParty{
-			fqdn:     flows.FQDNByID(fid),
-			destID:   a.repDest,
-			class:    syms.Class,
-			atsOrgID: syms.ATSOrgID,
+			dest:     st.tab.Destination(a.repDest),
 			cats:     backing[start:len(backing):len(backing)],
 			linkable: hasID && hasPI,
 		})
 	}
-	sort.Slice(ix.parties, func(i, j int) bool { return ix.parties[i].fqdn < ix.parties[j].fqdn })
+	sort.Slice(ix.parties, func(i, j int) bool { return ix.parties[i].dest.FQDN < ix.parties[j].dest.FQDN })
 	return ix
 }
 
@@ -241,7 +237,7 @@ func (ix *Index) Parties() []Party {
 	for i := range ix.parties {
 		p := &ix.parties[i]
 		out[i] = Party{
-			Dest:     flows.DestinationByID(p.destID),
+			Dest:     p.dest,
 			Types:    p.types(),
 			Linkable: p.linkable,
 		}
@@ -329,25 +325,27 @@ type OrgCount struct {
 
 // TopATSOrgs returns the Figure 5 statistic: the organizations owning the
 // third-party ATS domains that received linkable data, ranked by flow
-// count, at most n entries (0 = unlimited). Owners resolve through the
-// interned entity symbols instead of per-call registry lookups.
+// count, at most n entries (0 = unlimited). Owners come from the live
+// entity registry (entity.OwnerName of the FQDN), not from
+// Destination.Owner, as TopATSOrgs has always resolved them.
 func (ix *Index) TopATSOrgs(n int) []OrgCount {
-	flowCount := map[uint32]int{}
-	domSet := map[uint32]map[string]bool{}
+	flowCount := map[string]int{}
+	domSet := map[string]map[string]bool{}
 	for i := range ix.parties {
 		p := &ix.parties[i]
-		if !p.linkable || p.class != flows.ThirdPartyATS {
+		if !p.linkable || p.dest.Class != flows.ThirdPartyATS {
 			continue
 		}
-		flowCount[p.atsOrgID] += len(p.cats)
-		if domSet[p.atsOrgID] == nil {
-			domSet[p.atsOrgID] = map[string]bool{}
+		org := entity.OwnerName(p.dest.FQDN)
+		flowCount[org] += len(p.cats)
+		if domSet[org] == nil {
+			domSet[org] = map[string]bool{}
 		}
-		domSet[p.atsOrgID][p.fqdn] = true
+		domSet[org][p.dest.FQDN] = true
 	}
 	out := make([]OrgCount, 0, len(flowCount))
 	for org, c := range flowCount {
-		oc := OrgCount{Organization: flows.OwnerNameByID(org), Flows: c}
+		oc := OrgCount{Organization: org, Flows: c}
 		for d := range domSet[org] {
 			oc.Domains = append(oc.Domains, d)
 		}

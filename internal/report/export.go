@@ -58,7 +58,8 @@ func exportService(r *core.ServiceResult) ExportedService {
 	}
 	for _, t := range r.Personas() {
 		set := r.ByTrace[t]
-		for _, f := range set.Flows() {
+		set.RangeSorted(func(key uint64, m flows.PlatformMask) {
+			f := set.Table().FlowOfKey(key)
 			out.Flows = append(out.Flows, ExportedFlow{
 				Service:    r.Identity.Name,
 				Trace:      t.String(),
@@ -69,9 +70,9 @@ func exportService(r *core.ServiceResult) ExportedService {
 				ESLD:       f.Dest.ESLD,
 				Owner:      f.Dest.Owner,
 				Class:      f.Dest.Class.String(),
-				Platforms:  set.Platforms(f).Symbol(),
+				Platforms:  m.Symbol(),
 			})
-		}
+		})
 		ix := linkability.NewIndex(set)
 		out.LinkableParties[t.String()] = ix.CountLinkable()
 		n, _ := ix.LargestSet()
@@ -121,11 +122,12 @@ func AppendFlowsCSV(dst []byte, results []*core.ServiceResult) ([]byte, error) {
 		for _, t := range r.Personas() {
 			trace := t.String()
 			var rowErr error
-			r.ByTrace[t].RangeSorted(func(key uint64, m flows.PlatformMask) {
+			set := r.ByTrace[t]
+			set.RangeSorted(func(key uint64, m flows.PlatformMask) {
 				if rowErr != nil {
 					return
 				}
-				f := flows.FlowOfKey(key)
+				f := set.Table().FlowOfKey(key)
 				row[0] = r.Identity.Name
 				row[1] = trace
 				row[2] = f.Category.Name

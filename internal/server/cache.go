@@ -10,7 +10,7 @@ import (
 // resultCache is the decoded-snapshot cache: a byte-capped LRU keyed by
 // snapshot content hash, shared by the report, snapshot, and diff read
 // paths. A hit hands back the already-materialized *core.ServiceResult —
-// zero snapshot decodes, zero re-interning — which is what turns the warm
+// zero snapshot decodes, no symbol table rebuilt — which is what turns the warm
 // read path from "re-decode per request" into a map lookup.
 //
 // Entries are charged their encoded snapshot size (store.Meta.Bytes): it

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -326,5 +327,66 @@ func TestJournalWriteTransientRetried(t *testing.T) {
 	done := runJob(t, ts, quizletParts(t))
 	if done.State != JobDone {
 		t.Fatalf("job = %+v", done)
+	}
+}
+
+// soakHAR is a capture of n requests, each to a hostname (and eSLD) that
+// run r of a soak test has to itself, all carrying the same query keys.
+func soakHAR(t *testing.T, r, n int) string {
+	t.Helper()
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("https://www.soak-%d-%d.example/c?user_id=u&email=e@x.example", r, i)
+	}
+	return deltaHAR(t, urls...)
+}
+
+// liveHeap returns HeapAlloc after two collections, the second for what
+// the first one's finalizers released.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSoakUploadsBoundedMemory: what a server keeps per capture is bounded
+// by its configuration — MaxJobs results, CacheBytes of decoded snapshots —
+// and not by how many distinct hostnames strangers have uploaded. 40
+// uploads of 250 never-seen hostnames each (10 000 in all), their jobs
+// evicted and their snapshots read once, must leave the live heap within
+// 2 MiB of what it was after the first upload. Process-wide symbol tables
+// kept about 1 KB per hostname, some 10 MB here.
+func TestSoakUploadsBoundedMemory(t *testing.T) {
+	const (
+		uploads  = 40
+		hosts    = 250
+		marginMB = 2
+	)
+	st, err := store.OpenFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10, TempDir: t.TempDir(), Store: st})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	upload := func(r int) {
+		job := runJob(t, ts, map[string][2]string{"child": {"c.har", soakHAR(t, r, hosts)}, "name": {"", "Soak"}})
+		if code, _ := getBody(t, ts, "/v1/snapshots/"+job.SnapshotHash); code != http.StatusOK {
+			t.Fatalf("snapshot of upload %d: %d", r, code)
+		}
+	}
+	upload(0) // classifier, block lists and label cache are built by the first job
+	before := liveHeap()
+	for r := 1; r <= uploads; r++ {
+		upload(r)
+	}
+	after := liveHeap()
+	t.Logf("live heap %.2f → %.2f MiB over %d uploads of %d fresh hostnames", float64(before)/(1<<20), float64(after)/(1<<20), uploads, hosts)
+	if grown := int64(after) - int64(before); grown > marginMB<<20 {
+		t.Errorf("live heap grew %.1f MiB, want at most %d MiB", float64(grown)/(1<<20), marginMB)
 	}
 }

@@ -257,8 +257,8 @@ type Server struct {
 }
 
 // New starts a server's worker pool and returns it. It is Open for
-// configurations that cannot fail — with JournalDir set, journal I/O
-// errors panic; use Open to handle them.
+// configurations that cannot fail — with JournalDir or Store set, their
+// I/O errors panic; use Open to handle them.
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
@@ -271,11 +271,12 @@ func New(cfg Config) *Server {
 // first when Config.JournalDir is set: surviving journal records are
 // re-enqueued ahead of new submissions (in original submission order),
 // crash leftovers in the journal and staging directories are deleted, and
-// only then does the worker pool start. Every error comes from the
-// journal: its directories cannot be created, its log cannot be read or
-// rewritten, or the directory holds records in a layout this build does
-// not read (an older build's *.job / *.batch files, or a newer build's
-// log).
+// only then does the worker pool start. Errors come from the store — it
+// cannot list its snapshots, so new job IDs cannot be kept clear of stored
+// ones — or from the journal: its directories cannot be created, its log
+// cannot be read or rewritten, or the directory holds records in a layout
+// this build does not read (an older build's *.job / *.batch files, or a
+// newer build's log).
 func Open(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -317,12 +318,15 @@ func Open(cfg Config) (*Server, error) {
 	// A restarted server must not mint job IDs that collide with the IDs
 	// recorded in its store's snapshots, or /v1/jobs/{id}/report.* would
 	// serve the wrong audit. Seed the counter past every stored job ID.
+	// A store that cannot list cannot be fenced, so it is not served.
 	if cfg.Store != nil {
-		if metas, err := cfg.Store.List(); err == nil {
-			for _, m := range metas {
-				if n := jobIDNum(m.JobID); n > s.nextID {
-					s.nextID = n
-				}
+		metas, err := cfg.Store.List()
+		if err != nil {
+			return nil, fmt.Errorf("server: listing stored snapshots to fence job IDs: %w", err)
+		}
+		for _, m := range metas {
+			if n := jobIDNum(m.JobID); n > s.nextID {
+				s.nextID = n
 			}
 		}
 	}

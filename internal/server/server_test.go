@@ -639,6 +639,30 @@ func TestSnapshotFailureBlocksEviction(t *testing.T) {
 	}
 }
 
+// unlistableStore wraps a Store whose List errors — a snapshot directory
+// that cannot be read.
+type unlistableStore struct {
+	store.Store
+}
+
+func (unlistableStore) List() ([]store.Meta, error) {
+	return nil, errors.New("snapshot directory unreadable")
+}
+
+// TestOpenRefusesUnlistableStore: job IDs are fenced past every stored
+// snapshot's at start-up; a store that cannot say what it holds would let
+// a new job-N alias a stored report, so Open fails instead of guessing.
+func TestOpenRefusesUnlistableStore(t *testing.T) {
+	srv, err := Open(Config{TempDir: t.TempDir(), Store: unlistableStore{store.NewMemStore()}})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open served a store whose List fails")
+	}
+	if !strings.Contains(err.Error(), "snapshot directory unreadable") {
+		t.Errorf("Open error %q does not carry the store's", err)
+	}
+}
+
 // brokenLoadStore resolves one snapshot for job-9 but fails to load it —
 // the bit-rotted snapshot file case.
 type brokenLoadStore struct {

@@ -18,12 +18,12 @@ import (
 // Snapshot codec: a self-contained, versioned binary encoding of one
 // core.ServiceResult. "Self-contained" means the encoding carries its own
 // symbol tables (category names and groups, resolved destinations, persona
-// registrations), so a snapshot written by one process decodes in another
-// whose intern tables assigned entirely different IDs — decoding re-interns
-// every symbol into the live tables.
+// registrations), so a snapshot written by one process decodes in another:
+// the destination section becomes the decoded result's own symbol table,
+// categories and personas resolve by name against the process registries.
 //
 // The encoding is canonical: map-backed fields (domains, eSLDs, raw keys,
-// persona attributes) are written sorted, flows in FlowKeyLess order, and
+// persona attributes) are written sorted, flows in Table.KeyLess order, and
 // personas by name (never by process-local registry ID), so
 // encode(decode(encode(x))) == encode(x) byte for byte and identical
 // results encode identically even across processes whose registries
@@ -199,7 +199,7 @@ func checkSnapshot(data []byte) (payload []byte, err error) {
 // snapshot references are registered into the process-wide registry
 // (idempotently); a snapshot persona conflicting with an
 // already-registered one of the same name is an error. The result copies
-// or re-interns everything it keeps, so it never aliases data.
+// everything it keeps, so it never aliases data.
 func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	payload, err := checkSnapshot(data)
 	if err != nil {
@@ -210,7 +210,12 @@ func DecodeResult(data []byte) (*core.ServiceResult, error) {
 		return nil, err
 	}
 	decodes.Add(1)
-	res, err := decodeMetaSection(secs.meta)
+	// A result names each destination twice, in Domains/ESLDs and in its
+	// symbol table; seen lets the two share their strings, so a cached
+	// result holds every hostname once. Sized at one distinct string per
+	// 64 encoded bytes, about what audits come to, so it seldom regrows.
+	seen := make(map[string]string, len(data)/64)
+	res, err := decodeMetaSection(secs.meta, seen)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +226,7 @@ func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	if len(personas) != len(secs.flowSets) {
 		return nil, fmt.Errorf("store: snapshot has %d personas but %d flow sections", len(personas), len(secs.flowSets))
 	}
-	dec, err := decodeSymbolSection(secs.symbols)
+	dec, err := decodeSymbolSection(secs.symbols, seen)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +275,7 @@ func splitSections(payload []byte) (*snapSections, error) {
 
 // decodeMetaSection parses identity, counters, and the dataset string sets
 // into a result with no flow sets yet.
-func decodeMetaSection(data []byte) (*core.ServiceResult, error) {
+func decodeMetaSection(data []byte, seen map[string]string) (*core.ServiceResult, error) {
 	r := wire.NewReader(data)
 	res := &core.ServiceResult{
 		Identity: core.ServiceIdentity{
@@ -286,9 +291,9 @@ func decodeMetaSection(data []byte) (*core.ServiceResult, error) {
 	res.Packets = r.Int()
 	res.TCPFlows = r.Int()
 	res.DroppedKeys = r.Int()
-	res.Domains = readStringSet(r)
-	res.ESLDs = readStringSet(r)
-	res.RawKeys = readStringSet(r)
+	res.Domains = readStringSet(r, seen)
+	res.ESLDs = readStringSet(r, seen)
+	res.RawKeys = readStringSet(r, nil)
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("store: snapshot meta section: %w", err)
 	}
@@ -320,9 +325,9 @@ func decodePersonaSection(data []byte) ([]flows.Persona, error) {
 }
 
 // decodeSymbolSection parses the shared flow symbol tables.
-func decodeSymbolSection(data []byte) (*flows.SetDecoder, error) {
+func decodeSymbolSection(data []byte, seen map[string]string) (*flows.SetDecoder, error) {
 	r := wire.NewReader(data)
-	dec, err := flows.ReadSetTables(r)
+	dec, err := flows.ReadSetTables(r, seen)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot symbol tables: %w", err)
 	}
@@ -362,12 +367,13 @@ func writeStringSet(w *wire.Writer, set map[string]bool) {
 	}
 }
 
-// readStringSet reads a string list back into a set-valued map.
-func readStringSet(r *wire.Reader) map[string]bool {
+// readStringSet reads a string list back into a set-valued map, sharing
+// its strings through seen (wire.Reader.Shared).
+func readStringSet(r *wire.Reader, seen map[string]string) map[string]bool {
 	n := r.Count(1)
 	set := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
-		if s := r.String(); r.Err() == nil {
+		if s := r.Shared(seen); r.Err() == nil {
 			set[s] = true
 		}
 	}

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
+	"diffaudit/internal/ontology"
 	"diffaudit/internal/report"
 	"diffaudit/internal/synth"
 )
@@ -341,5 +343,53 @@ func TestColumnarSectionCorruption(t *testing.T) {
 		bad[off] ^= 0xa5
 		check("flip at", off, refreshCRC(bad))
 		bad[off] ^= 0xa5
+	}
+}
+
+// TestDecodeBoundedMemory: decoding is not remembered. 40 snapshots of 500
+// hostnames nothing else mentions (20 000 in all), each decoded and
+// dropped, must leave the live heap within 2 MiB of where it started; a
+// decoder that fed process-wide symbol tables kept about 1 KB a hostname.
+func TestDecodeBoundedMemory(t *testing.T) {
+	const (
+		snapshots = 40
+		hosts     = 500
+		marginMB  = 2
+	)
+	age, _ := ontology.Lookup("Age")
+	decodeOne := func(n int) {
+		res := &core.ServiceResult{
+			Identity: core.ServiceIdentity{Name: "Bounded"},
+			ByTrace:  map[flows.Persona]*flows.Set{flows.Child: flows.NewSet()},
+		}
+		for i := 0; i < hosts; i++ {
+			esld := fmt.Sprintf("bounded-%d-%d.example", n, i)
+			res.ByTrace[flows.Child].Add(flows.Flow{Category: age,
+				Dest: flows.Destination{FQDN: "www." + esld, ESLD: esld, Owner: esld, Class: flows.ThirdParty}}, flows.Web)
+		}
+		got, err := DecodeResult(EncodeResult(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ByTrace[flows.Child].Len() != hosts {
+			t.Fatalf("snapshot %d decoded %d flows, want %d", n, got.ByTrace[flows.Child].Len(), hosts)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	decodeOne(0) // pools and registries are warm after the first
+	before := liveHeap()
+	for n := 1; n <= snapshots; n++ {
+		decodeOne(n)
+	}
+	after := liveHeap()
+	t.Logf("live heap %.2f → %.2f MiB over %d decodes of %d fresh hostnames", float64(before)/(1<<20), float64(after)/(1<<20), snapshots, hosts)
+	if grown := int64(after) - int64(before); grown > marginMB<<20 {
+		t.Errorf("live heap grew %.1f MiB, want at most %d MiB", float64(grown)/(1<<20), marginMB)
 	}
 }

@@ -189,7 +189,13 @@ func (r *Reader) Bytes(n int) []byte {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return r.Shared(nil) }
+
+// Shared reads a length-prefixed string like String, but returns the copy
+// already in seen when an equal string was read before, and records a new
+// one there: a decoder whose document repeats strings across fields keeps
+// one allocation per distinct value. A nil seen shares nothing.
+func (r *Reader) Shared(seen map[string]string) string {
 	n := r.Int()
 	if r.err != nil {
 		return ""
@@ -198,8 +204,16 @@ func (r *Reader) String() string {
 		r.fail("wire: string length %d exceeds remaining input (%d bytes)", n, r.Remaining())
 		return ""
 	}
-	s := string(r.data[r.off : r.off+n])
+	b := r.data[r.off : r.off+n]
 	r.off += n
+	if seen == nil {
+		return string(b)
+	}
+	s, ok := seen[string(b)]
+	if !ok {
+		s = string(b)
+		seen[s] = s
+	}
 	return s
 }
 
