@@ -17,6 +17,7 @@ import (
 	"compress/gzip"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -57,6 +58,9 @@ func acceptsGzip(r *http.Request) bool {
 // compressed body to a client that cannot read it.
 func writeMaybeGzip(w http.ResponseWriter, r *http.Request, data []byte) {
 	if len(data) < gzipMinBytes || !acceptsGzip(r) {
+		// The body is complete in hand: say how long it is, so it does
+		// not go out chunked and a client can tell a truncated one.
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 		return
 	}

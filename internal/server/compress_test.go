@@ -3,10 +3,19 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+
+	"diffaudit/internal/core"
+	"diffaudit/internal/flows"
+	"diffaudit/internal/ontology"
+	"diffaudit/internal/report"
+	"diffaudit/internal/store"
+	"diffaudit/internal/synth"
 )
 
 // TestAcceptsGzip pins the Accept-Encoding negotiation, including the
@@ -98,6 +107,12 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 			if enc := plain.Header.Get("Content-Encoding"); enc != "" {
 				t.Fatalf("identity response has Content-Encoding %q", enc)
 			}
+			// An identity body is complete before the first byte is sent,
+			// so it is length-delimited: a client can tell a truncated
+			// report from a whole one.
+			if plain.ContentLength != int64(len(plainBody)) || len(plain.TransferEncoding) != 0 {
+				t.Errorf("identity response: Content-Length %d, Transfer-Encoding %v; want %d and none", plain.ContentLength, plain.TransferEncoding, len(plainBody))
+			}
 
 			// The negotiated response: compressed on the wire, same ETag,
 			// same bytes after decompression, smaller before it.
@@ -147,6 +162,113 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 			if got := cond.Header.Get("ETag"); got != etag {
 				t.Errorf("304 ETag = %q, want %q", got, etag)
 			}
+			// RFC 9110 §15.4.5: the 304 carries the Vary the 200 would.
+			if vary := cond.Header.Values("Vary"); len(vary) != 1 || vary[0] != "Accept-Encoding" {
+				t.Errorf("304 Vary = %q, want exactly Accept-Encoding as on the 200", vary)
+			}
 		})
 	}
+}
+
+// TestExportScratchNotSharedAcrossResponses: report.json and
+// /v1/snapshots/{ref} render into pooled scratch that goes back to the pool
+// after the write. Concurrent readers of results of different sizes — so
+// buffers of several size classes are in flight and recycled at once,
+// identity and gzip interleaved — must each get exactly their result's
+// export, and a result whose export exceeds the pool's 4 MiB top class
+// (rendered into a one-off buffer the pool then refuses) serves the same
+// way. Run under -race, this is also the check that no buffer is written
+// after it was returned.
+func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
+	var results []*core.ServiceResult
+	pipe := core.NewPipeline()
+	for _, st := range synth.Generate(synth.Config{Scale: 0.002}).Services {
+		results = append(results, pipe.AnalyzeRecords(st.Identity(), st.Records()))
+	}
+	// 11 000 flows at ~430 bytes a row: a 4.7 MB export.
+	huge := &core.ServiceResult{
+		Identity: core.ServiceIdentity{Name: "Huge", Owner: "Huge Org"},
+		ByTrace:  map[flows.Persona]*flows.Set{flows.Child: flows.NewSetSized(11000)},
+		Domains:  map[string]bool{}, ESLDs: map[string]bool{}, RawKeys: map[string]bool{},
+	}
+	cats := ontology.Categories()
+	for i := 0; i < 11000; i++ {
+		fqdn := fmt.Sprintf("host-%05d.tracker.example.net", i)
+		huge.ByTrace[flows.Child].Add(flows.Flow{
+			Category: &cats[i%len(cats)],
+			Dest:     flows.Destination{FQDN: fqdn, ESLD: "example.net", Owner: "Example Networks", Class: flows.ThirdPartyATS},
+		}, flows.Web)
+	}
+	results = append(results, huge)
+
+	st := store.NewMemStore()
+	type stored struct {
+		jobID, hash string
+		want        []byte
+	}
+	var snaps []stored
+	for i, res := range results {
+		jobID := fmt.Sprintf("job-%d", 100+i)
+		meta, err := st.Put(jobID, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := report.ExportJSON([]*core.ServiceResult{res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, stored{jobID, meta.Hash, want})
+	}
+	if n := len(snaps[len(snaps)-1].want); n <= 4<<20 {
+		t.Fatalf("the huge export is %d bytes; it must exceed the pool's 4 MiB top class", n)
+	}
+	srv := New(Config{TempDir: t.TempDir(), Store: st})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	fetch := func(path, enc string) (int, []byte, error) {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		req.Header.Set("Accept-Encoding", enc)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		var body io.Reader = resp.Body
+		if enc == "gzip" {
+			if body, err = gzip.NewReader(resp.Body); err != nil {
+				return resp.StatusCode, nil, err
+			}
+		}
+		got, err := io.ReadAll(body)
+		return resp.StatusCode, got, err
+	}
+	const readers = 6
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range snaps {
+				snap := snaps[(g+i)%len(snaps)]
+				path, enc := "/v1/snapshots/"+snap.hash, "identity"
+				if (g+i)%2 == 1 {
+					path = "/v1/jobs/" + snap.jobID + "/report.json"
+				}
+				if (g/2+i)%2 == 1 {
+					enc = "gzip"
+				}
+				status, got, err := fetch(path, enc)
+				if err != nil || status != http.StatusOK || !bytes.Equal(got, snap.want) {
+					t.Errorf("%s (%s): status %d, err %v, %d bytes served, the result's export is %d bytes — not the same document",
+						path, enc, status, err, len(got), len(snap.want))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -75,8 +75,11 @@ func etagMatch(r *http.Request, etag string) bool {
 
 // notModified answers a conditional GET whose validator matched: the 304
 // repeats the cache headers (so the client refreshes its entry's
-// lifetime) and carries no body — and the handler never decoded anything.
+// lifetime) and the Vary the 200 from writeRendered would have carried
+// (RFC 9110 §15.4.5; every route that answers 304 renders through it), and
+// carries no body — and the handler never decoded anything.
 func notModified(w http.ResponseWriter, etag, cacheControl string) {
 	setCacheHeaders(w, etag, cacheControl)
+	w.Header().Add("Vary", "Accept-Encoding")
 	w.WriteHeader(http.StatusNotModified)
 }

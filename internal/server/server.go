@@ -1042,13 +1042,25 @@ func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, d
 	writeMaybeGzip(w, r, data)
 }
 
+// writeExportJSON renders one result's JSON export — the body of both
+// report.json and /v1/snapshots/{ref} — into pooled scratch and writes it.
+// The bytes only live until the response write, so steady-state serving
+// recycles buffers instead of allocating a report-sized one per request;
+// the buffer is sized from the result's flow count, so the render neither
+// outgrows it nor pins a class larger than the report needs.
+func writeExportJSON(w http.ResponseWriter, r *http.Request, res *core.ServiceResult, etag, cacheControl string) {
+	one := []*core.ServiceResult{res}
+	out, err := report.AppendJSON(wire.GetBuf(report.JSONSizeHint(one)), one)
+	writeRendered(w, r, "application/json", out, err, etag, cacheControl)
+	wire.PutBuf(out)
+}
+
 func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
 	res, etag, okRes := s.reportResult(w, r, "")
 	if !okRes {
 		return
 	}
-	data, err := report.ExportJSON([]*core.ServiceResult{res})
-	writeRendered(w, r, "application/json", data, err, etag, ccRevalidate)
+	writeExportJSON(w, r, res, etag, ccRevalidate)
 }
 
 func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
@@ -1139,8 +1151,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.staleHeaders(w, stale)
-	data, err := report.ExportJSON([]*core.ServiceResult{res})
-	writeRendered(w, r, "application/json", data, err, etag, cacheControl)
+	writeExportJSON(w, r, res, etag, cacheControl)
 }
 
 // handleDiff renders the longitudinal diff between two stored snapshots.
