@@ -1,6 +1,7 @@
 package diffaudit_test
 
 import (
+	"encoding/json"
 	"net/netip"
 
 	"diffaudit/internal/har"
@@ -11,5 +12,11 @@ var (
 	serverAddr = netip.MustParseAddr("198.18.0.1")
 )
 
-// parseHAR wraps the internal HAR parser for the pipeline benchmark.
-func parseHAR(data []byte) (*har.HAR, error) { return har.Parse(data) }
+// parseHAR decodes a whole HAR document for the pipeline benchmark.
+func parseHAR(data []byte) (*har.HAR, error) {
+	var h har.HAR
+	if err := json.Unmarshal(data, &h); err != nil {
+		return nil, err
+	}
+	return &h, nil
+}

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -38,7 +37,6 @@ import (
 	"diffaudit/internal/har"
 	"diffaudit/internal/lawaudit"
 	"diffaudit/internal/linkability"
-	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/netcap/tlsx"
 	"diffaudit/internal/policy"
 	"diffaudit/internal/report"
@@ -118,8 +116,8 @@ type (
 	ServiceSpec = services.Spec
 	// ValidationRow is one row of the classifier validation table.
 	ValidationRow = classifier.ValidationRow
-	// RecordSource is a pull-based record iterator feeding the streaming
-	// pipeline: peak memory stays constant no matter how large the capture.
+	// RecordSource is a pull-based record iterator feeding the pipeline,
+	// which holds a bounded number of record batches however long it is.
 	RecordSource = core.RecordSource
 	// FileSource streams records out of a capture file on disk.
 	FileSource = core.FileSource
@@ -224,8 +222,8 @@ func (a *Auditor) AuditRecords(id ServiceIdentity, recs []RequestRecord) *Servic
 }
 
 // AuditStream runs the pipeline over a record stream in bounded batches:
-// the result is identical to AuditRecords over the same records, but peak
-// memory is independent of capture size.
+// the result is identical to AuditRecords over the same records, and the
+// analysis holds a constant number of batches whatever the stream's length.
 func (a *Auditor) AuditStream(id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
 	return a.Pipeline.AnalyzeStream(id, src)
 }
@@ -252,7 +250,8 @@ func OpenHARSource(path string, trace TraceCategory) (*FileSource, error) {
 }
 
 // OpenPCAPSource opens a mobile capture (pcap or pcapng) for streaming
-// audit; packet frames are never all resident. TLS keys come from
+// audit; frames are read one at a time, but payload-carrying segments are
+// held until the capture ends (see PCAPSource). TLS keys come from
 // embedded Decryption Secrets Blocks plus the optional key log (nil for
 // none), which several captures may share.
 func OpenPCAPSource(path string, keylog *KeyLog, trace TraceCategory) (*FileSource, error) {
@@ -389,34 +388,37 @@ func RenderDiffReport(d LongitudinalDiff) string { return report.DiffReport(d) }
 func ExportDiffJSON(d LongitudinalDiff) ([]byte, error) { return report.ExportDiffJSON(d) }
 
 // LoadHARFile parses a website capture exported from the browser's network
-// panel into request records.
+// panel into request records: the OpenHARSource stream, drained.
 func (a *Auditor) LoadHARFile(path string, trace TraceCategory) ([]RequestRecord, error) {
-	h, err := har.ReadFile(path)
+	src, err := OpenHARSource(path, trace)
 	if err != nil {
 		return nil, err
 	}
-	return core.FromHAR(h, trace, Web), nil
+	return core.Drain(src)
 }
 
 // LoadPCAPFile parses a mobile capture (pcap or pcapng; TLS key material is
 // read from embedded Decryption Secrets Blocks and, optionally, an external
-// SSLKEYLOGFILE) into request records.
+// SSLKEYLOGFILE) into request records: the OpenPCAPSource stream, drained,
+// with the stats it gathered.
 func (a *Auditor) LoadPCAPFile(path, keylogPath string, trace TraceCategory) ([]RequestRecord, PCAPStats, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, PCAPStats{}, err
-	}
-	capt, err := pcapio.Read(data)
-	if err != nil {
-		return nil, PCAPStats{}, err
-	}
 	var extra *KeyLog
 	if keylogPath != "" {
+		var err error
 		if extra, err = core.LoadKeyLog(keylogPath); err != nil {
 			return nil, PCAPStats{}, err
 		}
 	}
-	return core.FromPCAP(capt, extra, trace)
+	src, err := OpenPCAPSource(path, extra, trace)
+	if err != nil {
+		return nil, PCAPStats{}, err
+	}
+	recs, err := core.Drain(src)
+	if err != nil {
+		return nil, PCAPStats{}, err
+	}
+	stats, _ := src.PCAPStats()
+	return recs, stats, nil
 }
 
 // GuessIdentity derives a service identity from records when no profile is

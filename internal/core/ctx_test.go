@@ -34,12 +34,12 @@ func ctxTestIdentity() ServiceIdentity {
 }
 
 // TestAnalyzeContextCancelledReturnsErr: an already-dead context aborts
-// both entry points with ctx.Err() and no partial result, on the
-// sequential and parallel paths alike.
+// both entry points with ctx.Err() and no partial result, with one worker
+// and with several alike.
 func TestAnalyzeContextCancelledReturnsErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	recs := ctxTestRecords(4 * analyzeChunkSize)
+	recs := ctxTestRecords(4 * streamBatchSize)
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline()
 		p.Workers = workers
@@ -57,7 +57,7 @@ func TestAnalyzeContextCancelledReturnsErr(t *testing.T) {
 // TestAnalyzeContextBackgroundIdentical: a background context changes
 // nothing — results match the context-free paths exactly.
 func TestAnalyzeContextBackgroundIdentical(t *testing.T) {
-	recs := ctxTestRecords(3*analyzeChunkSize + 17)
+	recs := ctxTestRecords(3*streamBatchSize + 17)
 	id := ctxTestIdentity()
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline()

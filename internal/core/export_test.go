@@ -2,9 +2,10 @@ package core
 
 import "context"
 
-// AnalyzeUnknownRecords opens the slice entry point under a guessed
-// identity to the external tests; outside them only the stream form has a
+// AnalyzeUnknownRecords is AnalyzeRecordsContext under a guessed identity,
+// opened to the external tests; outside them only the stream form has a
 // caller.
 func (p *Pipeline) AnalyzeUnknownRecords(ctx context.Context, name string, recs []RequestRecord) (*ServiceResult, error) {
-	return p.analyzeRecords(ctx, ServiceIdentity{Name: name}, true, recs)
+	res, _, err := p.analyzeStream(ctx, ServiceIdentity{Name: name}, true, SliceSource(recs))
+	return res, err
 }

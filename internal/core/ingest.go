@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"diffaudit/internal/domains"
@@ -87,16 +86,9 @@ func FromPCAP(capt *pcapio.Capture, extraKeylog *tlsx.KeyLog, trace flows.TraceC
 		return nil, PCAPStats{}, errors.New("core: nil capture")
 	}
 	src := NewPCAPSource(context.Background(), capt.Source(), extraKeylog, trace)
-	var out []RequestRecord
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, PCAPStats{}, err
-		}
-		out = append(out, rec)
+	out, err := Drain(src)
+	if err != nil {
+		return nil, PCAPStats{}, err
 	}
 	return out, src.Stats(), nil
 }

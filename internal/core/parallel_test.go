@@ -28,9 +28,9 @@ func parallelTestRecords(n int) []RequestRecord {
 	return recs
 }
 
-// TestAnalyzeRecordsParallelMatchesSequential forces the worker pool on
+// TestAnalyzeRecordsParallelMatchesSequential forces a wide worker pool
 // (well past GOMAXPROCS on small machines) and checks every result field
-// against the sequential path.
+// against a one-worker run.
 func TestAnalyzeRecordsParallelMatchesSequential(t *testing.T) {
 	id := ServiceIdentity{Name: "Quizlet", Owner: "Quizlet Inc", FirstPartyESLDs: []string{"quizlet.com"}}
 	recs := parallelTestRecords(1200)

@@ -122,11 +122,10 @@ type Pipeline struct {
 	ATS *ats.Engine
 	// Extract tunes key harvesting.
 	Extract extract.Options
-	// Workers bounds AnalyzeRecords concurrency: 0 (the default) sizes the
-	// worker pool to runtime.GOMAXPROCS, 1 forces the sequential path, any
-	// other value is used as given. The parallel path produces results
-	// identical to the sequential one — flow sets, counters, and caches
-	// merge deterministically.
+	// Workers sizes the analysis worker pool every audit runs on: 0 (the
+	// default) means runtime.GOMAXPROCS, any other value is used as given
+	// (1 is one worker goroutine). Results do not depend on it — flow sets,
+	// counters, and caches merge deterministically.
 	Workers int
 
 	// shards is the label cache: FNV-sharded so concurrent workers hit
@@ -239,7 +238,7 @@ type fqdnTally struct {
 // are resolved, and the result's symbol table built, only once the whole
 // capture has been seen. Every field merges commutatively (set unions,
 // sums, platform-mask ORs), so combining partials in any order yields the
-// same ServiceResult the sequential loop builds.
+// same ServiceResult one partial over every record would.
 type partialResult struct {
 	fqdnIdx     map[string]uint32 // FQDN as recorded → index into fqdns
 	fqdns       []fqdnTally
@@ -299,7 +298,7 @@ func (pr *partialResult) flowsOf(p flows.Persona) map[uint64]flows.PlatformMask 
 	return m
 }
 
-// analyzeChunk runs the sequential pipeline body over a slice of records,
+// analyzeChunk runs the pipeline body over one batch of records,
 // accumulating into pr.
 func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 	for i := range recs {
@@ -427,106 +426,22 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 	return res
 }
 
-// analyzeChunkSize is the unit of work the parallel path hands out. Small
-// enough to balance load across workers on skewed record mixes, large
-// enough that the atomic-counter handoff never shows up in a profile.
-const analyzeChunkSize = 256
-
-// AnalyzeRecords runs the full pipeline over a service's request records.
-//
-// Records are processed on a bounded worker pool (see Pipeline.Workers).
-// Each worker accumulates a private partial result over contiguous record
-// chunks claimed from a shared cursor; partials merge in worker order at
-// the end. Classification is deterministic and every merge operation is
-// commutative, so the output is identical to the sequential path — a
-// property the equivalence tests assert byte-for-byte on rendered
-// artifacts.
+// AnalyzeRecords runs the full pipeline over a service's request records:
+// AnalyzeStream over a SliceSource, so an in-memory audit and a streamed one
+// take the same path and agree byte-for-byte.
 func (p *Pipeline) AnalyzeRecords(id ServiceIdentity, recs []RequestRecord) *ServiceResult {
 	res, _ := p.AnalyzeRecordsContext(context.Background(), id, recs)
 	return res
 }
 
 // AnalyzeRecordsContext is AnalyzeRecords under a context. Cancellation
-// and deadline expiry are observed at chunk boundaries only: a run that
+// and deadline expiry are observed at batch boundaries only: a run that
 // completes is byte-identical to the context-free path, a run that is cut
 // short returns ctx.Err() and no partial result. With the background
 // context the error is always nil.
 func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity, recs []RequestRecord) (*ServiceResult, error) {
-	return p.analyzeRecords(ctx, id, false, recs)
-}
-
-// analyzeRecords is the slice entry point for given and guessed (see
-// partialResult.result) identities alike.
-func (p *Pipeline) analyzeRecords(ctx context.Context, id ServiceIdentity, guess bool, recs []RequestRecord) (*ServiceResult, error) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if max := (len(recs) + analyzeChunkSize - 1) / analyzeChunkSize; workers > max {
-		workers = max
-	}
-
-	if workers <= 1 {
-		pr := newPartialResult(len(recs))
-		for lo := 0; lo < len(recs); lo += analyzeChunkSize {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hi := lo + analyzeChunkSize
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			p.analyzeChunk(recs[lo:hi], pr)
-		}
-		return pr.result(id, guess, p.ATS), nil
-	}
-
-	partials := make([]*partialResult, workers)
-	var cursor sync.Mutex
-	next := 0
-	claim := func() (lo, hi int, ok bool) {
-		cursor.Lock()
-		defer cursor.Unlock()
-		// An expired context stops workers at the next chunk boundary;
-		// chunks already claimed run to completion.
-		if next >= len(recs) || ctx.Err() != nil {
-			return 0, 0, false
-		}
-		lo = next
-		hi = lo + analyzeChunkSize
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		next = hi
-		return lo, hi, true
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pr := newPartialResult(len(recs) / workers)
-			partials[w] = pr
-			for {
-				lo, hi, ok := claim()
-				if !ok {
-					return
-				}
-				p.analyzeChunk(recs[lo:hi], pr)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	total := partials[0]
-	for _, pr := range partials[1:] {
-		total.merge(pr)
-	}
-	return total.result(id, guess, p.ATS), nil
+	res, _, err := p.analyzeStream(ctx, id, false, SliceSource(recs))
+	return res, err
 }
 
 // Table1Totals aggregates results into the unique-total row of Table 1.

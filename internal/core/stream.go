@@ -67,10 +67,28 @@ func (m *multiSource) Next() (RequestRecord, error) {
 	return RequestRecord{}, io.EOF
 }
 
-// streamBatchSize is the number of records pulled from a source per batch.
-// It matches analyzeChunkSize so the parallel stream path hands workers the
-// same unit of work the in-memory path does.
-const streamBatchSize = analyzeChunkSize
+// Drain reads a source to its end and returns every record: how the
+// in-memory loaders (FromPCAP, the facade's LoadHARFile and LoadPCAPFile)
+// are made from the streaming sources.
+func Drain(src RecordSource) ([]RequestRecord, error) {
+	var out []RequestRecord
+	for {
+		rec, err := src.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}
+
+// streamBatchSize is the unit of work: the number of records pulled from a
+// source per batch and handed to one worker. Small enough to balance load
+// across workers on skewed record mixes, large enough that the channel
+// handoff never shows up in a profile.
+const streamBatchSize = 256
 
 // streamQueueDepth bounds how many filled batches may sit between the
 // producer (pulling from the source) and the workers. Together with the
@@ -87,12 +105,13 @@ type streamStats struct {
 	peakBatches int32
 }
 
-// AnalyzeStream runs the full pipeline over a record stream, producing a
-// result identical to AnalyzeRecords over the same records (the streaming
-// equivalence test asserts this byte-for-byte on rendered artifacts).
+// AnalyzeStream runs the full pipeline over a record stream. Every audit
+// runs this one loop — AnalyzeRecords is AnalyzeStream over a SliceSource —
+// so the result is the same at every Workers setting and batch boundary
+// (the equivalence tests assert this byte-for-byte on rendered artifacts).
 //
 // Records are pulled from the source in batches of streamBatchSize and fed
-// to the same bounded worker pool AnalyzeRecords uses; at most
+// to a pool of Pipeline.Workers goroutines; at most
 // workers + streamQueueDepth + 1 batches are in flight at any moment, so
 // peak memory is independent of stream length. The source is drained on
 // the calling goroutine; workers only see completed batches.
@@ -123,18 +142,13 @@ func (p *Pipeline) AnalyzeUnknownStream(ctx context.Context, name string, src Re
 	return res, err
 }
 
-// analyzeStream is the stream entry point for given and guessed identities
+// analyzeStream is the only place analysis workers start and batches
+// fill, for given and guessed (see partialResult.result) identities
 // alike, plus residency instrumentation.
 func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource) (*ServiceResult, *streamStats, error) {
-	stats := &streamStats{}
-
 	workers := p.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
-	}
-
-	if workers <= 1 {
-		return p.analyzeStreamSequential(ctx, id, guess, src, stats)
 	}
 
 	// live counts batches currently resident (filled but not yet fully
@@ -151,16 +165,19 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 	}
 
 	batches := make(chan []RequestRecord, streamQueueDepth)
+	// A worker's partial exists once it has been handed a batch; one that
+	// never is contributes nothing to the merge.
 	partials := make([]*partialResult, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pr := newPartialResult(streamBatchSize * streamQueueDepth)
-			partials[w] = pr
 			for batch := range batches {
-				p.analyzeChunk(batch, pr)
+				if partials[w] == nil {
+					partials[w] = newPartialResult(streamBatchSize * streamQueueDepth)
+				}
+				p.analyzeChunk(batch, partials[w])
 				atomic.AddInt32(&live, -1)
 			}
 		}(w)
@@ -182,10 +199,6 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 		batch := make([]RequestRecord, 0, streamBatchSize)
 		for len(batch) < streamBatchSize {
 			rec, err := src.Next()
-			if err == io.EOF {
-				srcErr = io.EOF
-				break
-			}
 			if err != nil {
 				srcErr = err
 				break
@@ -199,48 +212,24 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 	}
 	close(batches)
 	wg.Wait()
-	stats.peakBatches = atomic.LoadInt32(&peak)
+	stats := &streamStats{peakBatches: atomic.LoadInt32(&peak)}
 
-	if srcErr != nil && !errors.Is(srcErr, io.EOF) {
+	if !errors.Is(srcErr, io.EOF) {
 		return nil, stats, srcErr
 	}
 
-	total := partials[0]
-	for _, pr := range partials[1:] {
-		total.merge(pr)
+	var total *partialResult
+	for _, pr := range partials {
+		switch {
+		case pr == nil:
+		case total == nil:
+			total = pr
+		default:
+			total.merge(pr)
+		}
+	}
+	if total == nil {
+		total = newPartialResult(0)
 	}
 	return total.result(id, guess, p.ATS), stats, nil
-}
-
-// analyzeStreamSequential is the workers<=1 path: one reused batch buffer,
-// so exactly one batch is ever resident.
-func (p *Pipeline) analyzeStreamSequential(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource, stats *streamStats) (*ServiceResult, *streamStats, error) {
-	pr := newPartialResult(streamBatchSize)
-	batch := make([]RequestRecord, 0, streamBatchSize)
-	stats.peakBatches = 1
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		if err := faults.Inject("decode.slow"); err != nil {
-			return nil, stats, err
-		}
-		batch = batch[:0]
-		var srcErr error
-		for len(batch) < streamBatchSize {
-			rec, err := src.Next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			batch = append(batch, rec)
-		}
-		p.analyzeChunk(batch, pr)
-		if srcErr == io.EOF {
-			return pr.result(id, guess, p.ATS), stats, nil
-		}
-		if srcErr != nil {
-			return nil, stats, srcErr
-		}
-	}
 }

@@ -34,8 +34,8 @@ func (g *generatorSource) Next() (RequestRecord, error) {
 	}, nil
 }
 
-// TestAnalyzeStreamMatchesAnalyzeRecords checks the streaming path against
-// the in-memory path field by field, sequential and parallel.
+// TestAnalyzeStreamMatchesAnalyzeRecords checks the streaming entry point
+// against the in-memory one field by field, at one worker and at several.
 func TestAnalyzeStreamMatchesAnalyzeRecords(t *testing.T) {
 	id := ServiceIdentity{Name: "Quizlet", Owner: "Quizlet Inc", FirstPartyESLDs: []string{"quizlet.com"}}
 	recs := parallelTestRecords(1200)
@@ -99,41 +99,32 @@ func assertResultsEqual(t *testing.T, workers int, want, got *ServiceResult) {
 // residency must not grow with stream length. Records are generated on the
 // fly, so the only buffering is the pipeline's own.
 func TestAnalyzeStreamConstantMemory(t *testing.T) {
-	const workers = 4
 	id := ServiceIdentity{Name: "Quizlet", Owner: "Quizlet Inc", FirstPartyESLDs: []string{"quizlet.com"}}
 
-	peak := func(n int) int32 {
-		pipe := NewPipeline()
-		pipe.Workers = workers
-		_, stats, err := pipe.analyzeStream(context.Background(), id, false, &generatorSource{n: n})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+	for _, workers := range []int{1, 4} {
+		peak := func(n int) int32 {
+			pipe := NewPipeline()
+			pipe.Workers = workers
+			_, stats, err := pipe.analyzeStream(context.Background(), id, false, &generatorSource{n: n})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			return stats.peakBatches
 		}
-		return stats.peakBatches
-	}
 
-	// The bound is a constant of the pipeline configuration. A 10×-longer
-	// stream could admit 10× the batches if residency scaled with input;
-	// both runs staying under the same constant proves it does not.
-	bound := int32(workers + streamQueueDepth + 1)
-	small := peak(40 * streamBatchSize)
-	large := peak(400 * streamBatchSize) // 10× the records
-	if small > bound {
-		t.Fatalf("peak residency %d exceeds bound %d at 40 batches", small, bound)
-	}
-	if large > bound {
-		t.Fatalf("peak residency %d exceeds bound %d at 400 batches (scaled with input)", large, bound)
-	}
-
-	// The sequential path reuses one buffer.
-	pipe := NewPipeline()
-	pipe.Workers = 1
-	_, stats, err := pipe.analyzeStream(context.Background(), id, false, &generatorSource{n: 10 * streamBatchSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.peakBatches != 1 {
-		t.Fatalf("sequential peak = %d, want 1", stats.peakBatches)
+		// The bound is a constant of the pipeline configuration. A
+		// 10×-longer stream could admit 10× the batches if residency scaled
+		// with input; both runs staying under the same constant proves it
+		// does not.
+		bound := int32(workers + streamQueueDepth + 1)
+		small := peak(40 * streamBatchSize)
+		large := peak(400 * streamBatchSize) // 10× the records
+		if small > bound {
+			t.Fatalf("workers=%d: peak residency %d exceeds bound %d at 40 batches", workers, small, bound)
+		}
+		if large > bound {
+			t.Fatalf("workers=%d: peak residency %d exceeds bound %d at 400 batches (scaled with input)", workers, large, bound)
+		}
 	}
 }
 
@@ -152,7 +143,7 @@ func (f *failingSource) Next() (RequestRecord, error) {
 }
 
 // TestAnalyzeStreamSourceError checks a mid-stream source failure is
-// surfaced (not swallowed as a truncated result) on both paths.
+// surfaced (not swallowed as a truncated result) at one worker and at four.
 func TestAnalyzeStreamSourceError(t *testing.T) {
 	id := ServiceIdentity{Name: "Quizlet"}
 	wantErr := errors.New("disk on fire")

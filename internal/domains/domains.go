@@ -160,29 +160,36 @@ func Extract(fqdn string) Result {
 // ESLD is shorthand for Extract(fqdn).ESLD().
 func ESLD(fqdn string) string { return Extract(fqdn).ESLD() }
 
-// normalizeHost lowers the name and removes scheme/port/path remnants so
-// both bare FQDNs and URL hosts are accepted.
+// normalizeHost lowers the name and removes scheme/userinfo/port/path
+// remnants so both bare FQDNs and URL hosts are accepted.
 func normalizeHost(s string) string {
-	s = strings.TrimSpace(strings.ToLower(s))
+	return strings.Trim(Hostname(strings.TrimSpace(s)), ".")
+}
+
+// Hostname returns the host a URL or authority names
+// ("https://u:pw@Host:8443/p", "[2001:db8::1]:443", a Host header value),
+// lowercased, without scheme, userinfo, port, path or IPv6 brackets. Both
+// capture formats name a request's destination through it.
+func Hostname(s string) string {
 	if i := strings.Index(s, "://"); i >= 0 {
 		s = s[i+3:]
 	}
-	for _, cut := range []byte{'/', '?', '#'} {
-		if i := strings.IndexByte(s, cut); i >= 0 {
-			s = s[:i]
-		}
-	}
-	if strings.HasPrefix(s, "[") { // bracketed IPv6, possibly with port
-		if i := strings.IndexByte(s, ']'); i >= 0 {
-			return s[1:i]
-		}
-		return strings.TrimPrefix(s, "[")
-	}
-	// Strip a port only when the remainder is not a bare IPv6 address.
-	if i := strings.LastIndexByte(s, ':'); i >= 0 && strings.Count(s, ":") == 1 {
+	if i := strings.IndexAny(s, "/?#"); i >= 0 {
 		s = s[:i]
 	}
-	return strings.Trim(s, ".")
+	if i := strings.LastIndexByte(s, '@'); i >= 0 {
+		s = s[i+1:]
+	}
+	if strings.HasPrefix(s, "[") {
+		s = s[1:]
+		if i := strings.IndexByte(s, ']'); i >= 0 {
+			s = s[:i]
+		}
+	} else if i := strings.IndexByte(s, ':'); i >= 0 && i == strings.LastIndexByte(s, ':') {
+		// One colon is a port; more is a bare IPv6 address, kept whole.
+		s = s[:i]
+	}
+	return strings.ToLower(s)
 }
 
 // isIP reports whether host looks like an IPv4 or IPv6 literal.

@@ -62,6 +62,7 @@ func TestExtractURLForms(t *testing.T) {
 		"quizlet.com:443":                      "quizlet.com",
 		"WWW.Minecraft.NET.":                   "minecraft.net",
 		"https://cdn.example.co.uk/path#frag":  "example.co.uk",
+		"https://u:pw@Ads.Example.com:8443/p":  "example.com",
 	}
 	for in, want := range cases {
 		if got := ESLD(in); got != want {

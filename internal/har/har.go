@@ -2,16 +2,17 @@
 // format the DiffAudit paper exports from the Chrome DevTools Network panel
 // for website traces and from Proxyman for desktop-app traces. Only the
 // fields the audit pipeline consumes are modeled deeply (requests); response
-// fields are carried opaquely enough to round-trip.
+// fields are carried opaquely enough to round-trip. Documents are written
+// with HAR.Marshal and read with the one decoder, StreamDecoder.
 package har
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
+
+	"diffaudit/internal/domains"
 )
 
 // HAR is the top-level HTTP Archive document.
@@ -117,39 +118,6 @@ func New() *HAR {
 	}}
 }
 
-// Parse decodes a HAR document from JSON.
-func Parse(data []byte) (*HAR, error) {
-	var h HAR
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("har: parse: %w", err)
-	}
-	if h.Log.Version == "" {
-		return nil, fmt.Errorf("har: missing log.version")
-	}
-	if !strings.HasPrefix(h.Log.Version, "1.") {
-		return nil, fmt.Errorf("har: unsupported version %q", h.Log.Version)
-	}
-	return &h, nil
-}
-
-// ReadFile loads and parses a HAR file from disk.
-func ReadFile(path string) (*HAR, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(data)
-}
-
-// Read parses a HAR document from a stream.
-func Read(r io.Reader) (*HAR, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(data)
-}
-
 // Marshal encodes the document as indented JSON.
 func (h *HAR) Marshal() ([]byte, error) {
 	return json.MarshalIndent(h, "", "  ")
@@ -167,30 +135,13 @@ func (h *HAR) WriteFile(path string) error {
 // Append adds an entry to the log.
 func (h *HAR) Append(e Entry) { h.Log.Entries = append(h.Log.Entries, e) }
 
-// Host returns the request's host (without port), derived from the URL and
-// falling back to the Host header.
+// Host returns the request's host (lowercased, without userinfo, port or
+// IPv6 brackets), derived from the URL and falling back to the Host header.
 func (r *Request) Host() string {
-	u := r.URL
-	if i := strings.Index(u, "://"); i >= 0 {
-		u = u[i+3:]
+	if h := domains.Hostname(r.URL); h != "" {
+		return h
 	}
-	for _, cut := range []byte{'/', '?', '#'} {
-		if i := strings.IndexByte(u, cut); i >= 0 {
-			u = u[:i]
-		}
-	}
-	if i := strings.LastIndexByte(u, ':'); i >= 0 && strings.Count(u, ":") == 1 {
-		u = u[:i]
-	}
-	if u != "" {
-		return strings.ToLower(u)
-	}
-	for _, hd := range r.Headers {
-		if strings.EqualFold(hd.Name, "Host") {
-			return strings.ToLower(hd.Value)
-		}
-	}
-	return ""
+	return domains.Hostname(r.Header("Host"))
 }
 
 // Header returns the first header value with the given name

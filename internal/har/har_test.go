@@ -2,10 +2,14 @@ package har
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -40,16 +44,17 @@ func sampleHAR() *HAR {
 	return h
 }
 
+// TestRoundTrip: what Marshal writes, the stream decoder reads back whole.
 func TestRoundTrip(t *testing.T) {
 	h := sampleHAR()
 	data, err := h.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewStreamDecoder(bytes.NewReader(data))
+	got := New()
+	got.Log.Entries = drain(t, d)
+	got.Log.Version, got.Log.Creator = d.Version(), d.Creator()
 	if !reflect.DeepEqual(h, got) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 	}
@@ -61,38 +66,33 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := h.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Log.Entries) != 1 {
-		t.Fatalf("entries = %d, want 1", len(got.Log.Entries))
+	defer f.Close()
+	got := drain(t, NewStreamDecoder(f))
+	if len(got) != 1 {
+		t.Fatalf("entries = %d, want 1", len(got))
 	}
-	if got.Log.Entries[0].Request.URL != h.Log.Entries[0].Request.URL {
+	if got[0].Request.URL != h.Log.Entries[0].Request.URL {
 		t.Error("URL not preserved")
 	}
 }
 
+// TestReadStream: a reader that fails mid-document fails the decode with
+// its own error — never a clean io.EOF over the entries read so far.
 func TestReadStream(t *testing.T) {
-	data, _ := sampleHAR().Marshal()
-	got, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Log.Version != "1.2" {
-		t.Errorf("version = %q", got.Log.Version)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"invalid json":        "{",
-		"missing version":     `{"log":{"entries":[]}}`,
-		"unsupported version": `{"log":{"version":"2.0","entries":[]}}`,
-	}
-	for name, in := range cases {
-		if _, err := Parse([]byte(in)); err == nil {
-			t.Errorf("%s: Parse succeeded, want error", name)
+	data, _ := streamSampleHAR().Marshal()
+	boom := errors.New("disk on fire")
+	for _, cut := range []int{0, 40, len(data) / 2, len(data) - 3} {
+		d := NewStreamDecoder(io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(boom)))
+		var err error
+		for err == nil {
+			_, err = d.Next()
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("cut at %d: err = %v, want the reader's error", cut, err)
 		}
 	}
 }
@@ -106,6 +106,12 @@ func TestRequestHost(t *testing.T) {
 		{"http://quizlet.com?x=1", "", "quizlet.com"},
 		{"", "fallback.example.com", "fallback.example.com"},
 		{"https://tiktok.com#frag", "", "tiktok.com"},
+		{"https://user:pw@tracker.example/x", "", "tracker.example"},
+		{"https://user@Tracker.example:8443/", "", "tracker.example"},
+		{"https://a@b@tracker.example/?next=x@y", "", "tracker.example"},
+		{"https://[2001:db8::1]:443/p", "", "2001:db8::1"},
+		{"https://[2001:DB8::1]/p", "", "2001:db8::1"},
+		{"", "Fallback.example.com:8080", "fallback.example.com"},
 	}
 	for _, c := range cases {
 		r := Request{URL: c.url}
@@ -135,46 +141,49 @@ func TestRequestHeader(t *testing.T) {
 	}
 }
 
+// chromeDevToolsHAR is a trimmed document as exported by Chrome DevTools,
+// with fields this library does not model.
+const chromeDevToolsHAR = `{
+  "log": {
+    "version": "1.2",
+    "creator": {"name": "WebInspector", "version": "537.36"},
+    "pages": [{"startedDateTime":"2023-10-02T15:04:05.000Z","id":"page_1","title":"https://quizlet.com"}],
+    "entries": [{
+      "_initiator": {"type": "script"},
+      "_priority": "High",
+      "startedDateTime": "2023-10-02T15:04:05.123Z",
+      "time": 45.2,
+      "request": {
+        "method": "GET",
+        "url": "https://ads.pubmatic.com/AdServer/js/pug?rnd=123",
+        "httpVersion": "http/2.0",
+        "headers": [{"name": "User-Agent", "value": "Mozilla/5.0"}],
+        "queryString": [{"name": "rnd", "value": "123"}],
+        "cookies": [],
+        "headersSize": -1,
+        "bodySize": 0
+      },
+      "response": {
+        "status": 200, "statusText": "", "httpVersion": "http/2.0",
+        "headers": [], "cookies": [],
+        "content": {"size": 0, "mimeType": "image/gif"},
+        "redirectURL": "", "headersSize": -1, "bodySize": 0,
+        "_transferSize": 120
+      },
+      "cache": {},
+      "timings": {"blocked": 1, "dns": -1, "connect": -1, "send": 0, "wait": 40, "receive": 4}
+    }]
+  }
+}
+`
+
 func TestChromeDevToolsCompatibility(t *testing.T) {
-	// A trimmed entry as exported by Chrome DevTools, with fields this
-	// library does not model; parsing must tolerate them.
-	raw := `{
-	  "log": {
-	    "version": "1.2",
-	    "creator": {"name": "WebInspector", "version": "537.36"},
-	    "pages": [{"startedDateTime":"2023-10-02T15:04:05.000Z","id":"page_1","title":"https://quizlet.com"}],
-	    "entries": [{
-	      "_initiator": {"type": "script"},
-	      "_priority": "High",
-	      "startedDateTime": "2023-10-02T15:04:05.123Z",
-	      "time": 45.2,
-	      "request": {
-	        "method": "GET",
-	        "url": "https://ads.pubmatic.com/AdServer/js/pug?rnd=123",
-	        "httpVersion": "http/2.0",
-	        "headers": [{"name": "User-Agent", "value": "Mozilla/5.0"}],
-	        "queryString": [{"name": "rnd", "value": "123"}],
-	        "cookies": [],
-	        "headersSize": -1,
-	        "bodySize": 0
-	      },
-	      "response": {
-	        "status": 200, "statusText": "", "httpVersion": "http/2.0",
-	        "headers": [], "cookies": [],
-	        "content": {"size": 0, "mimeType": "image/gif"},
-	        "redirectURL": "", "headersSize": -1, "bodySize": 0,
-	        "_transferSize": 120
-	      },
-	      "cache": {},
-	      "timings": {"blocked": 1, "dns": -1, "connect": -1, "send": 0, "wait": 40, "receive": 4}
-	    }]
-	  }
-	}`
-	h, err := Parse([]byte(raw))
-	if err != nil {
-		t.Fatal(err)
+	d := NewStreamDecoder(strings.NewReader(chromeDevToolsHAR))
+	entries := drain(t, d)
+	if len(entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(entries))
 	}
-	e := h.Log.Entries[0]
+	e := entries[0]
 	if e.Request.Host() != "ads.pubmatic.com" {
 		t.Errorf("host = %q", e.Request.Host())
 	}
@@ -183,5 +192,8 @@ func TestChromeDevToolsCompatibility(t *testing.T) {
 	}
 	if e.Request.QueryString[0].Name != "rnd" {
 		t.Error("query string not parsed")
+	}
+	if d.Version() != "1.2" || d.Creator().Name != "WebInspector" {
+		t.Errorf("log metadata = %q %+v", d.Version(), d.Creator())
 	}
 }

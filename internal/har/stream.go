@@ -102,8 +102,7 @@ func (d *StreamDecoder) seekEntries() error {
 		}
 		if end {
 			// Top-level object closed without a log member.
-			d.state = streamDone
-			return d.validate()
+			return d.end()
 		}
 		if key != "log" {
 			if err := d.skipValue(); err != nil {
@@ -162,19 +161,29 @@ func (d *StreamDecoder) finish() error {
 // finishTop consumes trailing top-level members and the document close.
 func (d *StreamDecoder) finishTop() error {
 	for {
-		key, end, err := d.nextKey()
+		_, end, err := d.nextKey()
 		if err != nil {
 			return err
 		}
 		if end {
-			break
+			return d.end()
 		}
-		_ = key
 		if err := d.skipValue(); err != nil {
 			return err
 		}
 	}
+}
+
+// end finishes the document once its top-level object has closed: nothing
+// but whitespace may follow, and the document checks apply.
+func (d *StreamDecoder) end() error {
 	d.state = streamDone
+	if tok, err := d.dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return fmt.Errorf("har: stream: after the document: %w", err)
+	}
 	return d.validate()
 }
 
@@ -202,8 +211,8 @@ func (d *StreamDecoder) logField(key string) error {
 	return nil
 }
 
-// validate applies the same document checks Parse does, once the whole
-// document has been seen.
+// validate applies the document checks, once the whole document has been
+// seen.
 func (d *StreamDecoder) validate() error {
 	if d.version == "" {
 		return fmt.Errorf("har: missing log.version")

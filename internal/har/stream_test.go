@@ -50,19 +50,27 @@ func drain(t *testing.T, d *StreamDecoder) []Entry {
 	}
 }
 
-func TestStreamDecoderMatchesParse(t *testing.T) {
+// unmarshalHAR is the reference decoder the stream decoder is checked
+// against: encoding/json over the whole document.
+func unmarshalHAR(t *testing.T, data []byte) *HAR {
+	t.Helper()
+	var h HAR
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatal(err)
+	}
+	return &h
+}
+
+func TestStreamDecoderMatchesUnmarshal(t *testing.T) {
 	data, err := streamSampleHAR().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := unmarshalHAR(t, data)
 	d := NewStreamDecoder(bytes.NewReader(data))
 	got := drain(t, d)
 	if !reflect.DeepEqual(got, parsed.Log.Entries) {
-		t.Errorf("streamed entries differ from Parse\n got %+v\nwant %+v", got, parsed.Log.Entries)
+		t.Errorf("streamed entries differ from json.Unmarshal\n got %+v\nwant %+v", got, parsed.Log.Entries)
 	}
 	if d.Version() != "1.2" {
 		t.Errorf("version = %q", d.Version())
@@ -87,15 +95,22 @@ func TestStreamDecoderFieldOrder(t *testing.T) {
 	}
 }
 
+// streamErrorCases are documents the decoder must refuse.
+var streamErrorCases = map[string]string{
+	"invalid json":        `{`,
+	"empty":               ``,
+	"missing version":     `{"log":{"entries":[]}}`,
+	"unsupported version": `{"log":{"version":"2.0","entries":[]}}`,
+	"truncated":           `{"log":{"version":"1.2","entries":[{"request":`,
+	"not json":            `got 99 problems`,
+	"duplicate entries":   `{"log":{"version":"1.2","entries":[],"entries":[]}}`,
+	"trailing junk":       `{"log":{"version":"1.2","entries":[]}} junk`,
+	"trailing document":   `{"log":{"version":"1.2","entries":[]}}{"log":{"version":"9"}}`,
+	"trailing value":      `{"log":{"version":"1.2","entries":[]}}` + "\n0\n",
+}
+
 func TestStreamDecoderErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing version":     `{"log":{"entries":[]}}`,
-		"unsupported version": `{"log":{"version":"2.0","entries":[]}}`,
-		"truncated":           `{"log":{"version":"1.2","entries":[{"request":`,
-		"not json":            `got 99 problems`,
-		"duplicate entries":   `{"log":{"version":"1.2","entries":[],"entries":[]}}`,
-	}
-	for name, doc := range cases {
+	for name, doc := range streamErrorCases {
 		d := NewStreamDecoder(strings.NewReader(doc))
 		var err error
 		for err == nil {
@@ -149,18 +164,19 @@ func TestStreamDecoderLargeDocument(t *testing.T) {
 }
 
 // TestStreamDecoderRoundTripJSON confirms streamed entries re-marshal to
-// the same JSON Parse produces (no field loss through the Entry decode).
+// the same JSON as the json.Unmarshal reference's (no field loss through
+// the Entry decode).
 func TestStreamDecoderRoundTripJSON(t *testing.T) {
 	data, err := streamSampleHAR().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, _ := Parse(data)
+	parsed := unmarshalHAR(t, data)
 	d := NewStreamDecoder(bytes.NewReader(data))
 	streamed := drain(t, d)
 	a, _ := json.Marshal(parsed.Log.Entries)
 	b, _ := json.Marshal(streamed)
 	if !bytes.Equal(a, b) {
-		t.Error("re-marshaled entries differ between Parse and stream decode")
+		t.Error("re-marshaled entries differ between json.Unmarshal and stream decode")
 	}
 }

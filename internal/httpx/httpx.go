@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"diffaudit/internal/domains"
 )
 
 // Request is one parsed outgoing HTTP request.
@@ -37,14 +39,8 @@ func (r *Request) Get(name string) string {
 	return ""
 }
 
-// Host returns the Host header value without a port.
-func (r *Request) Host() string {
-	h := strings.ToLower(r.Get("Host"))
-	if i := strings.LastIndexByte(h, ':'); i >= 0 && strings.Count(h, ":") == 1 {
-		h = h[:i]
-	}
-	return h
-}
+// Host returns the Host header's host (see domains.Hostname).
+func (r *Request) Host() string { return domains.Hostname(r.Get("Host")) }
 
 // URL reconstructs the full request URL, assuming https for port-less hosts
 // (all audited traffic is TLS).
@@ -52,7 +48,11 @@ func (r *Request) URL() string {
 	if strings.Contains(r.Target, "://") {
 		return r.Target
 	}
-	return "https://" + r.Host() + r.Target
+	host := r.Host()
+	if strings.Contains(host, ":") {
+		host = "[" + host + "]"
+	}
+	return "https://" + host + r.Target
 }
 
 // Cookies parses the Cookie header into name/value pairs.

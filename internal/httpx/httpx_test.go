@@ -161,6 +161,30 @@ func TestHeaderAccessors(t *testing.T) {
 	}
 }
 
+// TestRequestHost: the Host header names the destination without
+// userinfo, port or IPv6 brackets, and URL puts the brackets back.
+func TestRequestHost(t *testing.T) {
+	cases := []struct{ header, want, url string }{
+		{"Example.COM:443", "example.com", "https://example.com/p"},
+		{"tracker.example", "tracker.example", "https://tracker.example/p"},
+		{"user:pw@tracker.example", "tracker.example", "https://tracker.example/p"},
+		{"user@Tracker.example:8443", "tracker.example", "https://tracker.example/p"},
+		{"[2001:db8::1]:443", "2001:db8::1", "https://[2001:db8::1]/p"},
+		{"[2001:DB8::1]", "2001:db8::1", "https://[2001:db8::1]/p"},
+		{"2001:db8::1", "2001:db8::1", "https://[2001:db8::1]/p"},
+		{"", "", "https:///p"},
+	}
+	for _, c := range cases {
+		r := &Request{Target: "/p", Headers: []Header{{Name: "Host", Value: c.header}}}
+		if got := r.Host(); got != c.want {
+			t.Errorf("Host(%q) = %q, want %q", c.header, got, c.want)
+		}
+		if got := r.URL(); got != c.url {
+			t.Errorf("URL with Host %q = %q, want %q", c.header, got, c.url)
+		}
+	}
+}
+
 func TestEncodeParseRoundTrip(t *testing.T) {
 	orig := &Request{
 		Method: "POST",

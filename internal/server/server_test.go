@@ -38,6 +38,17 @@ func childHAR(t *testing.T) []byte {
 	return data
 }
 
+// unmarshalHAR decodes a whole HAR document with encoding/json: the
+// reference the server's streamed ingest is checked against.
+func unmarshalHAR(t *testing.T, data []byte) *har.HAR {
+	t.Helper()
+	var h har.HAR
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatal(err)
+	}
+	return &h
+}
+
 // submit posts a multipart audit request built from field→(filename,
 // content) parts and returns the response.
 func submit(t *testing.T, ts *httptest.Server, parts map[string][2]string) *http.Response {
@@ -136,10 +147,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	got, _ := io.ReadAll(gotResp.Body)
 	gotResp.Body.Close()
 
-	h, err := har.Parse(harData)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := unmarshalHAR(t, harData)
 	spec, _ := services.ByName("Quizlet")
 	id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
 	res := core.NewPipeline().AnalyzeRecords(id, core.FromHAR(h, flows.Child, flows.Web))
@@ -188,10 +196,7 @@ func TestGuessedIdentity(t *testing.T) {
 		"name":  {"", "mystery-service"},
 	})
 
-	h, err := har.Parse(harData)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := unmarshalHAR(t, harData)
 	recs := core.FromHAR(h, flows.Child, flows.Web)
 	mobile, _, err := core.FromPCAP(capt, nil, flows.Adult)
 	if err != nil {
@@ -843,10 +848,7 @@ func directDiffJSON(t *testing.T, baseURL, injectedURL string) []byte {
 	spec, _ := services.ByName("Quizlet")
 	id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
 	audit := func(urls ...string) *core.ServiceResult {
-		h, err := har.Parse([]byte(deltaHAR(t, urls...)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := unmarshalHAR(t, []byte(deltaHAR(t, urls...)))
 		return core.NewPipeline().AnalyzeRecords(id, core.FromHAR(h, flows.Child, flows.Web))
 	}
 	want, err := report.ExportDiffJSON(core.Longitudinal(audit(baseURL), audit(baseURL, injectedURL)))

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -134,11 +135,11 @@ func TestUserEmissionFlowsIdentical(t *testing.T) {
 	}
 
 	audit := func(data []byte) interface{} {
-		h, err := har.Parse(data)
-		if err != nil {
+		var h har.HAR
+		if err := json.Unmarshal(data, &h); err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewPipeline().AnalyzeRecords(st.Identity(), core.FromHAR(h, flows.Child, flows.Web))
+		res := core.NewPipeline().AnalyzeRecords(st.Identity(), core.FromHAR(&h, flows.Child, flows.Web))
 		return res.ByTrace[flows.Child].GroupGrid()
 	}
 	if !reflect.DeepEqual(audit(base), audit(alt)) {
