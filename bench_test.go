@@ -549,7 +549,10 @@ func BenchmarkAblationATSMatch(b *testing.B) {
 }
 
 // BenchmarkAblationExtractDepth compares recursive nested-JSON harvesting
-// against flat top-level extraction.
+// against flat top-level extraction on the pipeline's key path, and times
+// that path over a body whose every string is escaped or non-ASCII and over
+// the request bodies of one synthetic mobile service at the mobile upload
+// scale (one body per op).
 func BenchmarkAblationExtractDepth(b *testing.B) {
 	body := []byte(`{
 	  "user": {"username": "kid1", "profile": {"age": 12, "lang": "en"}},
@@ -557,19 +560,52 @@ func BenchmarkAblationExtractDepth(b *testing.B) {
 	  "blob": "{\"inner_adid\":\"abc\",\"geo\":{\"lat\":1.5,\"lng\":2.5}}"
 	}`)
 	req := extract.RequestView{URL: "https://x.example/v1/batch", BodyMIME: "application/json", Body: body}
+	var keys []string
 	b.Run("recursive", func(b *testing.B) {
+		b.ReportAllocs()
 		opts := extract.DefaultOptions()
 		for i := 0; i < b.N; i++ {
-			if len(extract.Extract(req, opts)) == 0 {
+			if keys = extract.AppendKeys(keys[:0], req, opts); len(keys) == 0 {
 				b.Fatal("no keys")
 			}
 		}
 	})
 	b.Run("flat-only", func(b *testing.B) {
+		b.ReportAllocs()
 		opts := extract.DefaultOptions()
 		opts.FlatOnly = true
 		for i := 0; i < b.N; i++ {
-			extract.Extract(req, opts)
+			keys = extract.AppendKeys(keys[:0], req, opts)
+		}
+	})
+	// Android's org.json writes "/" as "\/"; names and titles carry
+	// non-ASCII text. Every string here needs a real unquote.
+	escaped := extract.RequestView{BodyMIME: "application/json", Body: []byte(`{
+	  "url": "https:\/\/api.example.com\/v1\/track?id=42",
+	  "ref": "https:\/\/www.example.com\/p\/kid",
+	  "ua": "Mozilla\/5.0 (Linux; Android 13; Pixel 6)",
+	  "name": "Zoë Müller", "city": "São Paulo",
+	  "ctx": {"page": "\/home\/feed", "title": "Café — menu", "lang": "pt-BR"}
+	}`)}
+	b.Run("escaped", func(b *testing.B) {
+		b.ReportAllocs()
+		opts := extract.DefaultOptions()
+		for i := 0; i < b.N; i++ {
+			keys = extract.AppendKeys(keys[:0], escaped, opts)
+		}
+	})
+	b.Run("mobile-bodies", func(b *testing.B) {
+		var reqs []extract.RequestView
+		for _, rec := range synth.Generate(synth.Config{Scale: 0.3}).Service("Roblox").Records() {
+			if rec.Platform == flows.Mobile && len(rec.Body) > 0 {
+				reqs = append(reqs, extract.RequestView{BodyMIME: rec.BodyMIME, Body: rec.Body})
+			}
+		}
+		opts := extract.DefaultOptions()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			keys = extract.AppendKeys(keys[:0], reqs[i%len(reqs)], opts)
 		}
 	})
 }

@@ -247,6 +247,7 @@ type partialResult struct {
 	conns       map[string]bool
 	packets     int
 	droppedKeys int
+	keys        []string // extraction scratch, reused record to record
 	// flowHint sizes the per-persona flow maps, created on first sight of
 	// a persona's records.
 	flowHint int
@@ -318,23 +319,18 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 		}
 
 		bit := rec.Platform.Mask()
-		view := extract.RequestView{
-			Method:   rec.Method,
+		// Per the paper, data types come from payload data: query strings,
+		// cookies and bodies. Transport headers only carry the destination,
+		// so they are not read here.
+		pr.keys = extract.AppendKeys(pr.keys[:0], extract.RequestView{
 			URL:      rec.URL,
-			Headers:  rec.Headers,
 			Cookies:  rec.Cookies,
 			BodyMIME: rec.BodyMIME,
 			Body:     rec.Body,
-		}
-		for _, pair := range extract.Extract(view, p.Extract) {
-			// Per the paper, data types come from payload data: query
-			// strings, cookies and bodies. Transport headers only carry
-			// the destination.
-			if pair.Source == extract.SourceHeader {
-				continue
-			}
-			pr.rawKeys[pair.Key] = true
-			_, catID, ok := p.label(pair.Key)
+		}, p.Extract)
+		for _, key := range pr.keys {
+			pr.rawKeys[key] = true
+			_, catID, ok := p.label(key)
 			if !ok {
 				pr.droppedKeys++
 				continue

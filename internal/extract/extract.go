@@ -1,98 +1,44 @@
 // Package extract harvests raw data types from outgoing requests. Following
-// the DiffAudit methodology, requests are converted to JSON-structured data
-// and the key/value pairs are mined recursively: keys become the raw data
-// types fed to the classifier, while destinations come from the request
-// host. Sources mined: URL query strings, request headers, cookies, JSON
-// bodies (including JSON nested inside string values), and
-// form-urlencoded bodies.
+// the DiffAudit methodology, the key/value pairs of a request are mined
+// recursively and their keys become the raw data types fed to the
+// classifier. Sources mined: URL query strings, cookies, JSON bodies
+// (including JSON nested inside string values), form-urlencoded and
+// multipart/form-data bodies. Headers are not mined: per the paper they
+// carry the destination, not payload data.
 package extract
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	mimepkg "mime"
+	"mime"
 	"mime/multipart"
 	"net/url"
-	"sort"
 	"strings"
 )
-
-// Source identifies where in the request a key/value pair was found.
-type Source int
-
-// Extraction sources.
-const (
-	SourceQuery Source = iota
-	SourceHeader
-	SourceCookie
-	SourceBody
-)
-
-// String names the source.
-func (s Source) String() string {
-	switch s {
-	case SourceQuery:
-		return "query"
-	case SourceHeader:
-		return "header"
-	case SourceCookie:
-		return "cookie"
-	case SourceBody:
-		return "body"
-	default:
-		return "unknown"
-	}
-}
-
-// KV is one harvested key/value pair.
-type KV struct {
-	// Key is the raw data type string as it appeared on the wire
-	// ("user_id", "IsOptOutEmailShown", ...).
-	Key string
-	// Value is a sample value (truncated), kept for manual validation.
-	Value string
-	// Path is the dotted path for nested keys ("device.os.version").
-	Path string
-	// Source records which part of the request carried the pair.
-	Source Source
-}
 
 // Options tunes extraction.
 type Options struct {
 	// MaxDepth bounds recursion into nested JSON (default 8).
 	MaxDepth int
-	// FlatOnly disables recursion into nested objects and string-embedded
-	// JSON; only top-level keys are harvested. Ablation baseline for
+	// FlatOnly stops recursion from an object into its values (nested
+	// containers and string-embedded JSON) and into JSON embedded in query
+	// and multipart values. Ablation baseline for
 	// BenchmarkAblationExtractDepth.
 	FlatOnly bool
-	// SkipStandardHeaders drops ubiquitous transport headers that carry no
-	// payload semantics (Content-Length, Connection, ...).
-	SkipStandardHeaders bool
 }
 
 // DefaultOptions returns the pipeline defaults.
 func DefaultOptions() Options {
-	return Options{MaxDepth: 8, SkipStandardHeaders: true}
+	return Options{MaxDepth: 8}
 }
 
-// standardHeaders are dropped under SkipStandardHeaders. Host and Referer
-// stay: the paper's ontology classifies them (network connection info).
-var standardHeaders = map[string]bool{
-	"content-length": true, "connection": true, "accept-encoding": true,
-	"transfer-encoding": true, "upgrade-insecure-requests": true,
-	"cache-control": true, "pragma": true, "te": true,
-}
-
-// RequestView is the request shape the extractor consumes; both the HAR path
-// and the PCAP path produce it.
+// RequestView is the part of a request keys are mined from; both the HAR
+// path and the PCAP path produce it.
 type RequestView struct {
-	Method  string
 	URL     string
-	Headers []KVPair
 	Cookies []KVPair
-	// BodyMIME is the Content-Type; bodies are parsed as JSON or
-	// form-urlencoded accordingly (JSON is also sniffed).
+	// BodyMIME is the Content-Type; bodies are parsed as JSON,
+	// form-urlencoded or multipart accordingly (JSON is also sniffed).
 	BodyMIME string
 	Body     []byte
 }
@@ -100,57 +46,35 @@ type RequestView struct {
 // KVPair is a plain name/value pair.
 type KVPair struct{ Name, Value string }
 
-// Extract mines all key/value pairs from a request.
-func Extract(req RequestView, opts Options) []KV {
+// AppendKeys appends the raw data types of one request to dst and returns
+// the extended slice: one key per key/value pair mined, in no particular
+// order, so a key repeats as often as the request carries it.
+func AppendKeys(dst []string, req RequestView, opts Options) []string {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 8
 	}
-	var out []KV
-
-	// URL query string.
+	s := scanner{opts: opts, keys: dst}
 	if i := strings.IndexByte(req.URL, '?'); i >= 0 {
-		q := req.URL[i+1:]
-		if j := strings.IndexByte(q, '#'); j >= 0 {
-			q = q[:j]
-		}
-		out = append(out, extractQuery(q, opts)...)
+		q, _, _ := strings.Cut(req.URL[i+1:], "#")
+		s.query(q)
 	}
-
-	// Headers.
-	for _, h := range req.Headers {
-		name := strings.ToLower(strings.TrimSpace(h.Name))
-		if name == "" || strings.HasPrefix(name, ":") {
-			continue
-		}
-		if name == "cookie" || name == "set-cookie" {
-			continue // handled via Cookies
-		}
-		if opts.SkipStandardHeaders && standardHeaders[name] {
-			continue
-		}
-		out = append(out, KV{Key: h.Name, Value: clip(h.Value), Path: h.Name, Source: SourceHeader})
-	}
-
-	// Cookies.
 	for _, c := range req.Cookies {
-		if c.Name == "" {
-			continue
+		if c.Name != "" {
+			s.keys = append(s.keys, c.Name)
 		}
-		out = append(out, KV{Key: c.Name, Value: clip(c.Value), Path: c.Name, Source: SourceCookie})
 	}
-
-	// Body.
-	out = append(out, extractBody(req.BodyMIME, req.Body, opts)...)
-	return out
+	if len(req.Body) > 0 {
+		s.body(req.BodyMIME, req.Body)
+	}
+	return s.keys
 }
 
-// extractQuery mines a raw query string.
-func extractQuery(q string, opts Options) []KV {
-	var out []KV
-	for _, pair := range strings.Split(q, "&") {
-		if pair == "" {
-			continue
-		}
+// query mines a raw query string or form-urlencoded body: every pair's name
+// is a key, and a value that looks like JSON is mined one level down.
+func (s *scanner) query(q string) {
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
 		name, value, _ := strings.Cut(pair, "=")
 		key, err := url.QueryUnescape(name)
 		if err != nil || key == "" {
@@ -159,198 +83,68 @@ func extractQuery(q string, opts Options) []KV {
 		if key == "" {
 			continue
 		}
-		val, err := url.QueryUnescape(value)
-		if err != nil {
-			val = value
+		s.keys = append(s.keys, key)
+		if s.opts.FlatOnly {
+			continue
 		}
-		kv := KV{Key: key, Value: clip(val), Path: key, Source: SourceQuery}
-		out = append(out, kv)
-		// Query values sometimes embed JSON.
-		if !opts.FlatOnly && looksLikeJSON(val) {
-			out = append(out, extractJSON([]byte(val), key, SourceQuery, opts, 1)...)
+		if v, err := url.QueryUnescape(value); err == nil {
+			value = v
+		}
+		if looksLikeJSON(value) {
+			s.document([]byte(value), 1)
 		}
 	}
-	return out
 }
 
-// extractBody mines a request body according to its MIME type.
-func extractBody(mime string, body []byte, opts Options) []KV {
-	if len(body) == 0 {
-		return nil
-	}
-	mime = strings.ToLower(mime)
+// body mines a request body according to its Content-Type.
+func (s *scanner) body(contentType string, body []byte) {
+	lower := strings.ToLower(contentType)
 	switch {
-	case strings.Contains(mime, "json") || looksLikeJSON(string(body)):
-		return extractJSON(body, "", SourceBody, opts, 0)
-	case strings.Contains(mime, "x-www-form-urlencoded"):
-		kvs := extractQuery(string(body), opts)
-		for i := range kvs {
-			kvs[i].Source = SourceBody
-		}
-		return kvs
-	case strings.Contains(mime, "multipart/form-data"):
-		return extractMultipart(mime, body, opts)
-	default:
-		return nil
+	case strings.Contains(lower, "json") || bytesLookLikeJSON(body):
+		s.document(body, 0)
+	case strings.Contains(lower, "x-www-form-urlencoded"):
+		s.query(string(body))
+	case strings.Contains(lower, "multipart/form-data"):
+		eachPart(contentType, body, func(name string, data []byte) {
+			s.keys = append(s.keys, name)
+			if !s.opts.FlatOnly && bytesLookLikeJSON(data) {
+				s.document(data, 1)
+			}
+		})
 	}
 }
 
-// extractMultipart mines a multipart/form-data body: each part's form field
-// name is a raw data type; text parts that look like JSON recurse.
-func extractMultipart(mime string, body []byte, opts Options) []KV {
-	_, params, err := textprotoMime(mime)
-	if err != nil {
-		return nil
+// eachPart calls fn with the form field name and the first 64 KiB of every
+// named part of a multipart/form-data body. The boundary is taken from the
+// Content-Type as sent, since boundaries are case-sensitive.
+func eachPart(contentType string, body []byte, fn func(name string, data []byte)) {
+	_, params, err := mime.ParseMediaType(contentType)
+	if err != nil || params["boundary"] == "" {
+		return
 	}
-	boundary := params["boundary"]
-	if boundary == "" {
-		return nil
-	}
-	mr := multipart.NewReader(bytes.NewReader(body), boundary)
-	var out []KV
+	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
 	for {
 		part, err := mr.NextPart()
 		if err != nil {
-			break
+			return
 		}
-		name := part.FormName()
-		if name == "" {
-			continue
-		}
-		data, _ := io.ReadAll(io.LimitReader(part, 1<<16))
-		val := string(data)
-		out = append(out, KV{Key: name, Value: clip(val), Path: name, Source: SourceBody})
-		if !opts.FlatOnly && looksLikeJSON(val) {
-			out = append(out, extractJSON(data, name, SourceBody, opts, 1)...)
-		}
-	}
-	return out
-}
-
-// textprotoMime parses a Content-Type value into type and parameters.
-func textprotoMime(v string) (string, map[string]string, error) {
-	return mimepkg.ParseMediaType(v)
-}
-
-// extractJSON recursively mines a JSON document.
-func extractJSON(data []byte, prefix string, src Source, opts Options, depth int) []KV {
-	var v interface{}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return nil
-	}
-	var out []KV
-	walkJSON(v, prefix, src, opts, depth, &out)
-	return out
-}
-
-func walkJSON(v interface{}, path string, src Source, opts Options, depth int, out *[]KV) {
-	if depth > opts.MaxDepth {
-		return
-	}
-	switch node := v.(type) {
-	case map[string]interface{}:
-		keys := make([]string, 0, len(node))
-		for k := range node {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			child := joinPath(path, k)
-			val := node[k]
-			*out = append(*out, KV{Key: k, Value: clip(scalarString(val)), Path: child, Source: src})
-			if opts.FlatOnly {
-				continue
-			}
-			switch cv := val.(type) {
-			case map[string]interface{}, []interface{}:
-				walkJSON(cv, child, src, opts, depth+1, out)
-			case string:
-				if looksLikeJSON(cv) {
-					// JSON escaped inside a string value, common in
-					// telemetry payloads.
-					walkJSON(parseLoose(cv), child, src, opts, depth+1, out)
-				}
-			}
-		}
-	case []interface{}:
-		for _, item := range node {
-			switch item.(type) {
-			case map[string]interface{}, []interface{}:
-				walkJSON(item, path, src, opts, depth+1, out)
-			}
+		if name := part.FormName(); name != "" {
+			// A part cut short still names its field: keep what was read.
+			data, _ := io.ReadAll(io.LimitReader(part, 1<<16))
+			fn(name, data)
 		}
 	}
 }
 
-// parseLoose parses a JSON string, returning nil on failure.
-func parseLoose(s string) interface{} {
-	var v interface{}
-	dec := json.NewDecoder(strings.NewReader(s))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return nil
-	}
-	return v
-}
-
-func joinPath(prefix, key string) string {
-	if prefix == "" {
-		return key
-	}
-	return prefix + "." + key
-}
-
-// scalarString renders a scalar sample value; containers render as a marker.
-func scalarString(v interface{}) string {
-	switch t := v.(type) {
-	case nil:
-		return "null"
-	case string:
-		return t
-	case bool:
-		if t {
-			return "true"
-		}
-		return "false"
-	case json.Number:
-		return t.String()
-	case map[string]interface{}:
-		return "{...}"
-	case []interface{}:
-		return "[...]"
-	default:
-		return ""
-	}
-}
-
-// looksLikeJSON reports whether a string plausibly contains a JSON document.
+// looksLikeJSON reports whether a string plausibly holds a JSON document:
+// trimmed of Unicode space, it is bracketed by {} or [].
 func looksLikeJSON(s string) bool {
 	s = strings.TrimSpace(s)
-	return len(s) >= 2 &&
-		(s[0] == '{' && s[len(s)-1] == '}' || s[0] == '[' && s[len(s)-1] == ']')
+	return len(s) >= 2 && (s[0] == '{' && s[len(s)-1] == '}' || s[0] == '[' && s[len(s)-1] == ']')
 }
 
-// clip truncates sample values for storage.
-func clip(s string) string {
-	const max = 120
-	if len(s) > max {
-		return s[:max]
-	}
-	return s
-}
-
-// UniqueKeys returns the distinct Key strings across pairs, sorted.
-func UniqueKeys(kvs []KV) []string {
-	set := make(map[string]bool, len(kvs))
-	for _, kv := range kvs {
-		set[kv.Key] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// bytesLookLikeJSON is looksLikeJSON without copying the bytes to a string.
+func bytesLookLikeJSON(b []byte) bool {
+	b = bytes.TrimSpace(b)
+	return len(b) >= 2 && (b[0] == '{' && b[len(b)-1] == '}' || b[0] == '[' && b[len(b)-1] == ']')
 }
