@@ -15,11 +15,11 @@
 //	          [-cache-mb 64]
 //	diffaudit diff [-data-dir ./snapshots] [-format md|json] <old> <new>
 //
-// -persona registers additional personas beyond the paper's four built-in
-// trace categories; capture flags and upload form fields then accept
-// their names. -rulepack selects the regulation rule packs findings are
-// evaluated under (default: the paper's COPPA+CCPA scenario); "gdpr=15"
-// instantiates the GDPR pack with age-of-consent 15.
+// -persona defines additional personas beyond the paper's four built-in
+// trace categories; later capture flags and (in serve mode) upload form
+// fields then accept their names. -rulepack selects the regulation rule
+// packs findings are evaluated under (default: the paper's COPPA+CCPA
+// scenario); "gdpr=15" instantiates the GDPR pack with age-of-consent 15.
 //
 // File mode streams captures from disk: HAR entries decode one at a time
 // and PCAP frames iterate without materializing the file, so capture size
@@ -69,9 +69,12 @@ import (
 	"diffaudit"
 )
 
-// traceFlag collects repeated "trace=path" capture arguments.
+// traceFlag collects repeated "trace=path" capture arguments, parsing each
+// persona name against the -persona flags given so far (the built-ins only
+// when personas is nil).
 type traceFlag struct {
-	entries []traceFile
+	personas *personaFlag
+	entries  []traceFile
 }
 
 type traceFile struct {
@@ -86,29 +89,42 @@ func (f *traceFlag) Set(v string) error {
 	if !ok {
 		return fmt.Errorf("want trace=path, got %q", v)
 	}
-	tc, ok := diffaudit.ParsePersona(name)
+	tc, ok := f.personas.parse(name)
 	if !ok {
-		return fmt.Errorf("unknown persona %q (built-ins: child|adolescent|adult|loggedout; register more with -persona)", name)
+		return fmt.Errorf("unknown persona %q (built-ins: child|adolescent|adult|loggedout; define more with -persona)", name)
 	}
 	f.entries = append(f.entries, traceFile{tc, path})
 	return nil
 }
 
-// personaFlag registers personas as the flag is parsed, so later -har/-pcap
-// flags can reference them by name.
+// personaFlag collects the -persona definitions and indexes them as each is
+// parsed, so later -har/-pcap flags can reference them by name.
 type personaFlag struct {
-	names []string
+	customs []diffaudit.Persona
+	index   *diffaudit.PersonaIndex
 }
 
-func (f *personaFlag) String() string { return strings.Join(f.names, ",") }
+func (f *personaFlag) String() string { return fmt.Sprint(f.customs) }
 
 func (f *personaFlag) Set(v string) error {
-	p, err := diffaudit.RegisterPersonaSpec(v)
+	p, err := diffaudit.NewPersonaSpec(v)
 	if err != nil {
 		return err
 	}
-	f.names = append(f.names, p.String())
+	index, err := diffaudit.NewPersonaIndex(append(f.customs, p)...)
+	if err != nil {
+		return err
+	}
+	f.customs, f.index = index.Personas()[len(diffaudit.BuiltinPersonas()):], index
 	return nil
+}
+
+// parse resolves a persona name against the personas defined so far.
+func (f *personaFlag) parse(name string) (diffaudit.Persona, bool) {
+	if f == nil || f.index == nil {
+		return diffaudit.ParsePersona(name)
+	}
+	return f.index.Parse(name)
 }
 
 // packFlag collects repeated -rulepack specs.
@@ -136,8 +152,8 @@ func main() {
 		return
 	}
 
-	var hars, pcaps traceFlag
 	var personas personaFlag
+	hars, pcaps := traceFlag{personas: &personas}, traceFlag{personas: &personas}
 	var packs packFlag
 	scale := flag.Float64("scale", 0.01, "synthetic dataset scale (dataset mode)")
 	service := flag.String("service", "", "audit a single service (dataset mode)")
@@ -147,7 +163,7 @@ func main() {
 	policyCheck := flag.Bool("policy", true, "print privacy-policy contradictions")
 	snapshotOut := flag.String("snapshot", "", "write the audit result to this snapshot file (file mode)")
 	dataDir := flag.String("data-dir", "", "append the audit result to this snapshot store (file mode)")
-	flag.Var(&personas, "persona", "register a persona, e.g. eu-teen:13-15 or visitor:loggedout (repeatable; place before -har/-pcap flags that use it)")
+	flag.Var(&personas, "persona", "define a persona, e.g. eu-teen:13-15 or visitor:loggedout (repeatable; place before -har/-pcap flags that use it)")
 	flag.Var(&packs, "rulepack", "regulation rule pack to audit under: coppa, ccpa, gdpr, gdpr=15 (repeatable; default coppa+ccpa)")
 	flag.Var(&hars, "har", "persona=path of a website HAR capture (repeatable)")
 	flag.Var(&pcaps, "pcap", "persona=path of a mobile pcap/pcapng capture (repeatable)")
@@ -236,7 +252,7 @@ func serve(args []string) {
 	breakerThreshold := fs.Float64("breaker-threshold", 0, "snapshot-store circuit breaker failure-rate trip point in [0,1]; while open, reads serve stale from cache and writes defer to the journal (0 = default 0.5, negative disables)")
 	scrubInterval := fs.Duration("scrub-interval", 0, "background snapshot integrity scrub cadence, e.g. 15m: re-verify checksums, quarantine corrupt files, repair from cache (0 disables; needs -data-dir)")
 	pprofAddr := fs.String("pprof", "", "localhost address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables profiling")
-	fs.Var(&personas, "persona", "register a persona accepted as an upload field, e.g. eu-teen:13-15 (repeatable)")
+	fs.Var(&personas, "persona", "define a persona accepted as an upload field, e.g. eu-teen:13-15 (repeatable)")
 	fs.Parse(args)
 
 	var snapStore diffaudit.SnapshotStore
@@ -289,6 +305,7 @@ func serve(args []string) {
 		RateLimit:        *rateLimit,
 		BreakerThreshold: *breakerThreshold,
 		ScrubInterval:    *scrubInterval,
+		Personas:         personas.customs,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -51,31 +51,41 @@ func TestTraceFlagSetErrors(t *testing.T) {
 	}
 }
 
+// TestPersonaFlagRegisters: each -persona is indexed as it is parsed, so
+// later -har/-pcap flags parse its name, while the process-wide built-in
+// names stay the only ones ParsePersona knows.
 func TestPersonaFlagRegisters(t *testing.T) {
 	var f personaFlag
 	if err := f.Set("flagged-teen:13-15"); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := diffaudit.ParsePersona("flagged-teen")
+	p, ok := f.parse("flagged-teen")
 	if !ok {
-		t.Fatal("persona not registered by flag")
+		t.Fatal("persona not indexed by flag")
 	}
 	if !p.AgeBelow(16) || p.AgeBelow(15) || !p.LoggedIn() {
-		t.Error("flag-registered persona attributes")
+		t.Error("flag-defined persona attributes")
+	}
+	if _, ok := diffaudit.ParsePersona("flagged-teen"); ok {
+		t.Error("a -persona flag changed the built-in names")
 	}
 	if err := f.Set("flagged-visitor:loggedout"); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := diffaudit.ParsePersona("flagged-visitor"); !ok || v.LoggedIn() || v.AgeKnown() {
+	if v, ok := f.parse("flagged-visitor"); !ok || v.LoggedIn() || v.AgeKnown() {
 		t.Error("logged-out persona spec")
 	}
-	for _, bad := range []string{"noage", "x:13", "x:a-b", ":13-15"} {
+	for _, bad := range []string{"noage", "x:13", "x:a-b", ":13-15", "child:0-12", "flagged-teen:13-14"} {
 		if err := f.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
 		}
 	}
-	if f.String() == "" {
-		t.Error("String()")
+	if f.String() != "[flagged-teen flagged-visitor]" {
+		t.Errorf("String() = %q", f.String())
+	}
+	tf := traceFlag{personas: &f}
+	if err := tf.Set("flagged-teen=t.har"); err != nil || tf.entries[0].trace != p {
+		t.Errorf("-har flagged-teen=… = %+v, %v", tf.entries, err)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	           [-persona eu-teen:13-15=adolescent]
 //	           [-users 50 -workers 8]
 //
-// -persona registers an additional persona and generates traffic for it
+// -persona defines an additional persona and generates traffic for it
 // alongside the four built-in traces; the part after "=" names the
 // built-in persona whose calibrated behavior profile drives generation.
 //
@@ -40,7 +40,8 @@ import (
 )
 
 // personaPlanFlag collects repeated "-persona spec=template" arguments,
-// registering each persona as it is parsed.
+// refusing a persona whose name or aliases the built-ins or an earlier
+// -persona already use.
 type personaPlanFlag struct {
 	plans []diffaudit.PersonaPlan
 }
@@ -52,9 +53,22 @@ func (f *personaPlanFlag) Set(v string) error {
 	if !ok {
 		return fmt.Errorf("want persona-spec=template (e.g. eu-teen:13-15=adolescent), got %q", v)
 	}
-	p, err := diffaudit.RegisterPersonaSpec(spec)
+	p, err := diffaudit.NewPersonaSpec(spec)
 	if err != nil {
 		return err
+	}
+	customs := []diffaudit.Persona{p}
+	for _, plan := range f.plans {
+		customs = append(customs, plan.Persona)
+	}
+	index, err := diffaudit.NewPersonaIndex(customs...)
+	if err != nil {
+		return err
+	}
+	// The index takes an identical record once; a spec given twice would
+	// put two handles of one name in the traffic, which no audit accepts.
+	if len(index.Personas()) != len(diffaudit.BuiltinPersonas())+len(customs) {
+		return fmt.Errorf("persona %q is already generated", p)
 	}
 	like, okLike := diffaudit.ParsePersona(tmpl)
 	if !okLike {
@@ -129,7 +143,7 @@ func main() {
 	classic := flag.Bool("classic-pcap", false, "write classic .pcap files with a side-channel .keylog instead of pcapng with embedded secrets")
 	users := flag.Int("users", 1, "synthetic population size: per-user capture directories (1 = the legacy flat layout)")
 	workers := flag.Int("workers", runtime.NumCPU(), "emission worker pool size")
-	flag.Var(&extras, "persona", "register and generate an extra persona: spec=template, e.g. eu-teen:13-15=adolescent (repeatable)")
+	flag.Var(&extras, "persona", "define and generate an extra persona: spec=template, e.g. eu-teen:13-15=adolescent (repeatable)")
 	flag.Parse()
 	log.SetFlags(0)
 

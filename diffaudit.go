@@ -49,13 +49,16 @@ import (
 // Re-exported core types. Aliases keep the implementation in internal
 // packages while making every type usable through the public API.
 type (
-	// Persona is a registered trace persona. The paper's four trace
-	// categories are built-ins; RegisterPersona opens the axis (finer age
-	// brackets, regions, subscription tiers).
+	// Persona is a trace persona: a handle on an immutable PersonaInfo.
+	// The paper's four trace categories are built-ins; NewPersona opens the
+	// axis (finer age brackets, regions, subscription tiers).
 	Persona = flows.Persona
 	// PersonaInfo describes a persona: age bracket, consent state, and
 	// free-form attributes rule packs predicate on.
 	PersonaInfo = flows.PersonaInfo
+	// PersonaIndex parses persona names: the built-ins plus the custom
+	// personas it was built with.
+	PersonaIndex = flows.PersonaIndex
 	// TraceCategory is the paper's name for a persona.
 	TraceCategory = flows.TraceCategory
 	// Platform is the capture platform (web or mobile).
@@ -98,7 +101,8 @@ type (
 	// (CountLinkable, LargestSet, CommonSet, TopATSOrgs) without
 	// re-analysis.
 	LinkabilityIndex = linkability.Index
-	// FlowCatID is a data type category symbol, process-wide.
+	// FlowCatID is a data type category symbol: the category's index in
+	// the ontology, the same in every result and every process.
 	FlowCatID = flows.CatID
 	// FlowDestID is a resolved-destination symbol of one flow set's table
 	// (FlowSet.Table); it means nothing in another result's.
@@ -154,8 +158,8 @@ type (
 	DiffDoc = report.DiffDoc
 )
 
-// Trace categories.
-const (
+// Trace categories: the built-in personas. Child is the zero Persona.
+var (
 	Child      = flows.Child
 	Adolescent = flows.Adolescent
 	Adult      = flows.Adult
@@ -216,7 +220,9 @@ func New() *Auditor {
 	return &Auditor{Pipeline: core.NewPipeline()}
 }
 
-// AuditRecords runs the pipeline over request records.
+// AuditRecords runs the pipeline over request records. It panics when the
+// records come under two personas of one name; AuditStream returns that as
+// an error.
 func (a *Auditor) AuditRecords(id ServiceIdentity, recs []RequestRecord) *ServiceResult {
 	return a.Pipeline.AnalyzeRecords(id, recs)
 }
@@ -267,28 +273,36 @@ func NewHARSource(r io.Reader, trace TraceCategory, platform Platform) RecordSou
 	return core.NewHARSource(har.NewStreamDecoder(r), trace, platform)
 }
 
-// ParseTrace maps a user-facing trace name (child, adolescent/teen,
-// adult, loggedout) to its category.
-func ParseTrace(name string) (TraceCategory, bool) { return flows.ParseTrace(name) }
-
-// ParsePersona maps any registered persona name or alias to its ID.
+// ParsePersona maps a built-in persona name or alias to its persona.
+// Custom personas parse through the PersonaIndex that holds them
+// (NewPersonaIndex).
 func ParsePersona(name string) (Persona, bool) { return flows.ParsePersona(name) }
 
-// RegisterPersona adds a persona to the process-wide registry (idempotent
-// for identical infos). Captures uploaded or audited under the new
-// persona's name group into their own trace, report column, and rule-pack
-// evaluation scope.
-func RegisterPersona(info PersonaInfo) (Persona, error) { return flows.RegisterPersona(info) }
+// NewPersona validates a persona record and returns its handle: the
+// built-in itself for a record identical to one, an error for a record
+// reusing a built-in name or alias with other attributes, and otherwise a
+// fresh persona. Records audited under it group into their own trace,
+// report column, and rule-pack evaluation scope. Each call mints a new
+// handle, and one audit takes one persona per name, so mint a persona once
+// and reuse the handle.
+func NewPersona(info PersonaInfo) (Persona, error) { return flows.NewPersona(info) }
 
-// RegisterPersonaSpec registers a persona from a compact CLI-style spec:
+// NewPersonaIndex builds the name index a CLI or server parses persona
+// names against: the built-ins plus the given customs, whose names and
+// aliases must not collide.
+func NewPersonaIndex(customs ...Persona) (*PersonaIndex, error) {
+	return flows.NewPersonaIndex(customs...)
+}
+
+// NewPersonaSpec makes a persona from a compact CLI-style spec:
 // "name:min-max" declares a logged-in persona disclosing the inclusive
 // age bracket (e.g. "eu-teen:13-15"), and "name:loggedout" a pre-consent
 // persona with no disclosed age.
-func RegisterPersonaSpec(spec string) (Persona, error) {
+func NewPersonaSpec(spec string) (Persona, error) {
 	name, rest, ok := strings.Cut(spec, ":")
 	name = strings.TrimSpace(name)
 	if !ok || name == "" {
-		return 0, fmt.Errorf("persona spec %q: want name:min-max or name:loggedout", spec)
+		return Persona{}, fmt.Errorf("persona spec %q: want name:min-max or name:loggedout", spec)
 	}
 	info := PersonaInfo{Name: name}
 	switch rest = strings.ToLower(strings.TrimSpace(rest)); rest {
@@ -297,23 +311,20 @@ func RegisterPersonaSpec(spec string) (Persona, error) {
 	default:
 		lo, hi, ok := strings.Cut(rest, "-")
 		if !ok {
-			return 0, fmt.Errorf("persona spec %q: age bracket %q is not min-max", spec, rest)
+			return Persona{}, fmt.Errorf("persona spec %q: age bracket %q is not min-max", spec, rest)
 		}
 		min, err := strconv.Atoi(strings.TrimSpace(lo))
 		if err != nil {
-			return 0, fmt.Errorf("persona spec %q: bad min age: %v", spec, err)
+			return Persona{}, fmt.Errorf("persona spec %q: bad min age: %v", spec, err)
 		}
 		max, err := strconv.Atoi(strings.TrimSpace(hi))
 		if err != nil {
-			return 0, fmt.Errorf("persona spec %q: bad max age: %v", spec, err)
+			return Persona{}, fmt.Errorf("persona spec %q: bad max age: %v", spec, err)
 		}
 		info.AgeKnown, info.AgeMin, info.AgeMax, info.LoggedIn = true, min, max, true
 	}
-	return flows.RegisterPersona(info)
+	return flows.NewPersona(info)
 }
-
-// Personas returns every registered persona in registry order.
-func Personas() []Persona { return flows.Personas() }
 
 // BuiltinPersonas returns the paper's four personas in table order.
 func BuiltinPersonas() []Persona { return flows.BuiltinPersonas() }
@@ -369,8 +380,10 @@ func LoadSnapshot(path string) (*ServiceResult, error) { return store.LoadFile(p
 // which is what makes content hashing meaningful.
 func EncodeSnapshot(r *ServiceResult) []byte { return store.EncodeResult(r) }
 
-// DecodeSnapshot parses a snapshot encoding back into a result,
-// re-registering any custom personas it references.
+// DecodeSnapshot parses a snapshot encoding back into a result. A persona
+// identical to a built-in decodes to it; every other persona decodes to a
+// handle the result owns, so decoding changes nothing outside the result
+// (diffs pair personas by name).
 func DecodeSnapshot(data []byte) (*ServiceResult, error) { return store.DecodeResult(data) }
 
 // DiffSnapshots compares two audits of one service over time (oldest
@@ -529,7 +542,7 @@ func GenerateDataset(scale float64) *Dataset {
 }
 
 // GenerateDatasetWith fabricates the dataset under an explicit config —
-// in particular, with synthetic traffic for custom registered personas
+// in particular, with synthetic traffic for custom personas
 // (each borrowing a built-in persona's behavior profile via PersonaPlan).
 func GenerateDatasetWith(cfg DatasetConfig) *Dataset {
 	return synth.Generate(cfg)

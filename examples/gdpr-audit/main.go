@@ -1,7 +1,7 @@
-// GDPR audit: register a custom persona, generate synthetic traffic for
-// it, and audit it under the GDPR rule pack with a member-state age of
-// digital consent — the open-registry counterpart of the paper's fixed
-// COPPA/CCPA audit.
+// GDPR audit: define a custom persona, generate synthetic traffic for it,
+// and audit it under the GDPR rule pack with a member-state age of digital
+// consent — the open-persona counterpart of the paper's fixed COPPA/CCPA
+// audit.
 package main
 
 import (
@@ -12,11 +12,11 @@ import (
 )
 
 func main() {
-	// 1. Register a fifth persona beyond the paper's four trace
-	// categories: a German teen, where GDPR Art. 8(1) is derogated to 16
-	// but (say) we audit against a 15-year line. Rule packs predicate on
-	// the age bracket and consent state, not on the persona's identity.
-	euTeen, err := diffaudit.RegisterPersona(diffaudit.PersonaInfo{
+	// 1. Define a fifth persona beyond the paper's four trace categories:
+	// a German teen, where GDPR Art. 8(1) is derogated to 16 but (say) we
+	// audit against a 15-year line. Rule packs predicate on the age
+	// bracket and consent state, not on the persona's identity.
+	defined, err := diffaudit.NewPersona(diffaudit.PersonaInfo{
 		Name:     "EU Teen",
 		Aliases:  []string{"eu-teen"},
 		AgeKnown: true, AgeMin: 13, AgeMax: 14,
@@ -27,6 +27,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A CLI or server accepts its name through an index of the personas it
+	// was configured with, the way `serve -persona` feeds upload fields.
+	index, err := diffaudit.NewPersonaIndex(defined)
+	if err != nil {
+		log.Fatal(err)
+	}
+	euTeen, _ := index.Parse("eu-teen")
 
 	// 2. Generate synthetic traffic for the built-in personas plus the EU
 	// teen, which borrows the adolescent trace's calibrated behavior.

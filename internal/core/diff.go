@@ -183,8 +183,8 @@ type LongitudinalDiff struct {
 	// From and To identify the older and newer audits.
 	From, To ServiceIdentity
 	// Personas holds one delta per persona present in either audit, in
-	// registry order. A persona absent from one side compares against the
-	// empty flow set.
+	// column order (flows.PersonaLess). A persona absent from one side
+	// compares against the empty flow set.
 	Personas []PersonaDelta
 }
 
@@ -204,30 +204,39 @@ func Longitudinal(from, to *ServiceResult) LongitudinalDiff {
 }
 
 // LongitudinalFiltered diffs two audits like Longitudinal, restricted to
-// the personas the filter selects (nil selects every persona present in
+// the personas the filter names (nil selects every persona present in
 // either audit). The output for the selected personas is identical to the
 // unfiltered diff's.
-func LongitudinalFiltered(from, to *ServiceResult, only map[flows.Persona]bool) LongitudinalDiff {
+//
+// Personas pair by name, the key snapshots store them under: two results
+// each own their custom personas' handles, so a decoded audit's "EU Teen"
+// is its own handle, not the other audit's. A pair's delta carries the
+// older audit's handle when it has the persona. Each result is taken to hold
+// one persona per name (ServiceResult.CheckPersonas).
+func LongitudinalFiltered(from, to *ServiceResult, only map[string]bool) LongitudinalDiff {
 	d := LongitudinalDiff{From: from.Identity, To: to.Identity}
-	seen := make(map[flows.Persona]bool, len(from.ByTrace)+len(to.ByTrace))
+	sets := make(map[string]*[2]*flows.Set, len(from.ByTrace)+len(to.ByTrace))
 	var personas []flows.Persona
-	for p := range from.ByTrace {
-		if !seen[p] && (only == nil || only[p]) {
-			seen[p] = true
-			personas = append(personas, p)
-		}
-	}
-	for p := range to.ByTrace {
-		if !seen[p] && (only == nil || only[p]) {
-			seen[p] = true
-			personas = append(personas, p)
+	for side, r := range [2]*ServiceResult{from, to} {
+		for p, set := range r.ByTrace {
+			name := p.String()
+			if only != nil && !only[name] {
+				continue
+			}
+			pair := sets[name]
+			if pair == nil {
+				pair = new([2]*flows.Set)
+				sets[name] = pair
+				personas = append(personas, p)
+			}
+			pair[side] = set
 		}
 	}
 	flows.SortPersonas(personas)
 	empty := flows.NewSet()
 	pairs := newPairKeys() // the two audits' tables are numbered once, not per persona
 	for _, p := range personas {
-		a, b := from.ByTrace[p], to.ByTrace[p]
+		a, b := sets[p.String()][0], sets[p.String()][1]
 		if a == nil {
 			a = empty
 		}

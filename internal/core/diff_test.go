@@ -110,3 +110,48 @@ func TestGridDiff(t *testing.T) {
 		t.Errorf("self grid diff = %+v", got)
 	}
 }
+
+// TestLongitudinalPairsPersonasByName: two audits each own their custom
+// personas' handles, so the diff pairs personas by name — here two "EU
+// Teen" handles with different age brackets make one delta — and orders
+// the deltas built-ins first, then customs by name.
+func TestLongitudinalPairsPersonasByName(t *testing.T) {
+	persona := func(name string, maxAge int) flows.Persona {
+		p, err := flows.NewPersona(flows.PersonaInfo{Name: name, AgeKnown: true, AgeMin: 13, AgeMax: maxAge, LoggedIn: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	result := func(sets map[flows.Persona][]flows.Flow) *core.ServiceResult {
+		r := &core.ServiceResult{ByTrace: map[flows.Persona]*flows.Set{}}
+		for p, fls := range sets {
+			r.ByTrace[p] = flows.NewSet()
+			for _, f := range fls {
+				r.ByTrace[p].Add(f, flows.Web)
+			}
+		}
+		return r
+	}
+	kept, gone, added := mkFlow("Age", "k.example", flows.ThirdParty), mkFlow("Aliases", "g.example", flows.ThirdParty), mkFlow("Language", "a.example", flows.ThirdParty)
+	oldTeen, newTeen := persona("EU Teen", 14), persona("EU Teen", 15)
+	from := result(map[flows.Persona][]flows.Flow{flows.Child: {kept}, oldTeen: {kept, gone}})
+	to := result(map[flows.Persona][]flows.Flow{flows.Child: {kept}, newTeen: {kept, added}, persona("Another", 15): {added}})
+
+	d := core.Longitudinal(from, to)
+	var names []string
+	for _, pd := range d.Personas {
+		names = append(names, pd.Persona.String())
+	}
+	if len(names) != 3 || names[0] != "Child" || names[1] != "Another" || names[2] != "EU Teen" {
+		t.Fatalf("deltas for %v, want [Child Another EU Teen]", names)
+	}
+	teen := d.Personas[2]
+	if teen.Persona != oldTeen || len(teen.Added) != 1 || teen.Added[0].Key() != added.Key() ||
+		len(teen.Removed) != 1 || teen.Removed[0].Key() != gone.Key() || teen.Unchanged != 1 {
+		t.Errorf("EU Teen delta = %+v", teen)
+	}
+	if f := core.LongitudinalFiltered(from, to, map[string]bool{"EU Teen": true}); len(f.Personas) != 1 || f.Personas[0].Unchanged != 1 {
+		t.Errorf("filtered by name: %+v", f.Personas)
+	}
+}

@@ -152,7 +152,7 @@ func artifactsOf(t *testing.T, r *core.ServiceResult) artifacts {
 // identity, on the report bytes and on the snapshot hash — for the slice
 // and the stream entry points at every worker count.
 func TestOnePassMatchesTwoStep(t *testing.T) {
-	custom, err := flows.RegisterPersona(flows.PersonaInfo{Name: "onepass-tween", AgeKnown: true, AgeMin: 10, AgeMax: 12, LoggedIn: true})
+	custom, err := flows.NewPersona(flows.PersonaInfo{Name: "onepass-tween", AgeKnown: true, AgeMin: 10, AgeMax: 12, LoggedIn: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 			defer wg.Done()
 			results[g] = make([]bool, len(keys))
 			for i, k := range keys {
-				_, _, ok := p.label(k)
+				_, ok := p.label(k)
 				results[g][i] = ok
 			}
 		}(g)
@@ -167,7 +167,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	fresh := NewPipeline()
 	for i, k := range keys {
-		_, _, want := fresh.label(k)
+		_, want := fresh.label(k)
 		for g := range results {
 			if results[g][i] != want {
 				t.Fatalf("goroutine %d key %q: cached ok=%v, fresh ok=%v", g, k, results[g][i], want)
@@ -194,7 +194,10 @@ func TestResultResolvesDestinations(t *testing.T) {
 	if len(pr.fqdns) != 5 {
 		t.Fatalf("indexed %d distinct spellings, want 5", len(pr.fqdns))
 	}
-	res := pr.result(id, false, p.ATS)
+	res, err := pr.result(id, false, p.ATS)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	wantDomains := map[string]bool{}
 	for _, fqdn := range fqdns {

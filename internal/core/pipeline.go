@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -68,19 +69,36 @@ type ServiceResult struct {
 	// RawKeys are the distinct raw data types extracted.
 	RawKeys map[string]bool
 	// DroppedKeys counts extracted pairs rejected by the confidence
-	// threshold or hallucinated, mirroring the paper's exclusion of
-	// low-confidence guesses.
+	// threshold or labelled outside the ontology (hallucinated), mirroring
+	// the paper's exclusion of low-confidence guesses.
 	DroppedKeys int
 }
 
-// Personas returns the personas present in the result, in registry order
-// (built-ins first, in table order) — the column order reports render.
+// Personas returns the personas present in the result in column order:
+// built-ins in table order, then custom personas by name
+// (flows.PersonaLess). The order depends on nothing but the result, so a
+// stored result renders the same in every process.
 func (r *ServiceResult) Personas() []flows.Persona {
 	out := make([]flows.Persona, 0, len(r.ByTrace))
 	for p := range r.ByTrace {
 		out = append(out, p)
 	}
 	return flows.SortPersonas(out)
+}
+
+// CheckPersonas reports an error when two of the result's personas share a
+// name, the key snapshots store personas under and diffs pair them by. The
+// pipeline and the snapshot decoder build no such result; the store refuses
+// one assembled by hand.
+func (r *ServiceResult) CheckPersonas() error {
+	seen := make(map[string]bool, len(r.ByTrace))
+	for _, p := range r.Personas() {
+		if seen[p.String()] {
+			return fmt.Errorf("core: two personas are named %q", p)
+		}
+		seen[p.String()] = true
+	}
+	return nil
 }
 
 // Merged returns the union of flow sets across personas (all of the
@@ -148,8 +166,7 @@ type labelShard struct {
 }
 
 type cachedLabel struct {
-	cat *ontology.Category
-	// id is the interned category symbol, resolved once at classification
+	// id is the category's ontology ID, resolved once at classification
 	// time so the flow-accumulation inner loop never touches strings.
 	id flows.CatID
 	ok bool
@@ -187,19 +204,21 @@ func NewPipeline() *Pipeline {
 
 // label classifies one raw key with sharded caching and singleflight:
 // concurrent workers asking for the same key block on one classification
-// instead of redundantly computing it. The returned CatID is the interned
-// category symbol (meaningful only when ok is true).
-func (p *Pipeline) label(key string) (*ontology.Category, flows.CatID, bool) {
+// instead of redundantly computing it. It returns the category's ID, and
+// false when the key is dropped: below the confidence threshold, or
+// labelled outside the ontology — a hallucinated label, which the paper
+// drops too.
+func (p *Pipeline) label(key string) (flows.CatID, bool) {
 	sh := &p.shards[labelShardIndex(key)]
 	sh.mu.Lock()
 	if c, hit := sh.entries[key]; hit {
 		sh.mu.Unlock()
-		return c.cat, c.id, c.ok
+		return c.id, c.ok
 	}
 	if call, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
 		<-call.done
-		return call.cat, call.id, call.ok
+		return call.id, call.ok
 	}
 	if sh.entries == nil {
 		sh.entries = make(map[string]cachedLabel)
@@ -209,10 +228,8 @@ func (p *Pipeline) label(key string) (*ontology.Category, flows.CatID, bool) {
 	sh.inflight[key] = call
 	sh.mu.Unlock()
 
-	cat, _, ok := p.Labeler.Label(key)
-	call.cat, call.ok = cat, ok
-	if ok {
-		call.id = flows.InternCategory(cat)
+	if cat, _, ok := p.Labeler.Label(key); ok {
+		call.id, call.ok = flows.CategoryID(cat)
 	}
 	close(call.done)
 
@@ -220,7 +237,7 @@ func (p *Pipeline) label(key string) (*ontology.Category, flows.CatID, bool) {
 	sh.entries[key] = call.cachedLabel
 	delete(sh.inflight, key)
 	sh.mu.Unlock()
-	return call.cat, call.id, call.ok
+	return call.id, call.ok
 }
 
 // fqdnTally is one entry of a partial's FQDN index: a destination exactly
@@ -330,7 +347,7 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 		}, p.Extract)
 		for _, key := range pr.keys {
 			pr.rawKeys[key] = true
-			_, catID, ok := p.label(key)
+			catID, ok := p.label(key)
 			if !ok {
 				pr.droppedKeys++
 				continue
@@ -374,7 +391,8 @@ func (pr *partialResult) merge(o *partialResult) {
 //
 // Flow sets for the four built-in personas always exist, so every result
 // exposes the paper's trace columns; custom personas appear with their flows.
-func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engine) *ServiceResult {
+// Records under two personas of one name are an error (CheckPersonas).
+func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engine) (*ServiceResult, error) {
 	if guess {
 		counts := make(map[string]int)
 		for _, f := range pr.fqdns {
@@ -419,22 +437,30 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 		}
 		res.ByTrace[t] = set
 	}
-	return res
+	if err := res.CheckPersonas(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // AnalyzeRecords runs the full pipeline over a service's request records:
 // AnalyzeStream over a SliceSource, so an in-memory audit and a streamed one
-// take the same path and agree byte-for-byte.
+// take the same path and agree byte-for-byte. It panics where
+// AnalyzeRecordsContext fails, which under the background context takes
+// records under two personas of one name.
 func (p *Pipeline) AnalyzeRecords(id ServiceIdentity, recs []RequestRecord) *ServiceResult {
-	res, _ := p.AnalyzeRecordsContext(context.Background(), id, recs)
+	res, err := p.AnalyzeRecordsContext(context.Background(), id, recs)
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
 // AnalyzeRecordsContext is AnalyzeRecords under a context. Cancellation
 // and deadline expiry are observed at batch boundaries only: a run that
 // completes is byte-identical to the context-free path, a run that is cut
-// short returns ctx.Err() and no partial result. With the background
-// context the error is always nil.
+// short returns ctx.Err() and no partial result. Records under two personas
+// of one name are an error (ServiceResult.CheckPersonas).
 func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity, recs []RequestRecord) (*ServiceResult, error) {
 	res, _, err := p.analyzeStream(ctx, id, false, SliceSource(recs))
 	return res, err

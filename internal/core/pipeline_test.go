@@ -27,6 +27,34 @@ func TestAnalyzeRecordsEmpty(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRecordsOnePersonaPerName: records under two handles of one
+// persona name are an error from the streaming entry points and a panic
+// from AnalyzeRecords, identical records or not.
+func TestAnalyzeRecordsOnePersonaPerName(t *testing.T) {
+	info := flows.PersonaInfo{Name: "Twin Kid", AgeKnown: true, AgeMin: 5, AgeMax: 9}
+	kid, _ := flows.NewPersona(info)
+	same, _ := flows.NewPersona(info)
+	info.Attrs = map[string]string{"region": "EU"}
+	tagged, _ := flows.NewPersona(info)
+	for _, twin := range []flows.Persona{same, tagged} {
+		recs := []core.RequestRecord{
+			{Trace: kid, URL: "https://api.svc.example/v1?user_id=u1", FQDN: "api.svc.example"},
+			{Trace: twin, URL: "https://api.svc.example/v1?user_id=u2", FQDN: "api.svc.example"},
+		}
+		if _, err := core.NewPipeline().AnalyzeStream(testID(), core.SliceSource(recs)); err == nil {
+			t.Errorf("AnalyzeStream took two Twin Kid personas (%+v)", twin.Info())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AnalyzeRecords took two Twin Kid personas (%+v)", twin.Info())
+				}
+			}()
+			core.NewPipeline().AnalyzeRecords(testID(), recs)
+		}()
+	}
+}
+
 func TestAnalyzeRecordsBasics(t *testing.T) {
 	recs := []core.RequestRecord{
 		{

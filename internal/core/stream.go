@@ -231,5 +231,6 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 	if total == nil {
 		total = newPartialResult(0)
 	}
-	return total.result(id, guess, p.ATS), stats, nil
+	res, err := total.result(id, guess, p.ATS)
+	return res, stats, err
 }

@@ -254,7 +254,7 @@ func TestCrossTableOperationsMatchStringOracle(t *testing.T) {
 		if got := core.Diff(a.ByTrace[flows.Child], b.ByTrace[flows.Child]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Diff = %+v, want %+v", what, got, want)
 		}
-		only := map[flows.Persona]bool{flows.Child: true}
+		only := map[string]bool{flows.Child.String(): true}
 		if seed%2 == 0 {
 			only = nil
 		}
@@ -301,10 +301,11 @@ func sortedIDs(r *core.ServiceResult) map[flows.Persona][]uint64 {
 	return out
 }
 
-// TestResultIndependentOfWhatElseTheProcessAudited: a result's symbols are
-// its own, so auditing and decoding another service between two audits of
-// the same records changes nothing about the second — not the snapshot
-// bytes, not the report, not even the IDs its flows are keyed by.
+// TestResultIndependentOfWhatElseTheProcessAudited: a result's symbols and
+// personas are its own, so auditing another service and decoding it, custom
+// persona included, between two audits of the same records changes nothing
+// about the second — not the snapshot bytes, not the report, not even the
+// IDs its flows are keyed by — and teaches the persona name index nothing.
 func TestResultIndependentOfWhatElseTheProcessAudited(t *testing.T) {
 	ds := synth.Generate(synth.Config{Scale: 0.002})
 	pipe := core.NewPipeline()
@@ -316,13 +317,28 @@ func TestResultIndependentOfWhatElseTheProcessAudited(t *testing.T) {
 	first := audit("Quizlet")
 	want, wantIDs := artifactsOf(t, first), sortedIDs(first)
 
+	builtins := flows.BuiltinPersonas()
 	other := audit("TikTok")
+	ghost, err := flows.NewPersona(flows.PersonaInfo{Name: "Ghost Kid", AgeKnown: true, AgeMin: 5, AgeMax: 9, LoggedIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.ByTrace[ghost] = other.ByTrace[flows.Child]
 	decoded, err := store.DecodeResult(store.EncodeResult(other))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(decoded.ByTrace) != 5 || decoded.ByTrace[ghost] != nil {
+		t.Fatalf("decoded personas %v: want the four built-ins and a Ghost Kid of the result's own", decoded.Personas())
+	}
 	if core.Longitudinal(first, decoded).Changed() == false {
 		t.Fatal("two different services diffed as unchanged")
+	}
+	if _, ok := flows.ParsePersona("ghost kid"); ok {
+		t.Error("decoding a snapshot taught the persona name index its custom persona")
+	}
+	if x, err := flows.NewPersonaIndex(); err != nil || !reflect.DeepEqual(x.Personas(), builtins) {
+		t.Errorf("persona name index after the decode = %v, %v; want the built-ins", x, err)
 	}
 
 	second := audit("Quizlet")

@@ -8,8 +8,8 @@ import (
 )
 
 // Snapshot codec for flow sets. A DestID means something only inside the
-// Table that minted it, and CatIDs only inside one process, so a serialized
-// set carries its own symbol tables: every category and destination
+// Table that minted it, and a CatID only to builds sharing one ontology, so
+// a serialized set carries its own symbol tables: every category and destination
 // referenced by the encoded sets is written once (name + group, and the
 // full FQDN/eSLD/owner/class tuple respectively) and flows refer to those
 // local indices. Decoding turns the destination section straight into the
@@ -84,10 +84,6 @@ func (e *SetEncoder) WriteTables(w *wire.Writer) {
 	w.Int(len(e.cats))
 	for _, id := range e.cats {
 		c := CategoryByID(id)
-		if c == nil {
-			// Unassigned IDs cannot appear in a Set built through Add/AddMask.
-			panic(fmt.Sprintf("flows: encoding unassigned category ID %d", id))
-		}
 		w.String(c.Name)
 		w.Byte(byte(c.Group))
 	}
@@ -100,9 +96,9 @@ func (e *SetEncoder) WriteTables(w *wire.Writer) {
 	}
 }
 
-// SetDecoder resolves a snapshot's local symbol indices: categories to the
-// process-wide category IDs, destinations to IDs of the one Table every set
-// it decodes shares.
+// SetDecoder resolves a snapshot's local symbol indices: categories to
+// their ontology IDs, destinations to IDs of the one Table every set it
+// decodes shares.
 type SetDecoder struct {
 	cats  []CatID
 	tab   *Table
@@ -110,10 +106,9 @@ type SetDecoder struct {
 }
 
 // ReadSetTables reads the symbol tables written by WriteTables into a
-// fresh Table. Category names that match the canonical ontology resolve to
-// the canonical category (so decoded flows carry full level-4 metadata);
-// unknown names reconstruct a minimal category from the serialized name
-// and group. Destination strings are read through seen (wire.Reader.Shared):
+// fresh Table. Every category must be an ontology category under its exact
+// name and group; any other is an error, since no CatID could hold it.
+// Destination strings are read through seen (wire.Reader.Shared):
 // eSLDs and owners repeat from destination to destination, and the caller's
 // document may already hold the FQDNs.
 func ReadSetTables(r *wire.Reader, seen map[string]string) (*SetDecoder, error) {
@@ -127,14 +122,14 @@ func ReadSetTables(r *wire.Reader, seen map[string]string) (*SetDecoder, error) 
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if name == "" {
-			return nil, fmt.Errorf("flows: snapshot category %d has empty name", i)
-		}
-		cat, ok := ontology.Lookup(name)
+		id, ok := catByName[name]
 		if !ok {
-			cat = &ontology.Category{Name: name, Group: ontology.Level2(group)}
+			return nil, fmt.Errorf("flows: snapshot category %q is not in the ontology", name)
 		}
-		d.cats = append(d.cats, InternCategory(cat))
+		if g := CategoryByID(id).Group; g != ontology.Level2(group) {
+			return nil, fmt.Errorf("flows: snapshot category %q has group %d, want %d", name, group, g)
+		}
+		d.cats = append(d.cats, id)
 	}
 	// A destination entry is ≥ 4 bytes (three empty strings + class byte).
 	nDests := r.Count(4)

@@ -1,21 +1,23 @@
 package flows
 
 import (
+	"strings"
 	"testing"
 
 	"diffaudit/internal/ontology"
 	"diffaudit/internal/wire"
 )
 
-// buildSet assembles a set with known flows across both platforms,
-// including a custom (non-canonical) category.
+// buildSet assembles a set with known flows across both platforms and two
+// categories, one of them a Category value of its own with an ontology name.
 func buildSet(t *testing.T) *Set {
 	t.Helper()
 	age, ok := ontology.Lookup("Age")
 	if !ok {
 		t.Fatal("canonical category missing")
 	}
-	custom := &ontology.Category{Name: "Codec Custom Type", Group: ontology.Sensors}
+	sensor := ontology.CategoriesInGroup(ontology.Sensors)[0]
+	custom := &ontology.Category{Name: sensor.Name, Group: sensor.Group}
 	s := NewSet()
 	s.Add(Flow{Category: age, Dest: Destination{FQDN: "a.example", ESLD: "example", Owner: "Example Inc", Class: FirstParty}}, Web)
 	s.Add(Flow{Category: age, Dest: Destination{FQDN: "t.tracker.example", ESLD: "tracker.example", Owner: "Tracker", Class: ThirdPartyATS}}, Mobile)
@@ -26,8 +28,8 @@ func buildSet(t *testing.T) *Set {
 
 // TestSetCodecRoundTrip checks what a decoded set is made of, flow by
 // flow: the symbol tables decode to the same keys, destinations and
-// platform masks, custom categories keep their serialized group, and
-// canonical ones resolve to the ontology's own pointer.
+// platform masks, and every category resolves to the ontology's own
+// pointer.
 func TestSetCodecRoundTrip(t *testing.T) {
 	s := buildSet(t)
 	tables, sections := encodeColumnar(s)
@@ -63,25 +65,43 @@ func TestSetCodecRoundTrip(t *testing.T) {
 		t.Error("re-encoding the decoded set's tables is not byte-identical")
 	}
 
-	// The custom category decodes with its serialized group, and the
-	// canonical one resolves to the canonical pointer (full metadata).
+	// Every category resolves to the ontology pointer (full metadata).
 	for _, f := range got.Flows() {
-		switch f.Category.Name {
-		case "Codec Custom Type":
-			if f.Category.Group != ontology.Sensors {
-				t.Errorf("custom category group = %v", f.Category.Group)
-			}
-		case "Age":
-			if canonical, _ := ontology.Lookup("Age"); f.Category != canonical {
-				t.Error("canonical category did not resolve to the ontology pointer")
-			}
+		if canonical, _ := ontology.Lookup(f.Category.Name); f.Category != canonical {
+			t.Errorf("category %q did not resolve to the ontology pointer", f.Category.Name)
+		}
+	}
+}
+
+// TestSetTablesRejectForeignCategories: a category table naming a label
+// outside the ontology, or an ontology name under another group, does not
+// decode — no CatID could hold it.
+func TestSetTablesRejectForeignCategories(t *testing.T) {
+	age, _ := ontology.Lookup("Age")
+	for _, tc := range []struct {
+		name  string
+		group ontology.Level2
+		want  string
+	}{
+		{"Codec Custom Type", ontology.Sensors, "not in the ontology"},
+		{"age", age.Group, "not in the ontology"},
+		{age.Name, age.Group + 1, "group"},
+	} {
+		w := &wire.Writer{}
+		w.Int(1)
+		w.String(tc.name)
+		w.Byte(byte(tc.group))
+		w.Int(0)
+		_, err := ReadSetTables(wire.NewReader(w.Bytes()), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("category %q (group %d): err = %v, want %q", tc.name, tc.group, err, tc.want)
 		}
 	}
 }
 
 func TestAddMask(t *testing.T) {
 	age, _ := ontology.Lookup("Age")
-	c := InternCategory(age)
+	c := mustCatID(age)
 	s := NewSet()
 	d := s.Table().Intern(Destination{FQDN: "m.example", ESLD: "example", Owner: "E", Class: ThirdParty})
 	s.AddMask(c, d, 0) // no-op

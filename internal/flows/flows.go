@@ -20,22 +20,14 @@ import (
 // The trace model lives in persona.go: TraceCategory is an alias of the
 // open Persona type, and the paper's four trace categories (the three
 // logged-in age groups plus the logged-out pre-consent state) are the four
-// built-in personas occupying IDs 0-3 in table order.
+// built-in personas, in table order.
 
 // TraceCategories returns the paper's four built-in trace categories in
-// table order — the order of Tables 1 and 4 and Figures 3-5. Registered
-// custom personas are NOT included; use Personas() for the full registry,
-// or ServiceResult.Personas for the personas a concrete audit observed.
+// table order — the order of Tables 1 and 4 and Figures 3-5. Custom
+// personas are NOT included; ServiceResult.Personas lists the personas a
+// concrete audit observed.
 func TraceCategories() []TraceCategory {
 	return BuiltinPersonas()
-}
-
-// ParseTrace maps a user-facing trace name (CLI flags, upload form
-// fields) to its persona. It accepts every registered persona name and
-// alias; for the built-ins that means child, adolescent, teen, adult,
-// loggedout, logged-out, logged_out, out — case-insensitive.
-func ParseTrace(name string) (TraceCategory, bool) {
-	return ParsePersona(name)
 }
 
 // Platform is the capture platform.
@@ -215,10 +207,16 @@ func (t *Table) NewSet(n int) *Set {
 // Table returns the destination table the set's keys refer to.
 func (s *Set) Table() *Table { return s.tab }
 
-// Add records a flow observed on a platform, adding its symbols on first
-// sight. Hot paths that already hold IDs should call AddMask.
+// Add records a flow observed on a platform, adding its destination on
+// first sight. Its category must be one of the ontology's: Add panics on
+// any other, which has no CatID. Hot paths that already hold IDs should
+// call AddMask.
 func (s *Set) Add(f Flow, p Platform) {
-	s.AddMask(InternCategory(f.Category), s.tab.Intern(f.Dest), p.Mask())
+	c, ok := CategoryID(f.Category)
+	if !ok {
+		panic(fmt.Sprintf("flows: category %q is not in the ontology", f.Category.Name))
+	}
+	s.AddMask(c, s.tab.Intern(f.Dest), p.Mask())
 }
 
 // AddMask records a flow by its category ID and a destination ID of the
@@ -324,7 +322,7 @@ func (s *Set) RangeSorted(fn func(key uint64, m PlatformMask)) {
 // to the symbol tables and needs no index on them; loops over a whole set
 // should use RangeSorted, which hands out each flow's mask directly.
 func (s *Set) Platforms(f Flow) PlatformMask {
-	c, ok := LookupCategory(f.Category)
+	c, ok := CategoryID(f.Category)
 	if !ok {
 		return 0
 	}
@@ -355,23 +353,6 @@ func (s *Set) GroupGrid() map[ontology.Level2]map[DestClass]PlatformMask {
 		grid[g][s.tab.Class(d)] |= m
 	}
 	return grid
-}
-
-// CategoriesToward returns the distinct level-3 categories sent to a
-// specific destination FQDN.
-func (s *Set) CategoriesToward(fqdn string) []*ontology.Category {
-	seen := map[CatID]bool{}
-	for k := range s.flows {
-		if c, d := SplitFlowKey(k); s.tab.dests[d].fqdn == fqdn {
-			seen[c] = true
-		}
-	}
-	out := make([]*ontology.Category, 0, len(seen))
-	for c := range seen {
-		out = append(out, CategoryByID(c))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Destinations returns every distinct destination in the set, sorted by

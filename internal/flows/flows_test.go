@@ -131,16 +131,12 @@ func TestGroupGrid(t *testing.T) {
 	}
 }
 
-func TestCategoriesTowardAndDestinations(t *testing.T) {
+func TestSetDestinations(t *testing.T) {
 	s := NewSet()
 	d := Destination{FQDN: "t.example", Class: ThirdParty}
 	s.Add(Flow{Category: cat("Aliases"), Dest: d}, Web)
 	s.Add(Flow{Category: cat("Age"), Dest: d}, Web)
 	s.Add(Flow{Category: cat("Age"), Dest: Destination{FQDN: "u.example", Class: ThirdParty}}, Web)
-	cats := s.CategoriesToward("t.example")
-	if len(cats) != 2 || cats[0].Name != "Age" || cats[1].Name != "Aliases" {
-		t.Errorf("CategoriesToward = %v", cats)
-	}
 	dests := s.Destinations()
 	if len(dests) != 2 || dests[0].FQDN != "t.example" {
 		t.Errorf("Destinations = %v", dests)
@@ -173,8 +169,8 @@ func TestStringers(t *testing.T) {
 	if Child.String() != "Child" || LoggedOut.String() != "Logged Out" {
 		t.Error("trace stringers")
 	}
-	if TraceCategory(9).String() == "" {
-		t.Error("out-of-range trace stringer")
+	if (TraceCategory{}).String() != "Child" {
+		t.Error("zero trace stringer")
 	}
 	if Web.String() != "web" || Mobile.String() != "mobile" {
 		t.Error("platform stringers")
@@ -193,14 +189,14 @@ func TestParseTrace(t *testing.T) {
 		" child ": Child,
 	}
 	for in, want := range cases {
-		got, ok := ParseTrace(in)
+		got, ok := ParsePersona(in)
 		if !ok || got != want {
-			t.Errorf("ParseTrace(%q) = %v, %v; want %v", in, got, ok, want)
+			t.Errorf("ParsePersona(%q) = %v, %v; want %v", in, got, ok, want)
 		}
 	}
 	for _, in := range []string{"", "grownup", "children"} {
-		if _, ok := ParseTrace(in); ok {
-			t.Errorf("ParseTrace(%q) accepted", in)
+		if _, ok := ParsePersona(in); ok {
+			t.Errorf("ParsePersona(%q) accepted", in)
 		}
 	}
 }

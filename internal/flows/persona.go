@@ -2,10 +2,10 @@ package flows
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Persona identifies a trace persona: the simulated user whose session a
@@ -13,41 +13,37 @@ import (
 // adolescent, adult, and logged-out traces — but the persona space is open:
 // new jurisdictions draw the age-of-consent line elsewhere (GDPR member
 // states pick 13-16), and differential audits can compare along axes the
-// paper never needed (region, subscription tier). Personas are registered
-// process-wide — the operator's flags and rule packs bound them, not what
-// a capture contains — and identified by their dense registration index,
-// so per-persona grouping in the pipeline stays pure integer work.
+// paper never needed (region, subscription tier).
 //
-// The four paper personas are registered as built-ins occupying IDs 0-3 in
-// table order, which keeps every artifact rendered from built-in-only
-// traffic byte-identical to the closed-enum implementation.
-type Persona int
+// A Persona is a handle: one pointer to an immutable PersonaInfo record,
+// compared by identity, so per-persona grouping in the pipeline stays a
+// pointer-keyed map. The four paper personas are package-level handles;
+// NewPersona mints any other. Nothing about a persona lives outside its
+// record, so no registry exists: a result decoded from a snapshot owns its
+// custom personas' handles, and the names a process accepts are those of the
+// PersonaIndex it builds from its own configuration.
+//
+// The zero Persona is Child, so a zero RequestRecord or PersonaPlan.Like
+// still means the paper's first trace.
+type Persona struct{ info *PersonaInfo }
 
 // TraceCategory is the paper's name for a persona. The alias keeps the
 // original four-trace vocabulary (and every existing call site) working
-// against the open registry.
+// against the open persona space.
 type TraceCategory = Persona
-
-// Built-in personas, ordered as in the paper's tables.
-const (
-	Child      Persona = iota // younger than 13 (COPPA)
-	Adolescent                // 13-15 (CCPA minors)
-	Adult                     // 16 and older
-	LoggedOut                 // no consent, no age disclosed
-)
 
 // AgeNoLimit marks an unbounded PersonaInfo.AgeMax.
 const AgeNoLimit = 1 << 30
 
-// PersonaInfo describes a registered persona. Rule packs predicate on
-// these attributes (disclosed age bracket, consent state, free-form tags)
-// instead of on hard-coded persona identities, which is what lets one rule
-// set cover personas registered after the pack was written.
+// PersonaInfo describes a persona. Rule packs predicate on these attributes
+// (disclosed age bracket, consent state, free-form tags) instead of on
+// hard-coded persona identities, which is what lets one rule set cover
+// personas defined after the pack was written.
 type PersonaInfo struct {
 	// Name is the canonical display name, as printed in report columns
 	// (e.g. "Child", "Logged Out").
 	Name string
-	// Aliases are additional accepted spellings for ParsePersona,
+	// Aliases are additional accepted spellings for PersonaIndex.Parse,
 	// lowercase ("teen", "logged-out"). The lowercased Name is always
 	// accepted and need not be listed.
 	Aliases []string
@@ -69,220 +65,235 @@ type PersonaInfo struct {
 	Attrs map[string]string
 }
 
-// personaSnapshot is the immutable published view of the registry.
-type personaSnapshot struct {
-	infos   []PersonaInfo
-	byAlias map[string]Persona // lowercased names and aliases
-}
-
+// The built-in records. Child's is what the zero handle points at.
 var (
-	personaMu   sync.Mutex
-	personaSnap atomic.Pointer[personaSnapshot]
+	childInfo = PersonaInfo{
+		Name: "Child", AgeKnown: true, AgeMin: 0, AgeMax: 12,
+		LoggedIn: true, Subject: "child user (under 13)",
+	}
+	adolescentInfo = PersonaInfo{
+		Name: "Adolescent", Aliases: []string{"teen"},
+		AgeKnown: true, AgeMin: 13, AgeMax: 15,
+		LoggedIn: true, Subject: "adolescent user (13-15)",
+	}
+	adultInfo = PersonaInfo{
+		Name: "Adult", AgeKnown: true, AgeMin: 16, AgeMax: AgeNoLimit,
+		LoggedIn: true, Subject: "adult user (16+)",
+	}
+	loggedOutInfo = PersonaInfo{
+		Name:    "Logged Out",
+		Aliases: []string{"loggedout", "logged-out", "logged_out", "out"},
+		Subject: "unidentified user (age undisclosed)",
+	}
 )
 
-func init() {
-	personaSnap.Store(&personaSnapshot{byAlias: map[string]Persona{}})
-	builtins := []PersonaInfo{
-		{
-			Name: "Child", AgeKnown: true, AgeMin: 0, AgeMax: 12,
-			LoggedIn: true, Subject: "child user (under 13)",
-		},
-		{
-			Name: "Adolescent", Aliases: []string{"teen"},
-			AgeKnown: true, AgeMin: 13, AgeMax: 15,
-			LoggedIn: true, Subject: "adolescent user (13-15)",
-		},
-		{
-			Name: "Adult", AgeKnown: true, AgeMin: 16, AgeMax: AgeNoLimit,
-			LoggedIn: true, Subject: "adult user (16+)",
-		},
-		{
-			Name:    "Logged Out",
-			Aliases: []string{"loggedout", "logged-out", "logged_out", "out"},
-			Subject: "unidentified user (age undisclosed)",
-		},
-	}
-	for i, info := range builtins {
-		p, err := RegisterPersona(info)
-		if err != nil || int(p) != i {
-			panic(fmt.Sprintf("flows: built-in persona %q: id=%d err=%v", info.Name, p, err))
-		}
-	}
-}
+// Built-in personas, ordered as in the paper's tables.
+var (
+	Child      = Persona{}                // younger than 13 (COPPA)
+	Adolescent = Persona{&adolescentInfo} // 13-15 (CCPA minors)
+	Adult      = Persona{&adultInfo}      // 16 and older
+	LoggedOut  = Persona{&loggedOutInfo}  // no consent, no age disclosed
+)
 
-// RegisterPersona adds a persona to the process-wide registry and returns
-// its ID. Registration is idempotent: re-registering an identical
-// PersonaInfo returns the existing ID; a conflicting name or alias is an
-// error. Safe for concurrent use.
-func RegisterPersona(info PersonaInfo) (Persona, error) {
+var builtins = [...]Persona{Child, Adolescent, Adult, LoggedOut}
+
+// builtinIndex accepts the built-in names and aliases only (which cannot
+// collide).
+var builtinIndex, _ = NewPersonaIndex()
+
+// NewPersona validates info and returns its persona. A record identical to
+// a built-in's returns that built-in, and one that reuses a built-in name
+// or alias with other attributes is an error. Any other record gets a fresh
+// handle that equals no other persona, so two calls with one info mint two
+// personas. The handle keeps its own copy of Aliases and Attrs.
+func NewPersona(info PersonaInfo) (Persona, error) {
 	info.Name = strings.TrimSpace(info.Name)
 	if info.Name == "" {
-		return 0, fmt.Errorf("flows: persona name required")
+		return Persona{}, fmt.Errorf("flows: persona name required")
 	}
 	if info.AgeKnown && info.AgeMin > info.AgeMax {
-		return 0, fmt.Errorf("flows: persona %q: AgeMin %d > AgeMax %d", info.Name, info.AgeMin, info.AgeMax)
+		return Persona{}, fmt.Errorf("flows: persona %q: AgeMin %d > AgeMax %d", info.Name, info.AgeMin, info.AgeMax)
 	}
 	if info.Subject == "" {
 		info.Subject = strings.ToLower(info.Name) + " user"
 	}
-
-	personaMu.Lock()
-	defer personaMu.Unlock()
-	snap := personaSnap.Load()
-	if id, ok := snap.byAlias[strings.ToLower(info.Name)]; ok {
-		if samePersonaInfo(snap.infos[id], info) {
-			return id, nil
-		}
-		return 0, fmt.Errorf("flows: persona %q already registered with different attributes", info.Name)
+	if b, hit, err := builtinIndex.clash(&info); hit {
+		return b, err
 	}
-	spellings := []string{strings.ToLower(info.Name)}
-	for _, a := range info.Aliases {
-		a = strings.ToLower(strings.TrimSpace(a))
-		if a == "" || a == spellings[0] {
+	info.Aliases = slices.Clone(info.Aliases)
+	info.Attrs = maps.Clone(info.Attrs)
+	return Persona{&info}, nil
+}
+
+// recordKey spells out a record so that two records are the same persona
+// exactly when their keys are equal: aliases count case-insensitively, ages
+// only when known, and an empty Attrs as none (fmt writes maps key-sorted).
+func recordKey(info *PersonaInfo) string {
+	r := *info
+	r.Aliases = make([]string, len(info.Aliases))
+	for i, a := range info.Aliases {
+		r.Aliases[i] = strings.ToLower(a)
+	}
+	if !r.AgeKnown {
+		r.AgeMin, r.AgeMax = 0, 0
+	}
+	if len(r.Attrs) == 0 {
+		r.Attrs = nil
+	}
+	return fmt.Sprintf("%#v", r)
+}
+
+// PersonaIndex resolves user-facing persona names (CLI flags, upload form
+// fields, the diff filter) to personas: the four built-ins plus the custom
+// personas it was built with. It never changes once built, so one index
+// serves concurrent readers, and what a process accepts changes only when it
+// builds another.
+type PersonaIndex struct {
+	list    []Persona
+	byAlias map[string]Persona // lowercased names and aliases
+}
+
+// NewPersonaIndex indexes the built-ins and then the given customs under
+// their names and aliases. A custom identical to one already indexed under
+// its name is skipped; a name or alias already taken by another persona is
+// an error.
+func NewPersonaIndex(customs ...Persona) (*PersonaIndex, error) {
+	x := &PersonaIndex{byAlias: make(map[string]Persona)}
+	for _, p := range append(builtins[:], customs...) {
+		if _, hit, err := x.clash(p.record()); hit {
+			if err != nil {
+				return nil, err
+			}
 			continue
 		}
-		spellings = append(spellings, a)
-	}
-	for _, s := range spellings[1:] {
-		if other, ok := snap.byAlias[s]; ok {
-			return 0, fmt.Errorf("flows: persona alias %q already taken by %q", s, snap.infos[other].Name)
+		for _, s := range spellings(p.record()) {
+			x.byAlias[s] = p
 		}
+		x.list = append(x.list, p)
 	}
-
-	id := Persona(len(snap.infos))
-	grown := &personaSnapshot{
-		infos:   make([]PersonaInfo, len(snap.infos)+1),
-		byAlias: make(map[string]Persona, len(snap.byAlias)+len(spellings)),
-	}
-	copy(grown.infos, snap.infos)
-	grown.infos[id] = info
-	for k, v := range snap.byAlias {
-		grown.byAlias[k] = v
-	}
-	for _, s := range spellings {
-		grown.byAlias[s] = id
-	}
-	personaSnap.Store(grown)
-	return id, nil
+	return x, nil
 }
 
-// MustRegisterPersona is RegisterPersona, panicking on error.
-func MustRegisterPersona(info PersonaInfo) Persona {
-	p, err := RegisterPersona(info)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// samePersonaInfo compares infos field-wise (idempotent re-registration).
-func samePersonaInfo(a, b PersonaInfo) bool {
-	if a.Name != b.Name || a.AgeKnown != b.AgeKnown || a.LoggedIn != b.LoggedIn ||
-		a.Subject != b.Subject || len(a.Aliases) != len(b.Aliases) || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	if a.AgeKnown && (a.AgeMin != b.AgeMin || a.AgeMax != b.AgeMax) {
-		return false
-	}
-	for i := range a.Aliases {
-		if !strings.EqualFold(a.Aliases[i], b.Aliases[i]) {
-			return false
+// spellings lists the lowercased name, then the lowercased aliases.
+func spellings(info *PersonaInfo) []string {
+	out := []string{strings.ToLower(info.Name)}
+	for _, a := range info.Aliases {
+		if a = strings.ToLower(strings.TrimSpace(a)); a != "" && a != out[0] {
+			out = append(out, a)
 		}
-	}
-	for k, v := range a.Attrs {
-		if b.Attrs[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Personas returns every registered persona in ID (registration) order —
-// built-ins first, in table order.
-func Personas() []Persona {
-	n := len(personaSnap.Load().infos)
-	out := make([]Persona, n)
-	for i := range out {
-		out[i] = Persona(i)
 	}
 	return out
 }
 
-// BuiltinPersonas returns the paper's four personas in table order.
-func BuiltinPersonas() []Persona {
-	return []Persona{Child, Adolescent, Adult, LoggedOut}
-}
-
-// PersonaCount returns the number of registered personas.
-func PersonaCount() int { return len(personaSnap.Load().infos) }
-
-// Registered reports whether the persona ID is registered.
-func (p Persona) Registered() bool {
-	return p >= 0 && int(p) < len(personaSnap.Load().infos)
-}
-
-// Info returns the persona's registration record (zero value when the ID
-// is unregistered).
-func (p Persona) Info() PersonaInfo {
-	if infos := personaSnap.Load().infos; p >= 0 && int(p) < len(infos) {
-		return infos[p]
+// clash reports whether any spelling of info is already indexed. When the
+// name is, and by an identical record, it returns that persona with no
+// error; every other hit is an error.
+func (x *PersonaIndex) clash(info *PersonaInfo) (Persona, bool, error) {
+	for i, s := range spellings(info) {
+		q, ok := x.byAlias[s]
+		switch {
+		case !ok:
+			continue
+		case i > 0:
+			return Persona{}, true, fmt.Errorf("flows: persona alias %q already taken by %q", s, q.record().Name)
+		case recordKey(q.record()) != recordKey(info):
+			return Persona{}, true, fmt.Errorf("flows: persona %q already taken by one with different attributes", info.Name)
+		}
+		return q, true, nil
 	}
-	return PersonaInfo{}
+	return Persona{}, false, nil
 }
+
+// Parse maps a persona name to its persona. Canonical names match
+// case-insensitively ("Logged Out" and "logged out" both resolve), as do
+// aliases ("teen", "logged-out").
+func (x *PersonaIndex) Parse(name string) (Persona, bool) {
+	p, ok := x.byAlias[strings.ToLower(strings.TrimSpace(name))]
+	return p, ok
+}
+
+// Personas lists the indexed personas: the built-ins in table order, then
+// the customs in the order given.
+func (x *PersonaIndex) Personas() []Persona { return slices.Clone(x.list) }
+
+// ParsePersona maps a built-in persona name or alias to its persona. Custom
+// personas parse only through a PersonaIndex that holds them.
+func ParsePersona(name string) (Persona, bool) { return builtinIndex.Parse(name) }
+
+// BuiltinPersonas returns the paper's four personas in table order.
+func BuiltinPersonas() []Persona { return slices.Clone(builtins[:]) }
+
+// BuiltinIndex returns the persona's column among the built-ins (0-3 in
+// table order), or -1 for a custom persona.
+func (p Persona) BuiltinIndex() int {
+	for i, b := range builtins {
+		if p == b {
+			return i
+		}
+	}
+	return -1
+}
+
+// record returns the persona's record; the zero handle is Child's.
+func (p Persona) record() *PersonaInfo {
+	if p.info == nil {
+		return &childInfo
+	}
+	return p.info
+}
+
+// Info returns the persona's record. Its Aliases and Attrs are shared with
+// the handle and must not be modified.
+func (p Persona) Info() PersonaInfo { return *p.record() }
 
 // String names the persona as printed in report columns ("Child",
 // "Logged Out", ...).
-func (p Persona) String() string {
-	if info := p.Info(); info.Name != "" {
-		return info.Name
-	}
-	return fmt.Sprintf("Persona(%d)", int(p))
-}
+func (p Persona) String() string { return p.record().Name }
 
 // LoggedIn reports whether the persona is authenticated (has passed the
 // age-disclosure and consent boundary).
-func (p Persona) LoggedIn() bool { return p.Info().LoggedIn }
+func (p Persona) LoggedIn() bool { return p.record().LoggedIn }
 
 // AgeKnown reports whether the persona disclosed an age.
-func (p Persona) AgeKnown() bool { return p.Info().AgeKnown }
+func (p Persona) AgeKnown() bool { return p.record().AgeKnown }
 
 // AgeBelow reports whether the persona's whole disclosed age bracket lies
 // below n years (false when the age is unknown).
 func (p Persona) AgeBelow(n int) bool {
-	info := p.Info()
+	info := p.record()
 	return info.AgeKnown && info.AgeMax < n
 }
 
 // AgeAtLeast reports whether the persona's whole disclosed age bracket is
 // at least n years (false when the age is unknown).
 func (p Persona) AgeAtLeast(n int) bool {
-	info := p.Info()
+	info := p.record()
 	return info.AgeKnown && info.AgeMin >= n
 }
 
 // Subject returns the contextual-integrity data-subject description.
-func (p Persona) Subject() string {
-	if s := p.Info().Subject; s != "" {
-		return s
-	}
-	return "unidentified user (age undisclosed)"
-}
+func (p Persona) Subject() string { return p.record().Subject }
 
 // Attr returns a free-form persona tag ("" when unset).
-func (p Persona) Attr(key string) string { return p.Info().Attrs[key] }
+func (p Persona) Attr(key string) string { return p.record().Attrs[key] }
 
-// ParsePersona maps a user-facing persona name (CLI flags, upload form
-// fields) to its registered ID. Canonical names match case-insensitively
-// ("Logged Out" and "logged out" both resolve), as do registered aliases
-// ("teen", "logged-out").
-func ParsePersona(name string) (Persona, bool) {
-	p, ok := personaSnap.Load().byAlias[strings.ToLower(strings.TrimSpace(name))]
-	return p, ok
+// PersonaLess orders personas as report columns: the built-ins in table
+// order, then custom personas by name, and customs of one name (which only
+// a result assembled by hand holds) by the rest of their records.
+func PersonaLess(a, b Persona) bool {
+	ia, ib := a.BuiltinIndex(), b.BuiltinIndex()
+	if ia >= 0 || ib >= 0 {
+		return ia >= 0 && (ib < 0 || ia < ib)
+	}
+	if a.info.Name != b.info.Name {
+		return a.info.Name < b.info.Name
+	}
+	return recordKey(a.info) < recordKey(b.info)
 }
 
-// SortPersonas sorts persona IDs in place into registry order (built-ins
-// first, then registration order) and returns the slice.
+// SortPersonas sorts personas in place into PersonaLess order and returns
+// the slice.
 func SortPersonas(ps []Persona) []Persona {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	sort.Slice(ps, func(i, j int) bool { return PersonaLess(ps[i], ps[j]) })
 	return ps
 }

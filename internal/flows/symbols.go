@@ -2,8 +2,6 @@ package flows
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"diffaudit/internal/ontology"
 )
@@ -13,19 +11,19 @@ import (
 // the low half — so Set.Add and every aggregate over a Set are integer/map
 // operations with no per-flow allocation.
 //
-// The two halves have different lifetimes. Category IDs are process-wide:
-// the ontology bounds them (35 canonical categories plus whatever custom
-// ones the operator's code registers), so one registry serves every set.
-// Destination IDs are not: hostnames come from captures, so each
-// ServiceResult owns one Table that its persona sets share, and a
-// destination lives exactly as long as the result that mentions it. A
-// DestID therefore means nothing outside its table; the operations that
-// span tables (core.Diff, core.Totals, Set.Merge of a foreign set, the
-// snapshot encoder) compare destinations by content.
+// The two halves have different lifetimes. A category ID is fixed at
+// compile time: it is the category's index in the ontology, whose 35
+// level-3 categories are the only labels the pipeline keeps (a classifier
+// label outside them is dropped as hallucinated, and a snapshot naming one
+// does not decode). Destination IDs are not fixed: hostnames come from
+// captures, so each ServiceResult owns one Table that its persona sets
+// share, and a destination lives exactly as long as the result that
+// mentions it. A DestID therefore means nothing outside its table; the
+// operations that span tables (core.Diff, core.Totals, Set.Merge of a
+// foreign set, the snapshot encoder) compare destinations by content.
 
-// CatID identifies a category name. The 35 canonical ontology categories
-// occupy IDs 0..34 in ontology order; custom categories get subsequent IDs
-// on first sight.
+// CatID identifies a data type category: its index in
+// ontology.Categories().
 type CatID uint32
 
 // DestID identifies a resolved destination (the full FQDN, eSLD, owner,
@@ -33,69 +31,37 @@ type CatID uint32
 // roles for different audited services) within one Table.
 type DestID uint32
 
-// canonCats maps the canonical ontology category pointers to their IDs —
-// immutable after init, so the pipeline's hottest lookup is one lock-free
-// map read.
-var canonCats map[*ontology.Category]CatID
-
-// catPtrs is the published ID → category mapping (canonical and custom);
-// catNames is its inverse by name. catMu guards catNames and growth.
+// catByPtr and catByName map the ontology's categories to their IDs, by
+// pointer (the pipeline's hot lookup) and by name (a Category value that
+// carries an ontology name).
 var (
-	catMu    sync.Mutex
-	catNames map[string]CatID
-	catPtrs  atomic.Pointer[[]*ontology.Category]
+	catByPtr  = map[*ontology.Category]CatID{}
+	catByName = map[string]CatID{}
 )
 
 func init() {
 	cats := ontology.Categories()
-	byID := make([]*ontology.Category, len(cats))
-	canonCats = make(map[*ontology.Category]CatID, len(cats))
-	catNames = make(map[string]CatID, len(cats))
 	for i := range cats {
-		c := &cats[i]
-		byID[i] = c
-		canonCats[c] = CatID(i)
-		catNames[c.Name] = CatID(i)
+		catByPtr[&cats[i]] = CatID(i)
+		catByName[cats[i].Name] = CatID(i)
 	}
-	catPtrs.Store(&byID)
 }
 
-// InternCategory returns the ID for a category, registering it by name on
-// first sight. Two distinct Category values sharing a name share an ID,
-// matching the string-keyed core's dedup-by-name semantics.
-func InternCategory(c *ontology.Category) CatID {
-	if id, ok := canonCats[c]; ok {
-		return id
+// CategoryID returns the ID of an ontology category. A label outside the
+// ontology has none.
+func CategoryID(c *ontology.Category) (CatID, bool) {
+	if id, ok := catByPtr[c]; ok || c == nil {
+		return id, ok
 	}
-	catMu.Lock()
-	defer catMu.Unlock()
-	if id, ok := catNames[c.Name]; ok {
-		return id
-	}
-	ptrs := *catPtrs.Load()
-	id := CatID(len(ptrs))
-	grown := append(ptrs[:len(ptrs):len(ptrs)], c)
-	catNames[c.Name] = id
-	catPtrs.Store(&grown)
-	return id
-}
-
-// LookupCategory returns the ID for a category without registering it.
-func LookupCategory(c *ontology.Category) (CatID, bool) {
-	if id, ok := canonCats[c]; ok {
-		return id, true
-	}
-	catMu.Lock()
-	defer catMu.Unlock()
-	id, ok := catNames[c.Name]
+	id, ok := catByName[c.Name]
 	return id, ok
 }
 
-// CategoryByID resolves an ID back to its category (the first-registered
-// pointer for that name; nil when the ID was never assigned).
+// CategoryByID resolves an ID back to its ontology category (nil out of
+// range).
 func CategoryByID(id CatID) *ontology.Category {
-	if ptrs := *catPtrs.Load(); int(id) < len(ptrs) {
-		return ptrs[id]
+	if cats := ontology.Categories(); int(id) < len(cats) {
+		return &cats[id]
 	}
 	return nil
 }
@@ -243,8 +209,9 @@ func flowCompare(an string, x *tableEntry, bn string, y *tableEntry) int {
 	if cmp := compareConcat(an, x.fqdn, bn, y.fqdn); cmp != 0 {
 		return cmp
 	}
-	// Equal names imply equal category IDs (registration is by name), so a
-	// tie means one FQDN with two destination roles; content decides.
+	// Equal names imply equal category IDs (an ID is its name's ontology
+	// index), so a tie means one FQDN with two destination roles; content
+	// decides.
 	if cmp := strings.Compare(x.esld, y.esld); cmp != 0 {
 		return cmp
 	}

@@ -22,72 +22,82 @@ func TestPackSplitRoundTrip(t *testing.T) {
 	}
 }
 
+// mustCatID is CategoryID for categories known to be the ontology's.
+func mustCatID(c *ontology.Category) CatID {
+	id, ok := CategoryID(c)
+	if !ok {
+		panic("not an ontology category: " + c.Name)
+	}
+	return id
+}
+
+// TestInternCategoryCanonical (named for the registry CategoryID replaced):
+// a category's ID is its ontology index, and resolves back to it.
 func TestInternCategoryCanonical(t *testing.T) {
 	cats := ontology.Categories()
 	for i := range cats {
 		c := &cats[i]
-		id := InternCategory(c)
-		if got := CategoryByID(id); got != c {
-			t.Fatalf("category %q: id %d resolves to %v", c.Name, id, got)
+		if id, ok := CategoryID(c); !ok || id != CatID(i) {
+			t.Fatalf("CategoryID(%q) = %d,%v want %d", c.Name, id, ok, i)
 		}
-		if lid, ok := LookupCategory(c); !ok || lid != id {
-			t.Fatalf("LookupCategory(%q) = %d,%v want %d", c.Name, lid, ok, id)
+		if got := CategoryByID(CatID(i)); got != c {
+			t.Fatalf("CategoryByID(%d) = %v, want %q", i, got, c.Name)
 		}
+	}
+	if got := CategoryByID(CatID(len(cats))); got != nil {
+		t.Errorf("CategoryByID past the ontology = %v", got)
 	}
 }
 
+// TestInternCategoryCustomByName (named for the registry CategoryID
+// replaced): a distinct Category value carrying an ontology name has that
+// category's ID; a name outside the ontology has none, and asking adds none.
 func TestInternCategoryCustomByName(t *testing.T) {
-	// Two distinct values with one name share an ID (dedup-by-name, the
-	// string-keyed core's semantics); the first registration resolves.
-	a := &ontology.Category{Name: "Custom Symbol Test A", Group: ontology.Geolocation}
-	b := &ontology.Category{Name: "Custom Symbol Test A", Group: ontology.Geolocation}
-	ida, idb := InternCategory(a), InternCategory(b)
-	if ida != idb {
-		t.Fatalf("same-name categories got ids %d and %d", ida, idb)
+	age, _ := ontology.Lookup("Age")
+	twin := &ontology.Category{Name: age.Name, Group: age.Group}
+	if id, ok := CategoryID(twin); !ok || id != mustCatID(age) {
+		t.Fatalf("CategoryID(twin of %q) = %d,%v", age.Name, id, ok)
 	}
-	if got := CategoryByID(ida); got == nil || got.Name != a.Name {
-		t.Fatalf("CategoryByID(%d) = %v", ida, got)
+	custom := &ontology.Category{Name: "Custom Symbol Test A", Group: ontology.Geolocation}
+	for i := 0; i < 2; i++ {
+		if id, ok := CategoryID(custom); ok {
+			t.Fatalf("CategoryID of a non-ontology label = %d", id)
+		}
 	}
+	if _, ok := CategoryID(nil); ok {
+		t.Error("CategoryID(nil) has an ID")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Set.Add took a category outside the ontology")
+		}
+	}()
+	NewSet().Add(Flow{Category: custom, Dest: Destination{FQDN: "h.example"}}, Web)
 }
 
-// TestInternCategoryConcurrent: the category registry is the one symbol
-// table goroutines still share (pipeline workers label keys while servers
-// decode snapshots), so racing registrations of the same custom names must
-// agree on one ID per name and resolve it back.
+// TestInternCategoryConcurrent (named for the registry CategoryID
+// replaced): category IDs are fixed with the ontology, so goroutines
+// resolving ontology and non-ontology labels at once share nothing mutable
+// and always agree.
 func TestInternCategoryConcurrent(t *testing.T) {
-	const goroutines, names = 8, 40
-	ids := make([][names]CatID, goroutines)
+	cats := ontology.Categories()
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for n := 0; n < names; n++ {
-				c := &ontology.Category{Name: fmt.Sprintf("Concurrent Custom %d", (n+g)%names), Group: ontology.Sensors}
-				id := InternCategory(c)
-				ids[g][(n+g)%names] = id
-				if got := CategoryByID(id); got == nil || got.Name != c.Name {
-					t.Errorf("CategoryByID(%d) = %v, want %q", id, got, c.Name)
+			for n := 0; n < 40; n++ {
+				c := &cats[(n+g)%len(cats)]
+				if id, ok := CategoryID(&ontology.Category{Name: c.Name}); !ok || CategoryByID(id) != c {
+					t.Errorf("CategoryID(%q) = %d,%v", c.Name, id, ok)
 				}
-				if lid, ok := LookupCategory(c); !ok || lid != id {
-					t.Errorf("LookupCategory(%q) = %d,%v want %d", c.Name, lid, ok, id)
+				if _, ok := CategoryID(&ontology.Category{Name: fmt.Sprintf("Concurrent Custom %d", n)}); ok {
+					t.Error("a non-ontology label got an ID")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	seen := map[CatID]bool{}
-	for n := 0; n < names; n++ {
-		for g := 1; g < goroutines; g++ {
-			if ids[g][n] != ids[0][n] {
-				t.Fatalf("name %d: goroutine %d got ID %d, goroutine 0 got %d", n, g, ids[g][n], ids[0][n])
-			}
-		}
-		if seen[ids[0][n]] {
-			t.Fatalf("ID %d assigned to two names", ids[0][n])
-		}
-		seen[ids[0][n]] = true
-	}
 }
 
 func TestInternDestinationSymbols(t *testing.T) {
@@ -141,7 +151,7 @@ func TestFlowKeyLessMatchesStringOrder(t *testing.T) {
 		}
 		for _, h := range hosts {
 			f := Flow{Category: &cats[i], Dest: Destination{FQDN: h, Class: ThirdParty}}
-			keys = append(keys, PackFlowKey(InternCategory(f.Category), tab.Intern(f.Dest)))
+			keys = append(keys, PackFlowKey(mustCatID(f.Category), tab.Intern(f.Dest)))
 			fls = append(fls, f)
 		}
 	}
@@ -277,8 +287,8 @@ func TestFlowKeyLessTotalOrderOnRoleTies(t *testing.T) {
 	d2 := Destination{FQDN: fqdn, ESLD: fqdn, Owner: "Org B", Class: ThirdPartyATS}
 	// Interned in the opposite order, so an ID tie-break would get it wrong.
 	tab := NewTable()
-	k2 := PackFlowKey(InternCategory(c), tab.Intern(d2))
-	k1 := PackFlowKey(InternCategory(c), tab.Intern(d1))
+	k2 := PackFlowKey(mustCatID(c), tab.Intern(d2))
+	k1 := PackFlowKey(mustCatID(c), tab.Intern(d1))
 	if tab.KeyLess(k1, k2) == tab.KeyLess(k2, k1) {
 		t.Fatalf("tie not totally ordered: less(k1,k2)=%v less(k2,k1)=%v",
 			tab.KeyLess(k1, k2), tab.KeyLess(k2, k1))

@@ -62,7 +62,7 @@ type CIAssessment struct {
 }
 
 // TupleFor renders the CI tuple for a flow under the scenario's consent
-// norms: the subject comes from the persona registry, the transmission
+// norms: the subject comes from the persona's record, the transmission
 // principle from the packs.
 func (sc *Scenario) TupleFor(service string, p flows.Persona, f flows.Flow) CITuple {
 	return CITuple{

@@ -14,8 +14,8 @@ import (
 // matching Art. 8(1)'s member-state derogations (13-16).
 
 // Persona predicates shared by the built-in packs. All predicate on
-// attributes, never identities: a custom persona registered with an age
-// bracket under 13 is a COPPA child, whoever registered it.
+// attributes, never identities: a custom persona defined with an age
+// bracket under 13 is a COPPA child, whoever defined it.
 func under13(p flows.Persona) bool { return p.AgeBelow(13) }
 
 func teen13to15(p flows.Persona) bool {

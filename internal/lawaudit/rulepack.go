@@ -137,8 +137,8 @@ func DefaultScenario() *Scenario {
 	return &Scenario{Packs: []*Pack{coppaPack, ccpaPack}}
 }
 
-// personaOrder returns the personas present in an audit, in registry
-// order — the column order reports use, and the order rule evaluators
+// personaOrder returns the personas present in an audit in column order
+// (flows.PersonaLess) — the order reports use, and the order rule evaluators
 // iterate for deterministic findings.
 func personaOrder(byTrace map[flows.Persona]*flows.Set) []flows.Persona {
 	out := make([]flows.Persona, 0, len(byTrace))
@@ -225,7 +225,7 @@ func evalFlowRule(pk *Pack, r *Rule, service string, personas []flows.Persona, b
 
 func evalGridDivergence(pk *Pack, r *Rule, service string, personas []flows.Persona, byTrace map[flows.Persona]*flows.Set) []Finding {
 	var base *flows.Set
-	basePersona := flows.Persona(-1)
+	var basePersona flows.Persona
 	for _, p := range personas {
 		if matches(r.Baseline, p) && byTrace[p] != nil && byTrace[p].Len() > 0 {
 			base, basePersona = byTrace[p], p

@@ -178,12 +178,15 @@ func TestPackRegistry(t *testing.T) {
 	}
 }
 
-// TestCustomPackCoversRegisteredPersona pins the registry contract: a rule
-// predicating on attributes covers personas registered after the pack.
+// TestCustomPackCoversRegisteredPersona pins the open-persona contract: a
+// rule predicating on attributes covers personas defined after the pack.
 func TestCustomPackCoversRegisteredPersona(t *testing.T) {
-	p := flows.MustRegisterPersona(flows.PersonaInfo{
+	p, err := flows.NewPersona(flows.PersonaInfo{
 		Name: "Pack Test Kid", AgeKnown: true, AgeMin: 6, AgeMax: 9, LoggedIn: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	byTrace := map[flows.Persona]*flows.Set{p: flows.NewSet()}
 	byTrace[p].Add(flows.Flow{
 		Category: cat("Aliases"),

@@ -61,28 +61,35 @@ type Index struct {
 }
 
 // indexAcc accumulates one third-party destination during the single
-// pass. Category sets are uint64 bitsets — the 35 canonical categories
-// always fit; custom IDs ≥ 64 spill into the (normally nil) overflow map.
+// pass. Category sets are uint64 bitsets: every CatID is an ontology index,
+// and the ontology's 35 categories fit.
 type indexAcc struct {
-	repDest  flows.DestID
-	bits     uint64
-	overflow map[flows.CatID]bool
+	repDest flows.DestID
+	bits    uint64
 	// multi marks an FQDN carrying several destination roles (possible
 	// only in sets merged across services); the representative then needs
 	// the exact first-in-key-order selection the string-keyed core made.
 	multi bool
 }
 
-func (a *indexAcc) has(c flows.CatID) bool {
-	if c < 64 {
-		return a.bits&(1<<c) != 0
+// byName lists every category ID in name order, and identifiers is the
+// bitset of the identifier categories; both are fixed with the ontology.
+var byName, identifiers = func() ([]flows.CatID, uint64) {
+	cats := ontology.Categories()
+	if len(cats) > 64 {
+		panic("linkability: category bitsets hold at most 64 categories")
 	}
-	return a.overflow[c]
-}
-
-func (a *indexAcc) count() int {
-	return bits.OnesCount64(a.bits) + len(a.overflow)
-}
+	ids := make([]flows.CatID, len(cats))
+	var idents uint64
+	for i := range cats {
+		ids[i] = flows.CatID(i)
+		if cats[i].IsIdentifier() {
+			idents |= 1 << i
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return cats[ids[i]].Name < cats[ids[j]].Name })
+	return ids, idents
+}()
 
 // indexState accumulates the single pass over a set's packed keys
 // (accumulate, then represent for the rare multi-role FQDNs, then finish).
@@ -91,7 +98,6 @@ type indexState struct {
 	tab      *flows.Table
 	byFQDN   map[uint32]indexAcc
 	anyMulti bool
-	allCats  indexAcc // union of every party's category set
 	minKey   map[uint32]uint64
 }
 
@@ -120,19 +126,7 @@ func (st *indexState) accumulate(key uint64) {
 		a.multi = true
 		st.anyMulti = true
 	}
-	if c < 64 {
-		a.bits |= 1 << c
-		st.allCats.bits |= 1 << c
-	} else {
-		if a.overflow == nil {
-			a.overflow = map[flows.CatID]bool{}
-		}
-		a.overflow[c] = true
-		if st.allCats.overflow == nil {
-			st.allCats.overflow = map[flows.CatID]bool{}
-		}
-		st.allCats.overflow[c] = true
-	}
+	a.bits |= 1 << c
 	st.byFQDN[fid] = a
 }
 
@@ -160,61 +154,36 @@ func (st *indexState) represent(key uint64) {
 	}
 }
 
-// finish assembles the Index from the accumulated state.
+// finish assembles the Index from the accumulated state. Each party's
+// category slice comes out in name order by walking byName against its
+// bitset.
 func (st *indexState) finish() *Index {
-	byFQDN, allCats := st.byFQDN, st.allCats
+	byFQDN := st.byFQDN
 	for fid, k := range st.minKey {
 		a := byFQDN[fid]
 		_, a.repDest = flows.SplitFlowKey(k)
 		byFQDN[fid] = a
 	}
 
-	// ordered lists every category ID present anywhere in the set, sorted
-	// by name once; per-party category slices then assemble in order by
-	// bitset probes instead of per-party sorts.
-	ordered := make([]flows.CatID, 0, allCats.count())
-	for c := flows.CatID(0); c < 64; c++ {
-		if allCats.bits&(1<<c) != 0 {
-			ordered = append(ordered, c)
-		}
-	}
-	for c := range allCats.overflow {
-		ordered = append(ordered, c)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		return flows.CategoryByID(ordered[i]).Name < flows.CategoryByID(ordered[j]).Name
-	})
-	identifier := make([]bool, len(ordered))
-	for i, c := range ordered {
-		identifier[i] = flows.CategoryByID(c).IsIdentifier()
-	}
-
 	// One backing array serves every party's category slice.
 	totalCats := 0
 	for _, a := range byFQDN {
-		totalCats += a.count()
+		totalCats += bits.OnesCount64(a.bits)
 	}
 	backing := make([]flows.CatID, 0, totalCats)
 
 	ix := &Index{parties: make([]indexParty, 0, len(byFQDN))}
 	for _, a := range byFQDN {
 		start := len(backing)
-		var hasID, hasPI bool
-		for i, c := range ordered {
-			if !a.has(c) {
-				continue
-			}
-			backing = append(backing, c)
-			if identifier[i] {
-				hasID = true
-			} else {
-				hasPI = true
+		for _, c := range byName {
+			if a.bits&(1<<c) != 0 {
+				backing = append(backing, c)
 			}
 		}
 		ix.parties = append(ix.parties, indexParty{
 			dest:     st.tab.Destination(a.repDest),
 			cats:     backing[start:len(backing):len(backing)],
-			linkable: hasID && hasPI,
+			linkable: a.bits&identifiers != 0 && a.bits&^identifiers != 0,
 		})
 	}
 	sort.Slice(ix.parties, func(i, j int) bool { return ix.parties[i].dest.FQDN < ix.parties[j].dest.FQDN })

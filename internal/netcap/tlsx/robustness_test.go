@@ -41,3 +41,33 @@ func TestParsersNeverPanic(t *testing.T) {
 		_, _ = NewStreamDecryptor(nil).DecryptConversation(data, data)
 	}
 }
+
+// FuzzParseKeyLog: ParseKeyLog never panics, and a key log it accepts is no
+// larger than its text implies — every entry takes a line of at least 7
+// bytes ("L rr ss"), and every stored secret byte two hex digits. Run with:
+//
+//	go test -run '^$' -fuzz FuzzParseKeyLog ./internal/netcap/tlsx
+func FuzzParseKeyLog(f *testing.F) {
+	random := testRandom(1)
+	f.Add(BuildClientHello(random, "fuzz.example"))
+	f.Add(BuildServerHello(random, 0x009C))
+	f.Add(Record{Type: TypeHandshake, Payload: BuildClientHello(random, "fuzz.example")}.Encode())
+	f.Add([]byte("# comment\n" + FormatLine("CLIENT_RANDOM", random[:], random[:]) + FormatLine("L", []byte{1}, []byte{2})))
+	f.Add([]byte("CLIENT_RANDOM zz 00\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kl, err := ParseKeyLog(data)
+		if err != nil {
+			return
+		}
+		if 7*kl.Len() > len(data) {
+			t.Fatalf("%d entries from %d bytes", kl.Len(), len(data))
+		}
+		stored := 0
+		for _, s := range kl.secrets {
+			stored += len(s)
+		}
+		if 2*stored > len(data) {
+			t.Fatalf("%d secret bytes from %d bytes", stored, len(data))
+		}
+	})
+}

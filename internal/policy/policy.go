@@ -33,7 +33,7 @@ type Constraint struct {
 
 // covered returns the personas a constraint audits, in evaluation order:
 // the explicit Traces list, or — for predicate constraints — the audit's
-// personas in registry order.
+// personas in column order (flows.PersonaLess).
 func (c *Constraint) covered(byTrace map[flows.TraceCategory]*flows.Set) []flows.TraceCategory {
 	if c.Personas == nil {
 		return c.Traces
@@ -121,7 +121,7 @@ func groupIn(g ontology.Level2, set []ontology.Level2) bool {
 // Models returns the fall-2023 policy models for the six audited services,
 // built from the disclosures quoted in the paper. Constraints predicate on
 // persona attributes matching the disclosure's own audience language
-// ("under 16", "children", "all users"), so custom registered personas are
+// ("under 16", "children", "all users"), so custom personas are
 // covered by the same quoted statements; for the four built-in personas
 // the coverage is identical to the original per-trace lists.
 func Models() map[string]*Model {

@@ -112,11 +112,11 @@ func TestAuditNilTrace(t *testing.T) {
 	}
 }
 
-// TestConstraintsCoverCustomPersonas pins the open-registry contract for
+// TestConstraintsCoverCustomPersonas pins the open-persona contract for
 // the policy layer: disclosures predicated on audience attributes cover
-// personas registered after the model was written.
+// personas defined after the model was written.
 func TestConstraintsCoverCustomPersonas(t *testing.T) {
-	p, err := flows.RegisterPersona(flows.PersonaInfo{
+	p, err := flows.NewPersona(flows.PersonaInfo{
 		Name: "Policy Kid", AgeKnown: true, AgeMin: 7, AgeMax: 10, LoggedIn: true,
 	})
 	if err != nil {

@@ -145,20 +145,25 @@ func handResult(name, owner string, personas []flows.Persona, fqdns []string) *c
 // one-pass encoder and the reflective reference agree on every byte.
 func TestAppendJSONMatchesReference(t *testing.T) {
 	// A custom persona whose name sorts before every built-in, so map
-	// order (by name) and row order (by registration) disagree.
-	early, err := flows.RegisterPersona(flows.PersonaInfo{Name: "AAA EU Teen <16>", AgeKnown: true, AgeMin: 13, AgeMax: 15, LoggedIn: true})
+	// order (by name) and row order (built-ins first) disagree.
+	early, err := flows.NewPersona(flows.PersonaInfo{Name: "AAA EU Teen <16>", AgeKnown: true, AgeMin: 13, AgeMax: 15, LoggedIn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An unregistered ID prints as "Persona(9999)", and nothing stops a
-	// registered persona from being called that: one map key, two personas.
-	twin, err := flows.RegisterPersona(flows.PersonaInfo{Name: "Persona(9999)"})
+	odd, err := flows.NewPersona(flows.PersonaInfo{Name: "Persona(9999) \"q\" \u2028"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two personas that print the same name: one map key, two row groups.
+	// No audit or decoded snapshot holds such a pair, but a result built by
+	// hand can, and the two must still render in one order.
+	twin, err := flows.NewPersona(flows.PersonaInfo{Name: "AAA EU Teen <16>", AgeKnown: true, AgeMin: 14, AgeMax: 15, LoggedIn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	small, full := synthResults(0.002), synthResults(1)
 	builtins := flows.BuiltinPersonas()
-	hostile := handResult(`sv"c\<&>`+"\x01\u2028é\xff", "Ow\"ner\\&\x1f", append([]flows.Persona{early, twin, flows.Persona(9999)}, builtins...), hostileStrings)
+	hostile := handResult(`sv"c\<&>`+"\x01\u2028é\xff", "Ow\"ner\\&\x1f", append([]flows.Persona{twin, early, odd}, builtins...), hostileStrings)
 	emptyPersona := handResult("Empty", "Org", builtins[:2], []string{"a.example.com", "b.example.com"})
 	emptyPersona.ByTrace[flows.Adult] = flows.NewSet()
 

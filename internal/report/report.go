@@ -99,7 +99,7 @@ func Table3(rows []classifier.ValidationRow) string {
 
 // Table4 renders the per-service flow grid with the paper's cell symbols
 // (● both platforms, ◐ website only, ◑ mobile only, — neither). Columns
-// are the personas each result observed, in registry order — for built-in
+// are the personas each result observed, in column order — for built-in
 // traffic that is exactly the paper's four trace columns.
 func Table4(results []*core.ServiceResult) string {
 	var b strings.Builder

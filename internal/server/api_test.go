@@ -528,7 +528,7 @@ func TestFilteredDiffFillsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := core.LongitudinalFiltered(from, to, map[flows.Persona]bool{flows.Child: true})
+	diff := core.LongitudinalFiltered(from, to, map[string]bool{flows.Child.String(): true})
 	if len(diff.Personas) != 1 || len(diff.Personas[0].Added)+len(diff.Personas[0].Removed) == 0 {
 		t.Fatalf("reference diff compares %d personas with no delta; the test needs one persona and a real delta", len(diff.Personas))
 	}

@@ -297,7 +297,7 @@ func (j *journal) rewriteLocked() error {
 // files of the layout before journal.log, or a frame that passes its
 // checksum but comes from another build. Starting anyway would silently
 // drop the acknowledged jobs in them.
-func openJournal(dir string) (*journal, []*Job, error) {
+func openJournal(dir string, personas *flows.PersonaIndex) (*journal, []*Job, error) {
 	j := &journal{
 		dir:       dir,
 		pending:   make(chan commitReq, 64),
@@ -364,8 +364,8 @@ func openJournal(dir string) (*journal, []*Job, error) {
 		broken := ""
 		for i := range job.uploads {
 			up, ok := &job.uploads[i], false
-			if up.trace, ok = flows.ParsePersona(up.Persona); !ok {
-				broken = fmt.Sprintf("persona %q is not registered in this process", up.Persona)
+			if up.trace, ok = personas.Parse(up.Persona); !ok {
+				broken = fmt.Sprintf("persona %q is not configured on this server", up.Persona)
 			} else {
 				broken = staged("capture", up.Path, up.Bytes)
 			}

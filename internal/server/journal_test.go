@@ -19,8 +19,13 @@ import (
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/faults"
+	"diffaudit/internal/flows"
 	"diffaudit/internal/store"
 )
+
+// builtinsOnly is the persona index of a server configured with no custom
+// personas.
+var builtinsOnly, _ = flows.NewPersonaIndex()
 
 // stalledPipeline returns a NewPipeline that blocks on gate — the
 // in-process stand-in for a worker frozen mid-audit when the process is
@@ -546,7 +551,7 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 // commit shares a single write and sync, done lines are appended without
 // rewriting anything, and the last done takes the log with it.
 func TestJournalGroupCommitBurst(t *testing.T) {
-	j, _, err := openJournal(filepath.Join(t.TempDir(), "journal"))
+	j, _, err := openJournal(filepath.Join(t.TempDir(), "journal"), builtinsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +611,7 @@ func TestJournalGroupCommitBurst(t *testing.T) {
 func TestJournalFailedBatchCancelled(t *testing.T) {
 	defer faults.Reset()
 	jdir := filepath.Join(t.TempDir(), "journal")
-	j, _, err := openJournal(jdir)
+	j, _, err := openJournal(jdir, builtinsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +620,7 @@ func TestJournalFailedBatchCancelled(t *testing.T) {
 	}
 	reopened := func() []string {
 		t.Helper()
-		_, jobs, err := openJournal(jdir)
+		_, jobs, err := openJournal(jdir, builtinsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -812,7 +817,7 @@ func TestJournalModel(t *testing.T) {
 		}
 		var jobs []*Job
 		var err error
-		if j, jobs, err = openJournal(dir); err != nil {
+		if j, jobs, err = openJournal(dir, builtinsOnly); err != nil {
 			t.Fatal(err)
 		}
 		if got := jobIDs(jobs); !reflect.DeepEqual(got, append([]string{}, live...)) {
@@ -917,7 +922,7 @@ func TestJournalDamagedLog(t *testing.T) {
 	jdir := mkJournalDir(t)
 	recovered := func(log []byte) []string {
 		writeLog(t, jdir, log)
-		j, jobs, err := openJournal(jdir)
+		j, jobs, err := openJournal(jdir, builtinsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,12 @@
 // API (v1; see routes.go):
 //
 //	POST /v1/audits        multipart upload; field name = persona (any
-//	                       registered persona name or alias — built-ins:
+//	                       configured persona name or alias — built-ins:
 //	                       child|adolescent|teen|adult|loggedout), file
 //	                       extension selects the decoder (.har vs
 //	                       .pcap/.pcapng); optional fields: name (service
 //	                       name), keylog (SSLKEYLOGFILE part)
-//	GET  /v1/personas      registered personas and available rule packs
+//	GET  /v1/personas      accepted personas and available rule packs
 //	GET  /v1/jobs          job summaries (?limit=&cursor= paginate)
 //	GET  /v1/jobs/{id}     one job's status
 //	GET  /v1/jobs/{id}/report.json   full audit export (finished jobs)
@@ -107,6 +107,11 @@ type Config struct {
 	// for evicted jobs, and (with store.OpenFSStore) restart durability.
 	// Nil keeps results memory-only.
 	Store store.Store
+	// Personas are the custom personas the server accepts beside the four
+	// built-ins, as upload field names, in journal records and in the
+	// /v1/diff persona filter. Open fixes them: what a server accepts
+	// depends on its configuration alone, never on what it has read.
+	Personas []flows.Persona
 	// NewPipeline constructs the analysis pipeline for each job (default
 	// core.NewPipeline). Jobs never share a pipeline, so label caches are
 	// per-job and results stay deterministic.
@@ -213,25 +218,25 @@ type Job struct {
 // records it. Bytes is the length the server acknowledged: staged files
 // are not fsynced, so after a power loss a shorter file can sit under the
 // same path, and a shorter capture parses to a different report without
-// any error. The persona is journaled by name, not ID: registry IDs
-// depend on registration order, which a restarted process may not replay
-// identically.
+// any error. The persona is journaled by name, which a restarted server
+// parses against its own configured personas.
 type upload struct {
 	Path    string              `json:"path"`
 	Bytes   int64               `json:"bytes"`
 	HAR     bool                `json:"har"`
 	Persona string              `json:"persona"`
-	trace   flows.TraceCategory // Persona, resolved in this process
+	trace   flows.TraceCategory // Persona, resolved against Config.Personas
 }
 
 // Server is the audit server. Create with Open (or New), mount via
 // Handler, stop with Close.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	queue   chan *Job
-	journal *journal // nil when Config.JournalDir is empty
-	cache   *resultCache
+	cfg      Config
+	personas *flows.PersonaIndex // built-ins plus Config.Personas
+	mux      *http.ServeMux
+	queue    chan *Job
+	journal  *journal // nil when Config.JournalDir is empty
+	cache    *resultCache
 
 	// Overload defenses (see admission.go, breaker.go, scrub.go).
 	limiter   *rateLimiter // nil unless Config.RateLimit > 0
@@ -273,7 +278,8 @@ func New(cfg Config) *Server {
 // crash leftovers in the journal and staging directories are deleted, and
 // only then does the worker pool start. Errors come from the store — it
 // cannot list its snapshots, so new job IDs cannot be kept clear of stored
-// ones — or from the journal: its directories cannot be created, its log
+// ones — from Config.Personas, whose names or aliases collide — or from
+// the journal: its directories cannot be created, its log
 // cannot be read or rewritten, or the directory holds records in a layout
 // this build does not read (an older build's *.job / *.batch files, or a
 // newer build's log).
@@ -303,12 +309,17 @@ func Open(cfg Config) (*Server, error) {
 	if cacheBytes < 0 {
 		cacheBytes = 0 // disabled: every get misses, every put no-ops
 	}
+	personas, err := flows.NewPersonaIndex(cfg.Personas...)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		jobs:  make(map[string]*Job),
-		cache: newResultCache(cacheBytes),
-		stop:  make(chan struct{}),
+		cfg:      cfg,
+		personas: personas,
+		mux:      http.NewServeMux(),
+		jobs:     make(map[string]*Job),
+		cache:    newResultCache(cacheBytes),
+		stop:     make(chan struct{}),
 	}
 	s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	if cfg.Store != nil {
@@ -334,7 +345,7 @@ func Open(cfg Config) (*Server, error) {
 	var recovered []*Job
 	if cfg.JournalDir != "" {
 		var err error
-		if s.journal, recovered, err = openJournal(cfg.JournalDir); err != nil {
+		if s.journal, recovered, err = openJournal(cfg.JournalDir, personas); err != nil {
 			return nil, err
 		}
 	}
@@ -651,7 +662,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(job.uploads) == 0 {
-		apiError(w, http.StatusBadRequest, codeInvalidRequest, "no capture files in upload (want parts named after registered personas — built-ins child|adolescent|adult|loggedout — with .har/.pcap/.pcapng filenames)")
+		apiError(w, http.StatusBadRequest, codeInvalidRequest, "no capture files in upload (want parts named after accepted personas — built-ins child|adolescent|adult|loggedout — with .har/.pcap/.pcapng filenames)")
 		return
 	}
 
@@ -732,9 +743,9 @@ func (s *Server) consumePart(job *Job, part *multipart.Part) error {
 		job.keylog, job.keylogSize = path, size
 		return nil
 	}
-	trace, okTrace := flows.ParsePersona(field)
+	trace, okTrace := s.personas.Parse(field)
 	if !okTrace {
-		return fmt.Errorf("unknown field %q (want a registered persona name — see GET /personas; built-ins: child|adolescent|teen|adult|loggedout — or name, or keylog)", field)
+		return fmt.Errorf("unknown field %q (want an accepted persona name — see GET /v1/personas; built-ins: child|adolescent|teen|adult|loggedout — or name, or keylog)", field)
 	}
 	fname := strings.ToLower(part.FileName())
 	var isHAR bool
@@ -1156,9 +1167,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleDiff renders the longitudinal diff between two stored snapshots.
 // from and to accept any store reference: sequence number, content hash,
-// unique hash prefix, or job ID. An optional personas=a,b parameter
-// restricts the diff to those personas (core.LongitudinalFiltered over the
-// two full, cached results). The response
+// unique hash prefix, or job ID. An optional personas=a,b parameter, parsed
+// against the server's accepted personas, restricts the diff to those
+// personas by name (core.LongitudinalFiltered over the two full, cached
+// results). The response
 // ETag derives from both content hashes plus the requested personas and
 // format, so a matching If-None-Match answers 304 with zero decodes.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -1180,22 +1192,22 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var personaNames []string
-	var only map[flows.Persona]bool
+	var only map[string]bool
 	if raw := q.Get("personas"); raw != "" {
-		only = make(map[flows.Persona]bool)
+		only = make(map[string]bool)
 		for _, name := range strings.Split(raw, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}
-			p, okP := flows.ParsePersona(name)
+			p, okP := s.personas.Parse(name)
 			if !okP {
 				apiError(w, http.StatusBadRequest, codeInvalidRequest, "unknown persona %q (see /v1/personas)", name)
 				return
 			}
-			if !only[p] {
-				only[p] = true
-				personaNames = append(personaNames, p.Info().Name)
+			if !only[p.String()] {
+				only[p.String()] = true
+				personaNames = append(personaNames, p.String())
 			}
 		}
 		if len(personaNames) == 0 {
@@ -1259,7 +1271,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// personaView is one registered persona in the /personas listing.
+// personaView is one accepted persona in the /v1/personas listing; its ID
+// is its position there.
 type personaView struct {
 	ID       int               `json:"id"`
 	Name     string            `json:"name"`
@@ -1273,18 +1286,17 @@ type personaView struct {
 	Builtin  bool              `json:"builtin"`
 }
 
-// handlePersonas lists the registered personas (the accepted upload field
-// names) and the available regulation rule packs.
+// handlePersonas lists the accepted personas (the upload field names:
+// built-ins, then Config.Personas) and the available regulation rule packs.
 func (s *Server) handlePersonas(w http.ResponseWriter, r *http.Request) {
-	builtin := len(flows.BuiltinPersonas())
 	var personas []personaView
-	for _, p := range flows.Personas() {
+	for i, p := range s.personas.Personas() {
 		info := p.Info()
 		v := personaView{
-			ID: int(p), Name: info.Name, Aliases: info.Aliases,
+			ID: i, Name: info.Name, Aliases: info.Aliases,
 			AgeKnown: info.AgeKnown, LoggedIn: info.LoggedIn,
 			Subject: info.Subject, Attrs: info.Attrs,
-			Builtin: int(p) < builtin,
+			Builtin: p.BuiltinIndex() >= 0,
 		}
 		if info.AgeKnown {
 			v.AgeMin = info.AgeMin

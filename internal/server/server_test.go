@@ -913,18 +913,20 @@ func TestRestartDurability(t *testing.T) {
 	}
 }
 
-// TestPersonasEndpointAndCustomUpload checks GET /personas lists the
-// registry and rule packs, and that uploads grouped under a registered
-// custom persona's name audit end to end into that persona's trace.
+// TestPersonasEndpointAndCustomUpload checks GET /v1/personas lists the
+// built-ins and the configured customs (IDs are list positions) plus the
+// rule packs, and that uploads grouped under a configured custom persona's
+// name audit end to end into that persona's trace.
 func TestPersonasEndpointAndCustomUpload(t *testing.T) {
-	if _, err := flows.RegisterPersona(flows.PersonaInfo{
+	kid, err := flows.NewPersona(flows.PersonaInfo{
 		Name: "Server Kid", Aliases: []string{"server-kid"},
 		AgeKnown: true, AgeMin: 6, AgeMax: 9, LoggedIn: true,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(Config{TempDir: t.TempDir(), Personas: []flows.Persona{kid}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -935,6 +937,7 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 	}
 	var listing struct {
 		Personas []struct {
+			ID      int    `json:"id"`
 			Name    string `json:"name"`
 			Builtin bool   `json:"builtin"`
 		} `json:"personas"`
@@ -944,15 +947,14 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	names := map[string]bool{}
-	for _, p := range listing.Personas {
-		names[p.Name] = p.Builtin
+	wantNames := []string{"Child", "Adolescent", "Adult", "Logged Out", "Server Kid"}
+	if len(listing.Personas) != len(wantNames) {
+		t.Fatalf("personas listing = %+v, want %v", listing.Personas, wantNames)
 	}
-	if b, ok := names["Child"]; !ok || !b {
-		t.Errorf("personas listing = %+v, missing built-in Child", listing.Personas)
-	}
-	if b, ok := names["Server Kid"]; !ok || b {
-		t.Errorf("personas listing = %+v, missing custom Server Kid", listing.Personas)
+	for i, p := range listing.Personas {
+		if p.ID != i || p.Name != wantNames[i] || p.Builtin != (i < 4) {
+			t.Errorf("personas[%d] = %+v, want id %d name %q builtin %v", i, p, i, wantNames[i], i < 4)
+		}
 	}
 	packs := strings.Join(listing.RulePacks, ",")
 	for _, want := range []string{"coppa", "ccpa", "gdpr"} {
@@ -982,6 +984,102 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 	rep.Body.Close()
 	if !strings.Contains(string(body), `"trace": "Server Kid"`) {
 		t.Error("served report does not group flows under the custom persona")
+	}
+}
+
+// ghostResult audits Quizlet's child traffic under a custom "Ghost Kid"
+// persona aged 5 to maxAge.
+func ghostResult(t *testing.T, maxAge int) *core.ServiceResult {
+	t.Helper()
+	ghost, err := flows.NewPersona(flows.PersonaInfo{Name: "Ghost Kid", AgeKnown: true, AgeMin: 5, AgeMax: maxAge, LoggedIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := synth.Generate(synth.Config{Scale: 0.002}).Service("Quizlet")
+	res := core.NewPipeline().AnalyzeRecords(st.Identity(), st.Records())
+	res.ByTrace[ghost] = res.ByTrace[flows.Child]
+	delete(res.ByTrace, flows.Child)
+	return res
+}
+
+// TestReadingASnapshotChangesNothingOutsideIt: a server configured without
+// "Ghost Kid" serves the snapshot and report.json of a stored result that
+// has it, and the reads change neither /v1/personas nor what uploads accept.
+func TestReadingASnapshotChangesNothingOutsideIt(t *testing.T) {
+	st := store.NewMemStore()
+	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{TempDir: t.TempDir(), Store: st})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, before := getBody(t, ts, "/v1/personas")
+	for _, path := range []string{"/v1/snapshots/1", "/v1/jobs/job-7/report.json"} {
+		code, body := getBody(t, ts, path)
+		if code != http.StatusOK || !strings.Contains(string(body), `"trace": "Ghost Kid"`) {
+			t.Errorf("GET %s = %d, want the Ghost Kid trace served", path, code)
+		}
+	}
+	if _, after := getBody(t, ts, "/v1/personas"); !bytes.Equal(after, before) {
+		t.Errorf("/v1/personas changed after reading a snapshot:\n%s\nthen\n%s", before, after)
+	}
+	resp := submit(t, ts, map[string][2]string{"ghost kid": {"kid.har", string(childHAR(t))}})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"invalid_request"`) {
+		t.Errorf("upload field \"ghost kid\" after the read = %d: %s, want invalid_request", resp.StatusCode, body)
+	}
+}
+
+// TestConfiguredPersonaPairsWithStoredNamesake: a stored "Ghost Kid" aged
+// 5-9 decodes on a server configured with a "Ghost Kid" aged 5-10 — each
+// result keeps its own record — and the diff pairs the two by name.
+func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
+	st := store.NewMemStore()
+	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
+		t.Fatal(err)
+	}
+	configured, err := flows.NewPersona(flows.PersonaInfo{Name: "Ghost Kid", AgeKnown: true, AgeMin: 5, AgeMax: 10, LoggedIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{TempDir: t.TempDir(), Store: st, Personas: []flows.Persona{configured}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	runJob(t, ts, map[string][2]string{"ghost kid": {"kid.har", string(childHAR(t))}, "name": {"", "Quizlet"}})
+
+	for ref, maxAge := range map[string]int{"1": 9, "2": 10} {
+		res, _, err := srv.SnapshotResult(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ghosts := 0
+		for p := range res.ByTrace {
+			if p.String() == "Ghost Kid" {
+				ghosts++
+				if p.Info().AgeMax != maxAge {
+					t.Errorf("snapshot %s: Ghost Kid aged to %d, want %d", ref, p.Info().AgeMax, maxAge)
+				}
+			}
+		}
+		if ghosts != 1 {
+			t.Errorf("snapshot %s has %d Ghost Kid personas", ref, ghosts)
+		}
+	}
+	code, body := getBody(t, ts, "/v1/diff?from=1&to=2&personas=ghost%20kid")
+	if code != http.StatusOK {
+		t.Fatalf("filtered diff = %d: %s", code, body)
+	}
+	var doc struct {
+		Personas []struct {
+			Persona string `json:"persona"`
+		} `json:"personas"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Personas) != 1 || doc.Personas[0].Persona != "Ghost Kid" {
+		t.Errorf("diff personas = %+v (%v), want one Ghost Kid delta", doc.Personas, err)
 	}
 }
 

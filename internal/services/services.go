@@ -30,9 +30,9 @@ type GridCell struct {
 // destination class, one platform mask per trace category.
 type Grid map[GridCell][4]flows.PlatformMask
 
-// Mask returns the platform mask for a cell and trace category.
+// Mask returns the platform mask for a cell and built-in trace category.
 func (g Grid) Mask(group ontology.Level2, class flows.DestClass, t flows.TraceCategory) flows.PlatformMask {
-	return g[GridCell{group, class}][t]
+	return g[GridCell{group, class}][t.BuiltinIndex()]
 }
 
 // Spec is a complete service profile.

@@ -18,16 +18,16 @@ import (
 // Snapshot codec: a self-contained, versioned binary encoding of one
 // core.ServiceResult. "Self-contained" means the encoding carries its own
 // symbol tables (category names and groups, resolved destinations, persona
-// registrations), so a snapshot written by one process decodes in another:
-// the destination section becomes the decoded result's own symbol table,
-// categories and personas resolve by name against the process registries.
+// records), so a snapshot written by one process decodes in another: the
+// destination section becomes the decoded result's own symbol table,
+// categories resolve by name to their ontology IDs, and personas become
+// handles of the result's own. Decoding changes nothing outside the result.
 //
 // The encoding is canonical: map-backed fields (domains, eSLDs, raw keys,
 // persona attributes) are written sorted, flows in Table.KeyLess order, and
-// personas by name (never by process-local registry ID), so
-// encode(decode(encode(x))) == encode(x) byte for byte and identical
-// results encode identically even across processes whose registries
-// assigned different persona IDs. Content hashing (Hash) and the
+// personas by name, so encode(decode(encode(x))) == encode(x) byte for byte
+// and identical results encode identically in every process. Content
+// hashing (Hash) and the
 // restart-durability guarantee ("the served report is byte-identical
 // after a restart") both rest on this property.
 //
@@ -59,7 +59,7 @@ const SnapshotVersion = 3
 // Section kinds of the section framing.
 const (
 	secMeta     byte = 1 // identity, counters, dataset string sets
-	secPersonas byte = 2 // persona registration records, sorted by name
+	secPersonas byte = 2 // persona records, in strictly increasing name order
 	secSymbols  byte = 3 // flow symbol tables shared by every set
 	secFlowSet  byte = 4 // one per persona, aligned with secPersonas order
 )
@@ -88,18 +88,6 @@ func Hash(encoded []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sortedPersonas returns a result's personas ordered by name, not by
-// registry ID: ID assignment depends on registration order, which varies
-// across processes (e.g. -persona flags passed in a different order), and
-// the content hash must not.
-func sortedPersonas(r *core.ServiceResult) []flows.Persona {
-	personas := r.Personas()
-	sort.Slice(personas, func(i, j int) bool {
-		return personas[i].Info().Name < personas[j].Info().Name
-	})
-	return personas
-}
-
 // uvarintLen returns the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
@@ -108,9 +96,13 @@ func uvarintLen(v uint64) int {
 // EncodeResult serializes a service result as a versioned snapshot. Every
 // intermediate section buffer comes from the wire scratch pools; only the
 // returned encoding is freshly allocated, sized exactly, so the caller can
-// hold it indefinitely without pinning pooled memory.
+// hold it indefinitely without pinning pooled memory. Only a result with one
+// persona per name (core.ServiceResult.CheckPersonas, which Put and SaveFile
+// run) encodes to a snapshot DecodeResult accepts.
 func EncodeResult(r *core.ServiceResult) []byte {
-	personas := sortedPersonas(r)
+	// Personas go by name, the one key that means the same in every process.
+	personas := r.Personas()
+	sort.Slice(personas, func(i, j int) bool { return personas[i].String() < personas[j].String() })
 
 	meta := wire.GetWriter()
 	defer wire.PutWriter(meta)
@@ -195,11 +187,12 @@ func checkSnapshot(data []byte) (payload []byte, err error) {
 // DecodeResult parses a snapshot back into a service result, in one
 // sequential pass: envelope, section directory, meta, personas, symbol
 // tables, then each persona's flow set. It is the only decoder — every
-// store read and every standalone file goes through it. Personas the
-// snapshot references are registered into the process-wide registry
-// (idempotently); a snapshot persona conflicting with an
-// already-registered one of the same name is an error. The result copies
-// everything it keeps, so it never aliases data.
+// store read and every standalone file goes through it. A persona record
+// identical to a built-in decodes to that built-in, one reusing a built-in
+// name or alias with other attributes is an error, and any other gets a
+// handle the result owns (flows.NewPersona). The result copies everything
+// it keeps, so it never aliases data, and decoding changes no state outside
+// it.
 func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	payload, err := checkSnapshot(data)
 	if err != nil {
@@ -300,9 +293,10 @@ func decodeMetaSection(data []byte, seen map[string]string) (*core.ServiceResult
 	return res, nil
 }
 
-// decodePersonaSection parses and registers the snapshot's personas,
-// returning them in section (name) order — the order the flow-set
-// sections follow.
+// decodePersonaSection parses the snapshot's personas, returning them in
+// section (name) order — the order the flow-set sections follow. Names must
+// strictly increase, as the encoder writes them: a repeated name would let
+// one flow set silently replace another.
 func decodePersonaSection(data []byte) ([]flows.Persona, error) {
 	r := wire.NewReader(data)
 	nPersonas := r.Count(1)
@@ -312,9 +306,12 @@ func decodePersonaSection(data []byte) ([]flows.Persona, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := flows.RegisterPersona(info)
+		p, err := flows.NewPersona(info)
 		if err != nil {
 			return nil, fmt.Errorf("store: snapshot persona %q: %w", info.Name, err)
+		}
+		if i > 0 && p.String() <= personas[i-1].String() {
+			return nil, fmt.Errorf("store: snapshot persona %q does not follow %q in name order", p, personas[i-1])
 		}
 		personas = append(personas, p)
 	}
@@ -380,7 +377,7 @@ func readStringSet(r *wire.Reader, seen map[string]string) map[string]bool {
 	return set
 }
 
-// writePersonaInfo writes one persona registration record.
+// writePersonaInfo writes one persona record.
 func writePersonaInfo(w *wire.Writer, info flows.PersonaInfo) {
 	w.String(info.Name)
 	w.Int(len(info.Aliases))
@@ -404,7 +401,7 @@ func writePersonaInfo(w *wire.Writer, info flows.PersonaInfo) {
 	}
 }
 
-// readPersonaInfo reads one persona registration record.
+// readPersonaInfo reads one persona record; flows.NewPersona validates it.
 func readPersonaInfo(r *wire.Reader) (flows.PersonaInfo, error) {
 	var info flows.PersonaInfo
 	info.Name = r.String()
@@ -428,14 +425,5 @@ func readPersonaInfo(r *wire.Reader) (flows.PersonaInfo, error) {
 			}
 		}
 	}
-	if err := r.Err(); err != nil {
-		return info, err
-	}
-	if info.Name == "" {
-		return info, fmt.Errorf("store: snapshot persona with empty name")
-	}
-	if info.AgeKnown && info.AgeMin > info.AgeMax {
-		return info, fmt.Errorf("store: snapshot persona %q has inverted age bracket", info.Name)
-	}
-	return info, nil
+	return info, r.Err()
 }

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"diffaudit/internal/ontology"
 	"diffaudit/internal/report"
 	"diffaudit/internal/synth"
+	"diffaudit/internal/wire"
 )
 
 // auditOne runs the pipeline over one synthesized service.
@@ -82,10 +85,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripCustomPersona checks snapshots carry custom persona
-// registrations: a result keyed by a custom persona decodes with the
-// persona registered and its flows intact.
+// records: a result keyed by a custom persona decodes to a persona of its
+// own with the same record and its flows intact, and the built-in index
+// learns nothing from the decode.
 func TestRoundTripCustomPersona(t *testing.T) {
-	p, err := flows.RegisterPersona(flows.PersonaInfo{
+	p, err := flows.NewPersona(flows.PersonaInfo{
 		Name: "Codec Kid", Aliases: []string{"codec-kid"},
 		AgeKnown: true, AgeMin: 6, AgeMax: 9, LoggedIn: true,
 		Attrs: map[string]string{"region": "EU", "tier": "free"},
@@ -103,12 +107,188 @@ func TestRoundTripCustomPersona(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := dec.ByTrace[p]
-	if set == nil || set.Len() != res.ByTrace[p].Len() {
+	got, ok := personaNamed(dec, "Codec Kid")
+	if !ok || got == p {
+		t.Fatalf("decoded personas %v: want a handle of the result's own named Codec Kid", dec.Personas())
+	}
+	if got.Attr("region") != "EU" || !got.AgeBelow(10) || got.AgeBelow(9) || got.Info().Aliases[0] != "codec-kid" {
+		t.Errorf("decoded record = %+v", got.Info())
+	}
+	if set := dec.ByTrace[got]; set == nil || set.Len() != res.ByTrace[p].Len() {
 		t.Fatalf("custom persona set lost: %v", set)
 	}
 	if !bytes.Equal(EncodeResult(dec), enc) {
 		t.Error("custom-persona snapshot not canonical")
+	}
+	if _, ok := flows.ParsePersona("codec-kid"); ok {
+		t.Error("decoding taught the built-in index a custom persona")
+	}
+}
+
+// personaNamed finds a result's persona by name.
+func personaNamed(r *core.ServiceResult, name string) (flows.Persona, bool) {
+	for p := range r.ByTrace {
+		if p.String() == name {
+			return p, true
+		}
+	}
+	return flows.Persona{}, false
+}
+
+// personaSnapshot encodes a Quizlet audit whose child trace is moved onto
+// each given persona record in turn (flow sets shared), with the persona
+// section rewritten as listed: records in the given order, duplicates
+// included, which the encoder itself never writes.
+func personaSnapshot(t testing.TB, infos ...flows.PersonaInfo) []byte {
+	t.Helper()
+	res := auditOne(t, "Quizlet")
+	child := res.ByTrace[flows.Child]
+	res.ByTrace = map[flows.Persona]*flows.Set{flows.Child: child}
+	enc := EncodeResult(res)
+	payload, err := checkSnapshot(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := splitSections(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pers := &wire.Writer{}
+	pers.Int(len(infos))
+	sections := []wire.Section{{Kind: secMeta, Data: secs.meta}, {Kind: secPersonas}, {Kind: secSymbols, Data: secs.symbols}}
+	for _, info := range infos {
+		writePersonaInfo(pers, info)
+		sections = append(sections, wire.Section{Kind: secFlowSet, Data: secs.flowSets[0]})
+	}
+	sections[1].Data = pers.Bytes()
+	w := &wire.Writer{}
+	w.Raw(enc[:headerLen])
+	wire.WriteSections(w, sections)
+	w.Raw(make([]byte, trailerLen))
+	return refreshCRC(w.Bytes())
+}
+
+// TestDecodeRejectsPersonaOrder: persona records must come in strictly
+// increasing name order, as the encoder writes them. A snapshot naming one
+// persona twice would otherwise let the second flow set silently replace
+// the first and re-encode to other bytes.
+func TestDecodeRejectsPersonaOrder(t *testing.T) {
+	child, adult := flows.Child.Info(), flows.Adult.Info()
+	if _, err := DecodeResult(personaSnapshot(t, adult, child)); err != nil {
+		t.Fatalf("well-ordered personas: %v", err)
+	}
+	for name, infos := range map[string][]flows.PersonaInfo{
+		"duplicate":    {child, child},
+		"out of order": {child, adult},
+	} {
+		if _, err := DecodeResult(personaSnapshot(t, infos...)); err == nil || !strings.Contains(err.Error(), "name order") {
+			t.Errorf("%s personas: err = %v, want a name-order error", name, err)
+		}
+	}
+}
+
+// TestOnePersonaPerName: a result holds one persona per name, the key its
+// snapshot stores personas under. An audit of records under two handles of
+// one name fails, whether or not the records match; the store refuses a
+// result assembled by hand with such a pair instead of keeping a snapshot no
+// read could decode; and under one handle the same audit stores and reads
+// back.
+func TestOnePersonaPerName(t *testing.T) {
+	info := flows.PersonaInfo{Name: "Twin Kid", AgeKnown: true, AgeMin: 5, AgeMax: 9, LoggedIn: true}
+	kid, _ := flows.NewPersona(info)
+	same, _ := flows.NewPersona(info)
+	info.AgeMax = 10
+	older, _ := flows.NewPersona(info)
+
+	st := synth.Generate(synth.Config{Scale: 0.01}).Service("Quizlet")
+	audit := func(child, adolescent flows.Persona) (*core.ServiceResult, error) {
+		recs := st.Records()
+		for i := range recs {
+			switch recs[i].Trace {
+			case flows.Child:
+				recs[i].Trace = child
+			case flows.Adolescent:
+				recs[i].Trace = adolescent
+			}
+		}
+		return core.NewPipeline().AnalyzeRecordsContext(context.Background(), st.Identity(), recs)
+	}
+	for _, twin := range []flows.Persona{same, older} {
+		if _, err := audit(kid, twin); err == nil || !strings.Contains(err.Error(), `"Twin Kid"`) {
+			t.Errorf("audit under two Twin Kid handles (%+v): err = %v, want the name clash", twin.Info(), err)
+		}
+		res := auditOne(t, "Quizlet")
+		res.ByTrace[kid], res.ByTrace[twin] = res.ByTrace[flows.Child], res.ByTrace[flows.Adolescent]
+		s := NewMemStore()
+		if _, err := s.Put("job-1", res); err == nil || s.Len() != 0 {
+			t.Errorf("stored a result with two Twin Kid personas (%+v): %v", twin.Info(), err)
+		}
+		if err := SaveFile(filepath.Join(t.TempDir(), "twin.snap"), res); err == nil {
+			t.Errorf("saved a result with two Twin Kid personas (%+v)", twin.Info())
+		}
+	}
+
+	res, err := audit(kid, kid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewMemStore()
+	m, err := s.Put("job-1", res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := s.Get(m.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := personaNamed(dec, "Twin Kid")
+	if !ok || dec.ByTrace[got].Len() != res.ByTrace[kid].Len() || dec.ByTrace[flows.Adolescent].Len() != 0 {
+		t.Errorf("one Twin Kid handle: decoded personas %v", dec.Personas())
+	}
+}
+
+// unknownCategorySnapshot encodes a one-flow result and renames its one
+// category ("Age") to a label outside the ontology.
+func unknownCategorySnapshot(t testing.TB) []byte {
+	t.Helper()
+	age, _ := ontology.Lookup("Age")
+	res := &core.ServiceResult{
+		Identity: core.ServiceIdentity{Name: "Unknown Category"},
+		ByTrace:  map[flows.Persona]*flows.Set{flows.Child: flows.NewSet()},
+	}
+	res.ByTrace[flows.Child].Add(flows.Flow{Category: age, Dest: flows.Destination{FQDN: "h.example", Class: flows.ThirdParty}}, flows.Web)
+	enc := EncodeResult(res)
+	i := bytes.Index(enc, []byte(age.Name))
+	if i < 0 {
+		t.Fatal("category name not in the encoding")
+	}
+	enc[i+len(age.Name)-1] = 'x'
+	return refreshCRC(enc)
+}
+
+// TestDecodeRejectsUnknownCategory: a snapshot category outside the ontology
+// is a decode error, not a new category.
+func TestDecodeRejectsUnknownCategory(t *testing.T) {
+	if _, err := DecodeResult(unknownCategorySnapshot(t)); err == nil || !strings.Contains(err.Error(), "not in the ontology") {
+		t.Errorf("err = %v, want the ontology error", err)
+	}
+}
+
+// TestDecodePersonasAgainstBuiltins: a record identical to a built-in
+// decodes to it; one reusing a built-in name or alias with other
+// attributes does not decode.
+func TestDecodePersonasAgainstBuiltins(t *testing.T) {
+	dec, err := DecodeResult(personaSnapshot(t, flows.Adolescent.Info()))
+	if err != nil || dec.ByTrace[flows.Adolescent] == nil {
+		t.Fatalf("built-in record: %v (personas %v)", err, dec.Personas())
+	}
+	clash := flows.Adolescent.Info()
+	clash.AgeMax = 17
+	alias := flows.PersonaInfo{Name: "Teen Clone", Aliases: []string{"teen"}, Subject: "teen clone user"}
+	for _, info := range []flows.PersonaInfo{clash, alias} {
+		if _, err := DecodeResult(personaSnapshot(t, info)); err == nil {
+			t.Errorf("decoded %+v, which reuses a built-in spelling", info)
+		}
 	}
 }
 
@@ -251,7 +431,7 @@ func TestDecodeRefusesOtherVersions(t *testing.T) {
 // the stored bytes and the decoded result exports the same report.json as
 // the result that was stored.
 func TestViewEquivalence(t *testing.T) {
-	custom, err := flows.RegisterPersona(flows.PersonaInfo{
+	custom, err := flows.NewPersona(flows.PersonaInfo{
 		Name: "Decode Teen", Aliases: []string{"decode-teen"},
 		AgeKnown: true, AgeMin: 13, AgeMax: 15, LoggedIn: true,
 		Attrs: map[string]string{"region": "EU"},
@@ -382,7 +562,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	decodeOne(0) // pools and registries are warm after the first
+	decodeOne(0) // pools are warm after the first
 	before := liveHeap()
 	for n := 1; n <= snapshots; n++ {
 		decodeOne(n)

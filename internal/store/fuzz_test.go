@@ -19,7 +19,9 @@ import (
 //
 // Seed corpus: testdata/fuzz/FuzzDecodeResult holds committed seeds (a
 // valid snapshot, header fragments, junk); the f.Add seeds below regenerate
-// richer live encodings each run.
+// richer live encodings each run, among them a custom-persona snapshot and
+// the two shapes the decoder must refuse: a persona named twice and a
+// category outside the ontology.
 func FuzzDecodeResult(f *testing.F) {
 	ds := synth.Generate(synth.Config{Scale: 0.005})
 	pipe := core.NewPipeline()
@@ -45,6 +47,11 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
+	ghost := flows.PersonaInfo{Name: "Ghost Kid", Aliases: []string{"ghost"}, AgeKnown: true, AgeMin: 5, AgeMax: 9,
+		LoggedIn: true, Subject: "ghost kid user", Attrs: map[string]string{"region": "EU"}}
+	f.Add(personaSnapshot(f, flows.Child.Info(), ghost))
+	f.Add(personaSnapshot(f, flows.Child.Info(), flows.Child.Info()))
+	f.Add(unknownCategorySnapshot(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)

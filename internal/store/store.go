@@ -131,8 +131,12 @@ func OpenFSStore(dir string) (*Snapshots, error) {
 }
 
 // Put implements Store. The encode and the SHA-256 over it — the
-// expensive part of a Put — run before any lock is taken.
+// expensive part of a Put — run before any lock is taken. A result with two
+// personas of one name is refused: its snapshot would not decode.
 func (s *Snapshots) Put(jobID string, r *core.ServiceResult) (Meta, error) {
+	if err := r.CheckPersonas(); err != nil {
+		return Meta{}, fmt.Errorf("store: %w", err)
+	}
 	data := EncodeResult(r)
 	return s.put(Meta{
 		Hash:      Hash(data),
@@ -267,8 +271,11 @@ func (s *Snapshots) Delete(ref string) error {
 // encoding, no envelope — the `diffaudit diff` CLI reads these directly).
 // The write is crash-safe like the directory backend's; unlike a store
 // sequence file, the caller named the target, so an existing file is
-// replaced.
+// replaced. Like Put, it refuses a result with two personas of one name.
 func SaveFile(path string, r *core.ServiceResult) error {
+	if err := r.CheckPersonas(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := writeTemp(dir, EncodeResult(r))
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -76,7 +77,7 @@ func (st *ServiceTraffic) Records() []core.RequestRecord {
 				BodyMIME: "application/json",
 				Body:     bodyJSON(r.Body),
 				Repeat:   repeat,
-				ConnID:   fmt.Sprintf("%s/%d/%d/c%d", st.Spec.Name, r.Trace, r.Platform, connCtr),
+				ConnID:   fmt.Sprintf("%s/%s/%d/c%d", st.Spec.Name, traceTag(r.Trace), r.Platform, connCtr),
 			}
 			for _, q := range r.Query {
 				// Query pairs already ride in the URL; nothing extra.
@@ -188,6 +189,7 @@ func (st *ServiceTraffic) EmitPCAPAt(trace flows.TraceCategory, start time.Time)
 	connCtr := 0
 
 	dnsIP := netip.MustParseAddr("8.8.8.8")
+	tag := traceTag(trace)
 	writeFlow := func(fqdn string, wire []byte, withKeys bool) error {
 		connCtr++
 		srvIP := serverIP(fqdn)
@@ -206,7 +208,7 @@ func (st *ServiceTraffic) EmitPCAPAt(trace flows.TraceCategory, start time.Time)
 			ts = ts.Add(2 * time.Millisecond)
 		}
 
-		random := connRandom(st.Spec.Name, trace, connCtr)
+		random := connHash("random", st.Spec.Name, tag, connCtr, "")
 		// Every fourth connection negotiates TLS 1.2, as mixed real-world
 		// captures do; the rest are TLS 1.3.
 		useTLS12 := connCtr%4 == 0
@@ -234,9 +236,14 @@ func (st *ServiceTraffic) EmitPCAPAt(trace flows.TraceCategory, start time.Time)
 
 		addPkt(layers.FlagSYN, nil)
 		var stream []byte
+		var sess interface {
+			Seal(tlsx.ContentType, []byte) []byte
+		}
+		var err error
 		if useTLS12 {
-			serverRandom := connServerRandom(st.Spec.Name, trace, connCtr)
-			masterSecret := connMasterSecret(st.Spec.Name, trace, connCtr)
+			serverRandom := connHash("server-random", st.Spec.Name, tag, connCtr, "")
+			a, b := connHash("master", st.Spec.Name, tag, connCtr, "/a"), connHash("master", st.Spec.Name, tag, connCtr, "/b")
+			masterSecret := append(a[:], b[:16]...)
 			if withKeys {
 				keylog.WriteString(tlsx.FormatLine(tlsx.LabelClientRandom, random[:], masterSecret))
 			}
@@ -249,47 +256,30 @@ func (st *ServiceTraffic) EmitPCAPAt(trace flows.TraceCategory, start time.Time)
 				Type:    tlsx.TypeHandshake,
 				Payload: tlsx.BuildServerHello(serverRandom, 0x009C),
 			}.Encode())
-			sess, err := tlsx.NewSession12(masterSecret, random[:], serverRandom[:])
-			if err != nil {
-				return err
-			}
-			for off := 0; off < len(wire); {
-				n := 4096
-				if off+n > len(wire) {
-					n = len(wire) - off
-				}
-				stream = append(stream, sess.Seal(tlsx.TypeApplicationData, wire[off:off+n])...)
-				off += n
-			}
+			sess, err = tlsx.NewSession12(masterSecret, random[:], serverRandom[:])
 		} else {
-			secret := connSecret(st.Spec.Name, trace, connCtr)
+			secret := connHash("secret", st.Spec.Name, tag, connCtr, "")
 			if withKeys {
-				keylog.WriteString(tlsx.FormatLine(tlsx.LabelClientTraffic, random[:], secret))
+				keylog.WriteString(tlsx.FormatLine(tlsx.LabelClientTraffic, random[:], secret[:]))
 			}
 			stream = append(stream, tlsx.Record{
 				Type:    tlsx.TypeHandshake,
 				Payload: tlsx.BuildClientHello(random, fqdn),
 			}.Encode()...)
-			sess, err := tlsx.NewSession(secret)
-			if err != nil {
-				return err
-			}
-			// Split the wire bytes into records of at most 4KiB.
-			for off := 0; off < len(wire); {
-				n := 4096
-				if off+n > len(wire) {
-					n = len(wire) - off
-				}
-				stream = append(stream, sess.Seal(tlsx.TypeApplicationData, wire[off:off+n])...)
-				off += n
-			}
+			sess, err = tlsx.NewSession(secret[:])
+		}
+		if err != nil {
+			return err
+		}
+		// Split the wire bytes into records of at most 4KiB.
+		for off := 0; off < len(wire); {
+			n := min(4096, len(wire)-off)
+			stream = append(stream, sess.Seal(tlsx.TypeApplicationData, wire[off:off+n])...)
+			off += n
 		}
 		// Segment the stream into MTU-sized TCP payloads.
 		for off := 0; off < len(stream); {
-			n := 1400
-			if off+n > len(stream) {
-				n = len(stream) - off
-			}
+			n := min(1400, len(stream)-off)
 			addPkt(layers.FlagACK|layers.FlagPSH, stream[off:off+n])
 			off += n
 		}
@@ -398,37 +388,20 @@ func serverIP(fqdn string) netip.Addr {
 	return netip.AddrFrom4([4]byte{198, 18, h[0], h[1]})
 }
 
-// connRandom derives the deterministic TLS client random for a connection.
-func connRandom(service string, trace flows.TraceCategory, conn int) [32]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "random/%s/%d/%d", service, trace, conn)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// traceTag is a persona's part of the synthetic connection IDs and TLS
+// secrets: a built-in's table index, the seeds the calibrated dataset was
+// generated from, or a custom persona's name.
+func traceTag(t flows.TraceCategory) string {
+	if i := t.BuiltinIndex(); i >= 0 {
+		return strconv.Itoa(i)
+	}
+	return t.String()
 }
 
-// connSecret derives the deterministic TLS 1.3 traffic secret.
-func connSecret(service string, trace flows.TraceCategory, conn int) []byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "secret/%s/%d/%d", service, trace, conn)
-	return h.Sum(nil)
-}
-
-// connServerRandom derives the deterministic TLS 1.2 server random.
-func connServerRandom(service string, trace flows.TraceCategory, conn int) [32]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "server-random/%s/%d/%d", service, trace, conn)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// connMasterSecret derives the deterministic TLS 1.2 master secret.
-func connMasterSecret(service string, trace flows.TraceCategory, conn int) []byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "master/%s/%d/%d/a", service, trace, conn)
-	a := h.Sum(nil)
-	h = sha256.New()
-	fmt.Fprintf(h, "master/%s/%d/%d/b", service, trace, conn)
-	return append(a, h.Sum(nil)[:16]...)
+// connHash derives a connection's deterministic TLS material: the SHA-256
+// of "kind/service/trace/conn" plus suffix. The kinds are "random" (client
+// random), "server-random" (TLS 1.2), "secret" (TLS 1.3 traffic secret) and
+// "master" (TLS 1.2 master secret: suffix "/a", then 16 bytes of "/b").
+func connHash(kind, service, trace string, conn int, suffix string) [32]byte {
+	return sha256.Sum256(fmt.Appendf(nil, "%s/%s/%s/%d%s", kind, service, trace, conn, suffix))
 }

@@ -90,7 +90,6 @@ func Generate(cfg Config) *Dataset {
 	if cfg.Scale <= 0 || cfg.Scale > 1 {
 		cfg.Scale = 1
 	}
-	builtin := len(flows.BuiltinPersonas())
 	if len(cfg.Personas) == 0 {
 		for _, t := range flows.BuiltinPersonas() {
 			cfg.Personas = append(cfg.Personas, PersonaPlan{Persona: t, Like: t})
@@ -101,10 +100,10 @@ func Generate(cfg Config) *Dataset {
 		for i := range plans {
 			// A zero Like on a built-in persona means "itself"; custom
 			// personas with an unset Like default to the Child column.
-			if plans[i].Like == 0 && int(plans[i].Persona) > 0 && int(plans[i].Persona) < builtin {
+			if plans[i].Like == flows.Child && plans[i].Persona.BuiltinIndex() > 0 {
 				plans[i].Like = plans[i].Persona
 			}
-			if int(plans[i].Like) >= builtin || plans[i].Like < 0 {
+			if plans[i].Like.BuiltinIndex() < 0 {
 				panic(fmt.Sprintf("synth: persona plan %d (%s): template %s is not a built-in persona",
 					i, plans[i].Persona, plans[i].Like))
 			}
@@ -146,9 +145,12 @@ type planner struct {
 	inv  *Inventory
 	reqs []*Request
 	// personas lists the generated traces in plan order; like maps each to
-	// the built-in persona whose profile column drives it.
+	// the built-in persona whose profile column drives it, and ordinal
+	// numbers it for the offsets that spread traces over destination pools:
+	// a built-in's table index, a custom persona's position in the plan.
 	personas []flows.Persona
 	like     map[flows.Persona]flows.Persona
+	ordinal  map[flows.Persona]int
 	// covered tracks which (group, class, trace, platform) cells have been
 	// realized.
 	covered map[coverKey]bool
@@ -163,20 +165,21 @@ type planner struct {
 	// designated marks the linkable parties per trace.
 	designated map[flows.Persona]map[string]bool
 	// typesSent tracks the distinct categories sent per (trace, FQDN).
-	typesSent map[string]map[string]bool
+	typesSent map[typeKey]map[string]bool
 }
 
 // typeKey keys typesSent.
-func typeKey(t flows.TraceCategory, fqdn string) string {
-	return fmt.Sprintf("%d/%s", t, fqdn)
+type typeKey struct {
+	t    flows.TraceCategory
+	fqdn string
 }
 
 func (p *planner) typeCount(t flows.TraceCategory, fqdn string) int {
-	return len(p.typesSent[typeKey(t, fqdn)])
+	return len(p.typesSent[typeKey{t, fqdn}])
 }
 
 func (p *planner) hasType(t flows.TraceCategory, fqdn string, cat *ontology.Category) bool {
-	return p.typesSent[typeKey(t, fqdn)][cat.Name]
+	return p.typesSent[typeKey{t, fqdn}][cat.Name]
 }
 
 type coverKey struct {
@@ -191,6 +194,7 @@ func generateService(spec *services.Spec, cfg Config) *ServiceTraffic {
 		spec:       spec,
 		inv:        BuildInventory(spec),
 		like:       make(map[flows.Persona]flows.Persona, len(cfg.Personas)),
+		ordinal:    make(map[flows.Persona]int, len(cfg.Personas)),
 		covered:    make(map[coverKey]bool),
 		keyCursor:  make(map[string]int),
 		prefOrder:  services.PreferenceOrder(),
@@ -198,9 +202,13 @@ func generateService(spec *services.Spec, cfg Config) *ServiceTraffic {
 		used:       make(map[flows.Persona]map[string]bool, len(cfg.Personas)),
 		designated: make(map[flows.Persona]map[string]bool, len(cfg.Personas)),
 	}
-	for _, plan := range cfg.Personas {
+	for i, plan := range cfg.Personas {
 		p.personas = append(p.personas, plan.Persona)
 		p.like[plan.Persona] = plan.Like
+		p.ordinal[plan.Persona] = i
+		if b := plan.Persona.BuiltinIndex(); b >= 0 {
+			p.ordinal[plan.Persona] = b
+		}
 	}
 	for class, pool := range p.inv.ByClass {
 		for _, f := range pool {
@@ -211,7 +219,7 @@ func generateService(spec *services.Spec, cfg Config) *ServiceTraffic {
 		p.used[t] = make(map[string]bool)
 		p.designated[t] = make(map[string]bool)
 	}
-	p.typesSent = make(map[string]map[string]bool)
+	p.typesSent = make(map[typeKey]map[string]bool)
 
 	for _, t := range p.personas {
 		p.planLinkable(t)
@@ -235,12 +243,12 @@ func (p *planner) mask(g ontology.Level2, c flows.DestClass, t flows.TraceCatego
 
 // linkableParties returns the Figure 3 target for a persona's template.
 func (p *planner) linkableParties(t flows.Persona) int {
-	return p.spec.LinkableParties[p.like[t]]
+	return p.spec.LinkableParties[p.like[t].BuiltinIndex()]
 }
 
 // largestSet returns the Figure 4 target for a persona's template.
 func (p *planner) largestSet(t flows.Persona) int {
-	return p.spec.LargestSet[p.like[t]]
+	return p.spec.LargestSet[p.like[t].BuiltinIndex()]
 }
 
 // allowedCats lists, in preference order, the observed categories whose
@@ -304,7 +312,7 @@ func (p *planner) emit(t flows.TraceCategory, plat flows.Platform, fqdn string, 
 			body[k.Key] = k.Value
 		}
 		p.covered[coverKey{cat.Group, class, t, plat}] = true
-		tk := typeKey(t, fqdn)
+		tk := typeKey{t, fqdn}
 		if p.typesSent[tk] == nil {
 			p.typesSent[tk] = make(map[string]bool)
 		}
@@ -373,7 +381,7 @@ func (p *planner) planLinkable(t flows.TraceCategory) {
 		info classInfo
 	}
 	headPool := p.inv.ByClass[usable[best].class]
-	head := party{headPool[(int(t)*3)%len(headPool)], usable[best]}
+	head := party{headPool[(p.ordinal[t]*3)%len(headPool)], usable[best]}
 
 	// Remaining designated FQDNs: round-robin across usable classes,
 	// rotating the pool start per trace, skipping the head.
@@ -396,7 +404,7 @@ func (p *planner) planLinkable(t flows.TraceCategory) {
 			}
 			continue
 		}
-		off := (idx[i%len(usable)] + int(t)*3) % len(pool)
+		off := (idx[i%len(usable)] + p.ordinal[t]*3) % len(pool)
 		fqdn := pool[off]
 		idx[i%len(usable)]++
 		if taken[fqdn] {
@@ -498,7 +506,7 @@ func (p *planner) pickDest(t flows.TraceCategory, c flows.DestClass, cat *ontolo
 		panic(fmt.Sprintf("synth: %s: empty pool for class %v", p.spec.Name, c))
 	}
 	if !c.IsThirdParty() {
-		return pool[int(t)%len(pool)]
+		return pool[p.ordinal[t]%len(pool)]
 	}
 	if cat.IsIdentifier() {
 		best := ""
@@ -663,7 +671,7 @@ func (p *planner) allocate(cfg Config) {
 	sort.SliceStable(p.reqs, func(a, b int) bool {
 		ra, rb := p.reqs[a], p.reqs[b]
 		if ra.Trace != rb.Trace {
-			return ra.Trace < rb.Trace
+			return flows.PersonaLess(ra.Trace, rb.Trace)
 		}
 		if ra.Platform != rb.Platform {
 			return ra.Platform < rb.Platform

@@ -1,6 +1,7 @@
 package diffaudit_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -10,13 +11,12 @@ import (
 	"diffaudit/internal/services"
 )
 
-// registerEUTeen registers the fifth persona the acceptance test audits:
-// an EU teen below a 15-year GDPR age of digital consent, generating
-// traffic like the paper's adolescent trace. Registration is idempotent,
-// so every test in the package can call this.
-func registerEUTeen(t *testing.T) diffaudit.Persona {
+// newEUTeen makes the fifth persona the acceptance test audits: an EU teen
+// below a 15-year GDPR age of digital consent, generating traffic like the
+// paper's adolescent trace.
+func newEUTeen(t *testing.T) diffaudit.Persona {
 	t.Helper()
-	p, err := diffaudit.RegisterPersona(diffaudit.PersonaInfo{
+	p, err := diffaudit.NewPersona(diffaudit.PersonaInfo{
 		Name:     "EU Teen",
 		Aliases:  []string{"eu-teen"},
 		AgeKnown: true, AgeMin: 13, AgeMax: 14,
@@ -45,10 +45,10 @@ func fivePersonaResult(t *testing.T, p diffaudit.Persona) *diffaudit.ServiceResu
 }
 
 // TestFifthPersonaEndToEnd is the acceptance test for the open persona
-// registry: a fifth persona rides the whole pipeline — synthetic traffic,
+// space: a fifth persona rides the whole pipeline — synthetic traffic,
 // flow-set grouping, report columns — alongside the built-in four.
 func TestFifthPersonaEndToEnd(t *testing.T) {
-	p := registerEUTeen(t)
+	p := newEUTeen(t)
 	res := fivePersonaResult(t, p)
 
 	personas := res.Personas()
@@ -102,7 +102,7 @@ func TestFifthPersonaEndToEnd(t *testing.T) {
 // packs: the GDPR pack with a 15-year age of digital consent flags the EU
 // teen (13-14) persona's flows, end to end from synthetic traffic.
 func TestFifthPersonaGDPRVerdicts(t *testing.T) {
-	p := registerEUTeen(t)
+	p := newEUTeen(t)
 	res := fivePersonaResult(t, p)
 
 	sc, err := diffaudit.NewScenario("gdpr=15")
@@ -164,23 +164,79 @@ func TestFifthPersonaGDPRVerdicts(t *testing.T) {
 	}
 }
 
-// TestBuiltinOnlyArtifactsUnchangedByRegistration pins the registry
-// invariant the reproduction suite depends on: merely registering extra
-// personas (without generating traffic for them) leaves built-in-only
-// artifacts untouched.
+// TestBuiltinOnlyArtifactsUnchangedByRegistration pins the invariant the
+// reproduction suite depends on: merely defining extra personas (without
+// generating traffic for them) leaves built-in-only artifacts untouched.
 func TestBuiltinOnlyArtifactsUnchangedByRegistration(t *testing.T) {
 	before := quizletResult(t)
 	table4Before := diffaudit.RenderTable4([]*diffaudit.ServiceResult{before})
 
-	registerEUTeen(t)
+	newEUTeen(t)
 
 	after := quizletResult(t)
 	table4After := diffaudit.RenderTable4([]*diffaudit.ServiceResult{after})
 	if table4Before != table4After {
-		t.Error("registering a persona changed built-in-only Table 4 output")
+		t.Error("defining a persona changed built-in-only Table 4 output")
 	}
 	if got := len(after.Personas()); got != 4 {
 		t.Errorf("built-in-only result has %d personas", got)
+	}
+}
+
+// TestPersonaColumnsIndependentOfConstructionOrder: a result lists the
+// built-ins in table order, then its custom personas by name — not in the
+// order the personas were made or their records arrived — so a stored
+// result renders the same report.json in every process.
+func TestPersonaColumnsIndependentOfConstructionOrder(t *testing.T) {
+	teen := func(name string) diffaudit.Persona {
+		p, err := diffaudit.NewPersona(diffaudit.PersonaInfo{Name: name, AgeKnown: true, AgeMin: 13, AgeMax: 14, LoggedIn: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	zed, abe := teen("Zed Teen"), teen("Abe Teen")
+	plans := make([]diffaudit.PersonaPlan, 0, 6)
+	for _, b := range diffaudit.BuiltinPersonas() {
+		plans = append(plans, diffaudit.PersonaPlan{Persona: b, Like: b})
+	}
+	plans = append(plans, diffaudit.PersonaPlan{Persona: zed, Like: diffaudit.Adolescent}, diffaudit.PersonaPlan{Persona: abe})
+	st := diffaudit.GenerateDatasetWith(diffaudit.DatasetConfig{Scale: 0.005, Personas: plans}).Service("Quizlet")
+	recs := st.Records()
+	first := diffaudit.New().AuditRecords(st.Identity(), recs)
+
+	// The same records under personas made the other way round, fed in
+	// reverse.
+	abe2, zed2 := teen("Abe Teen"), teen("Zed Teen")
+	swapped := make([]diffaudit.RequestRecord, len(recs))
+	for i, r := range recs {
+		switch r.Trace {
+		case zed:
+			r.Trace = zed2
+		case abe:
+			r.Trace = abe2
+		}
+		swapped[len(recs)-1-i] = r
+	}
+	second := diffaudit.New().AuditRecords(st.Identity(), swapped)
+
+	var names []string
+	for _, p := range second.Personas() {
+		names = append(names, p.String())
+	}
+	if strings.Join(names, ",") != "Child,Adolescent,Adult,Logged Out,Abe Teen,Zed Teen" {
+		t.Errorf("personas = %v, want the built-ins then the customs by name", names)
+	}
+	a, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("report.json depends on the order the custom personas were made in")
 	}
 }
 
