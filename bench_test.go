@@ -487,9 +487,9 @@ func BenchmarkAblationConfidence(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReassembly compares full out-of-order TCP reassembly
-// against the sequential-only baseline on a shuffled segment stream.
-func BenchmarkAblationReassembly(b *testing.B) {
+// BenchmarkReassembly runs full out-of-order TCP reassembly over a
+// shuffled segment stream.
+func BenchmarkReassembly(b *testing.B) {
 	// Build a shuffled segment workload once.
 	payload := bytes.Repeat([]byte("GET /x HTTP/1.1\r\nHost: example.com\r\n\r\n"), 64)
 	var segs []*layers.Decoded
@@ -508,24 +508,14 @@ func BenchmarkAblationReassembly(b *testing.B) {
 	}
 	rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 
-	b.Run("full-ooo", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := reassembly.New()
-			for _, s := range segs {
-				a.Add(s)
-			}
-			a.Streams()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := reassembly.New()
+		for _, s := range segs {
+			a.Add(s)
 		}
-	})
-	b.Run("sequential-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a := reassembly.NewSequentialOnly()
-			for _, s := range segs {
-				a.Add(s)
-			}
-			a.Streams()
-		}
-	})
+		a.Streams()
+	}
 }
 
 // BenchmarkAblationATSMatch compares subdomain-aware block-list matching

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"diffaudit/internal/domains"
 	"diffaudit/internal/extract"
@@ -38,9 +37,6 @@ func recordFromHAREntry(e *har.Entry, trace flows.TraceCategory, platform flows.
 		FQDN:     req.Host(),
 		Repeat:   1,
 		ConnID:   e.Connection,
-	}
-	for _, hd := range req.Headers {
-		rec.Headers = append(rec.Headers, extract.KVPair{Name: hd.Name, Value: hd.Value})
 	}
 	for _, c := range req.Cookies {
 		rec.Cookies = append(rec.Cookies, extract.KVPair{Name: c.Name, Value: c.Value})
@@ -143,12 +139,6 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 			Body:     r.Body,
 			Repeat:   1,
 			ConnID:   connID,
-		}
-		for _, h := range r.Headers {
-			if strings.EqualFold(h.Name, "Cookie") {
-				continue
-			}
-			rec.Headers = append(rec.Headers, extract.KVPair{Name: h.Name, Value: h.Value})
 		}
 		for _, c := range r.Cookies() {
 			rec.Cookies = append(rec.Cookies, extract.KVPair{Name: c.Name, Value: c.Value})

@@ -41,7 +41,6 @@ type RequestRecord struct {
 	Method   string
 	URL      string
 	FQDN     string
-	Headers  []extract.KVPair
 	Cookies  []extract.KVPair
 	BodyMIME string
 	Body     []byte
@@ -338,7 +337,7 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 		bit := rec.Platform.Mask()
 		// Per the paper, data types come from payload data: query strings,
 		// cookies and bodies. Transport headers only carry the destination,
-		// so they are not read here.
+		// so a record does not carry them.
 		pr.keys = extract.AppendKeys(pr.keys[:0], extract.RequestView{
 			URL:      rec.URL,
 			Cookies:  rec.Cookies,

@@ -113,23 +113,6 @@ func TestAnalyzeRecordsBasics(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRecordsHeaderKeysExcluded(t *testing.T) {
-	// Headers carry destinations, not payload data types (paper §3.2.1):
-	// a User-Agent header must not create a Device Information flow.
-	recs := []core.RequestRecord{{
-		Trace: flows.Adult, Platform: flows.Web, Method: "GET",
-		URL: "https://api.svc.example/", FQDN: "api.svc.example",
-		Headers: []extract.KVPair{{Name: "User-Agent", Value: "Mozilla/5.0"}},
-	}}
-	res := core.NewPipeline().AnalyzeRecords(testID(), recs)
-	if res.ByTrace[flows.Adult].Len() != 0 {
-		t.Errorf("header-sourced flows created: %d", res.ByTrace[flows.Adult].Len())
-	}
-	if len(res.RawKeys) != 0 {
-		t.Errorf("header keys counted as raw data types: %v", res.RawKeys)
-	}
-}
-
 func TestAnalyzeRecordsEmptyFQDNSkipped(t *testing.T) {
 	recs := []core.RequestRecord{{
 		Trace: flows.Adult, Platform: flows.Web, Method: "GET",

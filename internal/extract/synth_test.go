@@ -18,7 +18,7 @@ func TestAppendKeysMatchesReferenceOnSynth(t *testing.T) {
 			for _, rec := range st.Records() {
 				req := extract.RequestView{URL: rec.URL, Cookies: rec.Cookies, BodyMIME: rec.BodyMIME, Body: rec.Body}
 				var want []string
-				for _, kv := range extract.Extract(req, rec.Headers, opts) {
+				for _, kv := range extract.Extract(req, nil, opts) {
 					if kv.Source != extract.SourceHeader {
 						want = append(want, kv.Key)
 					}

@@ -26,16 +26,10 @@ const (
 	colMasks byte = 3
 )
 
-// WriteSetColumnar writes one collected set in the columnar layout.
-// Scratch for the three columns comes from the wire pools; the framed
-// output lands in w.
+// WriteSetColumnar writes one collected set in the columnar layout: the
+// three columns are built in writers of their own, then framed into w.
 func (e *SetEncoder) WriteSetColumnar(w *wire.Writer, s *Set) {
-	cw, dw, mw := wire.GetWriter(), wire.GetWriter(), wire.GetWriter()
-	defer func() {
-		wire.PutWriter(cw)
-		wire.PutWriter(dw)
-		wire.PutWriter(mw)
-	}()
+	var cw, dw, mw wire.Writer
 	n := 0
 	if s != nil {
 		n = s.Len()
@@ -108,25 +102,17 @@ func splitSetColumns(data []byte) (setColumns, error) {
 	return c, nil
 }
 
-// decodeIndexColumn appends the n uvarint indices of one column body to
-// dst (pass scratch from wire.GetIDs to decode allocation-free),
-// validating every index against tableLen.
-func decodeIndexColumn(dst []uint64, body []byte, n, tableLen int, what string) ([]uint64, error) {
-	r := wire.NewReader(body)
-	for i := 0; i < n; i++ {
-		idx := r.Uvarint()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("flows: %s column flow %d: %w", what, i, r.Err())
-		}
-		if idx >= uint64(tableLen) {
-			return nil, fmt.Errorf("flows: snapshot flow %d references %s %d of %d", i, what, idx, tableLen)
-		}
-		dst = append(dst, idx)
+// readIndex reads flow i's uvarint index from one index column, checking
+// it against tableLen.
+func readIndex(r *wire.Reader, i, tableLen int, what string) (uint64, error) {
+	idx := r.Uvarint()
+	if r.Err() != nil {
+		return 0, fmt.Errorf("flows: %s column flow %d: %w", what, i, r.Err())
 	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("flows: %s column: %w", what, err)
+	if idx >= uint64(tableLen) {
+		return 0, fmt.Errorf("flows: snapshot flow %d references %s %d of %d", i, what, idx, tableLen)
 	}
-	return dst, nil
+	return idx, nil
 }
 
 // checkMask validates one platform-mask byte from the mask column.
@@ -140,30 +126,36 @@ func checkMask(i int, b byte) (PlatformMask, error) {
 
 // DecodeSetColumnar decodes one columnar flow-set section into a live Set
 // against the decoded symbol tables, requiring the slice to contain
-// exactly one set. Index scratch comes from the wire pools; the returned
-// set copies everything it needs out of data.
+// exactly one set. It walks the three columns in lockstep, checking each
+// index and mask as it reads it; the returned set copies everything it
+// needs out of data.
 func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	c, err := splitSetColumns(data)
 	if err != nil {
 		return nil, err
 	}
-	cats := wire.GetIDs(c.n)
-	defer func() { wire.PutIDs(cats) }()
-	if cats, err = decodeIndexColumn(cats, c.cats, c.n, len(d.cats), "category"); err != nil {
-		return nil, err
-	}
-	dests := wire.GetIDs(c.n)
-	defer func() { wire.PutIDs(dests) }()
-	if dests, err = decodeIndexColumn(dests, c.dests, c.n, len(d.dests), "destination"); err != nil {
-		return nil, err
-	}
+	cats, dests := wire.NewReader(c.cats), wire.NewReader(c.dests)
 	set := d.tab.NewSet(c.n)
 	for i := 0; i < c.n; i++ {
+		ci, err := readIndex(cats, i, len(d.cats), "category")
+		if err != nil {
+			return nil, err
+		}
+		di, err := readIndex(dests, i, len(d.dests), "destination")
+		if err != nil {
+			return nil, err
+		}
 		m, err := checkMask(i, c.masks[i])
 		if err != nil {
 			return nil, err
 		}
-		set.AddMask(d.cats[cats[i]], d.dests[dests[i]], m)
+		set.AddMask(d.cats[ci], d.dests[di], m)
+	}
+	if err := cats.Close(); err != nil {
+		return nil, fmt.Errorf("flows: category column: %w", err)
+	}
+	if err := dests.Close(); err != nil {
+		return nil, fmt.Errorf("flows: destination column: %w", err)
 	}
 	return set, nil
 }

@@ -2,7 +2,9 @@ package flows
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,24 +93,38 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 		t.Error("accepted zero platform mask")
 	}
 
-	// Out-of-range indices are caught by the table bounds.
+	// An out-of-range index is caught as the lockstep walk reads it: the
+	// first flow's category, and the last flow's destination after every
+	// earlier flow decoded cleanly.
 	cols, err := splitSetColumns(sec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeIndexColumn(nil, cols.cats, cols.n, 0, "category"); err == nil {
-		t.Error("accepted category index beyond table")
+	for _, c := range []struct {
+		col  []byte
+		at   int
+		want string
+	}{
+		{cols.cats, 0, "flow 0 references category 127 of"},
+		{cols.dests, len(cols.dests) - 1, fmt.Sprintf("flow %d references destination 127 of", cols.n-1)},
+	} {
+		old := c.col[c.at]
+		c.col[c.at] = 0x7f // a one-byte uvarint past both tables
+		_, err := dec.DecodeSetColumnar(sec)
+		c.col[c.at] = old
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("corrupt index: err = %v, want %q", err, c.want)
+		}
 	}
-	if _, err := decodeIndexColumn(nil, cols.dests, cols.n, 0, "destination"); err == nil {
-		t.Error("accepted destination index beyond table")
+	if _, err := dec.DecodeSetColumnar(sec); err != nil {
+		t.Fatalf("restored section no longer decodes: %v", err)
 	}
 }
 
-// TestColumnarPooledEquivalence reruns encode and decode concurrently so
-// pooled scratch is recycled across goroutines, asserting byte-identical
-// sections every time. Run with -race this pins the pooling contract the
-// snapshot codec relies on.
-func TestColumnarPooledEquivalence(t *testing.T) {
+// TestColumnarConcurrentIdentity reruns encode and decode from many
+// goroutines at once, asserting byte-identical sections every time. Run
+// with -race it also shows encoder and decoder share no mutable state.
+func TestColumnarConcurrentIdentity(t *testing.T) {
 	s := buildSet(t)
 	tables, want := encodeColumnar(s)
 	dec, err := ReadSetTables(wire.NewReader(tables), map[string]string{})
@@ -123,7 +139,7 @@ func TestColumnarPooledEquivalence(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				_, got := encodeColumnar(s)
 				if !bytes.Equal(got[0], want[0]) {
-					t.Error("pooled columnar encode diverged")
+					t.Error("concurrent columnar encode diverged")
 					return
 				}
 				set, err := dec.DecodeSetColumnar(got[0])
@@ -132,7 +148,7 @@ func TestColumnarPooledEquivalence(t *testing.T) {
 					return
 				}
 				if set.Len() != s.Len() {
-					t.Errorf("pooled decode lost flows: %d != %d", set.Len(), s.Len())
+					t.Errorf("concurrent decode lost flows: %d != %d", set.Len(), s.Len())
 					return
 				}
 			}

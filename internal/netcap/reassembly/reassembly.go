@@ -105,10 +105,6 @@ type Stream struct {
 type Assembler struct {
 	flows map[layers.FlowKey]*flowState
 	order []layers.FlowKey
-	// disableOOO turns off out-of-order handling: segments that do not
-	// extend the contiguous prefix are dropped. This exists for the
-	// ablation benchmark mirroring naive follow-stream implementations.
-	disableOOO bool
 }
 
 type flowState struct {
@@ -120,14 +116,6 @@ type flowState struct {
 // New returns an empty assembler.
 func New() *Assembler {
 	return &Assembler{flows: make(map[layers.FlowKey]*flowState)}
-}
-
-// NewSequentialOnly returns an assembler with out-of-order handling
-// disabled (ablation baseline).
-func NewSequentialOnly() *Assembler {
-	a := New()
-	a.disableOOO = true
-	return a
 }
 
 // Add feeds one decoded TCP packet into the assembler. Non-TCP packets are
@@ -150,18 +138,6 @@ func (a *Assembler) Add(d *layers.Decoded) {
 	h := &st.rev
 	if d.Forward() {
 		h = &st.fwd
-	}
-	if a.disableOOO {
-		// Only accept segments that extend the contiguous prefix.
-		if !h.hasInitSeq {
-			h.add(d.TCP)
-			return
-		}
-		off := int64(int32(d.TCP.Seq - h.initSeq))
-		if off >= 0 && uint64(off) <= uint64(len(h.bytes())) {
-			h.add(d.TCP)
-		}
-		return
 	}
 	h.add(d.TCP)
 }

@@ -136,26 +136,6 @@ func TestNonTCPIgnored(t *testing.T) {
 	}
 }
 
-func TestSequentialOnlyAblation(t *testing.T) {
-	mk := func(a *Assembler) string {
-		a.Add(seg(1000, layers.FlagSYN, nil))
-		a.Add(seg(1009, layers.FlagACK, []byte("TP/1.1\r\n\r\n")))
-		a.Add(seg(1001, layers.FlagACK, []byte("GET / HT")))
-		return string(clientBytes(a.Streams()[0]))
-	}
-	full := mk(New())
-	naive := mk(NewSequentialOnly())
-	if full != "GET / HTTP/1.1\r\n\r\n" {
-		t.Errorf("full = %q", full)
-	}
-	if naive == full {
-		t.Error("sequential-only assembler should lose out-of-order data")
-	}
-	if naive != "GET / HT" {
-		t.Errorf("naive = %q, want GET / HT", naive)
-	}
-}
-
 func TestSequenceWraparound(t *testing.T) {
 	a := New()
 	start := uint32(0xFFFFFFF0)

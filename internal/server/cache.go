@@ -18,31 +18,19 @@ import (
 // enough for a bound. Cached results are shared across requests and must
 // be treated as immutable by everyone who reads them — the handlers only
 // render from them.
-// The cache also owns the decode singleflight: concurrent cold misses
-// for the same content hash share one decode instead of performing K. The
-// first caller to miss becomes the flight's leader and decodes; everyone
-// else who arrives before the leader finishes blocks on the flight and
-// shares its outcome — result, staleness flag, and error alike. The
-// singleflight works even when caching is disabled (capacity <= 0):
-// deduplicating the decodes in flight requires no retention policy.
+//
+// Concurrent cold misses for one hash each decode and each put; put keeps
+// the first entry, so the cache still holds one result per hash. No
+// workload misses one hash concurrently often enough for sharing the
+// decode to pay for itself.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
 	order    *list.List // front = most recent
 	entries  map[string]*list.Element
-	inflight map[string]*decodeFlight
 
-	hits, misses, evictions, coalesced uint64
-}
-
-// decodeFlight is one in-progress decode. The leader fills res/stale/err
-// and then closes done; waiters read the fields only after done closes.
-type decodeFlight struct {
-	done  chan struct{}
-	res   *core.ServiceResult
-	stale bool
-	err   error
+	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
@@ -58,36 +46,7 @@ func newResultCache(capacity int64) *resultCache {
 		capacity: capacity,
 		order:    list.New(),
 		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*decodeFlight),
 	}
-}
-
-// join enters the singleflight for key: the first caller gets (flight,
-// true) and must decode and then finish; later callers get (flight,
-// false) and wait on flight.done. Each coalesced waiter bumps the
-// coalesced counter — the healthz number that says how many decodes the
-// singleflight saved.
-func (c *resultCache) join(key string) (*decodeFlight, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced++
-		return f, false
-	}
-	f := &decodeFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	return f, true
-}
-
-// finish publishes the leader's outcome to every waiter and retires the
-// flight. Later requests for the key start fresh (normally hitting the
-// cache the leader just populated).
-func (c *resultCache) finish(key string, f *decodeFlight, res *core.ServiceResult, stale bool, err error) {
-	f.res, f.stale, f.err = res, stale, err
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(f.done)
 }
 
 // get returns the cached result for a content hash, or nil.
@@ -119,7 +78,7 @@ func (c *resultCache) peek(hash string) *core.ServiceResult {
 // put caches a decoded result under its content hash, charging
 // it the encoded snapshot size, and evicts from the cold end until the
 // cache fits its capacity again. An entry larger than the whole capacity
-// is not cached at all.
+// is not cached at all, and a hash already cached keeps its first entry.
 func (c *resultCache) put(hash string, res *core.ServiceResult, size int64) {
 	if size <= 0 {
 		size = 1
@@ -156,9 +115,6 @@ type cacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// Coalesced counts requests that joined another request's in-flight
-	// decode instead of decoding themselves.
-	Coalesced uint64 `json:"coalesced"`
 }
 
 // stats returns a consistent snapshot of the cache counters.
@@ -172,6 +128,5 @@ func (c *resultCache) stats() cacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Coalesced: c.coalesced,
 	}
 }

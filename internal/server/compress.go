@@ -1,21 +1,22 @@
-// Negotiated gzip response compression for the heavy export endpoints —
-// report.json, report.csv, /v1/snapshots/{ref}, and /v1/diff. Reports run to hundreds of
-// kilobytes of highly repetitive JSON/CSV; compressing them is the
-// cheapest bandwidth win the server has, and it composes with the
-// conditional-GET machinery untouched: the ETag names the content, not
-// the transfer encoding, so a 304 (which carries no body at all) is
-// identical with and without compression.
+// The response-body side of the read path: the render scratch every export
+// is written into, and negotiated gzip compression for the heavy export
+// endpoints — report.json, report.csv, /v1/snapshots/{ref}, and /v1/diff.
+// Reports run to hundreds of kilobytes of highly repetitive JSON/CSV;
+// compressing them is the cheapest bandwidth win the server has, and it
+// composes with the conditional-GET machinery untouched: the ETag names
+// the content, not the transfer encoding, so a 304 (which carries no body
+// at all) is identical with and without compression.
 //
-// Writers come from a sync.Pool — gzip.Writer carries ~256 KiB of
-// deflate state, which steady-state serving recycles instead of
-// reallocating per response (the same discipline as the wire scratch
-// pools). Compression is skipped for small bodies, where the gzip
-// header and CPU outweigh the saved bytes.
+// These are the server's only two pools, and both hold something large
+// that lives exactly one response: a report-sized render buffer, and a
+// gzip.Writer's ~256 KiB of deflate state. Compression is skipped for
+// small bodies, where the gzip header and CPU outweigh the saved bytes.
 package server
 
 import (
 	"compress/gzip"
 	"io"
+	"math/bits"
 	"net/http"
 	"strconv"
 	"strings"
@@ -30,25 +31,73 @@ const gzipMinBytes = 1 << 10
 // gzipWriters pools deflate state across responses.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
-// acceptsGzip reports whether the request negotiated gzip: an
-// Accept-Encoding member naming gzip (or the * wildcard) whose qvalue,
-// if present, is not zero.
+// Render buffers are size-classed by power of two, 256 B … 4 MiB, so a
+// burst of large reports cannot poison the pool for small ones: a buffer
+// returns to the class its capacity covers, and one beyond the top class is
+// dropped rather than pinned forever.
+const (
+	minBufShift = 8
+	maxBufShift = 22
+	maxBufCap   = 1 << maxBufShift
+)
+
+// bufPools holds one pool per size class; entry i serves capacity 1<<i.
+var bufPools [maxBufShift + 1]sync.Pool
+
+// getBuf returns a zero-length buffer with capacity at least n, from the
+// smallest class that holds n bytes, or a one-off allocation when n exceeds
+// the top class.
+func getBuf(n int) []byte {
+	if n > maxBufCap {
+		return make([]byte, 0, n)
+	}
+	class := minBufShift
+	if n > 1<<minBufShift {
+		class = bits.Len(uint(n - 1))
+	}
+	if p, _ := bufPools[class].Get().(*[]byte); p != nil {
+		return (*p)[:0]
+	}
+	return make([]byte, 0, 1<<class)
+}
+
+// putBuf returns a buffer to the class its capacity fully covers, so a
+// getBuf from that class always honors its size guarantee.
+func putBuf(p []byte) {
+	c := cap(p)
+	if c < 1<<minBufShift || c > maxBufCap {
+		return
+	}
+	buf := p[:0]
+	bufPools[bits.Len(uint(c))-1].Put(&buf)
+}
+
+// acceptsGzip reports whether the request negotiated gzip (RFC 9110
+// §12.5.3): codings and the q parameter name match case-insensitively, a
+// qvalue of zero is an explicit refusal, and the * wildcard speaks only
+// for codings the header does not list, so it cannot override gzip;q=0.
 func acceptsGzip(r *http.Request) bool {
+	star := false
 	for _, member := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		enc, params, _ := strings.Cut(member, ";")
-		enc = strings.TrimSpace(enc)
-		if enc != "gzip" && enc != "*" {
-			continue
+		switch enc = strings.TrimSpace(enc); {
+		case strings.EqualFold(enc, "gzip"):
+			return nonZeroWeight(params)
+		case enc == "*":
+			star = nonZeroWeight(params)
 		}
-		q := strings.TrimSpace(params)
-		if qv, ok := strings.CutPrefix(q, "q="); ok {
-			if v := strings.TrimRight(strings.TrimSpace(qv), "0."); v == "" {
-				continue // q=0, q=0., q=0.000: an explicit refusal
-			}
-		}
+	}
+	return star
+}
+
+// nonZeroWeight reports whether a member's parameters leave it a weight
+// above zero: no q parameter, or one whose value is not 0, 0., 0.000 ….
+func nonZeroWeight(params string) bool {
+	name, value, ok := strings.Cut(params, "=")
+	if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
 		return true
 	}
-	return false
+	return strings.TrimRight(strings.TrimSpace(value), "0.") != ""
 }
 
 // writeMaybeGzip writes data as the response body, gzip-compressed when

@@ -34,6 +34,11 @@ func TestAcceptsGzip(t *testing.T) {
 		{"gzip;q=0", false},
 		{"gzip;q=0.000", false},
 		{"deflate", false},
+		// RFC 9110: codings and the q parameter name are case-insensitive,
+		// and * speaks only for codings the header does not list.
+		{"GZIP", true},
+		{"gzip;Q=0", false},
+		{"gzip;q=0, *", false},
 	}
 	for _, c := range cases {
 		r := httptest.NewRequest(http.MethodGet, "/v1/jobs/job-1/report.json", nil)
@@ -44,6 +49,32 @@ func TestAcceptsGzip(t *testing.T) {
 			t.Errorf("acceptsGzip(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
+}
+
+// TestRenderBufClasses pins the render pool's size classes: a buffer holds
+// what was asked for, comes from the smallest class that does, and one
+// beyond the top class bypasses the pool.
+func TestRenderBufClasses(t *testing.T) {
+	cases := []struct{ n, wantCap int }{
+		{0, 1 << minBufShift},
+		{1, 1 << minBufShift},
+		{256, 256},
+		{257, 512},
+		{4096, 4096},
+		{maxBufCap, maxBufCap},
+	}
+	for _, c := range cases {
+		buf := getBuf(c.n)
+		if len(buf) != 0 || cap(buf) != c.wantCap {
+			t.Errorf("getBuf(%d): len=%d cap=%d, want 0 and %d", c.n, len(buf), cap(buf), c.wantCap)
+		}
+		putBuf(buf)
+	}
+	big := getBuf(maxBufCap + 1)
+	if cap(big) < maxBufCap+1 {
+		t.Errorf("oversized getBuf cap = %d", cap(big))
+	}
+	putBuf(big) // dropped, not pooled
 }
 
 // TestGzipCompressionPreservesETagSemantics is the compression

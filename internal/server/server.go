@@ -75,7 +75,6 @@ import (
 	"diffaudit/internal/report"
 	"diffaudit/internal/services"
 	"diffaudit/internal/store"
-	"diffaudit/internal/wire"
 )
 
 // Config tunes the audit server.
@@ -923,13 +922,10 @@ func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err er
 }
 
 // snapshotResult materializes the snapshot meta describes: a cache hit
-// returns the already-decoded result (zero decode work); a miss joins the
-// per-hash singleflight, whose leader loads the snapshot from the store
-// and caches it under its content hash for every later reader — report,
-// snapshot, and diff handlers all share this path and therefore this
-// cache. Exactly one of K concurrent cold readers decodes; the rest block
-// on the flight and share its result, staleness, and error. The breaker
-// sees one sample per actual store operation, not one per waiter.
+// returns the already-decoded result (zero decode work); a miss loads the
+// snapshot from the store and caches it under its content hash for every
+// later reader — report, snapshot, and diff handlers all share this path
+// and therefore this cache.
 //
 // The cache doubles as the breaker's stale-serving fallback: while the
 // circuit is open a hit is served anyway — byte-identical to the healthy
@@ -944,36 +940,23 @@ func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, bool, err
 		}
 		return res, false, nil
 	}
-	f, leader := s.cache.join(meta.Hash)
-	if !leader {
-		<-f.done
-		return f.res, f.stale, f.err
-	}
-	res, stale, err := s.decodeGated(meta)
-	s.cache.finish(meta.Hash, f, res, stale, err)
-	return res, stale, err
+	res, err := s.decodeGated(meta)
+	return res, false, err
 }
 
-// decodeGated performs the flight leader's work: breaker gate, load,
-// breaker sample, and cache fill. The "snapshot.decode" injection point
-// fires inside the flight — with a delay plan it holds the leader
-// mid-decode so tests can pile waiters onto the singleflight
-// deterministically.
-func (s *Server) decodeGated(meta store.Meta) (*core.ServiceResult, bool, error) {
+// decodeGated performs a miss: breaker gate, load, breaker sample, and
+// cache fill.
+func (s *Server) decodeGated(meta store.Meta) (*core.ServiceResult, error) {
 	if !s.breaker.allow() {
-		return nil, false, fmt.Errorf("snapshot %d: %w", meta.Seq, errBreakerOpen)
-	}
-	if err := faults.Inject("snapshot.decode"); err != nil {
-		s.breaker.record(breakerOutcome(err))
-		return nil, false, fmt.Errorf("snapshot %d: %w", meta.Seq, err)
+		return nil, fmt.Errorf("snapshot %d: %w", meta.Seq, errBreakerOpen)
 	}
 	res, err := s.cfg.Store.Load(meta)
 	s.breaker.record(breakerOutcome(err))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	s.cache.put(meta.Hash, res, int64(meta.Bytes))
-	return res, false, nil
+	return res, nil
 }
 
 // breakerOutcome filters what a decode error means for store health: a
@@ -1061,9 +1044,9 @@ func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, d
 // outgrows it nor pins a class larger than the report needs.
 func writeExportJSON(w http.ResponseWriter, r *http.Request, res *core.ServiceResult, etag, cacheControl string) {
 	one := []*core.ServiceResult{res}
-	out, err := report.AppendJSON(wire.GetBuf(report.JSONSizeHint(one)), one)
+	out, err := report.AppendJSON(getBuf(report.JSONSizeHint(one)), one)
 	writeRendered(w, r, "application/json", out, err, etag, cacheControl)
-	wire.PutBuf(out)
+	putBuf(out)
 }
 
 func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
@@ -1082,13 +1065,13 @@ func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
 	// Render into pooled scratch: the CSV bytes only live until the
 	// response write, so steady-state CSV serving recycles one buffer
 	// instead of rebuilding the whole export per request.
-	buf := wire.GetBuf(32 << 10)
+	buf := getBuf(32 << 10)
 	out, err := report.AppendFlowsCSV(buf, []*core.ServiceResult{res})
 	writeRendered(w, r, "text/csv", out, err, etag, ccRevalidate)
 	if out != nil {
-		wire.PutBuf(out)
+		putBuf(out)
 	} else {
-		wire.PutBuf(buf)
+		putBuf(buf)
 	}
 }
 

@@ -93,26 +93,22 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// EncodeResult serializes a service result as a versioned snapshot. Every
-// intermediate section buffer comes from the wire scratch pools; only the
-// returned encoding is freshly allocated, sized exactly, so the caller can
-// hold it indefinitely without pinning pooled memory. Only a result with one
-// persona per name (core.ServiceResult.CheckPersonas, which Put and SaveFile
-// run) encodes to a snapshot DecodeResult accepts.
+// EncodeResult serializes a service result as a versioned snapshot: each
+// section is built in a writer of its own, then framed into one buffer
+// allocated at the exact final size. Only a result with one persona per
+// name (core.ServiceResult.CheckPersonas, which Put and SaveFile run)
+// encodes to a snapshot DecodeResult accepts.
 func EncodeResult(r *core.ServiceResult) []byte {
 	// Personas go by name, the one key that means the same in every process.
 	personas := r.Personas()
 	sort.Slice(personas, func(i, j int) bool { return personas[i].String() < personas[j].String() })
 
-	meta := wire.GetWriter()
-	defer wire.PutWriter(meta)
-	writeMetaSection(meta, r)
+	var meta, pers, tables wire.Writer
+	writeMetaSection(&meta, r)
 
-	pers := wire.GetWriter()
-	defer wire.PutWriter(pers)
 	pers.Int(len(personas))
 	for _, p := range personas {
-		writePersonaInfo(pers, p.Info())
+		writePersonaInfo(&pers, p.Info())
 	}
 
 	// Flow symbol tables shared across the per-persona sets, then the sets
@@ -122,25 +118,16 @@ func EncodeResult(r *core.ServiceResult) []byte {
 	for _, p := range personas {
 		enc.Collect(r.ByTrace[p])
 	}
-	tables := wire.GetWriter()
-	defer wire.PutWriter(tables)
-	enc.WriteTables(tables)
+	enc.WriteTables(&tables)
 
 	secs := []wire.Section{
 		{Kind: secMeta, Data: meta.Bytes()},
 		{Kind: secPersonas, Data: pers.Bytes()},
 		{Kind: secSymbols, Data: tables.Bytes()},
 	}
-	setWriters := make([]*wire.Writer, 0, len(personas))
-	defer func() {
-		for _, sw := range setWriters {
-			wire.PutWriter(sw)
-		}
-	}()
 	for _, p := range personas {
-		sw := wire.GetWriter()
-		setWriters = append(setWriters, sw)
-		enc.WriteSetColumnar(sw, r.ByTrace[p])
+		var sw wire.Writer
+		enc.WriteSetColumnar(&sw, r.ByTrace[p])
 		secs = append(secs, wire.Section{Kind: secFlowSet, Data: sw.Bytes()})
 	}
 

@@ -336,13 +336,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestConcurrentPooledEncodeIdentical hammers the pooled encode and
-// columnar-decode scratch from many goroutines at once and requires every
-// artifact to stay byte-identical to a single-threaded reference. Under
-// -race (the CI chaos/race step covers this package) it is the proof
-// that sync.Pool reuse never aliases bytes still owned by another
-// request.
-func TestConcurrentPooledEncodeIdentical(t *testing.T) {
+// TestConcurrentEncodeDecodeIdentical runs encode, decode and re-encode of
+// one result from many goroutines at once and requires every artifact to
+// stay byte-identical to a single-threaded reference. Under -race (the CI
+// race step covers this package) it is the proof that concurrent codec
+// calls share no mutable state.
+func TestConcurrentEncodeDecodeIdentical(t *testing.T) {
 	res := auditOne(t, "Quizlet")
 	want := EncodeResult(res)
 
@@ -356,7 +355,7 @@ func TestConcurrentPooledEncodeIdentical(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				enc := EncodeResult(res)
 				if !bytes.Equal(enc, want) {
-					errs[g] = fmt.Errorf("round %d: pooled encode diverged from reference", i)
+					errs[g] = fmt.Errorf("round %d: concurrent encode diverged from reference", i)
 					return
 				}
 				dec, err := DecodeResult(enc)
@@ -365,7 +364,7 @@ func TestConcurrentPooledEncodeIdentical(t *testing.T) {
 					return
 				}
 				if re := EncodeResult(dec); !bytes.Equal(re, want) {
-					errs[g] = fmt.Errorf("round %d: re-encode after pooled decode diverged", i)
+					errs[g] = fmt.Errorf("round %d: re-encode after concurrent decode diverged", i)
 					return
 				}
 			}
@@ -562,7 +561,7 @@ func TestDecodeBoundedMemory(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	decodeOne(0) // pools are warm after the first
+	decodeOne(0) // one-time allocations land before the baseline
 	before := liveHeap()
 	for n := 1; n <= snapshots; n++ {
 		decodeOne(n)

@@ -79,17 +79,9 @@ func (st *ServiceTraffic) Records() []core.RequestRecord {
 				Repeat:   repeat,
 				ConnID:   fmt.Sprintf("%s/%s/%d/c%d", st.Spec.Name, traceTag(r.Trace), r.Platform, connCtr),
 			}
-			for _, q := range r.Query {
-				// Query pairs already ride in the URL; nothing extra.
-				_ = q
-			}
 			for _, ck := range r.Cookies {
 				rec.Cookies = append(rec.Cookies, extract.KVPair{Name: ck.Key, Value: ck.Value})
 			}
-			rec.Headers = append(rec.Headers,
-				extract.KVPair{Name: "Host", Value: r.FQDN},
-				extract.KVPair{Name: "User-Agent", Value: userAgent(r.Platform)},
-			)
 			out = append(out, rec)
 		}
 	}

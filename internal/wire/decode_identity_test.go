@@ -1,11 +1,6 @@
-// The concurrency-identity suite's cross-package half: the in-package
-// half (TestPooledWriterEquivalence) proves raw pooled scratch reuse
-// never changes an output byte; this half proves the same through the
-// snapshot codec, whose every decode draws index scratch from the pools.
-// It lives in wire's test directory as an external package because the
-// property under test is the wire pools' — store is just the heaviest
-// concurrent consumer — and store cannot be imported from package wire
-// itself.
+// Concurrent decode identity through the snapshot codec, the heaviest
+// consumer of wire.Reader. It is an external test package because store
+// cannot be imported from package wire itself.
 package wire_test
 
 import (
@@ -21,16 +16,16 @@ import (
 // TestParallelSectionDecodeIdentity (named for the section-decode pool
 // that once ran inside one decode) decodes one multi-persona snapshot from
 // many goroutines at once — concurrent cold readers of the server, each in
-// DecodeResult over pooled scratch — and requires every result to
-// re-encode to the original bytes. Run under -race this also proves the
-// decode path shares no mutable scratch across goroutines.
+// DecodeResult — and requires every result to re-encode to the original
+// bytes. Run under -race this also proves the decode path shares no
+// mutable state across goroutines.
 func TestParallelSectionDecodeIdentity(t *testing.T) {
 	ds := synth.Generate(synth.Config{Scale: 0.01})
 	st := ds.Service("Quizlet")
 	res := core.NewPipeline().AnalyzeRecords(st.Identity(), st.Records())
 	enc := store.EncodeResult(res)
 	if len(res.Personas()) < 2 {
-		t.Fatalf("need >=2 personas so each decode draws scratch repeatedly, have %d", len(res.Personas()))
+		t.Fatalf("need >=2 personas so each decode walks several flow sections, have %d", len(res.Personas()))
 	}
 
 	var wg sync.WaitGroup

@@ -26,8 +26,8 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Reset truncates the writer to empty, keeping the allocated capacity so a
-// pooled writer's next encoding reuses the same backing array.
+// Reset truncates the writer to empty, keeping the allocated capacity so
+// the next encoding reuses the same backing array.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Grow ensures capacity for at least n more bytes, so a caller that knows

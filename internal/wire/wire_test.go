@@ -47,6 +47,24 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+func TestWriterResetGrow(t *testing.T) {
+	w := &Writer{}
+	w.String("first")
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", w.Len())
+	}
+	w.Grow(1 << 12)
+	if cap(w.Bytes()) < 1<<12 {
+		t.Fatalf("cap after Grow = %d", cap(w.Bytes()))
+	}
+	w.String("second")
+	r := NewReader(w.Bytes())
+	if got := r.String(); got != "second" {
+		t.Errorf("String after Reset = %q", got)
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	w := &Writer{}
 	w.String("hello")
