@@ -8,6 +8,7 @@ package diffaudit_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"diffaudit/internal/core"
 	"diffaudit/internal/extract"
 	"diffaudit/internal/flows"
+	"diffaudit/internal/har"
 	"diffaudit/internal/linkability"
 	"diffaudit/internal/netcap/layers"
 	"diffaudit/internal/netcap/pcapio"
@@ -156,8 +158,8 @@ func BenchmarkFigure5TopATS(b *testing.B) {
 }
 
 // BenchmarkFigure1PipelineEndToEnd measures the full Figure 1 pipeline for
-// one service from wire formats: HAR parse + PCAP reassembly/decryption +
-// extraction + classification + flow construction.
+// one service from capture bytes, read as uploads are: HAR decode + PCAP
+// reassembly/decryption + extraction + classification + flow construction.
 func BenchmarkFigure1PipelineEndToEnd(b *testing.B) {
 	ds := synth.Generate(synth.Config{Scale: 0.002})
 	st := ds.Service("TikTok")
@@ -182,24 +184,19 @@ func BenchmarkFigure1PipelineEndToEnd(b *testing.B) {
 	pipe := core.NewPipeline()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var recs []core.RequestRecord
+		var srcs []core.RecordSource
 		for ti, tc := range flows.TraceCategories() {
-			h, err := parseHAR(harBufs[ti])
+			srcs = append(srcs, core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(harBufs[ti])), tc, flows.Web))
+			rd, err := pcapio.NewReader(bytes.NewReader(pcapBufs[ti]))
 			if err != nil {
 				b.Fatal(err)
 			}
-			recs = append(recs, core.FromHAR(h, tc, flows.Web)...)
-			capt, err := pcapio.ReadPcapng(pcapBufs[ti])
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, _, err := core.FromPCAP(capt, nil, tc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			recs = append(recs, r...)
+			srcs = append(srcs, core.NewPCAPSource(context.Background(), rd, nil, tc))
 		}
-		res := pipe.AnalyzeRecords(st.Identity(), recs)
+		res, err := pipe.AnalyzeStream(st.Identity(), core.MultiSource(srcs...))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.ByTrace[flows.Child].Len() == 0 {
 			b.Fatal("no flows")
 		}
@@ -617,11 +614,11 @@ func BenchmarkTLSDecryption(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parsed, err := pcapio.ReadPcapng(data)
+		rd, err := pcapio.NewReader(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := core.FromPCAP(parsed, nil, flows.Child); err != nil {
+		if _, err := core.Drain(core.NewPCAPSource(context.Background(), rd, nil, flows.Child)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,6 @@ package diffaudit
 import (
 	"context"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -34,7 +33,6 @@ import (
 	"diffaudit/internal/core"
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
-	"diffaudit/internal/har"
 	"diffaudit/internal/lawaudit"
 	"diffaudit/internal/linkability"
 	"diffaudit/internal/netcap/tlsx"
@@ -82,7 +80,8 @@ type (
 	// Finding is a regulation audit finding.
 	Finding = lawaudit.Finding
 	// RulePack is one regulation's audit rules, CI norms, and consent
-	// norms, declared as data (built-ins: coppa, ccpa, gdpr).
+	// norms, declared as data (built-ins: coppa, ccpa, gdpr; a custom pack
+	// joins a Scenario as a value).
 	RulePack = lawaudit.Pack
 	// RulePackRule is one declarative audit rule inside a pack.
 	RulePackRule = lawaudit.Rule
@@ -125,25 +124,18 @@ type (
 	RecordSource = core.RecordSource
 	// FileSource streams records out of a capture file on disk.
 	FileSource = core.FileSource
-	// PCAPSource streams records out of a packet iterator.
-	PCAPSource = core.PCAPSource
 	// KeyLog is parsed TLS key material (an SSLKEYLOGFILE).
 	KeyLog = tlsx.KeyLog
 	// AuditServer is the HTTP audit service behind `diffaudit serve`.
 	AuditServer = server.Server
 	// ServerConfig tunes the audit server.
 	ServerConfig = server.Config
-	// ServerJob is one queued or completed server-side audit.
-	ServerJob = server.Job
-	// ServerJobState is a server job's lifecycle state.
-	ServerJobState = server.JobState
 	// RetryPolicy tunes how the server retries transient failures
 	// (snapshot persistence, journal writes): attempt count and capped
 	// exponential backoff.
 	RetryPolicy = faults.RetryPolicy
 	// SnapshotStore persists audit results as content-addressed,
-	// sequence-ordered snapshots (backends: NewMemSnapshotStore,
-	// OpenSnapshotStore).
+	// sequence-ordered snapshots (OpenSnapshotStore).
 	SnapshotStore = store.Store
 	// SnapshotMeta describes one stored snapshot (sequence, content
 	// hash, service, originating job).
@@ -153,9 +145,6 @@ type (
 	LongitudinalDiff = core.LongitudinalDiff
 	// PersonaDelta is one persona's longitudinal flow delta.
 	PersonaDelta = core.PersonaDelta
-	// DiffDoc is the machine-readable longitudinal diff document served
-	// by GET /v1/diff.
-	DiffDoc = report.DiffDoc
 )
 
 // Trace categories: the built-in personas. Child is the zero Persona.
@@ -242,9 +231,6 @@ func (a *Auditor) AuditUnknownStream(name string, src RecordSource) (*ServiceRes
 	return a.Pipeline.AnalyzeUnknownStream(context.Background(), name, src)
 }
 
-// SliceSource adapts in-memory records to a RecordSource.
-func SliceSource(recs []RequestRecord) RecordSource { return core.SliceSource(recs) }
-
 // MultiSource concatenates record sources (e.g. one capture per trace
 // category feeding a single audit).
 func MultiSource(srcs ...RecordSource) RecordSource { return core.MultiSource(srcs...) }
@@ -266,12 +252,6 @@ func OpenPCAPSource(path string, keylog *KeyLog, trace TraceCategory) (*FileSour
 
 // LoadKeyLog reads and parses an SSLKEYLOGFILE.
 func LoadKeyLog(path string) (*KeyLog, error) { return core.LoadKeyLog(path) }
-
-// NewHARSource wraps a streaming HAR decoder (har.NewStreamDecoder over
-// any reader) as a RecordSource.
-func NewHARSource(r io.Reader, trace TraceCategory, platform Platform) RecordSource {
-	return core.NewHARSource(har.NewStreamDecoder(r), trace, platform)
-}
 
 // ParsePersona maps a built-in persona name or alias to its persona.
 // Custom personas parse through the PersonaIndex that holds them
@@ -329,37 +309,16 @@ func NewPersonaSpec(spec string) (Persona, error) {
 // BuiltinPersonas returns the paper's four personas in table order.
 func BuiltinPersonas() []Persona { return flows.BuiltinPersonas() }
 
-// Server job states.
-const (
-	ServerJobQueued   = server.JobQueued
-	ServerJobRunning  = server.JobRunning
-	ServerJobDone     = server.JobDone
-	ServerJobFailed   = server.JobFailed
-	ServerJobTimedOut = server.JobTimedOut
-)
-
-// NewServer starts an audit server: POST /v1/audits uploads captures onto a
-// bounded job queue, GET /v1/jobs/{id}/report.{json,csv} fetches results.
+// OpenServer starts an audit server: POST /v1/audits uploads captures onto
+// a bounded job queue, GET /v1/jobs/{id}/report.{json,csv} fetches results.
 // With ServerConfig.Store set, finished audits persist as snapshots and
-// GET /v1/snapshots and GET /v1/diff serve the longitudinal API.
-func NewServer(cfg ServerConfig) *AuditServer { return server.New(cfg) }
-
-// OpenServer is NewServer with the crash-safety surface: when
+// GET /v1/snapshots and GET /v1/diff serve the longitudinal API. When
 // ServerConfig.JournalDir is set, accepted uploads are journaled before
 // they are queued and OpenServer re-enqueues jobs interrupted by a crash
 // before taking new traffic. Errors come from the journal: its directory
 // cannot be created, its log cannot be read or rewritten, or it holds
 // records in a layout this build does not read.
 func OpenServer(cfg ServerConfig) (*AuditServer, error) { return server.Open(cfg) }
-
-// TransientError marks an error as retryable under the server's
-// RetryPolicy — store implementations return it for failures worth
-// re-attempting (momentary I/O stalls) as opposed to permanent ones.
-func TransientError(err error) error { return faults.Transient(err) }
-
-// NewMemSnapshotStore returns an in-memory snapshot store — the full
-// snapshot API with process-lifetime durability.
-func NewMemSnapshotStore() SnapshotStore { return store.NewMemStore() }
 
 // OpenSnapshotStore opens (creating if needed) a filesystem snapshot
 // store: one append-only, crash-safe file per snapshot under dir, rescanned
@@ -388,7 +347,7 @@ func DecodeSnapshot(data []byte) (*ServiceResult, error) { return store.DecodeRe
 
 // DiffSnapshots compares two audits of one service over time (oldest
 // first): per persona, the added and removed flows plus Table 4 grid
-// similarity — the longitudinal counterpart of Diff.
+// similarity.
 func DiffSnapshots(from, to *ServiceResult) LongitudinalDiff {
 	return core.Longitudinal(from, to)
 }
@@ -446,8 +405,9 @@ func Findings(r *ServiceResult) []Finding {
 }
 
 // NewScenario builds a scenario from rule-pack specs ("coppa", "ccpa",
-// "gdpr", "gdpr=15", ...), evaluated in order. With no specs it returns
-// the default COPPA+CCPA scenario.
+// "gdpr", "gdpr=15", ...), evaluated in order; naming a pack twice is an
+// error. With no specs it returns the default COPPA+CCPA scenario. A custom
+// RulePack is a value: append it to the scenario's Packs.
 func NewScenario(packSpecs ...string) (*Scenario, error) {
 	return lawaudit.ScenarioFor(packSpecs...)
 }
@@ -456,17 +416,6 @@ func NewScenario(packSpecs ...string) (*Scenario, error) {
 func FindingsScenario(r *ServiceResult, sc *Scenario) []Finding {
 	return sc.Audit(r.Identity.Name, r.ByTrace)
 }
-
-// RegisterRulePack adds a regulation rule pack to the registry, making it
-// addressable by name in NewScenario and the CLI's -rulepack flag.
-func RegisterRulePack(p *RulePack) error { return lawaudit.RegisterPack(p) }
-
-// RulePackNames lists the registered rule packs.
-func RulePackNames() []string { return lawaudit.PackNames() }
-
-// GDPRPack builds a GDPR rule pack with the given age of digital consent
-// (13-16; Art. 8(1) member-state derogations).
-func GDPRPack(ageOfConsent int) *RulePack { return lawaudit.GDPRPack(ageOfConsent) }
 
 // PolicyViolations checks a result against the service's modeled privacy
 // policy disclosures (nil when no model exists or the policy is consistent).
@@ -487,30 +436,6 @@ func LinkableParties(set *FlowSet) []LinkableParty {
 // flow set.
 func NewLinkabilityIndex(set *FlowSet) *LinkabilityIndex {
 	return linkability.NewIndex(set)
-}
-
-// Diff compares two flow sets (e.g., child vs adult, logged-out vs
-// logged-in) — the paper's differential analysis step.
-func Diff(a, b *FlowSet) core.FlowDiff { return core.Diff(a, b) }
-
-// AgeDifferential returns each minor trace's grid similarity to the adult
-// trace (1.0 = identical processing), the paper's "no differentiation"
-// metric.
-func AgeDifferential(r *ServiceResult) map[TraceCategory]float64 {
-	return core.AgeDifferential(r)
-}
-
-// PlatformDiff returns the grid cells observed on only one platform
-// (Section 4.1.2's "Platform Differences").
-func PlatformDiff(r *ServiceResult) core.PlatformDifference {
-	return core.PlatformDiff(r)
-}
-
-// ContextualIntegrity maps every observed flow to a contextual-integrity
-// tuple with an appropriateness verdict under the default COPPA/CCPA
-// norms.
-func ContextualIntegrity(r *ServiceResult) []CIAssessment {
-	return lawaudit.CIAnalysis(r.Identity.Name, r.ByTrace)
 }
 
 // ContextualIntegrityScenario grades every observed flow against a
@@ -547,9 +472,6 @@ func GenerateDataset(scale float64) *Dataset {
 func GenerateDatasetWith(cfg DatasetConfig) *Dataset {
 	return synth.Generate(cfg)
 }
-
-// Services returns the six calibrated service profiles.
-func Services() []*ServiceSpec { return services.All() }
 
 // AuditAll generates the dataset at the given scale and audits every
 // service, returning results in the paper's service order.

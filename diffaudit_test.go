@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"diffaudit"
+	"diffaudit/internal/core"
+	"diffaudit/internal/services"
 )
 
 func TestAuditAllEndToEnd(t *testing.T) {
@@ -113,13 +115,11 @@ func TestLinkablePartiesViaPublicAPI(t *testing.T) {
 
 func specFor(t *testing.T, name string) *diffaudit.ServiceSpec {
 	t.Helper()
-	for _, s := range diffaudit.Services() {
-		if s.Name == name {
-			return s
-		}
+	s, ok := services.ByName(name)
+	if !ok {
+		t.Fatalf("no spec for %s", name)
 	}
-	t.Fatalf("no spec for %s", name)
-	return nil
+	return s
 }
 
 func TestHARFileWorkflow(t *testing.T) {
@@ -182,11 +182,11 @@ func TestDifferentialAPIs(t *testing.T) {
 	for _, r := range results {
 		// Logged-out vs child diff: both directions populated for the
 		// services that behave differently pre-consent.
-		d := diffaudit.Diff(r.ByTrace[diffaudit.LoggedOut], r.ByTrace[diffaudit.Child])
+		d := core.Diff(r.ByTrace[diffaudit.LoggedOut], r.ByTrace[diffaudit.Child])
 		if d.Jaccard() < 0 || d.Jaccard() > 1 {
 			t.Errorf("%s: jaccard out of range", r.Identity.Name)
 		}
-		sims := diffaudit.AgeDifferential(r)
+		sims := core.AgeDifferential(r)
 		if sims[diffaudit.Child] < 0.75 {
 			t.Errorf("%s: child/adult similarity %.2f below the paper's near-identical finding",
 				r.Identity.Name, sims[diffaudit.Child])
@@ -196,8 +196,12 @@ func TestDifferentialAPIs(t *testing.T) {
 
 func TestContextualIntegrityAPI(t *testing.T) {
 	results := diffaudit.AuditAll(0.002)
+	sc, err := diffaudit.NewScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range results {
-		as := diffaudit.ContextualIntegrity(r)
+		as := diffaudit.ContextualIntegrityScenario(r, sc)
 		if len(as) == 0 {
 			t.Fatalf("%s: no CI assessments", r.Identity.Name)
 		}

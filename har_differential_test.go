@@ -18,7 +18,8 @@ import (
 // TestHARDecoderDifferential checks the one HAR decoder against
 // encoding/json over the whole document, for every synthetic service's
 // captures at two scales: the streamed entries equal the reference's
-// Log.Entries, and LoadHARFile's records equal FromHAR over the reference.
+// Log.Entries, and each of LoadHARFile's records carries its reference
+// entry's request: method, URL, host, cookies, body and MIME type.
 func TestHARDecoderDifferential(t *testing.T) {
 	auditor := diffaudit.New()
 	dir := t.TempDir()
@@ -64,11 +65,48 @@ func TestHARDecoderDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := core.FromHAR(&ref, trace, flows.Web); !reflect.DeepEqual(recs, want) {
-					t.Fatalf("scale %v %s %v: LoadHARFile records differ from FromHAR over the reference (%d vs %d)",
-						scale, st.Spec.Name, trace, len(recs), len(want))
+				if len(recs) != len(ref.Log.Entries) {
+					t.Fatalf("scale %v %s %v: %d records from %d entries",
+						scale, st.Spec.Name, trace, len(recs), len(ref.Log.Entries))
+				}
+				for i, rec := range recs {
+					if want := requestOf(&ref.Log.Entries[i]); !reflect.DeepEqual(requestOfRecord(rec), want) {
+						t.Fatalf("scale %v %s %v: record %d = %+v, reference request %+v",
+							scale, st.Spec.Name, trace, i, requestOfRecord(rec), want)
+					}
+					if rec.Trace != trace || rec.Platform != flows.Web || rec.Repeat != 1 {
+						t.Fatalf("scale %v %s %v: record %d provenance %v/%v/%d",
+							scale, st.Spec.Name, trace, i, rec.Trace, rec.Platform, rec.Repeat)
+					}
 				}
 			}
 		}
 	}
+}
+
+// harRequest is what an audit reads of one request.
+type harRequest struct {
+	Method, URL, Host, MIME, Body string
+	Cookies                       [][2]string
+}
+
+// requestOf reads a reference entry's request fields.
+func requestOf(e *har.Entry) harRequest {
+	r := harRequest{Method: e.Request.Method, URL: e.Request.URL, Host: e.Request.Host()}
+	if pd := e.Request.PostData; pd != nil {
+		r.MIME, r.Body = pd.MimeType, pd.Text
+	}
+	for _, c := range e.Request.Cookies {
+		r.Cookies = append(r.Cookies, [2]string{c.Name, c.Value})
+	}
+	return r
+}
+
+// requestOfRecord reads the same fields off a decoded record.
+func requestOfRecord(rec core.RequestRecord) harRequest {
+	r := harRequest{Method: rec.Method, URL: rec.URL, Host: rec.FQDN, MIME: rec.BodyMIME, Body: string(rec.Body)}
+	for _, c := range rec.Cookies {
+		r.Cookies = append(r.Cookies, [2]string{c.Name, c.Value})
+	}
+	return r
 }

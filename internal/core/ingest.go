@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -10,23 +9,12 @@ import (
 	"diffaudit/internal/flows"
 	"diffaudit/internal/har"
 	"diffaudit/internal/httpx"
-	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/netcap/reassembly"
 	"diffaudit/internal/netcap/tlsx"
 )
 
-// FromHAR converts a HAR document (a website trace exported from the
-// browser's network panel) into request records.
-func FromHAR(h *har.HAR, trace flows.TraceCategory, platform flows.Platform) []RequestRecord {
-	var out []RequestRecord
-	for i := range h.Log.Entries {
-		out = append(out, recordFromHAREntry(&h.Log.Entries[i], trace, platform))
-	}
-	return out
-}
-
-// recordFromHAREntry converts one HAR entry into a request record — the
-// shared conversion behind FromHAR and the streaming HAR source.
+// recordFromHAREntry converts one HAR entry (a request exported from the
+// browser's network panel) into a request record for the HAR source.
 func recordFromHAREntry(e *har.Entry, trace flows.TraceCategory, platform flows.Platform) RequestRecord {
 	req := &e.Request
 	rec := RequestRecord{
@@ -67,26 +55,6 @@ type PCAPStats struct {
 	// OpaqueSNIs lists the server names of flows that stayed encrypted:
 	// the paper counts such destinations even without payload visibility.
 	OpaqueSNIs []string
-}
-
-// FromPCAP reassembles a mobile capture, decrypts TLS streams with the key
-// log (from pcapng Decryption Secrets Blocks and/or an external
-// SSLKEYLOGFILE), parses the HTTP requests, and emits request records.
-// Undecryptable or non-HTTP flows are counted but yield no records.
-//
-// It is a convenience wrapper draining a PCAPSource over the in-memory
-// capture; ingestion paths that care about memory should feed a streaming
-// pcapio.Reader to NewPCAPSource instead.
-func FromPCAP(capt *pcapio.Capture, extraKeylog *tlsx.KeyLog, trace flows.TraceCategory) ([]RequestRecord, PCAPStats, error) {
-	if capt == nil {
-		return nil, PCAPStats{}, errors.New("core: nil capture")
-	}
-	src := NewPCAPSource(context.Background(), capt.Source(), extraKeylog, trace)
-	out, err := Drain(src)
-	if err != nil {
-		return nil, PCAPStats{}, err
-	}
-	return out, src.Stats(), nil
 }
 
 // emitStreamRecords converts one reassembled TCP stream into request

@@ -5,12 +5,14 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
+	"diffaudit/internal/har"
 	"diffaudit/internal/linkability"
 	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/ontology"
@@ -27,6 +29,41 @@ func analyzeAll(t testing.TB, scale float64) (*synth.Dataset, []*core.ServiceRes
 		results = append(results, pipe.AnalyzeRecords(st.Identity(), st.Records()))
 	}
 	return ds, results
+}
+
+// harRecords serializes a HAR document and reads it back through the HAR
+// source, as an upload is read.
+func harRecords(t testing.TB, h *har.HAR, trace flows.TraceCategory) []core.RequestRecord {
+	t.Helper()
+	data, err := h.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace, flows.Web))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// pcapRecords writes a capture as pcapng bytes and reads them back through
+// pcapio.NewReader and the PCAP source, as an upload is read.
+func pcapRecords(t testing.TB, capt *pcapio.Capture, trace flows.TraceCategory) ([]core.RequestRecord, core.PCAPStats) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pcapio.WritePcapng(&buf, capt); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := pcapio.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := core.NewPCAPSource(context.Background(), rd, nil, trace)
+	recs, err := core.Drain(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, src.Stats()
 }
 
 func TestTable1ExactReproduction(t *testing.T) {
@@ -194,23 +231,12 @@ func TestWireFormatsAgreeWithRecords(t *testing.T) {
 		recRes := pipe.AnalyzeRecords(st.Identity(), st.Records())
 		var wireRecs []core.RequestRecord
 		for _, tc := range flows.TraceCategories() {
-			wireRecs = append(wireRecs, core.FromHAR(st.EmitHAR(tc), tc, flows.Web)...)
+			wireRecs = append(wireRecs, harRecords(t, st.EmitHAR(tc), tc)...)
 			capt, err := st.EmitPCAP(tc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := pcapio.WritePcapng(&buf, capt); err != nil {
-				t.Fatal(err)
-			}
-			parsed, err := pcapio.ReadPcapng(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, stats, err := core.FromPCAP(parsed, nil, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			recs, stats := pcapRecords(t, capt, tc)
 			if stats.OpaqueStreams == 0 {
 				t.Errorf("%s/%v: capture should include an undecryptable flow", st.Spec.Name, tc)
 			}
@@ -280,10 +306,7 @@ func TestPCAPIncludesDNSLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := core.FromPCAP(capt, nil, flows.Child)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stats := pcapRecords(t, capt, flows.Child)
 	if stats.DNSQueries == 0 {
 		t.Fatal("capture carries no DNS lookups")
 	}
@@ -309,10 +332,7 @@ func TestOpaqueStreamsSurfaceSNI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := core.FromPCAP(capt, nil, flows.Child)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stats := pcapRecords(t, capt, flows.Child)
 	if stats.OpaqueStreams == 0 || len(stats.OpaqueSNIs) == 0 {
 		t.Fatalf("opaque=%d snis=%v", stats.OpaqueStreams, stats.OpaqueSNIs)
 	}

@@ -68,8 +68,8 @@ func (m *multiSource) Next() (RequestRecord, error) {
 }
 
 // Drain reads a source to its end and returns every record: how the
-// in-memory loaders (FromPCAP, the facade's LoadHARFile and LoadPCAPFile)
-// are made from the streaming sources.
+// facade's in-memory loaders (LoadHARFile, LoadPCAPFile) are made from the
+// streaming sources.
 func Drain(src RecordSource) ([]RequestRecord, error) {
 	var out []RequestRecord
 	for {

@@ -2,7 +2,6 @@ package lawaudit
 
 import (
 	"fmt"
-	"strconv"
 
 	"diffaudit/internal/flows"
 )
@@ -211,30 +210,5 @@ func GDPRPack(ageOfConsent int) *Pack {
 				Principle: fmt.Sprintf("consent authorized by the holder of parental responsibility (Art. 8, age of consent %d)", age)},
 			{Personas: ofAge, Principle: "freely given, specific, informed consent (Art. 6(1)(a))"},
 		},
-	}
-}
-
-func init() {
-	if err := RegisterPack(coppaPack); err != nil {
-		panic(err)
-	}
-	if err := RegisterPack(ccpaPack); err != nil {
-		panic(err)
-	}
-	if err := RegisterPackBuilder("gdpr", func(arg string) (*Pack, error) {
-		age := GDPRDefaultAgeOfConsent
-		if arg != "" {
-			n, err := strconv.Atoi(arg)
-			if err != nil {
-				return nil, fmt.Errorf("lawaudit: gdpr age of consent %q: %v", arg, err)
-			}
-			if n < 13 || n > 16 {
-				return nil, fmt.Errorf("lawaudit: gdpr age of consent must be 13-16, got %d", n)
-			}
-			age = n
-		}
-		return GDPRPack(age), nil
-	}); err != nil {
-		panic(err)
 	}
 }

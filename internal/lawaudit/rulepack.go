@@ -3,8 +3,8 @@ package lawaudit
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"diffaudit/internal/flows"
 	"diffaudit/internal/linkability"
@@ -86,7 +86,7 @@ type Rule struct {
 	// (%d); PolicyRule with the flow count (%d) and disclosure quote (%q).
 	Detail string
 	// Baseline selects the comparison persona for GridDivergenceRule (the
-	// first matching persona, in registry order, with a non-empty trace).
+	// first matching persona, in column order, with a non-empty trace).
 	Baseline PersonaPredicate
 	// MinSimilarity is the grid-similarity ratio at or above which a
 	// GridDivergenceRule fires.
@@ -113,7 +113,8 @@ type ConsentNorm struct {
 
 // Pack is one regulation's rules, declared as data.
 type Pack struct {
-	// Name is the registry key ("coppa", "ccpa", "gdpr"), lowercase.
+	// Name identifies the pack ("coppa", "ccpa", "gdpr"), lowercase;
+	// ScenarioFor refuses a second pack of one name.
 	Name string
 	// Law is the statute citation findings carry.
 	Law Law
@@ -362,65 +363,46 @@ func (sc *Scenario) judge(p flows.Persona, f flows.Flow) (Verdict, string) {
 	return Appropriate, "no contextual norm in the active rule packs covers this flow"
 }
 
-// PackBuilder constructs a pack from an optional spec argument (the text
-// after "=" in a scenario spec like "gdpr=15"; "" when absent).
-type PackBuilder func(arg string) (*Pack, error)
+// PackNames lists the built-in rule packs BuildPack knows.
+func PackNames() []string { return []string{"coppa", "ccpa", "gdpr"} }
 
-var (
-	packMu       sync.Mutex
-	packBuilders = map[string]PackBuilder{}
-	packOrder    []string
-)
-
-// RegisterPackBuilder adds a named pack constructor to the registry.
-func RegisterPackBuilder(name string, b PackBuilder) error {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" || b == nil {
-		return fmt.Errorf("lawaudit: pack builder needs a name and a constructor")
-	}
-	packMu.Lock()
-	defer packMu.Unlock()
-	if _, ok := packBuilders[name]; ok {
-		return fmt.Errorf("lawaudit: rule pack %q already registered", name)
-	}
-	packBuilders[name] = b
-	packOrder = append(packOrder, name)
-	return nil
-}
-
-// RegisterPack adds a fixed pack to the registry under its own name.
-func RegisterPack(p *Pack) error {
-	return RegisterPackBuilder(p.Name, func(arg string) (*Pack, error) {
-		if arg != "" {
-			return nil, fmt.Errorf("lawaudit: rule pack %q takes no argument", p.Name)
-		}
-		return p, nil
-	})
-}
-
-// PackNames lists the registered rule packs in registration order.
-func PackNames() []string {
-	packMu.Lock()
-	defer packMu.Unlock()
-	return append([]string(nil), packOrder...)
-}
-
-// BuildPack constructs one registered pack from a spec "name" or
-// "name=arg" (e.g. "gdpr=15" for a GDPR pack with age-of-consent 15).
+// BuildPack constructs one built-in pack from a spec "name" or "name=arg"
+// (e.g. "gdpr=15" for a GDPR pack with age-of-consent 15). A custom pack
+// needs no name here: it is a value appended to a Scenario's Packs.
 func BuildPack(spec string) (*Pack, error) {
 	name, arg, _ := strings.Cut(spec, "=")
 	name = strings.ToLower(strings.TrimSpace(name))
-	packMu.Lock()
-	b, ok := packBuilders[name]
-	packMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("lawaudit: unknown rule pack %q (have %s)", name, strings.Join(PackNames(), ", "))
+	arg = strings.TrimSpace(arg)
+	switch name {
+	case "coppa", "ccpa":
+		if arg != "" {
+			return nil, fmt.Errorf("lawaudit: rule pack %q takes no argument", name)
+		}
+		if name == "coppa" {
+			return coppaPack, nil
+		}
+		return ccpaPack, nil
+	case "gdpr":
+		age := GDPRDefaultAgeOfConsent
+		if arg != "" {
+			n, err := strconv.Atoi(arg)
+			if err != nil {
+				return nil, fmt.Errorf("lawaudit: gdpr age of consent %q: %v", arg, err)
+			}
+			if n < 13 || n > 16 {
+				return nil, fmt.Errorf("lawaudit: gdpr age of consent must be 13-16, got %d", n)
+			}
+			age = n
+		}
+		return GDPRPack(age), nil
 	}
-	return b(strings.TrimSpace(arg))
+	return nil, fmt.Errorf("lawaudit: unknown rule pack %q (have %s)", name, strings.Join(PackNames(), ", "))
 }
 
 // ScenarioFor builds a scenario from pack specs, evaluated in the given
-// order. With no specs it returns the default COPPA+CCPA scenario.
+// order. With no specs it returns the default COPPA+CCPA scenario. A spec
+// naming a pack already in the scenario is an error: evaluating a pack
+// twice would report each of its findings twice.
 func ScenarioFor(specs ...string) (*Scenario, error) {
 	if len(specs) == 0 {
 		return DefaultScenario(), nil
@@ -430,6 +412,11 @@ func ScenarioFor(specs ...string) (*Scenario, error) {
 		p, err := BuildPack(spec)
 		if err != nil {
 			return nil, err
+		}
+		for _, q := range sc.Packs {
+			if q.Name == p.Name {
+				return nil, fmt.Errorf("lawaudit: rule pack %q given twice", p.Name)
+			}
 		}
 		sc.Packs = append(sc.Packs, p)
 	}

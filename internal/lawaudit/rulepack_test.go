@@ -145,28 +145,37 @@ func TestGDPRCINorms(t *testing.T) {
 	}
 }
 
-func TestPackRegistry(t *testing.T) {
-	names := PackNames()
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"coppa", "ccpa", "gdpr"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("PackNames() = %v, missing %q", names, want)
+// TestBuildPack pins the fixed pack lookup and ScenarioFor's spec rules:
+// every error names the offending pack.
+func TestBuildPack(t *testing.T) {
+	if got := strings.Join(PackNames(), ","); got != "coppa,ccpa,gdpr" {
+		t.Errorf("PackNames() = %s", got)
+	}
+	for _, spec := range []string{"coppa", "CCPA", " gdpr ", "gdpr=15", "gdpr = 13", "coppa="} {
+		if _, err := BuildPack(spec); err != nil {
+			t.Errorf("BuildPack(%q): %v", spec, err)
 		}
 	}
-	if err := RegisterPack(&Pack{Name: "coppa"}); err == nil {
-		t.Error("duplicate pack registration accepted")
+	if p, _ := BuildPack("gdpr=14"); p.Law != GDPRPack(14).Law {
+		t.Errorf("gdpr=14 law = %q", p.Law)
 	}
-	if _, err := BuildPack("no-such-pack"); err == nil {
-		t.Error("unknown pack accepted")
+	cases := []struct {
+		specs []string
+		want  string // substring of the error
+	}{
+		{[]string{"no-such-pack"}, `unknown rule pack "no-such-pack" (have coppa, ccpa, gdpr)`},
+		{[]string{"gdpr=20"}, "must be 13-16, got 20"},
+		{[]string{"gdpr=x"}, `gdpr age of consent "x"`},
+		{[]string{"coppa=1"}, `rule pack "coppa" takes no argument`},
+		{[]string{"coppa", "coppa"}, `rule pack "coppa" given twice`},
+		{[]string{"gdpr=15", "gdpr"}, `rule pack "gdpr" given twice`},
+		{[]string{"ccpa", "coppa", "CCPA"}, `rule pack "ccpa" given twice`},
 	}
-	if _, err := BuildPack("gdpr=20"); err == nil {
-		t.Error("out-of-range GDPR age accepted")
-	}
-	if _, err := BuildPack("gdpr=15"); err != nil {
-		t.Errorf("gdpr=15: %v", err)
-	}
-	if _, err := BuildPack("coppa=1"); err == nil {
-		t.Error("argument to fixed pack accepted")
+	for _, c := range cases {
+		sc, err := ScenarioFor(c.specs...)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ScenarioFor(%q) = %v, %v; want error containing %q", c.specs, sc, err, c.want)
+		}
 	}
 	sc, err := ScenarioFor()
 	if err != nil || len(sc.Packs) != 2 {
@@ -175,6 +184,31 @@ func TestPackRegistry(t *testing.T) {
 	sc, err = ScenarioFor("coppa", "gdpr=13")
 	if err != nil || len(sc.Packs) != 2 || sc.Packs[1].Name != "gdpr" {
 		t.Errorf("ScenarioFor(coppa, gdpr=13) = %+v, %v", sc, err)
+	}
+}
+
+// TestCustomPackIsAValue pins that a pack nobody registered evaluates
+// beside the built-ins once appended to a scenario's Packs.
+func TestCustomPackIsAValue(t *testing.T) {
+	sc, err := ScenarioFor("coppa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Packs = append(sc.Packs, &Pack{
+		Name: "house", Law: "House rules",
+		Rules: []Rule{{
+			Name: "any-third-party", Stage: StageMinorSharing, Kind: FlowRule, Severity: Info,
+			Classes: []flows.DestClass{flows.ThirdParty}, Detail: "third-party flow",
+		}},
+	})
+	byTrace := emptyTraces()
+	byTrace[flows.Adult].Add(flows.Flow{
+		Category: cat("Aliases"),
+		Dest:     flows.Destination{FQDN: "cdn.example", Class: flows.ThirdParty},
+	}, flows.Web)
+	fs := sc.Audit("TestSvc", byTrace)
+	if len(fs) != 1 || fs[0].Rule != "any-third-party" || fs[0].Law != "House rules" {
+		t.Errorf("findings = %v, want the custom pack's one", fs)
 	}
 }
 

@@ -7,8 +7,6 @@
 package pcapio
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -34,7 +32,8 @@ type Packet struct {
 	OrigLen int
 }
 
-// Capture is an in-memory capture file.
+// Capture is an in-memory capture document for the writers: WritePcap and
+// WritePcapng serialize it, and Reader is the only way back in.
 type Capture struct {
 	LinkType LinkType
 	// NanoRes records whether timestamps carry nanosecond resolution.
@@ -57,17 +56,6 @@ var (
 	// ErrBadMagic reports an unrecognized file magic.
 	ErrBadMagic = errors.New("pcapio: unrecognized magic")
 )
-
-// ReadPcap parses a classic libpcap file, auto-detecting endianness and
-// time resolution from the magic. It delegates to the streaming Reader —
-// the slice API is a convenience wrapper over one parsing implementation.
-func ReadPcap(data []byte) (*Capture, error) {
-	rd := &Reader{br: bufio.NewReader(bytes.NewReader(data))}
-	if err := rd.readPcapHeader(); err != nil {
-		return nil, err
-	}
-	return rd.drain()
-}
 
 // WritePcap serializes the capture as a little-endian classic pcap file,
 // using the nanosecond magic when c.NanoRes is set.

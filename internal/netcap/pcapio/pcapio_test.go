@@ -23,7 +23,7 @@ func TestPcapRoundTripMicro(t *testing.T) {
 	if err := WritePcap(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcap(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestPcapRoundTripNano(t *testing.T) {
 	if err := WritePcap(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcap(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPcapBigEndianRead(t *testing.T) {
 	binary.BigEndian.PutUint32(rec[12:16], 3)
 	buf.Write(rec)
 	buf.Write([]byte{1, 2, 3})
-	got, err := ReadPcap(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +88,18 @@ func TestPcapBigEndianRead(t *testing.T) {
 }
 
 func TestPcapErrors(t *testing.T) {
-	if _, err := ReadPcap([]byte{1, 2}); err == nil {
+	if _, err := readCapture(bytes.NewReader([]byte{1, 2})); err == nil {
 		t.Error("short file accepted")
 	}
 	bad := make([]byte, 24)
-	if _, err := ReadPcap(bad); err == nil {
+	if _, err := readCapture(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated record.
 	c := &Capture{LinkType: LinkRaw, Packets: samplePackets()}
 	var buf bytes.Buffer
 	_ = WritePcap(&buf, c)
-	if _, err := ReadPcap(buf.Bytes()[:buf.Len()-2]); err == nil {
+	if _, err := readCapture(bytes.NewReader(buf.Bytes()[:buf.Len()-2])); err == nil {
 		t.Error("truncated record accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestPcapngRoundTrip(t *testing.T) {
 	if err := WritePcapng(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcapng(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPcapngNanoRoundTrip(t *testing.T) {
 	if err := WritePcapng(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcapng(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,15 @@ func TestPcapngNanoRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAutoDetect checks NewReader tells the two formats apart by their
+// leading magic.
 func TestAutoDetect(t *testing.T) {
 	c := &Capture{LinkType: LinkRaw, Packets: samplePackets()[:1]}
 	var p, ng bytes.Buffer
 	_ = WritePcap(&p, c)
 	_ = WritePcapng(&ng, c)
 	for _, data := range [][]byte{p.Bytes(), ng.Bytes()} {
-		got, err := Read(data)
+		got, err := readCapture(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +176,7 @@ func TestPcapngSkipsUnknownBlocks(t *testing.T) {
 	binary.LittleEndian.PutUint32(blk[4:8], 16)
 	binary.LittleEndian.PutUint32(blk[12:16], 16)
 	buf.Write(blk)
-	got, err := ReadPcapng(buf.Bytes())
+	got, err := readCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestPcapngTruncated(t *testing.T) {
 	c := &Capture{LinkType: LinkRaw, Packets: samplePackets()}
 	var buf bytes.Buffer
 	_ = WritePcapng(&buf, c)
-	if _, err := ReadPcapng(buf.Bytes()[:buf.Len()-3]); err == nil {
+	if _, err := readCapture(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
 		t.Error("truncated pcapng accepted")
 	}
 }
@@ -212,7 +214,7 @@ func TestPcapRoundTripProperty(t *testing.T) {
 		if err := WritePcap(&buf, c); err != nil {
 			return false
 		}
-		got, err := ReadPcap(buf.Bytes())
+		got, err := readCapture(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}

@@ -1,8 +1,6 @@
 package pcapio
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"io"
 )
@@ -18,19 +16,6 @@ const (
 	byteOrderMagic = 0x1A2B3C4D
 	secretsTLSKeys = 0x544c534b // "TLSK": TLS key log secrets
 )
-
-// ReadPcapng parses a pcapng file, collecting packets from Enhanced Packet
-// Blocks and TLS key logs from Decryption Secrets Blocks. Multiple sections
-// and interfaces are supported; unknown block types are skipped, as the
-// format requires. It delegates to the streaming Reader — the slice API is
-// a convenience wrapper over one parsing implementation.
-func ReadPcapng(data []byte) (*Capture, error) {
-	if len(data) < 12 {
-		return nil, ErrShortFile
-	}
-	rd := &Reader{br: bufio.NewReader(bytes.NewReader(data)), ng: true}
-	return rd.drain()
-}
 
 // WritePcapng serializes the capture as a single-section little-endian
 // pcapng file with one interface. TLS secrets are embedded as Decryption
@@ -113,14 +98,4 @@ func WritePcapng(w io.Writer, c *Capture) error {
 		}
 	}
 	return nil
-}
-
-// Read auto-detects the capture format (pcap or pcapng) and parses it.
-func Read(data []byte) (*Capture, error) {
-	if len(data) >= 4 {
-		if binary.LittleEndian.Uint32(data[0:4]) == blockSHB {
-			return ReadPcapng(data)
-		}
-	}
-	return ReadPcap(data)
 }

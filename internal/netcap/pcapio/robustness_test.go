@@ -34,6 +34,6 @@ func TestReadNeverPanics(t *testing.T) {
 			}
 			data = data[:rng.Intn(len(data)+1)]
 		}
-		_, _ = Read(data) // must not panic
+		_, _ = readCapture(bytes.NewReader(data)) // must not panic
 	}
 }

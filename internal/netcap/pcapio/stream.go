@@ -2,14 +2,15 @@ package pcapio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
 )
 
-// PacketSource is a pull-based packet iterator — the streaming counterpart
-// of Capture.Packets. Next returns io.EOF at the end of the capture.
+// PacketSource is a pull-based packet iterator (Reader is the one over
+// capture files). Next returns io.EOF at the end of the capture.
 // LinkType and Secrets report capture metadata seen so far: for pcapng,
 // the link type is known once the first Interface Description Block has
 // been read (always before the first packet), and Decryption Secrets
@@ -23,7 +24,8 @@ type PacketSource interface {
 
 // Reader streams packets out of a pcap or pcapng file without
 // materializing the capture: only the current packet's bytes are resident,
-// so multi-gigabyte captures iterate in constant memory.
+// so multi-gigabyte captures iterate in constant memory. It is the only
+// capture parser: pcap and pcapng files are read through it alone.
 type Reader struct {
 	br   *bufio.Reader
 	ng   bool // pcapng vs classic pcap
@@ -138,9 +140,9 @@ func (r *Reader) nextPcap() (Packet, error) {
 	if incl < 0 || incl > maxPacketLen {
 		return Packet{}, ErrShortFile
 	}
-	data := make([]byte, incl)
-	if _, err := io.ReadFull(r.br, data); err != nil {
-		return Packet{}, ErrShortFile
+	data, err := r.readN(incl)
+	if err != nil {
+		return Packet{}, err
 	}
 	ns := int64(frac)
 	if !r.nano {
@@ -153,9 +155,37 @@ func (r *Reader) nextPcap() (Packet, error) {
 	}, nil
 }
 
-// maxPacketLen bounds a single record/block so a corrupt length field
-// cannot drive an attempted multi-gigabyte allocation.
+// maxPacketLen bounds a single record/block: a length field above it is
+// corrupt, whatever the input holds.
 const maxPacketLen = 256 << 20
+
+// readChunk is the most readN allocates ahead of the bytes it reads: a
+// length field claiming more than the input holds costs one chunk, not
+// the claimed size.
+const readChunk = 1 << 20
+
+// readN reads the next n bytes. A record up to readChunk (every ordinary
+// packet) takes one exact allocation; a longer one is read a chunk at a
+// time and joined once complete, so what is allocated follows the bytes
+// that actually arrive.
+func (r *Reader) readN(n int) ([]byte, error) {
+	if n <= readChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r.br, buf); err != nil {
+			return nil, ErrShortFile
+		}
+		return buf, nil
+	}
+	var chunks [][]byte
+	for left := n; left > 0; left -= readChunk {
+		chunk, err := r.readN(min(left, readChunk))
+		if err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, chunk)
+	}
+	return bytes.Join(chunks, nil), nil
+}
 
 // nextPcapng reads blocks until the next Enhanced or Simple Packet Block,
 // accumulating interface descriptions and decryption secrets on the way.
@@ -187,9 +217,9 @@ func (r *Reader) nextPcapng() (Packet, error) {
 			return Packet{}, ErrShortFile
 		}
 		// Read body + trailing length word.
-		rest := make([]byte, totalLen-8)
-		if _, err := io.ReadFull(r.br, rest); err != nil {
-			return Packet{}, ErrShortFile
+		rest, err := r.readN(totalLen - 8)
+		if err != nil {
+			return Packet{}, err
 		}
 		body := rest[:len(rest)-4]
 		switch btype {
@@ -323,54 +353,4 @@ func (r *Reader) readDSB(body []byte) error {
 		r.secrets = append(r.secrets, append([]byte(nil), body[8:8+slen]...))
 	}
 	return nil
-}
-
-// captureSource adapts an in-memory Capture to PacketSource.
-type captureSource struct {
-	c *Capture
-	i int
-}
-
-// Source returns a PacketSource over an already-parsed capture.
-func (c *Capture) Source() PacketSource { return &captureSource{c: c} }
-
-func (s *captureSource) Next() (Packet, error) {
-	if s.i >= len(s.c.Packets) {
-		return Packet{}, io.EOF
-	}
-	p := s.c.Packets[s.i]
-	s.i++
-	return p, nil
-}
-
-func (s *captureSource) LinkType() LinkType { return s.c.LinkType }
-func (s *captureSource) Secrets() [][]byte  { return s.c.Secrets }
-
-// ReadStream drains a streaming reader into an in-memory Capture —
-// the bridge from the streaming layer back to the slice-based API.
-func ReadStream(r io.Reader) (*Capture, error) {
-	rd, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return rd.drain()
-}
-
-// drain consumes every remaining packet into an in-memory Capture.
-func (r *Reader) drain() (*Capture, error) {
-	c := &Capture{}
-	for {
-		pkt, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.Packets = append(c.Packets, pkt)
-	}
-	c.LinkType = r.LinkType()
-	c.NanoRes = r.NanoRes()
-	c.Secrets = r.Secrets()
-	return c, nil
 }

@@ -2,30 +2,40 @@ package pcapio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/iotest"
 )
 
-// drainReader pulls every packet out of a streaming reader.
-func drainReader(t *testing.T, rd *Reader) []Packet {
-	t.Helper()
-	var out []Packet
+// readCapture reads a capture file through NewReader into the document the
+// writers take, for comparison with what was written.
+func readCapture(r io.Reader) (*Capture, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	c := &Capture{}
 	for {
 		pkt, err := rd.Next()
 		if err == io.EOF {
-			return out
+			break
 		}
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			return nil, err
 		}
-		out = append(out, pkt)
+		c.Packets = append(c.Packets, pkt)
 	}
+	c.LinkType, c.NanoRes, c.Secrets = rd.LinkType(), rd.NanoRes(), rd.Secrets()
+	return c, nil
 }
 
 // TestReaderMatchesSliceParsers proves the streaming reader yields exactly
-// what the slice parsers produce, for both formats.
+// what was written, for both formats, whether it reads from the whole byte
+// slice or one byte at a time: packets, link type and (pcapng only) secrets.
 func TestReaderMatchesSliceParsers(t *testing.T) {
 	c := &Capture{
 		LinkType: LinkRaw,
@@ -40,23 +50,27 @@ func TestReaderMatchesSliceParsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{"pcap": p.Bytes(), "pcapng": ng.Bytes()} {
-		want, err := Read(data)
-		if err != nil {
-			t.Fatal(err)
+		want := c.Secrets
+		if name == "pcap" {
+			want = nil // classic pcap has nowhere to carry secrets
 		}
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: NewReader: %v", name, err)
-		}
-		got := drainReader(t, rd)
-		if !reflect.DeepEqual(normalize(got), normalize(want.Packets)) {
-			t.Errorf("%s: streamed packets differ from slice parse", name)
-		}
-		if rd.LinkType() != want.LinkType {
-			t.Errorf("%s: link = %d, want %d", name, rd.LinkType(), want.LinkType)
-		}
-		if !reflect.DeepEqual(rd.Secrets(), want.Secrets) {
-			t.Errorf("%s: secrets differ", name)
+		for how, r := range map[string]io.Reader{
+			"whole":   bytes.NewReader(data),
+			"onebyte": iotest.OneByteReader(bytes.NewReader(data)),
+		} {
+			got, err := readCapture(r)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, how, err)
+			}
+			if !reflect.DeepEqual(normalize(got.Packets), normalize(c.Packets)) {
+				t.Errorf("%s/%s: packets differ from the written ones", name, how)
+			}
+			if got.LinkType != c.LinkType {
+				t.Errorf("%s/%s: link = %d, want %d", name, how, got.LinkType, c.LinkType)
+			}
+			if !reflect.DeepEqual(got.Secrets, want) {
+				t.Errorf("%s/%s: secrets = %q, want %q", name, how, got.Secrets, want)
+			}
 		}
 	}
 }
@@ -69,13 +83,12 @@ func TestReaderSmallReads(t *testing.T) {
 	if err := WritePcapng(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
+	got, err := readCapture(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drainReader(t, rd)
-	if len(got) != len(c.Packets) {
-		t.Errorf("packets = %d, want %d", len(got), len(c.Packets))
+	if len(got.Packets) != len(c.Packets) {
+		t.Errorf("packets = %d, want %d", len(got.Packets), len(c.Packets))
 	}
 }
 
@@ -107,41 +120,70 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestCaptureSource checks the in-memory adapter satisfies PacketSource.
-func TestCaptureSource(t *testing.T) {
-	c := &Capture{LinkType: LinkEthernet, Packets: samplePackets(), Secrets: [][]byte{[]byte("x")}}
-	var src PacketSource = c.Source()
-	n := 0
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			break
+// TestHostileLengthAllocatesLittle feeds each format a header whose
+// length field claims 200 MiB the input does not hold: the reader fails
+// with ErrShortFile having allocated about a read chunk, not the claim.
+func TestHostileLengthAllocatesLittle(t *testing.T) {
+	const claim = 200 << 20
+	le := binary.LittleEndian
+	// Classic pcap: the 24-byte file header, then a record header whose
+	// captured length is the claim.
+	pcap := make([]byte, 24+16)
+	le.PutUint32(pcap[0:4], magicMicro)
+	le.PutUint32(pcap[20:24], uint32(LinkRaw))
+	le.PutUint32(pcap[24+8:24+12], claim)
+	// pcapng: a 28-byte Section Header Block, then the first 8 bytes of an
+	// Enhanced Packet Block whose total length is the claim.
+	ng := make([]byte, 28+8)
+	le.PutUint32(ng[0:4], blockSHB)
+	le.PutUint32(ng[4:8], 28)
+	le.PutUint32(ng[8:12], byteOrderMagic)
+	le.PutUint32(ng[24:28], 28)
+	le.PutUint32(ng[28:32], blockEPB)
+	le.PutUint32(ng[32:36], claim)
+
+	for name, data := range map[string][]byte{"pcap": pcap, "pcapng": ng} {
+		if len(data) >= 64 {
+			t.Fatalf("%s: hostile input is %d bytes", name, len(data))
 		}
-		if err != nil {
-			t.Fatal(err)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rd, err := NewReader(bytes.NewReader(data))
+		if err == nil {
+			_, err = rd.Next()
 		}
-		n++
-	}
-	if n != len(c.Packets) {
-		t.Errorf("packets = %d", n)
-	}
-	if src.LinkType() != LinkEthernet || len(src.Secrets()) != 1 {
-		t.Error("metadata not forwarded")
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrShortFile) {
+			t.Errorf("%s: err = %v, want ErrShortFile", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+			t.Errorf("%s: a %d-byte input allocated %d bytes", name, len(data), grew)
+		}
 	}
 }
 
-// TestReadStream checks the stream→Capture bridge round-trips.
-func TestReadStream(t *testing.T) {
-	c := &Capture{LinkType: LinkRaw, NanoRes: true, Packets: samplePackets()}
-	var buf bytes.Buffer
-	if err := WritePcapng(&buf, c); err != nil {
-		t.Fatal(err)
+// TestLongRecordReadInChunks reads records longer than a read chunk, which
+// arrive in pieces, and checks their bytes survive intact.
+func TestLongRecordReadInChunks(t *testing.T) {
+	big := make([]byte, 2*readChunk+3)
+	for i := range big {
+		big[i] = byte(i * 7)
 	}
-	got, err := ReadStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.NanoRes || got.LinkType != LinkRaw || len(got.Packets) != len(c.Packets) {
-		t.Errorf("round trip lost metadata: %+v", got)
+	c := &Capture{LinkType: LinkRaw, Packets: append(samplePackets(), Packet{
+		Timestamp: samplePackets()[0].Timestamp, Data: big, OrigLen: len(big),
+	})}
+	for name, write := range map[string]func(io.Writer, *Capture) error{"pcap": WritePcap, "pcapng": WritePcapng} {
+		var buf bytes.Buffer
+		if err := write(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readCapture(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := len(got.Packets); n != len(c.Packets) || !bytes.Equal(got.Packets[n-1].Data, big) {
+			t.Errorf("%s: long record not read back intact", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,15 +39,30 @@ func childHAR(t *testing.T) []byte {
 	return data
 }
 
-// unmarshalHAR decodes a whole HAR document with encoding/json: the
-// reference the server's streamed ingest is checked against.
-func unmarshalHAR(t *testing.T, data []byte) *har.HAR {
+// harRecords reads HAR bytes through the HAR source, outside the server:
+// the records a direct pipeline run over the upload audits.
+func harRecords(t *testing.T, data []byte, trace flows.TraceCategory) []core.RequestRecord {
 	t.Helper()
-	var h har.HAR
-	if err := json.Unmarshal(data, &h); err != nil {
+	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace, flows.Web))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &h
+	return recs
+}
+
+// pcapRecords reads capture bytes through pcapio.NewReader and the PCAP
+// source, outside the server.
+func pcapRecords(t *testing.T, data []byte, trace flows.TraceCategory) []core.RequestRecord {
+	t.Helper()
+	rd, err := pcapio.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := core.Drain(core.NewPCAPSource(context.Background(), rd, nil, trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // submit posts a multipart audit request built from field→(filename,
@@ -147,10 +163,9 @@ func TestAuditEndToEnd(t *testing.T) {
 	got, _ := io.ReadAll(gotResp.Body)
 	gotResp.Body.Close()
 
-	h := unmarshalHAR(t, harData)
 	spec, _ := services.ByName("Quizlet")
 	id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
-	res := core.NewPipeline().AnalyzeRecords(id, core.FromHAR(h, flows.Child, flows.Web))
+	res := core.NewPipeline().AnalyzeRecords(id, harRecords(t, harData, flows.Child))
 	want, err := report.ExportJSON([]*core.ServiceResult{res})
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +211,7 @@ func TestGuessedIdentity(t *testing.T) {
 		"name":  {"", "mystery-service"},
 	})
 
-	h := unmarshalHAR(t, harData)
-	recs := core.FromHAR(h, flows.Child, flows.Web)
-	mobile, _, err := core.FromPCAP(capt, nil, flows.Adult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = append(recs, mobile...)
+	recs := append(harRecords(t, harData, flows.Child), pcapRecords(t, pcapData.Bytes(), flows.Adult)...)
 	id := core.GuessIdentity("mystery-service", recs)
 	if len(id.FirstPartyESLDs) != 1 {
 		t.Fatalf("reference identity = %+v", id)
@@ -848,8 +857,7 @@ func directDiffJSON(t *testing.T, baseURL, injectedURL string) []byte {
 	spec, _ := services.ByName("Quizlet")
 	id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
 	audit := func(urls ...string) *core.ServiceResult {
-		h := unmarshalHAR(t, []byte(deltaHAR(t, urls...)))
-		return core.NewPipeline().AnalyzeRecords(id, core.FromHAR(h, flows.Child, flows.Web))
+		return core.NewPipeline().AnalyzeRecords(id, harRecords(t, []byte(deltaHAR(t, urls...)), flows.Child))
 	}
 	want, err := report.ExportDiffJSON(core.Longitudinal(audit(baseURL), audit(baseURL, injectedURL)))
 	if err != nil {

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -135,11 +134,11 @@ func TestUserEmissionFlowsIdentical(t *testing.T) {
 	}
 
 	audit := func(data []byte) interface{} {
-		var h har.HAR
-		if err := json.Unmarshal(data, &h); err != nil {
+		src := core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), flows.Child, flows.Web)
+		res, err := core.NewPipeline().AnalyzeStream(st.Identity(), src)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewPipeline().AnalyzeRecords(st.Identity(), core.FromHAR(&h, flows.Child, flows.Web))
 		return res.ByTrace[flows.Child].GroupGrid()
 	}
 	if !reflect.DeepEqual(audit(base), audit(alt)) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diffaudit"
+	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 	"diffaudit/internal/services"
@@ -83,9 +84,9 @@ func TestFifthPersonaEndToEnd(t *testing.T) {
 		t.Error("audit report missing the EU Teen flow row")
 	}
 	// The under-16 persona participates in the age differential.
-	sims := diffaudit.AgeDifferential(res)
+	sims := core.AgeDifferential(res)
 	if _, ok := sims[p]; !ok {
-		t.Errorf("AgeDifferential = %v, missing the minor fifth persona", sims)
+		t.Errorf("core.AgeDifferential = %v, missing the minor fifth persona", sims)
 	}
 
 	// CSV export carries the persona's flows.

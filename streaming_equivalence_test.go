@@ -182,8 +182,8 @@ func TestAuditStreamPublicAPI(t *testing.T) {
 	// Split the records in half across two sources.
 	mid := len(recs) / 2
 	got, err := auditor.AuditStream(st.Identity(), diffaudit.MultiSource(
-		diffaudit.SliceSource(recs[:mid]),
-		diffaudit.SliceSource(recs[mid:]),
+		core.SliceSource(recs[:mid]),
+		core.SliceSource(recs[mid:]),
 	))
 	if err != nil {
 		t.Fatal(err)
