@@ -623,3 +623,42 @@ func BenchmarkTLSDecryption(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPCAPIngest is the packet path's layer number: the `upload`
+// benchmark workload's mobile captures (six services × four personas,
+// synthetic scale 0.3, pcapng with embedded secrets) read through
+// pcapio.NewReader and the PCAP source to their last record — packet
+// parsing, reassembly, TLS decryption and HTTP parsing, no analysis.
+func BenchmarkPCAPIngest(b *testing.B) {
+	ds := synth.Generate(synth.Config{Scale: 0.3})
+	var captures [][]byte
+	total := 0
+	for _, st := range ds.Services[:6] {
+		for _, p := range flows.BuiltinPersonas() {
+			capt, err := st.EmitPCAP(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := pcapio.WritePcapng(&buf, capt); err != nil {
+				b.Fatal(err)
+			}
+			captures = append(captures, buf.Bytes())
+			total += buf.Len()
+		}
+	}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range captures {
+			rd, err := pcapio.NewReader(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.Drain(core.NewPCAPSource(context.Background(), rd, nil, flows.Child)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -58,6 +58,17 @@ type PCAPStats struct {
 	OpaqueSNIs []string
 }
 
+// addStreams adds the stream-level counters of d, the stats of one
+// stream's decode, to s, appending its opaque SNIs after those already
+// listed.
+func (s *PCAPStats) addStreams(d *PCAPStats) {
+	s.TLSStreams += d.TLSStreams
+	s.DecryptedStreams += d.DecryptedStreams
+	s.OpaqueStreams += d.OpaqueStreams
+	s.TLS12Streams += d.TLS12Streams
+	s.OpaqueSNIs = append(s.OpaqueSNIs, d.OpaqueSNIs...)
+}
+
 // emitStreamRecords converts one reassembled TCP stream into request
 // records, decrypting TLS with dec and updating stats. Undecryptable or
 // non-HTTP streams are counted and yield nil.
@@ -96,7 +107,7 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 	if err != nil && !errors.Is(err, httpx.ErrIncomplete) {
 		return nil
 	}
-	var out []RequestRecord
+	out := make([]RequestRecord, 0, len(reqs))
 	for _, r := range reqs {
 		rec := RequestRecord{
 			Trace:    trace,

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 
+	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/har"
 	"diffaudit/internal/netcap/dnsx"
@@ -40,21 +44,29 @@ func (s *harSource) Next() (RequestRecord, error) {
 }
 
 // PCAPSource converts a packet stream into request records. Packets are
-// read one at a time, but memory is not constant in the capture: the
-// reassembler keeps every TCP segment that carries payload — a slice of the
-// frame it arrived in, so that frame's whole buffer — until the packet
-// phase ends and the streams are assembled (TLS decryption needs whole
-// streams, and pcapng may put the keys last). Only frames without TCP
-// payload (DNS, ACKs, non-IP) are dropped as they pass. A capture's peak
-// is therefore about its own size, which server.Config.MaxUploadBytes bounds.
+// read one at a time into the reader's one buffer, but memory is not
+// constant in the capture: the reassembler copies every TCP payload byte
+// into a buffer per flow direction and keeps it until the packet phase ends
+// and the streams are assembled (TLS decryption needs whole streams, and
+// pcapng may put the keys last). Frames themselves are not kept, and frames
+// without TCP payload (DNS, ACKs, non-IP) leave nothing behind. A capture's
+// peak is therefore about its payload, which server.Config.MaxUploadBytes
+// bounds.
 //
 // The source works in two phases behind a single Next API: the first call
 // drains the packet iterator into the reassembler (collecting DNS and
-// packet counts on the way), then streams are decrypted and parsed lazily,
-// one flow at a time. The context is consulted every pcapCtxCheckPackets
-// frames of the first phase and before each stream of the second, so a
-// deadline reaches a capture of any size; a run it does not cut short is
-// unaffected.
+// packet counts on the way); then streams are decrypted and parsed in an
+// ordered window, up to 2×GOMAXPROCS streams at once, each on a goroutine of
+// its own with its own stats. Next hands out records, and merges stats,
+// stream by stream in capture order, so what a source yields does not depend
+// on how the decodes were scheduled. A decode that panics re-raises the
+// panic on the Next caller. The context is consulted every
+// pcapCtxCheckPackets frames of the first phase and before each stream of
+// the second is dispatched or consumed, so a deadline reaches a capture of
+// any size; a run it does not cut short is unaffected. Decodes already
+// dispatched when a run is cut short, or its FileSource closed, run to
+// their end, but their results are dropped; the failing Next, or
+// FileSource.Close, returns once they have.
 type PCAPSource struct {
 	ctx   context.Context
 	pkts  pcapio.PacketSource
@@ -65,9 +77,23 @@ type PCAPSource struct {
 	stats   PCAPStats
 	dec     *tlsx.StreamDecryptor
 	streams []*reassembly.Stream
-	si      int
+	next    int // streams[next] is the next stream to dispatch
+	width   int // most decodes in flight
+	window  []*streamDecode
 	pending []RequestRecord
 	err     error
+}
+
+// streamDecode is one stream's decode. Its fields are written by the
+// decoding goroutine and read once done is closed.
+type streamDecode struct {
+	done  chan struct{}
+	recs  []RequestRecord
+	stats PCAPStats
+	err   error
+	// panicked is the panic value and the decoding goroutine's stack,
+	// non-empty when the decode panicked.
+	panicked string
 }
 
 // NewPCAPSource returns a RecordSource over a packet stream. TLS key
@@ -99,22 +125,81 @@ func (s *PCAPSource) Next() (RequestRecord, error) {
 		}
 	}
 	for len(s.pending) == 0 {
-		if s.si >= len(s.streams) {
+		if err := s.ctx.Err(); err != nil {
+			return s.fail(err)
+		}
+		if err := s.fill(); err != nil {
+			return s.fail(err)
+		}
+		if len(s.window) == 0 {
 			s.err = io.EOF
 			return RequestRecord{}, io.EOF
 		}
-		if err := s.ctx.Err(); err != nil {
-			s.err = err
-			return RequestRecord{}, err
+		d := s.window[0]
+		s.window[0] = nil
+		s.window = s.window[1:]
+		<-d.done
+		if d.panicked != "" {
+			msg := "core: stream decode panicked: " + d.panicked
+			s.fail(errors.New(msg))
+			panic(msg)
 		}
-		stream := s.streams[s.si]
-		s.si++
-		s.streams[s.si-1] = nil // release the stream's payload eagerly
-		s.pending = emitStreamRecords(s.dec, stream, s.trace, &s.stats)
+		if d.err != nil {
+			return s.fail(d.err)
+		}
+		s.stats.addStreams(&d.stats)
+		s.pending = d.recs
 	}
 	rec := s.pending[0]
 	s.pending = s.pending[1:]
 	return rec, nil
+}
+
+// fail ends the source with err, once every decode in flight has ended.
+func (s *PCAPSource) fail(err error) (RequestRecord, error) {
+	s.stop()
+	s.err = err
+	return RequestRecord{}, err
+}
+
+// stop waits for the decodes in flight to end and drops what is left of
+// the capture.
+func (s *PCAPSource) stop() {
+	for _, d := range s.window {
+		<-d.done
+	}
+	s.window, s.streams, s.pending = nil, nil, nil
+}
+
+// fill dispatches streams until width decodes are in flight or none is
+// left, looking at the context before each.
+func (s *PCAPSource) fill() error {
+	for len(s.window) < s.width && s.next < len(s.streams) {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		stream := s.streams[s.next]
+		s.streams[s.next] = nil // the decode holds the stream's payload now
+		s.next++
+		d := &streamDecode{done: make(chan struct{})}
+		go d.run(s.dec, stream, s.trace)
+		s.window = append(s.window, d)
+	}
+	return nil
+}
+
+// run decodes one stream, containing a panic for the Next caller to raise.
+func (d *streamDecode) run(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, trace flows.TraceCategory) {
+	defer close(d.done)
+	defer func() {
+		if r := recover(); r != nil {
+			d.panicked = fmt.Sprintf("%v\n\nstream decode goroutine:\n%s", r, debug.Stack())
+		}
+	}()
+	if d.err = faults.Inject("pcap.stream"); d.err != nil {
+		return
+	}
+	d.recs = emitStreamRecords(dec, stream, trace, &d.stats)
 }
 
 // start drains the packet phase: every frame is decoded and fed to the
@@ -150,7 +235,7 @@ func (s *PCAPSource) start() error {
 			}
 			continue
 		}
-		asm.Add(d)
+		asm.Add(d) // copies the payload: pkt.Data is reused by the next read
 	}
 	s.stats.TCPFlows = asm.FlowCount()
 	for name := range queried {
@@ -171,6 +256,7 @@ func (s *PCAPSource) start() error {
 	keylog.Merge(s.extra)
 	s.dec = tlsx.NewStreamDecryptor(keylog)
 	s.streams = asm.Streams()
+	s.width = 2 * runtime.GOMAXPROCS(0)
 	s.started = true
 	return nil
 }
@@ -193,12 +279,16 @@ func (s *FileSource) Next() (RequestRecord, error) {
 	return rec, err
 }
 
-// Close releases the underlying file. Safe to call repeatedly.
+// Close releases the underlying file, once any stream decodes a capture
+// has in flight have ended. Safe to call repeatedly.
 func (s *FileSource) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	if s.pcap != nil {
+		s.pcap.stop()
+	}
 	return s.f.Close()
 }
 

@@ -2,7 +2,6 @@ package pcapio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,7 +9,9 @@ import (
 )
 
 // PacketSource is a pull-based packet iterator (Reader is the one over
-// capture files). Next returns io.EOF at the end of the capture.
+// capture files). Next returns io.EOF at the end of the capture. A
+// packet's Data is valid only until the following Next call: a caller that
+// keeps the bytes past that copies them.
 // LinkType and Secrets report capture metadata seen so far: for pcapng,
 // the link type is known once the first Interface Description Block has
 // been read (always before the first packet), and Decryption Secrets
@@ -24,7 +25,8 @@ type PacketSource interface {
 
 // Reader streams packets out of a pcap or pcapng file without
 // materializing the capture: only the current packet's bytes are resident,
-// so multi-gigabyte captures iterate in constant memory. It is the only
+// in one buffer every Next reuses, so multi-gigabyte captures iterate in
+// constant memory and ordinary packets allocate nothing. It is the only
 // capture parser: pcap and pcapng files are read through it alone.
 type Reader struct {
 	br   *bufio.Reader
@@ -40,6 +42,9 @@ type Reader struct {
 	// hdr is the per-record/block header scratch buffer: one reader
 	// iterates millions of packets, so header reads must not allocate.
 	hdr [24]byte
+	// buf holds the current record or block; it grows to the longest one
+	// read so far and is overwritten by the next.
+	buf []byte
 }
 
 type ngIface struct {
@@ -81,7 +86,8 @@ func (r *Reader) NanoRes() bool { return r.nano }
 func (r *Reader) Secrets() [][]byte { return r.secrets }
 
 // Next returns the next packet, or io.EOF at a clean end of capture. A
-// capture truncated mid-record yields ErrShortFile. Errors stick.
+// capture truncated mid-record yields ErrShortFile. Errors stick. The
+// packet's Data is the reader's buffer, valid until the next call.
 func (r *Reader) Next() (Packet, error) {
 	if r.err != nil {
 		return Packet{}, r.err
@@ -159,32 +165,31 @@ func (r *Reader) nextPcap() (Packet, error) {
 // corrupt, whatever the input holds.
 const maxPacketLen = 256 << 20
 
-// readChunk is the most readN allocates ahead of the bytes it reads: a
-// length field claiming more than the input holds costs one chunk, not
-// the claimed size.
+// readChunk is the most readN grows its buffer ahead of the bytes it
+// reads: a length field claiming more than the input holds costs about one
+// chunk, not the claimed size.
 const readChunk = 1 << 20
 
-// readN reads the next n bytes. A record up to readChunk (every ordinary
-// packet) takes one exact allocation; a longer one is read a chunk at a
-// time and joined once complete, so what is allocated follows the bytes
-// that actually arrive.
+// readN reads the next n bytes into the reader's buffer, valid until the
+// next call. A record up to readChunk (every ordinary packet) fits the
+// buffer after the first few packets; a longer one is read a chunk at a
+// time, the buffer doubling (up to n) only as bytes actually arrive.
 func (r *Reader) readN(n int) ([]byte, error) {
-	if n <= readChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+	buf := r.buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), readChunk)
+		if cap(buf)-len(buf) < step {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), len(buf)+step)))
+			copy(grown, buf)
+			buf = grown
+		}
+		buf = buf[:len(buf)+step]
+		if _, err := io.ReadFull(r.br, buf[len(buf)-step:]); err != nil {
 			return nil, ErrShortFile
 		}
-		return buf, nil
 	}
-	var chunks [][]byte
-	for left := n; left > 0; left -= readChunk {
-		chunk, err := r.readN(min(left, readChunk))
-		if err != nil {
-			return nil, err
-		}
-		chunks = append(chunks, chunk)
-	}
-	return bytes.Join(chunks, nil), nil
+	r.buf = buf
+	return buf, nil
 }
 
 // nextPcapng reads blocks until the next Enhanced or Simple Packet Block,
@@ -309,7 +314,8 @@ func (r *Reader) readIDB(body []byte) error {
 	return nil
 }
 
-// readEPB parses an Enhanced Packet Block body into a Packet.
+// readEPB parses an Enhanced Packet Block body into a Packet whose Data is
+// a sub-slice of the body, so of the reader's buffer.
 func (r *Reader) readEPB(body []byte) (Packet, error) {
 	if len(body) < 20 {
 		return Packet{}, ErrShortFile
@@ -334,12 +340,13 @@ func (r *Reader) readEPB(body []byte) (Packet, error) {
 	r.nano = r.nano || scale == 1
 	return Packet{
 		Timestamp: time.Unix(0, ns).UTC(),
-		Data:      append([]byte(nil), body[20:20+capLen]...),
+		Data:      body[20 : 20+capLen],
 		OrigLen:   origLen,
 	}, nil
 }
 
-// readDSB parses a Decryption Secrets Block body, retaining TLS key logs.
+// readDSB parses a Decryption Secrets Block body, retaining TLS key logs
+// (copied: the body is the reader's buffer).
 func (r *Reader) readDSB(body []byte) error {
 	if len(body) < 8 {
 		return ErrShortFile

@@ -1,12 +1,14 @@
 // Package reassembly reconstructs TCP byte streams from captured segments.
-// It handles out-of-order arrival, retransmission, and overlapping segments
-// (first-arrival wins, as Wireshark's follow-stream does), producing one
-// ordered byte stream per flow direction. It also counts TCP flows, the
-// statistic reported in Table 1 of the DiffAudit paper.
+// It handles out-of-order arrival, retransmission, and overlapping segments,
+// producing one ordered byte stream per flow direction: where segments
+// overlap, the one with the lowest stream offset wins, ties going to the
+// earliest arrival, and a hole ends the stream. It also counts TCP flows,
+// the statistic reported in Table 1 of the DiffAudit paper.
 package reassembly
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"diffaudit/internal/netcap/layers"
 )
@@ -21,22 +23,28 @@ const (
 	ServerToClient
 )
 
-// segment is one TCP payload with its relative stream offset.
+// segment is one TCP payload: its relative stream offset and its span in
+// the direction's buffer.
 type segment struct {
 	offset uint64 // relative to the direction's initial sequence number
-	data   []byte
+	lo, hi int    // buf[lo:hi] holds the payload
 }
 
-// half reassembles one direction of a flow.
+// half reassembles one direction of a flow. Payload is copied once, into
+// buf, in arrival order, so no captured frame stays referenced.
 type half struct {
 	initSeq    uint32
 	hasInitSeq bool
+	buf        []byte
 	segments   []segment
-	sawSYN     bool
+	// reordered is set once a segment did not start exactly where the
+	// bytes before it ended; until then buf is the stream itself.
+	reordered bool
+	sawSYN    bool
 }
 
-// isn records the initial sequence number for relative offsets. SYN
-// consumes one sequence number.
+// add records one segment. The initial sequence number fixes relative
+// offsets; SYN consumes one sequence number.
 func (h *half) add(t *layers.TCP) {
 	if !h.hasInitSeq {
 		h.initSeq = t.Seq
@@ -57,31 +65,39 @@ func (h *half) add(t *layers.TCP) {
 	if off < 0 {
 		return // before ISN: spurious retransmission
 	}
-	h.segments = append(h.segments, segment{offset: uint64(off), data: t.Payload})
+	if uint64(off) != uint64(len(h.buf)) {
+		h.reordered = true
+	}
+	lo := len(h.buf)
+	h.buf = append(h.buf, t.Payload...)
+	h.segments = append(h.segments, segment{offset: uint64(off), lo: lo, hi: len(h.buf)})
 }
 
-// bytes merges the segments into a contiguous prefix stream. Gaps terminate
-// the stream (bytes after a hole are not emitted); overlaps keep the
-// earliest-arriving bytes.
+// bytes merges the segments into a contiguous prefix stream. Segments are
+// taken in offset order, ties in arrival order; each contributes what it
+// holds past the bytes already merged, and a hole ends the stream. A
+// direction whose segments all arrived in order and contiguous from offset
+// 0 merges to its buffer as it stands, which is returned without a copy.
 func (h *half) bytes() []byte {
 	if len(h.segments) == 0 {
 		return nil
 	}
-	segs := make([]segment, len(h.segments))
-	copy(segs, h.segments)
-	sort.SliceStable(segs, func(i, j int) bool { return segs[i].offset < segs[j].offset })
+	if !h.reordered {
+		return h.buf[:len(h.buf):len(h.buf)]
+	}
+	slices.SortStableFunc(h.segments, func(a, b segment) int { return cmp.Compare(a.offset, b.offset) })
 	var out []byte
-	for _, s := range segs {
+	for _, s := range h.segments {
 		end := uint64(len(out))
 		switch {
 		case s.offset > end:
 			// Hole: stop at the gap.
 			return out
-		case s.offset+uint64(len(s.data)) <= end:
+		case s.offset+uint64(s.hi-s.lo) <= end:
 			// Fully duplicate segment.
 			continue
 		default:
-			out = append(out, s.data[end-s.offset:]...)
+			out = append(out, h.buf[s.lo+int(end-s.offset):s.hi]...)
 		}
 	}
 	return out

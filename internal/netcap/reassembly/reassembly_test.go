@@ -74,15 +74,51 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	}
 }
 
+// TestDuplicateAndOverlap pins the merge rule: where segments overlap, the
+// lowest stream offset wins, ties going to the earliest arrival. The
+// conflicting rows retransmit different bytes over the same span, so they
+// tell the rule apart from first-arrival-wins and last-arrival-wins.
 func TestDuplicateAndOverlap(t *testing.T) {
+	type in struct {
+		seq  uint32
+		data string
+	}
+	for _, tc := range []struct {
+		name string
+		segs []in
+		want string
+	}{
+		{"agreeing retransmits", []in{{1, "abcdef"}, {1, "abcdef"}, {4, "defghi"}, {10, "jkl"}}, "abcdefghijkl"},
+		// Same offset, different bytes: the earlier arrival wins.
+		{"conflicting tie", []in{{1, "abc"}, {1, "xyz"}, {4, "def"}}, "abcdef"},
+		// A later arrival at a lower offset wins over an earlier one at a
+		// higher offset where they overlap: "ZW" lands before "de" is read.
+		{"conflicting lower offset", []in{{1, "abc"}, {4, "def"}, {2, "XYZW"}}, "abcZWf"},
+		// An earlier arrival at a lower offset keeps its bytes.
+		{"conflicting higher offset", []in{{2, "XYZW"}, {1, "abc"}, {4, "def"}}, "abcZWf"},
+		{"conflicting contained", []in{{1, "abcdef"}, {3, "XY"}}, "abcdef"},
+	} {
+		a := New()
+		a.Add(seg(0, layers.FlagSYN, nil)) // offsets count from seq 1
+		for _, sg := range tc.segs {
+			a.Add(seg(sg.seq, 0, []byte(sg.data)))
+		}
+		if got := clientBytes(a.Streams()[0]); string(got) != tc.want {
+			t.Errorf("%s: stream = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestInOrderStreamNotCopied: a direction whose segments all arrived in
+// order is returned as the buffer it was assembled in, not a copy of it.
+func TestInOrderStreamNotCopied(t *testing.T) {
 	a := New()
-	a.Add(seg(1, 0, []byte("abcdef")))
-	a.Add(seg(1, 0, []byte("abcdef"))) // exact duplicate
-	a.Add(seg(4, 0, []byte("defghi"))) // overlapping retransmission
-	a.Add(seg(10, 0, []byte("jkl")))   // continues
-	got := clientBytes(a.Streams()[0])
-	if string(got) != "abcdefghijkl" {
-		t.Errorf("stream = %q, want abcdefghijkl", got)
+	a.Add(seg(1000, layers.FlagSYN, nil))
+	a.Add(seg(1001, layers.FlagACK, []byte("GET / HT")))
+	a.Add(seg(1009, layers.FlagACK, []byte("TP/1.1\r\n\r\n")))
+	first, second := clientBytes(a.Streams()[0]), clientBytes(a.Streams()[0])
+	if string(first) != "GET / HTTP/1.1\r\n\r\n" || &first[0] != &second[0] {
+		t.Errorf("in-order stream %q was copied or merged wrong", first)
 	}
 }
 

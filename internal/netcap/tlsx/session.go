@@ -16,6 +16,10 @@ type Session struct {
 	aead cipher.AEAD
 	iv   []byte
 	seq  uint64
+	// nonce and hdr are per-record scratch: AEAD takes them as slices
+	// through an interface, which would move a local array to the heap.
+	nonce [12]byte
+	hdr   [5]byte
 }
 
 // NewSession derives record-protection state from a traffic secret.
@@ -35,16 +39,16 @@ func NewSession(trafficSecret []byte) (*Session, error) {
 	return &Session{aead: aead, iv: iv}, nil
 }
 
-// nonce computes the per-record nonce: IV XOR seq (RFC 8446 §5.3).
-func (s *Session) nonce() []byte {
-	n := make([]byte, 12)
-	copy(n, s.iv)
+// setNonce computes the per-record nonce, IV XOR seq (RFC 8446 §5.3), into
+// s.nonce.
+func (s *Session) setNonce() []byte {
+	copy(s.nonce[:], s.iv)
 	var seqBytes [8]byte
 	binary.BigEndian.PutUint64(seqBytes[:], s.seq)
 	for i := 0; i < 8; i++ {
-		n[4+i] ^= seqBytes[i]
+		s.nonce[4+i] ^= seqBytes[i]
 	}
-	return n
+	return s.nonce[:]
 }
 
 // Seal encrypts an inner plaintext of the given content type into a full
@@ -55,7 +59,7 @@ func (s *Session) Seal(contentType ContentType, plaintext []byte) []byte {
 	inner = append(inner, byte(contentType))
 	ctLen := len(inner) + s.aead.Overhead()
 	hdr := []byte{byte(TypeApplicationData), 0x03, 0x03, byte(ctLen >> 8), byte(ctLen)}
-	ct := s.aead.Seal(nil, s.nonce(), inner, hdr)
+	ct := s.aead.Seal(nil, s.setNonce(), inner, hdr)
 	s.seq++
 	return append(hdr, ct...)
 }
@@ -63,20 +67,28 @@ func (s *Session) Seal(contentType ContentType, plaintext []byte) []byte {
 // Open decrypts one application-data record payload (the bytes after the
 // 5-byte header) and returns the inner content type and plaintext.
 func (s *Session) Open(recordPayload []byte) (ContentType, []byte, error) {
+	return s.AppendOpen(nil, recordPayload)
+}
+
+// AppendOpen is Open writing the plaintext after dst's bytes: it returns
+// dst extended by the record's plaintext, with no allocation when dst has
+// the room. The bytes past len(dst) are scratch until then, whatever the
+// outcome; on error the returned slice is dst.
+func (s *Session) AppendOpen(dst, recordPayload []byte) (ContentType, []byte, error) {
 	ctLen := len(recordPayload)
-	hdr := []byte{byte(TypeApplicationData), 0x03, 0x03, byte(ctLen >> 8), byte(ctLen)}
-	inner, err := s.aead.Open(nil, s.nonce(), recordPayload, hdr)
+	s.hdr = [5]byte{byte(TypeApplicationData), 0x03, 0x03, byte(ctLen >> 8), byte(ctLen)}
+	inner, err := s.aead.Open(dst, s.setNonce(), recordPayload, s.hdr[:])
 	if err != nil {
-		return 0, nil, fmt.Errorf("tlsx: record %d: %w", s.seq, err)
+		return 0, dst, fmt.Errorf("tlsx: record %d: %w", s.seq, err)
 	}
 	s.seq++
 	// Strip zero padding, then the trailing content type byte.
 	i := len(inner) - 1
-	for i >= 0 && inner[i] == 0 {
+	for i >= len(dst) && inner[i] == 0 {
 		i--
 	}
-	if i < 0 {
-		return 0, nil, errors.New("tlsx: record is all padding")
+	if i < len(dst) {
+		return 0, dst, errors.New("tlsx: record is all padding")
 	}
 	return ContentType(inner[i]), inner[:i], nil
 }
@@ -140,6 +152,10 @@ func (d *StreamDecryptor) DecryptConversation(clientStream, serverStream []byte)
 	var ch *ClientHello
 	var sess13 *Session
 	var sess12 *Session12
+	// plaintext is allocated once, when a session first opens a record:
+	// decrypted bytes never outnumber the stream's, and opaque streams
+	// allocate nothing.
+	var plaintext []byte
 	for _, rec := range records {
 		switch rec.Type {
 		case TypeHandshake:
@@ -173,27 +189,33 @@ func (d *StreamDecryptor) DecryptConversation(clientStream, serverStream []byte)
 				}
 			}
 		case TypeApplicationData:
+			if (sess13 != nil || sess12 != nil) && plaintext == nil {
+				plaintext = make([]byte, 0, len(clientStream))
+			}
 			switch {
 			case sess13 != nil:
-				ct, pt, err := sess13.Open(rec.Payload)
+				ct, out, err := sess13.AppendOpen(plaintext, rec.Payload)
 				if err != nil {
 					sess13 = nil // key mismatch: stream stays counted
 					continue
 				}
 				if ct == TypeApplicationData {
-					res.Plaintext = append(res.Plaintext, pt...)
+					plaintext = out
 					res.Decrypted = true
 				}
 			case sess12 != nil:
-				pt, err := sess12.Open(TypeApplicationData, rec.Payload)
+				out, err := sess12.AppendOpen(plaintext, TypeApplicationData, rec.Payload)
 				if err != nil {
 					sess12 = nil
 					continue
 				}
-				res.Plaintext = append(res.Plaintext, pt...)
+				plaintext = out
 				res.Decrypted = true
 			}
 		}
+	}
+	if res.Decrypted {
+		res.Plaintext = plaintext
 	}
 	return res, nil
 }

@@ -63,6 +63,9 @@ type Session12 struct {
 	aead cipher.AEAD
 	salt []byte
 	seq  uint64
+	// nonce and aad are per-record scratch, as in Session.
+	nonce [12]byte
+	aad   [13]byte
 }
 
 // NewSession12 derives client-write record protection from the session's
@@ -106,22 +109,29 @@ func (s *Session12) Seal(contentType ContentType, plaintext []byte) []byte {
 
 // Open decrypts one record payload (the bytes after the 5-byte header).
 func (s *Session12) Open(contentType ContentType, recordPayload []byte) ([]byte, error) {
+	return s.AppendOpen(nil, contentType, recordPayload)
+}
+
+// AppendOpen is Open writing the plaintext after dst's bytes, as
+// Session.AppendOpen does: dst extended by the plaintext, no allocation
+// when dst has the room, and dst itself on error.
+func (s *Session12) AppendOpen(dst []byte, contentType ContentType, recordPayload []byte) ([]byte, error) {
 	if len(recordPayload) < 8+s.aead.Overhead() {
-		return nil, errors.New("tlsx: TLS 1.2 record too short")
+		return dst, errors.New("tlsx: TLS 1.2 record too short")
 	}
-	nonce := append(append([]byte{}, s.salt...), recordPayload[:8]...)
+	copy(s.nonce[:4], s.salt)
+	copy(s.nonce[4:], recordPayload[:8])
 	ct := recordPayload[8:]
 
-	var aad [13]byte
-	binary.BigEndian.PutUint64(aad[0:8], s.seq)
-	aad[8] = byte(contentType)
-	aad[9], aad[10] = 0x03, 0x03
-	binary.BigEndian.PutUint16(aad[11:13], uint16(len(ct)-s.aead.Overhead()))
+	binary.BigEndian.PutUint64(s.aad[0:8], s.seq)
+	s.aad[8] = byte(contentType)
+	s.aad[9], s.aad[10] = 0x03, 0x03
+	binary.BigEndian.PutUint16(s.aad[11:13], uint16(len(ct)-s.aead.Overhead()))
 
-	pt, err := s.aead.Open(nil, nonce, ct, aad[:])
+	out, err := s.aead.Open(dst, s.nonce[:], ct, s.aad[:])
 	if err != nil {
-		return nil, fmt.Errorf("tlsx: TLS 1.2 record %d: %w", s.seq, err)
+		return dst, fmt.Errorf("tlsx: TLS 1.2 record %d: %w", s.seq, err)
 	}
 	s.seq++
-	return pt, nil
+	return out, nil
 }

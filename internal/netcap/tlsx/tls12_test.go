@@ -173,3 +173,66 @@ func TestSession12Property(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendOpen decrypts a run of records of both TLS versions into one
+// buffer behind a prefix: the prefix survives, each plaintext lands after
+// the last, a failed open leaves the buffer as it was, and a buffer with
+// room takes no allocation.
+func TestAppendOpen(t *testing.T) {
+	msgs := [][]byte{[]byte("GET / HTTP/1.1\r\n\r\n"), {}, bytes.Repeat([]byte{0x42}, 3000), []byte("tail")}
+	want := []byte("prefix|")
+	for _, m := range msgs {
+		want = append(want, m...)
+	}
+
+	enc13, _ := NewSession(testSecret(3))
+	dec13, _ := NewSession(testSecret(3))
+	cr, sr := testRandom(1), testRandom(2)
+	enc12, _ := NewSession12(master(7), cr[:], sr[:])
+	dec12, _ := NewSession12(master(7), cr[:], sr[:])
+	var recs13, recs12 [][]byte
+	for _, m := range msgs {
+		r13, _ := ParseRecords(enc13.Seal(TypeApplicationData, m))
+		r12, _ := ParseRecords(enc12.Seal(TypeApplicationData, m))
+		recs13, recs12 = append(recs13, r13[0].Payload), append(recs12, r12[0].Payload)
+	}
+
+	for name, open := range map[string]func(dst, payload []byte) ([]byte, error){
+		"tls13": func(dst, payload []byte) ([]byte, error) {
+			ct, out, err := dec13.AppendOpen(dst, payload)
+			if err == nil && ct != TypeApplicationData {
+				t.Errorf("tls13: content type %d", ct)
+			}
+			return out, err
+		},
+		"tls12": func(dst, payload []byte) ([]byte, error) {
+			return dec12.AppendOpen(dst, TypeApplicationData, payload)
+		},
+	} {
+		recs := recs13
+		if name == "tls12" {
+			recs = recs12
+		}
+		buf := append(make([]byte, 0, 8192), "prefix|"...)
+		// A record at the wrong sequence number fails and changes nothing.
+		if out, err := open(buf, recs[1]); err == nil || !bytes.Equal(out, buf) {
+			t.Fatalf("%s: out-of-order open = (%q, %v), want the buffer back and an error", name, out, err)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(recs)-1, func() {
+			out, err := open(buf, recs[i])
+			if err != nil {
+				t.Fatalf("%s: record %d: %v", name, i, err)
+			}
+			buf = out
+			i++
+		})
+		// AllocsPerRun's warm-up call opened record 0 already.
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%s: buffer = %q, want %q", name, buf, want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per record, want 0", name, allocs)
+		}
+	}
+}

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +20,10 @@ import (
 	"time"
 
 	"diffaudit/internal/faults"
+	"diffaudit/internal/flows"
+	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/store"
+	"diffaudit/internal/synth"
 )
 
 // quizletParts is a small known-service upload (skips the identity-guess
@@ -59,6 +63,44 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	// The injection is spent; the single worker must still be alive.
 	next := runJob(t, ts, quizletParts(t))
 	if next.State != JobDone {
+		t.Fatalf("post-panic job = %+v", next)
+	}
+}
+
+// TestPCAPStreamPanicContained: a panic inside one stream's decode, on a
+// goroutine of the capture's decode window, reaches the audit's own
+// goroutine and fails the job as a contained panic, stack attached; the
+// worker serves the next job.
+func TestPCAPStreamPanicContained(t *testing.T) {
+	defer faults.Reset()
+	capt, err := synth.Generate(synth.Config{Scale: 0.01}).Service("Quizlet").EmitPCAP(flows.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pcapData bytes.Buffer
+	if err := pcapio.WritePcapng(&pcapData, capt); err != nil {
+		t.Fatal(err)
+	}
+	faults.Set("pcap.stream", faults.Plan{Panic: "stream decoder blew up", On: 2})
+
+	srv := New(Config{Workers: 1, TempDir: t.TempDir()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	failed := wait(t, ts, decodeJob(t, submit(t, ts, map[string][2]string{
+		"child": {"c.pcapng", pcapData.String()},
+		"name":  {"", "Quizlet"},
+	})).ID)
+	if failed.State != JobFailed {
+		t.Fatalf("panicked job = %+v, want failed", failed)
+	}
+	for _, wantFrag := range []string{"audit panicked", "stream decoder blew up", "stream decode goroutine"} {
+		if !strings.Contains(failed.Error, wantFrag) {
+			t.Errorf("failed.Error missing %q:\n%s", wantFrag, failed.Error)
+		}
+	}
+	if next := runJob(t, ts, quizletParts(t)); next.State != JobDone {
 		t.Fatalf("post-panic job = %+v", next)
 	}
 }
