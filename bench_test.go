@@ -124,7 +124,7 @@ func BenchmarkFigure3Linkability(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range results {
-			for _, t := range flows.TraceCategories() {
+			for _, t := range flows.BuiltinPersonas() {
 				linkability.CountLinkable(r.ByTrace[t])
 			}
 		}
@@ -137,7 +137,7 @@ func BenchmarkFigure4LinkableSets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range results {
-			for _, t := range flows.TraceCategories() {
+			for _, t := range flows.BuiltinPersonas() {
 				linkability.LargestSet(r.ByTrace[t])
 			}
 		}
@@ -150,7 +150,7 @@ func BenchmarkFigure5TopATS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range results {
-			for _, t := range flows.TraceCategories() {
+			for _, t := range flows.BuiltinPersonas() {
 				linkability.TopATSOrgs(r.ByTrace[t], 10)
 			}
 		}
@@ -165,7 +165,7 @@ func BenchmarkFigure1PipelineEndToEnd(b *testing.B) {
 	st := ds.Service("TikTok")
 	var harBufs [][]byte
 	var pcapBufs [][]byte
-	for _, tc := range flows.TraceCategories() {
+	for _, tc := range flows.BuiltinPersonas() {
 		data, err := st.EmitHAR(tc).Marshal()
 		if err != nil {
 			b.Fatal(err)
@@ -185,7 +185,7 @@ func BenchmarkFigure1PipelineEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var srcs []core.RecordSource
-		for ti, tc := range flows.TraceCategories() {
+		for ti, tc := range flows.BuiltinPersonas() {
 			srcs = append(srcs, core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(harBufs[ti])), tc, flows.Web))
 			rd, err := pcapio.NewReader(bytes.NewReader(pcapBufs[ti]))
 			if err != nil {
@@ -264,7 +264,7 @@ func BenchmarkFlowSetAdd(b *testing.B) {
 			})
 		}
 	}
-	set := flows.NewSetSized(len(fl))
+	set := flows.NewTable().NewSet(len(fl))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set.Add(fl[i%len(fl)], flows.Platform(i%2))

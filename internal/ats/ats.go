@@ -36,7 +36,6 @@ type Engine struct {
 	mu sync.RWMutex
 	// entries maps a blocked domain to the list names containing it.
 	entries map[string][]string
-	names   []string
 }
 
 // NewEngine builds an engine from block lists. With no arguments the
@@ -53,7 +52,6 @@ func NewEngine(lists ...List) *Engine {
 func (e *Engine) Add(l List) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.names = append(e.names, l.Name)
 	for _, raw := range l.Entries {
 		d := strings.Trim(strings.ToLower(strings.TrimSpace(raw)), ".")
 		if d == "" || strings.HasPrefix(d, "#") {
@@ -122,13 +120,6 @@ func (e *Engine) Size() int {
 	return len(e.entries)
 }
 
-// ListNames returns the names of all merged lists in insertion order.
-func (e *Engine) ListNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]string(nil), e.names...)
-}
-
 func dedup(sorted []string) []string {
 	out := sorted[:0]
 	for i, s := range sorted {
@@ -153,34 +144,4 @@ func Default() *Engine {
 		defaultEngine = NewEngine(AdvertisingList(), TrackingList(), TelemetryList())
 	})
 	return defaultEngine
-}
-
-// ParseHostsList parses a block list in hosts-file format, the format the
-// Firebog collection distributes ("0.0.0.0 ads.example.com" per line, with
-// comments), plus bare-domain lines.
-func ParseHostsList(name string, data []byte) List {
-	l := List{Name: name}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "!") {
-			continue
-		}
-		fields := strings.Fields(line)
-		domain := fields[0]
-		// Hosts-file form: "<ip> <domain> [aliases...]".
-		if len(fields) >= 2 && (domain == "0.0.0.0" || domain == "127.0.0.1" || domain == "::" || domain == "::1") {
-			for _, d := range fields[1:] {
-				if d == "localhost" || strings.HasPrefix(d, "#") {
-					break
-				}
-				l.Entries = append(l.Entries, d)
-			}
-			continue
-		}
-		if strings.ContainsAny(domain, "/:") {
-			continue // URLs or adblock syntax: out of scope
-		}
-		l.Entries = append(l.Entries, domain)
-	}
-	return l
 }

@@ -82,8 +82,8 @@ func TestAddEntriesAndSize(t *testing.T) {
 	if !e.IsATS("trk1.example") || !e.IsATS("sub.trk2.example") {
 		t.Error("added entries not blocking")
 	}
-	if got := e.ListNames(); len(got) != 1 || got[0] != "synthetic" {
-		t.Errorf("ListNames = %v", got)
+	if got := e.Check("trk1.example").Lists; len(got) != 1 || got[0] != "synthetic" {
+		t.Errorf("Check(trk1.example).Lists = %v", got)
 	}
 }
 
@@ -138,34 +138,5 @@ func TestExactSubsetOfWalk(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseHostsList(t *testing.T) {
-	data := []byte(`# Title: test list
-! adblock comment
-0.0.0.0 ads.example.com
-0.0.0.0 trk.example.net extra.example.org
-127.0.0.1 localhost
-bare-domain.example
-::1 localhost
-:: v6blocked.example
-https://not-a-domain.example/path
-`)
-	l := ParseHostsList("firebog-test", data)
-	e := NewEngine(l)
-	for _, want := range []string{
-		"ads.example.com", "trk.example.net", "extra.example.org",
-		"bare-domain.example", "v6blocked.example",
-	} {
-		if !e.IsATS(want) {
-			t.Errorf("%s not blocked", want)
-		}
-	}
-	if e.IsATS("localhost") {
-		t.Error("localhost must not be blocked")
-	}
-	if e.IsATS("not-a-domain.example") {
-		t.Error("URL line must be skipped")
 	}
 }

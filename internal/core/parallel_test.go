@@ -14,7 +14,7 @@ import (
 
 func parallelTestRecords(n int) []RequestRecord {
 	recs := make([]RequestRecord, 0, n)
-	traces := flows.TraceCategories()
+	traces := flows.BuiltinPersonas()
 	for i := 0; i < n; i++ {
 		recs = append(recs, RequestRecord{
 			Trace:    traces[i%len(traces)],
@@ -64,7 +64,7 @@ func TestAnalyzeRecordsParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range flows.TraceCategories() {
+	for _, tc := range flows.BuiltinPersonas() {
 		sf, pf := seq.ByTrace[tc].Flows(), par.ByTrace[tc].Flows()
 		if len(sf) != len(pf) {
 			t.Fatalf("trace %v: %d flows vs %d", tc, len(sf), len(pf))
@@ -90,13 +90,13 @@ func renderResultArtifacts(r *ServiceResult) string {
 	for _, g := range ontology.Level2Groups() {
 		for _, c := range flows.DestClasses() {
 			fmt.Fprintf(&b, "%v/%v:", g, c)
-			for _, t := range flows.TraceCategories() {
+			for _, t := range flows.BuiltinPersonas() {
 				b.WriteString(grid[g][c][t].Symbol())
 			}
 			b.WriteByte('\n')
 		}
 	}
-	for _, t := range flows.TraceCategories() {
+	for _, t := range flows.BuiltinPersonas() {
 		set := r.ByTrace[t]
 		for _, f := range set.Flows() {
 			fmt.Fprintf(&b, "%v %s %s\n", t, f.Key(), set.Platforms(f).Symbol())

@@ -100,36 +100,6 @@ func (r *ServiceResult) CheckPersonas() error {
 	return nil
 }
 
-// Merged returns the union of flow sets across personas (all of the
-// result's personas when none are given).
-func (r *ServiceResult) Merged(categories ...flows.Persona) *flows.Set {
-	if len(categories) == 0 {
-		categories = r.Personas()
-	}
-	// Over the result's own table the union is a direct key union and adds
-	// nothing to it. A hand-assembled result whose sets have tables of
-	// their own is merged by content into a fresh one instead.
-	var tab *flows.Table
-	n, mixed := 0, false
-	for _, t := range categories {
-		if s := r.ByTrace[t]; s != nil {
-			n += s.Len()
-			if tab == nil {
-				tab = s.Table()
-			}
-			mixed = mixed || tab != s.Table()
-		}
-	}
-	if tab == nil || mixed {
-		tab = flows.NewTable()
-	}
-	out := tab.NewSet(n)
-	for _, t := range categories {
-		out.Merge(r.ByTrace[t])
-	}
-	return out
-}
-
 // Pipeline holds the analysis configuration.
 type Pipeline struct {
 	// Labeler is the data type classifier; defaults to the paper's

@@ -20,7 +20,7 @@ func TestAnalyzeRecordsEmpty(t *testing.T) {
 	if res.Packets != 0 || res.TCPFlows != 0 || len(res.Domains) != 0 {
 		t.Errorf("empty analysis: %+v", res)
 	}
-	for _, tc := range flows.TraceCategories() {
+	for _, tc := range flows.BuiltinPersonas() {
 		if res.ByTrace[tc] == nil || res.ByTrace[tc].Len() != 0 {
 			t.Errorf("trace %v not initialized empty", tc)
 		}
@@ -133,13 +133,17 @@ func TestMergedView(t *testing.T) {
 		{Trace: flows.Adult, Platform: flows.Web, URL: "https://a.svc.example/?gender=f", FQDN: "a.svc.example"},
 	}
 	res := core.NewPipeline().AnalyzeRecords(testID(), recs)
-	all := res.Merged()
+	// A result's persona sets share its table, so their union is a direct
+	// key union over it.
+	all := res.ByTrace[flows.Child].Table().NewSet(0)
+	for _, p := range res.Personas() {
+		all.Merge(res.ByTrace[p])
+	}
 	if all.Len() != 2 {
 		t.Errorf("merged flows = %d", all.Len())
 	}
-	justChild := res.Merged(flows.Child)
-	if justChild.Len() != 1 {
-		t.Errorf("child-only merged = %d", justChild.Len())
+	if n := res.ByTrace[flows.Child].Len(); n != 1 {
+		t.Errorf("child flows = %d", n)
 	}
 }
 

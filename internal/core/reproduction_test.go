@@ -99,7 +99,7 @@ func TestTable4GridExactReproduction(t *testing.T) {
 		got := core.Grid(results[i])
 		for _, g := range ontology.FlowGroups() {
 			for _, c := range flows.DestClasses() {
-				for _, tc := range flows.TraceCategories() {
+				for _, tc := range flows.BuiltinPersonas() {
 					want := st.Spec.Grid.Mask(g, c, tc)
 					if gm := got[g][c][tc]; gm != want {
 						t.Errorf("%s / %v / %v / %v: got %s, want %s",
@@ -114,7 +114,7 @@ func TestTable4GridExactReproduction(t *testing.T) {
 func TestFigure3ExactReproduction(t *testing.T) {
 	ds, results := analyzeAll(t, 0.01)
 	for i, st := range ds.Services {
-		for ti, tc := range flows.TraceCategories() {
+		for ti, tc := range flows.BuiltinPersonas() {
 			got := linkability.CountLinkable(results[i].ByTrace[tc])
 			if want := st.Spec.LinkableParties[ti]; got != want {
 				t.Errorf("%s / %v: %d linkable third parties, want %d", st.Spec.Name, tc, got, want)
@@ -126,7 +126,7 @@ func TestFigure3ExactReproduction(t *testing.T) {
 func TestFigure4ExactReproduction(t *testing.T) {
 	ds, results := analyzeAll(t, 0.01)
 	for i, st := range ds.Services {
-		for ti, tc := range flows.TraceCategories() {
+		for ti, tc := range flows.BuiltinPersonas() {
 			got, _ := linkability.LargestSet(results[i].ByTrace[tc])
 			if want := st.Spec.LargestSet[ti]; got != want {
 				t.Errorf("%s / %v: largest linkable set %d, want %d", st.Spec.Name, tc, got, want)
@@ -175,7 +175,7 @@ func TestFigure5TopOrgsIncludePaperNames(t *testing.T) {
 	// among the ATS receiving linkable data.
 	seen := map[string]bool{}
 	for _, r := range results {
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			for _, o := range linkability.TopATSOrgs(r.ByTrace[tc], 0) {
 				seen[o.Organization] = true
 			}
@@ -194,7 +194,7 @@ func TestFigure5TopOrgsIncludePaperNames(t *testing.T) {
 		if r.Identity.Name != "YouTube" {
 			continue
 		}
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			if n := len(linkability.TopATSOrgs(r.ByTrace[tc], 0)); n != 0 {
 				t.Errorf("YouTube %v: %d ATS orgs, want 0", tc, n)
 			}
@@ -206,7 +206,7 @@ func TestObservedCategoriesMatchTable2(t *testing.T) {
 	_, results := analyzeAll(t, 0.01)
 	seen := map[string]bool{}
 	for _, r := range results {
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			for _, f := range r.ByTrace[tc].Flows() {
 				seen[f.Category.Name] = true
 			}
@@ -230,7 +230,7 @@ func TestWireFormatsAgreeWithRecords(t *testing.T) {
 	for _, st := range ds.Services {
 		recRes := pipe.AnalyzeRecords(st.Identity(), st.Records())
 		var wireRecs []core.RequestRecord
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			wireRecs = append(wireRecs, harRecords(t, st.EmitHAR(tc), tc)...)
 			capt, err := st.EmitPCAP(tc)
 			if err != nil {
@@ -252,7 +252,7 @@ func TestWireFormatsAgreeWithRecords(t *testing.T) {
 			wireRecs = append(wireRecs, recs...)
 		}
 		wireRes := pipe.AnalyzeRecords(st.Identity(), wireRecs)
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			a, b := recRes.ByTrace[tc].Flows(), wireRes.ByTrace[tc].Flows()
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s/%v: wire flows (%d) != record flows (%d)",
@@ -350,7 +350,7 @@ func TestScaleInvarianceOfFlows(t *testing.T) {
 	for i := range small.Services {
 		a := pipe.AnalyzeRecords(small.Services[i].Identity(), small.Services[i].Records())
 		b := pipe.AnalyzeRecords(large.Services[i].Identity(), large.Services[i].Records())
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			if !reflect.DeepEqual(a.ByTrace[tc].Flows(), b.ByTrace[tc].Flows()) {
 				t.Errorf("%s/%v: flows differ across scales", a.Identity.Name, tc)
 			}
@@ -379,7 +379,7 @@ func TestRecordOrderInvariance(t *testing.T) {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	got := pipe.AnalyzeRecords(st.Identity(), shuffled)
 
-	for _, tc := range flows.TraceCategories() {
+	for _, tc := range flows.BuiltinPersonas() {
 		if !reflect.DeepEqual(base.ByTrace[tc].Flows(), got.ByTrace[tc].Flows()) {
 			t.Errorf("%v: flows depend on record order", tc)
 		}

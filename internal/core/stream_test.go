@@ -25,7 +25,7 @@ func (g *generatorSource) Next() (RequestRecord, error) {
 	}
 	i := g.i
 	g.i++
-	traces := flows.TraceCategories()
+	traces := flows.BuiltinPersonas()
 	return RequestRecord{
 		Trace:    traces[i%len(traces)],
 		Platform: flows.Platform(i % 2),
@@ -81,7 +81,7 @@ func assertResultsEqual(t *testing.T, workers int, want, got *ServiceResult) {
 			}
 		}
 	}
-	for _, tc := range flows.TraceCategories() {
+	for _, tc := range flows.BuiltinPersonas() {
 		wf, gf := want.ByTrace[tc].Flows(), got.ByTrace[tc].Flows()
 		if len(wf) != len(gf) {
 			t.Fatalf("workers=%d trace %v: %d flows vs %d", workers, tc, len(wf), len(gf))

@@ -272,13 +272,17 @@ func TestCrossTableOperationsMatchStringOracle(t *testing.T) {
 			t.Fatalf("%s: Totals.UniqueFlows = %d, want %d", what, got, len(keys))
 		}
 
-		// Merge: a foreign set by content, a sibling by direct union; the
-		// result-level union goes through the same code.
+		// Merge: a foreign set by content, a sibling by direct union, and
+		// a result's persona sets into a set over the result's own table.
 		merged := w.build(nil, ac)
 		merged.Merge(b.ByTrace[flows.Adult])
 		merged.Merge(w.build(merged.Table(), aa))
 		checkSet(t, what+" merged", merged, append(append(append([]added{}, ac...), ba...), aa...))
-		checkSet(t, what+" A.Merged()", a.Merged(), append(append([]added{}, ac...), aa...))
+		union := a.ByTrace[flows.Child].Table().NewSet(0)
+		for _, p := range a.Personas() {
+			union.Merge(a.ByTrace[p])
+		}
+		checkSet(t, what+" A's union", union, append(append([]added{}, ac...), aa...))
 	}
 }
 

@@ -6,13 +6,11 @@
 //
 // The embedded rule set is a subset of the public suffix list sufficient for
 // the domains observed in the paper's dataset plus the common generic and
-// country-code suffixes; callers can extend it with AddRule.
+// country-code suffixes. It is built once at init and only read after, so
+// lookups take no lock.
 package domains
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Result is the decomposition of a fully qualified domain name.
 type Result struct {
@@ -55,12 +53,12 @@ func (r Result) FQDN() string {
 // ruleSet holds public suffix rules keyed by the normalized rule text
 // without wildcard/exception markers.
 type ruleSet struct {
-	mu    sync.RWMutex
 	exact map[string]bool // "com", "co.uk"
 	wild  map[string]bool // "ck" for "*.ck"
 	exc   map[string]bool // "www.ck" for "!www.ck"
 }
 
+// rules is the suffix table, fixed at init.
 var rules = newRuleSet()
 
 func newRuleSet() *ruleSet {
@@ -69,41 +67,23 @@ func newRuleSet() *ruleSet {
 		wild:  make(map[string]bool),
 		exc:   make(map[string]bool),
 	}
-	for _, r := range defaultSuffixes {
-		rs.add(r)
+	for _, rule := range defaultSuffixes {
+		switch {
+		case strings.HasPrefix(rule, "!"):
+			rs.exc[rule[1:]] = true
+		case strings.HasPrefix(rule, "*."):
+			rs.wild[rule[2:]] = true
+		default:
+			rs.exact[rule] = true
+		}
 	}
 	return rs
-}
-
-func (rs *ruleSet) add(rule string) {
-	rule = strings.ToLower(strings.TrimSpace(rule))
-	if rule == "" || strings.HasPrefix(rule, "//") {
-		return
-	}
-	switch {
-	case strings.HasPrefix(rule, "!"):
-		rs.exc[rule[1:]] = true
-	case strings.HasPrefix(rule, "*."):
-		rs.wild[rule[2:]] = true
-	default:
-		rs.exact[rule] = true
-	}
-}
-
-// AddRule registers an extra public suffix rule at runtime, using public
-// suffix list syntax ("dev", "*.compute.amazonaws.com", "!special.ck").
-func AddRule(rule string) {
-	rules.mu.Lock()
-	defer rules.mu.Unlock()
-	rules.add(rule)
 }
 
 // publicSuffixLen returns the number of trailing labels that form the public
 // suffix of labels, per the PSL algorithm. A name with no matching rule uses
 // the implicit "*" rule (suffix = last label).
 func publicSuffixLen(labels []string) int {
-	rules.mu.RLock()
-	defer rules.mu.RUnlock()
 	best := 1 // implicit "*" rule
 	for i := 0; i < len(labels); i++ {
 		cand := strings.Join(labels[i:], ".")
@@ -138,10 +118,7 @@ func Extract(fqdn string) Result {
 	}
 	labels := strings.Split(host, ".")
 	if len(labels) == 1 {
-		rules.mu.RLock()
-		isSuffix := rules.exact[host]
-		rules.mu.RUnlock()
-		if isSuffix {
+		if rules.exact[host] {
 			return Result{Suffix: host}
 		}
 		return Result{Domain: labels[0]}
@@ -207,20 +184,4 @@ func isIP(host string) bool {
 		}
 	}
 	return dots == 3
-}
-
-// LoadPSL merges public suffix rules in the official file format (one rule
-// per line, "//" comments) into the live rule set, for callers that want
-// the complete list instead of the embedded subset.
-func LoadPSL(data []byte) int {
-	n := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			continue
-		}
-		AddRule(line)
-		n++
-	}
-	return n
 }

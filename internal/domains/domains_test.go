@@ -93,18 +93,6 @@ func TestExtractIPAndEdge(t *testing.T) {
 	}
 }
 
-func TestAddRule(t *testing.T) {
-	if got := ESLD("myapp.testpages.example"); got != "testpages.example" {
-		t.Fatalf("pre-rule: %q", got)
-	}
-	AddRule("testpages.example")
-	if got := ESLD("myapp.testpages.example"); got != "myapp.testpages.example" {
-		t.Errorf("post-rule: %q", got)
-	}
-	AddRule("  ") // no-op
-	AddRule("// comment")
-}
-
 func TestFQDNRoundTrip(t *testing.T) {
 	for _, in := range []string{
 		"www.roblox.com", "roblox.com", "a.b.c.example.co.uk",
@@ -151,26 +139,4 @@ func hostFrom(sub, dom uint8) string {
 		return d
 	}
 	return s + "." + d
-}
-
-func TestLoadPSL(t *testing.T) {
-	n := LoadPSL([]byte(`// ===BEGIN TEST===
-pslzone
-
-*.pslwild
-!ok.pslwild
-// comment
-`))
-	if n != 3 {
-		t.Fatalf("rules loaded = %d", n)
-	}
-	if got := ESLD("site.pslzone"); got != "site.pslzone" {
-		t.Errorf("pslzone: %q", got)
-	}
-	if got := ESLD("a.b.pslwild"); got != "a.b.pslwild" {
-		t.Errorf("pslwild: %q", got)
-	}
-	if got := ESLD("ok.pslwild"); got != "ok.pslwild" {
-		t.Errorf("psl exception: %q", got)
-	}
 }

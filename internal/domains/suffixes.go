@@ -3,7 +3,8 @@ package domains
 // defaultSuffixes is the embedded public suffix list subset. It covers the
 // generic TLDs, the country-code suffixes, and the private-registry suffixes
 // needed to resolve every domain in the synthesized DiffAudit dataset, plus
-// wildcard and exception rules exercising the full PSL algorithm.
+// wildcard and exception rules exercising the full PSL algorithm. Rules are
+// lower case, in public suffix list syntax ("co.uk", "*.ck", "!www.ck").
 var defaultSuffixes = []string{
 	// Generic TLDs.
 	"com", "net", "org", "edu", "gov", "mil", "int", "io", "co", "tv",

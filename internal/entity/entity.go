@@ -7,7 +7,6 @@
 package entity
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -30,7 +29,6 @@ type Org struct {
 type registry struct {
 	mu     sync.RWMutex
 	byESLD map[string]*Org
-	orgs   []*Org
 }
 
 var reg = newRegistry()
@@ -44,7 +42,6 @@ func newRegistry() *registry {
 }
 
 func (r *registry) register(o *Org) {
-	r.orgs = append(r.orgs, o)
 	for _, d := range o.Domains {
 		r.byESLD[strings.ToLower(d)] = o
 	}
@@ -88,40 +85,4 @@ func OwnerName(host string) string {
 		return esld
 	}
 	return strings.ToLower(strings.TrimSpace(host))
-}
-
-// SameOrg reports whether two hosts resolve to the same parent organization.
-// Unknown owners compare by eSLD.
-func SameOrg(a, b string) bool {
-	return OwnerName(a) != "" && OwnerName(a) == OwnerName(b)
-}
-
-// KnownOrgs returns the names of all registered organizations, sorted.
-func KnownOrgs() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	names := make([]string, 0, len(reg.orgs))
-	seen := make(map[string]bool, len(reg.orgs))
-	for _, o := range reg.orgs {
-		if !seen[o.Name] {
-			seen[o.Name] = true
-			names = append(names, o.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DomainsOf returns the eSLDs registered for an organization name.
-func DomainsOf(orgName string) []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	var out []string
-	for _, o := range reg.orgs {
-		if o.Name == orgName {
-			out = append(out, o.Domains...)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

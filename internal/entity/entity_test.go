@@ -48,6 +48,8 @@ func TestOwnerUnknownFallsBackToESLD(t *testing.T) {
 	}
 }
 
+// TestSameOrg: hosts of one organization resolve to one owner name, and
+// hosts with unknown owners compare by eSLD.
 func TestSameOrg(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -62,8 +64,8 @@ func TestSameOrg(t *testing.T) {
 		{"unknown-a.com", "unknown-b.com", false},
 	}
 	for _, c := range cases {
-		if got := SameOrg(c.a, c.b); got != c.want {
-			t.Errorf("SameOrg(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		if got := OwnerName(c.a) == OwnerName(c.b); got != c.want {
+			t.Errorf("OwnerName(%q) == OwnerName(%q) is %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -73,9 +75,6 @@ func TestRegister(t *testing.T) {
 	o, ok := Owner("x.test-adtech-zz.com")
 	if !ok || o.Name != "Test AdTech Co" || !o.Tracker {
 		t.Fatalf("Owner after Register = %+v, %v", o, ok)
-	}
-	if got := DomainsOf("Test AdTech Co"); len(got) != 1 || got[0] != "test-adtech-zz.com" {
-		t.Errorf("DomainsOf = %v", got)
 	}
 }
 
@@ -93,8 +92,8 @@ func TestKnownOrgsCoversFigure5(t *testing.T) {
 		"Adobe Inc.", "Amazon Technologies", "PubMatic, Inc.", "Google LLC",
 	}
 	known := map[string]bool{}
-	for _, n := range KnownOrgs() {
-		known[n] = true
+	for _, o := range defaultOrgs {
+		known[o.Name] = true
 	}
 	for _, n := range fig5 {
 		if !known[n] {
@@ -107,10 +106,10 @@ func TestKnownOrgsCoversFigure5(t *testing.T) {
 }
 
 func TestEveryOrgDomainResolvesToItself(t *testing.T) {
-	for _, name := range KnownOrgs() {
-		for _, d := range DomainsOf(name) {
-			if got := OwnerName(d); got != name {
-				t.Errorf("OwnerName(%q) = %q, want %q", d, got, name)
+	for _, o := range defaultOrgs {
+		for _, d := range o.Domains {
+			if got := OwnerName(d); got != o.Name {
+				t.Errorf("OwnerName(%q) = %q, want %q", d, got, o.Name)
 			}
 		}
 	}

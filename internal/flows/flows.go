@@ -20,15 +20,8 @@ import (
 // The trace model lives in persona.go: TraceCategory is an alias of the
 // open Persona type, and the paper's four trace categories (the three
 // logged-in age groups plus the logged-out pre-consent state) are the four
-// built-in personas, in table order.
-
-// TraceCategories returns the paper's four built-in trace categories in
-// table order — the order of Tables 1 and 4 and Figures 3-5. Custom
-// personas are NOT included; ServiceResult.Personas lists the personas a
-// concrete audit observed.
-func TraceCategories() []TraceCategory {
-	return BuiltinPersonas()
-}
+// built-in personas, in table order (BuiltinPersonas) — the order of
+// Tables 1 and 4 and Figures 3-5.
 
 // Platform is the capture platform.
 type Platform int
@@ -189,11 +182,7 @@ type Set struct {
 }
 
 // NewSet returns an empty flow set over a table of its own.
-func NewSet() *Set { return NewSetSized(0) }
-
-// NewSetSized is NewSet pre-sized for about n flows, avoiding map growth
-// rehashes when the caller knows the workload.
-func NewSetSized(n int) *Set { return NewTable().NewSet(n) }
+func NewSet() *Set { return NewTable().NewSet(0) }
 
 // NewSet returns an empty flow set over this table, pre-sized for about n
 // flows.

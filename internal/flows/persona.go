@@ -274,9 +274,6 @@ func (p Persona) AgeAtLeast(n int) bool {
 // Subject returns the contextual-integrity data-subject description.
 func (p Persona) Subject() string { return p.record().Subject }
 
-// Attr returns a free-form persona tag ("" when unset).
-func (p Persona) Attr(key string) string { return p.record().Attrs[key] }
-
 // PersonaLess orders personas as report columns: the built-ins in table
 // order, then custom personas by name, and customs of one name (which only
 // a result assembled by hand holds) by the rest of their records.

@@ -47,7 +47,7 @@ func TestRegisterPersonaRoundTrip(t *testing.T) {
 	if !p.AgeBelow(15) || p.AgeBelow(14) || p.AgeAtLeast(14) || !p.AgeAtLeast(13) {
 		t.Error("age bracket predicates")
 	}
-	if p.Attr("region") != "EU" || p.Attr("missing") != "" {
+	if p.Info().Attrs["region"] != "EU" || p.Info().Attrs["missing"] != "" {
 		t.Error("attrs")
 	}
 	if p.Subject() != "registry teen user" {
@@ -56,7 +56,7 @@ func TestRegisterPersonaRoundTrip(t *testing.T) {
 	// The handle owns its record: the caller's maps and slices can change.
 	info.Attrs["region"] = "US"
 	info.Aliases[0] = "changed"
-	if p.Attr("region") != "EU" || p.Info().Aliases[0] != "registry-teen" {
+	if p.Info().Attrs["region"] != "EU" || p.Info().Aliases[0] != "registry-teen" {
 		t.Error("persona shares its caller's Attrs or Aliases")
 	}
 
@@ -111,9 +111,9 @@ func TestRegisterPersonaValidation(t *testing.T) {
 }
 
 func TestBuiltinPersonaAttributes(t *testing.T) {
-	if got := TraceCategories(); len(got) != 4 ||
+	if got := BuiltinPersonas(); len(got) != 4 ||
 		got[0] != Child || got[1] != Adolescent || got[2] != Adult || got[3] != LoggedOut {
-		t.Fatalf("TraceCategories() = %v", got)
+		t.Fatalf("BuiltinPersonas() = %v", got)
 	}
 	if (Persona{}) != Child {
 		t.Error("the zero Persona is not Child")

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"diffaudit/internal/entity"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 )
@@ -294,9 +293,10 @@ type OrgCount struct {
 
 // TopATSOrgs returns the Figure 5 statistic: the organizations owning the
 // third-party ATS domains that received linkable data, ranked by flow
-// count, at most n entries (0 = unlimited). Owners come from the live
-// entity registry (entity.OwnerName of the FQDN), not from
-// Destination.Owner, as TopATSOrgs has always resolved them.
+// count, at most n entries (0 = unlimited). Owners are the ones each
+// destination recorded when it was resolved (Destination.Owner), so a
+// result decoded from a snapshot is attributed as it was audited, whatever
+// the reading process's entity registry holds.
 func (ix *Index) TopATSOrgs(n int) []OrgCount {
 	flowCount := map[string]int{}
 	domSet := map[string]map[string]bool{}
@@ -305,7 +305,7 @@ func (ix *Index) TopATSOrgs(n int) []OrgCount {
 		if !p.linkable || p.dest.Class != flows.ThirdPartyATS {
 			continue
 		}
-		org := entity.OwnerName(p.dest.FQDN)
+		org := p.dest.Owner
 		flowCount[org] += len(p.cats)
 		if domSet[org] == nil {
 			domSet[org] = map[string]bool{}

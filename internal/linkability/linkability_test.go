@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"diffaudit/internal/entity"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 )
@@ -16,8 +17,10 @@ func cat(name string) *ontology.Category {
 	return c
 }
 
+// dest builds a destination whose owner is resolved, as
+// flows.ResolveDestination resolves it, from the entity registry.
 func dest(fqdn string, class flows.DestClass) flows.Destination {
-	return flows.Destination{FQDN: fqdn, ESLD: fqdn, Class: class}
+	return flows.Destination{FQDN: fqdn, ESLD: fqdn, Owner: entity.OwnerName(fqdn), Class: class}
 }
 
 func TestLinkableRequiresBothBuckets(t *testing.T) {
@@ -96,6 +99,25 @@ func TestTopATSOrgs(t *testing.T) {
 	// topN truncation.
 	if got := TopATSOrgs(s, 0); len(got) != 1 {
 		t.Errorf("topN=0 should mean unlimited, got %d", len(got))
+	}
+}
+
+// TestTopATSOrgsRecordedOwner: Figure 5 attributes each ATS destination
+// to the owner it recorded, as a decoded snapshot carries it, even when
+// the registry of the process reading it does not know that owner.
+func TestTopATSOrgsRecordedOwner(t *testing.T) {
+	s := flows.NewSet()
+	for _, fq := range []string{"px.recorded-owner.example", "stats.g.doubleclick.net"} {
+		d := flows.Destination{FQDN: fq, ESLD: fq, Owner: "Snapshot Ads Ltd", Class: flows.ThirdPartyATS}
+		s.Add(flows.Flow{Category: cat("Aliases"), Dest: d}, flows.Web)
+		s.Add(flows.Flow{Category: cat("Age"), Dest: d}, flows.Web)
+	}
+	if _, known := entity.Owner("px.recorded-owner.example"); known {
+		t.Fatal("the registry knows the recorded owner's domain")
+	}
+	orgs := TopATSOrgs(s, 0)
+	if len(orgs) != 1 || orgs[0].Organization != "Snapshot Ads Ltd" || orgs[0].Flows != 4 || len(orgs[0].Domains) != 2 {
+		t.Errorf("orgs = %+v, want one Snapshot Ads Ltd entry with 4 flows over 2 domains", orgs)
 	}
 }
 

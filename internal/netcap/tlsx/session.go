@@ -10,8 +10,8 @@ import (
 
 // Session encrypts or decrypts one direction of a TLS 1.3 connection using
 // TLS_AES_128_GCM_SHA256 record protection (RFC 8446 §5.2-5.3). Record
-// sequence numbers advance on every Seal/Open; callers must process records
-// in stream order.
+// sequence numbers advance on every Seal/AppendOpen; callers must process
+// records in stream order.
 type Session struct {
 	aead cipher.AEAD
 	iv   []byte
@@ -64,15 +64,10 @@ func (s *Session) Seal(contentType ContentType, plaintext []byte) []byte {
 	return append(hdr, ct...)
 }
 
-// Open decrypts one application-data record payload (the bytes after the
-// 5-byte header) and returns the inner content type and plaintext.
-func (s *Session) Open(recordPayload []byte) (ContentType, []byte, error) {
-	return s.AppendOpen(nil, recordPayload)
-}
-
-// AppendOpen is Open writing the plaintext after dst's bytes: it returns
-// dst extended by the record's plaintext, with no allocation when dst has
-// the room. The bytes past len(dst) are scratch until then, whatever the
+// AppendOpen decrypts one application-data record payload (the bytes
+// after the 5-byte header) and returns the inner content type and dst
+// extended by the record's plaintext, with no allocation when dst has the
+// room. The bytes past len(dst) are scratch until then, whatever the
 // outcome; on error the returned slice is dst.
 func (s *Session) AppendOpen(dst, recordPayload []byte) (ContentType, []byte, error) {
 	ctLen := len(recordPayload)
@@ -125,21 +120,15 @@ type Result struct {
 	TLS12 bool
 }
 
-// DecryptClientStream processes the client→server byte stream of one flow.
-// Streams that do not look like TLS return an error; TLS streams without
-// key material return a Result with Decrypted=false, matching the paper's
-// treatment ("we include all collected traffic, both encrypted and
-// decrypted"). TLS 1.2 flows need the server half too — use
-// DecryptConversation when it is available.
-func (d *StreamDecryptor) DecryptClientStream(stream []byte) (*Result, error) {
-	return d.DecryptConversation(stream, nil)
-}
-
 // DecryptConversation processes one flow given both directions. The
 // ClientHello decides the protocol path: TLS 1.3 sessions decrypt from
 // CLIENT_TRAFFIC_SECRET_0, TLS 1.2 sessions derive client-write keys from
 // the CLIENT_RANDOM master secret plus the ServerHello random found in the
-// server stream.
+// server stream (a nil serverStream leaves a TLS 1.2 flow opaque). Streams
+// that do not look like TLS return an error; TLS streams without key
+// material return a Result with Decrypted=false, matching the paper's
+// treatment ("we include all collected traffic, both encrypted and
+// decrypted").
 func (d *StreamDecryptor) DecryptConversation(clientStream, serverStream []byte) (*Result, error) {
 	records, err := ParseRecords(clientStream)
 	if err != nil && !errors.Is(err, ErrPartialRecord) {

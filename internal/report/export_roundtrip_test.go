@@ -55,7 +55,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 		// and counts must match exactly.
 		wantFlows := 0
 		byTrace := map[string]map[string]bool{}
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			set := r.ByTrace[tc]
 			wantFlows += set.Len()
 			keys := map[string]bool{}

@@ -41,15 +41,27 @@ func getWithHeader(t *testing.T, ts *httptest.Server, path, header, value string
 	return resp
 }
 
-// storeServer boots a MemStore-backed server with one finished job and
-// returns the server, test listener, and the job.
+// testStore opens a snapshot store over a fresh directory that the test
+// removes.
+func testStore(t testing.TB) *store.Snapshots {
+	t.Helper()
+	st, err := store.OpenFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// storeServer boots a server over a fresh snapshot store (unless cfg
+// names one) with one finished job and returns the server, test listener,
+// and the job.
 func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, Job) {
 	t.Helper()
 	if cfg.TempDir == "" {
 		cfg.TempDir = t.TempDir()
 	}
 	if cfg.Store == nil {
-		cfg.Store = store.NewMemStore()
+		cfg.Store = testStore(t)
 	}
 	srv := New(cfg)
 	t.Cleanup(srv.Close)
@@ -313,7 +325,7 @@ func (r *rerunStore) JobSnapshot(jobID string) (store.Meta, bool) {
 // with requests, a response's ETag is the content hash of the snapshot its
 // body renders — never one snapshot's validator on another's bytes.
 func TestReportETagNamesItsBody(t *testing.T) {
-	st := &rerunStore{Store: store.NewMemStore()}
+	st := &rerunStore{Store: testStore(t)}
 	srv, ts, job := storeServer(t, Config{Store: st})
 	results := []*core.ServiceResult{nil, nil, nil}
 	results[0], _ = srv.Result(job.ID)

@@ -116,7 +116,7 @@ func TestTransientStorePutRetries(t *testing.T) {
 	srv := New(Config{
 		Workers: 1,
 		TempDir: t.TempDir(),
-		Store:   store.NewMemStore(),
+		Store:   testStore(t),
 		Retry: faults.RetryPolicy{
 			Attempts: 4,
 			Base:     time.Millisecond,
@@ -187,7 +187,7 @@ func TestPermanentStorePutFails(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("store.put", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: store.NewMemStore()})
+	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: testStore(t)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -406,11 +406,7 @@ func TestSoakUploadsBoundedMemory(t *testing.T) {
 		hosts    = 250
 		marginMB = 2
 	)
-	st, err := store.OpenFSStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10, TempDir: t.TempDir(), Store: st})
+	srv := New(Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10, TempDir: t.TempDir(), Store: testStore(t)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -14,7 +14,6 @@ import (
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 	"diffaudit/internal/report"
-	"diffaudit/internal/store"
 	"diffaudit/internal/synth"
 )
 
@@ -219,7 +218,7 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 	// 11 000 flows at ~430 bytes a row: a 4.7 MB export.
 	huge := &core.ServiceResult{
 		Identity: core.ServiceIdentity{Name: "Huge", Owner: "Huge Org"},
-		ByTrace:  map[flows.Persona]*flows.Set{flows.Child: flows.NewSetSized(11000)},
+		ByTrace:  map[flows.Persona]*flows.Set{flows.Child: flows.NewTable().NewSet(11000)},
 		Domains:  map[string]bool{}, ESLDs: map[string]bool{}, RawKeys: map[string]bool{},
 	}
 	cats := ontology.Categories()
@@ -232,7 +231,7 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 	}
 	results = append(results, huge)
 
-	st := store.NewMemStore()
+	st := testStore(t)
 	type stored struct {
 		jobID, hash string
 		want        []byte

@@ -43,7 +43,7 @@ func apiErr(t *testing.T, body []byte) apiErrorBody {
 // fast enveloped 503, never a 500.
 func TestBreakerStaleServing(t *testing.T) {
 	defer faults.Reset()
-	st := store.NewMemStore()
+	st := testStore(t)
 	srv, ts, first := storeServer(t, Config{Workers: 1, MaxJobs: 1, Store: st})
 
 	// Evict the first job so its report is served from the store (the
@@ -123,7 +123,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	faults.Set("store.put", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
 	srv := New(Config{
-		Workers: 1, TempDir: t.TempDir(), Store: store.NewMemStore(),
+		Workers: 1, TempDir: t.TempDir(), Store: testStore(t),
 		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: 50 * time.Millisecond,
 	})
 	defer srv.Close()
@@ -492,11 +492,7 @@ func mangle(t *testing.T, path string) {
 // TestScrubberBackgroundLoop: with ScrubInterval set, passes tick in the
 // background and Close stops the loop cleanly.
 func TestScrubberBackgroundLoop(t *testing.T) {
-	st, err := store.OpenFSStore(t.TempDir() + "/snapshots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: st, ScrubInterval: 5 * time.Millisecond})
+	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: testStore(t), ScrubInterval: 5 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -515,16 +511,6 @@ func TestScrubberBackgroundLoop(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	srv.Close() // must stop the ticker goroutine (verified by -race/leak-free exit)
-
-	// A MemStore server cannot scrub: the loop never starts and healthz
-	// omits the scrub section rather than reporting idle zeros.
-	mem := New(Config{Workers: 1, TempDir: t.TempDir(), Store: store.NewMemStore(), ScrubInterval: time.Millisecond})
-	defer mem.Close()
-	memTS := httptest.NewServer(mem)
-	defer memTS.Close()
-	if h := healthSnapshot(t, memTS); h["scrub"] != nil {
-		t.Errorf("MemStore healthz reports scrub = %+v", h["scrub"])
-	}
 }
 
 // TestHealthLoadGauges pins the healthz overload gauges: live queue

@@ -54,12 +54,9 @@ func (st *scrubState) stats() scrubStats {
 }
 
 // scrubbable returns the store's scrub surface, nil when the configured
-// store cannot scrub (a memory-backed store keeps nothing at rest).
+// store is not a *store.Snapshots (a test's substitute).
 func (s *Server) scrubbable() *store.Snapshots {
-	sc, ok := s.cfg.Store.(*store.Snapshots)
-	if !ok || sc.QuarantineDir() == "" {
-		return nil
-	}
+	sc, _ := s.cfg.Store.(*store.Snapshots)
 	return sc
 }
 

@@ -191,7 +191,7 @@ func TestAuditEndToEnd(t *testing.T) {
 // must be what the two-step reference produces: parse everything, guess the
 // identity from the records, audit them under it.
 func TestGuessedIdentity(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: store.NewMemStore()})
+	srv := New(Config{TempDir: t.TempDir(), Store: testStore(t)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -583,7 +583,7 @@ func runJob(t *testing.T, ts *httptest.Server, parts map[string][2]string) Job {
 // answers 404 for an evicted ID, but both report endpoints keep serving
 // the persisted snapshot byte-identically.
 func TestEvictedJobServedFromStore(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: store.NewMemStore()})
+	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: testStore(t)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -647,7 +647,7 @@ func (f failingStore) Put(jobID string, r *core.ServiceResult) (store.Meta, erro
 // result, the job records SnapshotError and is retained past MaxJobs —
 // the in-memory copy is the only one, and eviction must not destroy it.
 func TestSnapshotFailureBlocksEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: failingStore{store.NewMemStore()}})
+	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: failingStore{testStore(t)}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -684,7 +684,7 @@ func (unlistableStore) List() ([]store.Meta, error) {
 // snapshot's at start-up; a store that cannot say what it holds would let
 // a new job-N alias a stored report, so Open fails instead of guessing.
 func TestOpenRefusesUnlistableStore(t *testing.T) {
-	srv, err := Open(Config{TempDir: t.TempDir(), Store: unlistableStore{store.NewMemStore()}})
+	srv, err := Open(Config{TempDir: t.TempDir(), Store: unlistableStore{testStore(t)}})
 	if err == nil {
 		srv.Close()
 		t.Fatal("Open served a store whose List fails")
@@ -721,7 +721,7 @@ func (b brokenLoadStore) Load(store.Meta) (*core.ServiceResult, error) {
 // cannot be read is a storage failure, not a missing job — the report
 // endpoint must answer 500, never a masking 404.
 func TestUnreadableStoredSnapshotIs500(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: brokenLoadStore{store.NewMemStore()}})
+	srv := New(Config{TempDir: t.TempDir(), Store: brokenLoadStore{testStore(t)}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1031,7 +1031,7 @@ func ghostResult(t *testing.T, maxAge int) *core.ServiceResult {
 // "Ghost Kid" serves the snapshot and report.json of a stored result that
 // has it, and the reads change neither /v1/personas nor what uploads accept.
 func TestReadingASnapshotChangesNothingOutsideIt(t *testing.T) {
-	st := store.NewMemStore()
+	st := testStore(t)
 	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -1062,7 +1062,7 @@ func TestReadingASnapshotChangesNothingOutsideIt(t *testing.T) {
 // 5-9 decodes on a server configured with a "Ghost Kid" aged 5-10 — each
 // result keeps its own record — and the diff pairs the two by name.
 func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
-	st := store.NewMemStore()
+	st := testStore(t)
 	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
 		t.Fatal(err)
 	}

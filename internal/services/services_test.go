@@ -59,7 +59,7 @@ func TestGridShapes(t *testing.T) {
 	for _, s := range All() {
 		for _, g := range ontology.FlowGroups() {
 			for _, c := range flows.DestClasses() {
-				for _, tc := range flows.TraceCategories() {
+				for _, tc := range flows.BuiltinPersonas() {
 					_ = s.Grid.Mask(g, c, tc) // zero value acceptable; no panic
 				}
 			}
@@ -72,7 +72,7 @@ func TestGridPaperSpotChecks(t *testing.T) {
 	yt, _ := ByName("YouTube")
 	for _, g := range ontology.FlowGroups() {
 		for _, c := range []flows.DestClass{flows.ThirdParty, flows.ThirdPartyATS} {
-			for _, tc := range flows.TraceCategories() {
+			for _, tc := range flows.BuiltinPersonas() {
 				if yt.Grid.Mask(g, c, tc) != 0 {
 					t.Errorf("YouTube grid has third-party flow %v/%v/%v", g, c, tc)
 				}
@@ -92,7 +92,7 @@ func TestGridPaperSpotChecks(t *testing.T) {
 	for _, name := range []string{"Duolingo", "Quizlet"} {
 		s, _ := ByName(name)
 		for _, g := range ontology.FlowGroups() {
-			for _, tc := range flows.TraceCategories() {
+			for _, tc := range flows.BuiltinPersonas() {
 				if s.Grid.Mask(g, flows.FirstPartyATS, tc) != 0 {
 					t.Errorf("%s has a first-party ATS flow %v/%v", name, g, tc)
 				}
@@ -101,7 +101,7 @@ func TestGridPaperSpotChecks(t *testing.T) {
 	}
 	// Paper: all services collect first-party in every trace.
 	for _, s := range All() {
-		for _, tc := range flows.TraceCategories() {
+		for _, tc := range flows.BuiltinPersonas() {
 			any := false
 			for _, g := range ontology.FlowGroups() {
 				if s.Grid.Mask(g, flows.FirstParty, tc) != 0 {

@@ -2,69 +2,21 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"diffaudit/internal/faults"
 	"diffaudit/internal/wire"
 )
 
-// backend is where a store's snapshot bytes live, addressed by sequence
-// number. Implementations are safe for concurrent use; Snapshots calls
-// them with its index lock released.
-type backend interface {
-	// publish stores data under m.Seq, durably and exclusively: it fails
-	// with an error matching os.ErrExist, and leaves the holder untouched,
-	// when the sequence is already taken.
-	publish(m Meta, data []byte) error
-	// open returns the metadata and codec bytes stored under seq, which
-	// the caller must not modify; an error matching os.ErrNotExist means
-	// nothing is stored there.
-	open(seq uint64) (stored Meta, data []byte, err error)
-	// remove deletes what is stored under seq, if anything.
-	remove(seq uint64) error
-}
-
-// memBackend keeps snapshots in a map: process-lifetime durability. Every
-// key is written once and then only read or deleted, which is the case
-// sync.Map is built for.
-type memBackend struct {
-	blobs sync.Map // seq → memBlob
-}
-
-type memBlob struct {
-	meta Meta
-	data []byte // immutable once published, so readers share it
-}
-
-func (b *memBackend) publish(m Meta, data []byte) error {
-	if _, taken := b.blobs.LoadOrStore(m.Seq, memBlob{meta: m, data: data}); taken {
-		return os.ErrExist
-	}
-	return nil
-}
-
-func (b *memBackend) open(seq uint64) (Meta, []byte, error) {
-	v, ok := b.blobs.Load(seq)
-	if !ok {
-		return Meta{}, nil, os.ErrNotExist
-	}
-	blob := v.(memBlob)
-	return blob.meta, blob.data, nil
-}
-
-func (b *memBackend) remove(seq uint64) error {
-	b.blobs.Delete(seq)
-	return nil
-}
-
 // dirBackend keeps one file per snapshot, <seq>.snap, under a directory:
 // a small envelope (magic, version, JSON metadata) followed by the codec
-// bytes. Files are immutable once published.
+// bytes. Files are immutable once published. It is safe for concurrent
+// use; Snapshots calls it with its index lock released.
 type dirBackend struct {
 	dir string
 }
@@ -84,8 +36,9 @@ func (b *dirBackend) quarantineDir() string { return filepath.Join(b.dir, "quara
 
 // publish writes one snapshot file crash-safely and exclusively: temp file
 // in the same directory, fsync, then a hard link to the final name — which
-// fails when the name is already taken, instead of overwriting it as a
-// rename would — then a directory sync. A crash mid-write leaves at worst a .tmp-* orphan.
+// fails with an error matching os.ErrExist, instead of overwriting the
+// holder as a rename would — then a directory sync. A crash mid-write
+// leaves at worst a .tmp-* orphan.
 func (b *dirBackend) publish(m Meta, data []byte) error {
 	metaJSON, err := json.Marshal(m)
 	if err != nil {
@@ -112,7 +65,8 @@ func (b *dirBackend) publish(m Meta, data []byte) error {
 	return syncDir(b.dir)
 }
 
-// open reads the snapshot file whole and parses the envelope.
+// open reads the snapshot file whole and parses the envelope; an error
+// matching os.ErrNotExist means nothing is stored under seq.
 func (b *dirBackend) open(seq uint64) (Meta, []byte, error) {
 	path := b.path(seq)
 	raw, err := os.ReadFile(path)
@@ -153,28 +107,47 @@ func (b *dirBackend) rescan() (metas []Meta, claimed uint64, err error) {
 			continue
 		}
 		claimed = max(claimed, seq)
-		m, data, err := b.open(seq)
-		if err == nil && m.Seq == seq && Hash(data) == m.Hash {
+		if m, err := b.check(seq); err == nil {
 			metas = append(metas, m)
 		}
 	}
 	return metas, claimed, nil
 }
 
-// quarantine parks the file stored under seq in the quarantine directory,
-// byte for byte. Failing to park it (directory unwritable) must not leave
-// corruption serveable, so the file leaves the serving path either way.
-func (b *dirBackend) quarantine(seq uint64) {
-	if err := os.MkdirAll(b.quarantineDir(), 0o755); err == nil {
-		dest := filepath.Join(b.quarantineDir(), filepath.Base(b.path(seq)))
-		if _, err := os.Stat(dest); err == nil {
-			// A previous pass already parked this sequence; keep the first
-			// evidence and make room for the fresh copy.
-			dest += "." + strconv.Itoa(os.Getpid())
-		}
-		os.Rename(b.path(seq), dest)
+// check reads the file stored under seq and returns its metadata when the
+// file is intact: the envelope parses, records the sequence its name
+// encodes, and names the content hash of the codec bytes it frames. Open's
+// rescan and every scrub pass apply this one test.
+func (b *dirBackend) check(seq uint64) (Meta, error) {
+	m, data, err := b.open(seq)
+	if err != nil {
+		return Meta{}, err
 	}
-	os.Remove(b.path(seq))
+	if m.Seq != seq {
+		return Meta{}, fmt.Errorf("store: snapshot %d: file records sequence %d", seq, m.Seq)
+	}
+	if got := Hash(data); got != m.Hash {
+		return Meta{}, fmt.Errorf("store: snapshot %d: content hash %s != recorded %s", seq, got, m.Hash)
+	}
+	return m, nil
+}
+
+// quarantine parks the file stored under seq in the quarantine directory,
+// byte for byte, under a name no earlier copy holds: <seq>.snap, then
+// <seq>.snap.1, .2, … (a link fails on a taken name), so repeated
+// corruption of one sequence keeps every copy. Failing to park it
+// (directory unwritable) must not leave corruption serveable, so the file
+// leaves the serving path either way.
+func (b *dirBackend) quarantine(seq uint64) {
+	src := b.path(seq)
+	if err := os.MkdirAll(b.quarantineDir(), 0o755); err == nil {
+		base := filepath.Join(b.quarantineDir(), filepath.Base(src))
+		dest := base
+		for n := 1; errors.Is(os.Link(src, dest), os.ErrExist); n++ {
+			dest = base + "." + strconv.Itoa(n)
+		}
+	}
+	os.Remove(src)
 }
 
 // parseSnapEnvelope parses a snapshot file's envelope. The returned codec

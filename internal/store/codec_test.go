@@ -111,7 +111,7 @@ func TestRoundTripCustomPersona(t *testing.T) {
 	if !ok || got == p {
 		t.Fatalf("decoded personas %v: want a handle of the result's own named Codec Kid", dec.Personas())
 	}
-	if got.Attr("region") != "EU" || !got.AgeBelow(10) || got.AgeBelow(9) || got.Info().Aliases[0] != "codec-kid" {
+	if got.Info().Attrs["region"] != "EU" || !got.AgeBelow(10) || got.AgeBelow(9) || got.Info().Aliases[0] != "codec-kid" {
 		t.Errorf("decoded record = %+v", got.Info())
 	}
 	if set := dec.ByTrace[got]; set == nil || set.Len() != res.ByTrace[p].Len() {
@@ -219,7 +219,7 @@ func TestOnePersonaPerName(t *testing.T) {
 		}
 		res := auditOne(t, "Quizlet")
 		res.ByTrace[kid], res.ByTrace[twin] = res.ByTrace[flows.Child], res.ByTrace[flows.Adolescent]
-		s := NewMemStore()
+		s := openStore(t)
 		if _, err := s.Put("job-1", res); err == nil || s.Len() != 0 {
 			t.Errorf("stored a result with two Twin Kid personas (%+v): %v", twin.Info(), err)
 		}
@@ -232,7 +232,7 @@ func TestOnePersonaPerName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewMemStore()
+	s := openStore(t)
 	m, err := s.Put("job-1", res)
 	if err != nil {
 		t.Fatal(err)

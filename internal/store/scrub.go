@@ -1,17 +1,19 @@
 // Snapshot integrity scrubbing: proactive detection of at-rest
-// corruption. The directory backend already *tolerates* corruption — a
+// corruption. The store already *tolerates* corruption — a
 // damaged file is skipped at open, and every Load checks the CRC — but
 // tolerance is reactive: the damage is discovered by whichever request
 // trips over it, and until then the store advertises a snapshot it cannot
 // serve. A scrub pass walks every listed snapshot, re-verifies the whole
-// chain of custody (envelope parse, codec CRC32, SHA-256 content hash
-// against the listed metadata), and handles what it finds:
+// chain of custody with the check Open's rescan applies (envelope parse,
+// sequence, SHA-256 content hash) against the listed metadata, and
+// handles what it finds:
 //
 //   - Corrupt files are moved to <dir>/quarantine/ — off the serving
 //     path but preserved byte-for-byte, because a later build (or a
 //     human with a hex editor) may recover what this one cannot, and
 //     because deleting evidence of silent corruption is how you never
-//     find the bad disk.
+//     find the bad disk. Every copy is kept: a sequence corrupted again
+//     after a repair parks as <seq>.snap.1, .2, … beside the first.
 //   - If the caller can produce clean bytes for the snapshot's content
 //     hash (the server offers re-encoded results from its decoded-
 //     snapshot cache), the file is rewritten in place from those bytes
@@ -34,7 +36,7 @@ import (
 type ScrubResult struct {
 	// Scanned is how many listed snapshots were verified.
 	Scanned int `json:"scanned"`
-	// Corrupt is how many failed verification (envelope, CRC, or
+	// Corrupt is how many failed verification (envelope, sequence or
 	// content hash). Corrupt == Repaired + Quarantined.
 	Corrupt int `json:"corrupt"`
 	// Repaired is how many corrupt snapshots were rewritten from clean
@@ -54,29 +56,14 @@ func (r *ScrubResult) Add(o ScrubResult) {
 	r.Quarantined += o.Quarantined
 }
 
-// QuarantineDir is where a scrub pass parks corrupt snapshot files. It is
-// "" when the store keeps nothing at rest (the memory backend: corruption
-// there is a RAM problem, not ours) and so has nothing to scrub.
-func (s *Snapshots) QuarantineDir() string {
-	if d, ok := s.blobs.(*dirBackend); ok {
-		return d.quarantineDir()
-	}
-	return ""
-}
-
-// ScrubPass is one low-priority walk over every listed snapshot of a
-// directory-backed store. fetch, when non-nil, maps a content hash to
-// clean encoded bytes for repair (return false when no clean copy exists).
-// File I/O happens outside the store lock — a pass over a large store must
-// not stall Puts — and each corrupt file is handled under the lock with a
-// re-check, so a concurrent Delete cannot race the quarantine into
-// resurrecting metadata.
+// ScrubPass is one low-priority walk over every listed snapshot. fetch,
+// when non-nil, maps a content hash to clean encoded bytes for repair
+// (return false when no clean copy exists). File I/O happens outside the
+// store lock — a pass over a large store must not stall Puts — and each
+// corrupt file is handled under the lock with a re-check, so a concurrent
+// Delete cannot race the quarantine into resurrecting metadata.
 func (s *Snapshots) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResult {
 	var res ScrubResult
-	d, ok := s.blobs.(*dirBackend)
-	if !ok {
-		return res
-	}
 	metas, _ := s.List()
 	for _, m := range metas {
 		res.Scanned++
@@ -84,7 +71,7 @@ func (s *Snapshots) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResul
 			continue
 		}
 		res.Corrupt++
-		if s.quarantineAndMaybeRepair(d, m, fetch) {
+		if s.quarantineAndMaybeRepair(m, fetch) {
 			res.Repaired++
 		} else {
 			res.Quarantined++
@@ -93,26 +80,21 @@ func (s *Snapshots) ScrubPass(fetch func(hash string) ([]byte, bool)) ScrubResul
 	return res
 }
 
-// verify re-verifies one stored snapshot end to end: what every open
-// checks (readable envelope whose recorded hash matches the listed
-// metadata), then the codec CRC32 (cheap, catches truncation and bit rot
-// inside the codec frame), then the SHA-256 content hash (end-to-end,
-// catches everything else including a consistently re-written wrong
-// snapshot). Any failure — including a missing file, which the quarantine
-// path tolerates — reports corrupt.
+// verify re-verifies one stored snapshot end to end: the file passes the
+// rescan check (dirBackend.check) and records the hash the listing names.
+// The codec CRC needs no pass of its own: it sits inside the hashed bytes,
+// so it cannot fail once the SHA-256 matches. Any failure — including a
+// missing file, which the quarantine path tolerates — reports corrupt.
 func (s *Snapshots) verify(m Meta) error {
 	if err := faults.Inject("scrub.corrupt"); err != nil {
 		return fmt.Errorf("store: scrub: %w", err)
 	}
-	data, err := s.open(m)
+	stored, err := s.files.check(m.Seq)
 	if err != nil {
 		return err
 	}
-	if _, err := checkSnapshot(data); err != nil {
-		return fmt.Errorf("store: scrub: snapshot %d: %w", m.Seq, err)
-	}
-	if got := Hash(data); got != m.Hash {
-		return fmt.Errorf("store: scrub: snapshot %d content hash %s != listed %s", m.Seq, got, m.Hash)
+	if stored.Hash != m.Hash {
+		return fmt.Errorf("store: scrub: snapshot %d hash %s != listed %s", m.Seq, stored.Hash, m.Hash)
 	}
 	return nil
 }
@@ -122,7 +104,7 @@ func (s *Snapshots) verify(m Meta) error {
 // the file in place. Returns true when the snapshot was repaired and
 // keeps serving; false when it was quarantined and dropped from the
 // listing.
-func (s *Snapshots) quarantineAndMaybeRepair(d *dirBackend, m Meta, fetch func(hash string) ([]byte, bool)) bool {
+func (s *Snapshots) quarantineAndMaybeRepair(m Meta, fetch func(hash string) ([]byte, bool)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Re-check under the lock: a concurrent Delete may have removed the
@@ -130,10 +112,10 @@ func (s *Snapshots) quarantineAndMaybeRepair(d *dirBackend, m Meta, fetch func(h
 	if cur, live := s.ix.at(m.Seq); !live || cur.Hash != m.Hash {
 		return false
 	}
-	d.quarantine(m.Seq)
+	s.files.quarantine(m.Seq)
 	if fetch != nil {
 		if data, ok := fetch(m.Hash); ok && Hash(data) == m.Hash {
-			if err := d.publish(m, data); err == nil {
+			if err := s.files.publish(m, data); err == nil {
 				return true // metadata stays; the snapshot never stopped serving
 			}
 		}

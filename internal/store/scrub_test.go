@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"diffaudit/internal/faults"
@@ -15,10 +16,7 @@ import (
 // cache would provide).
 func scrubStore(t *testing.T) (*Snapshots, []Meta, map[string][]byte) {
 	t.Helper()
-	st, err := OpenFSStore(filepath.Join(t.TempDir(), "snapshots"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t)
 	clean := map[string][]byte{}
 	for i, name := range []string{"Quizlet", "Roblox"} {
 		res := auditOne(t, name)
@@ -35,19 +33,23 @@ func scrubStore(t *testing.T) (*Snapshots, []Meta, map[string][]byte) {
 	return st, metas, clean
 }
 
-// dirOf returns the directory backend under a store opened by OpenFSStore.
-func dirOf(st *Snapshots) *dirBackend { return st.blobs.(*dirBackend) }
-
 // corruptFile flips a byte deep inside a snapshot file's payload, past
-// the envelope header so the file still parses but the codec CRC fails.
+// the envelope header so the file still parses but the content hash fails.
 func corruptFile(t *testing.T, path string) []byte {
+	t.Helper()
+	return corruptAt(t, path, 0)
+}
+
+// corruptAt is corruptFile flipping the byte off places past the middle,
+// so successive corruptions of one file differ.
+func corruptAt(t *testing.T, path string, off int) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mangled := append([]byte(nil), data...)
-	mangled[len(mangled)/2] ^= 0xFF
+	mangled[len(mangled)/2+off] ^= 0xFF
 	if err := os.WriteFile(path, mangled, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestScrubPassClean(t *testing.T) {
 	if r.Scanned != 2 || r.Corrupt != 0 || r.Repaired != 0 || r.Quarantined != 0 {
 		t.Fatalf("clean scrub = %+v", r)
 	}
-	if _, err := os.Stat(st.QuarantineDir()); !os.IsNotExist(err) {
+	if _, err := os.Stat(st.files.quarantineDir()); !os.IsNotExist(err) {
 		t.Errorf("clean scrub created quarantine dir: %v", err)
 	}
 }
@@ -73,7 +75,7 @@ func TestScrubPassClean(t *testing.T) {
 func TestScrubQuarantinesCorruption(t *testing.T) {
 	st, metas, _ := scrubStore(t)
 	bad := metas[0]
-	mangled := corruptFile(t, dirOf(st).path(bad.Seq))
+	mangled := corruptFile(t, st.files.path(bad.Seq))
 
 	r := st.ScrubPass(nil) // no repair source
 	if r.Scanned != 2 || r.Corrupt != 1 || r.Quarantined != 1 || r.Repaired != 0 {
@@ -94,7 +96,7 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 	}
 
 	// Evidence preserved exactly.
-	parked, err := os.ReadFile(filepath.Join(st.QuarantineDir(), filepath.Base(dirOf(st).path(bad.Seq))))
+	parked, err := os.ReadFile(filepath.Join(st.files.quarantineDir(), filepath.Base(st.files.path(bad.Seq))))
 	if err != nil {
 		t.Fatalf("quarantined file: %v", err)
 	}
@@ -102,13 +104,13 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 		t.Error("quarantined bytes differ from the corrupt original")
 	}
 	// The serving path no longer holds the file.
-	if _, err := os.Stat(dirOf(st).path(bad.Seq)); !os.IsNotExist(err) {
+	if _, err := os.Stat(st.files.path(bad.Seq)); !os.IsNotExist(err) {
 		t.Errorf("corrupt file still in serving dir: %v", err)
 	}
 
 	// A restart agrees: reopening the directory sees one snapshot and
 	// ignores the quarantine subdirectory.
-	st2, err := OpenFSStore(dirOf(st).dir)
+	st2, err := OpenFSStore(st.files.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestScrubQuarantinesCorruption(t *testing.T) {
 func TestScrubRepairsFromFetch(t *testing.T) {
 	st, metas, clean := scrubStore(t)
 	bad := metas[1]
-	corruptFile(t, dirOf(st).path(bad.Seq))
+	corruptFile(t, st.files.path(bad.Seq))
 
 	fetch := func(hash string) ([]byte, bool) {
 		data, ok := clean[hash]
@@ -148,13 +150,55 @@ func TestScrubRepairsFromFetch(t *testing.T) {
 	}
 }
 
+// TestScrubKeepsEveryQuarantinedCopy: a sequence corrupted again after
+// each repair (the bad-disk case) parks every corrupt copy under a name of
+// its own — none replaces an earlier one.
+func TestScrubKeepsEveryQuarantinedCopy(t *testing.T) {
+	st, metas, clean := scrubStore(t)
+	bad := metas[0]
+	fetch := func(hash string) ([]byte, bool) {
+		data, ok := clean[hash]
+		return data, ok
+	}
+	var copies [][]byte
+	for round := range 3 {
+		copies = append(copies, corruptAt(t, st.files.path(bad.Seq), round))
+		if r := st.ScrubPass(fetch); r.Corrupt != 1 || r.Repaired != 1 {
+			t.Fatalf("round %d: scrub = %+v, want 1 corrupt repaired", round, r)
+		}
+	}
+	entries, err := os.ReadDir(st.files.quarantineDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parked [][]byte
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(st.files.quarantineDir(), e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked = append(parked, data)
+	}
+	if len(parked) != len(copies) {
+		t.Fatalf("quarantine holds %d files, want %d", len(parked), len(copies))
+	}
+	for i, want := range copies {
+		if !slices.ContainsFunc(parked, func(got []byte) bool { return bytes.Equal(got, want) }) {
+			t.Errorf("corrupt copy %d is not in quarantine byte for byte", i)
+		}
+	}
+	if _, _, err := st.Get(bad.Hash); err != nil {
+		t.Errorf("Get after the third repair: %v", err)
+	}
+}
+
 // TestScrubRejectsWrongRepairBytes: a fetch that returns bytes not
 // matching the snapshot's content hash must not be trusted — the
 // snapshot is quarantined, not "repaired" into different content.
 func TestScrubRejectsWrongRepairBytes(t *testing.T) {
 	st, metas, clean := scrubStore(t)
 	bad := metas[0]
-	corruptFile(t, dirOf(st).path(bad.Seq))
+	corruptFile(t, st.files.path(bad.Seq))
 
 	wrong := clean[metas[1].Hash] // valid encoding, wrong snapshot
 	r := st.ScrubPass(func(string) ([]byte, bool) { return wrong, true })

@@ -6,14 +6,12 @@
 // time.
 //
 // There is one store type, Snapshots: an in-memory index (index.go — the
-// only place a reference is resolved) over a blob backend (backend.go)
-// that holds the bytes: a map (NewMemStore; process-lifetime durability,
-// for tests and single-run tooling) or a directory with one crash-safely
-// published file per snapshot (OpenFSStore; rescanned on open, so a
-// restarted process serves everything the previous one stored).
+// only place a reference is resolved) over a directory (backend.go) with
+// one crash-safely published file per snapshot (OpenFSStore; rescanned on
+// open, so a restarted process serves everything the previous one stored).
 //
 // One mutex guards the index, in critical sections of a few loads and
-// stores. Encoding, hashing, decoding and every byte of backend I/O run
+// stores. Encoding, hashing, decoding and every byte of file I/O run
 // outside it, so concurrent Puts overlap their fsyncs and readers never
 // wait on a writer's disk; only the cold scrub-repair path does I/O under
 // the lock (quarantine must be atomic against Delete).
@@ -95,17 +93,11 @@ type Store interface {
 var ErrUnresolved = errors.New("unresolved snapshot reference")
 
 // Snapshots is the store implementation: the index under one mutex, the
-// bytes in a backend. Memory grows with every Put on the map backend;
-// long-lived servers that need durability or a bound use the directory one.
+// bytes in one file per snapshot.
 type Snapshots struct {
-	mu    sync.Mutex // guards ix; backend I/O never runs under it (scrub repair excepted)
+	mu    sync.Mutex // guards ix; file I/O never runs under it (scrub repair excepted)
 	ix    index
-	blobs backend
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *Snapshots {
-	return &Snapshots{ix: newIndex(), blobs: &memBackend{}}
+	files dirBackend
 }
 
 // OpenFSStore opens (creating if needed) a snapshot directory and rescans
@@ -117,12 +109,12 @@ func OpenFSStore(dir string) (*Snapshots, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	blobs := &dirBackend{dir: dir}
-	metas, claimed, err := blobs.rescan()
+	files := dirBackend{dir: dir}
+	metas, claimed, err := files.rescan()
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshots{ix: newIndex(), blobs: blobs}
+	s := &Snapshots{ix: newIndex(), files: files}
 	s.ix.fence(claimed)
 	for _, m := range metas {
 		s.ix.insert(m)
@@ -159,7 +151,7 @@ func (s *Snapshots) put(m Meta, data []byte) (Meta, error) {
 		s.mu.Lock()
 		m.Seq = s.ix.reserve()
 		s.mu.Unlock()
-		err := s.blobs.publish(m, data)
+		err := s.files.publish(m, data)
 		if errors.Is(err, os.ErrExist) {
 			continue
 		}
@@ -190,7 +182,7 @@ func (s *Snapshots) JobSnapshot(jobID string) (Meta, bool) {
 // open returns the codec bytes stored for m, once the stored envelope
 // agrees they are the content m names.
 func (s *Snapshots) open(m Meta) ([]byte, error) {
-	stored, data, err := s.blobs.open(m.Seq)
+	stored, data, err := s.files.open(m.Seq)
 	if errors.Is(err, os.ErrNotExist) {
 		// Deleted between resolution and the open: the reference no longer
 		// denotes anything, which is a 404, not a 500.
@@ -264,12 +256,12 @@ func (s *Snapshots) Delete(ref string) error {
 	if err != nil {
 		return err
 	}
-	return s.blobs.remove(m.Seq)
+	return s.files.remove(m.Seq)
 }
 
 // SaveFile writes one result as a standalone snapshot file (the raw codec
 // encoding, no envelope — the `diffaudit diff` CLI reads these directly).
-// The write is crash-safe like the directory backend's; unlike a store
+// The write is crash-safe like a Put's; unlike a store
 // sequence file, the caller named the target, so an existing file is
 // replaced. Like Put, it refuses a result with two personas of one name.
 func SaveFile(path string, r *core.ServiceResult) error {

@@ -27,10 +27,19 @@ func exportOf(t *testing.T, r *core.ServiceResult) []byte {
 	return data
 }
 
-// testStoreContract exercises the Store interface contract shared by both
-// backends.
-func testStoreContract(t *testing.T, s Store) {
+// openStore opens a store over a fresh directory that the test removes.
+func openStore(t testing.TB) *Snapshots {
 	t.Helper()
+	s, err := OpenFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestFSStore exercises the Store interface contract.
+func TestFSStore(t *testing.T) {
+	s := openStore(t)
 	a := auditOne(t, "Quizlet")
 	b := auditOne(t, "Roblox")
 
@@ -108,16 +117,6 @@ func testStoreContract(t *testing.T, s Store) {
 	if _, _, err := s.Get("job-1"); err != nil {
 		t.Errorf("job-1 gone after deleting job-3: %v", err)
 	}
-}
-
-func TestMemStore(t *testing.T) { testStoreContract(t, NewMemStore()) }
-
-func TestFSStore(t *testing.T) {
-	s, err := OpenFSStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStoreContract(t, s)
 }
 
 // TestFSStoreRestart pins restart durability: a fresh FSStore over the same
@@ -393,24 +392,13 @@ func (im *indexModel) check() {
 	}
 }
 
-// TestIndexModel checks the index against the brute-force model over both
-// backends: first the fixed cases the resolution contract names, then a
-// seeded random walk of puts (duplicate content, re-used job IDs, hashes
+// TestIndexModel checks the index against the brute-force model: first
+// the fixed cases the resolution contract names, then a seeded random walk of puts (duplicate content, re-used job IDs, hashes
 // sharing 6–10-character prefixes, all-digit prefixes and job IDs, a job ID
 // that is also a hash prefix) and deletes by every reference form, with
 // every read compared after every step.
 func TestIndexModel(t *testing.T) {
 	data := EncodeResult(auditOne(t, "Quizlet"))
-	backends := map[string]func(t *testing.T) *Snapshots{
-		"mem": func(t *testing.T) *Snapshots { return NewMemStore() },
-		"dir": func(t *testing.T) *Snapshots {
-			s, err := OpenFSStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	}
 	fixed := []struct {
 		name string
 		puts [][2]string       // hash, job ID
@@ -432,48 +420,46 @@ func TestIndexModel(t *testing.T) {
 		{"job beats prefix", [][2]string{{"cafe01aaaa", "job-1"}, {"cafe01aaaa", "cafe01"}, {"cafe01aaaa", ""}},
 			map[string]uint64{"cafe01": 2, "cafe01aaaa": 3, "cafe01a": 3}},
 	}
-	for name, open := range backends {
-		for _, tc := range fixed {
-			t.Run(name+"/"+tc.name, func(t *testing.T) {
-				im := &indexModel{t: t, s: open(t), data: data}
-				for _, p := range tc.puts {
-					im.put(p[0], p[1])
-					im.check()
+	for _, tc := range fixed {
+		t.Run("dir/"+tc.name, func(t *testing.T) {
+			im := &indexModel{t: t, s: openStore(t), data: data}
+			for _, p := range tc.puts {
+				im.put(p[0], p[1])
+				im.check()
+			}
+			for ref, seq := range tc.want {
+				if m, ok := im.resolves(ref); ok != (seq != 0) || m.Seq != seq {
+					t.Errorf("%q resolves to seq %d (%v), want %d", ref, m.Seq, ok, seq)
 				}
-				for ref, seq := range tc.want {
-					if m, ok := im.resolves(ref); ok != (seq != 0) || m.Seq != seq {
-						t.Errorf("%q resolves to seq %d (%v), want %d", ref, m.Seq, ok, seq)
-					}
-				}
-				// Newest first, so every delete promotes an older copy.
-				for i := len(tc.puts); i > 0; i-- {
-					im.del(strconv.Itoa(i))
-					im.check()
-				}
-			})
-		}
-		t.Run(name+"/random walk", func(t *testing.T) {
-			im := &indexModel{t: t, s: open(t), data: data}
-			rng := rand.New(rand.NewSource(14))
-			jobs := []string{"", "job-1", "job-2", "job-3", "7", "482913"}
-			for step := 0; step < 120; step++ {
-				switch n := len(im.live); {
-				case n < 30 && rng.Intn(3) > 0 || n == 0:
-					// 16 characters: a prefix from a small pool, two random
-					// bits spelled out, a random byte zero-padded to six.
-					hash := fmt.Sprintf("%s%04b%06x", []string{"abcdef", "482913", "000000"}[rng.Intn(3)], rng.Intn(4), rng.Intn(256))
-					if n > 0 && rng.Intn(3) == 0 {
-						hash = im.live[rng.Intn(n)].Hash // the same content again
-					}
-					im.put(hash, jobs[rng.Intn(len(jobs))])
-				default:
-					m := im.live[rng.Intn(n)]
-					im.del([]string{strconv.FormatUint(m.Seq, 10), m.Hash, m.Hash[:8], m.JobID}[rng.Intn(4)])
-				}
+			}
+			// Newest first, so every delete promotes an older copy.
+			for i := len(tc.puts); i > 0; i-- {
+				im.del(strconv.Itoa(i))
 				im.check()
 			}
 		})
 	}
+	t.Run("dir/random walk", func(t *testing.T) {
+		im := &indexModel{t: t, s: openStore(t), data: data}
+		rng := rand.New(rand.NewSource(14))
+		jobs := []string{"", "job-1", "job-2", "job-3", "7", "482913"}
+		for step := 0; step < 120; step++ {
+			switch n := len(im.live); {
+			case n < 30 && rng.Intn(3) > 0 || n == 0:
+				// 16 characters: a prefix from a small pool, two random
+				// bits spelled out, a random byte zero-padded to six.
+				hash := fmt.Sprintf("%s%04b%06x", []string{"abcdef", "482913", "000000"}[rng.Intn(3)], rng.Intn(4), rng.Intn(256))
+				if n > 0 && rng.Intn(3) == 0 {
+					hash = im.live[rng.Intn(n)].Hash // the same content again
+				}
+				im.put(hash, jobs[rng.Intn(len(jobs))])
+			default:
+				m := im.live[rng.Intn(n)]
+				im.del([]string{strconv.FormatUint(m.Seq, 10), m.Hash, m.Hash[:8], m.JobID}[rng.Intn(4)])
+			}
+			im.check()
+		}
+	})
 
 	// Concurrent Puts reserve sequences in order but can publish out of
 	// order; the listing stays sorted and the maps never move backwards.
@@ -488,8 +474,8 @@ func TestIndexModel(t *testing.T) {
 }
 
 // TestStoreViewers (the name predates Load replacing View) checks the
-// read path over both backends end to end: resolve by any reference, Load
-// (exactly one decode), match the Put result. Then the three ways a
+// read path end to end: resolve by any reference, Load (exactly one
+// decode), match the Put result. Then the three ways a
 // resolved meta can fail to load, each with the one error every caller
 // sees — Get adds nothing to what Load returns: a snapshot deleted since
 // it was resolved is a stale reference (ErrUnresolved, the server's 404);
@@ -499,100 +485,86 @@ func TestIndexModel(t *testing.T) {
 func TestStoreViewers(t *testing.T) {
 	res := auditOne(t, "Roblox")
 	other := EncodeResult(auditOne(t, "Quizlet"))
-	for _, tc := range []struct {
-		name string
-		open func(t *testing.T) *Snapshots
-	}{
-		{"mem", func(*testing.T) *Snapshots { return NewMemStore() }},
-		{"dir", func(t *testing.T) *Snapshots {
-			fs, err := OpenFSStore(t.TempDir())
+	t.Run("dir", func(t *testing.T) {
+		s := openStore(t)
+		meta, err := s.Put("job-1", res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range []string{"1", meta.Hash, meta.Hash[:8], "job-1"} {
+			resolved, err := s.Resolve(ref)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("Resolve(%q): %v", ref, err)
 			}
-			return fs
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.open(t)
-			meta, err := s.Put("job-1", res)
+			before := Decodes()
+			got, err := s.Load(resolved)
 			if err != nil {
+				t.Fatalf("Load(%q): %v", ref, err)
+			}
+			if Decodes() != before+1 {
+				t.Errorf("Load(%q) counted %d decodes, want 1", ref, Decodes()-before)
+			}
+			if !bytes.Equal(EncodeResult(got), EncodeResult(res)) {
+				t.Errorf("Load(%q) result differs from the stored one", ref)
+			}
+		}
+
+		// restore replaces the file stored under the sequence.
+		restore := func(stored Meta, data []byte) {
+			t.Helper()
+			if err := s.files.remove(meta.Seq); err != nil {
 				t.Fatal(err)
 			}
-			for _, ref := range []string{"1", meta.Hash, meta.Hash[:8], "job-1"} {
-				resolved, err := s.Resolve(ref)
-				if err != nil {
-					t.Fatalf("Resolve(%q): %v", ref, err)
-				}
-				before := Decodes()
-				got, err := s.Load(resolved)
-				if err != nil {
-					t.Fatalf("Load(%q): %v", ref, err)
-				}
-				if Decodes() != before+1 {
-					t.Errorf("Load(%q) counted %d decodes, want 1", ref, Decodes()-before)
-				}
-				if !bytes.Equal(EncodeResult(got), EncodeResult(res)) {
-					t.Errorf("Load(%q) result differs from the stored one", ref)
-				}
-			}
-
-			// restore replaces what the backend holds under the sequence.
-			restore := func(stored Meta, data []byte) {
-				t.Helper()
-				if err := s.blobs.remove(meta.Seq); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.blobs.publish(stored, data); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sameFromGet := func(want error) {
-				t.Helper()
-				if _, _, err := s.Get("1"); err == nil || err.Error() != want.Error() {
-					t.Errorf("Get: %v, want Load's error: %v", err, want)
-				}
-			}
-
-			// Right content hash on the envelope, codec bytes that fail
-			// their CRC: one wrapping, naming the sequence.
-			rotten := EncodeResult(res)
-			rotten[len(rotten)/2] ^= 0xFF
-			restore(meta, rotten)
-			_, err = s.Load(meta)
-			if err == nil || errors.Is(err, ErrUnresolved) ||
-				err.Error() != "store: snapshot 1: store: snapshot checksum mismatch (corrupted or truncated)" {
-				t.Errorf("Load of undecodable bytes: %v", err)
-			} else {
-				sameFromGet(err)
-			}
-
-			// Another snapshot's bytes and hash under this sequence.
-			swapped := meta
-			swapped.Hash = Hash(other)
-			restore(swapped, other)
-			_, err = s.Load(meta)
-			if err == nil || errors.Is(err, ErrUnresolved) || !strings.Contains(err.Error(), "snapshot 1 changed on disk") {
-				t.Errorf("Load after the stored hash changed: %v, want a storage error", err)
-			} else {
-				sameFromGet(err)
-			}
-
-			// A meta whose snapshot is gone is a stale reference, not a
-			// storage failure.
-			if err := s.Delete("1"); err != nil {
+			if err := s.files.publish(stored, data); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Load(meta); !errors.Is(err, ErrUnresolved) {
-				t.Errorf("Load of a deleted snapshot: %v, want ErrUnresolved", err)
+		}
+		sameFromGet := func(want error) {
+			t.Helper()
+			if _, _, err := s.Get("1"); err == nil || err.Error() != want.Error() {
+				t.Errorf("Get: %v, want Load's error: %v", err, want)
 			}
-		})
-	}
+		}
+
+		// Right content hash on the envelope, codec bytes that fail
+		// their CRC: one wrapping, naming the sequence.
+		rotten := EncodeResult(res)
+		rotten[len(rotten)/2] ^= 0xFF
+		restore(meta, rotten)
+		_, err = s.Load(meta)
+		if err == nil || errors.Is(err, ErrUnresolved) ||
+			err.Error() != "store: snapshot 1: store: snapshot checksum mismatch (corrupted or truncated)" {
+			t.Errorf("Load of undecodable bytes: %v", err)
+		} else {
+			sameFromGet(err)
+		}
+
+		// Another snapshot's bytes and hash under this sequence.
+		swapped := meta
+		swapped.Hash = Hash(other)
+		restore(swapped, other)
+		_, err = s.Load(meta)
+		if err == nil || errors.Is(err, ErrUnresolved) || !strings.Contains(err.Error(), "snapshot 1 changed on disk") {
+			t.Errorf("Load after the stored hash changed: %v, want a storage error", err)
+		} else {
+			sameFromGet(err)
+		}
+
+		// A meta whose snapshot is gone is a stale reference, not a
+		// storage failure.
+		if err := s.Delete("1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load(meta); !errors.Is(err, ErrUnresolved) {
+			t.Errorf("Load of a deleted snapshot: %v, want ErrUnresolved", err)
+		}
+	})
 }
 
-// TestStoreConcurrentMixedOps hammers both backends with a mixed
+// TestStoreConcurrentMixedOps hammers a store with a mixed
 // workload: concurrent Gets of stable snapshots, Put+Delete churn, and
 // List scans, all racing. Run under -race this pins the locking layout
-// (one index lock, backend I/O outside it); the assertions pin the
+// (one index lock, file I/O outside it); the assertions pin the
 // semantics — stable snapshots never fail to serve, the listing stays
 // seq-ascending, and a meta loads byte-identical results until its
 // snapshot is deleted and is a stale reference afterwards.
@@ -601,149 +573,134 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 	churn := auditOne(t, "Duolingo")
 	churnExport := exportOf(t, churn)
 
-	backends := []struct {
-		name string
-		open func(t *testing.T) Store
-	}{
-		{"mem", func(t *testing.T) Store { return NewMemStore() }},
-		{"fs", func(t *testing.T) Store {
-			s, err := OpenFSStore(t.TempDir())
+	t.Run("fs", func(t *testing.T) {
+		s := openStore(t)
+		refs := make([]string, len(seeds))
+		for i, r := range seeds {
+			m, err := s.Put(fmt.Sprintf("seed-%d", i), r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
-		}},
-	}
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			s := be.open(t)
-			refs := make([]string, len(seeds))
-			for i, r := range seeds {
-				m, err := s.Put(fmt.Sprintf("seed-%d", i), r)
+			refs[i] = m.Hash
+		}
+
+		var wg sync.WaitGroup
+		errc := make(chan error, 64)
+		fail := func(format string, args ...any) {
+			select {
+			case errc <- fmt.Errorf(format, args...):
+			default:
+			}
+		}
+
+		// Readers: the seeds are never deleted, so every Get must
+		// succeed and resolve to the right content.
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					ref := refs[(g+i)%len(refs)]
+					res, meta, err := s.Get(ref)
+					if err != nil {
+						fail("Get(%q): %v", ref, err)
+						return
+					}
+					if res == nil || meta.Hash != ref {
+						fail("Get(%q) resolved to %q", ref, meta.Hash)
+						return
+					}
+				}
+			}(g)
+		}
+
+		// Churners: Put and immediately Delete by unique sequence.
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 15; i++ {
+					m, err := s.Put("churn", churn)
+					if err != nil {
+						fail("churn Put: %v", err)
+						return
+					}
+					if err := s.Delete(strconv.FormatUint(m.Seq, 10)); err != nil {
+						fail("churn Delete(%d): %v", m.Seq, err)
+						return
+					}
+				}
+			}()
+		}
+
+		// Lister: the listing must always be seq-ascending, whatever
+		// order concurrent Puts complete in.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				metas, err := s.List()
 				if err != nil {
-					t.Fatal(err)
+					fail("List: %v", err)
+					return
 				}
-				refs[i] = m.Hash
-			}
-
-			var wg sync.WaitGroup
-			errc := make(chan error, 64)
-			fail := func(format string, args ...any) {
-				select {
-				case errc <- fmt.Errorf(format, args...):
-				default:
-				}
-			}
-
-			// Readers: the seeds are never deleted, so every Get must
-			// succeed and resolve to the right content.
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 40; i++ {
-						ref := refs[(g+i)%len(refs)]
-						res, meta, err := s.Get(ref)
-						if err != nil {
-							fail("Get(%q): %v", ref, err)
-							return
-						}
-						if res == nil || meta.Hash != ref {
-							fail("Get(%q) resolved to %q", ref, meta.Hash)
-							return
-						}
-					}
-				}(g)
-			}
-
-			// Churners: Put and immediately Delete by unique sequence.
-			for g := 0; g < 2; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 15; i++ {
-						m, err := s.Put("churn", churn)
-						if err != nil {
-							fail("churn Put: %v", err)
-							return
-						}
-						if err := s.Delete(strconv.FormatUint(m.Seq, 10)); err != nil {
-							fail("churn Delete(%d): %v", m.Seq, err)
-							return
-						}
-					}
-				}()
-			}
-
-			// Lister: the listing must always be seq-ascending, whatever
-			// order concurrent Puts complete in.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 60; i++ {
-					metas, err := s.List()
-					if err != nil {
-						fail("List: %v", err)
-						return
-					}
-					for j := 1; j < len(metas); j++ {
-						if metas[j-1].Seq >= metas[j].Seq {
-							fail("List out of order: seq %d before %d", metas[j-1].Seq, metas[j].Seq)
-							return
-						}
-					}
-				}
-			}()
-
-			// Load around a Delete: a meta resolved before the delete loads
-			// the full result, byte-identically, and the same meta after the
-			// delete is a stale reference, as is the ref through Get.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 8; i++ {
-					m, err := s.Put("load-churn", churn)
-					if err != nil {
-						fail("load Put: %v", err)
-						return
-					}
-					seqRef := strconv.FormatUint(m.Seq, 10)
-					res, err := s.Load(m)
-					if err != nil {
-						fail("Load(%s): %v", seqRef, err)
-						return
-					}
-					// exportOf would t.Fatal off the test goroutine; export
-					// directly and report through the error channel instead.
-					export, err := report.ExportJSON([]*core.ServiceResult{res})
-					if err != nil {
-						fail("export: %v", err)
-						return
-					}
-					if !bytes.Equal(export, churnExport) {
-						fail("Load beside churn served different bytes")
-						return
-					}
-					if err := s.Delete(seqRef); err != nil {
-						fail("Delete(%s): %v", seqRef, err)
-						return
-					}
-					if _, err := s.Load(m); !errors.Is(err, ErrUnresolved) {
-						fail("Load(%s) after delete: %v, want ErrUnresolved", seqRef, err)
-						return
-					}
-					if _, _, err := s.Get(seqRef); !errors.Is(err, ErrUnresolved) {
-						fail("Get(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+				for j := 1; j < len(metas); j++ {
+					if metas[j-1].Seq >= metas[j].Seq {
+						fail("List out of order: seq %d before %d", metas[j-1].Seq, metas[j].Seq)
 						return
 					}
 				}
-			}()
-
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
 			}
-		})
-	}
+		}()
+
+		// Load around a Delete: a meta resolved before the delete loads
+		// the full result, byte-identically, and the same meta after the
+		// delete is a stale reference, as is the ref through Get.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				m, err := s.Put("load-churn", churn)
+				if err != nil {
+					fail("load Put: %v", err)
+					return
+				}
+				seqRef := strconv.FormatUint(m.Seq, 10)
+				res, err := s.Load(m)
+				if err != nil {
+					fail("Load(%s): %v", seqRef, err)
+					return
+				}
+				// exportOf would t.Fatal off the test goroutine; export
+				// directly and report through the error channel instead.
+				export, err := report.ExportJSON([]*core.ServiceResult{res})
+				if err != nil {
+					fail("export: %v", err)
+					return
+				}
+				if !bytes.Equal(export, churnExport) {
+					fail("Load beside churn served different bytes")
+					return
+				}
+				if err := s.Delete(seqRef); err != nil {
+					fail("Delete(%s): %v", seqRef, err)
+					return
+				}
+				if _, err := s.Load(m); !errors.Is(err, ErrUnresolved) {
+					fail("Load(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+					return
+				}
+				if _, _, err := s.Get(seqRef); !errors.Is(err, ErrUnresolved) {
+					fail("Get(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+					return
+				}
+			}
+		}()
+
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	})
 }

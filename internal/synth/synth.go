@@ -128,17 +128,6 @@ func (d *Dataset) Service(name string) *ServiceTraffic {
 	return nil
 }
 
-// TotalPackets sums Repeat over every request.
-func (d *Dataset) TotalPackets() int {
-	total := 0
-	for _, s := range d.Services {
-		for _, r := range s.Requests {
-			total += r.Repeat
-		}
-	}
-	return total
-}
-
 // planner builds one service's request list.
 type planner struct {
 	spec *services.Spec
