@@ -315,7 +315,12 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 			Body:     rec.Body,
 		}, p.Extract)
 		for _, key := range pr.keys {
-			pr.rawKeys[key] = true
+			// A key may be a substring of the record's URL or body; a
+			// result keeps its own copy, not the request it was cut from.
+			if !pr.rawKeys[key] {
+				key = strings.Clone(key)
+				pr.rawKeys[key] = true
+			}
 			catID, ok := p.label(key)
 			if !ok {
 				pr.droppedKeys++

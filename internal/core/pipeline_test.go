@@ -1,7 +1,11 @@
 package core_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/extract"
@@ -166,4 +170,67 @@ func TestTotalsAcrossServices(t *testing.T) {
 	if tot.UniqueRawKeys != 1 {
 		t.Errorf("raw keys = %d", tot.UniqueRawKeys)
 	}
+}
+
+// TestRawKeysOwnTheirBytes: a result's raw keys are copies, not substrings
+// of the requests they were cut from. A query key is a substring of the
+// URL, a JSON key of the body and a form key of the body's string copy; a
+// result kept until eviction would otherwise pin every such URL and body.
+// No key may point into a record's URL or body, and 32 records of 128 KiB
+// each, dropped after the audit, must leave under 1 MiB live beside the
+// result.
+func TestRawKeysOwnTheirBytes(t *testing.T) {
+	const n = 32
+	pad := strings.Repeat("a", 64<<10)
+	mkRecs := func() []core.RequestRecord {
+		recs := make([]core.RequestRecord, 0, 2*n)
+		for i := 0; i < n; i++ {
+			recs = append(recs, core.RequestRecord{
+				Trace: flows.Child, Platform: flows.Web, Method: "POST", FQDN: "api.svc.example",
+				URL:      fmt.Sprintf("https://api.svc.example/v1?user_id_%d=u&pad=%s", i, pad),
+				BodyMIME: "application/x-www-form-urlencoded",
+				Body:     []byte(fmt.Sprintf("session_%d=s&pad=%s", i, pad)),
+			}, core.RequestRecord{
+				Trace: flows.Child, Platform: flows.Mobile, Method: "POST", FQDN: "api.svc.example",
+				URL:      "https://api.svc.example/v2",
+				BodyMIME: "application/json",
+				Body:     []byte(fmt.Sprintf(`{"email_%d":"e","pad":%q}`, i, pad)),
+			})
+		}
+		return recs
+	}
+	within := func(p unsafe.Pointer, base unsafe.Pointer, n int) bool {
+		return n > 0 && uintptr(p) >= uintptr(base) && uintptr(p) < uintptr(base)+uintptr(n)
+	}
+
+	recs := mkRecs()
+	res := core.NewPipeline().AnalyzeRecords(testID(), recs)
+	if len(res.RawKeys) < 3*n {
+		t.Fatalf("%d raw keys, want at least %d", len(res.RawKeys), 3*n)
+	}
+	for k := range res.RawKeys {
+		p := unsafe.Pointer(unsafe.StringData(k))
+		for i := range recs {
+			if within(p, unsafe.Pointer(unsafe.StringData(recs[i].URL)), len(recs[i].URL)) ||
+				within(p, unsafe.Pointer(unsafe.SliceData(recs[i].Body)), len(recs[i].Body)) {
+				t.Fatalf("raw key %q points into record %d", k, i)
+			}
+		}
+	}
+
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	kept := core.NewPipeline().AnalyzeRecords(testID(), mkRecs())
+	after := liveHeap()
+	if after > before && after-before > 1<<20 {
+		t.Errorf("a result of %d raw keys keeps %d KiB live; its requests were %d KiB",
+			len(kept.RawKeys), (after-before)>>10, 2*n*len(pad)>>10)
+	}
+	runtime.KeepAlive(kept)
 }

@@ -127,8 +127,10 @@ func checkMask(i int, b byte) (PlatformMask, error) {
 // DecodeSetColumnar decodes one columnar flow-set section into a live Set
 // against the decoded symbol tables, requiring the slice to contain
 // exactly one set. It walks the three columns in lockstep, checking each
-// index and mask as it reads it; the returned set copies everything it
-// needs out of data.
+// index and mask as it reads it, and each flow against the one before: the
+// flows must come in strictly increasing KeyLess order, as the encoder
+// writes them, and they become the set's sorted order, so no decoded set
+// sorts. The returned set copies everything it needs out of data.
 func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	c, err := splitSetColumns(data)
 	if err != nil {
@@ -136,7 +138,8 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	}
 	cats, dests := wire.NewReader(c.cats), wire.NewReader(c.dests)
 	set := d.tab.NewSet(c.n)
-	for i := 0; i < c.n; i++ {
+	keys := make([]uint64, c.n)
+	for i := range keys {
 		ci, err := readIndex(cats, i, len(d.cats), "category")
 		if err != nil {
 			return nil, err
@@ -149,7 +152,11 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		set.AddMask(d.cats[ci], d.dests[di], m)
+		keys[i] = PackFlowKey(d.cats[ci], d.dests[di])
+		if i > 0 && !d.tab.KeyLess(keys[i-1], keys[i]) {
+			return nil, fmt.Errorf("flows: snapshot flow %d is not after flow %d in canonical order", i, i-1)
+		}
+		set.flows[keys[i]] = m
 	}
 	if err := cats.Close(); err != nil {
 		return nil, fmt.Errorf("flows: category column: %w", err)
@@ -157,5 +164,6 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	if err := dests.Close(); err != nil {
 		return nil, fmt.Errorf("flows: destination column: %w", err)
 	}
+	set.sorted.Store(&keys)
 	return set, nil
 }

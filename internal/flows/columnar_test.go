@@ -119,6 +119,57 @@ func TestColumnarRejectsCorruption(t *testing.T) {
 	if _, err := dec.DecodeSetColumnar(sec); err != nil {
 		t.Fatalf("restored section no longer decodes: %v", err)
 	}
+
+	// Flows out of canonical order, or one flow twice, are refused at the
+	// first flow not after its predecessor.
+	for _, c := range []struct {
+		name string
+		edit func([][3]uint64) [][3]uint64
+		want string
+	}{
+		{"swapped pair", func(fl [][3]uint64) [][3]uint64 {
+			fl[0], fl[1] = fl[1], fl[0]
+			return fl
+		}, "flow 1 is not after flow 0"},
+		{"repeated flow", func(fl [][3]uint64) [][3]uint64 {
+			return append(fl[:2:2], fl[1:]...)
+		}, "flow 2 is not after flow 1"},
+	} {
+		if _, err := dec.DecodeSetColumnar(rewriteSetColumns(t, sec, c.edit)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	if _, err := dec.DecodeSetColumnar(rewriteSetColumns(t, sec, func(fl [][3]uint64) [][3]uint64 { return fl })); err != nil {
+		t.Fatalf("re-framed section no longer decodes: %v", err)
+	}
+}
+
+// rewriteSetColumns re-frames a columnar section after edit has changed
+// its flows, each a (category index, destination index, mask) triple: the
+// shapes the encoder itself never writes.
+func rewriteSetColumns(t *testing.T, sec []byte, edit func([][3]uint64) [][3]uint64) []byte {
+	t.Helper()
+	cols, err := splitSetColumns(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats, dests := wire.NewReader(cols.cats), wire.NewReader(cols.dests)
+	fl := make([][3]uint64, cols.n)
+	for i := range fl {
+		fl[i] = [3]uint64{cats.Uvarint(), dests.Uvarint(), uint64(cols.masks[i])}
+	}
+	fl = edit(fl)
+	var cw, dw, mw, w wire.Writer
+	cw.Int(len(fl))
+	dw.Int(len(fl))
+	mw.Int(len(fl))
+	for _, f := range fl {
+		cw.Uvarint(f[0])
+		dw.Uvarint(f[1])
+		mw.Byte(byte(f[2]))
+	}
+	wire.WriteSections(&w, []wire.Section{{Kind: colCats, Data: cw.Bytes()}, {Kind: colDests, Data: dw.Bytes()}, {Kind: colMasks, Data: mw.Bytes()}})
+	return w.Bytes()
 }
 
 // TestColumnarConcurrentIdentity reruns encode and decode from many

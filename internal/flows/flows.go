@@ -7,7 +7,7 @@ package flows
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -266,7 +266,7 @@ func (s *Set) sortedKeys() []uint64 {
 	for k := range s.flows {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return s.tab.KeyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, s.tab.keyCompare)
 	s.sorted.Store(&keys)
 	return keys
 }
@@ -315,15 +315,13 @@ func (s *Set) Platforms(f Flow) PlatformMask {
 	if !ok {
 		return 0
 	}
-	name := categoryName(c)
 	probe := tableEntry{fqdn: f.Dest.FQDN, esld: f.Dest.ESLD, owner: f.Dest.Owner, class: uint8(f.Dest.Class)}
 	keys := s.sortedKeys()
-	cmp := func(i int) int {
-		kc, kd := SplitFlowKey(keys[i])
-		return flowCompare(categoryName(kc), &s.tab.dests[kd], name, &probe)
-	}
-	i := sort.Search(len(keys), func(i int) bool { return cmp(i) >= 0 })
-	if i == len(keys) || cmp(i) != 0 {
+	i, ok := slices.BinarySearchFunc(keys, &probe, func(k uint64, p *tableEntry) int {
+		kc, kd := SplitFlowKey(k)
+		return flowCompare(kc, &s.tab.dests[kd], c, p)
+	})
+	if !ok {
 		return 0
 	}
 	return s.flows[keys[i]]
@@ -357,6 +355,6 @@ func (s *Set) Destinations() []Destination {
 			out = append(out, s.tab.Destination(d))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FQDN < out[j].FQDN })
+	slices.SortFunc(out, func(a, b Destination) int { return strings.Compare(a.FQDN, b.FQDN) })
 	return out
 }

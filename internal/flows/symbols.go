@@ -1,6 +1,8 @@
 package flows
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"diffaudit/internal/ontology"
@@ -33,17 +35,31 @@ type DestID uint32
 
 // catByPtr and catByName map the ontology's categories to their IDs, by
 // pointer (the pipeline's hot lookup) and by name (a Category value that
-// carries an ontology name).
+// carries an ontology name). catRank[id] is the category's place in
+// KeyLess order; its last slot ranks every ID past the ontology, as the
+// empty name.
 var (
 	catByPtr  = map[*ontology.Category]CatID{}
 	catByName = map[string]CatID{}
+	catRank   []uint32
 )
 
 func init() {
 	cats := ontology.Categories()
+	order := make([]CatID, len(cats)+1)
+	for i := range order {
+		order[i] = CatID(i)
+	}
 	for i := range cats {
 		catByPtr[&cats[i]] = CatID(i)
 		catByName[cats[i].Name] = CatID(i)
+	}
+	slices.SortFunc(order, func(a, b CatID) int {
+		return strings.Compare(categoryName(a)+flowKeySep, categoryName(b)+flowKeySep)
+	})
+	catRank = make([]uint32, len(order))
+	for r, id := range order {
+		catRank[id] = uint32(r)
 	}
 }
 
@@ -181,21 +197,25 @@ func (t *Table) FlowOfKey(k uint64) Flow {
 // what keeps rendered artifacts and the snapshot encoding byte-identical
 // whatever IDs a table happened to assign.
 //
+// No category name contains "→", so two distinct names order exactly as
+// name+"→" does, before any FQDN byte is reached: KeyLess compares the
+// categories' ranks, then the FQDNs, never walking a name.
+//
 // Distinct keys whose names and FQDNs coincide (one FQDN holding several
 // destination roles in a cross-service merged set) tie-break on the
 // remaining destination content — never on the numeric IDs, whose
 // assignment order is an accident of construction. The order is therefore
 // total and the same for every table holding the same flows.
-func (t *Table) KeyLess(a, b uint64) bool {
-	if a == b {
-		return false
-	}
+func (t *Table) KeyLess(a, b uint64) bool { return a != b && t.keyCompare(a, b) < 0 }
+
+// keyCompare is KeyLess as a three-way comparison.
+func (t *Table) keyCompare(a, b uint64) int {
 	ca, da := SplitFlowKey(a)
 	cb, db := SplitFlowKey(b)
-	return flowCompare(categoryName(ca), &t.dests[da], categoryName(cb), &t.dests[db]) < 0
+	return flowCompare(ca, &t.dests[da], cb, &t.dests[db])
 }
 
-// categoryName is the name KeyLess orders an ID by ("" when unassigned).
+// categoryName is the name an ID stands for ("" when unassigned).
 func categoryName(id CatID) string {
 	if c := CategoryByID(id); c != nil {
 		return c.Name
@@ -203,58 +223,28 @@ func categoryName(id CatID) string {
 	return ""
 }
 
+// rank is a category ID's place in KeyLess order.
+func rank(id CatID) uint32 { return catRank[min(int(id), len(catRank)-1)] }
+
 // flowCompare is the three-way comparison behind KeyLess, over category
-// names and destination content.
-func flowCompare(an string, x *tableEntry, bn string, y *tableEntry) int {
-	if cmp := compareConcat(an, x.fqdn, bn, y.fqdn); cmp != 0 {
-		return cmp
+// ranks and destination content.
+func flowCompare(a CatID, x *tableEntry, b CatID, y *tableEntry) int {
+	if c := cmp.Compare(rank(a), rank(b)); c != 0 {
+		return c
 	}
-	// Equal names imply equal category IDs (an ID is its name's ontology
-	// index), so a tie means one FQDN with two destination roles; content
-	// decides.
-	if cmp := strings.Compare(x.esld, y.esld); cmp != 0 {
-		return cmp
+	if c := strings.Compare(x.fqdn, y.fqdn); c != 0 {
+		return c
 	}
-	if cmp := strings.Compare(x.owner, y.owner); cmp != 0 {
-		return cmp
+	// Equal ranks mean one category (an ID is its name's ontology index),
+	// so a tie means one FQDN with two destination roles; content decides.
+	if c := strings.Compare(x.esld, y.esld); c != 0 {
+		return c
+	}
+	if c := strings.Compare(x.owner, y.owner); c != 0 {
+		return c
 	}
 	return int(x.class) - int(y.class)
 }
 
 // flowKeySep is the separator Flow.Key places between category and FQDN.
 const flowKeySep = "→"
-
-// compareConcat compares xa+flowKeySep+xb against ya+flowKeySep+yb
-// lexicographically without materializing either concatenation.
-func compareConcat(xa, xb, ya, yb string) int {
-	xs := [3]string{xa, flowKeySep, xb}
-	ys := [3]string{ya, flowKeySep, yb}
-	xi, xo := 0, 0 // segment index, offset within segment
-	yi, yo := 0, 0
-	for {
-		for xi < len(xs) && xo == len(xs[xi]) {
-			xi, xo = xi+1, 0
-		}
-		for yi < len(ys) && yo == len(ys[yi]) {
-			yi, yo = yi+1, 0
-		}
-		xDone, yDone := xi == len(xs), yi == len(ys)
-		switch {
-		case xDone && yDone:
-			return 0
-		case xDone:
-			return -1
-		case yDone:
-			return 1
-		}
-		cx, cy := xs[xi][xo], ys[yi][yo]
-		if cx != cy {
-			if cx < cy {
-				return -1
-			}
-			return 1
-		}
-		xo++
-		yo++
-	}
-}

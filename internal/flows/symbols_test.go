@@ -1,8 +1,10 @@
 package flows
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -162,6 +164,89 @@ func TestFlowKeyLessMatchesStringOrder(t *testing.T) {
 			t.Fatalf("position %d: packed order %q, string order %q", i, got, want)
 		}
 	}
+
+	// Every pair of categories (two IDs past the ontology included, which
+	// order as the empty name) against every pair of destinations: FQDNs
+	// sharing prefixes, one FQDN in two roles, the empty string, non-ASCII
+	// and bytes around the separator's.
+	tab = NewTable()
+	var dests []DestID
+	for _, h := range []string{"", "a", "a.example", "a.example.com", "ab.example", "zz.example",
+		"↑before-arrow.example", "→sep.example", "é.example", "\xe2\x86", "\xff"} {
+		dests = append(dests,
+			tab.Intern(Destination{FQDN: h, ESLD: h, Owner: "Org A", Class: ThirdParty}),
+			tab.Intern(Destination{FQDN: h, ESLD: h, Owner: "Org B", Class: ThirdPartyATS}))
+	}
+	ids := []CatID{CatID(len(cats)), 1 << 20}
+	for i := range cats {
+		ids = append(ids, CatID(i))
+	}
+	for _, ca := range ids {
+		for _, cb := range ids {
+			for _, da := range dests {
+				for _, db := range dests {
+					checkKeyLess(t, tab, PackFlowKey(ca, da), PackFlowKey(cb, db))
+				}
+			}
+		}
+	}
+}
+
+// refCompare is the order KeyLess must produce, from the reference: the
+// concatenated string key, then destination content.
+func refCompare(t *Table, a, b uint64) int {
+	ca, da := SplitFlowKey(a)
+	cb, db := SplitFlowKey(b)
+	x, y := t.Destination(da), t.Destination(db)
+	return cmp.Or(compareConcat(categoryName(ca), x.FQDN, categoryName(cb), y.FQDN),
+		strings.Compare(x.ESLD, y.ESLD), strings.Compare(x.Owner, y.Owner), cmp.Compare(x.Class, y.Class))
+}
+
+// checkKeyLess holds KeyLess on one pair of keys to refCompare.
+func checkKeyLess(t testing.TB, tab *Table, a, b uint64) {
+	t.Helper()
+	want := refCompare(tab, a, b)
+	if a != b && want == 0 {
+		return // two keys of one content: only IDs outside the ontology get here
+	}
+	if got := tab.KeyLess(a, b); got != (want < 0) {
+		fa, fb := tab.FlowOfKey(a), tab.FlowOfKey(b)
+		t.Fatalf("KeyLess(%d→%q, %d→%q) = %v, reference order %d",
+			a>>32, fa.Dest.FQDN, b>>32, fb.Dest.FQDN, got, want)
+	}
+}
+
+// FuzzKeyLess holds KeyLess to the reference order on arbitrary FQDNs and
+// categories (indices past the ontology included).
+//
+//	go test -run '^$' -fuzz FuzzKeyLess ./internal/flows
+func FuzzKeyLess(f *testing.F) {
+	f.Add(uint8(0), "a.example", uint8(0), "a.example.com", false)
+	f.Add(uint8(3), "", uint8(4), "→", true)
+	f.Add(uint8(34), "é.example", uint8(35), "\xff", false)
+	f.Fuzz(func(t *testing.T, ca uint8, x string, cb uint8, y string, otherRole bool) {
+		n := len(ontology.Categories()) + 2
+		tab := NewTable()
+		dx := tab.Intern(Destination{FQDN: x, Class: ThirdParty})
+		dy := tab.Intern(Destination{FQDN: y, Class: ThirdParty})
+		if otherRole {
+			dy = tab.Intern(Destination{FQDN: y, Class: FirstParty})
+		}
+		a, b := PackFlowKey(CatID(int(ca)%n), dx), PackFlowKey(CatID(int(cb)%n), dy)
+		checkKeyLess(t, tab, a, b)
+		checkKeyLess(t, tab, b, a)
+	})
+}
+
+// TestNoCategoryNameContainsSeparator: KeyLess ranks categories by
+// name+"→", which is their concatenation order only while no name holds
+// the separator.
+func TestNoCategoryNameContainsSeparator(t *testing.T) {
+	for _, c := range ontology.Categories() {
+		if strings.Contains(c.Name, flowKeySep) {
+			t.Errorf("category %q contains %q", c.Name, flowKeySep)
+		}
+	}
 }
 
 func TestRangeAndRangeSorted(t *testing.T) {
@@ -233,6 +318,42 @@ func TestPlatformsNoIntern(t *testing.T) {
 	role.Dest.Class = FirstParty
 	if got := s.Platforms(role); got != OnMobile {
 		t.Errorf("present flow = %v, want mobile", got)
+	}
+}
+
+// compareConcat is the reference KeyLess is held to: it compares
+// xa+flowKeySep+xb against ya+flowKeySep+yb lexicographically, one byte at
+// a time, without materializing either concatenation.
+func compareConcat(xa, xb, ya, yb string) int {
+	xs := [3]string{xa, flowKeySep, xb}
+	ys := [3]string{ya, flowKeySep, yb}
+	xi, xo := 0, 0 // segment index, offset within segment
+	yi, yo := 0, 0
+	for {
+		for xi < len(xs) && xo == len(xs[xi]) {
+			xi, xo = xi+1, 0
+		}
+		for yi < len(ys) && yo == len(ys[yi]) {
+			yi, yo = yi+1, 0
+		}
+		xDone, yDone := xi == len(xs), yi == len(ys)
+		switch {
+		case xDone && yDone:
+			return 0
+		case xDone:
+			return -1
+		case yDone:
+			return 1
+		}
+		cx, cy := xs[xi][xo], ys[yi][yo]
+		if cx != cy {
+			if cx < cy {
+				return -1
+			}
+			return 1
+		}
+		xo++
+		yo++
 	}
 }
 

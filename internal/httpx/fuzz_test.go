@@ -35,6 +35,14 @@ var edgeStreams = []struct {
 	{"negative chunk size", chunkedHead + "-1\r\n", httpx.ErrMalformed},
 	{"content-length past the stream", "POST / HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\nab", httpx.ErrIncomplete},
 	{"negative content-length", "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", httpx.ErrMalformed},
+	// RFC 9112 numbers are bare digits: strconv's signs are refused, a
+	// leading zero is not. A "-0" chunk would otherwise end the body early.
+	{"content-length +5", "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nabcde", httpx.ErrMalformed},
+	{"content-length -0", "POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n", httpx.ErrMalformed},
+	{"content-length 05", "POST / HTTP/1.1\r\nContent-Length: 05\r\n\r\nabcde", nil},
+	{"chunk size +a", chunkedHead + "+a\r\n0123456789\r\n0\r\n\r\n", httpx.ErrMalformed},
+	{"chunk size -0", chunkedHead + "-0\r\n\r\n", httpx.ErrMalformed},
+	{"chunk size 05", chunkedHead + "05\r\nabcde\r\n0\r\n\r\n", nil},
 }
 
 func TestParseStreamEdges(t *testing.T) {

@@ -147,7 +147,7 @@ func parseOne(data []byte) (*Request, int, error) {
 		clStr := req.Get("Content-Length")
 		if clStr != "" {
 			cl, err := strconv.Atoi(clStr)
-			if err != nil || cl < 0 {
+			if err != nil || signed(clStr) {
 				return nil, 0, fmt.Errorf("%w: content-length %q", ErrMalformed, clStr)
 			}
 			if cl > len(body) {
@@ -161,6 +161,11 @@ func parseOne(data []byte) (*Request, int, error) {
 	}
 	return req, consumed, nil
 }
+
+// signed reports whether a numeric field starts with a sign, which strconv
+// accepts and RFC 9112 does not: Content-Length is 1*DIGIT and a chunk
+// size 1*HEXDIG.
+func signed(s string) bool { return s != "" && (s[0] == '+' || s[0] == '-') }
 
 // decodeChunked decodes a chunked body, returning the payload and bytes
 // consumed including the terminating zero chunk.
@@ -176,8 +181,9 @@ func decodeChunked(data []byte) ([]byte, int, error) {
 		if i := strings.IndexByte(sizeStr, ';'); i >= 0 {
 			sizeStr = sizeStr[:i] // drop chunk extensions
 		}
-		size, err := strconv.ParseInt(strings.TrimSpace(sizeStr), 16, 32)
-		if err != nil || size < 0 {
+		sizeStr = strings.TrimSpace(sizeStr)
+		size, err := strconv.ParseInt(sizeStr, 16, 32)
+		if err != nil || signed(sizeStr) {
 			return nil, 0, fmt.Errorf("%w: chunk size %q", ErrMalformed, sizeStr)
 		}
 		off += nl + 2

@@ -274,6 +274,113 @@ func TestDecodeRejectsUnknownCategory(t *testing.T) {
 	}
 }
 
+// reorderedSnapshot encodes a Quizlet audit whose child trace is its only
+// flow set, with that set's flows (category index, destination index, mask
+// triples) rewritten by edit: orders the encoder itself never writes.
+func reorderedSnapshot(t testing.TB, edit func([][3]uint64) [][3]uint64) []byte {
+	t.Helper()
+	res := auditOne(t, "Quizlet")
+	res.ByTrace = map[flows.Persona]*flows.Set{flows.Child: res.ByTrace[flows.Child]}
+	enc := EncodeResult(res)
+	payload, err := checkSnapshot(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := splitSections(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := wire.ReadSections(wire.NewReader(secs.flowSets[0]))
+	if err != nil || len(cols) != 3 {
+		t.Fatalf("flow set columns: %v", err)
+	}
+	var fl [][3]uint64
+	for c, col := range cols {
+		r := wire.NewReader(col.Data)
+		if n := r.Count(1); c == 0 {
+			fl = make([][3]uint64, n)
+		}
+		for i := range fl {
+			if c == 2 {
+				fl[i][c] = uint64(r.Byte())
+			} else {
+				fl[i][c] = r.Uvarint()
+			}
+		}
+	}
+	fl = edit(fl)
+	var colw [3]wire.Writer
+	for c := range colw {
+		colw[c].Int(len(fl))
+		for _, f := range fl {
+			if c == 2 {
+				colw[c].Byte(byte(f[c]))
+			} else {
+				colw[c].Uvarint(f[c])
+			}
+		}
+	}
+	set := &wire.Writer{}
+	wire.WriteSections(set, []wire.Section{{Kind: cols[0].Kind, Data: colw[0].Bytes()},
+		{Kind: cols[1].Kind, Data: colw[1].Bytes()}, {Kind: cols[2].Kind, Data: colw[2].Bytes()}})
+	w := &wire.Writer{}
+	w.Raw(enc[:headerLen])
+	wire.WriteSections(w, []wire.Section{{Kind: secMeta, Data: secs.meta}, {Kind: secPersonas, Data: secs.personas},
+		{Kind: secSymbols, Data: secs.symbols}, {Kind: secFlowSet, Data: set.Bytes()}})
+	w.Raw(make([]byte, trailerLen))
+	return refreshCRC(w.Bytes())
+}
+
+// swapFlows and repeatFlow are the two non-canonical flow orders: an
+// adjacent pair swapped, and one flow written twice.
+func swapFlows(fl [][3]uint64) [][3]uint64 {
+	fl[10], fl[11] = fl[11], fl[10]
+	return fl
+}
+
+func repeatFlow(fl [][3]uint64) [][3]uint64 { return append(fl[:11:11], fl[10:]...) }
+
+// TestDecodeRejectsNonCanonicalFlowOrder: a decoded flow set keeps the
+// order it was stored in as its sorted order, so flows must come strictly
+// increasing, as EncodeResult writes them. A swapped pair or a repeated
+// flow is refused, naming the flow; the unedited re-framing decodes.
+func TestDecodeRejectsNonCanonicalFlowOrder(t *testing.T) {
+	if _, err := DecodeResult(reorderedSnapshot(t, func(fl [][3]uint64) [][3]uint64 { return fl })); err != nil {
+		t.Fatalf("re-framed snapshot: %v", err)
+	}
+	for name, edit := range map[string]func([][3]uint64) [][3]uint64{"swapped pair": swapFlows, "repeated flow": repeatFlow} {
+		_, err := DecodeResult(reorderedSnapshot(t, edit))
+		if err == nil || !strings.Contains(err.Error(), "flow 11 is not after flow 10 in canonical order") {
+			t.Errorf("%s: err = %v, want the canonical-order error at flow 11", name, err)
+		}
+	}
+}
+
+// TestDecodedSetsArriveSorted: the first sorted read of a decoded set
+// allocates nothing — no decoded set sorts. Each run reads a result no
+// earlier run touched.
+func TestDecodedSetsArriveSorted(t *testing.T) {
+	const runs = 5
+	enc := EncodeResult(auditOne(t, "Quizlet"))
+	results := make([]*core.ServiceResult, runs+1) // AllocsPerRun warms up on one more
+	for i := range results {
+		var err error
+		if results[i], err = DecodeResult(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, next := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, set := range results[next].ByTrace {
+			set.RangeSorted(func(uint64, flows.PlatformMask) { n++ })
+		}
+		next++
+	})
+	if allocs != 0 || n == 0 {
+		t.Errorf("first RangeSorted of %d decoded results (%d flows in all): %v allocations per result, want 0", runs+1, n, allocs)
+	}
+}
+
 // TestDecodePersonasAgainstBuiltins: a record identical to a built-in
 // decodes to it; one reusing a built-in name or alias with other
 // attributes does not decode.

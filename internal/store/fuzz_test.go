@@ -20,8 +20,9 @@ import (
 // Seed corpus: testdata/fuzz/FuzzDecodeResult holds committed seeds (a
 // valid snapshot, header fragments, junk); the f.Add seeds below regenerate
 // richer live encodings each run, among them a custom-persona snapshot and
-// the two shapes the decoder must refuse: a persona named twice and a
-// category outside the ontology.
+// the shapes the decoder must refuse: a persona named twice, a category
+// outside the ontology, and flows swapped or repeated out of canonical
+// order.
 func FuzzDecodeResult(f *testing.F) {
 	ds := synth.Generate(synth.Config{Scale: 0.005})
 	pipe := core.NewPipeline()
@@ -52,6 +53,8 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(personaSnapshot(f, flows.Child.Info(), ghost))
 	f.Add(personaSnapshot(f, flows.Child.Info(), flows.Child.Info()))
 	f.Add(unknownCategorySnapshot(f))
+	f.Add(reorderedSnapshot(f, swapFlows))
+	f.Add(reorderedSnapshot(f, repeatFlow))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)
