@@ -10,11 +10,11 @@ import (
 	"diffaudit/internal/store"
 )
 
-// The API's one error shape. Every non-2xx response from every handler —
-// v1 or legacy alias — carries this envelope; nothing in this package
-// writes plain-text errors (CI rejects http.Error here). The code is a
-// stable, typed string clients can switch on; the message is for humans
-// and may change between releases.
+// The API's one error shape. Every non-2xx response from every handler
+// carries this envelope; nothing in this package writes plain-text errors
+// (CI rejects http.Error here). The code is a stable, typed string
+// clients can switch on; the message is for humans and may change between
+// releases.
 //
 //	{"error": {"code": "not_found", "message": "no such job"}}
 //	{"error": {"code": "unavailable", "message": "job queue full (depth 16); retry later", "retry_after": 1}}

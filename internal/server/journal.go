@@ -9,13 +9,13 @@
 //	<crc32 of the rest of the line, 8 hex digits> D <job ID>\n
 //
 // The live set — submits no done follows — is the whole meaning of the
-// file. Submit lines go through a group commit (see append) and are
-// fsynced before the client sees its 202. Done lines are unsynced
-// appends: completions overlap submit storms on the same core, and losing
-// one in a crash only re-runs an idempotent job whose snapshot is already
-// stored. There is no "running" record — recovery re-runs a job the same
-// whether it died queued or mid-audit — and a job whose snapshot could
-// not persist gets no done line, which keeps it live.
+// file. Submit lines are fsynced, one submit at a time (see append),
+// before the client sees its 202. Done lines are unsynced appends:
+// completions overlap submit storms on the same core, and losing one in a
+// crash only re-runs an idempotent job whose snapshot is already stored.
+// There is no "running" record — recovery re-runs a job the same whether
+// it died queued or mid-audit — and a job whose snapshot could not persist
+// gets no done line, which keeps it live.
 package server
 
 import (
@@ -37,11 +37,8 @@ const (
 	// journalVersion versions the submit record; Open refuses a log
 	// holding records from a future format instead of misreading them.
 	journalVersion = 1
-	// journalWindow is the group-commit window: long enough to absorb a
-	// burst, short enough to vanish next to the fsync it amortizes.
-	journalWindow = 2 * time.Millisecond
 	// journalMaxGarbage caps the bytes of finished jobs' lines the log may
-	// carry before a batch rewrites it; a cap on size instead would have a
+	// carry before a submit rewrites it; a cap on size instead would have a
 	// deep queue's live lines forcing rewrites.
 	journalMaxGarbage = 1 << 20
 )
@@ -57,28 +54,16 @@ type journalRecord struct {
 	Uploads     []upload  `json:"uploads"`
 }
 
-// commitReq is a submit frame waiting for its batch; result gets its outcome.
-type commitReq struct {
-	id     string
-	frame  []byte
-	result chan error
-}
-
 // journal persists job records in one log file under one directory.
 type journal struct {
 	dir string
 
-	// pending queues submit frames for the next batch; whoever holds the
-	// one leaderTok token commits everything pending. The buffer only keeps
-	// a burst's submitters from blocking before they contend for the token.
-	pending   chan commitReq
-	leaderTok chan struct{}
+	// commit admits one submit at a time to write, sync and, on failure,
+	// take back its frame.
+	commit sync.Mutex
 
-	// mu guards the log file and the live set. The leader holds it for its
-	// write but not its fsync, so a done line never waits on a disk flush.
-	// A submit enters live when its frame is written, before it is synced:
-	// a done can never find the live set empty — and unlink the log —
-	// under a batch still on its way to disk.
+	// mu guards the log file and the live set. A submit holds it for its
+	// write but not its fsync.
 	mu      sync.Mutex
 	f       *os.File          // nil while no job is live
 	live    map[string][]byte // job ID → its submit frame
@@ -121,75 +106,31 @@ func nextFrame(data []byte) (kind byte, payload, rest []byte, ok bool) {
 	return data[9], data[11:nl], data[nl+1:], true
 }
 
-// append journals a submit record through the group commit and blocks
-// until the batch holding it is durable (or failed): the client's 202 is
-// its batch's fsync. "journal.write" injects the record write failing.
-//
-// The commit runs leader/follower: the frame is queued, then the
-// submitter either takes the leader token and commits everything queued,
-// or learns on result that a leader committed for it. A lone submit leads
-// its own batch of one with no goroutine handoff; a burst piles up behind
-// the current leader's fsync and shares the next. There is no committer
-// goroutine — on small-core machines the two scheduler handoffs one would
-// cost per submit are worth more than the fsync it saves.
+// append journals a submit record and blocks until it is durable (or
+// failed): the client's 202 is its own fsync. Submits commit one at a
+// time under j.commit, so nothing else syncs or rewrites the file
+// meanwhile; the frame is written under j.mu and synced outside it, so a
+// done line never waits on a disk flush. The frame enters live when it is
+// written, before it is synced: a done can never find the live set empty
+// — and unlink the log — under a submit still on its way to disk.
+// "journal.write" injects the record write failing; "journal.batch" the
+// commit failing (or stalling) unacknowledged, between write and sync.
 func (j *journal) append(rec journalRecord) error {
 	if err := faults.Inject("journal.write"); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	payload, _ := json.Marshal(rec) // strings, numbers and a time: cannot fail
-	req := commitReq{id: rec.ID, frame: frame('S', payload), result: make(chan error, 1)}
-	j.pending <- req
-	for {
-		select {
-		case err := <-req.result:
-			return err
-		case <-j.leaderTok:
-			j.commitPending()
-			j.leaderTok <- struct{}{}
-			// Loop: our frame was committed by the batch we just led or by
-			// an earlier leader (then ours was empty or all-others) —
-			// result has the verdict.
-		}
-	}
-}
-
-// commitPending drains the pending queue into one batch and lands it
-// durably: every frame in one write and one fsync, or in the rewritten
-// log when there is none yet or too much of it is garbage. The batch
-// closes as soon as the queue empties or the window elapses — batching
-// costs an idle submit nothing. Only the leader runs this, so nothing
-// else syncs or rewrites the file meanwhile. "journal.batch" injects the
-// batch failing (or stalling) unacknowledged, between write and sync.
-func (j *journal) commitPending() {
-	var batch []commitReq
-	deadline := time.Now().Add(journalWindow)
-gather:
-	for {
-		select {
-		case req := <-j.pending:
-			batch = append(batch, req)
-			if time.Now().After(deadline) {
-				break gather // sustained pressure: the window caps the batch
-			}
-		default:
-			break gather // queue drained: sync now, don't idle
-		}
-	}
-	if len(batch) == 0 {
-		return // an earlier leader already drained everything
-	}
-	var buf []byte
+	submit := frame('S', payload)
+	j.commit.Lock()
+	defer j.commit.Unlock()
 	var err error
 	j.mu.Lock()
-	for _, req := range batch {
-		buf = append(buf, req.frame...)
-		j.live[req.id] = req.frame
-	}
+	j.live[rec.ID] = submit
 	unsynced := j.f
 	if unsynced == nil || j.garbage > journalMaxGarbage {
-		unsynced, err = nil, j.rewriteLocked() // live holds the batch: written, synced
+		unsynced, err = nil, j.rewriteLocked() // live holds the frame: written, synced
 	} else {
-		_, err = unsynced.Write(buf)
+		_, err = unsynced.Write(submit)
 	}
 	j.mu.Unlock()
 	if err == nil {
@@ -198,21 +139,17 @@ gather:
 	if err == nil && unsynced != nil {
 		err = unsynced.Sync()
 	}
-	if err != nil {
-		// Nobody will be acknowledged, so no job of the batch may come back
-		// after a crash: take whatever reached the file out of it.
-		j.mu.Lock()
-		for _, req := range batch {
-			delete(j.live, req.id)
-		}
-		j.garbage = journalMaxGarbage + 1 // should this rewrite fail too, the next batch retries it
-		j.rewriteLocked()
-		j.mu.Unlock()
-		err = fmt.Errorf("journal: %w", err)
+	if err == nil {
+		return nil
 	}
-	for _, req := range batch {
-		req.result <- err
-	}
+	// The submitter gets no 202, so the job may not come back after a
+	// crash: take whatever reached the file out of it.
+	j.mu.Lock()
+	delete(j.live, rec.ID)
+	j.garbage = journalMaxGarbage + 1 // should this rewrite fail too, the next submit retries it
+	j.rewriteLocked()
+	j.mu.Unlock()
+	return fmt.Errorf("journal: %w", err)
 }
 
 // done records that a job reached a state recovery must not replay: its
@@ -234,7 +171,7 @@ func (j *journal) done(id string) {
 	j.garbage += int64(len(submit) + len(line))
 	if _, err := j.f.Write(line); err != nil {
 		// A partial frame mid-log would hide every later line from
-		// recovery: count it all as garbage, so the next batch rewrites.
+		// recovery: count it all as garbage, so the next submit rewrites.
 		j.garbage = journalMaxGarbage + 1
 	}
 }
@@ -298,13 +235,7 @@ func (j *journal) rewriteLocked() error {
 // checksum but comes from another build. Starting anyway would silently
 // drop the acknowledged jobs in them.
 func openJournal(dir string, personas *flows.PersonaIndex) (*journal, []*Job, error) {
-	j := &journal{
-		dir:       dir,
-		pending:   make(chan commitReq, 64),
-		leaderTok: make(chan struct{}, 1),
-		live:      make(map[string][]byte),
-	}
-	j.leaderTok <- struct{}{}
+	j := &journal{dir: dir, live: make(map[string][]byte)}
 	if err := os.MkdirAll(j.staging(), 0o755); err != nil { // and dir above it
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
@@ -389,7 +320,7 @@ func openJournal(dir string, personas *flows.PersonaIndex) (*journal, []*Job, er
 		}
 		jobs = append(jobs, job)
 	}
-	// Staging orphans: uploads whose submit crashed before its batch synced.
+	// Staging orphans: uploads whose submit crashed before its frame synced.
 	stray, _ := filepath.Glob(filepath.Join(j.staging(), "*"))
 	for _, path := range stray {
 		if !referenced[path] {

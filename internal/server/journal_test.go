@@ -546,41 +546,21 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommitBurst pins the group-commit mechanics at the
-// journal level: a burst of submits that piles up behind one stalled
-// commit shares a single write and sync, done lines are appended without
-// rewriting anything, and the last done takes the log with it.
-func TestJournalGroupCommitBurst(t *testing.T) {
+// TestJournalConcurrentSubmits pins the commit mechanics at the journal
+// level: concurrent submits each take a commit of their own and return
+// only once it is done, a done line never waits on a submit's flush, done
+// lines are appended without rewriting anything, and the last done takes
+// the log with it.
+func TestJournalConcurrentSubmits(t *testing.T) {
 	j, _, err := openJournal(filepath.Join(t.TempDir(), "journal"), builtinsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Stall the first commit: job-1 syncs alone while jobs 2-4 queue up
-	// behind it and must share the second batch.
-	faults.Set("journal.batch", faults.Plan{Delay: 300 * time.Millisecond, Count: 1})
 	defer faults.Reset()
-
-	var wg sync.WaitGroup
-	appendOne := func(n int) {
-		defer wg.Done()
-		rec := journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", SubmittedAt: time.Now().UTC()}
-		if err := j.append(rec); err != nil {
-			t.Errorf("append job-%d: %v", n, err)
-		}
+	recs := map[int]journalRecord{}
+	for n := 1; n <= 5; n++ {
+		recs[n] = journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", SubmittedAt: time.Now().UTC()}
 	}
-	wg.Add(1)
-	go appendOne(1)
-	time.Sleep(50 * time.Millisecond) // job-1's commit is inside the stall
-	for n := 2; n <= 4; n++ {
-		wg.Add(1)
-		go appendOne(n)
-	}
-	wg.Wait()
-	if commits := faults.Calls("journal.batch"); commits != 2 {
-		t.Fatalf("4 appends (1 + burst of 3) took %d commits, want 2", commits)
-	}
-
 	logSize := func() int64 {
 		fi, err := os.Stat(j.logPath())
 		if err != nil {
@@ -588,11 +568,71 @@ func TestJournalGroupCommitBurst(t *testing.T) {
 		}
 		return fi.Size()
 	}
+
+	// Slow every commit, so the four submits overlap. The k-th append to
+	// return has seen at least k commits: none rides on another's.
+	faults.Set("journal.batch", faults.Plan{Delay: 20 * time.Millisecond, Count: -1})
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		seen []int // journal.batch calls when each append returned, in return order
+	)
+	for n := 1; n <= 4; n++ {
+		wg.Add(1)
+		want := submitFrame(t, recs[n])
+		go func() {
+			defer wg.Done()
+			if err := j.append(recs[n]); err != nil {
+				t.Errorf("append job-%d: %v", n, err)
+				return
+			}
+			mu.Lock()
+			seen = append(seen, faults.Calls("journal.batch"))
+			mu.Unlock()
+			if data, err := os.ReadFile(j.logPath()); err != nil || !bytes.Contains(data, want) {
+				t.Errorf("append job-%d returned before its frame was in the log (%v)", n, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if commits := faults.Calls("journal.batch"); commits != 4 {
+		t.Fatalf("4 concurrent appends took %d commits, want 4", commits)
+	}
+	for k, calls := range seen {
+		if calls < k+1 {
+			t.Fatalf("append #%d returned after %d commits: it rode on another submit's commit (%v)", k+1, calls, seen)
+		}
+	}
+
+	// Stall a later submit between its write and its sync: a done for an
+	// earlier job must still go through at once.
+	const stall = time.Second
+	faults.Set("journal.batch", faults.Plan{Delay: stall, Count: 1})
+	appended := make(chan error, 1)
+	go func() { appended <- j.append(recs[5]) }()
+	for deadline := time.Now().Add(5 * time.Second); faults.Calls("journal.batch") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("append job-5 never reached its commit")
+		}
+	}
 	before := logSize()
+	start := time.Now()
 	j.done("job-3")
+	if took := time.Since(start); took > stall/2 {
+		t.Fatalf("done(job-3) took %v behind a submit stalled in its commit: it waited on the flush", took)
+	}
+	select {
+	case err := <-appended:
+		t.Fatalf("append job-5 returned (%v) inside its stalled commit", err)
+	default:
+	}
 	if grew := logSize() - before; grew != int64(len(doneFrame("job-3"))) {
 		t.Fatalf("done(job-3) changed the log by %d bytes, want one appended done line", grew)
 	}
+	if err := <-appended; err != nil {
+		t.Fatalf("append job-5: %v", err)
+	}
+
 	j.done("job-3") // a second done for the same job is not a second line
 	j.done("job-2")
 	j.done("job-4")
@@ -600,6 +640,7 @@ func TestJournalGroupCommitBurst(t *testing.T) {
 		t.Fatalf("three dones grew the log by %d bytes, want three lines", grew)
 	}
 	j.done("job-1")
+	j.done("job-5")
 	if left := journalFiles(t, j.dir); len(left) != 0 {
 		t.Fatalf("the log survives its last live job: %v", left)
 	}

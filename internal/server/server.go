@@ -395,10 +395,10 @@ func (s *Server) Close() {
 	close(s.stop) // stop background loops (scrubber) before draining workers
 	close(s.queue)
 	s.wg.Wait()
-	// The journal needs no teardown: group commits run on submitter
-	// goroutines (leader/follower), so there is no background committer
-	// to stop, and the log's handle — open only while unfinished jobs
-	// remain — must outlive Close for the uploads still racing it.
+	// The journal needs no teardown: commits run on submitter goroutines,
+	// so there is no background committer to stop, and the log's handle —
+	// open only while unfinished jobs remain — must outlive Close for the
+	// uploads still racing it.
 }
 
 // worker drains the job queue.
@@ -807,11 +807,15 @@ func (s *Server) stageFile(part *multipart.Part, label string) (string, int64, e
 	return f.Name(), n, nil
 }
 
-// readSmallValue reads a non-file form value with a sanity cap.
+// readSmallValue reads a non-file form value of at most 4096 bytes; a
+// longer one is refused, not cut short.
 func readSmallValue(part *multipart.Part) (string, error) {
-	data, err := io.ReadAll(io.LimitReader(part, 4096))
+	data, err := io.ReadAll(io.LimitReader(part, 4096+1))
 	if err != nil {
 		return "", err
+	}
+	if len(data) > 4096 {
+		return "", fmt.Errorf("field %q: value over 4096 bytes", part.FormName())
 	}
 	return strings.TrimSpace(string(data)), nil
 }

@@ -237,29 +237,79 @@ func TestGuessedIdentity(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation covers the rejection paths.
+// TestSubmitValidation covers the rejection paths and the size limits:
+// a name value or a whole body at its cap is accepted intact, one a byte
+// past it is refused with nothing left in staging.
 func TestSubmitValidation(t *testing.T) {
+	// req renders parts as a multipart request: content type, body.
+	req := func(parts map[string][2]string) [2]string {
+		var buf bytes.Buffer
+		ct := newMultipart(t, &buf, parts)
+		return [2]string{ct, buf.String()}
+	}
+	// The cap is the length of the largest body: a capture padded with
+	// JSON whitespace. The boundary's length is fixed, so one more byte of
+	// padding is one byte past it.
+	capture := `{"log":{"version":"1.2","entries":[]}}`
+	pad := strings.Repeat(" ", 64<<10)
+	atCap := req(map[string][2]string{"child": {"a.har", capture + pad}})
+	pastCap := req(map[string][2]string{"child": {"a.har", capture + pad + " "}})
+	if len(pastCap[1]) != len(atCap[1])+1 {
+		t.Fatalf("bodies of %d and %d bytes, want one byte apart", len(atCap[1]), len(pastCap[1]))
+	}
+	name := strings.Repeat("n", 4096)
+
+	cases := []struct {
+		name    string
+		req     [2]string // content type, body
+		want    int
+		code    string // error code of a refusal
+		service string // service name of an acceptance
+	}{
+		{"no files", req(map[string][2]string{"name": {"", "x"}}), http.StatusBadRequest, codeInvalidRequest, ""},
+		{"bad field", req(map[string][2]string{"grownup": {"a.har", "{}"}}), http.StatusBadRequest, codeInvalidRequest, ""},
+		{"bad extension", req(map[string][2]string{"child": {"a.txt", "{}"}}), http.StatusBadRequest, codeInvalidRequest, ""},
+		{"name at 4096 bytes", req(map[string][2]string{"child": {"a.har", capture}, "name": {"", name}}), http.StatusAccepted, "", name},
+		{"name at 4097 bytes", req(map[string][2]string{"child": {"a.har", capture}, "name": {"", name + "n"}}), http.StatusBadRequest, codeInvalidRequest, ""},
+		{"body at MaxUploadBytes", atCap, http.StatusAccepted, "", "custom-service"},
+		{"body past MaxUploadBytes", pastCap, http.StatusRequestEntityTooLarge, codePayloadTooLarge, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			staging := t.TempDir()
+			srv := New(Config{TempDir: staging, MaxUploadBytes: int64(len(atCap[1]))})
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/v1/audits", tc.req[0], strings.NewReader(tc.req[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, tc.want, got)
+			}
+			if tc.want == http.StatusAccepted {
+				var job Job
+				if err := json.Unmarshal(got, &job); err != nil || job.Service != tc.service {
+					t.Fatalf("accepted as service %.40q (%v), want %.40q", job.Service, err, tc.service)
+				}
+				return
+			}
+			if e := apiErr(t, got); e.Code != tc.code {
+				t.Errorf("code = %q, want %q", e.Code, tc.code)
+			}
+			if left, err := os.ReadDir(staging); err != nil || len(left) != 0 {
+				t.Errorf("refused upload left %d files in staging (%v)", len(left), err)
+			}
+		})
+	}
+
 	srv := New(Config{TempDir: t.TempDir()})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-
-	cases := []struct {
-		name  string
-		parts map[string][2]string
-		want  int
-	}{
-		{"no files", map[string][2]string{"name": {"", "x"}}, http.StatusBadRequest},
-		{"bad field", map[string][2]string{"grownup": {"a.har", "{}"}}, http.StatusBadRequest},
-		{"bad extension", map[string][2]string{"child": {"a.txt", "{}"}}, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		resp := submit(t, ts, tc.parts)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-	}
 
 	// Unknown job and unready report.
 	for path, want := range map[string]int{
