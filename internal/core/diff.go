@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"diffaudit/internal/flows"
 	"diffaudit/internal/ontology"
 )
@@ -28,104 +26,67 @@ func (d FlowDiff) Jaccard() float64 {
 	return float64(len(d.Both)) / float64(union)
 }
 
-// pairKeys gives flows of different symbol tables one comparable identity:
-// the (category, FQDN) pair Flow.Key encodes. Destination role differences
-// (possible when sets span services) do not make two flows distinct for
-// diffing, exactly as with string keys. FQDNs are numbered by content once
-// per destination of each table seen, so the per-flow work stays integer.
-type pairKeys struct {
-	fqdns  map[string]uint32
-	tables map[*flows.Table][]uint32
-}
-
-func newPairKeys() *pairKeys {
-	return &pairKeys{fqdns: map[string]uint32{}, tables: map[*flows.Table][]uint32{}}
-}
-
-// table returns the table's DestID → FQDN number translation.
-func (p *pairKeys) table(t *flows.Table) []uint32 {
-	fqdnOf, ok := p.tables[t]
-	if !ok {
-		fqdnOf = make([]uint32, t.Len())
-		for i := range fqdnOf {
-			fqdn := t.Destination(flows.DestID(i)).FQDN
-			n, seen := p.fqdns[fqdn]
-			if !seen {
-				n = uint32(len(p.fqdns))
-				p.fqdns[fqdn] = n
-			}
-			fqdnOf[i] = n
-		}
-		p.tables[t] = fqdnOf
-	}
-	return fqdnOf
-}
-
-// pairKey reduces a packed flow key to its (category, FQDN number) pair.
-func pairKey(fqdnOf []uint32, key uint64) uint64 {
-	c, d := flows.SplitFlowKey(key)
-	return uint64(c)<<32 | uint64(fqdnOf[d])
-}
-
-// Diff compares two flow sets by flow key. Membership tests run on packed
-// symbol pairs; flows materialize only for the output slices.
+// Diff compares two flow sets by flow key: the (category, FQDN) pair
+// Flow.Key encodes, so destination role differences (possible when sets
+// span services) do not make two flows distinct, exactly as with string
+// keys. Flows materialize only for the output slices.
 func Diff(a, b *flows.Set) FlowDiff {
-	return newPairKeys().diff(a, b)
+	d, _ := diff(a, b, true)
+	return d
 }
 
-func (p *pairKeys) diff(a, b *flows.Set) FlowDiff {
-	var d FlowDiff
+// diff pairs the flows of two sets, over any two tables, in one merge of
+// their runs (flows.ComparePairs). Each (category, FQDN) pair is one
+// stretch of a run, and the stretch's first key is the flow reported for
+// it, in the run's order. With keepBoth false the pairs both sets hold are
+// only counted, not materialized.
+func diff(a, b *flows.Set, keepBoth bool) (d FlowDiff, both int) {
 	ta, tb := a.Table(), b.Table()
-	fa, fb := p.table(ta), p.table(tb)
-	inB := make(map[uint64]bool, b.Len())
-	b.Range(func(key uint64, _ flows.PlatformMask) {
-		inB[pairKey(fb, key)] = true
-	})
-	seenA := make(map[uint64]bool, a.Len())
-	a.RangeSorted(func(key uint64, _ flows.PlatformMask) {
-		pk := pairKey(fa, key)
-		if seenA[pk] {
-			return
+	ka, kb := a.SortedKeys(), b.SortedKeys()
+	for i, j := 0, 0; i < len(ka) || j < len(kb); {
+		c := -1
+		switch {
+		case i == len(ka):
+			c = 1
+		case j < len(kb):
+			c = flows.ComparePairs(ta, ka[i], tb, kb[j])
 		}
-		seenA[pk] = true
-		if inB[pk] {
-			d.Both = append(d.Both, ta.FlowOfKey(key))
-		} else {
-			d.OnlyA = append(d.OnlyA, ta.FlowOfKey(key))
+		switch {
+		case c < 0:
+			d.OnlyA = append(d.OnlyA, ta.FlowOfKey(ka[i]))
+			i = pairEnd(ta, ka, i)
+		case c > 0:
+			d.OnlyB = append(d.OnlyB, tb.FlowOfKey(kb[j]))
+			j = pairEnd(tb, kb, j)
+		default:
+			if keepBoth {
+				d.Both = append(d.Both, ta.FlowOfKey(ka[i]))
+			}
+			both++
+			i, j = pairEnd(ta, ka, i), pairEnd(tb, kb, j)
 		}
-	})
-	seenB := make(map[uint64]bool, b.Len())
-	b.RangeSorted(func(key uint64, _ flows.PlatformMask) {
-		pk := pairKey(fb, key)
-		if seenB[pk] {
-			return
+	}
+	return d, both
+}
+
+// pairEnd returns the end of the stretch of a run, from i on, holding
+// keys[i]'s (category, FQDN) pair: one FQDN in several destination roles.
+func pairEnd(t *flows.Table, keys []uint64, i int) int {
+	c, d := flows.SplitFlowKey(keys[i])
+	for i++; i < len(keys); i++ {
+		ci, di := flows.SplitFlowKey(keys[i])
+		if ci != c || t.FQDNID(di) != t.FQDNID(d) {
+			break
 		}
-		seenB[pk] = true
-		if !seenA[pk] {
-			d.OnlyB = append(d.OnlyB, tb.FlowOfKey(key))
-		}
-	})
-	return d
+	}
+	return i
 }
 
 // GridSimilarity compares two flow sets at the paper's Table 4
 // granularity (level-2 group × destination class presence), returning the
 // fraction of identical cells.
 func GridSimilarity(a, b *flows.Set) float64 {
-	ga, gb := a.GroupGrid(), b.GroupGrid()
-	same, total := 0, 0
-	for _, g := range ontology.FlowGroups() {
-		for _, c := range flows.DestClasses() {
-			total++
-			if (ga[g][c] != 0) == (gb[g][c] != 0) {
-				same++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(same) / float64(total)
+	return a.GroupGrid().Similarity(b.GroupGrid())
 }
 
 // Differential compares every persona matched by the given predicate
@@ -234,7 +195,6 @@ func LongitudinalFiltered(from, to *ServiceResult, only map[string]bool) Longitu
 	}
 	flows.SortPersonas(personas)
 	empty := flows.NewSet()
-	pairs := newPairKeys() // the two audits' tables are numbered once, not per persona
 	for _, p := range personas {
 		a, b := sets[p.String()][0], sets[p.String()][1]
 		if a == nil {
@@ -243,14 +203,15 @@ func LongitudinalFiltered(from, to *ServiceResult, only map[string]bool) Longitu
 		if b == nil {
 			b = empty
 		}
-		fd := pairs.diff(a, b)
+		fd, unchanged := diff(a, b, false)
+		ga, gb := a.GroupGrid(), b.GroupGrid()
 		d.Personas = append(d.Personas, PersonaDelta{
 			Persona:        p,
 			Added:          fd.OnlyB,
 			Removed:        fd.OnlyA,
-			Unchanged:      len(fd.Both),
-			GridSimilarity: GridSimilarity(a, b),
-			GridDeltas:     GridDiff(a, b),
+			Unchanged:      unchanged,
+			GridSimilarity: ga.Similarity(gb),
+			GridDeltas:     gridDeltas(ga, gb),
 		})
 	}
 	return d
@@ -312,24 +273,20 @@ type GroupDelta struct {
 }
 
 // GridDiff compares two traces at Table 4 granularity, returning only the
-// differing cells, sorted for stable output.
+// differing cells in (group, class) order.
 func GridDiff(a, b *flows.Set) []GroupDelta {
-	ga, gb := a.GroupGrid(), b.GroupGrid()
+	return gridDeltas(a.GroupGrid(), b.GroupGrid())
+}
+
+func gridDeltas(ga, gb flows.Grid) []GroupDelta {
 	var out []GroupDelta
-	for _, g := range ontology.Level2Groups() {
-		for _, c := range flows.DestClasses() {
-			ia := ga[g][c] != 0
-			ib := gb[g][c] != 0
+	for g := range ga {
+		for c := range ga[g] {
+			ia, ib := ga[g][c] != 0, gb[g][c] != 0
 			if ia != ib {
-				out = append(out, GroupDelta{Group: g, Class: c, InA: ia, InB: ib})
+				out = append(out, GroupDelta{Group: ontology.Level2(g), Class: flows.DestClass(c), InA: ia, InB: ib})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Group != out[j].Group {
-			return out[i].Group < out[j].Group
-		}
-		return out[i].Class < out[j].Class
-	})
 	return out
 }

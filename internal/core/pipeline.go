@@ -451,37 +451,59 @@ type Table1Totals struct {
 // (domains and eSLDs are deduplicated across services, as in Table 1).
 // Flow uniqueness dedupes on the (category, FQDN) pair — the same identity
 // Flow.Key encodes (one domain holding different roles for different
-// services still counts once) — through one pairKeys across the results'
-// tables, so strings are touched once per destination, not once per flow.
+// services still counts once) — with FQDNs numbered by string once per
+// destination of each table, not once per flow. One result's own maps are
+// already distinct, so only several results build unions of them.
 func Totals(results []*ServiceResult) Table1Totals {
-	domains := map[string]bool{}
-	eslds := map[string]bool{}
-	keys := map[string]bool{}
-	fl := map[uint64]bool{}
-	pairs := newPairKeys()
 	var t Table1Totals
+	if len(results) == 1 {
+		r := results[0]
+		t.Domains, t.ESLDs, t.UniqueRawKeys = len(r.Domains), len(r.ESLDs), len(r.RawKeys)
+	} else {
+		domains := map[string]bool{}
+		eslds := map[string]bool{}
+		keys := map[string]bool{}
+		for _, r := range results {
+			for d := range r.Domains {
+				domains[d] = true
+			}
+			for e := range r.ESLDs {
+				eslds[e] = true
+			}
+			for k := range r.RawKeys {
+				keys[k] = true
+			}
+		}
+		t.Domains, t.ESLDs, t.UniqueRawKeys = len(domains), len(eslds), len(keys)
+	}
+	// fqdns numbers FQDNs by string across the results; tables holds each
+	// table's DestID → FQDN number translation.
+	fqdns := map[string]uint32{}
+	tables := map[*flows.Table][]uint32{}
+	fl := map[uint64]bool{}
 	for _, r := range results {
-		for d := range r.Domains {
-			domains[d] = true
-		}
-		for e := range r.ESLDs {
-			eslds[e] = true
-		}
-		for k := range r.RawKeys {
-			keys[k] = true
-		}
 		t.Packets += r.Packets
 		t.TCPFlows += r.TCPFlows
 		for _, set := range r.ByTrace {
-			fqdnOf := pairs.table(set.Table())
+			tab := set.Table()
+			fqdnOf, ok := tables[tab]
+			if !ok {
+				fqdnOf = make([]uint32, tab.Len())
+				for i := range fqdnOf {
+					fqdn := tab.Destination(flows.DestID(i)).FQDN
+					if _, seen := fqdns[fqdn]; !seen {
+						fqdns[fqdn] = uint32(len(fqdns))
+					}
+					fqdnOf[i] = fqdns[fqdn]
+				}
+				tables[tab] = fqdnOf
+			}
 			set.Range(func(key uint64, _ flows.PlatformMask) {
-				fl[pairKey(fqdnOf, key)] = true
+				c, d := flows.SplitFlowKey(key)
+				fl[uint64(c)<<32|uint64(fqdnOf[d])] = true
 			})
 		}
 	}
-	t.Domains = len(domains)
-	t.ESLDs = len(eslds)
-	t.UniqueRawKeys = len(keys)
 	t.UniqueFlows = len(fl)
 	return t
 }
@@ -495,12 +517,16 @@ func Grid(r *ServiceResult) map[ontology.Level2]map[flows.DestClass]map[flows.Pe
 	}
 	for _, t := range r.Personas() {
 		gg := r.ByTrace[t].GroupGrid()
-		for g, classes := range gg {
-			for c, mask := range classes {
-				cell := out[g][c]
+		for g := range gg {
+			for c, mask := range gg[g] {
+				if mask == 0 {
+					continue
+				}
+				group, class := ontology.Level2(g), flows.DestClass(c)
+				cell := out[group][class]
 				if cell == nil {
 					cell = make(map[flows.Persona]flows.PlatformMask)
-					out[g][c] = cell
+					out[group][class] = cell
 				}
 				cell[t] |= mask
 			}

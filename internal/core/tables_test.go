@@ -87,6 +87,40 @@ func oracleDiff(a, b []added) core.FlowDiff {
 	return d
 }
 
+// oracleGrid is a set at Table 4 granularity as the string-keyed core
+// built it: "group/class" → the union of the masks of that cell's flows.
+func oracleGrid(adds []added) map[string]flows.PlatformMask {
+	g := map[string]flows.PlatformMask{}
+	for _, a := range adds {
+		g[a.f.Category.Group.String()+"/"+a.f.Dest.Class.String()] |= a.p.Mask()
+	}
+	return g
+}
+
+// oracleGridDiff is GridSimilarity and GridDiff on oracle grids.
+func oracleGridDiff(a, b []added) (float64, []core.GroupDelta) {
+	ga, gb := oracleGrid(a), oracleGrid(b)
+	same, total := 0, 0
+	for _, g := range ontology.FlowGroups() {
+		for _, c := range flows.DestClasses() {
+			total++
+			if cell := g.String() + "/" + c.String(); (ga[cell] != 0) == (gb[cell] != 0) {
+				same++
+			}
+		}
+	}
+	var deltas []core.GroupDelta
+	for _, g := range ontology.Level2Groups() {
+		for _, c := range flows.DestClasses() {
+			cell := g.String() + "/" + c.String()
+			if ia, ib := ga[cell] != 0, gb[cell] != 0; ia != ib {
+				deltas = append(deltas, core.GroupDelta{Group: g, Class: c, InA: ia, InB: ib})
+			}
+		}
+	}
+	return float64(same) / float64(total), deltas
+}
+
 // tableWorld draws random sets over a small universe: a dozen hostnames,
 // one of which (two-roles.example) different services resolved to
 // different roles, and six categories of both linkability buckets.
@@ -177,6 +211,14 @@ func checkSet(t *testing.T, what string, set *flows.Set, adds []added) {
 			t.Fatalf("%s: RangeSorted hands %v mask %v, want %v", what, f, m, masks[f])
 		}
 	})
+	grid, wantGrid := set.GroupGrid(), oracleGrid(adds)
+	for _, g := range ontology.Level2Groups() {
+		for _, c := range flows.DestClasses() {
+			if got, want := grid[g][c], wantGrid[g.String()+"/"+c.String()]; got != want {
+				t.Fatalf("%s: GroupGrid %v/%v = %v, want %v", what, g, c, got, want)
+			}
+		}
+	}
 
 	// Destinations: per FQDN the destination of the first flow, by FQDN.
 	var wantDests []flows.Destination
@@ -239,14 +281,38 @@ func checkSet(t *testing.T, what string, set *flows.Set, adds []added) {
 // results built against different tables.
 func TestCrossTableOperationsMatchStringOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		w := newTableWorld(seed)
-		ac, aa := w.adds(w.rng.Intn(40)), w.adds(w.rng.Intn(40))
-		bc, ba := w.adds(w.rng.Intn(40)), w.adds(w.rng.Intn(40))
-		if seed%5 == 0 {
-			bc = append(bc, ac...) // a persona that mostly did not change
-		}
-		a, b := w.result("A", ac, aa), w.result("B", bc, ba)
+		crossTableRound(t, seed)
+	}
+}
+
+// FuzzCrossTableDiff runs one round of
+// TestCrossTableOperationsMatchStringOracle per seed.
+func FuzzCrossTableDiff(f *testing.F) {
+	for _, seed := range []int64{1, 2, 5, 10} {
+		f.Add(seed)
+	}
+	f.Fuzz(crossTableRound)
+}
+
+// crossTableRound builds two results from one seed and checks every
+// operation across their tables against the oracle: once as built, whose
+// sets sort lazily, and once after a snapshot round trip, whose sets take
+// their runs from the decoder.
+func crossTableRound(t *testing.T, seed int64) {
+	w := newTableWorld(seed)
+	ac, aa := w.adds(w.rng.Intn(40)), w.adds(w.rng.Intn(40))
+	bc, ba := w.adds(w.rng.Intn(40)), w.adds(w.rng.Intn(40))
+	if seed%5 == 0 {
+		bc = append(bc, ac...) // a persona that mostly did not change
+	}
+	a, b := w.result("A", ac, aa), w.result("B", bc, ba)
+	adds := map[flows.Persona][2][]added{flows.Child: {ac, bc}, flows.Adult: {aa, ba}}
+	for _, decoded := range []bool{false, true} {
 		what := fmt.Sprintf("seed %d", seed)
+		if decoded {
+			a, b = roundTrip(t, a), roundTrip(t, b)
+			what += " decoded"
+		}
 		checkSet(t, what+" A/child", a.ByTrace[flows.Child], ac)
 		checkSet(t, what+" B/adult", b.ByTrace[flows.Adult], ba)
 
@@ -254,22 +320,42 @@ func TestCrossTableOperationsMatchStringOracle(t *testing.T) {
 		if got := core.Diff(a.ByTrace[flows.Child], b.ByTrace[flows.Child]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Diff = %+v, want %+v", what, got, want)
 		}
-		only := map[string]bool{flows.Child.String(): true}
+		wantSim, wantDeltas := oracleGridDiff(ac, bc)
+		if got := core.GridSimilarity(a.ByTrace[flows.Child], b.ByTrace[flows.Child]); got != wantSim {
+			t.Fatalf("%s: GridSimilarity = %v, want %v", what, got, wantSim)
+		}
+		if got := core.GridDiff(a.ByTrace[flows.Child], b.ByTrace[flows.Child]); !reflect.DeepEqual(got, wantDeltas) {
+			t.Fatalf("%s: GridDiff = %+v, want %+v", what, got, wantDeltas)
+		}
+		only, personas := map[string]bool{flows.Child.String(): true}, 1
 		if seed%2 == 0 {
-			only = nil
+			only, personas = nil, 2
 		}
 		ld := core.LongitudinalFiltered(a, b, only)
-		if len(ld.Personas) == 0 || ld.Personas[0].Persona != flows.Child || (only != nil && len(ld.Personas) != 1) {
+		if len(ld.Personas) != personas || ld.Personas[0].Persona != flows.Child {
 			t.Fatalf("%s: longitudinal personas = %+v", what, ld.Personas)
 		}
-		if pd := ld.Personas[0]; !reflect.DeepEqual(pd.Added, want.OnlyB) || !reflect.DeepEqual(pd.Removed, want.OnlyA) || pd.Unchanged != len(want.Both) {
-			t.Fatalf("%s: longitudinal child delta = +%v -%v =%d, want +%v -%v =%d", what,
-				pd.Added, pd.Removed, pd.Unchanged, want.OnlyB, want.OnlyA, len(want.Both))
+		for _, pd := range ld.Personas {
+			side := adds[pd.Persona]
+			want := oracleDiff(side[0], side[1])
+			if !reflect.DeepEqual(pd.Added, want.OnlyB) || !reflect.DeepEqual(pd.Removed, want.OnlyA) || pd.Unchanged != len(want.Both) {
+				t.Fatalf("%s: longitudinal %v delta = +%v -%v =%d, want +%v -%v =%d", what, pd.Persona,
+					pd.Added, pd.Removed, pd.Unchanged, want.OnlyB, want.OnlyA, len(want.Both))
+			}
+			wantSim, wantDeltas := oracleGridDiff(side[0], side[1])
+			if pd.GridSimilarity != wantSim || !reflect.DeepEqual(pd.GridDeltas, wantDeltas) {
+				t.Fatalf("%s: longitudinal %v grid = %v %+v, want %v %+v", what, pd.Persona,
+					pd.GridSimilarity, pd.GridDeltas, wantSim, wantDeltas)
+			}
 		}
 
 		_, keys := firstPerKey(flowsOnly(ac, aa, bc, ba))
 		if got := core.Totals([]*core.ServiceResult{a, b}).UniqueFlows; got != len(keys) {
 			t.Fatalf("%s: Totals.UniqueFlows = %d, want %d", what, got, len(keys))
+		}
+		_, keys = firstPerKey(flowsOnly(ac, aa))
+		if got := core.Totals([]*core.ServiceResult{a}).UniqueFlows; got != len(keys) {
+			t.Fatalf("%s: Totals of A alone: UniqueFlows = %d, want %d", what, got, len(keys))
 		}
 
 		// Merge: a foreign set by content, a sibling by direct union, and
@@ -284,6 +370,16 @@ func TestCrossTableOperationsMatchStringOracle(t *testing.T) {
 		}
 		checkSet(t, what+" A's union", union, append(append([]added{}, ac...), aa...))
 	}
+}
+
+// roundTrip passes a result through the snapshot codec.
+func roundTrip(t *testing.T, r *core.ServiceResult) *core.ServiceResult {
+	t.Helper()
+	out, err := store.DecodeResult(store.EncodeResult(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func flowsOnly(lists ...[]added) []flows.Flow {

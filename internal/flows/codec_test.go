@@ -108,12 +108,35 @@ func TestAddMask(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("zero mask inserted a flow")
 	}
-	s.AddMask(c, d, OnWeb|OnMobile)
+	s.AddMask(c, d, OnWeb)
 	if s.Len() != 1 {
 		t.Fatal("flow not inserted")
 	}
 	f := s.Flows()[0]
-	if got := s.Platforms(f); got != OnWeb|OnMobile {
+	if got := s.Platforms(f); got != OnWeb {
 		t.Errorf("mask = %v", got)
+	}
+	// A mask widened after a sorted read shows in the next one.
+	s.AddMask(c, d, OnMobile)
+	if got := s.Platforms(f); got != OnWeb|OnMobile {
+		t.Errorf("widened mask = %v", got)
+	}
+
+	// A category ID past the ontology panics, as Add does, whatever the
+	// mask: it has no group and no rank of its own.
+	for _, id := range []CatID{CatID(len(ontology.Categories())), 1 << 20} {
+		for _, m := range []PlatformMask{0, OnWeb} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("AddMask(%d, %v) did not panic", id, m)
+					}
+				}()
+				s.AddMask(id, d, m)
+			}()
+		}
+	}
+	if s.Len() != 1 {
+		t.Errorf("refused IDs left %d flows", s.Len())
 	}
 }

@@ -129,8 +129,8 @@ func checkMask(i int, b byte) (PlatformMask, error) {
 // exactly one set. It walks the three columns in lockstep, checking each
 // index and mask as it reads it, and each flow against the one before: the
 // flows must come in strictly increasing KeyLess order, as the encoder
-// writes them, and they become the set's sorted order, so no decoded set
-// sorts. The returned set copies everything it needs out of data.
+// writes them, and they become the set's run, masks beside keys, so no
+// decoded set sorts. The returned set copies everything it needs out of data.
 func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	c, err := splitSetColumns(data)
 	if err != nil {
@@ -138,7 +138,7 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	}
 	cats, dests := wire.NewReader(c.cats), wire.NewReader(c.dests)
 	set := d.tab.NewSet(c.n)
-	keys := make([]uint64, c.n)
+	keys, masks := make([]uint64, c.n), make([]PlatformMask, c.n)
 	for i := range keys {
 		ci, err := readIndex(cats, i, len(d.cats), "category")
 		if err != nil {
@@ -157,6 +157,7 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 			return nil, fmt.Errorf("flows: snapshot flow %d is not after flow %d in canonical order", i, i-1)
 		}
 		set.flows[keys[i]] = m
+		masks[i] = m
 	}
 	if err := cats.Close(); err != nil {
 		return nil, fmt.Errorf("flows: category column: %w", err)
@@ -164,6 +165,6 @@ func (d *SetDecoder) DecodeSetColumnar(data []byte) (*Set, error) {
 	if err := dests.Close(); err != nil {
 		return nil, fmt.Errorf("flows: destination column: %w", err)
 	}
-	set.sorted.Store(&keys)
+	set.sorted.Store(&run{keys: keys, masks: masks})
 	return set, nil
 }

@@ -174,11 +174,17 @@ func (f Flow) Key() string { return f.Category.Name + flowKeySep + f.Dest.FQDN }
 type Set struct {
 	tab   *Table
 	flows map[uint64]PlatformMask
-	// sorted caches the packed keys in KeyLess order; it is invalidated
-	// whenever a new key is inserted and rebuilt lazily by the first
-	// sorted read. The atomic pointer lets concurrent post-construction
-	// readers share one materialization.
-	sorted atomic.Pointer[[]uint64]
+	// sorted caches the set's run; any insertion or mask change drops it
+	// and the first sorted read rebuilds it. The atomic pointer lets
+	// concurrent post-construction readers share one materialization.
+	sorted atomic.Pointer[run]
+}
+
+// run is a set's flows in KeyLess order, keys[i] observed on masks[i], so
+// a sorted walk reads two slices and looks nothing up.
+type run struct {
+	keys  []uint64
+	masks []PlatformMask
 }
 
 // NewSet returns an empty flow set over a table of its own.
@@ -210,16 +216,20 @@ func (s *Set) Add(f Flow, p Platform) {
 
 // AddMask records a flow by its category ID and a destination ID of the
 // set's table, with an explicit platform mask — the inner loop of the
-// pipeline's finalize step and of the snapshot decoder, which replay masks
-// that may cover both platforms in one call. A zero mask is a no-op.
+// pipeline's finalize step, which replays masks that may cover both
+// platforms in one call. A zero mask is a no-op. Like Add, it panics on a
+// category ID past the ontology: a set holds only ontology categories, so
+// each has a rank of its own and each (category, FQDN) pair is one
+// contiguous stretch of the set's run.
 func (s *Set) AddMask(c CatID, d DestID, m PlatformMask) {
+	if CategoryByID(c) == nil {
+		panic(fmt.Sprintf("flows: category ID %d is not in the ontology", c))
+	}
 	if m == 0 {
 		return
 	}
-	k := PackFlowKey(c, d)
-	n := len(s.flows)
-	s.flows[k] |= m
-	if len(s.flows) != n {
+	s.flows[PackFlowKey(c, d)] |= m
+	if s.sorted.Load() != nil {
 		s.sorted.Store(nil)
 	}
 }
@@ -231,7 +241,6 @@ func (s *Set) Merge(other *Set) {
 	if other == nil {
 		return
 	}
-	n := len(s.flows)
 	if other.tab == s.tab {
 		for k, m := range other.flows {
 			s.flows[k] |= m
@@ -248,32 +257,41 @@ func (s *Set) Merge(other *Set) {
 			s.flows[PackFlowKey(c, remap[d]-1)] |= m
 		}
 	}
-	if len(s.flows) != n {
-		s.sorted.Store(nil)
-	}
+	s.sorted.Store(nil)
 }
 
 // Len returns the number of distinct flows.
 func (s *Set) Len() int { return len(s.flows) }
 
-// sortedKeys returns (building and caching on first use) the packed keys
-// in KeyLess order — the same order the string-keyed core produced.
-func (s *Set) sortedKeys() []uint64 {
-	if p := s.sorted.Load(); p != nil {
-		return *p
+// sortedRun returns (building and caching on first use) the set's run: its
+// packed keys in KeyLess order — the same order the string-keyed core
+// produced — with their masks.
+func (s *Set) sortedRun() *run {
+	if r := s.sorted.Load(); r != nil {
+		return r
 	}
-	keys := make([]uint64, 0, len(s.flows))
+	r := &run{keys: make([]uint64, 0, len(s.flows))}
 	for k := range s.flows {
-		keys = append(keys, k)
+		r.keys = append(r.keys, k)
 	}
-	slices.SortFunc(keys, s.tab.keyCompare)
-	s.sorted.Store(&keys)
-	return keys
+	slices.SortFunc(r.keys, s.tab.keyCompare)
+	r.masks = make([]PlatformMask, len(r.keys))
+	for i, k := range r.keys {
+		r.masks[i] = s.flows[k]
+	}
+	s.sorted.Store(r)
+	return r
 }
+
+// SortedKeys returns the set's packed keys in KeyLess order. The slice is
+// the set's cached run, shared by every sorted read: callers must not
+// modify it. Operations that walk two sets side by side (core.Diff) merge
+// these runs.
+func (s *Set) SortedKeys() []uint64 { return s.sortedRun().keys }
 
 // Flows returns the flows sorted by key for deterministic iteration.
 func (s *Set) Flows() []Flow {
-	keys := s.sortedKeys()
+	keys := s.SortedKeys()
 	out := make([]Flow, len(keys))
 	for i, k := range keys {
 		out[i] = s.tab.FlowOfKey(k)
@@ -301,8 +319,9 @@ func (s *Set) RangeKeys(fn func(key uint64)) {
 // RangeSorted calls fn for every flow in deterministic key order without
 // materializing Flow values.
 func (s *Set) RangeSorted(fn func(key uint64, m PlatformMask)) {
-	for _, k := range s.sortedKeys() {
-		fn(k, s.flows[k])
+	r := s.sortedRun()
+	for i, k := range r.keys {
+		fn(k, r.masks[i])
 	}
 }
 
@@ -316,30 +335,48 @@ func (s *Set) Platforms(f Flow) PlatformMask {
 		return 0
 	}
 	probe := tableEntry{fqdn: f.Dest.FQDN, esld: f.Dest.ESLD, owner: f.Dest.Owner, class: uint8(f.Dest.Class)}
-	keys := s.sortedKeys()
-	i, ok := slices.BinarySearchFunc(keys, &probe, func(k uint64, p *tableEntry) int {
+	r := s.sortedRun()
+	i, ok := slices.BinarySearchFunc(r.keys, &probe, func(k uint64, p *tableEntry) int {
 		kc, kd := SplitFlowKey(k)
 		return flowCompare(kc, &s.tab.dests[kd], c, p)
 	})
 	if !ok {
 		return 0
 	}
-	return s.flows[keys[i]]
+	return r.masks[i]
 }
 
-// GroupGrid reduces the set to Table 4 granularity: level-2 data type group
-// × destination class → platform mask.
-func (s *Set) GroupGrid() map[ontology.Level2]map[DestClass]PlatformMask {
-	grid := make(map[ontology.Level2]map[DestClass]PlatformMask)
-	for k, m := range s.flows {
+// Grid is a flow set at Table 4 granularity, indexed [group][class]: for
+// each level-2 data type group and destination class, the platforms any
+// flow of that cell was observed on (zero for an empty cell). Its bounds
+// are the last group and the last class.
+type Grid [ontology.UserInterestsAndBehavior + 1][ThirdPartyATS + 1]PlatformMask
+
+// GroupGrid reduces the set to Table 4 granularity in one walk of its run.
+func (s *Set) GroupGrid() Grid {
+	var g Grid
+	r := s.sortedRun()
+	for i, k := range r.keys {
 		c, d := SplitFlowKey(k)
-		g := CategoryByID(c).Group
-		if grid[g] == nil {
-			grid[g] = make(map[DestClass]PlatformMask)
-		}
-		grid[g][s.tab.Class(d)] |= m
+		g[CategoryByID(c).Group][s.tab.Class(d)] |= r.masks[i]
 	}
-	return grid
+	return g
+}
+
+// Similarity returns the fraction of the paper's Table 4 cells (the
+// ontology.FlowGroups rows × the four classes) on which two grids agree
+// about presence: 1 when the same cells hold flows.
+func (g Grid) Similarity(h Grid) float64 {
+	same, total := 0, 0
+	for _, l := range ontology.FlowGroups() {
+		for c := range g[l] {
+			total++
+			if (g[l][c] != 0) == (h[l][c] != 0) {
+				same++
+			}
+		}
+	}
+	return float64(same) / float64(total)
 }
 
 // Destinations returns every distinct destination in the set, sorted by
@@ -348,7 +385,7 @@ func (s *Set) GroupGrid() map[ontology.Level2]map[DestClass]PlatformMask {
 func (s *Set) Destinations() []Destination {
 	seen := map[uint32]bool{}
 	var out []Destination
-	for _, k := range s.sortedKeys() {
+	for _, k := range s.SortedKeys() {
 		_, d := SplitFlowKey(k)
 		if fid := s.tab.FQDNID(d); !seen[fid] {
 			seen[fid] = true

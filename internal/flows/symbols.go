@@ -226,13 +226,31 @@ func categoryName(id CatID) string {
 // rank is a category ID's place in KeyLess order.
 func rank(id CatID) uint32 { return catRank[min(int(id), len(catRank)-1)] }
 
-// flowCompare is the three-way comparison behind KeyLess, over category
-// ranks and destination content.
-func flowCompare(a CatID, x *tableEntry, b CatID, y *tableEntry) int {
+// ComparePairs orders key a of table ta against key b of table tb by their
+// (category, FQDN) pair alone: KeyLess without its tie-break on
+// destination role. For keys a set can hold (ontology categories only),
+// it is zero exactly when the two flows share Flow.Key. KeyLess orders by
+// that pair first, so each pair is one contiguous stretch of a set's run
+// (Set.SortedKeys), and two sets over different tables pair their flows in
+// one linear merge of their runs.
+func ComparePairs(ta *Table, a uint64, tb *Table, b uint64) int {
+	ca, da := SplitFlowKey(a)
+	cb, db := SplitFlowKey(b)
+	return pairCompare(ca, &ta.dests[da], cb, &tb.dests[db])
+}
+
+// pairCompare compares category ranks, then FQDNs.
+func pairCompare(a CatID, x *tableEntry, b CatID, y *tableEntry) int {
 	if c := cmp.Compare(rank(a), rank(b)); c != 0 {
 		return c
 	}
-	if c := strings.Compare(x.fqdn, y.fqdn); c != 0 {
+	return strings.Compare(x.fqdn, y.fqdn)
+}
+
+// flowCompare is the three-way comparison behind KeyLess, over category
+// ranks and destination content.
+func flowCompare(a CatID, x *tableEntry, b CatID, y *tableEntry) int {
+	if c := pairCompare(a, x, b, y); c != 0 {
 		return c
 	}
 	// Equal ranks mean one category (an ID is its name's ontology index),

@@ -8,7 +8,6 @@ import (
 
 	"diffaudit/internal/flows"
 	"diffaudit/internal/linkability"
-	"diffaudit/internal/ontology"
 	"diffaudit/internal/policy"
 )
 
@@ -246,21 +245,7 @@ func evalGridDivergence(pk *Pack, r *Rule, service string, personas []flows.Pers
 		if set == nil || set.Len() == 0 {
 			continue
 		}
-		grid := set.GroupGrid()
-		same, total := 0, 0
-		for _, g := range ontology.FlowGroups() {
-			for _, c := range flows.DestClasses() {
-				total++
-				if (baseGrid[g][c] != 0) == (grid[g][c] != 0) {
-					same++
-				}
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		ratio := float64(same) / float64(total)
-		if ratio >= r.MinSimilarity {
+		if ratio := baseGrid.Similarity(set.GroupGrid()); ratio >= r.MinSimilarity {
 			out = append(out, Finding{
 				Service: service, Law: pk.Law, Severity: r.Severity, Trace: p,
 				Rule: r.Name, Detail: fmt.Sprintf(r.Detail, int(ratio*100)),
