@@ -30,9 +30,9 @@ import (
 //	job_timed_out      409  report of a timed-out job
 //	rate_limited       429  client over its upload token bucket
 //	                        (RateLimit-* and Retry-After headers present)
-//	unavailable        503  queue full, deadline-aware load shed, store
-//	                        circuit breaker open, or server shutting down
-//	                        (retry_after present, mirrors Retry-After)
+//	unavailable        503  queue full, deadline-aware load shed, or
+//	                        server shutting down (retry_after present,
+//	                        mirrors Retry-After)
 //	not_implemented    501  snapshot endpoints without a configured store
 //	internal           500  storage failure, render failure, journal failure
 const (
@@ -64,12 +64,12 @@ func apiError(w http.ResponseWriter, status int, code, format string, args ...an
 
 // unavailable writes a 503 with an adaptive Retry-After hint (header and
 // envelope field) — overload here is transient by construction (a
-// bounded queue draining, a tripped breaker cooling down, or a shutdown
-// the operator's balancer should route around), so well-behaved clients
-// should back off and retry rather than fail. Every 503 path — queue
-// full, deadline shed, breaker open, shutting down — funnels through
-// this helper or unavailableAfter, so the hint cannot drift between
-// them: it is always retryAfterHint of one backlog estimate.
+// bounded queue draining, or a shutdown the operator's balancer should
+// route around), so well-behaved clients should back off and retry
+// rather than fail. Every 503 path — queue full, deadline shed, shutting
+// down — funnels through this helper or unavailableAfter, so the hint
+// cannot drift between them: it is always retryAfterHint of one backlog
+// estimate.
 func (s *Server) unavailable(w http.ResponseWriter, msg string) {
 	s.unavailableAfter(w, msg, s.backlogWait())
 }
@@ -107,29 +107,11 @@ func uploadErrStatus(err error) (int, string) {
 }
 
 // snapshotErrStatus distinguishes a reference the caller got wrong (404)
-// from a breaker-open short circuit (503 — the store is sick, not the
-// snapshot, and the condition is transient by design) from a snapshot
-// that exists but cannot be served — corruption or I/O failure, which a
-// 404 would mask (500).
+// from a snapshot that exists but cannot be served — corruption or I/O
+// failure, which a 404 would mask (500).
 func snapshotErrStatus(err error) (int, string) {
 	if errors.Is(err, store.ErrUnresolved) {
 		return http.StatusNotFound, codeNotFound
 	}
-	if errors.Is(err, errBreakerOpen) {
-		return http.StatusServiceUnavailable, codeUnavailable
-	}
 	return http.StatusInternalServerError, codeInternal
-}
-
-// storeErrResponse writes the response for a snapshot-materialization
-// failure through snapshotErrStatus, routing the breaker-open case onto
-// the shared 503 helper so it carries the adaptive Retry-After like
-// every other unavailability.
-func (s *Server) storeErrResponse(w http.ResponseWriter, err error, format string, args ...any) {
-	status, code := snapshotErrStatus(err)
-	if status == http.StatusServiceUnavailable {
-		s.unavailable(w, fmt.Sprintf(format, args...))
-		return
-	}
-	apiError(w, status, code, format, args...)
 }

@@ -117,10 +117,10 @@ type Config struct {
 	NewPipeline func() *core.Pipeline
 	// JournalDir enables the crash-safe job journal: accepted uploads are
 	// staged under <JournalDir>/staging and recorded in
-	// <JournalDir>/journal.log (fsynced, concurrent submits sharing one
-	// sync) before they are queued, and Open re-enqueues interrupted jobs
-	// from the log after a crash. Empty disables journaling (jobs accepted
-	// before a crash are lost, the pre-journal behavior). Point it at the
+	// <JournalDir>/journal.log (fsynced, one sync per submit) before they
+	// are queued, and Open re-enqueues interrupted jobs from the log after
+	// a crash. Empty disables journaling (jobs accepted before a crash are
+	// lost, the pre-journal behavior). Point it at the
 	// same volume as the snapshot store (serve -data-dir does this) so a
 	// job and its eventual snapshot share durability.
 	JournalDir string
@@ -145,15 +145,6 @@ type Config struct {
 	// default); RateBurst caps a client's burst (0 = 2×RateLimit, min 1).
 	RateLimit float64
 	RateBurst int
-	// BreakerThreshold tunes the snapshot-store circuit breaker: the
-	// failure rate over the last BreakerWindow store calls that trips the
-	// circuit open. 0 means the 0.5 default; negative disables the
-	// breaker. While open, reads serve stale from the decoded-snapshot
-	// cache and writes defer to the journal; after BreakerCooldown
-	// (default 15s) a single probe call decides recovery.
-	BreakerThreshold float64
-	BreakerWindow    int
-	BreakerCooldown  time.Duration
 	// ScrubInterval enables the background integrity scrubber: every
 	// interval, one low-priority pass re-verifies each stored snapshot's
 	// CRC and content hash, quarantining corrupt files (repairing them
@@ -237,10 +228,9 @@ type Server struct {
 	journal  *journal // nil when Config.JournalDir is empty
 	cache    *resultCache
 
-	// Overload defenses (see admission.go, breaker.go, scrub.go).
+	// Overload defenses (see admission.go, scrub.go).
 	limiter   *rateLimiter // nil unless Config.RateLimit > 0
 	admission admission
-	breaker   *breaker // nil unless a Store is configured (and not disabled)
 	scrub     scrubState
 	stop      chan struct{} // closed by Close; stops background loops
 
@@ -321,9 +311,6 @@ func Open(cfg Config) (*Server, error) {
 		stop:     make(chan struct{}),
 	}
 	s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
-	if cfg.Store != nil {
-		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerWindow, cfg.BreakerCooldown)
-	}
 	s.registerRoutes()
 	// A restarted server must not mint job IDs that collide with the IDs
 	// recorded in its store's snapshots, or /v1/jobs/{id}/report.* would
@@ -442,23 +429,14 @@ func (s *Server) run(job *Job) {
 	var meta store.Meta
 	var storeErr error
 	if err == nil && s.cfg.Store != nil {
-		if !s.breaker.allow() {
-			// Open breaker: skip the store entirely. The job still finishes
-			// with its in-memory result, SnapshotError records the deferral,
-			// and the journal keeps the record (below) so a restart — or the
-			// recovered store — re-persists it: writes queue rather than fail.
-			storeErr = errBreakerOpen
-		} else {
-			storeErr = s.retry(context.Background(), func() error {
-				if ierr := faults.Inject("store.put"); ierr != nil {
-					return ierr
-				}
-				var perr error
-				meta, perr = s.cfg.Store.Put(job.ID, result)
-				return perr
-			})
-			s.breaker.record(storeErr)
-		}
+		storeErr = s.retry(context.Background(), func() error {
+			if ierr := faults.Inject("store.put"); ierr != nil {
+				return ierr
+			}
+			var perr error
+			meta, perr = s.cfg.Store.Put(job.ID, result)
+			return perr
+		})
 	}
 
 	// A done job whose snapshot could not persist gets no done line and
@@ -916,11 +894,10 @@ func (s *Server) resolveJob(id string) (ref jobRef, status int, code, msg string
 }
 
 // result returns the audit result a resolved job denotes: the in-memory
-// one, or the stored snapshot through the decoded-snapshot cache. stale
-// marks a result served from cache while the store circuit breaker is open.
-func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err error) {
+// one, or the stored snapshot through the decoded-snapshot cache.
+func (s *Server) result(ref jobRef) (*core.ServiceResult, error) {
 	if ref.res != nil {
-		return ref.res, false, nil
+		return ref.res, nil
 	}
 	return s.snapshotResult(ref.meta)
 }
@@ -929,33 +906,13 @@ func (s *Server) result(ref jobRef) (res *core.ServiceResult, stale bool, err er
 // returns the already-decoded result (zero decode work); a miss loads the
 // snapshot from the store and caches it under its content hash for every
 // later reader — report, snapshot, and diff handlers all share this path
-// and therefore this cache.
-//
-// The cache doubles as the breaker's stale-serving fallback: while the
-// circuit is open a hit is served anyway — byte-identical to the healthy
-// response, merely flagged stale so handlers can say so — and a miss
-// short-circuits with errBreakerOpen (fast 503) instead of dispatching a
-// doomed store call (slow 500).
-func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, bool, error) {
+// and therefore this cache. A snapshot that fails to load fails only the
+// requests for it.
+func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, error) {
 	if res := s.cache.get(meta.Hash); res != nil {
-		if s.breaker.isOpen() {
-			s.breaker.staleServed.Add(1)
-			return res, true, nil
-		}
-		return res, false, nil
-	}
-	res, err := s.decodeGated(meta)
-	return res, false, err
-}
-
-// decodeGated performs a miss: breaker gate, load, breaker sample, and
-// cache fill.
-func (s *Server) decodeGated(meta store.Meta) (*core.ServiceResult, error) {
-	if !s.breaker.allow() {
-		return nil, fmt.Errorf("snapshot %d: %w", meta.Seq, errBreakerOpen)
+		return res, nil
 	}
 	res, err := s.cfg.Store.Load(meta)
-	s.breaker.record(breakerOutcome(err))
 	if err != nil {
 		return nil, err
 	}
@@ -963,23 +920,13 @@ func (s *Server) decodeGated(meta store.Meta) (*core.ServiceResult, error) {
 	return res, nil
 }
 
-// breakerOutcome filters what a decode error means for store health: a
-// reference that does not resolve is the caller's mistake, not a sick
-// store, and must not count toward tripping the circuit.
-func breakerOutcome(err error) error {
-	if errors.Is(err, store.ErrUnresolved) {
-		return nil
-	}
-	return err
-}
-
 // reportResult does everything the report endpoints share before
 // rendering: it resolves the job ID once, answers a matching If-None-Match
-// with 304 from the hash alone (no snapshot is decoded), fetches the
-// result, and stamps the stale headers. The returned ETag carries the
-// variant suffix distinguishing representations — the JSON and CSV exports
-// of one snapshot must not validate against each other. ok is false when
-// the response (error or 304) has already been written.
+// with 304 from the hash alone (no snapshot is decoded), and fetches the
+// result. The returned ETag carries the variant suffix distinguishing
+// representations — the JSON and CSV exports of one snapshot must not
+// validate against each other. ok is false when the response (error or
+// 304) has already been written.
 func (s *Server) reportResult(w http.ResponseWriter, r *http.Request, variant string) (res *core.ServiceResult, etag string, ok bool) {
 	id := r.PathValue("id")
 	ref, status, code, msg := s.resolveJob(id)
@@ -994,31 +941,15 @@ func (s *Server) reportResult(w http.ResponseWriter, r *http.Request, variant st
 			return nil, "", false
 		}
 	}
-	res, stale, err := s.result(ref)
+	res, err := s.result(ref)
 	if err != nil {
-		// A snapshot for this job exists but cannot be served: a
-		// breaker-open short circuit answers 503 (transient), anything
-		// else is a storage failure a 404 would mask (500).
-		s.storeErrResponse(w, err, "stored snapshot for %s: %v", id, err)
+		// A snapshot for this job exists but cannot be served: a storage
+		// failure a 404 would mask (500).
+		status, code := snapshotErrStatus(err)
+		apiError(w, status, code, "stored snapshot for %s: %v", id, err)
 		return nil, "", false
 	}
-	s.staleHeaders(w, stale)
 	return res, etag, true
-}
-
-// staleHeaders marks a response that was served from the decoded-
-// snapshot cache while the store breaker is open: a Warning the HTTP
-// caching RFCs reserve for exactly this ("response is stale") and an Age
-// giving how long the circuit has been open — i.e. the maximum staleness
-// bound. Callers invoke it before writing the body.
-func (s *Server) staleHeaders(w http.ResponseWriter, stale bool) {
-	if !stale {
-		return
-	}
-	w.Header().Set("Warning", `110 diffaudit "stale: snapshot store circuit open"`)
-	if age := s.breaker.openAge(); age > 0 {
-		w.Header().Set("Age", strconv.Itoa(int(age/time.Second)))
-	}
 }
 
 // writeRendered writes one rendered export, folding the render-error path
@@ -1143,12 +1074,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		notModified(w, etag, cacheControl)
 		return
 	}
-	res, stale, err := s.snapshotResult(meta)
+	res, err := s.snapshotResult(meta)
 	if err != nil {
-		s.storeErrResponse(w, err, "%v", err)
+		status, code := snapshotErrStatus(err)
+		apiError(w, status, code, "%v", err)
 		return
 	}
-	s.staleHeaders(w, stale)
 	writeExportJSON(w, r, res, etag, cacheControl)
 }
 
@@ -1229,14 +1160,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	anyStale := false
 	fetch := func(meta store.Meta, side string) (*core.ServiceResult, bool) {
-		res, stale, ferr := s.snapshotResult(meta)
+		res, ferr := s.snapshotResult(meta)
 		if ferr != nil {
-			s.storeErrResponse(w, ferr, "%s: %v", side, ferr)
+			status, code := snapshotErrStatus(ferr)
+			apiError(w, status, code, "%s: %v", side, ferr)
 			return nil, false
 		}
-		anyStale = anyStale || stale
 		return res, true
 	}
 	from, okFrom := fetch(fromMeta, "from")
@@ -1247,7 +1177,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !okTo {
 		return
 	}
-	s.staleHeaders(w, anyStale)
 	diff := core.LongitudinalFiltered(from, to, only)
 	switch format {
 	case "md":
@@ -1341,12 +1270,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// snapshots to decode; its hit/miss/eviction counters tell an
 		// operator whether CacheBytes is sized to the working set.
 		health["cache"] = s.cache.stats()
-		health["breaker"] = s.breaker.stats()
+		health["breaker"] = deprecatedBreakerStats
 		if s.scrubbable() != nil {
 			health["scrub"] = s.scrub.stats()
 		}
 	}
 	writeJSON(w, http.StatusOK, health)
+}
+
+// deprecatedBreakerStats is the healthz "breaker" block, kept so clients
+// that read it keep parsing. The server has no store circuit breaker; this
+// is the shape it always reported for a disabled one.
+var deprecatedBreakerStats = map[string]any{
+	"state": "disabled", "failure_rate": 0.0, "window": 0, "window_filled": 0,
+	"trips": 0, "stale_served": 0, "short_circuits": 0,
 }
 
 // jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).
@@ -1390,7 +1327,7 @@ func (s *Server) Result(id string) (*core.ServiceResult, error) {
 	if status != 0 {
 		return nil, errors.New("server: " + msg)
 	}
-	res, _, err := s.result(ref)
+	res, err := s.result(ref)
 	if err != nil {
 		return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, err)
 	}
@@ -1408,7 +1345,7 @@ func (s *Server) SnapshotResult(ref string) (*core.ServiceResult, store.Meta, er
 	if err != nil {
 		return nil, store.Meta{}, err
 	}
-	res, _, err := s.snapshotResult(meta)
+	res, err := s.snapshotResult(meta)
 	if err != nil {
 		return nil, store.Meta{}, err
 	}
