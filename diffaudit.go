@@ -31,7 +31,6 @@ import (
 
 	"diffaudit/internal/classifier"
 	"diffaudit/internal/core"
-	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/lawaudit"
 	"diffaudit/internal/linkability"
@@ -130,10 +129,6 @@ type (
 	AuditServer = server.Server
 	// ServerConfig tunes the audit server.
 	ServerConfig = server.Config
-	// RetryPolicy tunes how the server retries transient failures
-	// (snapshot persistence, journal writes): attempt count and capped
-	// exponential backoff.
-	RetryPolicy = faults.RetryPolicy
 	// SnapshotStore persists audit results as content-addressed,
 	// sequence-ordered snapshots (OpenSnapshotStore).
 	SnapshotStore = store.Store

@@ -1,21 +1,14 @@
 // Package faults makes failure a first-class, testable input to the
-// audit server. It has two halves:
-//
-//   - Named injection points (Inject): call sites on the server's durable
-//     paths — journal writes, snapshot puts, stream decoding, worker
-//     execution — declare where a fault could strike. In production every
-//     point is a zero-cost no-op (one atomic load, no allocation); tests
-//     arm a point with a Plan to return an error, inject latency, or
-//     panic, optionally firing only on the Nth call. The chaos suite
-//     drives the full upload→journal→retry→snapshot path this way and
-//     proves the server retries, times out, or fails jobs with a
-//     classified state instead of wedging or losing work.
-//
-//   - A retry discipline (Retry, IsTransient, Transient): errors are
-//     classified transient vs permanent, and transient ones — a store
-//     write hitting a momentary I/O error, a temp file racing a scanner —
-//     are retried with capped exponential backoff plus jitter. Permanent
-//     errors (corruption, validation, context expiry) fail fast.
+// audit server through named injection points (Inject): call sites on
+// the server's durable paths — journal writes, snapshot writes, stream
+// decoding, worker execution — declare where a fault could strike. In
+// production every point is a zero-cost no-op (one atomic load, no
+// allocation); tests arm a point with a Plan to return an error, inject
+// latency, or panic, optionally firing only on the Nth call. The chaos
+// suite drives the full upload→journal→snapshot path this way and proves
+// the server times out or fails jobs with a classified state instead of
+// wedging or losing work. The server does not retry: an injected error
+// takes the same one-attempt failure path a real one would.
 //
 // The registry is process-global on purpose: injection points are
 // scattered across packages (server, store, core) and tests arm them by
@@ -34,9 +27,8 @@ import (
 // first call, doing nothing visible — set Err, Delay, or Panic to give
 // the firing an effect.
 type Plan struct {
-	// Err is returned by Inject when the point fires. Wrap it with
-	// Transient to exercise the retry path, or leave it bare to exercise
-	// the permanent-failure path.
+	// Err is returned by Inject when the point fires, as if the guarded
+	// operation had failed with it.
 	Err error
 	// Delay is slept before returning (latency injection — a slow disk, a
 	// stalled decode). Combines with Err/Panic.
@@ -98,8 +90,8 @@ func Reset() {
 }
 
 // Calls reports how many times the named point has been reached since it
-// was armed — the chaos tests assert retry counts with it. Returns 0 for
-// unarmed points.
+// was armed — the chaos tests assert attempt counts with it. Returns 0
+// for unarmed points.
 func Calls(name string) int {
 	mu.Lock()
 	defer mu.Unlock()

@@ -1,12 +1,9 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -15,10 +12,10 @@ import (
 // nil for any name and counts nothing.
 func TestInjectDisabledIsNoOp(t *testing.T) {
 	Reset()
-	if err := Inject("store.put"); err != nil {
+	if err := Inject("store.write"); err != nil {
 		t.Fatalf("unarmed Inject = %v", err)
 	}
-	if n := Calls("store.put"); n != 0 {
+	if n := Calls("store.write"); n != 0 {
 		t.Fatalf("unarmed Calls = %d", n)
 	}
 }
@@ -115,149 +112,13 @@ func TestClearAndReset(t *testing.T) {
 	}
 }
 
-// TestIsTransientClassification pins the transient/permanent line.
-func TestIsTransientClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"plain", errors.New("corrupt snapshot"), false},
-		{"marked", Transient(errors.New("blip")), true},
-		{"wrapped mark", fmt.Errorf("store: %w", Transient(errors.New("blip"))), true},
-		{"eagain", fmt.Errorf("write: %w", syscall.EAGAIN), true},
-		{"eintr", syscall.EINTR, true},
-		{"econnreset", syscall.ECONNRESET, true},
-		{"enospc is permanent", syscall.ENOSPC, false},
-		{"ctx deadline", context.DeadlineExceeded, false},
-		{"ctx canceled", context.Canceled, false},
-		{"os timeout", os.ErrDeadlineExceeded, true},
-	}
-	for _, tc := range cases {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("IsTransient(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	// Transient(nil) stays nil.
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
-	}
-	// The marker error survives errors.Is through the wrapper.
-	if !errors.Is(Transient(errors.New("x")), ErrTransient) {
-		t.Error("Transient mark invisible to errors.Is")
-	}
-}
-
-// TestRetrySucceedsAfterTransientFailures: the op fails transiently twice
-// and then succeeds; Retry reports success after exactly three calls.
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}, func() error {
-		calls++
-		if calls < 3 {
-			return Transient(errors.New("blip"))
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want nil/3", err, calls)
-	}
-}
-
-// TestRetryPermanentFailsFast: a permanent error is returned unwrapped
-// after one attempt.
-func TestRetryPermanentFailsFast(t *testing.T) {
-	boom := errors.New("corrupt")
-	calls := 0
-	err := Retry(context.Background(), RetryPolicy{Base: time.Millisecond}, func() error {
-		calls++
-		return boom
-	})
-	if err != boom || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want the permanent error after 1 call", err, calls)
-	}
-}
-
-// TestRetryExhaustsAttempts: persistent transience gives up after
-// Attempts tries, wrapping the final error with the count, still
-// transient for outer classifiers.
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	var delays []time.Duration
-	pol := RetryPolicy{
-		Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond,
-		OnRetry: func(attempt int, err error, d time.Duration) { delays = append(delays, d) },
-	}
-	err := Retry(context.Background(), pol, func() error {
-		calls++
-		return Transient(errors.New("still down"))
-	})
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("err = %v, want attempt count", err)
-	}
-	if !IsTransient(err) {
-		t.Fatal("exhausted error lost its transient mark")
-	}
-	if len(delays) != 2 {
-		t.Fatalf("OnRetry fired %d times, want 2", len(delays))
-	}
-	for i, d := range delays {
-		if d <= 0 || d > 2*time.Millisecond {
-			t.Errorf("backoff %d = %v, want within (0, Max]", i, d)
-		}
-	}
-}
-
-// TestRetryBackoffCapAndJitter: backoffs are capped at Max and jittered
-// within [d/2, d].
-func TestRetryBackoffCapAndJitter(t *testing.T) {
-	p := RetryPolicy{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond}.withDefaults()
-	for attempt := 1; attempt <= 10; attempt++ {
-		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt)
-			if d > p.Max {
-				t.Fatalf("attempt %d backoff %v exceeds cap %v", attempt, d, p.Max)
-			}
-			if d < p.Base/2 {
-				t.Fatalf("attempt %d backoff %v below base floor", attempt, d)
-			}
-		}
-	}
-	// Overflowed shifts clamp to Max instead of going negative.
-	if d := p.backoff(63); d <= 0 || d > p.Max {
-		t.Fatalf("overflow backoff = %v", d)
-	}
-}
-
-// TestRetryCtxCancelAborts: a context cancelled mid-backoff stops the
-// loop, reporting both the abort and the underlying error.
-func TestRetryCtxCancelAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	err := Retry(ctx, RetryPolicy{Base: time.Hour, Max: time.Hour}, func() error {
-		calls++
-		cancel() // expire before the (long) backoff
-		return Transient(errors.New("blip"))
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-	if err == nil || !strings.Contains(err.Error(), "retry aborted") || !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want abort wrapping the transient error", err)
-	}
-}
-
 // BenchmarkInjectDisabled pins the production cost of an unarmed point:
 // one atomic load, zero allocations.
 func BenchmarkInjectDisabled(b *testing.B) {
 	Reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Inject("store.put"); err != nil {
+		if err := Inject("store.write"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,15 +124,13 @@ func (s *Server) backlogWait() time.Duration {
 // queue slot should free up — floored at one second (clients must not
 // hot-loop) and capped at five minutes (past that the hint is guesswork).
 func retryAfterHint(wait time.Duration) int {
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
+	// Capped before rounding: rounding a saturated estimate up would
+	// overflow to a negative wait.
 	const maxHint = 300
-	if secs > maxHint {
-		secs = maxHint
+	if wait > maxHint*time.Second {
+		return maxHint
 	}
-	return secs
+	return max(int((wait+time.Second-1)/time.Second), 1)
 }
 
 // admit runs the pre-body gates in order — per-client rate limit, then

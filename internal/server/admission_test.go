@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -81,8 +82,8 @@ func TestAdmissionShedsOnDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if e.Error.Code != codeUnavailable || !strings.Contains(e.Error.Message, "load shed") || e.Error.RetryAfter < 1 {
-		t.Fatalf("shed envelope = %+v", e.Error)
+	if e.Error.Code != codeUnavailable || !strings.Contains(e.Error.Message, "load shed") || e.Error.RetryAfter != 300 {
+		t.Fatalf("shed envelope = %+v, want retry_after 300 for a saturated wait", e.Error)
 	}
 
 	// healthz counts the shed.
@@ -330,6 +331,7 @@ func TestRetryAfterHintFloorCap(t *testing.T) {
 		{300 * time.Second, 300},
 		{301 * time.Second, 300},
 		{time.Hour, 300},
+		{time.Duration(math.MaxInt64), 300},
 	}
 	for _, c := range cases {
 		if got := retryAfterHint(c.wait); got != c.want {

@@ -1,8 +1,8 @@
 // The fault-injection (chaos) suite: every injection point the faults
 // package exposes in the serving path, driven end to end over HTTP —
-// panicking workers, flaky and dead snapshot stores, journal write
-// failures, job deadlines, and overload — asserting the server degrades
-// the way DESIGN.md promises and never wedges a worker.
+// panicking workers, failed snapshot writes, journal write failures, job
+// deadlines, and overload — asserting the server degrades the way
+// DESIGN.md promises and never wedges a worker.
 package server
 
 import (
@@ -15,14 +15,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/netcap/pcapio"
-	"diffaudit/internal/store"
 	"diffaudit/internal/synth"
 )
 
@@ -105,87 +103,12 @@ func TestPCAPStreamPanicContained(t *testing.T) {
 	}
 }
 
-// TestTransientStorePutRetries: a snapshot store that fails transiently
-// twice is retried with backoff and the job still lands done with its
-// snapshot persisted and no SnapshotError.
-func TestTransientStorePutRetries(t *testing.T) {
-	defer faults.Reset()
-	faults.Set("store.put", faults.Plan{Err: faults.Transient(errors.New("flaky volume")), Count: 2})
-
-	var retries atomic.Int32
-	srv := New(Config{
-		Workers: 1,
-		TempDir: t.TempDir(),
-		Store:   testStore(t),
-		Retry: faults.RetryPolicy{
-			Attempts: 4,
-			Base:     time.Millisecond,
-			Max:      4 * time.Millisecond,
-			OnRetry:  func(int, error, time.Duration) { retries.Add(1) },
-		},
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	done := runJob(t, ts, quizletParts(t))
-	if done.SnapshotError != "" || done.SnapshotSeq == 0 {
-		t.Fatalf("job = %+v, want a persisted snapshot", done)
-	}
-	if got := faults.Calls("store.put"); got != 3 {
-		t.Errorf("store.put attempts = %d, want 3 (two injected failures + success)", got)
-	}
-	if retries.Load() != 2 {
-		t.Errorf("observed retries = %d, want 2", retries.Load())
-	}
-}
-
-// TestTransientStoreWriteRetried exercises the full upload → journal →
-// retry → snapshot path against a real FSStore with its temp-file write
-// ("store.write", inside FSStore.Put) failing transiently once: the
-// server-side retry re-invokes Put and the snapshot still lands durable.
-func TestTransientStoreWriteRetried(t *testing.T) {
-	defer faults.Reset()
-	faults.Set("store.write", faults.Plan{Err: faults.Transient(errors.New("momentary I/O stall")), Count: 1})
-
-	dir := t.TempDir()
-	st, err := store.OpenFSStore(dir + "/snapshots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Open(Config{
-		Workers:    1,
-		JournalDir: dir + "/journal",
-		Store:      st,
-		Retry:      faults.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	done := runJob(t, ts, quizletParts(t))
-	if done.SnapshotError != "" || done.SnapshotSeq == 0 {
-		t.Fatalf("job = %+v, want a persisted snapshot after the transient write failure", done)
-	}
-	// Durable for real: a second store over the same directory serves it.
-	st2, err := store.OpenFSStore(dir + "/snapshots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st2.Get(done.ID); err != nil {
-		t.Fatalf("snapshot not durable: %v", err)
-	}
-}
-
-// TestPermanentStorePutFails: a permanent store failure is NOT retried —
+// TestPermanentStorePutFails: a failed snapshot write is not retried —
 // the audit result survives in memory with SnapshotError set (the
-// existing snapshot-failure semantics), and exactly one Put was tried.
+// existing snapshot-failure semantics), and exactly one write was tried.
 func TestPermanentStorePutFails(t *testing.T) {
 	defer faults.Reset()
-	faults.Set("store.put", faults.Plan{Err: errors.New("volume detached"), Count: -1})
+	faults.Set("store.write", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
 	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: testStore(t)})
 	defer srv.Close()
@@ -198,8 +121,8 @@ func TestPermanentStorePutFails(t *testing.T) {
 	if done.State != JobDone || !strings.Contains(done.SnapshotError, "volume detached") || done.SnapshotSeq != 0 {
 		t.Fatalf("job = %+v, want done with SnapshotError", done)
 	}
-	if got := faults.Calls("store.put"); got != 1 {
-		t.Errorf("store.put attempts = %d, want 1 (permanent errors must not retry)", got)
+	if got := faults.Calls("store.write"); got != 1 {
+		t.Errorf("store.write attempts = %d, want 1 (failed writes must not retry)", got)
 	}
 	// The in-memory result still serves.
 	code, _ := getBody(t, ts, "/v1/jobs/"+job.ID+"/report.json")
@@ -303,8 +226,8 @@ func TestOverloadRetryAfter(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestSubmitJournalWriteFailure: when the journal cannot record a job
-// even after retries, the upload is rejected (500) rather than accepted
+// TestSubmitJournalWriteFailure: when the journal cannot record a job,
+// the upload is rejected (500) after one attempt rather than accepted
 // without durability, and its staged files are released.
 func TestSubmitJournalWriteFailure(t *testing.T) {
 	defer faults.Reset()
@@ -324,6 +247,9 @@ func TestSubmitJournalWriteFailure(t *testing.T) {
 		t.Fatalf("submit with dead journal = %d, want 500", resp.StatusCode)
 	}
 	resp.Body.Close()
+	if got := faults.Calls("journal.write"); got != 1 {
+		t.Errorf("journal.write attempts = %d, want 1 (failed writes must not retry)", got)
+	}
 
 	// No job, no record, and — once the handler's deferred cleanup runs —
 	// no staged files.
@@ -344,31 +270,6 @@ func TestSubmitJournalWriteFailure(t *testing.T) {
 			t.Fatalf("staged files not cleaned after journal failure: %d left", len(left))
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestJournalWriteTransientRetried: a transiently failing journal write
-// is retried and the submit still lands 202 — durability hiccups cost
-// latency, not uploads.
-func TestJournalWriteTransientRetried(t *testing.T) {
-	defer faults.Reset()
-	faults.Set("journal.write", faults.Plan{Err: faults.Transient(errors.New("momentary stall")), Count: 1})
-
-	srv, err := Open(Config{
-		Workers:    1,
-		JournalDir: t.TempDir(),
-		Retry:      faults.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	done := runJob(t, ts, quizletParts(t))
-	if done.State != JobDone {
-		t.Fatalf("job = %+v", done)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCorruptSnapshotFaultStaysLocal(t *testing.T) {
 // not vanish.
 func TestFailedSnapshotStaysJournaled(t *testing.T) {
 	defer faults.Reset()
-	faults.Set("store.put", faults.Plan{Err: errors.New("volume detached"), Count: -1})
+	faults.Set("store.write", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
 	dir := t.TempDir()
 	st, err := store.OpenFSStore(dir + "/snapshots")
@@ -470,6 +470,9 @@ func TestHealthLoadGauges(t *testing.T) {
 	}
 	if !reflect.DeepEqual(h["breaker"], wantBreaker) {
 		t.Errorf("healthz breaker = %+v, want %+v", h["breaker"], wantBreaker)
+	}
+	if got, ok := h["retrying"].(float64); !ok || got != 0 {
+		t.Errorf("healthz retrying = %v, want the deprecated constant 0", h["retrying"])
 	}
 
 	close(gate)

@@ -129,10 +129,6 @@ type Config struct {
 	// moves on at the next pipeline batch boundary — a pathological
 	// capture cannot wedge a worker forever.
 	JobTimeout time.Duration
-	// Retry governs how transient failures (snapshot persistence, journal
-	// writes) are retried. Zero fields take faults.RetryPolicy defaults
-	// (4 attempts, 50ms base, 2s cap).
-	Retry faults.RetryPolicy
 	// CacheBytes bounds the decoded-snapshot LRU cache shared by the
 	// report, snapshot, and diff read paths (entries charged their
 	// encoded snapshot size). 0 takes the 64 MiB default; negative
@@ -241,9 +237,6 @@ type Server struct {
 	closed     bool
 	recovering int // crash-recovered jobs not yet terminal
 
-	// retrying counts operations currently in a backoff-retry loop; it
-	// feeds healthz's "degraded" signal.
-	retrying atomic.Int32
 	// busy counts workers currently running a job (healthz workers_busy).
 	busy atomic.Int32
 
@@ -409,10 +402,9 @@ func (s *Server) run(job *Job) {
 	job.StartedAt = time.Now().UTC()
 	s.mu.Unlock()
 
-	// The deadline covers the audit only. Snapshot persistence runs under
-	// its own clock (the retry policy bounds it): abandoning a finished
-	// result because the analysis ran long would waste the work the
-	// deadline already paid for.
+	// The deadline covers the audit only. Snapshot persistence runs
+	// outside it: abandoning a finished result because the analysis ran
+	// long would waste the work the deadline already paid for.
 	ctx := context.Background()
 	if s.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -424,19 +416,12 @@ func (s *Server) run(job *Job) {
 
 	// Persist the snapshot before the job becomes visible as done (and
 	// thus evictable): a finished job either has its result in memory or
-	// in the store, never neither. Transient store failures are retried
-	// with backoff before giving up.
+	// in the store, never neither. Put gets one attempt; a failure is
+	// recorded on the job below.
 	var meta store.Meta
 	var storeErr error
 	if err == nil && s.cfg.Store != nil {
-		storeErr = s.retry(context.Background(), func() error {
-			if ierr := faults.Inject("store.put"); ierr != nil {
-				return ierr
-			}
-			var perr error
-			meta, perr = s.cfg.Store.Put(job.ID, result)
-			return perr
-		})
+		meta, storeErr = s.cfg.Store.Put(job.ID, result)
 	}
 
 	// A done job whose snapshot could not persist gets no done line and
@@ -494,29 +479,6 @@ func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceRe
 		return nil, ierr
 	}
 	return s.audit(ctx, job)
-}
-
-// retry runs op under the configured retry policy, counting the loop in
-// s.retrying (healthz "degraded") while backoff is in progress.
-func (s *Server) retry(ctx context.Context, op func() error) error {
-	p := s.cfg.Retry
-	inner := p.OnRetry
-	retried := false
-	p.OnRetry = func(attempt int, err error, delay time.Duration) {
-		if !retried {
-			retried = true
-			s.retrying.Add(1)
-		}
-		if inner != nil {
-			inner(attempt, err, delay)
-		}
-	}
-	defer func() {
-		if retried {
-			s.retrying.Add(-1)
-		}
-	}()
-	return faults.Retry(ctx, p, op)
 }
 
 // audit runs the streaming pipeline over a job's staged captures, each of
@@ -656,12 +618,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	// Journal before queue: once a client sees 202, a crash must not lose
-	// the job. The write is retried on transient failure; a permanent
-	// failure rejects the upload rather than accepting work the journal
-	// cannot promise to keep. (The minted ID is abandoned on failure — ID
-	// gaps are harmless, reuse is not.)
+	// the job. A failed write rejects the upload rather than accepting
+	// work the journal cannot promise to keep. (The minted ID is abandoned
+	// on failure — ID gaps are harmless, reuse is not.)
 	if s.journal != nil {
-		if err := s.retry(r.Context(), func() error { return s.journal.append(recordOf(job)) }); err != nil {
+		if err := s.journal.append(recordOf(job)); err != nil {
 			apiError(w, http.StatusInternalServerError, codeInternal, "journaling job: %v", err)
 			return
 		}
@@ -1235,7 +1196,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	jobs := len(s.jobs)
 	recovering := s.recovering
 	s.mu.Unlock()
-	retrying := int(s.retrying.Load())
 	queued := len(s.queue)
 	busy := int(s.busy.Load())
 	health := map[string]any{
@@ -1250,11 +1210,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"workers_busy":   busy,
 		"jobs_inflight":  queued + busy,
 		// degraded: the server is serving, but crash-recovered jobs are
-		// still settling or an operation is in a backoff-retry loop —
-		// fresh results may lag.
-		"degraded":   recovering > 0 || retrying > 0,
+		// still settling — fresh results may lag. retrying is deprecated
+		// and always 0: the server has no retry loop.
+		"degraded":   recovering > 0,
 		"recovering": recovering,
-		"retrying":   retrying,
+		"retrying":   0,
 		// Admission-control view: the service-time estimate behind the
 		// shed decision and how many uploads each gate has rejected.
 		"admission": map[string]any{

@@ -191,8 +191,7 @@ func syncDir(dir string) error {
 // writeTemp writes data durably to a fresh .tmp-* file in dir (write,
 // fsync, close) and returns its path. The caller publishes it via link or
 // rename and removes it on failure. The "store.write" injection point
-// models the write failing before any byte lands — the transient-I/O case
-// the server's retry loop exists for.
+// models the write failing before any byte lands.
 func writeTemp(dir string, data []byte) (string, error) {
 	if err := faults.Inject("store.write"); err != nil {
 		return "", fmt.Errorf("store: %w", err)
