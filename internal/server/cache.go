@@ -63,18 +63,6 @@ func (c *resultCache) get(hash string) *core.ServiceResult {
 	return el.Value.(*cacheEntry).res
 }
 
-// peek returns the cached result for a content hash, or nil, without
-// counting a hit or miss and without touching the eviction order: the
-// scrubber's look must not pass for client traffic.
-func (c *resultCache) peek(hash string) *core.ServiceResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[hash]; ok {
-		return el.Value.(*cacheEntry).res
-	}
-	return nil
-}
-
 // put caches a decoded result under its content hash, charging
 // it the encoded snapshot size, and evicts from the cold end until the
 // cache fits its capacity again. An entry larger than the whole capacity

@@ -81,13 +81,21 @@ func TestConcurrentColdMissesServeOneEntry(t *testing.T) {
 	}
 
 	// One entry for the hash, and putting the hash again keeps it.
-	cached := srv.cache.peek(job.SnapshotHash)
+	cachedRes := func() *core.ServiceResult {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		if el, ok := srv.cache.entries[job.SnapshotHash]; ok {
+			return el.Value.(*cacheEntry).res
+		}
+		return nil
+	}
+	cached := cachedRes()
 	stats := srv.cache.stats()
 	if cached == nil || stats.Entries != 1 {
 		t.Fatalf("cache holds %d entries (hash cached: %v), want exactly the one", stats.Entries, cached != nil)
 	}
 	srv.cache.put(job.SnapshotHash, &core.ServiceResult{}, stats.Bytes)
-	if after := srv.cache.stats(); srv.cache.peek(job.SnapshotHash) != cached || after.Entries != 1 || after.Bytes != stats.Bytes {
+	if after := srv.cache.stats(); cachedRes() != cached || after.Entries != 1 || after.Bytes != stats.Bytes {
 		t.Errorf("a second put of the hash replaced or duplicated its entry: %d entries, %d bytes (was %d)", after.Entries, after.Bytes, stats.Bytes)
 	}
 }

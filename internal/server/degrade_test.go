@@ -1,8 +1,8 @@
 // Graceful-degradation chaos suite: a corrupt snapshot failing only its
 // own reads, journal-deferred writes after a failed persist, sustained
 // overload at multiples of queue capacity, Close racing in-flight
-// uploads, the background integrity scrubber end to end, and the healthz
-// load gauges. Everything here runs under -race in CI's chaos job.
+// uploads, and the healthz load gauges. Everything here runs under -race
+// in CI's chaos job.
 package server
 
 import (
@@ -41,14 +41,16 @@ func apiErr(t *testing.T, body []byte) apiErrorBody {
 // TestCorruptSnapshotFaultStaysLocal pins that a snapshot which fails
 // to load fails only the requests for it: however often a corrupt file
 // is read, a healthy snapshot in the same store still serves and the
-// next upload still persists.
+// next upload still persists. Across a restart the corrupt file stops
+// resolving (404, unlisted) but stays on disk byte for byte, and its
+// sequence stays claimed.
 func TestCorruptSnapshotFaultStaysLocal(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts, first := storeServer(t, Config{Workers: 1, Store: st, CacheBytes: -1})
+	srv, ts, first := storeServer(t, Config{Workers: 1, Store: st, CacheBytes: -1})
 	second := runJob(t, ts, quizletParts(t))
 	// Both jobs have the same content, so a hash would resolve to the
 	// newest copy: address each by its sequence.
@@ -79,8 +81,45 @@ func TestCorruptSnapshotFaultStaysLocal(t *testing.T) {
 	if code, body := getBody(t, ts, fmt.Sprintf("/v1/snapshots/%d", second.SnapshotSeq)); code != http.StatusOK {
 		t.Fatalf("healthy read after corrupt reads = %d: %s", code, body)
 	}
-	if fresh := runJob(t, ts, quizletParts(t)); fresh.SnapshotSeq == 0 || fresh.SnapshotError != "" {
+	fresh := runJob(t, ts, quizletParts(t))
+	if fresh.SnapshotSeq == 0 || fresh.SnapshotError != "" {
 		t.Fatalf("upload after corrupt reads = %+v, want a persisted snapshot", fresh)
+	}
+
+	// Restart over the same directory: the rescan skips the corrupt file.
+	srv.Close()
+	st2, err := store.OpenFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2, next := storeServer(t, Config{Workers: 1, Store: st2, CacheBytes: -1})
+	code, body := getBody(t, ts2, fmt.Sprintf("/v1/snapshots/%d", first.SnapshotSeq))
+	if code != http.StatusNotFound {
+		t.Fatalf("corrupt read after restart = %d: %s", code, body)
+	}
+	if e := apiErr(t, body); e.Code != codeNotFound {
+		t.Errorf("corrupt read after restart envelope = %+v", e)
+	}
+	code, body = getBody(t, ts2, "/v1/snapshots")
+	var listing struct {
+		Snapshots []store.Meta `json:"snapshots"`
+	}
+	if err := json.Unmarshal(body, &listing); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/snapshots after restart = %d (%v): %s", code, err, body)
+	}
+	for _, m := range listing.Snapshots {
+		if m.Seq == first.SnapshotSeq {
+			t.Errorf("/v1/snapshots after restart lists corrupt sequence %d", m.Seq)
+		}
+	}
+	if len(listing.Snapshots) != 3 {
+		t.Errorf("/v1/snapshots after restart lists %d snapshots, want the 3 intact ones", len(listing.Snapshots))
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("corrupt file not kept byte for byte across the restart (%v)", err)
+	}
+	if next.SnapshotSeq <= fresh.SnapshotSeq {
+		t.Errorf("upload after restart got sequence %d, want above %d", next.SnapshotSeq, fresh.SnapshotSeq)
 	}
 }
 
@@ -317,123 +356,10 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 	}
 }
 
-// TestScrubberRepairAndQuarantine runs the scrubber end to end through
-// the server: mid-run disk corruption is repaired in place from the
-// decoded-snapshot cache when possible, quarantined (and 404ed) when
-// not, with findings on healthz either way.
-func TestScrubberRepairAndQuarantine(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.OpenFSStore(dir + "/snapshots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: st})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	job := runJob(t, ts, quizletParts(t))
-	// Warm the cache through the snapshot read path (the repair source).
-	code, healthy := getBody(t, ts, "/v1/snapshots/"+job.SnapshotHash)
-	if code != http.StatusOK {
-		t.Fatalf("healthy snapshot read = %d", code)
-	}
-
-	// A second snapshot read after it, so the first is the cache's coldest
-	// entry: the next one out.
-	later := runJob(t, ts, map[string][2]string{"child": {"child.har", string(childHAR(t))}, "name": {"", "Quizlet-later"}})
-	if code, _ := getBody(t, ts, "/v1/snapshots/"+later.SnapshotHash); code != http.StatusOK {
-		t.Fatalf("second snapshot read = %d", code)
-	}
-
-	// Corrupt the snapshot on disk mid-run. The cache still holds a clean
-	// decode, so a scrub pass repairs the file in place — and the
-	// scrubber's look at the cache is not client traffic: hit and miss
-	// counters stay put (the healthy store file of the second snapshot is
-	// never looked up at all) and the repaired entry is still the coldest.
-	path := dir + "/snapshots/" + fmt.Sprintf("%012d.snap", job.SnapshotSeq)
-	mangle(t, path)
-	before := srv.cache.stats()
-	if r := srv.Scrub(); r.Corrupt != 1 || r.Repaired != 1 {
-		t.Fatalf("scrub with warm cache = %+v, want repair", r)
-	}
-	if after := srv.cache.stats(); after != before {
-		t.Errorf("scrub repair moved the cache counters: %+v -> %+v", before, after)
-	}
-	if coldest := srv.cache.order.Back().Value.(*cacheEntry).hash; coldest != job.SnapshotHash {
-		t.Errorf("scrub repair promoted the entry it read: coldest is %s, want %s", coldest, job.SnapshotHash)
-	}
-	code, repaired := getBody(t, ts, "/v1/snapshots/"+job.SnapshotHash)
-	if code != http.StatusOK || !bytes.Equal(repaired, healthy) {
-		t.Fatalf("post-repair read = %d, byte-identical=%v", code, bytes.Equal(repaired, healthy))
-	}
-
-	h := healthSnapshot(t, ts)
-	sc, _ := h["scrub"].(map[string]any)
-	if sc == nil || sc["passes"].(float64) < 1 {
-		t.Fatalf("healthz scrub = %+v", h["scrub"])
-	}
-
-	// Same corruption against a cold cache: no clean copy exists, so the
-	// file is quarantined and subsequent reads 404 cleanly — never a 500,
-	// never served corrupt.
-	cold := New(Config{Workers: 1, TempDir: t.TempDir(), Store: st, CacheBytes: -1})
-	defer cold.Close()
-	coldTS := httptest.NewServer(cold)
-	defer coldTS.Close()
-	mangle(t, path)
-	if r := cold.Scrub(); r.Corrupt != 1 || r.Quarantined != 1 {
-		t.Fatalf("scrub with cold cache = %+v, want quarantine", r)
-	}
-	code, body := getBody(t, coldTS, "/v1/snapshots/"+job.SnapshotHash)
-	if code != http.StatusNotFound {
-		t.Fatalf("post-quarantine read = %d: %s", code, body)
-	}
-	if e := apiErr(t, body); e.Code != codeNotFound {
-		t.Errorf("post-quarantine envelope = %+v", e)
-	}
-}
-
-// mangle flips a byte in the middle of a file.
-func mangle(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScrubberBackgroundLoop: with ScrubInterval set, passes tick in the
-// background and Close stops the loop cleanly.
-func TestScrubberBackgroundLoop(t *testing.T) {
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: testStore(t), ScrubInterval: 5 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	runJob(t, ts, quizletParts(t))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h := healthSnapshot(t, ts)
-		if sc, _ := h["scrub"].(map[string]any); sc != nil {
-			if sc["passes"].(float64) >= 2 && sc["total"].(map[string]any)["scanned"].(float64) >= 1 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background scrubber never completed two passes")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	srv.Close() // must stop the ticker goroutine (verified by -race/leak-free exit)
-}
-
 // TestHealthLoadGauges pins the healthz overload gauges: live queue
 // depth vs capacity, busy workers, and total in-flight jobs — and the
-// deprecated breaker block, which keeps the disabled shape.
+// deprecated breaker, retrying and scrub constants, which keep the shape
+// a server without those mechanisms always reported.
 func TestHealthLoadGauges(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(Config{Workers: 1, QueueDepth: 4, TempDir: t.TempDir(), Store: testStore(t), NewPipeline: stalledPipeline(gate)})
@@ -473,6 +399,11 @@ func TestHealthLoadGauges(t *testing.T) {
 	}
 	if got, ok := h["retrying"].(float64); !ok || got != 0 {
 		t.Errorf("healthz retrying = %v, want the deprecated constant 0", h["retrying"])
+	}
+	zero := map[string]any{"scanned": 0.0, "corrupt": 0.0, "repaired": 0.0, "quarantined": 0.0}
+	wantScrub := map[string]any{"passes": 0.0, "last": zero, "total": zero}
+	if !reflect.DeepEqual(h["scrub"], wantScrub) {
+		t.Errorf("healthz scrub = %+v, want %+v", h["scrub"], wantScrub)
 	}
 
 	close(gate)

@@ -141,12 +141,6 @@ type Config struct {
 	// default); RateBurst caps a client's burst (0 = 2×RateLimit, min 1).
 	RateLimit float64
 	RateBurst int
-	// ScrubInterval enables the background integrity scrubber: every
-	// interval, one low-priority pass re-verifies each stored snapshot's
-	// CRC and content hash, quarantining corrupt files (repairing them
-	// from cache when possible). 0 disables (the default); requires a
-	// store that can scrub (store.OpenFSStore's can).
-	ScrubInterval time.Duration
 }
 
 // DefaultCacheBytes is the decoded-snapshot cache bound when
@@ -224,11 +218,9 @@ type Server struct {
 	journal  *journal // nil when Config.JournalDir is empty
 	cache    *resultCache
 
-	// Overload defenses (see admission.go, scrub.go).
+	// Overload defenses (see admission.go).
 	limiter   *rateLimiter // nil unless Config.RateLimit > 0
 	admission admission
-	scrub     scrubState
-	stop      chan struct{} // closed by Close; stops background loops
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -301,7 +293,6 @@ func Open(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		jobs:     make(map[string]*Job),
 		cache:    newResultCache(cacheBytes),
-		stop:     make(chan struct{}),
 	}
 	s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	s.registerRoutes()
@@ -352,7 +343,6 @@ func Open(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.startScrubber()
 	return s, nil
 }
 
@@ -372,7 +362,6 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stop) // stop background loops (scrubber) before draining workers
 	close(s.queue)
 	s.wg.Wait()
 	// The journal needs no teardown: commits run on submitter goroutines,
@@ -1231,9 +1220,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// operator whether CacheBytes is sized to the working set.
 		health["cache"] = s.cache.stats()
 		health["breaker"] = deprecatedBreakerStats
-		if s.scrubbable() != nil {
-			health["scrub"] = s.scrub.stats()
-		}
+		health["scrub"] = deprecatedScrubStats
 	}
 	writeJSON(w, http.StatusOK, health)
 }
@@ -1244,6 +1231,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 var deprecatedBreakerStats = map[string]any{
 	"state": "disabled", "failure_rate": 0.0, "window": 0, "window_filled": 0,
 	"trips": 0, "stale_served": 0, "short_circuits": 0,
+}
+
+// deprecatedScrubStats is the healthz "scrub" block, kept so clients that
+// read it keep parsing. The server has no integrity scrubber: a corrupt
+// snapshot file fails its own reads with a 500, and a restart's rescan
+// skips it. This is the shape a server that never scrubbed reported.
+var deprecatedScrubStats = map[string]any{
+	"passes": 0,
+	"last":   map[string]any{"scanned": 0, "corrupt": 0, "repaired": 0, "quarantined": 0},
+	"total":  map[string]any{"scanned": 0, "corrupt": 0, "repaired": 0, "quarantined": 0},
 }
 
 // jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).

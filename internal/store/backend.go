@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,8 +30,6 @@ const (
 func (b *dirBackend) path(seq uint64) string {
 	return filepath.Join(b.dir, fmt.Sprintf("%012d.snap", seq))
 }
-
-func (b *dirBackend) quarantineDir() string { return filepath.Join(b.dir, "quarantine") }
 
 // publish writes one snapshot file crash-safely and exclusively: temp file
 // in the same directory, fsync, then a hard link to the final name — which
@@ -117,7 +114,7 @@ func (b *dirBackend) rescan() (metas []Meta, claimed uint64, err error) {
 // check reads the file stored under seq and returns its metadata when the
 // file is intact: the envelope parses, records the sequence its name
 // encodes, and names the content hash of the codec bytes it frames. Open's
-// rescan and every scrub pass apply this one test.
+// rescan applies it to every file it finds.
 func (b *dirBackend) check(seq uint64) (Meta, error) {
 	m, data, err := b.open(seq)
 	if err != nil {
@@ -130,24 +127,6 @@ func (b *dirBackend) check(seq uint64) (Meta, error) {
 		return Meta{}, fmt.Errorf("store: snapshot %d: content hash %s != recorded %s", seq, got, m.Hash)
 	}
 	return m, nil
-}
-
-// quarantine parks the file stored under seq in the quarantine directory,
-// byte for byte, under a name no earlier copy holds: <seq>.snap, then
-// <seq>.snap.1, .2, … (a link fails on a taken name), so repeated
-// corruption of one sequence keeps every copy. Failing to park it
-// (directory unwritable) must not leave corruption serveable, so the file
-// leaves the serving path either way.
-func (b *dirBackend) quarantine(seq uint64) {
-	src := b.path(seq)
-	if err := os.MkdirAll(b.quarantineDir(), 0o755); err == nil {
-		base := filepath.Join(b.quarantineDir(), filepath.Base(src))
-		dest := base
-		for n := 1; errors.Is(os.Link(src, dest), os.ErrExist); n++ {
-			dest = base + "." + strconv.Itoa(n)
-		}
-	}
-	os.Remove(src)
 }
 
 // parseSnapEnvelope parses a snapshot file's envelope. The returned codec

@@ -12,9 +12,14 @@
 //
 // One mutex guards the index, in critical sections of a few loads and
 // stores. Encoding, hashing, decoding and every byte of file I/O run
-// outside it, so concurrent Puts overlap their fsyncs and readers never
-// wait on a writer's disk; only the cold scrub-repair path does I/O under
-// the lock (quarantine must be atomic against Delete).
+// outside it, without exception, so concurrent Puts overlap their fsyncs
+// and readers never wait on a writer's disk.
+//
+// Integrity is checked reactively, on the two paths that read a file:
+// Load refuses bytes whose envelope no longer names the content it was
+// resolved to, or whose codec CRC fails (a 500 naming the sequence), and
+// Open's rescan skips a file that fails the SHA-256 check while keeping
+// it on disk, byte for byte, with its sequence still claimed.
 //
 // References are user-facing: a decimal sequence number, a full content
 // hash, a unique hash prefix (≥ 6 hex chars), or the job ID recorded at
@@ -95,7 +100,7 @@ var ErrUnresolved = errors.New("unresolved snapshot reference")
 // Snapshots is the store implementation: the index under one mutex, the
 // bytes in one file per snapshot.
 type Snapshots struct {
-	mu    sync.Mutex // guards ix; file I/O never runs under it (scrub repair excepted)
+	mu    sync.Mutex // guards ix; file I/O never runs under it
 	ix    index
 	files dirBackend
 }

@@ -15,6 +15,7 @@ import (
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/report"
+	"diffaudit/internal/synth"
 )
 
 // exportOf renders one result's JSON export.
@@ -162,8 +163,9 @@ func TestFSStoreRestart(t *testing.T) {
 }
 
 // TestFSStoreIgnoresJunk checks rescan resilience: crash orphans and
-// corrupted snapshot files are skipped, not fatal, and a truncated
-// snapshot never serves.
+// corrupted snapshot files are skipped, not fatal, a truncated snapshot
+// never serves, and the quarantine/ directory older builds left behind
+// is not read.
 func TestFSStoreIgnoresJunk(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := OpenFSStore(dir)
@@ -188,6 +190,14 @@ func TestFSStoreIgnoresJunk(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "000000000099.snap"), real[:len(real)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// An intact snapshot file parked in quarantine/ by an older build.
+	older, err := OpenFSStore(filepath.Join(dir, "quarantine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := older.Put("job-quarantined", auditOne(t, "Roblox")); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := OpenFSStore(dir)
 	if err != nil {
@@ -196,6 +206,9 @@ func TestFSStoreIgnoresJunk(t *testing.T) {
 	metas, _ := s2.List()
 	if len(metas) != 1 || metas[0].JobID != "job-1" {
 		t.Fatalf("rescan over junk: %+v", metas)
+	}
+	if _, ok := s2.JobSnapshot("job-quarantined"); ok {
+		t.Error("rescan listed a file under quarantine/")
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-crash")); !os.IsNotExist(err) {
 		t.Error("crash orphan not cleaned up")
@@ -218,6 +231,118 @@ func TestFSStoreIgnoresJunk(t *testing.T) {
 	after, err := os.ReadFile(filepath.Join(dir, "000000000099.snap"))
 	if err != nil || !bytes.Equal(after, corrupt) {
 		t.Error("Put overwrote a skipped snapshot file")
+	}
+}
+
+// TestLoadRefusesCorruptFile is the corruption drill behind the store's
+// one integrity path. Whatever happens to a stored file — any bit of its
+// envelope flipped, a seeded sample of its codec bits (the CRC trailer's
+// included) flipped, truncation, emptying, another snapshot's file copied
+// over it, removal — Load either fails or serves exactly the content the
+// listing names. A removed file is ErrUnresolved (a 404); every other
+// failure is a storage error (a 500). A flipped codec bit never loads: the
+// CRC detects every single-bit error. The neighbouring snapshot keeps
+// loading throughout.
+func TestLoadRefusesCorruptFile(t *testing.T) {
+	st := openStore(t)
+	ds := synth.Generate(synth.Config{Scale: 0.002})
+	put := func(jobID, name string) Meta {
+		svc := ds.Service(name)
+		m, err := st.Put(jobID, core.NewPipeline().AnalyzeRecords(svc.Identity(), svc.Records()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m, o := put("job-1", "Quizlet"), put("job-2", "Roblox")
+	path := st.files.path(m.Seq)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherFile, err := os.ReadFile(st.files.path(o.Seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, codec, err := parseSnapEnvelope("", orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envBits := (len(orig) - len(codec)) * 8
+
+	// check stores data under m's sequence (nil removes the file) and
+	// holds Load to the contract; mustFail marks inputs no load may serve.
+	served := 0
+	check := func(name string, data []byte, mustFail bool) {
+		t.Helper()
+		if data == nil {
+			err = os.Remove(path)
+		} else {
+			err = os.WriteFile(path, data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Load(m)
+		switch {
+		case err == nil && mustFail:
+			t.Errorf("%s: Load served a file it must refuse", name)
+		case err == nil:
+			served++
+			if got := Hash(EncodeResult(res)); got != m.Hash {
+				t.Errorf("%s: Load served content %s, listed %s", name, got, m.Hash)
+			}
+		case data == nil:
+			if !errors.Is(err, ErrUnresolved) {
+				t.Errorf("%s: Load = %v, want ErrUnresolved", name, err)
+			}
+		case errors.Is(err, ErrUnresolved):
+			t.Errorf("%s: Load = %v, want a storage error", name, err)
+		}
+	}
+	otherLoads := func(after string) {
+		t.Helper()
+		if _, err := st.Load(o); err != nil {
+			t.Fatalf("after %s: the other snapshot no longer loads: %v", after, err)
+		}
+	}
+
+	buf := bytes.Clone(orig)
+	flip := func(bit int) {
+		buf[bit/8] ^= 1 << (bit % 8)
+		check(fmt.Sprintf("bit %d", bit), buf, bit >= envBits)
+		buf[bit/8] ^= 1 << (bit % 8)
+	}
+	for bit := 0; bit < envBits; bit++ {
+		flip(bit)
+	}
+	for bit := len(orig)*8 - 32; bit < len(orig)*8; bit++ {
+		flip(bit)
+	}
+	rng := rand.New(rand.NewSource(40))
+	for range 256 {
+		flip(envBits + rng.Intn(len(codec)*8-32))
+	}
+	otherLoads("the bit flips")
+	t.Logf("%d envelope bits: Load served the listed content for %d flips and refused the rest", envBits, served)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated to half", orig[:len(orig)/2]},
+		{"truncated by one byte", orig[:len(orig)-1]},
+		{"empty", []byte{}},
+		{"other snapshot copied in", otherFile},
+		{"removed", nil},
+	} {
+		check(c.name, c.data, true)
+		otherLoads(c.name)
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(m); err != nil {
+		t.Fatalf("restored file: %v", err)
 	}
 }
 
