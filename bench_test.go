@@ -368,7 +368,7 @@ func benchReportServer(b *testing.B, cacheBytes int64) (*server.Server, string) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(server.Config{TempDir: b.TempDir(), Store: st, CacheBytes: cacheBytes})
+	srv := server.New(server.Config{Store: st, JournalDir: b.TempDir(), CacheBytes: cacheBytes})
 	b.Cleanup(srv.Close)
 	return srv, fmt.Sprintf("%d", meta.Seq)
 }

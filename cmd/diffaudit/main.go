@@ -29,13 +29,16 @@
 //
 // Serve mode shuts down gracefully on SIGINT or SIGTERM: the listener
 // closes, in-flight requests get a deadline, and queued audit jobs drain
-// before the process exits. With -data-dir, finished audits persist as
-// snapshots: reports survive restarts and eviction, and GET /v1/snapshots
-// plus GET /v1/diff serve the longitudinal API. -data-dir also enables the
+// before the process exits. Finished audits persist as snapshots in the
+// data directory: reports survive eviction, and GET /v1/snapshots plus GET
+// /v1/diff serve the longitudinal API. The directory also holds the
 // crash-safe job journal (<data-dir>/journal/journal.log): accepted
 // uploads survive even an unclean kill and re-run on the next start; the
 // server refuses to start over a journal directory it cannot read (an
 // older build's *.job / *.batch files) rather than drop the jobs in it.
+// -data-dir names the directory, so results and interrupted jobs survive
+// restarts; without it serve uses a private temporary directory and
+// removes it at exit.
 // -job-timeout bounds one audit's run time so a pathological capture
 // cannot wedge a worker. The HTTP API is served under /v1 only; decoded
 // snapshots are cached under a -cache-mb byte budget, so repeat
@@ -244,8 +247,7 @@ func serve(args []string) {
 	workers := fs.Int("workers", 2, "concurrent audit jobs")
 	queue := fs.Int("queue", 16, "bounded job queue depth")
 	maxUpload := fs.Int64("max-upload", 1<<30, "max upload size in bytes")
-	tempDir := fs.String("tempdir", "", "staging dir for uploads (default: system temp)")
-	dataDir := fs.String("data-dir", "", "snapshot store directory: finished audits persist (and survive restarts); enables /v1/snapshots, /v1/diff, and the crash-safe job journal")
+	dataDir := fs.String("data-dir", "", "data directory for the snapshot store and the crash-safe job journal, kept across restarts (default: a private temporary directory removed at exit)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job audit deadline, e.g. 10m; a job exceeding it lands in the \"timeout\" state (0 = unlimited)")
 	cacheMB := fs.Int64("cache-mb", 64, "decoded-snapshot cache budget in MiB shared by the report/snapshot/diff read path (0 disables)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client upload rate limit in requests/sec, keyed by X-Client-ID or remote host; over-budget clients draw 429s (0 disables)")
@@ -253,20 +255,17 @@ func serve(args []string) {
 	fs.Var(&personas, "persona", "define a persona accepted as an upload field, e.g. eu-teen:13-15 (repeatable)")
 	fs.Parse(args)
 
-	var snapStore diffaudit.SnapshotStore
-	journalDir := ""
-	if *dataDir != "" {
-		st, err := diffaudit.OpenSnapshotStore(*dataDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snapStore = st
-		// The journal lives beside the snapshots: a job and its eventual
-		// snapshot share one durable volume, and a restart over the same
-		// -data-dir re-runs whatever the crash interrupted.
-		journalDir = filepath.Join(*dataDir, "journal")
-		log.Printf("diffaudit serve: snapshots persist under %s (job journal in %s)", *dataDir, journalDir)
+	snapStore, journalDir, cleanup, err := openDataDir(*dataDir)
+	if err != nil {
+		log.Fatal(err)
 	}
+	// log.Fatal skips deferred calls, so every exit from here on removes a
+	// private data directory itself.
+	fatal := func(err error) {
+		cleanup()
+		log.Fatal(err)
+	}
+	log.Printf("diffaudit serve: snapshots under %s (job journal in %s)", filepath.Dir(journalDir), journalDir)
 
 	if *pprofAddr != "" {
 		// The profiler listens on its own (typically loopback-only)
@@ -295,7 +294,6 @@ func serve(args []string) {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		MaxUploadBytes: *maxUpload,
-		TempDir:        *tempDir,
 		Store:          snapStore,
 		JournalDir:     journalDir,
 		JobTimeout:     *jobTimeout,
@@ -304,7 +302,7 @@ func serve(args []string) {
 		Personas:       personas.customs,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	httpSrv := newHTTPServer(*addr, srv)
 	stop := make(chan os.Signal, 1)
@@ -318,11 +316,39 @@ func serve(args []string) {
 	log.Printf("diffaudit serve: listening on %s (%d workers, queue depth %d)", *addr, *workers, *queue)
 	log.Printf("submit captures:  curl -F child=@child.har -F name=MyApp http://%s/v1/audits", display)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
+		srv.Close()
+		fatal(err)
 	}
 	<-drained
 	srv.Close() // run every queued job to completion before exiting
+	cleanup()
 	log.Printf("diffaudit serve: all jobs drained; exiting")
+}
+
+// openDataDir opens serve's snapshot store in dir and names its journal
+// directory, <dir>/journal, beside it: a job and its eventual snapshot
+// share one durable volume, and a restart over the same dir re-runs
+// whatever a crash interrupted. An empty dir means a private temporary
+// directory, which cleanup removes once the server has drained; for a
+// named dir cleanup does nothing.
+func openDataDir(dir string) (st diffaudit.SnapshotStore, journalDir string, cleanup func(), err error) {
+	cleanup = func() {}
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "diffaudit-serve-*"); err != nil {
+			return nil, "", nil, err
+		}
+		private := dir
+		cleanup = func() {
+			if err := os.RemoveAll(private); err != nil {
+				log.Printf("diffaudit serve: removing private data directory: %v", err)
+			}
+		}
+	}
+	if st, err = diffaudit.OpenSnapshotStore(dir); err != nil {
+		cleanup()
+		return nil, "", nil, err
+	}
+	return st, filepath.Join(dir, "journal"), cleanup, nil
 }
 
 // Connection deadlines of the serve listener. A client that dribbles its

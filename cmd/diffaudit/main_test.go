@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,6 +249,55 @@ func TestShutdownOnSignal(t *testing.T) {
 	// After shutdown the listener refuses connections.
 	if _, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz"); err == nil {
 		t.Error("listener still accepting after shutdown")
+	}
+}
+
+// TestOpenDataDir: serve always has a store and a journal. Without
+// -data-dir they live in a private directory that exists while the server
+// runs and is gone after cleanup; a named directory outlives cleanup.
+func TestOpenDataDir(t *testing.T) {
+	for _, named := range []bool{false, true} {
+		t.Run(fmt.Sprintf("named=%v", named), func(t *testing.T) {
+			dir := ""
+			if named {
+				dir = t.TempDir()
+			}
+			st, journalDir, cleanup, err := openDataDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := filepath.Dir(journalDir)
+			if named && root != dir {
+				t.Fatalf("journal in %s, want it under -data-dir %s", journalDir, dir)
+			}
+			srv, err := diffaudit.OpenServer(diffaudit.ServerConfig{Store: st, JournalDir: journalDir})
+			if err != nil {
+				cleanup()
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			resp, err := http.Get(ts.URL + "/v1/snapshots")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET /v1/snapshots = %d, want 200", resp.StatusCode)
+			}
+			if fi, err := os.Stat(journalDir); err != nil || !fi.IsDir() {
+				t.Errorf("journal directory while serving: %v", err)
+			}
+			ts.Close()
+			srv.Close()
+			cleanup()
+			_, err = os.Stat(root)
+			if named && err != nil {
+				t.Errorf("cleanup removed the named data directory: %v", err)
+			}
+			if !named && !os.IsNotExist(err) {
+				t.Errorf("private data directory %s survives cleanup (stat: %v)", root, err)
+			}
+		})
 	}
 }
 

@@ -306,13 +306,15 @@ func BuiltinPersonas() []Persona { return flows.BuiltinPersonas() }
 
 // OpenServer starts an audit server: POST /v1/audits uploads captures onto
 // a bounded job queue, GET /v1/jobs/{id}/report.{json,csv} fetches results.
-// With ServerConfig.Store set, finished audits persist as snapshots and
-// GET /v1/snapshots and GET /v1/diff serve the longitudinal API. When
-// ServerConfig.JournalDir is set, accepted uploads are journaled before
-// they are queued and OpenServer re-enqueues jobs interrupted by a crash
-// before taking new traffic. Errors come from the journal: its directory
-// cannot be created, its log cannot be read or rewritten, or it holds
-// records in a layout this build does not read.
+// ServerConfig.Store and ServerConfig.JournalDir are required. Finished
+// audits persist as snapshots in the store, which GET /v1/snapshots and
+// GET /v1/diff serve as the longitudinal API; accepted uploads are
+// journaled under JournalDir before they are queued, and OpenServer
+// re-enqueues jobs interrupted by a crash before taking new traffic.
+// Errors come from a missing store or journal directory, from a store that
+// cannot list its snapshots, or from the journal: its directory cannot be
+// created, its log cannot be read or rewritten, or it holds records in a
+// layout this build does not read.
 func OpenServer(cfg ServerConfig) (*AuditServer, error) { return server.Open(cfg) }
 
 // OpenSnapshotStore opens (creating if needed) a filesystem snapshot

@@ -40,6 +40,10 @@ var edgeStreams = []struct {
 	{"content-length +5", "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nabcde", httpx.ErrMalformed},
 	{"content-length -0", "POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n", httpx.ErrMalformed},
 	{"content-length 05", "POST / HTTP/1.1\r\nContent-Length: 05\r\n\r\nabcde", nil},
+	// RFC 9112 §6.3, as net/http.ReadRequest reads it: repeats of one
+	// value are that value, differing values make the message invalid.
+	{"content-length repeated", "POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc", nil},
+	{"content-length 3 then 5", "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde", httpx.ErrMalformed},
 	{"chunk size +a", chunkedHead + "+a\r\n0123456789\r\n0\r\n\r\n", httpx.ErrMalformed},
 	{"chunk size -0", chunkedHead + "-0\r\n\r\n", httpx.ErrMalformed},
 	{"chunk size 05", chunkedHead + "05\r\nabcde\r\n0\r\n\r\n", nil},

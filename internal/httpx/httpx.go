@@ -132,6 +132,14 @@ func parseOne(data []byte) (*Request, int, error) {
 			Value: strings.TrimSpace(value),
 		})
 	}
+	// RFC 9112 §6.3: Content-Length values that differ make the message
+	// invalid. Identical repeats are one value, as net/http reads them.
+	clStr := req.Get("Content-Length")
+	for _, h := range req.Headers {
+		if strings.EqualFold(h.Name, "Content-Length") && h.Value != clStr {
+			return nil, 0, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
+		}
+	}
 	consumed := headEnd + 4
 	body := data[consumed:]
 
@@ -144,7 +152,6 @@ func parseOne(data []byte) (*Request, int, error) {
 		req.Body = decoded
 		consumed += n
 	default:
-		clStr := req.Get("Content-Length")
 		if clStr != "" {
 			cl, err := strconv.Atoi(clStr)
 			if err != nil || signed(clStr) {

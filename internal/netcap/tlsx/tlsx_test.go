@@ -90,6 +90,73 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenStripsInnerPadding: a TLS 1.3 inner plaintext is content, then
+// its content type, then any number of zeros (RFC 8446 §5.4). AppendOpen
+// strips the zeros and the type, never reaches into dst, and refuses a
+// record with no nonzero byte.
+func TestOpenStripsInnerPadding(t *testing.T) {
+	// seal encrypts inner as it stands through s's AEAD and nonce, so a
+	// test can choose the padding Seal never adds.
+	seal := func(s *Session, inner []byte) []byte {
+		n := len(inner) + s.aead.Overhead()
+		hdr := []byte{byte(TypeApplicationData), 0x03, 0x03, byte(n >> 8), byte(n)}
+		ct := s.aead.Seal(nil, s.setNonce(), inner, hdr)
+		s.seq++
+		return ct
+	}
+	content := []byte("GET / HTTP/1.1\r\nHost: roblox.com\r\n\r\n")
+	for _, tc := range []struct {
+		name    string
+		dst     []byte
+		content []byte
+		typ     ContentType
+		pad     int
+	}{
+		{"no padding", nil, content, TypeApplicationData, 0},
+		{"one zero", nil, content, TypeApplicationData, 1},
+		{"300 zeros", nil, content, TypeApplicationData, 300},
+		{"content ending in zeros", nil, []byte("ab\x00\x00"), TypeApplicationData, 5},
+		{"empty content", nil, nil, TypeApplicationData, 7},
+		{"handshake type", nil, content, TypeHandshake, 16},
+		{"after a dst ending in zeros", []byte{'x', 0, 0}, content, TypeApplicationData, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, _ := NewSession(testSecret(3))
+			dec, _ := NewSession(testSecret(3))
+			inner := append(append(append([]byte{}, tc.content...), byte(tc.typ)), make([]byte, tc.pad)...)
+			typ, out, err := dec.AppendOpen(tc.dst, seal(enc, inner))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]byte{}, tc.dst...), tc.content...)
+			if typ != tc.typ || !bytes.Equal(out, want) {
+				t.Errorf("AppendOpen = type %d, %q; want type %d, %q", typ, out, tc.typ, want)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		dst  []byte
+		pad  int
+	}{
+		{"empty record", nil, 0},
+		{"zeros only", nil, 32},
+		{"zeros after a dst ending in zeros", []byte{'x', 0, 0}, 8},
+	} {
+		t.Run("all padding/"+tc.name, func(t *testing.T) {
+			enc, _ := NewSession(testSecret(3))
+			dec, _ := NewSession(testSecret(3))
+			_, out, err := dec.AppendOpen(tc.dst, seal(enc, make([]byte, tc.pad)))
+			if err == nil || err.Error() != "tlsx: record is all padding" {
+				t.Fatalf("AppendOpen of an all-padding record: err = %v, want the all-padding error", err)
+			}
+			if !bytes.Equal(out, tc.dst) {
+				t.Errorf("AppendOpen returned %q on error, want dst %q", out, tc.dst)
+			}
+		})
+	}
+}
+
 func TestOpenWrongKeyFails(t *testing.T) {
 	enc, _ := NewSession(testSecret(1))
 	dec, _ := NewSession(testSecret(2))

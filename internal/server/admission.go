@@ -6,12 +6,13 @@
 // Admission control estimates how long a new upload would wait in the
 // queue from a rolling per-job service-time EWMA (observed at job
 // completion) and the current queue depth. When the server runs with a
-// job deadline (Config.JobTimeout) and the estimated wait alone already
-// exceeds that deadline, accepting the upload would be a lie — the
-// client would wait out the backlog only to watch its job race a clock
-// the backlog has spent — so the upload is rejected with 503 and an
-// *adaptive* Retry-After derived from the same estimate, instead of the
-// fixed hint a bare full queue used to return.
+// job deadline (Config.JobTimeout), it refuses uploads whose estimated
+// queue wait exceeds that deadline, with 503 and an *adaptive*
+// Retry-After derived from the same estimate. The deadline does not
+// start until a worker picks the job up (run arms it), so queue wait
+// never counts against it: a job admitted behind a long backlog waits the
+// backlog out and then still gets its full JobTimeout. The shed is a
+// bound on queue wait, not a guard against jobs that would time out.
 //
 // The rate limiter is a classic token bucket per client, keyed by the
 // X-Client-ID header when present (trusted deployments can hand out

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestAdmissionEWMA(t *testing.T) {
 // and admitted again the moment the backlog clears.
 func TestAdmissionShedsOnDeadline(t *testing.T) {
 	defer faults.Reset()
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), JobTimeout: time.Second})
+	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: time.Second}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -100,13 +101,48 @@ func TestAdmissionShedsOnDeadline(t *testing.T) {
 	}
 }
 
+// TestQueueWaitDoesNotCountAgainstJobTimeout: the job deadline is armed
+// when a worker starts the job, not when the upload is admitted. A job
+// that waits behind a stalled worker for longer than JobTimeout still gets
+// its whole deadline once it runs, and finishes.
+func TestQueueWaitDoesNotCountAgainstJobTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: timeout, NewPipeline: stalledPipeline(gate)}))
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	parts := map[string][2]string{"child": {"c.har", deltaHAR(t, "https://www.quizlet.com/q?user_id=u")}}
+	var queued []Job
+	for i := 0; i < 2; i++ {
+		resp := submit(t, ts, parts)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", i, resp.StatusCode)
+		}
+		queued = append(queued, decodeJob(t, resp))
+	}
+	time.Sleep(2 * timeout)
+	var second Job
+	if code, body := getBody(t, ts, "/v1/jobs/"+queued[1].ID); code != http.StatusOK || json.Unmarshal(body, &second) != nil || second.State != JobQueued {
+		t.Fatalf("second job after %v behind the stalled worker = %d %s, want queued", 2*timeout, code, body)
+	}
+	release()
+	if done := wait(t, ts, queued[1].ID); done.State != JobDone {
+		t.Fatalf("job that queued past JobTimeout = %+v, want done", done)
+	}
+}
+
 // TestAdmissionNoDeadlineNeverSheds: without a JobTimeout there is no
 // deadline to protect, so even an "infinite" backlog estimate must not
 // reject uploads — the bounded queue is the only backpressure.
 func TestAdmissionNoDeadlineNeverSheds(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("admit.slow", faults.Plan{Err: errors.New("backlog"), Count: -1})
-	srv := New(Config{Workers: 1, TempDir: t.TempDir()}) // no deadline
+	srv := New(testConfig(t, Config{Workers: 1})) // no deadline
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -193,7 +229,7 @@ func TestRateLimiterBoundedClients(t *testing.T) {
 // while a distinctly identified client sails through.
 func TestRateLimit429(t *testing.T) {
 	// Effectively no refill within the test; burst of 2 per client.
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), RateLimit: 0.001, RateBurst: 2})
+	srv := New(testConfig(t, Config{Workers: 1, RateLimit: 0.001, RateBurst: 2}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -298,7 +334,7 @@ func TestClientKey(t *testing.T) {
 // TestRetryAfterAdaptive: the 503 hint tracks the backlog estimate —
 // floor 1s when idle, the estimated wait when loaded, capped at 5min.
 func TestRetryAfterAdaptive(t *testing.T) {
-	srv := New(Config{Workers: 1, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 1}))
 	defer srv.Close()
 	if got := retryAfterHint(srv.backlogWait()); got != 1 {
 		t.Errorf("idle hint = %d, want 1", got)
@@ -345,7 +381,7 @@ func TestRetryAfterHintFloorCap(t *testing.T) {
 // loads. This is on every POST /v1/audits; it must stay allocation-free
 // and well under a microsecond.
 func BenchmarkAdmissionCheck(b *testing.B) {
-	srv := New(Config{Workers: 2, TempDir: b.TempDir(), JobTimeout: time.Second})
+	srv := New(testConfig(b, Config{Workers: 2, JobTimeout: time.Second}))
 	defer srv.Close()
 	srv.admission.ewmaNanos.Store(int64(50 * time.Millisecond))
 	b.ReportAllocs()

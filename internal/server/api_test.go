@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -52,18 +53,25 @@ func testStore(t testing.TB) *store.Snapshots {
 	return st
 }
 
-// storeServer boots a server over a fresh snapshot store (unless cfg
-// names one) with one finished job and returns the server, test listener,
-// and the job.
-func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, Job) {
+// testConfig fills in what every server needs and cfg leaves unset: a
+// snapshot store and a journal directory, each fresh and removed with the
+// test.
+func testConfig(t testing.TB, cfg Config) Config {
 	t.Helper()
-	if cfg.TempDir == "" {
-		cfg.TempDir = t.TempDir()
-	}
 	if cfg.Store == nil {
 		cfg.Store = testStore(t)
 	}
-	srv := New(cfg)
+	if cfg.JournalDir == "" {
+		cfg.JournalDir = filepath.Join(t.TempDir(), "journal")
+	}
+	return cfg
+}
+
+// storeServer boots a server through testConfig with one finished job and
+// returns the server, test listener, and the job.
+func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, Job) {
+	t.Helper()
+	srv := New(testConfig(t, cfg))
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -132,10 +140,7 @@ func TestV1RouteTable(t *testing.T) {
 // {"error":{"code","message"}} with the documented typed codes, plus
 // retry_after on 503s.
 func TestErrorEnvelope(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()}) // no store
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	_, ts, _ := storeServer(t, Config{})
 
 	decodeEnvelope := func(t *testing.T, body []byte) apiErrorBody {
 		t.Helper()
@@ -158,28 +163,7 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"/v1/jobs/nope", http.StatusNotFound, "not_found"},
 		{"/v1/jobs/nope/report.json", http.StatusNotFound, "not_found"},
-		{"/v1/snapshots", http.StatusNotImplemented, "not_implemented"},
-		{"/v1/snapshots/1", http.StatusNotImplemented, "not_implemented"},
-		{"/v1/diff?from=1&to=2", http.StatusNotImplemented, "not_implemented"},
 		{"/v1/jobs?limit=zero", http.StatusBadRequest, "invalid_request"},
-	} {
-		code, body := getBody(t, ts, tc.path)
-		if code != tc.status {
-			t.Errorf("GET %s = %d, want %d", tc.path, code, tc.status)
-			continue
-		}
-		if e := decodeEnvelope(t, body); e.Code != tc.code {
-			t.Errorf("GET %s code = %q, want %q", tc.path, e.Code, tc.code)
-		}
-	}
-
-	// Store-backed error codes.
-	_, ts2, _ := storeServer(t, Config{})
-	for _, tc := range []struct {
-		path   string
-		status int
-		code   string
-	}{
 		{"/v1/diff?from=1", http.StatusBadRequest, "invalid_request"},
 		{"/v1/diff?from=1&to=1&format=csv", http.StatusBadRequest, "invalid_request"},
 		{"/v1/diff?from=1&to=1&personas=ghost", http.StatusBadRequest, "invalid_request"},
@@ -188,7 +172,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"/v1/snapshots?cursor=xyz", http.StatusBadRequest, "invalid_request"},
 		{"/v1/jobs?cursor=xyz", http.StatusBadRequest, "invalid_request"},
 	} {
-		code, body := getBody(t, ts2, tc.path)
+		code, body := getBody(t, ts, tc.path)
 		if code != tc.status {
 			t.Errorf("GET %s = %d, want %d: %s", tc.path, code, tc.status, body)
 			continue
@@ -200,7 +184,7 @@ func TestErrorEnvelope(t *testing.T) {
 
 	// The 503 envelope carries retry_after, mirroring the Retry-After
 	// header the chaos suite already pins.
-	srv3 := New(Config{TempDir: t.TempDir()})
+	srv3 := New(testConfig(t, Config{}))
 	ts3 := httptest.NewServer(srv3)
 	defer ts3.Close()
 	srv3.Close()

@@ -41,7 +41,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("worker.panic", faults.Plan{Panic: "chaos monkey", On: 1})
 
-	srv := New(Config{Workers: 1, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 1}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -81,7 +81,7 @@ func TestPCAPStreamPanicContained(t *testing.T) {
 	}
 	faults.Set("pcap.stream", faults.Plan{Panic: "stream decoder blew up", On: 2})
 
-	srv := New(Config{Workers: 1, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 1}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -110,7 +110,7 @@ func TestPermanentStorePutFails(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("store.write", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), Store: testStore(t)})
+	srv := New(testConfig(t, Config{Workers: 1}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -151,7 +151,7 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 		"name":  {"", "Quizlet"},
 	}
 
-	srv := New(Config{Workers: 1, TempDir: t.TempDir(), JobTimeout: 75 * time.Millisecond})
+	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: 75 * time.Millisecond}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -180,7 +180,7 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 // carry a Retry-After header so clients back off instead of failing.
 func TestOverloadRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(Config{Workers: 1, QueueDepth: 1, TempDir: t.TempDir(), NewPipeline: stalledPipeline(gate)})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, NewPipeline: stalledPipeline(gate)}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -234,7 +234,7 @@ func TestSubmitJournalWriteFailure(t *testing.T) {
 	faults.Set("journal.write", faults.Plan{Err: errors.New("journal volume detached"), Count: -1})
 
 	jdir := t.TempDir()
-	srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSubmitJournalWriteFailure(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		left, err := os.ReadDir(srv.stagingDir())
+		left, err := os.ReadDir(srv.journal.staging())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestSoakUploadsBoundedMemory(t *testing.T) {
 		hosts    = 250
 		marginMB = 2
 	)
-	srv := New(Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10, TempDir: t.TempDir(), Store: testStore(t)})
+	srv := New(testConfig(t, Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -252,7 +252,7 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 	if n := len(snaps[len(snaps)-1].want); n <= 4<<20 {
 		t.Fatalf("the huge export is %d bytes; it must exceed the pool's 4 MiB top class", n)
 	}
-	srv := New(Config{TempDir: t.TempDir(), Store: st})
+	srv := New(testConfig(t, Config{Store: st}))
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

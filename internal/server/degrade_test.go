@@ -190,7 +190,7 @@ func TestFailedSnapshotStaysJournaled(t *testing.T) {
 // enveloped 503 with a retry hint, zero hung connections.
 func TestOverloadNoHangs(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(Config{Workers: 1, QueueDepth: 2, TempDir: t.TempDir(), NewPipeline: stalledPipeline(gate)})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 2, NewPipeline: stalledPipeline(gate)}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -269,7 +269,7 @@ func TestOverloadNoHangs(t *testing.T) {
 // and the journal holds no leftover record for any of them.
 func TestCloseRacesInflightUploads(t *testing.T) {
 	jdir := t.TempDir()
-	srv, err := Open(Config{Workers: 2, QueueDepth: 32, JournalDir: jdir})
+	srv, err := Open(testConfig(t, Config{Workers: 2, QueueDepth: 32, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 	// The journal settled: accepted jobs completed (records removed),
 	// rejected ones were rolled back — a fresh server over the same
 	// journal recovers nothing. (Partial records would re-run here.)
-	srv2, err := Open(Config{Workers: 1, JournalDir: jdir})
+	srv2, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 // a server without those mechanisms always reported.
 func TestHealthLoadGauges(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(Config{Workers: 1, QueueDepth: 4, TempDir: t.TempDir(), Store: testStore(t), NewPipeline: stalledPipeline(gate)})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 4, NewPipeline: stalledPipeline(gate)}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

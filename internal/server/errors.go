@@ -33,7 +33,6 @@ import (
 //	unavailable        503  queue full, deadline-aware load shed, or
 //	                        server shutting down (retry_after present,
 //	                        mirrors Retry-After)
-//	not_implemented    501  snapshot endpoints without a configured store
 //	internal           500  storage failure, render failure, journal failure
 const (
 	codeInvalidRequest  = "invalid_request"
@@ -44,7 +43,6 @@ const (
 	codeJobTimedOut     = "job_timed_out"
 	codeRateLimited     = "rate_limited"
 	codeUnavailable     = "unavailable"
-	codeNotImplemented  = "not_implemented"
 	codeInternal        = "internal"
 )
 

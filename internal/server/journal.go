@@ -1,8 +1,8 @@
 // The durable job journal: the piece that makes an accepted upload
 // survive a process kill at any point before its snapshot lands.
 //
-// With Config.JournalDir set, handleSubmit stages uploads under
-// <JournalDir>/staging and, before the job is queued, records it in
+// handleSubmit stages uploads under <JournalDir>/staging and, before the
+// job is queued, records it in
 // <JournalDir>/journal.log — one append-only file of CRC-framed lines:
 //
 //	<crc32 of the rest of the line, 8 hex digits> S <submit record, JSON>\n

@@ -312,7 +312,7 @@ func TestJournalStartupGC(t *testing.T) {
 	}
 	writeLog(t, jdir, []byte("{not a frame"))
 
-	srv, err := Open(Config{JournalDir: jdir})
+	srv, err := Open(testConfig(t, Config{JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestJournalRefusesUnreadableRecords(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		srv, err := Open(Config{JournalDir: jdir})
+		srv, err := Open(testConfig(t, Config{JournalDir: jdir}))
 		if err == nil {
 			srv.Close()
 			t.Fatalf("Open over %s (%q) succeeded, want a refusal", tc.name, tc.data)
@@ -389,7 +389,7 @@ func TestJournalRecoveryDamagedStaging(t *testing.T) {
 			tc.damage(t, &rec)
 			writeLog(t, jdir, submitFrame(t, rec))
 
-			srv, err := Open(Config{JournalDir: jdir})
+			srv, err := Open(testConfig(t, Config{JournalDir: jdir}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestJournalRecoveryDamagedStaging(t *testing.T) {
 	// path counted, end to end: cut a real staged upload short behind an
 	// abandoned server's back.
 	jdir := filepath.Join(t.TempDir(), "journal")
-	crashed := New(Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(make(chan struct{}))})
+	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(make(chan struct{}))}))
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, quizletParts(t))
 	if resp.StatusCode != http.StatusAccepted {
@@ -443,7 +443,7 @@ func TestJournalRecoveryDamagedStaging(t *testing.T) {
 	if err := os.Truncate(stagedFiles[0], fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +461,11 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 
-	crashed := New(Config{
+	crashed := New(testConfig(t, Config{
 		Workers:     1,
 		JournalDir:  jdir,
 		NewPipeline: stalledPipeline(make(chan struct{})),
-	})
+	}))
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -478,7 +478,7 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 	ts.Close() // abandon
 
 	gate := make(chan struct{})
-	srv, err := Open(Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(gate)})
+	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(gate)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +508,11 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 
-	crashed := New(Config{
+	crashed := New(testConfig(t, Config{
 		Workers:     1,
 		JournalDir:  jdir,
 		NewPipeline: stalledPipeline(make(chan struct{})),
-	})
+	}))
 	ts := httptest.NewServer(crashed)
 	parts := map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -528,7 +528,7 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	}
 	ts.Close() // abandon
 
-	srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +709,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := New(Config{Workers: 1, Store: st})
+	base := New(testConfig(t, Config{Workers: 1, Store: st}))
 	baseTS := httptest.NewServer(base)
 	baseJob := runJob(t, baseTS, parts)
 	_, want := getBody(t, baseTS, "/v1/jobs/"+baseJob.ID+"/report.json")
@@ -722,7 +722,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	recoverOnly := func(t *testing.T, jdir string, cfg Config, ids ...string) {
 		t.Helper()
 		cfg.Workers, cfg.JournalDir = 1, jdir
-		srv, err := Open(cfg)
+		srv, err := Open(testConfig(t, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,7 +131,7 @@ func decodeJob(t *testing.T, resp *http.Response) Job {
 // the served report is byte-identical to a direct pipeline run over the
 // same capture.
 func TestAuditEndToEnd(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -191,7 +191,7 @@ func TestAuditEndToEnd(t *testing.T) {
 // must be what the two-step reference produces: parse everything, guess the
 // identity from the records, audit them under it.
 func TestGuessedIdentity(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: testStore(t)})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -276,8 +276,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			staging := t.TempDir()
-			srv := New(Config{TempDir: staging, MaxUploadBytes: int64(len(atCap[1]))})
+			srv := New(testConfig(t, Config{MaxUploadBytes: int64(len(atCap[1]))}))
 			defer srv.Close()
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
@@ -300,13 +299,13 @@ func TestSubmitValidation(t *testing.T) {
 			if e := apiErr(t, got); e.Code != tc.code {
 				t.Errorf("code = %q, want %q", e.Code, tc.code)
 			}
-			if left, err := os.ReadDir(staging); err != nil || len(left) != 0 {
+			if left, err := os.ReadDir(srv.journal.staging()); err != nil || len(left) != 0 {
 				t.Errorf("refused upload left %d files in staging (%v)", len(left), err)
 			}
 		})
 	}
 
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -330,7 +329,7 @@ func TestSubmitValidation(t *testing.T) {
 // TestFailedJob uploads a corrupt capture and expects a failed state whose
 // report returns 409.
 func TestFailedJob(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -355,7 +354,7 @@ func TestFailedJob(t *testing.T) {
 // har.MaxEntryBytes of request fields fails its job with
 // har.ErrEntryTooLarge's message.
 func TestOversizedHAREntryFailsJob(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -374,15 +373,14 @@ func TestQueueBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(gate) })
-	srv := New(Config{
+	srv := New(testConfig(t, Config{
 		Workers:    1,
 		QueueDepth: 1,
-		TempDir:    t.TempDir(),
 		NewPipeline: func() *core.Pipeline {
 			<-gate
 			return core.NewPipeline()
 		},
-	})
+	}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -422,7 +420,7 @@ func TestQueueBackpressure(t *testing.T) {
 // TestConcurrentSubmissions hammers the server from many goroutines — the
 // CI -race step runs this to prove the job queue is data-race free.
 func TestConcurrentSubmissions(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueDepth: 64, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 4, QueueDepth: 64}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -482,7 +480,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 // TestJobEviction checks finished jobs are evicted past MaxJobs while the
 // newest stay fetchable — the long-lived server's memory bound.
 func TestJobEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 3, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 3}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -528,14 +526,12 @@ func TestJobEviction(t *testing.T) {
 	}
 }
 
-// TestJobEvictionOldestFirstAnd404Reports pins the memory-only retention
-// policy (no snapshot store configured): when the cap is exceeded,
-// finished jobs are evicted strictly oldest-first, and every endpoint for
-// an evicted ID answers 404 — never a stale report. With a Store
-// configured, the report endpoints keep serving evicted IDs instead; see
-// TestEvictedJobServedFromStore.
+// TestJobEvictionOldestFirstAnd404Reports pins the retention policy: when
+// the cap is exceeded, finished jobs are evicted strictly oldest-first, and
+// /v1/jobs/{id} for an evicted ID answers 404. The report endpoints keep
+// serving evicted IDs from the store; see TestEvictedJobServedFromStore.
 func TestJobEvictionOldestFirstAnd404Reports(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -565,12 +561,10 @@ func TestJobEvictionOldestFirstAnd404Reports(t *testing.T) {
 		return r.StatusCode
 	}
 
-	// The two oldest are gone from every endpoint; the two newest serve.
+	// The two oldest are gone; the two newest serve.
 	for _, id := range ids[:2] {
-		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/report.json", "/v1/jobs/" + id + "/report.csv"} {
-			if code := status(path); code != http.StatusNotFound {
-				t.Errorf("evicted %s: %d, want 404", path, code)
-			}
+		if code := status("/v1/jobs/" + id); code != http.StatusNotFound {
+			t.Errorf("evicted /jobs/%s: %d, want 404", id, code)
 		}
 	}
 	for _, id := range ids[2:] {
@@ -633,7 +627,7 @@ func runJob(t *testing.T, ts *httptest.Server, parts map[string][2]string) Job {
 // answers 404 for an evicted ID, but both report endpoints keep serving
 // the persisted snapshot byte-identically.
 func TestEvictedJobServedFromStore(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: testStore(t)})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -697,7 +691,7 @@ func (f failingStore) Put(jobID string, r *core.ServiceResult) (store.Meta, erro
 // result, the job records SnapshotError and is retained past MaxJobs —
 // the in-memory copy is the only one, and eviction must not destroy it.
 func TestSnapshotFailureBlocksEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, TempDir: t.TempDir(), Store: failingStore{testStore(t)}})
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, Store: failingStore{testStore(t)}}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -734,13 +728,37 @@ func (unlistableStore) List() ([]store.Meta, error) {
 // snapshot's at start-up; a store that cannot say what it holds would let
 // a new job-N alias a stored report, so Open fails instead of guessing.
 func TestOpenRefusesUnlistableStore(t *testing.T) {
-	srv, err := Open(Config{TempDir: t.TempDir(), Store: unlistableStore{testStore(t)}})
+	srv, err := Open(testConfig(t, Config{Store: unlistableStore{testStore(t)}}))
 	if err == nil {
 		srv.Close()
 		t.Fatal("Open served a store whose List fails")
 	}
 	if !strings.Contains(err.Error(), "snapshot directory unreadable") {
 		t.Errorf("Open error %q does not carry the store's", err)
+	}
+}
+
+// TestOpenRequiresStoreAndJournal: every server persists its results and
+// journals its jobs, so Open refuses a configuration missing either home.
+func TestOpenRequiresStoreAndJournal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"nil store", Config{JournalDir: t.TempDir()}, "Config.Store is required"},
+		{"empty journal dir", Config{Store: testStore(t)}, "Config.JournalDir is required"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := Open(tc.cfg)
+			if err == nil {
+				srv.Close()
+				t.Fatal("Open accepted the configuration")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open error %q, want it to name %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -771,7 +789,7 @@ func (b brokenLoadStore) Load(store.Meta) (*core.ServiceResult, error) {
 // cannot be read is a storage failure, not a missing job — the report
 // endpoint must answer 500, never a masking 404.
 func TestUnreadableStoredSnapshotIs500(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir(), Store: brokenLoadStore{testStore(t)}})
+	srv := New(testConfig(t, Config{Store: brokenLoadStore{testStore(t)}}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -823,7 +841,7 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{TempDir: t.TempDir(), Store: st1})
+	srv1 := New(testConfig(t, Config{Store: st1}))
 	ts1 := httptest.NewServer(srv1)
 	job1 := runJob(t, ts1, map[string][2]string{
 		"child": {"before.har", deltaHAR(t, baseURL)},
@@ -837,7 +855,7 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{TempDir: t.TempDir(), Store: st2})
+	srv2 := New(testConfig(t, Config{Store: st2}))
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
@@ -933,20 +951,6 @@ func directDiffJSON(t *testing.T, baseURL, injectedURL string) []byte {
 	return want
 }
 
-// TestSnapshotEndpointsWithoutStore: a memory-only server declines the
-// snapshot endpoints explicitly rather than 404ing.
-func TestSnapshotEndpointsWithoutStore(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	for _, path := range []string{"/v1/snapshots", "/v1/diff?from=1&to=2"} {
-		if code, _ := getBody(t, ts, path); code != http.StatusNotImplemented {
-			t.Errorf("GET %s without store: %d, want 501", path, code)
-		}
-	}
-}
-
 // TestRestartDurability pins the report byte-stability guarantee: an
 // FSStore-backed server restarted over the same data directory serves the
 // same report.json, byte for byte, for a job audited before the restart.
@@ -956,7 +960,7 @@ func TestRestartDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{TempDir: t.TempDir(), Store: st1})
+	srv1 := New(testConfig(t, Config{Store: st1}))
 	ts1 := httptest.NewServer(srv1)
 	job := runJob(t, ts1, map[string][2]string{"child": {"c.har", string(childHAR(t))}, "name": {"", "Quizlet"}})
 	code, want := getBody(t, ts1, "/v1/jobs/"+job.ID+"/report.json")
@@ -970,7 +974,7 @@ func TestRestartDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{TempDir: t.TempDir(), Store: st2})
+	srv2 := New(testConfig(t, Config{Store: st2}))
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
@@ -1001,7 +1005,7 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := New(Config{TempDir: t.TempDir(), Personas: []flows.Persona{kid}})
+	srv := New(testConfig(t, Config{Personas: []flows.Persona{kid}}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1085,7 +1089,7 @@ func TestReadingASnapshotChangesNothingOutsideIt(t *testing.T) {
 	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{TempDir: t.TempDir(), Store: st})
+	srv := New(testConfig(t, Config{Store: st}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1120,7 +1124,7 @@ func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{TempDir: t.TempDir(), Store: st, Personas: []flows.Persona{configured}})
+	srv := New(testConfig(t, Config{Store: st, Personas: []flows.Persona{configured}}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1163,7 +1167,7 @@ func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
 // to the journal must be what is on disk, for sizes under, at and over the
 // buffer.
 func TestStageFileFlushesEveryByte(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	for _, size := range []int{0, 1, stageBufBytes - 1, stageBufBytes, 2*stageBufBytes + 4097} {
 		content := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
@@ -1198,7 +1202,7 @@ func TestStageFileFlushesEveryByte(t *testing.T) {
 // the parser's own error text — and a job with no mobile capture never
 // looks at it.
 func TestMalformedKeylogFailsMobileJobs(t *testing.T) {
-	srv := New(Config{TempDir: t.TempDir()})
+	srv := New(testConfig(t, Config{}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
