@@ -238,6 +238,29 @@ func ExportFlowsCSV(results []*core.ServiceResult) (string, error) {
 	return string(out), err
 }
 
+// csvRowBytes is what one CSV row takes beyond its service and persona
+// names, rounded up from the 115–126 bytes measured across the six
+// synthetic services (nine commas and a newline, the rest is the flow's
+// names); csvHeaderBytes covers the header line.
+const (
+	csvRowBytes    = 127
+	csvHeaderBytes = 128
+)
+
+// CSVSizeHint estimates the size of AppendFlowsCSV's output from the flow
+// count and the names every row repeats, so a caller can hand
+// AppendFlowsCSV a buffer it will not outgrow. Like JSONSizeHint it is an
+// estimate, not a bound.
+func CSVSizeHint(results []*core.ServiceResult) int {
+	n := csvHeaderBytes
+	for _, r := range results {
+		for t, set := range r.ByTrace {
+			n += set.Len() * (csvRowBytes + len(r.Identity.Name) + len(t.String()))
+		}
+	}
+	return n
+}
+
 // AppendFlowsCSV appends the CSV flow export to dst and returns the
 // extended buffer — byte-identical to ExportFlowsCSV, but streaming: rows
 // render straight off each set's sorted keys with one reused row slice, no

@@ -270,3 +270,19 @@ func BenchmarkExportJSON(b *testing.B) {
 		})
 	}
 }
+
+// TestCSVSizeHint pins the CSV estimate the way TestJSONSizeHint pins the
+// JSON one.
+func TestCSVSizeHint(t *testing.T) {
+	for _, r := range synthResults(0.002) {
+		one := []*core.ServiceResult{r}
+		doc, err := AppendFlowsCSV(nil, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := CSVSizeHint(one)
+		if est < len(doc) || est > len(doc)*11/10 {
+			t.Errorf("%s: CSVSizeHint %d for a %d-byte document", r.Identity.Name, est, len(doc))
+		}
+	}
+}

@@ -9,12 +9,18 @@
 //
 // These are the server's only two pools, and both hold something large
 // that lives exactly one response: a report-sized render buffer, and a
-// gzip.Writer's ~256 KiB of deflate state. Compression is skipped for
-// small bodies, where the gzip header and CPU outweigh the saved bytes.
+// gzip.Writer's ~256 KiB of deflate state. Every gzip body is compressed
+// whole into a render buffer before it is written, so it goes out with a
+// Content-Length; the one that outlives its response is the JSON export's,
+// copied onto its snapshot's cache entry (cache.go). Compression is
+// skipped for small bodies, where the gzip header and CPU outweigh the
+// saved bytes.
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
 	"math/bits"
 	"net/http"
@@ -107,19 +113,62 @@ func nonZeroWeight(params string) bool {
 // compressed body to a client that cannot read it.
 func writeMaybeGzip(w http.ResponseWriter, r *http.Request, data []byte) {
 	if len(data) < gzipMinBytes || !acceptsGzip(r) {
-		// The body is complete in hand: say how long it is, so it does
-		// not go out chunked and a client can tell a truncated one.
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Write(data)
+		writeBody(w, data)
 		return
 	}
+	z := gzipBody(data)
+	writeGzipBody(w, z)
+	putBuf(z)
+}
+
+// writeBody writes a body that is complete in hand, saying how long it is,
+// so it does not go out chunked and a client can tell a truncated one.
+func writeBody(w http.ResponseWriter, data []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
+}
+
+// writeGzipBody writes an already gzip-compressed body.
+func writeGzipBody(w http.ResponseWriter, z []byte) {
 	w.Header().Set("Content-Encoding", "gzip")
+	writeBody(w, z)
+}
+
+// gzipBody compresses data with a pooled default-level writer into a
+// render buffer, which the caller returns with putBuf. The bytes depend
+// only on data, so a body compressed once serves every later read. An
+// eighth of the body's length leaves room to spare: the JSON exports of the
+// six synthetic services compress to 2–4 % of theirs, the CSV ones to 5–7 %.
+func gzipBody(data []byte) []byte {
+	buf := bytes.NewBuffer(getBuf(len(data) / 8))
 	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(w)
+	zw.Reset(buf)
 	zw.Write(data)
 	zw.Close()
-	// Drop the response writer before pooling so a parked writer cannot
-	// pin a finished request's machinery.
+	// Drop the buffer before pooling so a parked writer cannot pin it.
 	zw.Reset(io.Discard)
 	gzipWriters.Put(zw)
+	return buf.Bytes()
+}
+
+// inflate decompresses a gzip body whose content is n bytes long into a
+// render buffer of that size, reading on to the end of the stream, where
+// gzip checks the trailer's CRC and length.
+func inflate(z []byte, n int) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(z))
+	if err != nil {
+		return nil, err
+	}
+	out := getBuf(n)[:n]
+	if _, err = io.ReadFull(zr, out); err == nil {
+		var rest int64
+		if rest, err = io.Copy(io.Discard, zr); err == nil && rest != 0 {
+			err = errors.New("server: gzip body is longer than its export")
+		}
+	}
+	if err != nil {
+		putBuf(out)
+		return nil, err
+	}
+	return out, nil
 }

@@ -76,6 +76,33 @@ func TestRenderBufClasses(t *testing.T) {
 	putBuf(big) // dropped, not pooled
 }
 
+// TestInflateChecksBody: inflate gives back exactly the compressed
+// document, and refuses a body whose recorded length is off either way or
+// whose trailer CRC does not match.
+func TestInflateChecksBody(t *testing.T) {
+	data := bytes.Repeat([]byte(`{"flow": "example.net"},`), 400)
+	z := referenceGzip(t, data)
+	got, err := inflate(z, len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("inflate: %d bytes, err %v; want the %d-byte document", len(got), err, len(data))
+	}
+	badCRC := bytes.Clone(z)
+	badCRC[len(badCRC)-8] ^= 1
+	for name, c := range map[string]struct {
+		z []byte
+		n int
+	}{
+		"short length": {z, len(data) - 1},
+		"long length":  {z, len(data) + 1},
+		"bad CRC":      {badCRC, len(data)},
+		"truncated":    {z[:len(z)-4], len(data)},
+	} {
+		if out, err := inflate(c.z, c.n); err == nil {
+			t.Errorf("%s: inflate gave %d bytes and no error", name, len(out))
+		}
+	}
+}
+
 // TestGzipCompressionPreservesETagSemantics is the compression
 // acceptance test: for each heavy export endpoint, the gzip-negotiated
 // response carries the same ETag and decompresses to the same bytes as
@@ -160,6 +187,17 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 			if got := zresp.Header.Get("ETag"); got != etag {
 				t.Errorf("compressed ETag = %q, identity ETag = %q; the validator must name the content, not the encoding", got, etag)
 			}
+			// Every gzip body is compressed in full before it is sent, so
+			// it is length-delimited too.
+			if zresp.ContentLength != int64(len(zbody)) || len(zresp.TransferEncoding) != 0 {
+				t.Errorf("gzip response: Content-Length %d, Transfer-Encoding %v; want %d and none", zresp.ContentLength, zresp.TransferEncoding, len(zbody))
+			}
+			// A second gzip read — a hit on the attached body for the JSON
+			// export, a fresh compression elsewhere — sends the same bytes.
+			again := get(t, path, map[string]string{"Accept-Encoding": "gzip"})
+			if againBody := readAll(t, again); !bytes.Equal(againBody, zbody) || again.ContentLength != int64(len(zbody)) {
+				t.Errorf("second gzip read: %d bytes, Content-Length %d; want the first read's %d bytes", len(againBody), again.ContentLength, len(zbody))
+			}
 			if len(zbody) >= len(plainBody) {
 				t.Errorf("compressed body (%d bytes) is not smaller than identity (%d bytes)", len(zbody), len(plainBody))
 			}
@@ -173,6 +211,9 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 			}
 			if !bytes.Equal(unzipped, plainBody) {
 				t.Fatal("gzip body does not decompress to the identity body")
+			}
+			if !bytes.Equal(zbody, referenceGzip(t, plainBody)) {
+				t.Error("gzip body is not the default-level gzip of the identity body")
 			}
 
 			// Conditional GET under compression: the validator from either
@@ -207,8 +248,12 @@ func TestGzipCompressionPreservesETagSemantics(t *testing.T) {
 // identity and gzip interleaved — must each get exactly their result's
 // export, and a result whose export exceeds the pool's 4 MiB top class
 // (rendered into a one-off buffer the pool then refuses) serves the same
-// way. Run under -race, this is also the check that no buffer is written
-// after it was returned.
+// way. A second server, cold again, then sends every reader at one hash at
+// once, identity and gzip mixed, so the miss, the attach of the gzip body
+// and the hits that write or inflate it race each other; every gzip body
+// must be byte for byte the default-level gzip of the export. Run under
+// -race, this is also the check that no buffer is written after it was
+// returned and no attached body is written after it was shared.
 func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 	var results []*core.ServiceResult
 	pipe := core.NewPipeline()
@@ -234,7 +279,7 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 	st := testStore(t)
 	type stored struct {
 		jobID, hash string
-		want        []byte
+		want, gz    []byte
 	}
 	var snaps []stored
 	for i, res := range results {
@@ -247,37 +292,58 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps = append(snaps, stored{jobID, meta.Hash, want})
+		snaps = append(snaps, stored{jobID, meta.Hash, want, referenceGzip(t, want)})
 	}
 	if n := len(snaps[len(snaps)-1].want); n <= 4<<20 {
 		t.Fatalf("the huge export is %d bytes; it must exceed the pool's 4 MiB top class", n)
 	}
-	srv := New(testConfig(t, Config{Store: st}))
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	fetch := func(path, enc string) (int, []byte, error) {
+	newServer := func() *httptest.Server {
+		srv := New(testConfig(t, Config{Store: st}))
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	// read fetches one export and checks it: an identity body must be the
+	// export, a gzip body the reference compression of it.
+	read := func(ts *httptest.Server, snap stored, path, enc string) {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 		if err != nil {
-			return 0, nil, err
+			t.Error(err)
+			return
 		}
 		req.Header.Set("Accept-Encoding", enc)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			return 0, nil, err
+			t.Error(err)
+			return
 		}
-		defer resp.Body.Close()
-		var body io.Reader = resp.Body
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := snap.want
 		if enc == "gzip" {
-			if body, err = gzip.NewReader(resp.Body); err != nil {
-				return resp.StatusCode, nil, err
-			}
+			want = snap.gz
 		}
-		got, err := io.ReadAll(body)
-		return resp.StatusCode, got, err
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s (%s): status %d, err %v, %d bytes served, want %d — not the same body",
+				path, enc, resp.StatusCode, err, len(got), len(want))
+		}
 	}
+	route := func(snap stored, i int) string {
+		if i%2 == 1 {
+			return "/v1/jobs/" + snap.jobID + "/report.json"
+		}
+		return "/v1/snapshots/" + snap.hash
+	}
+	encoding := func(i int) string {
+		if i%2 == 1 {
+			return "gzip"
+		}
+		return "identity"
+	}
+
 	const readers = 6
+	ts := newServer()
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
@@ -285,20 +351,41 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 			defer wg.Done()
 			for i := range snaps {
 				snap := snaps[(g+i)%len(snaps)]
-				path, enc := "/v1/snapshots/"+snap.hash, "identity"
-				if (g+i)%2 == 1 {
-					path = "/v1/jobs/" + snap.jobID + "/report.json"
-				}
-				if (g/2+i)%2 == 1 {
-					enc = "gzip"
-				}
-				status, got, err := fetch(path, enc)
-				if err != nil || status != http.StatusOK || !bytes.Equal(got, snap.want) {
-					t.Errorf("%s (%s): status %d, err %v, %d bytes served, the result's export is %d bytes — not the same document",
-						path, enc, status, err, len(got), len(snap.want))
-				}
+				read(ts, snap, route(snap, g+i), encoding(g/2+i))
 			}
 		}(g)
 	}
 	wg.Wait()
+
+	ts = newServer()
+	for _, snap := range snaps {
+		start := make(chan struct{})
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 3; i++ {
+					read(ts, snap, route(snap, g/2+i), encoding(g+i))
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// referenceGzip is the gzip body every heavy route sends for data: one
+// default-level gzip.Writer over the whole body.
+func referenceGzip(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -234,7 +234,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
-		panic("server: " + err.Error())
+		panic(err)
 	}
 	return s
 }
@@ -815,30 +815,31 @@ func (s *Server) resolveJob(id string) (ref jobRef, status int, code, msg string
 }
 
 // result returns the audit result a resolved job denotes: the in-memory
-// one, or the stored snapshot through the decoded-snapshot cache.
-func (s *Server) result(ref jobRef) (*core.ServiceResult, error) {
+// one, as an entry with no hash (so nothing is attached to the cache for
+// it), or the stored snapshot's cache entry.
+func (s *Server) result(ref jobRef) (cacheEntry, error) {
 	if ref.res != nil {
-		return ref.res, nil
+		return cacheEntry{res: ref.res}, nil
 	}
-	return s.snapshotResult(ref.meta)
+	return s.snapshotEntry(ref.meta)
 }
 
-// snapshotResult materializes the snapshot meta describes: a cache hit
-// returns the already-decoded result (zero decode work); a miss loads the
-// snapshot from the store and caches it under its content hash for every
-// later reader — report, snapshot, and diff handlers all share this path
-// and therefore this cache. A snapshot that fails to load fails only the
-// requests for it.
-func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, error) {
-	if res := s.cache.get(meta.Hash); res != nil {
-		return res, nil
+// snapshotEntry materializes the snapshot meta describes: a cache hit
+// returns the already-decoded result (zero decode work) with whatever gzip
+// body is attached to it; a miss loads the snapshot from the store and
+// caches it under its content hash for every later reader — report,
+// snapshot, and diff handlers all share this path and therefore this
+// cache. A snapshot that fails to load fails only the requests for it.
+func (s *Server) snapshotEntry(meta store.Meta) (cacheEntry, error) {
+	if e, ok := s.cache.get(meta.Hash); ok {
+		return e, nil
 	}
 	res, err := s.cfg.Store.Load(meta)
 	if err != nil {
-		return nil, err
+		return cacheEntry{}, err
 	}
 	s.cache.put(meta.Hash, res, int64(meta.Bytes))
-	return res, nil
+	return cacheEntry{hash: meta.Hash, res: res}, nil
 }
 
 // reportResult does everything the report endpoints share before
@@ -848,29 +849,29 @@ func (s *Server) snapshotResult(meta store.Meta) (*core.ServiceResult, error) {
 // representations — the JSON and CSV exports of one snapshot must not
 // validate against each other. ok is false when the response (error or
 // 304) has already been written.
-func (s *Server) reportResult(w http.ResponseWriter, r *http.Request, variant string) (res *core.ServiceResult, etag string, ok bool) {
+func (s *Server) reportResult(w http.ResponseWriter, r *http.Request, variant string) (e cacheEntry, etag string, ok bool) {
 	id := r.PathValue("id")
 	ref, status, code, msg := s.resolveJob(id)
 	if status != 0 {
 		apiError(w, status, code, "%s", msg)
-		return nil, "", false
+		return cacheEntry{}, "", false
 	}
 	if ref.hash != "" {
 		etag = `"` + ref.hash + variant + `"`
 		if etagMatch(r, etag) {
 			notModified(w, etag, ccRevalidate)
-			return nil, "", false
+			return cacheEntry{}, "", false
 		}
 	}
-	res, err := s.result(ref)
+	e, err := s.result(ref)
 	if err != nil {
 		// A snapshot for this job exists but cannot be served: a storage
 		// failure a 404 would mask (500).
 		status, code := snapshotErrStatus(err)
 		apiError(w, status, code, "stored snapshot for %s: %v", id, err)
-		return nil, "", false
+		return cacheEntry{}, "", false
 	}
-	return res, etag, true
+	return e, etag, true
 }
 
 // writeRendered writes one rendered export, folding the render-error path
@@ -884,45 +885,77 @@ func writeRendered(w http.ResponseWriter, r *http.Request, contentType string, d
 		apiError(w, http.StatusInternalServerError, codeInternal, "render: %v", err)
 		return
 	}
+	setRenderedHeaders(w, contentType, etag, cacheControl)
+	writeMaybeGzip(w, r, data)
+}
+
+// setRenderedHeaders stamps the headers every rendered 200 carries.
+func setRenderedHeaders(w http.ResponseWriter, contentType, etag, cacheControl string) {
 	if etag != "" {
 		setCacheHeaders(w, etag, cacheControl)
 	}
 	w.Header().Add("Vary", "Accept-Encoding")
 	w.Header().Set("Content-Type", contentType)
-	writeMaybeGzip(w, r, data)
 }
 
-// writeExportJSON renders one result's JSON export — the body of both
-// report.json and /v1/snapshots/{ref} — into pooled scratch and writes it.
-// The bytes only live until the response write, so steady-state serving
-// recycles buffers instead of allocating a report-sized one per request;
-// the buffer is sized from the result's flow count, so the render neither
-// outgrows it nor pins a class larger than the report needs.
-func writeExportJSON(w http.ResponseWriter, r *http.Request, res *core.ServiceResult, etag, cacheControl string) {
-	one := []*core.ServiceResult{res}
-	out, err := report.AppendJSON(getBuf(report.JSONSizeHint(one)), one)
-	writeRendered(w, r, "application/json", out, err, etag, cacheControl)
+// writeExportJSON writes one result's JSON export — the body of both
+// report.json and /v1/snapshots/{ref}. A gzip read of an entry that holds
+// the export's gzip body writes those bytes as they are; an identity read
+// of it inflates them. Otherwise the export is rendered into pooled
+// scratch sized from the result's flow count, so the render neither
+// outgrows it nor pins a class larger than the report needs; when that
+// read negotiated gzip, its compressed body is attached to the cache entry
+// for every later read. Identity reads never compress.
+func (s *Server) writeExportJSON(w http.ResponseWriter, r *http.Request, e cacheEntry, etag, cacheControl string) {
+	zipped := acceptsGzip(r)
+	if e.gz != nil && zipped {
+		setRenderedHeaders(w, "application/json", etag, cacheControl)
+		writeGzipBody(w, e.gz)
+		return
+	}
+	var out []byte
+	var err error
+	if e.gz != nil {
+		out, err = inflate(e.gz, e.rawLen)
+	} else {
+		one := []*core.ServiceResult{e.res}
+		out, err = report.AppendJSON(getBuf(report.JSONSizeHint(one)), one)
+	}
+	if err != nil || !zipped || e.hash == "" || len(out) < gzipMinBytes {
+		writeRendered(w, r, "application/json", out, err, etag, cacheControl)
+		putBuf(out)
+		return
+	}
+	z := gzipBody(out)
+	s.cache.attach(e.hash, z, len(out))
+	setRenderedHeaders(w, "application/json", etag, cacheControl)
+	writeGzipBody(w, z)
+	putBuf(z)
 	putBuf(out)
 }
 
 func (s *Server) handleReportJSON(w http.ResponseWriter, r *http.Request) {
-	res, etag, okRes := s.reportResult(w, r, "")
+	e, etag, okRes := s.reportResult(w, r, "")
 	if !okRes {
 		return
 	}
-	writeExportJSON(w, r, res, etag, ccRevalidate)
+	s.writeExportJSON(w, r, e, etag, ccRevalidate)
 }
 
 func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
-	res, etag, okRes := s.reportResult(w, r, "+csv")
+	e, etag, okRes := s.reportResult(w, r, "+csv")
 	if !okRes {
 		return
 	}
 	// Render into pooled scratch: the CSV bytes only live until the
 	// response write, so steady-state CSV serving recycles one buffer
-	// instead of rebuilding the whole export per request.
-	buf := getBuf(32 << 10)
-	out, err := report.AppendFlowsCSV(buf, []*core.ServiceResult{res})
+	// instead of rebuilding the whole export per request. The buffer is
+	// sized from the flow count, as the JSON one is, so the render neither
+	// grows it by doubling, dropping a buffer each time, nor parks it in a
+	// class larger than CSV renders need.
+	one := []*core.ServiceResult{e.res}
+	buf := getBuf(report.CSVSizeHint(one))
+	out, err := report.AppendFlowsCSV(buf, one)
 	writeRendered(w, r, "text/csv", out, err, etag, ccRevalidate)
 	if out != nil {
 		putBuf(out)
@@ -980,13 +1013,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		notModified(w, etag, cacheControl)
 		return
 	}
-	res, err := s.snapshotResult(meta)
+	e, err := s.snapshotEntry(meta)
 	if err != nil {
 		status, code := snapshotErrStatus(err)
 		apiError(w, status, code, "%v", err)
 		return
 	}
-	writeExportJSON(w, r, res, etag, cacheControl)
+	s.writeExportJSON(w, r, e, etag, cacheControl)
 }
 
 // handleDiff renders the longitudinal diff between two stored snapshots.
@@ -1064,13 +1097,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 
 	fetch := func(meta store.Meta, side string) (*core.ServiceResult, bool) {
-		res, ferr := s.snapshotResult(meta)
+		e, ferr := s.snapshotEntry(meta)
 		if ferr != nil {
 			status, code := snapshotErrStatus(ferr)
 			apiError(w, status, code, "%s: %v", side, ferr)
 			return nil, false
 		}
-		return res, true
+		return e.res, true
 	}
 	from, okFrom := fetch(fromMeta, "from")
 	if !okFrom {
@@ -1233,11 +1266,11 @@ func (s *Server) Result(id string) (*core.ServiceResult, error) {
 	if status != 0 {
 		return nil, errors.New("server: " + msg)
 	}
-	res, err := s.result(ref)
+	e, err := s.result(ref)
 	if err != nil {
 		return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, err)
 	}
-	return res, nil
+	return e.res, nil
 }
 
 // SnapshotResult resolves any store reference and materializes its result
@@ -1248,11 +1281,11 @@ func (s *Server) SnapshotResult(ref string) (*core.ServiceResult, store.Meta, er
 	if err != nil {
 		return nil, store.Meta{}, err
 	}
-	res, err := s.snapshotResult(meta)
+	e, err := s.snapshotEntry(meta)
 	if err != nil {
 		return nil, store.Meta{}, err
 	}
-	return res, meta, nil
+	return e.res, meta, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
