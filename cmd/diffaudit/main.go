@@ -250,7 +250,6 @@ func serve(args []string) {
 	dataDir := fs.String("data-dir", "", "data directory for the snapshot store and the crash-safe job journal, kept across restarts (default: a private temporary directory removed at exit)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job audit deadline, e.g. 10m; a job exceeding it lands in the \"timeout\" state (0 = unlimited)")
 	cacheMB := fs.Int64("cache-mb", 64, "decoded-snapshot cache budget in MiB shared by the report/snapshot/diff read path (0 disables)")
-	rateLimit := fs.Float64("rate-limit", 0, "per-client upload rate limit in requests/sec, keyed by X-Client-ID or remote host; over-budget clients draw 429s (0 disables)")
 	pprofAddr := fs.String("pprof", "", "localhost address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables profiling")
 	fs.Var(&personas, "persona", "define a persona accepted as an upload field, e.g. eu-teen:13-15 (repeatable)")
 	fs.Parse(args)
@@ -298,7 +297,6 @@ func serve(args []string) {
 		JournalDir:     journalDir,
 		JobTimeout:     *jobTimeout,
 		CacheBytes:     cacheBytes,
-		RateLimit:      *rateLimit,
 		Personas:       personas.customs,
 	})
 	if err != nil {

@@ -1,8 +1,11 @@
 package httpx_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,8 +16,8 @@ import (
 
 // minRequest is the shortest stream one request can consume: a request
 // line of a method, an empty target and a bare protocol, then the blank
-// line that ends the head.
-const minRequest = len("GET  HTTP/\r\n\r\n")
+// line that ends the head, each line ended by a bare LF.
+const minRequest = len("GET  HTTP/\n\n")
 
 // chunkedHead opens a POST whose body is chunked.
 const chunkedHead = "POST /e HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
@@ -27,6 +30,7 @@ var edgeStreams = []struct {
 }{
 	{"empty", "", nil},
 	{"shortest request", "GET  HTTP/\r\n\r\n", nil},
+	{"shortest request, bare LF", "GET  HTTP/\n\n", nil},
 	// The largest chunk size a 32-bit parse accepts: a well-formed size
 	// the stream is far too short to hold.
 	{"chunk size 7fffffff", chunkedHead + "7fffffff\r\nabc", httpx.ErrIncomplete},
@@ -53,6 +57,51 @@ func TestParseStreamEdges(t *testing.T) {
 	for _, tc := range edgeStreams {
 		if _, err := httpx.ParseStream([]byte(tc.in)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// stdlibStreams are the line-level choices where a parser could part from
+// net/http.ReadRequest, one row per choice made. Each is one request, and
+// ParseStream must read it as ReadRequest does: refuse it, or accept it
+// with the same request line, headers, host and body.
+var stdlibStreams = []struct{ name, in string }{
+	// obs-fold (RFC 9112 §5.2): a line that opens with SP or HTAB continues
+	// the field before it, joined by one space.
+	{"obs-fold", "GET /p HTTP/1.1\r\nHost: x\r\nCookie: a=1;\r\n \t b=2\r\nX-Id: u\r\n\r\n"},
+	// ... and the first field line has nothing to continue.
+	{"obs-fold first header", "GET /p HTTP/1.1\r\n b: c\r\nHost: x\r\n\r\n"},
+	// Bare LF (RFC 9112 §2.2) ends a line, alone or mixed with CRLF.
+	{"bare LF", "POST /e?q=1 HTTP/1.1\nHost: x\nContent-Length: 3\n\nabc"},
+	{"bare LF mixed", "GET /p HTTP/1.1\r\nHost: x\nCookie: a=1\r\n\r\n"},
+}
+
+func TestParseStreamMatchesReadRequest(t *testing.T) {
+	for _, tc := range stdlibStreams {
+		got, err := httpx.ParseStream([]byte(tc.in))
+		want, werr := http.ReadRequest(bufio.NewReader(strings.NewReader(tc.in)))
+		if werr != nil {
+			if !errors.Is(err, httpx.ErrMalformed) {
+				t.Errorf("%s: net/http refuses (%v), ParseStream err = %v, want ErrMalformed", tc.name, werr, err)
+			}
+			continue
+		}
+		if err != nil || len(got) != 1 {
+			t.Errorf("%s: net/http accepts, ParseStream = %d requests, err %v", tc.name, len(got), err)
+			continue
+		}
+		r := got[0]
+		if r.Method != want.Method || r.Target != want.RequestURI || r.Proto != want.Proto || r.Host() != want.Host {
+			t.Errorf("%s: request %q %q %q host %q, net/http %q %q %q host %q", tc.name,
+				r.Method, r.Target, r.Proto, r.Host(), want.Method, want.RequestURI, want.Proto, want.Host)
+		}
+		for name, vals := range want.Header {
+			if v := r.Get(name); v != vals[0] {
+				t.Errorf("%s: %s = %q, net/http %q", tc.name, name, v, vals[0])
+			}
+		}
+		if body, err := io.ReadAll(want.Body); err != nil || string(r.Body) != string(body) {
+			t.Errorf("%s: body %q, net/http %q (%v)", tc.name, r.Body, body, err)
 		}
 	}
 }
@@ -108,6 +157,9 @@ func FuzzParseStream(f *testing.F) {
 		f.Add(s)
 	}
 	for _, tc := range edgeStreams {
+		f.Add([]byte(tc.in))
+	}
+	for _, tc := range stdlibStreams {
 		f.Add([]byte(tc.in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

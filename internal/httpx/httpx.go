@@ -108,21 +108,31 @@ func ParseStream(stream []byte) ([]*Request, error) {
 // parseOne parses a single request from the head of data, returning the
 // request and the number of bytes consumed.
 func parseOne(data []byte) (*Request, int, error) {
-	headEnd := bytes.Index(data, []byte("\r\n\r\n"))
-	if headEnd < 0 {
+	headEnd, consumed := endOfHead(data)
+	if consumed < 0 {
 		return nil, 0, ErrIncomplete
 	}
-	head := string(data[:headEnd])
-	lines := strings.Split(head, "\r\n")
-	if len(lines) == 0 {
-		return nil, 0, ErrMalformed
+	lines := strings.Split(string(data[:headEnd]), "\n")
+	for i, line := range lines {
+		lines[i] = strings.TrimSuffix(line, "\r")
 	}
 	parts := strings.SplitN(lines[0], " ", 3)
 	if len(parts) != 3 || !methods[parts[0]] || !strings.HasPrefix(parts[2], "HTTP/") {
 		return nil, 0, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
 	}
 	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2]}
-	for _, line := range lines[1:] {
+	for i, line := range lines[1:] {
+		if line[0] == ' ' || line[0] == '\t' {
+			// obs-fold (RFC 9112 §5.2): the line continues the field
+			// before it, joined by one space, as net/http reads it. The
+			// first field line has nothing to continue.
+			if i == 0 {
+				return nil, 0, fmt.Errorf("%w: folded first header %q", ErrMalformed, line)
+			}
+			h := &req.Headers[len(req.Headers)-1]
+			h.Value += " " + strings.TrimSpace(line)
+			continue
+		}
 		name, value, ok := strings.Cut(line, ":")
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: bad header %q", ErrMalformed, line)
@@ -140,7 +150,6 @@ func parseOne(data []byte) (*Request, int, error) {
 			return nil, 0, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
 		}
 	}
-	consumed := headEnd + 4
 	body := data[consumed:]
 
 	switch {
@@ -167,6 +176,27 @@ func parseOne(data []byte) (*Request, int, error) {
 		}
 	}
 	return req, consumed, nil
+}
+
+// endOfHead finds the empty line that ends a request head: the length of
+// the head before it and the offset of the body after it, or -1 for the
+// offset when the stream ends first. A line ends in LF with an optional CR
+// before it (RFC 9112 §2.2), as net/http reads request heads; chunk-size
+// lines stay CRLF-only, as there.
+func endOfHead(data []byte) (head, body int) {
+	for off := 0; ; {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return 0, -1
+		}
+		off += nl + 1
+		switch {
+		case bytes.HasPrefix(data[off:], []byte("\n")):
+			return off - 1, off + 1
+		case bytes.HasPrefix(data[off:], []byte("\r\n")):
+			return off - 1, off + 2
+		}
+	}
 }
 
 // signed reports whether a numeric field starts with a sign, which strconv

@@ -1,6 +1,5 @@
-// Unit and chaos tests for the upload admission gates: the deadline-
-// aware load shedder and the per-client rate limiter, plus the
-// hot-path benchmarks the CI bench gate tracks.
+// Unit and chaos tests for the deadline-aware load shedder, plus the
+// hot-path benchmark the CI bench gate tracks.
 package server
 
 import (
@@ -151,149 +150,6 @@ func TestAdmissionNoDeadlineNeverSheds(t *testing.T) {
 	}
 }
 
-// TestRateLimiterBuckets pins the token-bucket mechanics directly:
-// burst, refill, per-key isolation, and the 429 header material.
-func TestRateLimiterBuckets(t *testing.T) {
-	l := newRateLimiter(10, 2) // 10/s, burst 2
-
-	if v := l.take("a"); !v.ok || v.limit != 2 {
-		t.Fatalf("first take = %+v", v)
-	}
-	if v := l.take("a"); !v.ok {
-		t.Fatalf("burst take = %+v", v)
-	}
-	v := l.take("a")
-	if v.ok {
-		t.Fatal("third immediate take admitted past the burst")
-	}
-	if v.resetSeconds < 1 {
-		t.Errorf("resetSeconds = %d, want >= 1", v.resetSeconds)
-	}
-	if l.limitedCount() != 1 {
-		t.Errorf("limitedCount = %d, want 1", l.limitedCount())
-	}
-	// Another client has its own bucket.
-	if v := l.take("b"); !v.ok {
-		t.Errorf("independent client limited: %+v", v)
-	}
-	// Refill: back-date the bucket instead of sleeping.
-	l.mu.Lock()
-	l.buckets["a"].last = l.buckets["a"].last.Add(-time.Second)
-	l.mu.Unlock()
-	if v := l.take("a"); !v.ok {
-		t.Errorf("take after refill window = %+v", v)
-	}
-
-	rec := httptest.NewRecorder()
-	rateVerdict{limit: 2, remaining: 0, resetSeconds: 3}.writeHeaders(rec)
-	for h, want := range map[string]string{
-		"RateLimit-Limit": "2", "RateLimit-Remaining": "0",
-		"RateLimit-Reset": "3", "Retry-After": "3",
-	} {
-		if got := rec.Header().Get(h); got != want {
-			t.Errorf("%s = %q, want %q", h, got, want)
-		}
-	}
-
-	// Disabled configurations are nil and always admit.
-	if l := newRateLimiter(0, 5); l != nil {
-		t.Error("rate 0 built a limiter")
-	}
-	var nilL *rateLimiter
-	if v := nilL.take("x"); !v.ok || nilL.limitedCount() != 0 {
-		t.Errorf("nil limiter verdict = %+v", v)
-	}
-}
-
-// TestRateLimiterBoundedClients: the bucket map cannot grow without
-// bound under client-ID churn.
-func TestRateLimiterBoundedClients(t *testing.T) {
-	l := newRateLimiter(1, 1)
-	var key [8]byte
-	for i := 0; i < 3*maxClients; i++ {
-		for j, b := 0, i; j < len(key); j, b = j+1, b>>4 {
-			key[j] = 'a' + byte(b&0xF)
-		}
-		l.take(string(key[:]))
-	}
-	l.mu.Lock()
-	n := len(l.buckets)
-	l.mu.Unlock()
-	if n > maxClients {
-		t.Errorf("bucket map grew to %d, cap is %d", n, maxClients)
-	}
-}
-
-// TestRateLimit429 drives the limiter over HTTP: a client that exceeds
-// its budget draws 429s with the envelope code and RateLimit headers,
-// while a distinctly identified client sails through.
-func TestRateLimit429(t *testing.T) {
-	// Effectively no refill within the test; burst of 2 per client.
-	srv := New(testConfig(t, Config{Workers: 1, RateLimit: 0.001, RateBurst: 2}))
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	post := func(clientID string) *http.Response {
-		t.Helper()
-		var buf bytes.Buffer
-		mw := newMultipart(t, &buf, quizletParts(t))
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/audits", &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", mw)
-		req.Header.Set("X-Client-ID", clientID)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	for i := 0; i < 2; i++ {
-		resp := post("tenant-a")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d = %d, want 202", i+1, resp.StatusCode)
-		}
-	}
-	resp := post("tenant-a")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-budget submit = %d, want 429", resp.StatusCode)
-	}
-	for _, h := range []string{"RateLimit-Limit", "RateLimit-Remaining", "RateLimit-Reset", "Retry-After"} {
-		if resp.Header.Get(h) == "" {
-			t.Errorf("429 missing %s header", h)
-		}
-	}
-	var e struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if e.Error.Code != codeRateLimited {
-		t.Errorf("429 code = %q, want %q", e.Error.Code, codeRateLimited)
-	}
-
-	// A different client ID is a different bucket.
-	other := post("tenant-b")
-	other.Body.Close()
-	if other.StatusCode != http.StatusAccepted {
-		t.Errorf("other tenant = %d, want 202", other.StatusCode)
-	}
-
-	h := healthSnapshot(t, ts)
-	adm, _ := h["admission"].(map[string]any)
-	if adm == nil || adm["rate_limited"].(float64) < 1 {
-		t.Errorf("healthz admission = %+v, want rate_limited >= 1", h["admission"])
-	}
-}
-
 // newMultipart writes parts into buf and returns the Content-Type.
 func newMultipart(t *testing.T, buf *bytes.Buffer, parts map[string][2]string) string {
 	t.Helper()
@@ -315,20 +171,6 @@ func newMultipart(t *testing.T, buf *bytes.Buffer, parts map[string][2]string) s
 	}
 	mw.Close()
 	return mw.FormDataContentType()
-}
-
-// TestClientKey: header identity wins, else the remote host without its
-// ephemeral port.
-func TestClientKey(t *testing.T) {
-	r := httptest.NewRequest(http.MethodPost, "/v1/audits", nil)
-	r.RemoteAddr = "198.51.100.7:40312"
-	if got := clientKey(r); got != "198.51.100.7" {
-		t.Errorf("clientKey = %q, want bare host", got)
-	}
-	r.Header.Set("X-Client-ID", "tenant-a")
-	if got := clientKey(r); got != "tenant-a" {
-		t.Errorf("clientKey with header = %q", got)
-	}
 }
 
 // TestRetryAfterAdaptive: the 503 hint tracks the backlog estimate —
@@ -389,32 +231,6 @@ func BenchmarkAdmissionCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if shed, _ := srv.shouldShed(); shed {
 			b.Fatal("idle server shed")
-		}
-	}
-}
-
-// BenchmarkRateLimiter measures the disarmed (nil-limiter) fast path —
-// the cost every deployment without -rate-limit pays per upload.
-func BenchmarkRateLimiter(b *testing.B) {
-	var l *rateLimiter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := l.take("client"); !v.ok {
-			b.Fatal("nil limiter rejected")
-		}
-	}
-}
-
-// BenchmarkRateLimiterArmed measures an active bucket take (mutex + map
-// + clock read) — the per-upload cost when -rate-limit is set.
-func BenchmarkRateLimiterArmed(b *testing.B) {
-	l := newRateLimiter(1e12, 1<<30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := l.take("client"); !v.ok {
-			b.Fatal("unlimited bucket rejected")
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,7 +178,10 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 }
 
 // TestOverloadRetryAfter: both 503 paths (queue full, shutting down)
-// carry a Retry-After header so clients back off instead of failing.
+// carry a Retry-After header so clients back off instead of failing. A
+// flood from one identified client draws the same answers as any other
+// upload: the server keys nothing on X-Client-ID, has no per-client
+// limit, and so never answers 429 or sends RateLimit-* headers.
 func TestOverloadRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, NewPipeline: stalledPipeline(gate)}))
@@ -205,21 +209,48 @@ func TestOverloadRetryAfter(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if resp := submit(t, ts, parts); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("queue-filling submit: %d", resp.StatusCode)
+	// The flood's first upload takes the one queue slot; every later one
+	// finds the queue full.
+	accepted := 0
+	for i := 0; i < 8; i++ {
+		var buf bytes.Buffer
+		ctype := newMultipart(t, &buf, parts)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/audits", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ctype)
+		req.Header.Set("X-Client-ID", "tenant-a")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusServiceUnavailable:
+			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+				t.Errorf("flood submit %d: 503 with Retry-After %q, want >= 1", i, resp.Header.Get("Retry-After"))
+			}
+		default:
+			t.Errorf("flood submit %d = %d, want 202 or 503", i, resp.StatusCode)
+		}
+		for h := range resp.Header {
+			if strings.HasPrefix(strings.ToLower(h), "ratelimit-") {
+				t.Errorf("flood submit %d sent %s", i, h)
+			}
+		}
 	}
-
-	resp := submit(t, ts, parts)
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("overload submit = %d, Retry-After=%q; want 503 with a hint", resp.StatusCode, resp.Header.Get("Retry-After"))
+	if accepted != 1 {
+		t.Errorf("flood accepted %d uploads, want 1 (the queue slot)", accepted)
 	}
-	resp.Body.Close()
 
 	close(gate)
 	srv.Close() // drains the queued job
 
 	// The shutdown 503 carries the hint too.
-	resp = submit(t, ts, parts)
+	resp := submit(t, ts, parts)
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("shutdown submit = %d, Retry-After=%q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}

@@ -358,8 +358,9 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 
 // TestHealthLoadGauges pins the healthz overload gauges: live queue
 // depth vs capacity, busy workers, and total in-flight jobs — and the
-// deprecated breaker, retrying and scrub constants, which keep the shape
-// a server without those mechanisms always reported.
+// deprecated breaker, retrying, scrub and admission.rate_limited
+// constants, which keep the shape a server without those mechanisms
+// always reported.
 func TestHealthLoadGauges(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 4, NewPipeline: stalledPipeline(gate)}))
@@ -387,8 +388,10 @@ func TestHealthLoadGauges(t *testing.T) {
 			t.Errorf("healthz %s = %v, want %v", k, h[k], v)
 		}
 	}
-	if _, ok := h["admission"].(map[string]any); !ok {
+	if adm, ok := h["admission"].(map[string]any); !ok {
 		t.Errorf("healthz admission section missing: %+v", h["admission"])
+	} else if got, ok := adm["rate_limited"].(float64); !ok || got != 0 {
+		t.Errorf("healthz admission.rate_limited = %v, want the deprecated constant 0", adm["rate_limited"])
 	}
 	wantBreaker := map[string]any{
 		"state": "disabled", "failure_rate": 0.0, "window": 0.0, "window_filled": 0.0,

@@ -28,8 +28,6 @@ import (
 //	job_not_ready      409  report fetched before the job finished
 //	job_failed         409  report of a failed job
 //	job_timed_out      409  report of a timed-out job
-//	rate_limited       429  client over its upload token bucket
-//	                        (RateLimit-* and Retry-After headers present)
 //	unavailable        503  queue full, deadline-aware load shed, or
 //	                        server shutting down (retry_after present,
 //	                        mirrors Retry-After)
@@ -41,7 +39,6 @@ const (
 	codeJobNotReady     = "job_not_ready"
 	codeJobFailed       = "job_failed"
 	codeJobTimedOut     = "job_timed_out"
-	codeRateLimited     = "rate_limited"
 	codeUnavailable     = "unavailable"
 	codeInternal        = "internal"
 )

@@ -129,12 +129,6 @@ type Config struct {
 	// disables the cache (every read decodes — the cold-path benchmark
 	// configuration).
 	CacheBytes int64
-	// RateLimit enables per-client upload rate limiting: sustained
-	// uploads per second each client (X-Client-ID header, else remote
-	// host) may submit before drawing 429s. 0 disables limiting (the
-	// default); RateBurst caps a client's burst (0 = 2×RateLimit, min 1).
-	RateLimit float64
-	RateBurst int
 }
 
 // DefaultCacheBytes is the decoded-snapshot cache bound when
@@ -212,9 +206,7 @@ type Server struct {
 	journal  *journal
 	cache    *resultCache
 
-	// Overload defenses (see admission.go).
-	limiter   *rateLimiter // nil unless Config.RateLimit > 0
-	admission admission
+	admission admission // the deadline shed's estimate (admission.go)
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -290,7 +282,6 @@ func Open(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		cache:    newResultCache(cacheBytes),
 	}
-	s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	s.registerRoutes()
 	// A restarted server must not mint job IDs that collide with the IDs
 	// recorded in its store's snapshots, or /v1/jobs/{id}/report.* would
@@ -543,9 +534,13 @@ func (j *Job) cleanup() {
 
 // handleSubmit stages a multipart upload and enqueues the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Admission gates run before a single body byte: a rate-limited or
-	// shed upload costs a header parse, not staging I/O.
-	if !s.admit(w, r) {
+	// The deadline shed runs before a single body byte: a shed upload
+	// costs a header parse, not staging I/O. Its hint reuses the estimate
+	// that decided it, so message and Retry-After describe one backlog.
+	if shed, wait := s.shouldShed(); shed {
+		s.admission.shed.Add(1)
+		s.unavailableAfter(w, "estimated queue wait "+wait.Round(time.Second).String()+
+			" exceeds the "+s.cfg.JobTimeout.String()+" job deadline; load shed", wait)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
@@ -1191,12 +1186,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"recovering": recovering,
 		"retrying":   0,
 		// Admission-control view: the service-time estimate behind the
-		// shed decision and how many uploads each gate has rejected.
+		// shed decision and how many uploads it has rejected.
+		// rate_limited is deprecated and always 0: the server has no
+		// per-client rate limit.
 		"admission": map[string]any{
 			"ewma_ms":      float64(s.admission.ewmaNanos.Load()) / 1e6,
 			"est_wait_ms":  float64(s.admission.estimateWait(queued, s.cfg.Workers)) / 1e6,
 			"shed":         s.admission.shed.Load(),
-			"rate_limited": s.limiter.limitedCount(),
+			"rate_limited": 0,
 		},
 		"snapshots": s.cfg.Store.Len(),
 		// The decoded-snapshot cache's hit/miss/eviction counters tell an
