@@ -193,7 +193,8 @@ const (
 // Auditor runs the DiffAudit pipeline.
 type Auditor struct {
 	// Pipeline is the underlying analysis configuration; replace its
-	// Labeler, ATS engine or extraction options to customize the audit.
+	// label cache (core.NewLabelCache over another labeler), ATS engine or
+	// extraction options to customize the audit.
 	Pipeline *core.Pipeline
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"diffaudit/internal/domains"
 	"diffaudit/internal/extract"
@@ -120,8 +121,15 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 			Repeat:   1,
 			ConnID:   connID,
 		}
-		for _, c := range r.Cookies() {
-			rec.Cookies = append(rec.Cookies, extract.KVPair{Name: c.Name, Value: c.Value})
+		for raw := r.Get("Cookie"); ; {
+			name, value, rest, ok := httpx.NextCookie(raw)
+			if !ok {
+				break
+			}
+			if rec.Cookies == nil {
+				rec.Cookies = make([]extract.KVPair, 0, strings.Count(raw, ";")+1)
+			}
+			rec.Cookies, raw = append(rec.Cookies, extract.KVPair{Name: name, Value: value}), rest
 		}
 		out = append(out, rec)
 	}

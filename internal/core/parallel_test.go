@@ -159,7 +159,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 			defer wg.Done()
 			results[g] = make([]bool, len(keys))
 			for i, k := range keys {
-				_, ok := p.label(k)
+				_, ok, _ := p.Labels.label(k)
 				results[g][i] = ok
 			}
 		}(g)
@@ -167,7 +167,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	fresh := NewPipeline()
 	for i, k := range keys {
-		_, want := fresh.label(k)
+		_, want, _ := fresh.Labels.label(k)
 		for g := range results {
 			if results[g][i] != want {
 				t.Fatalf("goroutine %d key %q: cached ok=%v, fresh ok=%v", g, k, results[g][i], want)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"diffaudit/internal/ats"
 	"diffaudit/internal/classifier"
@@ -102,9 +101,11 @@ func (r *ServiceResult) CheckPersonas() error {
 
 // Pipeline holds the analysis configuration.
 type Pipeline struct {
-	// Labeler is the data type classifier; defaults to the paper's
-	// majority-avg ensemble at confidence 0.8.
-	Labeler *classifier.ThresholdLabeler
+	// Labels classifies raw keys: the paper's majority-avg ensemble at
+	// confidence 0.8 behind a bounded cache. NewPipeline gives each
+	// pipeline a cache of its own; pipelines may share one, as a server's
+	// jobs share the server's.
+	Labels *LabelCache
 	// ATS is the block-list engine; defaults to the embedded lists.
 	ATS *ats.Engine
 	// Extract tunes key harvesting.
@@ -114,99 +115,24 @@ type Pipeline struct {
 	// (1 is one worker goroutine). Results do not depend on it — flow sets,
 	// counters, and caches merge deterministically.
 	Workers int
-
-	// shards is the label cache: FNV-sharded so concurrent workers hit
-	// disjoint locks, with per-key singleflight so no key is ever
-	// classified twice (the dataset repeats keys heavily, as real traffic
-	// does). Entries are append-only per key: once stored, a label never
-	// changes.
-	shards [labelShardCount]labelShard
-}
-
-// labelShardCount is the number of label-cache shards. 64 comfortably
-// exceeds any plausible worker count, making lock collisions rare, while
-// keeping the array small enough to embed in the Pipeline by value.
-const labelShardCount = 64
-
-type labelShard struct {
-	mu       sync.Mutex
-	entries  map[string]cachedLabel
-	inflight map[string]*labelCall
-}
-
-type cachedLabel struct {
-	// id is the category's ontology ID, resolved once at classification
-	// time so the flow-accumulation inner loop never touches strings.
-	id flows.CatID
-	ok bool
-}
-
-// labelCall is one in-flight classification other workers can wait on.
-type labelCall struct {
-	done chan struct{}
-	cachedLabel
-}
-
-// labelShardIndex is FNV-1a over the key, inlined to keep the cache-hit
-// path allocation-free.
-func labelShardIndex(key string) int {
-	const (
-		fnvOffset32 = 2166136261
-		fnvPrime32  = 16777619
-	)
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= fnvPrime32
-	}
-	return int(h % labelShardCount)
 }
 
 // NewPipeline returns a pipeline with the paper's production configuration.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
-		Labeler: classifier.FinalLabeler(),
+		Labels:  NewLabelCache(classifier.FinalLabeler()),
 		ATS:     ats.Default(),
 		Extract: extract.DefaultOptions(),
 	}
 }
 
-// label classifies one raw key with sharded caching and singleflight:
-// concurrent workers asking for the same key block on one classification
-// instead of redundantly computing it. It returns the category's ID, and
-// false when the key is dropped: below the confidence threshold, or
-// labelled outside the ontology — a hallucinated label, which the paper
-// drops too.
-func (p *Pipeline) label(key string) (flows.CatID, bool) {
-	sh := &p.shards[labelShardIndex(key)]
-	sh.mu.Lock()
-	if c, hit := sh.entries[key]; hit {
-		sh.mu.Unlock()
-		return c.id, c.ok
-	}
-	if call, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
-		<-call.done
-		return call.id, call.ok
-	}
-	if sh.entries == nil {
-		sh.entries = make(map[string]cachedLabel)
-		sh.inflight = make(map[string]*labelCall)
-	}
-	call := &labelCall{done: make(chan struct{})}
-	sh.inflight[key] = call
-	sh.mu.Unlock()
-
-	if cat, _, ok := p.Labeler.Label(key); ok {
-		call.id, call.ok = flows.CategoryID(cat)
-	}
-	close(call.done)
-
-	sh.mu.Lock()
-	sh.entries[key] = call.cachedLabel
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
-	return call.id, call.ok
+// LabelStats counts one analysis's key lookups in its label cache: the
+// keys it sent to the classifier, and those answered without it — labelled
+// by an earlier analysis sharing the cache, or by another worker of its
+// own.
+type LabelStats struct {
+	Classified int `json:"classified"`
+	Reused     int `json:"reused"`
 }
 
 // fqdnTally is one entry of a partial's FQDN index: a destination exactly
@@ -233,6 +159,7 @@ type partialResult struct {
 	conns       map[string]bool
 	packets     int
 	droppedKeys int
+	labels      LabelStats
 	keys        []string // extraction scratch, reused record to record
 	// flowHint sizes the per-persona flow maps, created on first sight of
 	// a persona's records.
@@ -261,11 +188,13 @@ func newPartialResult(recHint int) *partialResult {
 	}
 }
 
-// index returns the FQDN's slot in the partial's index, adding it on
-// first sight.
+// index returns the FQDN's slot in the partial's index, adding a copy of
+// it on first sight: a record's FQDN may be cut from its request head, and
+// the index outlives the record's batch.
 func (pr *partialResult) index(fqdn string) uint32 {
 	i, ok := pr.fqdnIdx[fqdn]
 	if !ok {
+		fqdn = strings.Clone(fqdn)
 		i = uint32(len(pr.fqdns))
 		pr.fqdns = append(pr.fqdns, fqdnTally{name: fqdn, blank: strings.TrimSpace(fqdn) == ""})
 		pr.fqdnIdx[fqdn] = i
@@ -295,8 +224,8 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 			repeat = 1
 		}
 		pr.packets += repeat
-		if rec.ConnID != "" {
-			pr.conns[rec.ConnID] = true
+		if rec.ConnID != "" && !pr.conns[rec.ConnID] {
+			pr.conns[strings.Clone(rec.ConnID)] = true
 		}
 		fqdn := pr.index(rec.FQDN)
 		pr.fqdns[fqdn].records++
@@ -321,7 +250,12 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 				key = strings.Clone(key)
 				pr.rawKeys[key] = true
 			}
-			catID, ok := p.label(key)
+			catID, ok, classified := p.Labels.label(key)
+			if classified {
+				pr.labels.Classified++
+			} else {
+				pr.labels.Reused++
+			}
 			if !ok {
 				pr.droppedKeys++
 				continue
@@ -353,6 +287,8 @@ func (pr *partialResult) merge(o *partialResult) {
 	}
 	pr.packets += o.packets
 	pr.droppedKeys += o.droppedKeys
+	pr.labels.Classified += o.labels.Classified
+	pr.labels.Reused += o.labels.Reused
 }
 
 // result converts the accumulated partial into the public ServiceResult.

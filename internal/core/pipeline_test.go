@@ -172,22 +172,29 @@ func TestTotalsAcrossServices(t *testing.T) {
 	}
 }
 
-// TestRawKeysOwnTheirBytes: a result's raw keys are copies, not substrings
-// of the requests they were cut from. A query key is a substring of the
-// URL, a JSON key of the body and a form key of the body's string copy; a
-// result kept until eviction would otherwise pin every such URL and body.
-// No key may point into a record's URL or body, and 32 records of 128 KiB
-// each, dropped after the audit, must leave under 1 MiB live beside the
-// result.
+// TestRawKeysOwnTheirBytes: whatever outlives a record's batch holds
+// copies, not substrings of the requests it was cut from. A query key is a
+// substring of the URL, a JSON key of the body and a form key of the
+// body's string copy; a record's FQDN and connection ID may be cut from
+// its request head (here, from its URL). A result kept until eviction, a
+// partial kept until the capture ends, or a label cache kept for a
+// server's life would otherwise pin every such URL and body. No raw key,
+// domain, eSLD, partial's FQDN index entry or connection ID, and no key
+// the label cache stores, may point into a record's URL or body; and 32
+// records of 128 KiB each, dropped after the audit, must leave under 1 MiB
+// live beside the result and the pipeline's cache.
 func TestRawKeysOwnTheirBytes(t *testing.T) {
 	const n = 32
 	pad := strings.Repeat("a", 64<<10)
 	mkRecs := func() []core.RequestRecord {
 		recs := make([]core.RequestRecord, 0, 2*n)
 		for i := 0; i < n; i++ {
+			host := fmt.Sprintf("api%d.svc.example", i)
+			url := fmt.Sprintf("https://%s/v1?user_id_%d=u&pad=%s&conn=c%d", host, i, pad, i)
+			conn := url[strings.LastIndexByte(url, '=')+1:]
 			recs = append(recs, core.RequestRecord{
-				Trace: flows.Child, Platform: flows.Web, Method: "POST", FQDN: "api.svc.example",
-				URL:      fmt.Sprintf("https://api.svc.example/v1?user_id_%d=u&pad=%s", i, pad),
+				Trace: flows.Child, Platform: flows.Web, Method: "POST",
+				URL: url, FQDN: url[len("https://") : len("https://")+len(host)], ConnID: conn,
 				BodyMIME: "application/x-www-form-urlencoded",
 				Body:     []byte(fmt.Sprintf("session_%d=s&pad=%s", i, pad)),
 			}, core.RequestRecord{
@@ -204,16 +211,27 @@ func TestRawKeysOwnTheirBytes(t *testing.T) {
 	}
 
 	recs := mkRecs()
-	res := core.NewPipeline().AnalyzeRecords(testID(), recs)
+	pipe := core.NewPipeline()
+	res := pipe.AnalyzeRecords(testID(), recs)
 	if len(res.RawKeys) < 3*n {
 		t.Fatalf("%d raw keys, want at least %d", len(res.RawKeys), 3*n)
 	}
-	for k := range res.RawKeys {
+	if res.TCPFlows != n || len(res.Domains) != n+1 {
+		t.Fatalf("%d connections and %d domains, want %d and %d", res.TCPFlows, len(res.Domains), n, n+1)
+	}
+	held := core.PartialStrings(core.NewPipeline(), recs)
+	for _, m := range []map[string]bool{res.RawKeys, res.Domains, res.ESLDs} {
+		for k := range m {
+			held = append(held, k)
+		}
+	}
+	held = append(held, pipe.Labels.StoredKeys()...)
+	for _, k := range held {
 		p := unsafe.Pointer(unsafe.StringData(k))
 		for i := range recs {
 			if within(p, unsafe.Pointer(unsafe.StringData(recs[i].URL)), len(recs[i].URL)) ||
 				within(p, unsafe.Pointer(unsafe.SliceData(recs[i].Body)), len(recs[i].Body)) {
-				t.Fatalf("raw key %q points into record %d", k, i)
+				t.Fatalf("%q points into record %d", k, i)
 			}
 		}
 	}
@@ -226,11 +244,13 @@ func TestRawKeysOwnTheirBytes(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := liveHeap()
-	kept := core.NewPipeline().AnalyzeRecords(testID(), mkRecs())
+	keptPipe := core.NewPipeline()
+	kept := keptPipe.AnalyzeRecords(testID(), mkRecs())
 	after := liveHeap()
 	if after > before && after-before > 1<<20 {
 		t.Errorf("a result of %d raw keys keeps %d KiB live; its requests were %d KiB",
 			len(kept.RawKeys), (after-before)>>10, 2*n*len(pad)>>10)
 	}
 	runtime.KeepAlive(kept)
+	runtime.KeepAlive(keptPipe)
 }

@@ -98,11 +98,12 @@ const streamBatchSize = 256
 // the streaming ingestion exists for.
 const streamQueueDepth = 4
 
-// streamStats reports the instrumentation the memory-bound tests assert
-// on: the peak number of record batches simultaneously resident during an
-// AnalyzeStream call.
+// streamStats reports what an analysis did beside its result: the peak
+// number of record batches simultaneously resident (the memory-bound tests
+// assert on it) and, for a run that completes, its label-cache lookups.
 type streamStats struct {
 	peakBatches int32
+	labels      LabelStats
 }
 
 // AnalyzeStream runs the full pipeline over a record stream. Every audit
@@ -140,6 +141,18 @@ func (p *Pipeline) AnalyzeStreamContext(ctx context.Context, id ServiceIdentity,
 func (p *Pipeline) AnalyzeUnknownStream(ctx context.Context, name string, src RecordSource) (*ServiceResult, error) {
 	res, _, err := p.analyzeStream(ctx, ServiceIdentity{Name: name}, true, src)
 	return res, err
+}
+
+// Audit is AnalyzeStreamContext under id, or with guess
+// AnalyzeUnknownStream for the service id.Name, that also counts the
+// analysis's label-cache lookups — how a server reports what its shared
+// cache saved a job. The counts are zero when the analysis fails.
+func (p *Pipeline) Audit(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource) (*ServiceResult, LabelStats, error) {
+	res, stats, err := p.analyzeStream(ctx, id, guess, src)
+	if err != nil {
+		return nil, LabelStats{}, err
+	}
+	return res, stats.labels, nil
 }
 
 // analyzeStream is the only place analysis workers start and batches
@@ -235,6 +248,7 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 	if total == nil {
 		total = newPartialResult(0)
 	}
+	stats.labels = total.labels
 	res, err := total.result(id, guess, p.ATS)
 	return res, stats, err
 }

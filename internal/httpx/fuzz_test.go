@@ -2,14 +2,18 @@ package httpx_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/textproto"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 
+	"diffaudit/internal/domains"
 	"diffaudit/internal/httpx"
 	"diffaudit/internal/synth"
 )
@@ -51,6 +55,9 @@ var edgeStreams = []struct {
 	{"chunk size +a", chunkedHead + "+a\r\n0123456789\r\n0\r\n\r\n", httpx.ErrMalformed},
 	{"chunk size -0", chunkedHead + "-0\r\n\r\n", httpx.ErrMalformed},
 	{"chunk size 05", chunkedHead + "05\r\nabcde\r\n0\r\n\r\n", nil},
+	// A Content-Length that is no number is refused beside a chunked body
+	// too, as net/http refuses it since Go 1.23 (Go 1.22 ignored it).
+	{"chunked beside a bad content-length", "POST /p HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\nContent-Length: x\r\n\r\n0\r\n\r\n", httpx.ErrMalformed},
 }
 
 func TestParseStreamEdges(t *testing.T) {
@@ -74,6 +81,23 @@ var stdlibStreams = []struct{ name, in string }{
 	// Bare LF (RFC 9112 §2.2) ends a line, alone or mixed with CRLF.
 	{"bare LF", "POST /e?q=1 HTTP/1.1\nHost: x\nContent-Length: 3\n\nabc"},
 	{"bare LF mixed", "GET /p HTTP/1.1\r\nHost: x\nCookie: a=1\r\n\r\n"},
+	// A fold onto an empty value does not start it with a space; a fold
+	// of nothing but whitespace leaves one at the end.
+	{"obs-fold onto empty value", "GET /p HTTP/1.1\r\nHost: x\r\nX-A:\r\n b\r\nX-B: c\r\n \r\n\r\n"},
+	// Only SP and HTAB are trimmed off a field value (RFC 9110 §5.5).
+	{"no-break spaces kept", "GET /p HTTP/1.1\r\nHost: x\r\nX-A: \xc2\xa0v\xc2\xa0\r\n\r\n"},
+	// RFC 9112 §3.2: a second Host makes the request invalid; an
+	// absolute-form target names the host whatever Host says (§3.2.2),
+	// and a URL in an origin-form target's query does not.
+	{"host twice", "GET /p HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n"},
+	{"absolute-form target", "GET http://a.example/p?q=1 HTTP/1.1\r\nHost: b.example\r\n\r\n"},
+	{"URL in an origin-form query", "GET /p?to=https://c.example/ HTTP/1.1\r\nHost: b.example\r\n\r\n"},
+	// RFC 9112 §6: an empty Content-Length is invalid; Transfer-Encoding
+	// is one "chunked" field from HTTP/1.1 on, and ignored before it.
+	{"empty content-length", "POST /p HTTP/1.1\r\nHost: x\r\nContent-Length: \r\n\r\n"},
+	{"transfer-encoding gzip", "POST /p HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: gzip\r\nContent-Length: 3\r\n\r\nabc"},
+	{"transfer-encoding twice", "POST /p HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"},
+	{"HTTP/1.0 ignores transfer-encoding", "POST /p HTTP/1.0\r\nHost: x\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\nabc"},
 }
 
 func TestParseStreamMatchesReadRequest(t *testing.T) {
@@ -178,4 +202,225 @@ func FuzzParseStream(f *testing.F) {
 			t.Fatalf("%d body bytes from %d input bytes", body, len(data))
 		}
 	})
+}
+
+// readRequest reads one request with net/http.ReadRequest, body included.
+func readRequest(data []byte) (*http.Request, []byte, error) {
+	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	return req, body, nil
+}
+
+// FuzzParseStreamMatchesReadRequest holds ParseStream's first request to
+// net/http.ReadRequest on the same bytes. Within compared (below), the
+// parser refuses what ReadRequest refuses, and what ReadRequest accepts it
+// reads to the same method, target, protocol, host, header values and
+// body — except an extension method, which it refuses.
+//
+//	go test -run '^$' -fuzz FuzzParseStreamMatchesReadRequest ./internal/httpx
+func FuzzParseStreamMatchesReadRequest(f *testing.F) {
+	for _, s := range synthStreams(f) {
+		f.Add(s)
+	}
+	for _, tc := range stdlibStreams {
+		f.Add([]byte(tc.in))
+	}
+	for _, tc := range edgeStreams {
+		f.Add([]byte(tc.in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !compared(data) {
+			return
+		}
+		reqs, err := httpx.ParseStream(data)
+		want, body, werr := readRequest(data)
+		switch {
+		case werr != nil:
+			if len(reqs) > 0 {
+				t.Fatalf("net/http refuses (%v), ParseStream reads %+v", werr, reqs[0])
+			}
+			return
+		case !knownMethods[want.Method]:
+			if len(reqs) > 0 || !errors.Is(err, httpx.ErrMalformed) {
+				t.Fatalf("extension method %q: ParseStream = %d requests, err %v, want ErrMalformed", want.Method, len(reqs), err)
+			}
+			return
+		case len(reqs) == 0:
+			t.Fatalf("net/http accepts, ParseStream refuses: %v", err)
+		}
+		r := reqs[0]
+		if r.Method != want.Method || r.Target != want.RequestURI || r.Proto != want.Proto {
+			t.Fatalf("request line %q %q %q, net/http %q %q %q", r.Method, r.Target, r.Proto, want.Method, want.RequestURI, want.Proto)
+		}
+		if r.Host() != domains.Hostname(want.Host) {
+			t.Fatalf("host %q, net/http %q", r.Host(), want.Host)
+		}
+		for name, vals := range want.Header {
+			if v := r.Get(name); v != vals[0] && !(name == "Cache-Control" && v == "") {
+				t.Fatalf("%s = %q, net/http %q", name, v, vals[0])
+			}
+		}
+		for _, h := range r.Headers {
+			switch textproto.CanonicalMIMEHeaderKey(h.Name) {
+			case "Host", "Transfer-Encoding", "Content-Length":
+				// ReadRequest moves these out of its header map.
+			default:
+				if got := want.Header.Get(h.Name); r.Get(h.Name) != got {
+					t.Fatalf("%s = %q, net/http %q", h.Name, r.Get(h.Name), got)
+				}
+			}
+		}
+		if !bytes.Equal(r.Body, body) {
+			t.Fatalf("body %q, net/http %q", r.Body, body)
+		}
+	})
+}
+
+// knownMethods are the methods ParseStream reads (RFC 9110 §9 and PATCH);
+// net/http also takes any other token.
+var knownMethods = map[string]bool{
+	"GET": true, "POST": true, "PUT": true, "DELETE": true, "HEAD": true,
+	"OPTIONS": true, "PATCH": true, "CONNECT": true, "TRACE": true,
+}
+
+// compared reports whether a stream falls where ParseStream is held to
+// net/http.ReadRequest. Outside it the parser is lenient on purpose — a
+// capture is audited for the data it sends, not validated — or net/http's
+// reading changed between the Go releases the project builds with:
+//   - the request line must be "method target HTTP/d.d", the target one
+//     url.ParseRequestURI accepts, and the method not CONNECT (an
+//     authority-form tunnel carries no request to audit);
+//   - every field line must be a fold, or a token name, a colon and a value
+//     of HTAB, SP, VCHAR and obs-text;
+//   - a chunked body must frame every chunk as bare hex digits, CRLF, data,
+//     CRLF, and end in "0" CRLF CRLF with no trailer, and come with no
+//     Content-Length that is not a number: net/http's reading of chunk
+//     extensions, whitespace, trailers, bare-LF chunk lines and a bad
+//     Content-Length beside a chunked body differs between releases.
+func compared(data []byte) bool {
+	head, body, ok := splitHead(data)
+	if !ok {
+		return true // no head end: both must refuse
+	}
+	lines := strings.Split(head, "\n")
+	for i := range lines {
+		lines[i] = strings.TrimSuffix(lines[i], "\r")
+	}
+	method, rest, ok1 := strings.Cut(lines[0], " ")
+	target, proto, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 || method == "CONNECT" || !httpVersion(proto) {
+		return false
+	}
+	if _, err := url.ParseRequestURI(target); err != nil {
+		return false
+	}
+	chunked, badLength := false, false
+	for _, line := range lines[1:] {
+		if line[0] == ' ' || line[0] == '\t' {
+			if !fieldValue(line) {
+				return false
+			}
+			continue
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if !ok || !token(name) || !fieldValue(value) {
+			return false
+		}
+		chunked = chunked || strings.EqualFold(name, "Transfer-Encoding")
+		if strings.EqualFold(name, "Content-Length") {
+			_, err := strconv.ParseUint(strings.Trim(value, " \t"), 10, 63)
+			badLength = badLength || err != nil
+		}
+	}
+	return !chunked || !badLength && plainChunks(body)
+}
+
+// splitHead cuts a stream at the blank line ending its first head, a line
+// ending in LF or CRLF.
+func splitHead(data []byte) (head string, body []byte, ok bool) {
+	for off := 0; ; {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return "", nil, false
+		}
+		off += nl + 1
+		switch {
+		case bytes.HasPrefix(data[off:], []byte("\n")):
+			return string(data[:off-1]), data[off+1:], true
+		case bytes.HasPrefix(data[off:], []byte("\r\n")):
+			return string(data[:off-1]), data[off+2:], true
+		}
+	}
+}
+
+func httpVersion(proto string) bool {
+	return len(proto) == len("HTTP/1.1") && strings.HasPrefix(proto, "HTTP/") &&
+		'0' <= proto[5] && proto[5] <= '9' && proto[6] == '.' && '0' <= proto[7] && proto[7] <= '9'
+}
+
+// token reports whether s is an RFC 9110 token.
+func token(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// fieldValue reports whether every byte of s is HTAB, SP, VCHAR or
+// obs-text.
+func fieldValue(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != '\t' && (c < 0x20 || c == 0x7f) {
+			return false
+		}
+	}
+	return true
+}
+
+// plainChunks reports whether a chunked body is framed in bare hex sizes
+// and CRLFs only, up to a last chunk with no trailer. A body that ends
+// early is plain as far as it goes.
+func plainChunks(body []byte) bool {
+	for {
+		nl := bytes.Index(body, []byte("\r\n"))
+		if nl < 0 {
+			return bytes.IndexByte(body, '\n') < 0 && hexDigits(body)
+		}
+		size, err := strconv.ParseUint(string(body[:nl]), 16, 31)
+		if err != nil || !hexDigits(body[:nl]) {
+			return false
+		}
+		body = body[nl+2:]
+		if size == 0 {
+			return len(body) < 2 || bytes.HasPrefix(body, []byte("\r\n"))
+		}
+		if uint64(len(body)) < size+2 {
+			return true
+		}
+		if !bytes.HasPrefix(body[size:], []byte("\r\n")) {
+			return false
+		}
+		body = body[size+2:]
+	}
+}
+
+func hexDigits(b []byte) bool {
+	for _, c := range b {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }

@@ -39,8 +39,15 @@ func (r *Request) Get(name string) string {
 	return ""
 }
 
-// Host returns the Host header's host (see domains.Hostname).
-func (r *Request) Host() string { return domains.Hostname(r.Get("Host")) }
+// Host returns the host the request is for (see domains.Hostname): an
+// absolute-form target's own, otherwise the Host header's (RFC 9112
+// §3.2.2, as net/http.ReadRequest reads it).
+func (r *Request) Host() string {
+	if !strings.HasPrefix(r.Target, "/") && strings.Contains(r.Target, "://") {
+		return domains.Hostname(r.Target)
+	}
+	return domains.Hostname(r.Get("Host"))
+}
 
 // URL reconstructs the full request URL, assuming https for port-less hosts
 // (all audited traffic is TLS).
@@ -55,22 +62,19 @@ func (r *Request) URL() string {
 	return "https://" + host + r.Target
 }
 
-// Cookies parses the Cookie header into name/value pairs.
-func (r *Request) Cookies() []Header {
-	raw := r.Get("Cookie")
-	if raw == "" {
-		return nil
-	}
-	var out []Header
-	for _, part := range strings.Split(raw, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+// NextCookie cuts the first name=value pair off a Cookie header value,
+// skipping empty pairs; ok is false once none is left. The name and value
+// are substrings of raw, so walking a header allocates nothing.
+func NextCookie(raw string) (name, value, rest string, ok bool) {
+	for raw != "" {
+		var part string
+		part, raw, _ = strings.Cut(raw, ";")
+		if part = strings.TrimSpace(part); part != "" {
+			name, value, _ = strings.Cut(part, "=")
+			return name, value, raw, true
 		}
-		name, value, _ := strings.Cut(part, "=")
-		out = append(out, Header{Name: name, Value: value})
 	}
-	return out
+	return "", "", "", false
 }
 
 // Errors returned by the parser.
@@ -112,70 +116,112 @@ func parseOne(data []byte) (*Request, int, error) {
 	if consumed < 0 {
 		return nil, 0, ErrIncomplete
 	}
-	lines := strings.Split(string(data[:headEnd]), "\n")
-	for i, line := range lines {
-		lines[i] = strings.TrimSuffix(line, "\r")
+	// One copy of the head; the request line and every header are cut
+	// from it in a single walk.
+	head := string(data[:headEnd])
+	line, rest := nextLine(head)
+	method, rest0, ok1 := strings.Cut(line, " ")
+	target, proto, ok2 := strings.Cut(rest0, " ")
+	if !ok1 || !ok2 || !methods[method] || !strings.HasPrefix(proto, "HTTP/") {
+		return nil, 0, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 || !methods[parts[0]] || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
+	req := &Request{Method: method, Target: target, Proto: proto}
+	if rest != "" {
+		req.Headers = make([]Header, 0, strings.Count(rest, "\n")+1)
 	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2]}
-	for i, line := range lines[1:] {
+	for first := true; rest != ""; first = false {
+		line, rest = nextLine(rest)
 		if line[0] == ' ' || line[0] == '\t' {
 			// obs-fold (RFC 9112 §5.2): the line continues the field
-			// before it, joined by one space, as net/http reads it. The
-			// first field line has nothing to continue.
-			if i == 0 {
+			// before it, joined by one space, as net/http reads it (a
+			// value still empty loses that space). The first field line
+			// has nothing to continue.
+			if first {
 				return nil, 0, fmt.Errorf("%w: folded first header %q", ErrMalformed, line)
 			}
 			h := &req.Headers[len(req.Headers)-1]
-			h.Value += " " + strings.TrimSpace(line)
+			h.Value = strings.TrimLeft(h.Value+" "+trimOWS(line), " \t")
 			continue
 		}
 		name, value, ok := strings.Cut(line, ":")
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: bad header %q", ErrMalformed, line)
 		}
-		req.Headers = append(req.Headers, Header{
-			Name:  strings.TrimSpace(name),
-			Value: strings.TrimSpace(value),
-		})
+		req.Headers = append(req.Headers, Header{Name: trimOWS(name), Value: trimOWS(value)})
 	}
-	// RFC 9112 §6.3: Content-Length values that differ make the message
-	// invalid. Identical repeats are one value, as net/http reads them.
-	clStr := req.Get("Content-Length")
+	// The framing headers, read as net/http.ReadRequest reads them: one
+	// Host at most (RFC 9112 §3.2); Content-Length values that differ make
+	// the message invalid, identical repeats are one value and an empty one
+	// is refused (§6.3); from HTTP/1.1 on, Transfer-Encoding must be one
+	// "chunked" field, and before it the header is ignored (§6.1).
+	var host, cl, te int
+	var clStr, teStr string
 	for _, h := range req.Headers {
-		if strings.EqualFold(h.Name, "Content-Length") && h.Value != clStr {
-			return nil, 0, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
+		switch {
+		case strings.EqualFold(h.Name, "Host"):
+			host++
+		case strings.EqualFold(h.Name, "Content-Length"):
+			if cl++; cl == 1 {
+				clStr = h.Value
+			} else if h.Value != clStr {
+				return nil, 0, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
+			}
+		case strings.EqualFold(h.Name, "Transfer-Encoding"):
+			if te++; te == 1 {
+				teStr = h.Value
+			}
 		}
 	}
+	if host > 1 {
+		return nil, 0, fmt.Errorf("%w: %d host headers", ErrMalformed, host)
+	}
+	size := 0
+	if cl > 0 {
+		var err error
+		if size, err = strconv.Atoi(clStr); err != nil || signed(clStr) {
+			return nil, 0, fmt.Errorf("%w: content-length %q", ErrMalformed, clStr)
+		}
+	}
+	if pre11(req.Proto) {
+		te = 0
+	}
 	body := data[consumed:]
-
 	switch {
-	case strings.EqualFold(req.Get("Transfer-Encoding"), "chunked"):
+	case te > 1 || te == 1 && !strings.EqualFold(teStr, "chunked"):
+		return nil, 0, fmt.Errorf("%w: transfer-encoding %q", ErrMalformed, teStr)
+	case te == 1:
 		decoded, n, err := decodeChunked(body)
 		if err != nil {
 			return nil, 0, err
 		}
 		req.Body = decoded
 		consumed += n
-	default:
-		if clStr != "" {
-			cl, err := strconv.Atoi(clStr)
-			if err != nil || signed(clStr) {
-				return nil, 0, fmt.Errorf("%w: content-length %q", ErrMalformed, clStr)
-			}
-			if cl > len(body) {
-				return nil, 0, ErrIncomplete
-			}
-			if cl > 0 {
-				req.Body = body[:cl]
-			}
-			consumed += cl
-		}
+	case size > len(body):
+		return nil, 0, ErrIncomplete
+	case size > 0:
+		req.Body = body[:size]
+		consumed += size
 	}
 	return req, consumed, nil
+}
+
+// trimOWS drops the optional whitespace, spaces and tabs, around a field
+// name or value (RFC 9110 §5.6.3) — and nothing else, as net/textproto.
+func trimOWS(s string) string { return strings.Trim(s, " \t") }
+
+// pre11 reports whether proto names an HTTP version before 1.1, whose
+// requests net/http reads without their Transfer-Encoding — HTTP/0.1 to
+// HTTP/1.0; it reads HTTP/0.0 as HTTP/1.1.
+func pre11(proto string) bool {
+	return len(proto) == len("HTTP/1.0") && proto[6] == '.' &&
+		(proto[5] == '0' && '1' <= proto[7] && proto[7] <= '9' || proto[5] == '1' && proto[7] == '0')
+}
+
+// nextLine cuts the first line off a head, dropping its LF and the CR
+// before it.
+func nextLine(head string) (line, rest string) {
+	line, rest, _ = strings.Cut(head, "\n")
+	return strings.TrimSuffix(line, "\r"), rest
 }
 
 // endOfHead finds the empty line that ends a request head: the length of

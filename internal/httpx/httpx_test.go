@@ -149,15 +149,24 @@ func TestHeaderAccessors(t *testing.T) {
 	if r.Get("X-DUP") != "first" {
 		t.Error("Get should return first match")
 	}
-	cookies := r.Cookies()
+	var cookies []Header
+	for raw := r.Get("Cookie"); ; {
+		name, value, rest, ok := NextCookie(raw)
+		if !ok {
+			break
+		}
+		cookies, raw = append(cookies, Header{Name: name, Value: value}), rest
+	}
 	if len(cookies) != 3 || cookies[0].Name != "sid" || cookies[0].Value != "abc" {
 		t.Errorf("cookies = %+v", cookies)
 	}
 	if cookies[2].Name != "empty" || cookies[2].Value != "" {
 		t.Errorf("valueless cookie = %+v", cookies[2])
 	}
-	if (&Request{}).Cookies() != nil {
-		t.Error("no cookie header should give nil")
+	for _, raw := range []string{"", ";", " ; ;  "} {
+		if _, _, _, ok := NextCookie(raw); ok {
+			t.Errorf("cookie header %q yields a cookie", raw)
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"diffaudit/internal/classifier"
 	"diffaudit/internal/core"
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
@@ -107,8 +108,9 @@ type Config struct {
 	// depends on its configuration alone, never on what it has read.
 	Personas []flows.Persona
 	// NewPipeline constructs the analysis pipeline for each job (default
-	// core.NewPipeline). Jobs never share a pipeline, so label caches are
-	// per-job and results stay deterministic.
+	// core.NewPipeline). Whatever cache it comes with, the job classifies
+	// through the one label cache the server keeps for its life: a label
+	// is a function of its key alone, so sharing changes no result.
 	NewPipeline func() *core.Pipeline
 	// JournalDir holds the crash-safe job journal: accepted uploads are
 	// staged under <JournalDir>/staging and recorded in
@@ -171,6 +173,12 @@ type Job struct {
 	SnapshotSeq   uint64 `json:"snapshot_seq,omitempty"`
 	SnapshotHash  string `json:"snapshot_hash,omitempty"`
 	SnapshotError string `json:"snapshot_error,omitempty"`
+	// Stages splits a finished job's wall time into the stages it went
+	// through (see JobStages).
+	Stages *JobStages `json:"stages,omitempty"`
+	// Labels counts the audit's label-cache lookups: keys the job sent to
+	// the classifier, and keys the server's cache already held.
+	Labels *core.LabelStats `json:"labels,omitempty"`
 
 	uploads []upload
 	keylog  string // temp path of the uploaded SSLKEYLOGFILE ("" if none)
@@ -180,6 +188,54 @@ type Job struct {
 	// recovered marks a job re-enqueued from the journal after a crash;
 	// healthz reports "degraded" until every recovered job settles.
 	recovered bool
+	labels    core.LabelStats
+	tl        timeline
+}
+
+// JobStages is where a finished job's time went, in milliseconds. The
+// stages follow one another without gaps, so they sum to the span from
+// submitted_at to the end of the snapshot write; finished_at follows
+// after the journal's done line. A job recovered from the journal was not
+// staged or journaled by this process: those two stages are 0 and its
+// queue wait starts at recovery.
+type JobStages struct {
+	// StagedMS is reading the upload into the staging directory.
+	StagedMS float64 `json:"staged_ms"`
+	// JournaledMS is minting the job ID, the journal's submit line and
+	// its fsync, and the enqueue.
+	JournaledMS float64 `json:"journaled_ms"`
+	// QueueWaitMS is waiting for a worker.
+	QueueWaitMS float64 `json:"queue_wait_ms"`
+	// AuditMS is decoding the captures and analysing their records.
+	AuditMS float64 `json:"audit_ms"`
+	// PutMS is writing the snapshot to the store.
+	PutMS float64 `json:"put_ms"`
+}
+
+// timeline holds the instants a job passed, read off the monotonic clock.
+type timeline struct {
+	submitted, staged, queued, started, audited, stored time.Time
+}
+
+// stages reports the timeline's durations; nil until the job's audit and
+// snapshot write are over.
+func (tl *timeline) stages() *JobStages {
+	if tl.stored.IsZero() {
+		return nil
+	}
+	ms := func(from, to time.Time) float64 {
+		if from.IsZero() {
+			return 0
+		}
+		return float64(to.Sub(from)) / float64(time.Millisecond)
+	}
+	return &JobStages{
+		StagedMS:    ms(tl.submitted, tl.staged),
+		JournaledMS: ms(tl.staged, tl.queued),
+		QueueWaitMS: ms(tl.queued, tl.started),
+		AuditMS:     ms(tl.started, tl.audited),
+		PutMS:       ms(tl.audited, tl.stored),
+	}
 }
 
 // upload is one capture file staged on disk, in the form the journal
@@ -205,6 +261,9 @@ type Server struct {
 	queue    chan *Job
 	journal  *journal
 	cache    *resultCache
+	// labels is the label cache every job classifies through, kept for the
+	// server's life so a key labelled once is not classified again.
+	labels *core.LabelCache
 
 	admission admission // the deadline shed's estimate (admission.go)
 
@@ -281,6 +340,7 @@ func Open(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		jobs:     make(map[string]*Job),
 		cache:    newResultCache(cacheBytes),
+		labels:   core.NewLabelCache(classifier.FinalLabeler()),
 	}
 	s.registerRoutes()
 	// A restarted server must not mint job IDs that collide with the IDs
@@ -319,6 +379,7 @@ func Open(cfg Config) (*Server, error) {
 	// recovery never 503s the jobs the journal promised to keep.
 	s.queue = make(chan *Job, cfg.QueueDepth+len(requeue))
 	for _, job := range requeue {
+		job.tl.queued = time.Now()
 		s.queue <- job
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -370,7 +431,8 @@ func (s *Server) run(job *Job) {
 	defer func() { s.admission.observe(time.Since(start)) }()
 	s.mu.Lock()
 	job.State = JobRunning
-	job.StartedAt = time.Now().UTC()
+	job.tl.started = time.Now()
+	job.StartedAt = job.tl.started.UTC()
 	s.mu.Unlock()
 
 	// The deadline covers the audit only. Snapshot persistence runs
@@ -383,7 +445,8 @@ func (s *Server) run(job *Job) {
 		defer cancel()
 	}
 
-	result, err := s.runAudit(ctx, job)
+	result, labels, err := s.runAudit(ctx, job)
+	audited := time.Now()
 
 	// Persist the snapshot before the job becomes visible as done (and
 	// thus evictable): a finished job either has its result in memory or
@@ -394,6 +457,7 @@ func (s *Server) run(job *Job) {
 	if err == nil {
 		meta, storeErr = s.cfg.Store.Put(job.ID, result)
 	}
+	stored := time.Now()
 
 	// A done job whose snapshot could not persist gets no done line and
 	// keeps its staged files: the in-memory result is the only copy, and a
@@ -409,6 +473,7 @@ func (s *Server) run(job *Job) {
 	}
 
 	s.mu.Lock()
+	job.tl.audited, job.tl.stored = audited, stored
 	job.FinishedAt = time.Now().UTC()
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -420,6 +485,7 @@ func (s *Server) run(job *Job) {
 	default:
 		job.State = JobDone
 		job.result = result
+		job.labels = labels
 		job.SnapshotSeq = meta.Seq
 		job.SnapshotHash = meta.Hash
 		if storeErr != nil {
@@ -439,22 +505,23 @@ func (s *Server) run(job *Job) {
 // runAudit is audit with panic containment: a panicking decoder or
 // analysis pass fails its own job with the stack attached instead of
 // killing the worker (and with it the whole process).
-func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceResult, err error) {
+func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceResult, labels core.LabelStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			result = nil
+			result, labels = nil, core.LabelStats{}
 			err = fmt.Errorf("audit panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
 	if ierr := faults.Inject("worker.panic"); ierr != nil {
-		return nil, ierr
+		return nil, core.LabelStats{}, ierr
 	}
 	return s.audit(ctx, job)
 }
 
 // audit runs the streaming pipeline over a job's staged captures, each of
-// which is opened and parsed exactly once.
-func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, error) {
+// which is opened and parsed exactly once, classifying through the
+// server's label cache.
+func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, core.LabelStats, error) {
 	srcs := make([]core.RecordSource, 0, len(job.uploads))
 	// The keylog is parsed on the first mobile capture and shared,
 	// read-only, by the rest.
@@ -467,13 +534,13 @@ func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, erro
 		} else {
 			if keylog == nil && job.keylog != "" {
 				if keylog, err = core.LoadKeyLog(job.keylog); err != nil {
-					return nil, err
+					return nil, core.LabelStats{}, err
 				}
 			}
 			fs, err = core.OpenPCAPFileSource(ctx, up.Path, keylog, up.trace)
 		}
 		if err != nil {
-			return nil, err
+			return nil, core.LabelStats{}, err
 		}
 		defer fs.Close() // at return: the audit below drains every source
 		srcs = append(srcs, fs)
@@ -483,11 +550,13 @@ func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, erro
 	// Identity: a known service profile wins; otherwise the first party is
 	// whatever the pass itself finds most contacted.
 	p := s.cfg.NewPipeline()
-	if spec, ok := services.ByName(job.Service); ok {
-		id := core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
-		return p.AnalyzeStreamContext(ctx, id, src)
+	p.Labels = s.labels
+	spec, known := services.ByName(job.Service)
+	id := core.ServiceIdentity{Name: job.Service}
+	if known {
+		id = core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
 	}
-	return p.AnalyzeUnknownStream(ctx, job.Service, src)
+	return p.Audit(ctx, id, !known, src)
 }
 
 // evictLocked drops the oldest finished jobs once the retention cap is
@@ -543,6 +612,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			" exceeds the "+s.cfg.JobTimeout.String()+" job deadline; load shed", wait)
 		return
 	}
+	// A full queue refuses before the body too: staging and journaling an
+	// upload only to refuse it would spend its disk I/O and an fsync on
+	// nothing. The check after the journal write still catches the race.
+	if len(s.queue) == cap(s.queue) {
+		s.queueFull(w)
+		return
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	mr, err := r.MultipartReader()
 	if err != nil {
@@ -550,7 +626,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := &Job{Service: "custom-service", SubmittedAt: time.Now().UTC()}
+	job := &Job{Service: "custom-service", tl: timeline{submitted: time.Now()}}
+	job.SubmittedAt = job.tl.submitted.UTC()
 	ok := false
 	defer func() {
 		if !ok {
@@ -574,6 +651,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	job.tl.staged = time.Now()
 	if len(job.uploads) == 0 {
 		apiError(w, http.StatusBadRequest, codeInvalidRequest, "no capture files in upload (want parts named after accepted personas — built-ins child|adolescent|adult|loggedout — with .har/.pcap/.pcapng filenames)")
 		return
@@ -607,6 +685,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "server shutting down")
 		return
 	}
+	job.tl.queued = time.Now()
 	select {
 	case s.queue <- job:
 		s.jobs[job.ID] = job
@@ -615,7 +694,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		s.journal.done(job.ID)
-		s.unavailable(w, fmt.Sprintf("job queue full (depth %d); retry later", s.cfg.QueueDepth))
+		s.queueFull(w)
 		return
 	}
 	snap := job.snapshot()
@@ -624,6 +703,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ok = true
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, snap)
+}
+
+// queueFull answers an upload the job queue has no room for.
+func (s *Server) queueFull(w http.ResponseWriter) {
+	s.unavailable(w, fmt.Sprintf("job queue full (depth %d); retry later", s.cfg.QueueDepth))
 }
 
 // consumePart stages one multipart part: a capture file, the keylog, or a
@@ -675,6 +759,10 @@ func (s *Server) consumePart(job *Job, part *multipart.Part) error {
 // handful of write(2) calls instead of one per 4 KiB.
 const stageBufBytes = 256 << 10
 
+// stageWriters recycles staging writers, so a part costs no fresh
+// stageBufBytes buffer.
+var stageWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, stageBufBytes) }}
+
 // stageFile streams one part to a file in the journal's staging directory
 // and returns its path and length. The file is not fsynced — a multi-hundred-megabyte flush per
 // upload is not worth what it buys: process death cannot lose page-cache
@@ -689,11 +777,14 @@ func (s *Server) stageFile(part *multipart.Part, label string) (string, int64, e
 	// A part never reads more than its 4 KiB peek buffer at a time. The
 	// struct hides bufio.Writer's ReadFrom, which would hand the reader of
 	// an empty buffer straight to the file, 4 KiB reads and all.
-	w := bufio.NewWriterSize(f, stageBufBytes)
+	w := stageWriters.Get().(*bufio.Writer)
+	w.Reset(f)
 	n, err := io.Copy(struct{ io.Writer }{w}, part)
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}
+	w.Reset(nil) // drop the file, and any bytes a failed flush left
+	stageWriters.Put(w)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -1240,6 +1331,11 @@ func (s *Server) lookup(id string) (*Job, bool) {
 // snapshot copies the public fields of a job (callers hold s.mu or own
 // the job exclusively).
 func (j *Job) snapshot() Job {
+	var labels *core.LabelStats
+	if j.State == JobDone {
+		l := j.labels
+		labels = &l
+	}
 	return Job{
 		ID:            j.ID,
 		State:         j.State,
@@ -1252,6 +1348,8 @@ func (j *Job) snapshot() Job {
 		SnapshotSeq:   j.SnapshotSeq,
 		SnapshotHash:  j.SnapshotHash,
 		SnapshotError: j.SnapshotError,
+		Stages:        j.tl.stages(),
+		Labels:        labels,
 	}
 }
 
