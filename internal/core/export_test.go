@@ -1,6 +1,12 @@
 package core
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+
+	"diffaudit/internal/extract"
+	"diffaudit/internal/flows"
+)
 
 // AnalyzeUnknownRecords is AnalyzeRecordsContext under a guessed identity,
 // opened to the external tests; outside them only the stream form has a
@@ -44,4 +50,31 @@ func (c *LabelCache) StoredKeys() []string {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// InFlightBatches is the most record batches an analysis with the given
+// number of workers ever makes.
+func InFlightBatches(workers int) int { return workers + streamQueueDepth + 1 }
+
+// PoisonBatches makes every analysis overwrite each batch it is done with,
+// over its whole capacity, with garbage records before the batch is
+// refilled, and counts the batches it overwrote. The returned func restores
+// the default; no analysis may be running when either is called.
+func PoisonBatches() (poisoned *atomic.Int64, restore func()) {
+	poisoned = new(atomic.Int64)
+	garbage := RequestRecord{
+		Trace: flows.Adult, Platform: flows.Web, Method: "PUT",
+		URL:     "https://poison.example/p?poison_id=1&gps_lat=9",
+		FQDN:    "poison.example",
+		Cookies: []extract.KVPair{{Name: "poison_sid", Value: "1"}},
+		Body:    []byte(`{"poison_email":"x@poison.example"}`), BodyMIME: "application/json",
+		Repeat: 1000, ConnID: "poison",
+	}
+	poisonBatch = func(batch []RequestRecord) {
+		for i := range batch {
+			batch[i] = garbage
+		}
+		poisoned.Add(1)
+	}
+	return poisoned, func() { poisonBatch = nil }
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"diffaudit/internal/domains"
@@ -70,6 +71,11 @@ func (s *PCAPStats) addStreams(d *PCAPStats) {
 	s.OpaqueSNIs = append(s.OpaqueSNIs, d.OpaqueSNIs...)
 }
 
+// maxPresizedRecords caps the records a stream is sized for before they
+// are read, so a short first request ahead of a long body costs no large
+// allocation.
+const maxPresizedRecords = 1024
+
 // emitStreamRecords converts one reassembled TCP stream into request
 // records, decrypting TLS with dec and updating stats. Undecryptable or
 // non-HTTP streams are counted and yield nil.
@@ -104,18 +110,37 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 		// Not TLS: try plain HTTP.
 		plaintext = clientData
 	}
-	reqs, err := httpx.ParseStream(plaintext)
-	if err != nil && !errors.Is(err, httpx.ErrIncomplete) {
-		return nil
-	}
-	out := make([]RequestRecord, 0, len(reqs))
-	for _, r := range reqs {
+	// A connection mostly repeats its last request: a record whose head
+	// repeats the one before it is that record with its own body, so the
+	// records of one head share their strings and Cookies.
+	var out []RequestRecord
+	for rd := httpx.NewReader(plaintext); ; {
+		r, repeated, err := rd.Next()
+		if err == io.EOF || errors.Is(err, httpx.ErrIncomplete) {
+			return out
+		}
+		if err != nil {
+			return nil
+		}
+		if out == nil {
+			// Sized for a stream that repeats its first request all
+			// through, as a keep-alive connection mostly does.
+			first := len(plaintext) - rd.Len()
+			out = make([]RequestRecord, 0, min(len(plaintext)/first, maxPresizedRecords))
+		}
+		if repeated {
+			rec := out[len(out)-1]
+			rec.Body = r.Body
+			out = append(out, rec)
+			continue
+		}
+		host, url := r.HostURL()
 		rec := RequestRecord{
 			Trace:    trace,
 			Platform: flows.Mobile,
 			Method:   r.Method,
-			URL:      r.URL(),
-			FQDN:     r.Host(),
+			URL:      url,
+			FQDN:     host,
 			BodyMIME: r.Get("Content-Type"),
 			Body:     r.Body,
 			Repeat:   1,
@@ -133,7 +158,6 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 		}
 		out = append(out, rec)
 	}
-	return out
 }
 
 // GuessIdentity derives a service identity from a set of records by taking

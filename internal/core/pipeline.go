@@ -33,7 +33,10 @@ type ServiceIdentity struct {
 }
 
 // RequestRecord is one outgoing request, the pipeline's unit of input. Both
-// ingestion paths (HAR and PCAP) produce it.
+// ingestion paths (HAR and PCAP) produce it. Records are read-only: the
+// records of one TCP stream may share strings and a Cookies slice (a
+// request that repeats the head before it is that request's record with
+// its own Body), and their Body may be a slice of the stream's bytes.
 type RequestRecord struct {
 	Trace    flows.TraceCategory
 	Platform flows.Platform

@@ -49,9 +49,12 @@ func (s *harSource) Next() (RequestRecord, error) {
 // into a buffer per flow direction and keeps it until the packet phase ends
 // and the streams are assembled (TLS decryption needs whole streams, and
 // pcapng may put the keys last). Frames themselves are not kept, and frames
-// without TCP payload (DNS, ACKs, non-IP) leave nothing behind. A capture's
-// peak is therefore about its payload, which server.Config.MaxUploadBytes
-// bounds.
+// without TCP payload (DNS, ACKs, non-IP) leave nothing behind. A
+// direction's buffer is sized by its first segment and doubles when full,
+// so it holds under twice its payload and is copied a few times, not once
+// per 25 % of growth. A capture's peak is therefore under twice its
+// payload, which server.Config.MaxUploadBytes bounds, plus what the
+// decodes in flight hold.
 //
 // The source works in two phases behind a single Next API: the first call
 // drains the packet iterator into the reassembler (collecting DNS and

@@ -98,6 +98,12 @@ const streamBatchSize = 256
 // the streaming ingestion exists for.
 const streamQueueDepth = 4
 
+// poisonBatch, when set, is run on each batch a worker has finished and
+// cleared, over its whole capacity, before the batch is refilled: a test
+// fills it with garbage records to show that no result depends on a batch
+// once it is done.
+var poisonBatch func([]RequestRecord)
+
 // streamStats reports what an analysis did beside its result: the peak
 // number of record batches simultaneously resident (the memory-bound tests
 // assert on it) and, for a run that completes, its label-cache lookups.
@@ -178,6 +184,10 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 	}
 
 	batches := make(chan []RequestRecord, streamQueueDepth)
+	// A worker clears each batch it finishes, so a recycled batch pins no
+	// request, and hands it back for the producer to refill. No more
+	// batches than may be in flight are ever made, so free never blocks.
+	free := make(chan []RequestRecord, workers+streamQueueDepth+1)
 	// A worker's partial exists once it has been handed a batch; one that
 	// never is contributes nothing to the merge.
 	partials := make([]*partialResult, workers)
@@ -191,7 +201,12 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 					partials[w] = newPartialResult(streamBatchSize * streamQueueDepth)
 				}
 				p.analyzeChunk(batch, partials[w])
+				clear(batch)
+				if poisonBatch != nil {
+					poisonBatch(batch[:cap(batch)])
+				}
 				atomic.AddInt32(&live, -1)
+				free <- batch[:0]
 			}
 		}(w)
 	}
@@ -213,7 +228,12 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 				srcErr = err
 				break
 			}
-			batch := make([]RequestRecord, 0, streamBatchSize)
+			var batch []RequestRecord
+			select {
+			case batch = <-free:
+			default:
+				batch = make([]RequestRecord, 0, streamBatchSize)
+			}
 			for len(batch) < streamBatchSize {
 				rec, err := src.Next()
 				if err != nil {

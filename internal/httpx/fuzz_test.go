@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/textproto"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,11 @@ var stdlibStreams = []struct{ name, in string }{
 	{"host twice", "GET /p HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n"},
 	{"absolute-form target", "GET http://a.example/p?q=1 HTTP/1.1\r\nHost: b.example\r\n\r\n"},
 	{"URL in an origin-form query", "GET /p?to=https://c.example/ HTTP/1.1\r\nHost: b.example\r\n\r\n"},
+	{"URL in an origin-form query, no path", "GET /p?r=https://x.example/ HTTP/1.1\r\nHost: b.example\r\n\r\n"},
+	// An absolute-form target names its host only when it has one after
+	// the scheme and any userinfo.
+	{"absolute-form target without a host", "GET http:///p HTTP/1.1\r\nHost: b.example\r\n\r\n"},
+	{"absolute-form target with only userinfo", "GET http://u@/p HTTP/1.1\r\nHost: b.example\r\n\r\n"},
 	// RFC 9112 §6: an empty Content-Length is invalid; Transfer-Encoding
 	// is one "chunked" field from HTTP/1.1 on, and ignored before it.
 	{"empty content-length", "POST /p HTTP/1.1\r\nHost: x\r\nContent-Length: \r\n\r\n"},
@@ -118,6 +124,9 @@ func TestParseStreamMatchesReadRequest(t *testing.T) {
 		if r.Method != want.Method || r.Target != want.RequestURI || r.Proto != want.Proto || r.Host() != want.Host {
 			t.Errorf("%s: request %q %q %q host %q, net/http %q %q %q host %q", tc.name,
 				r.Method, r.Target, r.Proto, r.Host(), want.Method, want.RequestURI, want.Proto, want.Host)
+		}
+		if u := r.URL(); u != wantURL(want) {
+			t.Errorf("%s: URL %q, net/http %q", tc.name, u, wantURL(want))
 		}
 		for name, vals := range want.Header {
 			if v := r.Get(name); v != vals[0] {
@@ -204,6 +213,79 @@ func FuzzParseStream(f *testing.F) {
 	})
 }
 
+// repeatStreams are keep-alive streams whose requests repeat their heads.
+var repeatStreams = []string{
+	// Heads that repeat byte for byte, with bodies that differ.
+	strings.Repeat("POST /e?v=1 HTTP/1.1\r\nHost: x.example\r\nCookie: a=1; b=2\r\nContent-Length: 3\r\n\r\nabc", 2) +
+		"POST /e?v=1 HTTP/1.1\r\nHost: x.example\r\nCookie: a=1; b=2\r\nContent-Length: 3\r\n\r\nxyz",
+	// Chunked bodies of different lengths under one head.
+	chunkedHead + "3\r\nabc\r\n0\r\n\r\n" + chunkedHead + "4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n" + chunkedHead + "0\r\n\r\n",
+	// An obs-fold head, repeated.
+	strings.Repeat("GET /p HTTP/1.1\r\nHost: x\r\nCookie: a=1;\r\n \t b=2\r\n\r\n", 3),
+	// A repeated head, then the same head cut short, then its body.
+	strings.Repeat("GET /a HTTP/1.1\r\nHost: x\r\n\r\n", 2) + "GET /a HTTP/1.1\r\nHost: x\r\n",
+	strings.Repeat("POST /a HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd", 2) + "POST /a HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nab",
+	// The same head ended by CRLF and by a bare LF: one parse serves both.
+	"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /a HTTP/1.1\r\nHost: x\r\n\n",
+}
+
+// FuzzReaderMatchesLoneRequests holds the Reader's reuse of a repeated
+// head to a fresh parse: each request a stream yields is what its own
+// bytes yield alone, a request reported as repeated has the head of the
+// one before it, and the bytes the stream ends on, alone, end the same
+// way.
+//
+//	go test -run '^$' -fuzz FuzzReaderMatchesLoneRequests ./internal/httpx
+func FuzzReaderMatchesLoneRequests(f *testing.F) {
+	for _, s := range repeatStreams {
+		f.Add([]byte(s))
+	}
+	for _, s := range synthStreams(f) {
+		f.Add(s)
+	}
+	for _, tc := range edgeStreams {
+		f.Add([]byte(tc.in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rd := httpx.NewReader(data)
+		var prev httpx.Request
+		for i := 0; ; i++ {
+			rest := data[len(data)-rd.Len():]
+			req, repeated, err := rd.Next()
+			if err == io.EOF {
+				if len(rest) != 0 {
+					t.Fatalf("io.EOF with %d bytes left", len(rest))
+				}
+				return
+			}
+			if err != nil {
+				alone, aerr := httpx.ParseStream(rest)
+				for _, sentinel := range []error{httpx.ErrIncomplete, httpx.ErrMalformed} {
+					if errors.Is(err, sentinel) != errors.Is(aerr, sentinel) {
+						t.Fatalf("request %d: stream ends in %v, its rest alone in %v", i, err, aerr)
+					}
+				}
+				if len(alone) != 0 {
+					t.Fatalf("request %d: stream ends in %v, its rest alone reads %d requests", i, err, len(alone))
+				}
+				return
+			}
+			alone, aerr := httpx.ParseStream(rest[:len(rest)-rd.Len()])
+			if aerr != nil || len(alone) != 1 || !reflect.DeepEqual(alone[0], req) {
+				t.Fatalf("request %d: stream reads %+v, its bytes alone %+v (err %v)", i, req, alone, aerr)
+			}
+			if repeated {
+				head, prevHead := req, prev
+				head.Body, prevHead.Body = nil, nil
+				if i == 0 || !reflect.DeepEqual(head, prevHead) {
+					t.Fatalf("request %d: repeated head %+v after %+v", i, head, prevHead)
+				}
+			}
+			prev = req
+		}
+	})
+}
+
 // readRequest reads one request with net/http.ReadRequest, body included.
 func readRequest(data []byte) (*http.Request, []byte, error) {
 	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(data)))
@@ -261,6 +343,9 @@ func FuzzParseStreamMatchesReadRequest(f *testing.F) {
 		if r.Host() != domains.Hostname(want.Host) {
 			t.Fatalf("host %q, net/http %q", r.Host(), want.Host)
 		}
+		if host, u := r.HostURL(); host != r.Host() || u != r.URL() || u != wantURL(want) {
+			t.Fatalf("host and URL %q %q, URL %q, net/http %q", host, u, r.URL(), wantURL(want))
+		}
 		for name, vals := range want.Header {
 			if v := r.Get(name); v != vals[0] && !(name == "Cache-Control" && v == "") {
 				t.Fatalf("%s = %q, net/http %q", name, v, vals[0])
@@ -280,6 +365,21 @@ func FuzzParseStreamMatchesReadRequest(f *testing.F) {
 			t.Fatalf("body %q, net/http %q", r.Body, body)
 		}
 	})
+}
+
+// wantURL is the URL of a request as net/http.ReadRequest reads it: a
+// target that names its own host is the URL as sent, and any other is
+// appended to https:// and the host (see domains.Hostname), an IPv6 one in
+// brackets.
+func wantURL(req *http.Request) string {
+	if req.URL.Host != "" {
+		return req.RequestURI
+	}
+	host := domains.Hostname(req.Host)
+	if strings.Contains(host, ":") {
+		host = "[" + host + "]"
+	}
+	return "https://" + host + req.RequestURI
 }
 
 // knownMethods are the methods ParseStream reads (RFC 9110 §9 and PATCH);

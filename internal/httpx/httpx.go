@@ -9,13 +9,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
 	"diffaudit/internal/domains"
 )
 
-// Request is one parsed outgoing HTTP request.
+// Request is one parsed outgoing HTTP request. The requests a Reader
+// yields for byte-identical heads share one parse: their Method, Target,
+// Proto and Headers are the same strings and the same slice, so no request
+// may be modified.
 type Request struct {
 	Method  string
 	Target  string // origin-form path+query, or absolute-form URL
@@ -39,11 +43,41 @@ func (r *Request) Get(name string) string {
 	return ""
 }
 
+// absolute reports whether the target is in absolute form and names its
+// own host (RFC 9112 §3.2.2), as net/http.ReadRequest reads it: a scheme,
+// "://", and an authority with a host after any userinfo. Origin form
+// starts with "/" and has no scheme, so a URL in its query names nothing.
+func (r *Request) absolute() bool {
+	scheme, rest, ok := strings.Cut(r.Target, "://")
+	if !ok || !isScheme(scheme) {
+		return false
+	}
+	if i := strings.IndexAny(rest, "/?"); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest[strings.LastIndexByte(rest, '@')+1:] != ""
+}
+
+// isScheme reports whether s is a URI scheme: a letter, then letters,
+// digits, "+", "-" or "." (RFC 3986 §3.1).
+func isScheme(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+		case i > 0 && ('0' <= c && c <= '9' || c == '+' || c == '-' || c == '.'):
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
+
 // Host returns the host the request is for (see domains.Hostname): an
 // absolute-form target's own, otherwise the Host header's (RFC 9112
 // §3.2.2, as net/http.ReadRequest reads it).
 func (r *Request) Host() string {
-	if !strings.HasPrefix(r.Target, "/") && strings.Contains(r.Target, "://") {
+	if r.absolute() {
 		return domains.Hostname(r.Target)
 	}
 	return domains.Hostname(r.Get("Host"))
@@ -52,14 +86,22 @@ func (r *Request) Host() string {
 // URL reconstructs the full request URL, assuming https for port-less hosts
 // (all audited traffic is TLS).
 func (r *Request) URL() string {
-	if strings.Contains(r.Target, "://") {
-		return r.Target
+	_, url := r.HostURL()
+	return url
+}
+
+// HostURL returns Host and URL together, deriving the host once: an
+// absolute-form target is the URL as sent, any other target is appended to
+// the host.
+func (r *Request) HostURL() (host, url string) {
+	host = r.Host()
+	if r.absolute() {
+		return host, r.Target
 	}
-	host := r.Host()
 	if strings.Contains(host, ":") {
-		host = "[" + host + "]"
+		return host, "https://[" + host + "]" + r.Target
 	}
-	return "https://" + host + r.Target
+	return host, "https://" + host + r.Target
 }
 
 // NextCookie cuts the first name=value pair off a Cookie header value,
@@ -92,40 +134,115 @@ var methods = map[string]bool{
 // A trailing incomplete request yields the requests parsed so far along
 // with ErrIncomplete; a stream that does not start with a request line
 // yields ErrMalformed.
-func ParseStream(stream []byte) ([]*Request, error) {
-	var out []*Request
-	rest := stream
-	for len(rest) > 0 {
-		req, n, err := parseOne(rest)
+func ParseStream(stream []byte) ([]Request, error) {
+	var out []Request
+	rd := NewReader(stream)
+	for {
+		req, _, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
 		if err != nil {
-			if errors.Is(err, ErrIncomplete) && len(out) > 0 {
-				return out, ErrIncomplete
-			}
 			return out, err
 		}
 		out = append(out, req)
-		rest = rest[n:]
 	}
-	return out, nil
 }
 
-// parseOne parses a single request from the head of data, returning the
-// request and the number of bytes consumed.
-func parseOne(data []byte) (*Request, int, error) {
+// Reader walks the requests of one client→server stream in order, without
+// holding them. A keep-alive connection mostly repeats its last request, so
+// the Reader keeps the last head it parsed: a head byte-identical to it is
+// not parsed again, and its request shares that parse (see Request). Only
+// the body is framed anew.
+type Reader struct {
+	rest []byte
+	last head
+	err  error
+}
+
+// head is one parsed request head: its bytes, the request it opens less
+// the body, and how the body is framed.
+type head struct {
+	raw     string
+	req     Request
+	chunked bool
+	size    int // the Content-Length of a body that is not chunked
+}
+
+// NewReader returns a Reader over a stream; it reads the stream in place.
+func NewReader(stream []byte) *Reader { return &Reader{rest: stream} }
+
+// Len returns the number of bytes of the stream not yet read.
+func (rd *Reader) Len() int { return len(rd.rest) }
+
+// Next returns the next request, and whether its head is byte-identical to
+// the one before it. It returns io.EOF at the end of the stream,
+// ErrIncomplete for a request the stream ends inside and ErrMalformed for
+// one that is not HTTP/1.x; after an error Next returns it again.
+func (rd *Reader) Next() (req Request, repeated bool, err error) {
+	if rd.err == nil && len(rd.rest) == 0 {
+		rd.err = io.EOF
+	}
+	if rd.err != nil {
+		return Request{}, false, rd.err
+	}
+	req, repeated, n, err := rd.parseOne(rd.rest)
+	if err != nil {
+		rd.err, rd.rest = err, nil
+		return Request{}, false, err
+	}
+	rd.rest = rd.rest[n:]
+	return req, repeated, nil
+}
+
+// parseOne parses a single request from the start of data, returning the
+// request, whether its head repeats the last one, and the number of bytes
+// consumed.
+func (rd *Reader) parseOne(data []byte) (Request, bool, int, error) {
 	headEnd, consumed := endOfHead(data)
 	if consumed < 0 {
-		return nil, 0, ErrIncomplete
+		return Request{}, false, 0, ErrIncomplete
 	}
-	// One copy of the head; the request line and every header are cut
-	// from it in a single walk.
-	head := string(data[:headEnd])
-	line, rest := nextLine(head)
+	// A parsed head is never empty, so the comparison (which does not
+	// allocate) cannot match before the first parse.
+	repeated := rd.last.raw != "" && string(data[:headEnd]) == rd.last.raw
+	if !repeated {
+		h, err := parseHead(string(data[:headEnd]))
+		if err != nil {
+			return Request{}, false, 0, err
+		}
+		rd.last = h
+	}
+	req := rd.last.req
+	body := data[consumed:]
+	switch {
+	case rd.last.chunked:
+		decoded, n, err := decodeChunked(body)
+		if err != nil {
+			return Request{}, false, 0, err
+		}
+		req.Body = decoded
+		consumed += n
+	case rd.last.size > len(body):
+		return Request{}, false, 0, ErrIncomplete
+	case rd.last.size > 0:
+		req.Body = body[:rd.last.size]
+		consumed += rd.last.size
+	}
+	return req, repeated, consumed, nil
+}
+
+// parseHead parses a request head, the request line and the field lines
+// before the empty line. The head is one string; the request line and
+// every header are cut from it in a single walk.
+func parseHead(raw string) (head, error) {
+	line, rest := nextLine(raw)
 	method, rest0, ok1 := strings.Cut(line, " ")
 	target, proto, ok2 := strings.Cut(rest0, " ")
 	if !ok1 || !ok2 || !methods[method] || !strings.HasPrefix(proto, "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
+		return head{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: method, Target: target, Proto: proto}
+	req := Request{Method: method, Target: target, Proto: proto}
 	if rest != "" {
 		req.Headers = make([]Header, 0, strings.Count(rest, "\n")+1)
 	}
@@ -137,7 +254,7 @@ func parseOne(data []byte) (*Request, int, error) {
 			// value still empty loses that space). The first field line
 			// has nothing to continue.
 			if first {
-				return nil, 0, fmt.Errorf("%w: folded first header %q", ErrMalformed, line)
+				return head{}, fmt.Errorf("%w: folded first header %q", ErrMalformed, line)
 			}
 			h := &req.Headers[len(req.Headers)-1]
 			h.Value = strings.TrimLeft(h.Value+" "+trimOWS(line), " \t")
@@ -145,7 +262,7 @@ func parseOne(data []byte) (*Request, int, error) {
 		}
 		name, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return nil, 0, fmt.Errorf("%w: bad header %q", ErrMalformed, line)
+			return head{}, fmt.Errorf("%w: bad header %q", ErrMalformed, line)
 		}
 		req.Headers = append(req.Headers, Header{Name: trimOWS(name), Value: trimOWS(value)})
 	}
@@ -164,7 +281,7 @@ func parseOne(data []byte) (*Request, int, error) {
 			if cl++; cl == 1 {
 				clStr = h.Value
 			} else if h.Value != clStr {
-				return nil, 0, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
+				return head{}, fmt.Errorf("%w: content-length %q and %q differ", ErrMalformed, clStr, h.Value)
 			}
 		case strings.EqualFold(h.Name, "Transfer-Encoding"):
 			if te++; te == 1 {
@@ -173,36 +290,22 @@ func parseOne(data []byte) (*Request, int, error) {
 		}
 	}
 	if host > 1 {
-		return nil, 0, fmt.Errorf("%w: %d host headers", ErrMalformed, host)
+		return head{}, fmt.Errorf("%w: %d host headers", ErrMalformed, host)
 	}
 	size := 0
 	if cl > 0 {
 		var err error
 		if size, err = strconv.Atoi(clStr); err != nil || signed(clStr) {
-			return nil, 0, fmt.Errorf("%w: content-length %q", ErrMalformed, clStr)
+			return head{}, fmt.Errorf("%w: content-length %q", ErrMalformed, clStr)
 		}
 	}
 	if pre11(req.Proto) {
 		te = 0
 	}
-	body := data[consumed:]
-	switch {
-	case te > 1 || te == 1 && !strings.EqualFold(teStr, "chunked"):
-		return nil, 0, fmt.Errorf("%w: transfer-encoding %q", ErrMalformed, teStr)
-	case te == 1:
-		decoded, n, err := decodeChunked(body)
-		if err != nil {
-			return nil, 0, err
-		}
-		req.Body = decoded
-		consumed += n
-	case size > len(body):
-		return nil, 0, ErrIncomplete
-	case size > 0:
-		req.Body = body[:size]
-		consumed += size
+	if te > 1 || te == 1 && !strings.EqualFold(teStr, "chunked") {
+		return head{}, fmt.Errorf("%w: transfer-encoding %q", ErrMalformed, teStr)
 	}
-	return req, consumed, nil
+	return head{raw: raw, req: req, chunked: te == 1, size: size}, nil
 }
 
 // trimOWS drops the optional whitespace, spaces and tabs, around a field

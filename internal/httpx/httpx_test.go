@@ -3,6 +3,7 @@ package httpx
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -247,5 +248,33 @@ func TestEncodeParseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReaderRepeatedHeads: a head byte-identical to the one before it is
+// reported as repeated and shares that head's parse, whatever its body;
+// any other head is parsed afresh.
+func TestReaderRepeatedHeads(t *testing.T) {
+	head := "POST /e HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n"
+	stream := head + "ab" + head + "cd" + "POST /e HTTP/1.1\r\nHost: y\r\nContent-Length: 2\r\n\r\nef" + head + "gh"
+	rd := NewReader([]byte(stream))
+	var got []Request
+	for _, want := range []bool{false, true, false, false} {
+		req, repeated, err := rd.Next()
+		if err != nil || repeated != want {
+			t.Fatalf("request %d: repeated %v, err %v; want %v", len(got), repeated, err, want)
+		}
+		got = append(got, req)
+	}
+	if _, _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("after the last request: %v, want io.EOF", err)
+	}
+	if &got[0].Headers[0] != &got[1].Headers[0] || &got[0].Headers[0] == &got[3].Headers[0] {
+		t.Error("a repeated head does not share its parse, or a head that is not repeated does")
+	}
+	for i, body := range []string{"ab", "cd", "ef", "gh"} {
+		if string(got[i].Body) != body {
+			t.Errorf("request %d body %q, want %q", i, got[i].Body, body)
+		}
 	}
 }

@@ -30,8 +30,8 @@ type segment struct {
 	lo, hi int    // buf[lo:hi] holds the payload
 }
 
-// half reassembles one direction of a flow. Payload is copied once, into
-// buf, in arrival order, so no captured frame stays referenced.
+// half reassembles one direction of a flow. Payload is copied into buf in
+// arrival order, so no captured frame stays referenced.
 type half struct {
 	initSeq    uint32
 	hasInitSeq bool
@@ -69,6 +69,14 @@ func (h *half) add(t *layers.TCP) {
 		h.reordered = true
 	}
 	lo := len(h.buf)
+	if need := lo + len(t.Payload); need > cap(h.buf) {
+		// Double, sized at first by the first segment: append grows a
+		// large buffer by about 1.25×, copying a long stream many times
+		// over before it stops growing.
+		buf := make([]byte, lo, max(need, 2*cap(h.buf)))
+		copy(buf, h.buf)
+		h.buf = buf
+	}
 	h.buf = append(h.buf, t.Payload...)
 	h.segments = append(h.segments, segment{offset: uint64(off), lo: lo, hi: len(h.buf)})
 }

@@ -345,17 +345,9 @@ func UserStart(user int) time.Time {
 // httpWire renders the request as HTTP/1.1 bytes.
 func httpWire(r *Request) []byte {
 	body := bodyJSON(r.Body)
-	target := r.Path
-	for i, q := range r.Query {
-		sep := "&"
-		if i == 0 {
-			sep = "?"
-		}
-		target += sep + q.Key + "=" + q.Value
-	}
 	req := &httpx.Request{
 		Method: r.Method,
-		Target: target,
+		Target: r.Path,
 		Headers: []httpx.Header{
 			{Name: "Host", Value: r.FQDN},
 			{Name: "User-Agent", Value: userAgent(flows.Mobile)},

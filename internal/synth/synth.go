@@ -27,7 +27,6 @@ type Request struct {
 	Method   string
 	FQDN     string
 	Path     string
-	Query    []kv
 	Cookies  []kv
 	Body     map[string]string
 	Repeat   int
@@ -36,15 +35,7 @@ type Request struct {
 
 // URL renders the request URL.
 func (r *Request) URL() string {
-	u := "https://" + r.FQDN + r.Path
-	for i, q := range r.Query {
-		sep := "&"
-		if i == 0 {
-			sep = "?"
-		}
-		u += sep + q.Key + "=" + q.Value
-	}
-	return u
+	return "https://" + r.FQDN + r.Path
 }
 
 // ServiceTraffic is the generated traffic of one service.
