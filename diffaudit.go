@@ -192,9 +192,8 @@ const (
 
 // Auditor runs the DiffAudit pipeline.
 type Auditor struct {
-	// Pipeline is the underlying analysis configuration; replace its
-	// label cache (core.NewLabelCache over another labeler), ATS engine or
-	// extraction options to customize the audit.
+	// Pipeline runs the audits and keeps their label cache; its Workers
+	// sizes each audit's worker pool.
 	Pipeline *core.Pipeline
 }
 
@@ -224,7 +223,8 @@ func (a *Auditor) AuditStream(id ServiceIdentity, src RecordSource) (*ServiceRes
 // during the same single pass. The result, Identity included, equals
 // AuditRecords(GuessIdentity(name, records), records).
 func (a *Auditor) AuditUnknownStream(name string, src RecordSource) (*ServiceResult, error) {
-	return a.Pipeline.AnalyzeUnknownStream(context.Background(), name, src)
+	res, _, err := a.Pipeline.Audit(context.Background(), ServiceIdentity{Name: name}, true, src)
+	return res, err
 }
 
 // MultiSource concatenates record sources (e.g. one capture per trace

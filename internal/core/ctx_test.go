@@ -34,8 +34,8 @@ func ctxTestIdentity() ServiceIdentity {
 }
 
 // TestAnalyzeContextCancelledReturnsErr: an already-dead context aborts
-// both entry points with ctx.Err() and no partial result, with one worker
-// and with several alike.
+// an audit under a given identity and one under a guessed identity with
+// ctx.Err() and no partial result, with one worker and with several alike.
 func TestAnalyzeContextCancelledReturnsErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -43,19 +43,17 @@ func TestAnalyzeContextCancelledReturnsErr(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline()
 		p.Workers = workers
-		res, err := p.AnalyzeRecordsContext(ctx, ctxTestIdentity(), recs)
-		if res != nil || !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d AnalyzeRecordsContext = (%v, %v), want (nil, Canceled)", workers, res, err)
-		}
-		res, err = p.AnalyzeStreamContext(ctx, ctxTestIdentity(), SliceSource(recs))
-		if res != nil || !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d AnalyzeStreamContext = (%v, %v), want (nil, Canceled)", workers, res, err)
+		for _, guess := range []bool{false, true} {
+			res, _, err := p.Audit(ctx, ctxTestIdentity(), guess, SliceSource(recs))
+			if res != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d guess=%v Audit = (%v, %v), want (nil, Canceled)", workers, guess, res, err)
+			}
 		}
 	}
 }
 
-// TestAnalyzeContextBackgroundIdentical: a background context changes
-// nothing — results match the context-free paths exactly.
+// TestAnalyzeContextBackgroundIdentical: Audit under a background context
+// matches the context-free entry points exactly.
 func TestAnalyzeContextBackgroundIdentical(t *testing.T) {
 	recs := ctxTestRecords(3*streamBatchSize + 17)
 	id := ctxTestIdentity()
@@ -63,14 +61,14 @@ func TestAnalyzeContextBackgroundIdentical(t *testing.T) {
 		p := NewPipeline()
 		p.Workers = workers
 		want := p.AnalyzeRecords(id, recs)
-		got, err := p.AnalyzeRecordsContext(context.Background(), id, recs)
+		got, _, err := p.Audit(context.Background(), id, false, SliceSource(recs))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got.Packets != want.Packets || got.TCPFlows != want.TCPFlows || len(got.Domains) != len(want.Domains) || len(got.RawKeys) != len(want.RawKeys) {
 			t.Errorf("workers=%d context run differs: got %+v want %+v", workers, got, want)
 		}
-		sres, err := p.AnalyzeStreamContext(context.Background(), id, SliceSource(recs))
+		sres, err := p.AnalyzeStream(id, SliceSource(recs))
 		if err != nil {
 			t.Fatalf("workers=%d stream: %v", workers, err)
 		}
@@ -95,7 +93,7 @@ func TestAnalyzeStreamDeadlineAborts(t *testing.T) {
 		p := NewPipeline()
 		p.Workers = workers
 		faults.Set("decode.slow", faults.Plan{Delay: 30 * time.Millisecond, Count: -1})
-		res, err := p.AnalyzeStreamContext(ctx, ctxTestIdentity(), SliceSource(recs))
+		res, _, err := p.Audit(ctx, ctxTestIdentity(), false, SliceSource(recs))
 		if res != nil || !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("workers=%d = (%v, %v), want (nil, DeadlineExceeded)", workers, res, err)
 		}
@@ -129,7 +127,7 @@ func TestAnalyzeUnknownStreamDeadlineAborts(t *testing.T) {
 		src := &cancellingSource{src: SliceSource(ctxTestRecords(8 * streamBatchSize)), after: streamBatchSize + 1, cancel: cancel}
 		p := NewPipeline()
 		p.Workers = workers
-		res, err := p.AnalyzeUnknownStream(ctx, "ctx-test", src)
+		res, _, err := p.Audit(ctx, ServiceIdentity{Name: "ctx-test"}, true, src)
 		cancel()
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d = (%v, %v), want (nil, Canceled)", workers, res, err)
@@ -142,7 +140,7 @@ func TestAnalyzeUnknownStreamDeadlineAborts(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := NewPipeline().AnalyzeUnknownStream(ctx, "ctx-test", SliceSource(ctxTestRecords(8)))
+	res, _, err := NewPipeline().Audit(ctx, ServiceIdentity{Name: "ctx-test"}, true, SliceSource(ctxTestRecords(8)))
 	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline = (%v, %v), want (nil, DeadlineExceeded)", res, err)
 	}
@@ -226,7 +224,7 @@ func TestDecodeSlowErrorAbortsStream(t *testing.T) {
 	faults.Set("decode.slow", faults.Plan{Err: boom, On: 2})
 	p := NewPipeline()
 	p.Workers = 1
-	_, err := p.AnalyzeStreamContext(context.Background(), ctxTestIdentity(), SliceSource(ctxTestRecords(3*streamBatchSize)))
+	_, err := p.AnalyzeStream(ctxTestIdentity(), SliceSource(ctxTestRecords(3*streamBatchSize)))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}

@@ -1,20 +1,11 @@
 package core
 
 import (
-	"context"
 	"sync/atomic"
 
 	"diffaudit/internal/extract"
 	"diffaudit/internal/flows"
 )
-
-// AnalyzeUnknownRecords is AnalyzeRecordsContext under a guessed identity,
-// opened to the external tests; outside them only the stream form has a
-// caller.
-func (p *Pipeline) AnalyzeUnknownRecords(ctx context.Context, name string, recs []RequestRecord) (*ServiceResult, error) {
-	res, _, err := p.analyzeStream(ctx, ServiceIdentity{Name: name}, true, SliceSource(recs))
-	return res, err
-}
 
 // PartialStrings runs the pipeline body over recs into one fresh partial,
 // as a worker does with a batch, and returns every string the partial
@@ -38,8 +29,12 @@ func PartialStrings(p *Pipeline, recs []RequestRecord) []string {
 	return out
 }
 
+// StoredLabelKeys returns every key the pipeline's label cache holds a
+// label for.
+func (p *Pipeline) StoredLabelKeys() []string { return p.labels.StoredKeys() }
+
 // StoredKeys returns every key the cache holds a label for.
-func (c *LabelCache) StoredKeys() []string {
+func (c *labelCache) StoredKeys() []string {
 	var out []string
 	for i := range c.shards {
 		sh := &c.shards[i]

@@ -162,7 +162,7 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 
 // GuessIdentity derives a service identity from a set of records by taking
 // the most-contacted eSLD as the first party, for auditing services without
-// a profile (the custom-service example). AnalyzeUnknownStream applies the
+// a profile (the custom-service example). Audit with guess applies the
 // same rule inside its one pass; this is the reference it is tested
 // against.
 func GuessIdentity(name string, recs []RequestRecord) ServiceIdentity {

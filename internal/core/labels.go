@@ -8,11 +8,11 @@ import (
 	"diffaudit/internal/flows"
 )
 
-// LabelCache classifies raw keys through one labeler and remembers the
+// labelCache classifies raw keys through one labeler and remembers the
 // answers. A label is a pure function of its key (the classifier is
-// deterministic in key and ensemble seed), so any number of pipelines and
-// audits may share one cache: an audit server keeps one for its whole
-// life, and every job classifies through it.
+// deterministic in key and ensemble seed), so every audit of a pipeline
+// shares its cache: an audit server keeps one pipeline for its whole life,
+// and every job classifies through it.
 //
 // The cache is FNV-sharded so concurrent workers hit disjoint locks, with
 // per-key singleflight so concurrent askers for one key wait on one
@@ -20,7 +20,7 @@ import (
 // labelShardCap entries is cleared before it takes another, and a key
 // longer than maxCachedKeyBytes is classified but never stored. A stored
 // label never changes; a dropped one is recomputed to the same label.
-type LabelCache struct {
+type labelCache struct {
 	labeler *classifier.ThresholdLabeler
 	shards  [labelShardCount]labelShard
 }
@@ -59,9 +59,9 @@ type labelCall struct {
 	cachedLabel
 }
 
-// NewLabelCache returns an empty cache over the labeler.
-func NewLabelCache(l *classifier.ThresholdLabeler) *LabelCache {
-	return &LabelCache{labeler: l}
+// newLabelCache returns an empty cache over the labeler.
+func newLabelCache(l *classifier.ThresholdLabeler) *labelCache {
+	return &labelCache{labeler: l}
 }
 
 // labelShardIndex is FNV-1a over the key, inlined to keep the cache-hit
@@ -87,7 +87,7 @@ func labelShardIndex(key string) int {
 //
 // The stored key is a copy: the caller's may be a substring of a record's
 // URL or body, which the cache would otherwise pin for its whole life.
-func (c *LabelCache) label(key string) (id flows.CatID, ok, classified bool) {
+func (c *labelCache) label(key string) (id flows.CatID, ok, classified bool) {
 	sh := &c.shards[labelShardIndex(key)]
 	sh.mu.Lock()
 	if e, hit := sh.entries[key]; hit {

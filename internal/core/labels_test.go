@@ -31,7 +31,7 @@ func shardKeys(n int) []string {
 // is a copy: the keys fed are cut from one string the cache must not pin.
 func TestLabelCacheBounded(t *testing.T) {
 	labeler := classifier.FinalLabeler()
-	c := NewLabelCache(labeler)
+	c := newLabelCache(labeler)
 	src := strings.Join(append(shardKeys(3*labelShardCap), "user_"+strings.Repeat("x", maxCachedKeyBytes)), "&")
 	keys := strings.Split(src, "&")
 	want := make([]cachedLabel, len(keys))
@@ -100,7 +100,7 @@ func TestAuditsThroughClearedCacheMatchFresh(t *testing.T) {
 		if renderResultArtifacts(got) != want || got.DroppedKeys != fresh.DroppedKeys || len(got.RawKeys) != len(fresh.RawKeys) {
 			t.Fatalf("run %d through a cleared cache differs from a fresh pipeline's", run)
 		}
-		if n := len(shared.Labels.shards[0].entries); n > labelShardCap {
+		if n := len(shared.labels.shards[0].entries); n > labelShardCap {
 			t.Fatalf("run %d: shard holds %d entries, cap %d", run, n, labelShardCap)
 		}
 	}

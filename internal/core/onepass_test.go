@@ -149,8 +149,8 @@ func artifactsOf(t *testing.T, r *core.ServiceResult) artifacts {
 // TestOnePassMatchesTwoStep is the property the single ingest pass rests
 // on: auditing a stream whose service is unknown equals guessing the
 // identity from the records first and auditing them under it — on the
-// identity, on the report bytes and on the snapshot hash — for the slice
-// and the stream entry points at every worker count.
+// identity, on the report bytes and on the snapshot hash — at every worker
+// count.
 func TestOnePassMatchesTwoStep(t *testing.T) {
 	custom, err := flows.NewPersona(flows.PersonaInfo{Name: "onepass-tween", AgeKnown: true, AgeMin: 10, AgeMax: 12, LoggedIn: true})
 	if err != nil {
@@ -177,25 +177,19 @@ func TestOnePassMatchesTwoStep(t *testing.T) {
 		}
 
 		for _, w := range []int{1, 2, 4} {
-			slice, err := pipes[w].AnalyzeUnknownRecords(context.Background(), name, recs)
+			res, _, err := pipes[w].Audit(context.Background(), core.ServiceIdentity{Name: name}, true, core.SliceSource(recs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := pipes[w].AnalyzeUnknownStream(context.Background(), name, core.SliceSource(recs))
-			if err != nil {
-				t.Fatal(err)
+			got := artifactsOf(t, res)
+			if !reflect.DeepEqual(got.id, want.id) {
+				t.Fatalf("seed %d workers %d: identity %+v, two-step %+v", seed, w, got.id, want.id)
 			}
-			for entry, res := range map[string]*core.ServiceResult{"slice": slice, "stream": stream} {
-				got := artifactsOf(t, res)
-				if !reflect.DeepEqual(got.id, want.id) {
-					t.Fatalf("seed %d workers %d %s: identity %+v, two-step %+v", seed, w, entry, got.id, want.id)
-				}
-				if !bytes.Equal(got.json, want.json) {
-					t.Fatalf("seed %d workers %d %s: report.json differs from the two-step audit (%d vs %d bytes)", seed, w, entry, len(got.json), len(want.json))
-				}
-				if got.hash != want.hash {
-					t.Fatalf("seed %d workers %d %s: snapshot hash differs from the two-step audit", seed, w, entry)
-				}
+			if !bytes.Equal(got.json, want.json) {
+				t.Fatalf("seed %d workers %d: report.json differs from the two-step audit (%d vs %d bytes)", seed, w, len(got.json), len(want.json))
+			}
+			if got.hash != want.hash {
+				t.Fatalf("seed %d workers %d: snapshot hash differs from the two-step audit", seed, w)
 			}
 		}
 	}

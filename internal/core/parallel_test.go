@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"diffaudit/internal/ats"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/linkability"
 	"diffaudit/internal/ontology"
@@ -159,7 +160,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 			defer wg.Done()
 			results[g] = make([]bool, len(keys))
 			for i, k := range keys {
-				_, ok, _ := p.Labels.label(k)
+				_, ok, _ := p.labels.label(k)
 				results[g][i] = ok
 			}
 		}(g)
@@ -167,7 +168,7 @@ func TestLabelCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	fresh := NewPipeline()
 	for i, k := range keys {
-		_, want, _ := fresh.Labels.label(k)
+		_, want, _ := fresh.labels.label(k)
 		for g := range results {
 			if results[g][i] != want {
 				t.Fatalf("goroutine %d key %q: cached ok=%v, fresh ok=%v", g, k, results[g][i], want)
@@ -194,14 +195,14 @@ func TestResultResolvesDestinations(t *testing.T) {
 	if len(pr.fqdns) != 5 {
 		t.Fatalf("indexed %d distinct spellings, want 5", len(pr.fqdns))
 	}
-	res, err := pr.result(id, false, p.ATS)
+	res, err := pr.result(id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	wantDomains := map[string]bool{}
 	for _, fqdn := range fqdns {
-		want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, p.ATS)
+		want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, ats.Default())
 		if want.FQDN == "" {
 			continue
 		}
@@ -215,7 +216,7 @@ func TestResultResolvesDestinations(t *testing.T) {
 		got[d] = true
 	}
 	for fqdn := range wantDomains {
-		if want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, p.ATS); !got[want] {
+		if want := flows.ResolveDestination(id.Owner, id.FirstPartyESLDs, fqdn, ats.Default()); !got[want] {
 			t.Errorf("child flows lack destination %+v (have %v)", want, got)
 		}
 	}

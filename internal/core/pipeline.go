@@ -9,7 +9,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,17 +101,14 @@ func (r *ServiceResult) CheckPersonas() error {
 	return nil
 }
 
-// Pipeline holds the analysis configuration.
+// Pipeline runs the paper's one audit configuration: keys mined
+// recursively from every request, labelled by the majority-avg ensemble at
+// confidence 0.8, destinations resolved against the embedded ATS block
+// lists. Its analyses classify through one bounded label cache, so a
+// pipeline kept for a process's life (an audit server keeps one) labels a
+// key once.
 type Pipeline struct {
-	// Labels classifies raw keys: the paper's majority-avg ensemble at
-	// confidence 0.8 behind a bounded cache. NewPipeline gives each
-	// pipeline a cache of its own; pipelines may share one, as a server's
-	// jobs share the server's.
-	Labels *LabelCache
-	// ATS is the block-list engine; defaults to the embedded lists.
-	ATS *ats.Engine
-	// Extract tunes key harvesting.
-	Extract extract.Options
+	labels *labelCache
 	// Workers sizes the analysis worker pool every audit runs on: 0 (the
 	// default) means runtime.GOMAXPROCS, any other value is used as given
 	// (1 is one worker goroutine). Results do not depend on it — flow sets,
@@ -120,13 +116,9 @@ type Pipeline struct {
 	Workers int
 }
 
-// NewPipeline returns a pipeline with the paper's production configuration.
+// NewPipeline returns a pipeline with a label cache of its own.
 func NewPipeline() *Pipeline {
-	return &Pipeline{
-		Labels:  NewLabelCache(classifier.FinalLabeler()),
-		ATS:     ats.Default(),
-		Extract: extract.DefaultOptions(),
-	}
+	return &Pipeline{labels: newLabelCache(classifier.FinalLabeler())}
 }
 
 // LabelStats counts one analysis's key lookups in its label cache: the
@@ -245,7 +237,7 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 			Cookies:  rec.Cookies,
 			BodyMIME: rec.BodyMIME,
 			Body:     rec.Body,
-		}, p.Extract)
+		})
 		for _, key := range pr.keys {
 			// A key may be a substring of the record's URL or body; a
 			// result keeps its own copy, not the request it was cut from.
@@ -253,7 +245,7 @@ func (p *Pipeline) analyzeChunk(recs []RequestRecord, pr *partialResult) {
 				key = strings.Clone(key)
 				pr.rawKeys[key] = true
 			}
-			catID, ok, classified := p.Labels.label(key)
+			catID, ok, classified := p.labels.label(key)
 			if classified {
 				pr.labels.Classified++
 			} else {
@@ -305,7 +297,7 @@ func (pr *partialResult) merge(o *partialResult) {
 // Flow sets for the four built-in personas always exist, so every result
 // exposes the paper's trace columns; custom personas appear with their flows.
 // Records under two personas of one name are an error (CheckPersonas).
-func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engine) (*ServiceResult, error) {
+func (pr *partialResult) result(id ServiceIdentity, guess bool) (*ServiceResult, error) {
 	if guess {
 		counts := make(map[string]int)
 		for _, f := range pr.fqdns {
@@ -326,6 +318,7 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 		RawKeys:     pr.rawKeys,
 		DroppedKeys: pr.droppedKeys,
 	}
+	engine := ats.Default()
 	tab := flows.NewTableSized(len(pr.fqdns))
 	dests := make([]flows.DestID, len(pr.fqdns))
 	for i, f := range pr.fqdns {
@@ -359,24 +352,14 @@ func (pr *partialResult) result(id ServiceIdentity, guess bool, engine *ats.Engi
 // AnalyzeRecords runs the full pipeline over a service's request records:
 // AnalyzeStream over a SliceSource, so an in-memory audit and a streamed one
 // take the same path and agree byte-for-byte. It panics where
-// AnalyzeRecordsContext fails, which under the background context takes
-// records under two personas of one name.
+// AnalyzeStream fails, which over a slice takes records under two personas
+// of one name.
 func (p *Pipeline) AnalyzeRecords(id ServiceIdentity, recs []RequestRecord) *ServiceResult {
-	res, err := p.AnalyzeRecordsContext(context.Background(), id, recs)
+	res, err := p.AnalyzeStream(id, SliceSource(recs))
 	if err != nil {
 		panic(err)
 	}
 	return res
-}
-
-// AnalyzeRecordsContext is AnalyzeRecords under a context. Cancellation
-// and deadline expiry are observed at batch boundaries only: a run that
-// completes is byte-identical to the context-free path, a run that is cut
-// short returns ctx.Err() and no partial result. Records under two personas
-// of one name are an error (ServiceResult.CheckPersonas).
-func (p *Pipeline) AnalyzeRecordsContext(ctx context.Context, id ServiceIdentity, recs []RequestRecord) (*ServiceResult, error) {
-	res, _, err := p.analyzeStream(ctx, id, false, SliceSource(recs))
-	return res, err
 }
 
 // Table1Totals aggregates results into the unique-total row of Table 1.

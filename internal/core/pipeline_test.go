@@ -225,7 +225,7 @@ func TestRawKeysOwnTheirBytes(t *testing.T) {
 			held = append(held, k)
 		}
 	}
-	held = append(held, pipe.Labels.StoredKeys()...)
+	held = append(held, pipe.StoredLabelKeys()...)
 	for _, k := range held {
 		p := unsafe.Pointer(unsafe.StringData(k))
 		for i := range recs {

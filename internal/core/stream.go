@@ -112,47 +112,40 @@ type streamStats struct {
 	labels      LabelStats
 }
 
-// AnalyzeStream runs the full pipeline over a record stream. Every audit
-// runs this one loop — AnalyzeRecords is AnalyzeStream over a SliceSource —
-// so the result is the same at every Workers setting and batch boundary
-// (the equivalence tests assert this byte-for-byte on rendered artifacts).
+// AnalyzeStream runs the full pipeline over a record stream: Audit under
+// the background context with the identity given.
+func (p *Pipeline) AnalyzeStream(id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
+	res, _, err := p.Audit(context.Background(), id, false, src)
+	return res, err
+}
+
+// Audit runs the full pipeline over a record stream and counts the
+// analysis's label-cache lookups — how a server reports what its cache
+// saved a job. Every audit runs this one loop (AnalyzeRecords and
+// AnalyzeStream are it under the background context), so the result is the
+// same at every Workers setting and batch boundary (the equivalence tests
+// assert this byte-for-byte on rendered artifacts).
 //
 // Records are pulled from the source in batches of streamBatchSize and fed
 // to a pool of Pipeline.Workers goroutines; at most
 // workers + streamQueueDepth + 1 batches are in flight at any moment, so
 // peak memory is independent of stream length. The source is drained on
 // the calling goroutine; workers only see completed batches.
-func (p *Pipeline) AnalyzeStream(id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
-	return p.AnalyzeStreamContext(context.Background(), id, src)
-}
-
-// AnalyzeStreamContext is AnalyzeStream under a context: cancellation and
-// deadline expiry are honored at batch boundaries only — a batch already
-// handed to the pool always completes, so a run that finishes produces
-// artifacts byte-identical to the context-free path, and a run that is
-// cut short returns ctx.Err() instead of a partial result. This is what
+//
+// Cancellation and deadline expiry are honored at batch boundaries only: a
+// batch already handed to the pool always completes, so a run that
+// finishes is byte-identical to one under the background context, and a
+// run that is cut short returns ctx.Err() and no result. This is what
 // gives every server job a deadline without ever wedging a worker
 // mid-record.
-func (p *Pipeline) AnalyzeStreamContext(ctx context.Context, id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
-	res, _, err := p.analyzeStream(ctx, id, false, src)
-	return res, err
-}
-
-// AnalyzeUnknownStream audits a capture of a service nobody has profiled:
-// the same single pass as AnalyzeStreamContext, with the first party taken
-// from the traffic itself — the most-contacted eSLD, exactly as
-// GuessIdentity picks it. The result (its Identity included) is identical
-// to AnalyzeStreamContext under GuessIdentity(name, records), without the
-// records ever being held or read twice.
-func (p *Pipeline) AnalyzeUnknownStream(ctx context.Context, name string, src RecordSource) (*ServiceResult, error) {
-	res, _, err := p.analyzeStream(ctx, ServiceIdentity{Name: name}, true, src)
-	return res, err
-}
-
-// Audit is AnalyzeStreamContext under id, or with guess
-// AnalyzeUnknownStream for the service id.Name, that also counts the
-// analysis's label-cache lookups — how a server reports what its shared
-// cache saved a job. The counts are zero when the analysis fails.
+//
+// With guess, only id.Name is used: the first party is the eSLD most of
+// the stream's records went to, found during the same single pass, so the
+// result (its Identity included) equals an audit under
+// GuessIdentity(id.Name, records) without the records being held or read
+// twice. Records under two personas of one name are an error
+// (ServiceResult.CheckPersonas). The counts are zero when the analysis
+// fails.
 func (p *Pipeline) Audit(ctx context.Context, id ServiceIdentity, guess bool, src RecordSource) (*ServiceResult, LabelStats, error) {
 	res, stats, err := p.analyzeStream(ctx, id, guess, src)
 	if err != nil {
@@ -269,6 +262,6 @@ func (p *Pipeline) analyzeStream(ctx context.Context, id ServiceIdentity, guess 
 		total = newPartialResult(0)
 	}
 	stats.labels = total.labels
-	res, err := total.result(id, guess, p.ATS)
+	res, err := total.result(id, guess)
 	return res, stats, err
 }

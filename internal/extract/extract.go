@@ -16,22 +16,6 @@ import (
 	"strings"
 )
 
-// Options tunes extraction.
-type Options struct {
-	// MaxDepth bounds recursion into nested JSON (default 8).
-	MaxDepth int
-	// FlatOnly stops recursion from an object into its values (nested
-	// containers and string-embedded JSON) and into JSON embedded in query
-	// and multipart values. Ablation baseline for
-	// BenchmarkAblationExtractDepth.
-	FlatOnly bool
-}
-
-// DefaultOptions returns the pipeline defaults.
-func DefaultOptions() Options {
-	return Options{MaxDepth: 8}
-}
-
 // RequestView is the part of a request keys are mined from; both the HAR
 // path and the PCAP path produce it.
 type RequestView struct {
@@ -46,14 +30,20 @@ type RequestView struct {
 // KVPair is a plain name/value pair.
 type KVPair struct{ Name, Value string }
 
+// maxDepth bounds recursion into nested JSON: a container or embedded
+// document deeper than it is checked but not mined.
+const maxDepth = 8
+
 // AppendKeys appends the raw data types of one request to dst and returns
 // the extended slice: one key per key/value pair mined, in no particular
 // order, so a key repeats as often as the request carries it.
-func AppendKeys(dst []string, req RequestView, opts Options) []string {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 8
-	}
-	s := scanner{opts: opts, keys: dst}
+func AppendKeys(dst []string, req RequestView) []string {
+	return appendKeys(dst, req, maxDepth)
+}
+
+// appendKeys is AppendKeys walking nested JSON to the given depth.
+func appendKeys(dst []string, req RequestView, depth int) []string {
+	s := scanner{maxDepth: depth, keys: dst}
 	if i := strings.IndexByte(req.URL, '?'); i >= 0 {
 		q, _, _ := strings.Cut(req.URL[i+1:], "#")
 		s.query(q)
@@ -84,9 +74,6 @@ func (s *scanner) query(q string) {
 			continue
 		}
 		s.keys = append(s.keys, key)
-		if s.opts.FlatOnly {
-			continue
-		}
 		if v, err := url.QueryUnescape(value); err == nil {
 			value = v
 		}
@@ -107,7 +94,7 @@ func (s *scanner) body(contentType string, body []byte) {
 	case strings.Contains(lower, "multipart/form-data"):
 		eachPart(contentType, body, func(name string, data []byte) {
 			s.keys = append(s.keys, name)
-			if !s.opts.FlatOnly && bytesLookLikeJSON(data) {
+			if bytesLookLikeJSON(data) {
 				s.document(data, 1)
 			}
 		})

@@ -60,19 +60,20 @@ var standardHeaders = map[string]bool{
 	"cache-control": true, "pragma": true, "te": true,
 }
 
-// Extract mines all key/value pairs from a request and its headers. Its
-// non-header keys are what AppendKeys must return, as a multiset.
-func Extract(req RequestView, headers []KVPair, opts Options) []KV {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 8
-	}
+// MaxDepth is AppendKeys' nesting bound, for the external tests.
+const MaxDepth = maxDepth
+
+// Extract mines all key/value pairs from a request and its headers,
+// walking nested JSON to depth. Its non-header keys are what
+// appendKeys(dst, req, depth) must return, as a multiset.
+func Extract(req RequestView, headers []KVPair, depth int) []KV {
 	var out []KV
 	if i := strings.IndexByte(req.URL, '?'); i >= 0 {
 		q := req.URL[i+1:]
 		if j := strings.IndexByte(q, '#'); j >= 0 {
 			q = q[:j]
 		}
-		out = append(out, extractQuery(q, opts)...)
+		out = append(out, extractQuery(q, depth)...)
 	}
 	for _, h := range headers {
 		name := strings.ToLower(strings.TrimSpace(h.Name))
@@ -90,10 +91,10 @@ func Extract(req RequestView, headers []KVPair, opts Options) []KV {
 		}
 		out = append(out, KV{Key: c.Name, Value: clip(c.Value), Path: c.Name, Source: SourceCookie})
 	}
-	return append(out, extractBody(req.BodyMIME, req.Body, opts)...)
+	return append(out, extractBody(req.BodyMIME, req.Body, depth)...)
 }
 
-func extractQuery(q string, opts Options) []KV {
+func extractQuery(q string, depth int) []KV {
 	var out []KV
 	for _, pair := range strings.Split(q, "&") {
 		if pair == "" {
@@ -112,23 +113,23 @@ func extractQuery(q string, opts Options) []KV {
 			val = value
 		}
 		out = append(out, KV{Key: key, Value: clip(val), Path: key, Source: SourceQuery})
-		if !opts.FlatOnly && looksLikeJSON(val) {
-			out = append(out, extractJSON([]byte(val), key, SourceQuery, opts, 1)...)
+		if looksLikeJSON(val) {
+			out = append(out, extractJSON([]byte(val), key, SourceQuery, depth, 1)...)
 		}
 	}
 	return out
 }
 
-func extractBody(contentType string, body []byte, opts Options) []KV {
+func extractBody(contentType string, body []byte, depth int) []KV {
 	if len(body) == 0 {
 		return nil
 	}
 	mime := strings.ToLower(contentType)
 	switch {
 	case strings.Contains(mime, "json") || looksLikeJSON(string(body)):
-		return extractJSON(body, "", SourceBody, opts, 0)
+		return extractJSON(body, "", SourceBody, depth, 0)
 	case strings.Contains(mime, "x-www-form-urlencoded"):
-		kvs := extractQuery(string(body), opts)
+		kvs := extractQuery(string(body), depth)
 		for i := range kvs {
 			kvs[i].Source = SourceBody
 		}
@@ -138,8 +139,8 @@ func extractBody(contentType string, body []byte, opts Options) []KV {
 		eachPart(contentType, body, func(name string, data []byte) {
 			val := string(data)
 			out = append(out, KV{Key: name, Value: clip(val), Path: name, Source: SourceBody})
-			if !opts.FlatOnly && looksLikeJSON(val) {
-				out = append(out, extractJSON(data, name, SourceBody, opts, 1)...)
+			if looksLikeJSON(val) {
+				out = append(out, extractJSON(data, name, SourceBody, depth, 1)...)
 			}
 		})
 		return out
@@ -148,18 +149,18 @@ func extractBody(contentType string, body []byte, opts Options) []KV {
 	}
 }
 
-func extractJSON(data []byte, prefix string, src Source, opts Options, depth int) []KV {
+func extractJSON(data []byte, prefix string, src Source, maxDepth, depth int) []KV {
 	v := parseLoose(string(data))
 	if v == nil {
 		return nil
 	}
 	var out []KV
-	walkJSON(v, prefix, src, opts, depth, &out)
+	walkJSON(v, prefix, src, maxDepth, depth, &out)
 	return out
 }
 
-func walkJSON(v interface{}, path string, src Source, opts Options, depth int, out *[]KV) {
-	if depth > opts.MaxDepth {
+func walkJSON(v interface{}, path string, src Source, maxDepth, depth int, out *[]KV) {
+	if depth > maxDepth {
 		return
 	}
 	switch node := v.(type) {
@@ -173,15 +174,12 @@ func walkJSON(v interface{}, path string, src Source, opts Options, depth int, o
 			child := joinPath(path, k)
 			val := node[k]
 			*out = append(*out, KV{Key: k, Value: clip(scalarString(val)), Path: child, Source: src})
-			if opts.FlatOnly {
-				continue
-			}
 			switch cv := val.(type) {
 			case map[string]interface{}, []interface{}:
-				walkJSON(cv, child, src, opts, depth+1, out)
+				walkJSON(cv, child, src, maxDepth, depth+1, out)
 			case string:
 				if looksLikeJSON(cv) {
-					walkJSON(parseLoose(cv), child, src, opts, depth+1, out)
+					walkJSON(parseLoose(cv), child, src, maxDepth, depth+1, out)
 				}
 			}
 		}
@@ -189,7 +187,7 @@ func walkJSON(v interface{}, path string, src Source, opts Options, depth int, o
 		for _, item := range node {
 			switch item.(type) {
 			case map[string]interface{}, []interface{}:
-				walkJSON(item, path, src, opts, depth+1, out)
+				walkJSON(item, path, src, maxDepth, depth+1, out)
 			}
 		}
 	}

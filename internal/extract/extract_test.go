@@ -13,9 +13,9 @@ import (
 )
 
 // keySet is the set of keys AppendKeys mines from req.
-func keySet(req RequestView, opts Options) map[string]bool {
+func keySet(req RequestView) map[string]bool {
 	out := map[string]bool{}
-	for _, k := range AppendKeys(nil, req, opts) {
+	for _, k := range AppendKeys(nil, req) {
 		out[k] = true
 	}
 	return out
@@ -31,11 +31,11 @@ func keysBySource(kvs []KV, src Source) map[string]bool {
 	return out
 }
 
-// referenceKeys is the multiset AppendKeys must return: the reference's
-// non-header keys.
-func referenceKeys(req RequestView, headers []KVPair, opts Options) []string {
+// referenceKeys is the multiset appendKeys must return at depth: the
+// reference's non-header keys.
+func referenceKeys(req RequestView, headers []KVPair, depth int) []string {
 	var out []string
-	for _, kv := range Extract(req, headers, opts) {
+	for _, kv := range Extract(req, headers, depth) {
 		if kv.Source != SourceHeader {
 			out = append(out, kv.Key)
 		}
@@ -50,81 +50,77 @@ func sameMultiset(a, b []string) bool {
 	return slices.Equal(a, b)
 }
 
-// diffReference compares AppendKeys with the reference for text sent as a
-// JSON body and as a query value, and describes the first difference.
-func diffReference(text string, opts Options) string {
+// diffReference compares appendKeys with the reference at depth for text
+// sent as a JSON body and as a query value, and describes the first
+// difference.
+func diffReference(text string, depth int) string {
 	for _, req := range []RequestView{
 		{URL: "https://x.example/a", BodyMIME: "application/json", Body: []byte(text)},
 		{URL: "https://x.example/a?p=" + url.QueryEscape(text)},
 	} {
-		got, want := AppendKeys(nil, req, opts), referenceKeys(req, nil, opts)
+		got, want := appendKeys(nil, req, depth), referenceKeys(req, nil, depth)
 		if !sameMultiset(got, want) {
-			return fmt.Sprintf("%+v on %.200q (url %.60q): AppendKeys %q, reference %q", opts, text, req.URL, got, want)
+			return fmt.Sprintf("depth %d on %.200q (url %.60q): appendKeys %q, reference %q", depth, text, req.URL, got, want)
 		}
 	}
 	return ""
 }
 
 // pinned are the cases where a one-pass scan is easiest to get wrong. want
-// is the body's keys under opts (DefaultOptions when zero).
+// is the body's keys.
 var pinned = []struct {
 	name string
 	body string
-	opts Options
 	want []string
 }{
-	{"duplicate key, earlier value an object", `{"a":{"x":1},"a":2}`, Options{}, []string{"a"}},
-	{"duplicate key, later value walked", `{"a":1,"a":{"y":{"z":2}}}`, Options{}, []string{"a", "y", "z"}},
-	{"duplicate key in a nested object", `{"o":{"k":{"gone":1},"k":"{\"in\":1}"},"p":1}`, Options{}, []string{"o", "k", "in", "p"}},
-	{"duplicate key inside embedded JSON", `{"e":"{\"k\":1,\"k\":2}","f":1}`, Options{}, []string{"e", "k", "f"}},
-	{"duplicate key under FlatOnly", `{"a":{"x":1},"a":2,"b":3}`, Options{FlatOnly: true}, []string{"a", "b"}},
-	{"duplicate key past MaxDepth", `{"a":{"b":{"k":1,"k":2}}}`, Options{MaxDepth: 1}, []string{"a", "b"}},
-	{"duplicate keys interleaved, three copies", `{"a":{"x":1},"b":{"y":1},"a":{"z":1},"c":1,"a":[{"w":1}],"b":2}`, Options{}, []string{"a", "w", "c", "b"}},
-	{"last of many copies of a key kept", `{` + strings.Repeat(`"a":{"x":1},"b":{"y":1},"c":{"z":1},`, 40) + `"a":{"kept":1}}`, Options{}, []string{"a", "kept", "b", "y", "c", "z"}},
-	{"duplicate keys in each object of an array", `[{"k":{"x":1},"k":{"y":1}},{"k":1,"k":{"z":1}}]`, Options{}, []string{"k", "y", "k", "z"}},
-	{"one key in sibling objects counts twice", `[{"k":1},{"k":2}]`, Options{}, []string{"k", "k"}},
-	{"nesting 10000 decodes", `{"deep":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, Options{}, []string{"deep"}},
-	{"nesting 10001 does not", `{"deep":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, Options{}, nil},
-	{"top-level array under FlatOnly", `[{"a":{"b":1}},[{"c":{"d":1}}],"{\"s\":1}"]`, Options{FlatOnly: true}, []string{"a", "c"}},
-	{"top-level array", `[{"a":{"b":1}},[{"c":{"d":1}}],"{\"s\":1}"]`, Options{}, []string{"a", "b", "c", "d"}},
-	{"trailing junk after the first value", `{"a":1} trailing {"b":`, Options{}, []string{"a"}},
-	{"second document ignored", `{"a":1}{"b":2}`, Options{}, []string{"a"}},
-	{"escapes in keys", "{\"\\u0061\\u00e9\":1,\"line\\nkey\":2,\"\\ud83d\\ude00\":3,\"\\ud800x\":4,\"\\/\":5}", Options{}, []string{"a\u00e9", "line\nkey", "\U0001F600", "\uFFFDx", "/"}},
-	{"escaped and raw spellings of one key", "{\"caf\\u00e9\":{\"gone\":1},\"caf\u00e9\":2}", Options{}, []string{"caf\u00e9"}},
-	{"invalid UTF-8 in keys", "{\"\xff\":1,\"ok\xc3\":2}", Options{}, []string{"\uFFFD", "ok\uFFFD"}},
-	{"invalid UTF-8 keys that decode alike", "{\"\xff\":{\"gone\":1},\"\xfe\":{\"x\":1}}", Options{}, []string{"\uFFFD", "x"}},
-	{"JSON-looking string in an array is not walked", `{"list":["{\"inner\":1}"],"obj":"{\"inner2\":1}"}`, Options{}, []string{"list", "obj", "inner2"}},
-	{"embedded JSON with a syntax error", `{"a":"{\"x\":}","b":1}`, Options{}, []string{"a", "b"}},
-	{"embedded JSON after Unicode space", "{\"s\":\"\u00a0{\\\"x\\\":1}\",\"t\":\" {\\\"y\\\":1} \"}", Options{}, []string{"s", "t", "y"}},
-	{"embedded JSON with trailing junk", `{"s":"{\"x\":1} junk}"}`, Options{}, []string{"s", "x"}},
-	{"escaped string values", `{"u":"http:\/\/x.example\/p?q=1","n":"café {}","e":"é{\"x\":1}","j":"{\"k\":1}","t":"\t{\"y\":1}","v":"\u0020\u007b\"m\":1}","l":"\n{\"o\":1}","r":"\r[{\"w\":1}]","f":"\f{\"g\":1}","q":"\"{\"h\":1}"}`, Options{}, []string{"u", "n", "e", "j", "k", "t", "y", "v", "m", "l", "o", "r", "w", "f", "q"}},
-	{"raw control byte in a value", "{\"a\":\"x\x1fy\"}", Options{}, nil},
-	{"DEL is not a control byte", "{\"a\x7f\":1}", Options{}, []string{"a\x7f"}},
-	{"raw control byte in a key", "{\"a\tb\":1}", Options{}, nil},
-	{"number -0.5E-3", `{"n":-0.5E-3}`, Options{}, []string{"n"}},
-	{"number 01", `{"n":01}`, Options{}, nil},
-	{"number 1.", `{"n":1.}`, Options{}, nil},
-	{"number 1e+", `{"n":1e+}`, Options{}, nil},
-	{"literal tru", `{"n":tru}`, Options{}, nil},
-	{"bad escape", `{"a\x":1}`, Options{}, nil},
-	{"short unicode escape", `{"\u12":1}`, Options{}, nil},
-	{"trailing comma", `{"a":1,}`, Options{}, nil},
-	{"unterminated", `{"a":1`, Options{}, nil},
-	{"top-level string", `"{\"a\":1}"`, Options{}, nil},
-	{"whitespace only", " \n\t", Options{}, nil},
+	{"duplicate key, earlier value an object", `{"a":{"x":1},"a":2}`, []string{"a"}},
+	{"duplicate key, later value walked", `{"a":1,"a":{"y":{"z":2}}}`, []string{"a", "y", "z"}},
+	{"duplicate key in a nested object", `{"o":{"k":{"gone":1},"k":"{\"in\":1}"},"p":1}`, []string{"o", "k", "in", "p"}},
+	{"duplicate key inside embedded JSON", `{"e":"{\"k\":1,\"k\":2}","f":1}`, []string{"e", "k", "f"}},
+	{"duplicate key past the depth bound", strings.Repeat(`{"a":`, maxDepth+1) + `{"k":1,"k":2}` + strings.Repeat("}", maxDepth+1), strings.Fields(strings.Repeat("a ", maxDepth+1))},
+	{"duplicate keys interleaved, three copies", `{"a":{"x":1},"b":{"y":1},"a":{"z":1},"c":1,"a":[{"w":1}],"b":2}`, []string{"a", "w", "c", "b"}},
+	{"last of many copies of a key kept", `{` + strings.Repeat(`"a":{"x":1},"b":{"y":1},"c":{"z":1},`, 40) + `"a":{"kept":1}}`, []string{"a", "kept", "b", "y", "c", "z"}},
+	{"duplicate keys in each object of an array", `[{"k":{"x":1},"k":{"y":1}},{"k":1,"k":{"z":1}}]`, []string{"k", "y", "k", "z"}},
+	{"one key in sibling objects counts twice", `[{"k":1},{"k":2}]`, []string{"k", "k"}},
+	{"nesting 10000 decodes", `{"deep":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, []string{"deep"}},
+	{"nesting 10001 does not", `{"deep":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, nil},
+	{"top-level array", `[{"a":{"b":1}},[{"c":{"d":1}}],"{\"s\":1}"]`, []string{"a", "b", "c", "d"}},
+	{"trailing junk after the first value", `{"a":1} trailing {"b":`, []string{"a"}},
+	{"second document ignored", `{"a":1}{"b":2}`, []string{"a"}},
+	{"escapes in keys", "{\"\\u0061\\u00e9\":1,\"line\\nkey\":2,\"\\ud83d\\ude00\":3,\"\\ud800x\":4,\"\\/\":5}", []string{"a\u00e9", "line\nkey", "\U0001F600", "\uFFFDx", "/"}},
+	{"escaped and raw spellings of one key", "{\"caf\\u00e9\":{\"gone\":1},\"caf\u00e9\":2}", []string{"caf\u00e9"}},
+	{"invalid UTF-8 in keys", "{\"\xff\":1,\"ok\xc3\":2}", []string{"\uFFFD", "ok\uFFFD"}},
+	{"invalid UTF-8 keys that decode alike", "{\"\xff\":{\"gone\":1},\"\xfe\":{\"x\":1}}", []string{"\uFFFD", "x"}},
+	{"JSON-looking string in an array is not walked", `{"list":["{\"inner\":1}"],"obj":"{\"inner2\":1}"}`, []string{"list", "obj", "inner2"}},
+	{"embedded JSON with a syntax error", `{"a":"{\"x\":}","b":1}`, []string{"a", "b"}},
+	{"embedded JSON after Unicode space", "{\"s\":\"\u00a0{\\\"x\\\":1}\",\"t\":\" {\\\"y\\\":1} \"}", []string{"s", "t", "y"}},
+	{"embedded JSON with trailing junk", `{"s":"{\"x\":1} junk}"}`, []string{"s", "x"}},
+	{"escaped string values", `{"u":"http:\/\/x.example\/p?q=1","n":"café {}","e":"é{\"x\":1}","j":"{\"k\":1}","t":"\t{\"y\":1}","v":"\u0020\u007b\"m\":1}","l":"\n{\"o\":1}","r":"\r[{\"w\":1}]","f":"\f{\"g\":1}","q":"\"{\"h\":1}"}`, []string{"u", "n", "e", "j", "k", "t", "y", "v", "m", "l", "o", "r", "w", "f", "q"}},
+	{"raw control byte in a value", "{\"a\":\"x\x1fy\"}", nil},
+	{"DEL is not a control byte", "{\"a\x7f\":1}", []string{"a\x7f"}},
+	{"raw control byte in a key", "{\"a\tb\":1}", nil},
+	{"number -0.5E-3", `{"n":-0.5E-3}`, []string{"n"}},
+	{"number 01", `{"n":01}`, nil},
+	{"number 1.", `{"n":1.}`, nil},
+	{"number 1e+", `{"n":1e+}`, nil},
+	{"literal tru", `{"n":tru}`, nil},
+	{"bad escape", `{"a\x":1}`, nil},
+	{"short unicode escape", `{"\u12":1}`, nil},
+	{"trailing comma", `{"a":1,}`, nil},
+	{"unterminated", `{"a":1`, nil},
+	{"top-level string", `"{\"a\":1}"`, nil},
+	{"whitespace only", " \n\t", nil},
 }
 
 func TestAppendKeysPinned(t *testing.T) {
 	for _, c := range pinned {
 		req := RequestView{URL: "https://x.example/a", BodyMIME: "application/json", Body: []byte(c.body)}
-		if got := AppendKeys(nil, req, c.opts); !sameMultiset(got, c.want) {
+		if got := AppendKeys(nil, req); !sameMultiset(got, c.want) {
 			t.Errorf("%s: keys %q, want %q", c.name, got, c.want)
 		}
 		for depth := 0; depth < 12; depth++ {
-			for _, flat := range []bool{false, true} {
-				if d := diffReference(c.body, Options{MaxDepth: depth, FlatOnly: flat}); d != "" {
-					t.Errorf("%s: %s", c.name, d)
-				}
+			if d := diffReference(c.body, depth); d != "" {
+				t.Errorf("%s: %s", c.name, d)
 			}
 		}
 	}
@@ -132,7 +128,7 @@ func TestAppendKeysPinned(t *testing.T) {
 
 func TestAppendKeysKeepsDst(t *testing.T) {
 	dst := []string{"before"}
-	dst = AppendKeys(dst, RequestView{URL: "https://x/?a=1", BodyMIME: "application/json", Body: []byte(`{"b":1,"c":}`)}, DefaultOptions())
+	dst = AppendKeys(dst, RequestView{URL: "https://x/?a=1", BodyMIME: "application/json", Body: []byte(`{"b":1,"c":}`)})
 	if !slices.Equal(dst, []string{"before", "a"}) {
 		t.Errorf("dst = %q: a body that fails to decode must take back only its own keys", dst)
 	}
@@ -142,7 +138,7 @@ func TestExtractQuery(t *testing.T) {
 	req := RequestView{
 		URL: "https://ads.pubmatic.com/AdServer?adid=XYZ&gdpr_consent=1&lat=34.1&empty=&os=android#frag",
 	}
-	got := keySet(req, DefaultOptions())
+	got := keySet(req)
 	for _, want := range []string{"adid", "gdpr_consent", "lat", "empty", "os"} {
 		if !got[want] {
 			t.Errorf("query key %q missing (got %v)", want, got)
@@ -154,7 +150,7 @@ func TestExtractQuery(t *testing.T) {
 }
 
 func TestExtractQueryEscapes(t *testing.T) {
-	got := keySet(RequestView{URL: "https://x.com/p?user%5Fid=1&bad%zz=2"}, DefaultOptions())
+	got := keySet(RequestView{URL: "https://x.com/p?user%5Fid=1&bad%zz=2"})
 	if !got["user_id"] {
 		t.Errorf("escaped key not decoded: %v", got)
 	}
@@ -180,7 +176,7 @@ func TestExtractHeadersAndCookies(t *testing.T) {
 		{"Cookie", "ignored-here"},
 		{":authority", "www.roblox.com"},
 	}
-	h := keysBySource(Extract(req, headers, DefaultOptions()), SourceHeader)
+	h := keysBySource(Extract(req, headers, maxDepth), SourceHeader)
 	if !h["User-Agent"] || !h["Referer"] {
 		t.Errorf("headers missing: %v", h)
 	}
@@ -190,7 +186,7 @@ func TestExtractHeadersAndCookies(t *testing.T) {
 	if h["Cookie"] || h[":authority"] {
 		t.Error("cookie/pseudo headers leaked")
 	}
-	got := AppendKeys(nil, req, DefaultOptions())
+	got := AppendKeys(nil, req)
 	if !sameMultiset(got, []string{"RBXSessionTracker", "GuestData"}) {
 		t.Errorf("cookie keys = %q", got)
 	}
@@ -204,7 +200,7 @@ func TestExtractJSONBodyNested(t *testing.T) {
 	  "blob": "{\"inner_adid\":\"abc\",\"depth2\":{\"gps_lat\":1.5}}"
 	}`
 	req := RequestView{URL: "https://excess.duolingo.com/batch", BodyMIME: "application/json", Body: []byte(body)}
-	got := keySet(req, DefaultOptions())
+	got := keySet(req)
 	for _, want := range []string{
 		"username", "age", "email", "os", "model", "imei",
 		"event_name", "ts", "inner_adid", "gps_lat", "depth2",
@@ -215,7 +211,7 @@ func TestExtractJSONBodyNested(t *testing.T) {
 	}
 	// The reference's paths are dotted.
 	var foundPath bool
-	for _, kv := range Extract(req, nil, DefaultOptions()) {
+	for _, kv := range Extract(req, nil, maxDepth) {
 		if kv.Path == "device.hw.imei" {
 			foundPath = true
 		}
@@ -231,35 +227,16 @@ func TestExtractFormBody(t *testing.T) {
 		BodyMIME: "application/x-www-form-urlencoded",
 		Body:     []byte("username=steve&password=hunter2&remember=1&&meta=%7B%22k%22%3A1%7D"),
 	}
-	got := AppendKeys(nil, req, DefaultOptions())
+	got := AppendKeys(nil, req)
 	if !sameMultiset(got, []string{"username", "password", "remember", "meta", "k"}) {
 		t.Errorf("form keys = %q", got)
 	}
 }
 
 func TestExtractJSONInQueryValue(t *testing.T) {
-	got := keySet(RequestView{URL: `https://t.co/p?payload={"device_id":"d1","loc":{"city":"irvine"}}`}, DefaultOptions())
+	got := keySet(RequestView{URL: `https://t.co/p?payload={"device_id":"d1","loc":{"city":"irvine"}}`})
 	if !got["device_id"] || !got["city"] || !got["payload"] {
 		t.Errorf("json-in-query keys missing: %v", got)
-	}
-}
-
-func TestFlatOnlyAblation(t *testing.T) {
-	body := `{"top":{"nested":{"deep_key":1}},"blob":"{\"embedded\":2}"}`
-	req := RequestView{URL: "https://x.com/a", BodyMIME: "application/json", Body: []byte(body)}
-	full := keySet(req, DefaultOptions())
-	flat := keySet(req, Options{FlatOnly: true, MaxDepth: 8})
-	if !full["deep_key"] || !full["embedded"] {
-		t.Errorf("full extraction missing deep keys: %v", full)
-	}
-	if flat["deep_key"] || flat["embedded"] {
-		t.Errorf("flat extraction should not recurse: %v", flat)
-	}
-	if !flat["top"] || !flat["blob"] {
-		t.Errorf("flat extraction missing top-level keys: %v", flat)
-	}
-	if len(flat) >= len(full) {
-		t.Error("flat should find strictly fewer keys here")
 	}
 }
 
@@ -270,7 +247,7 @@ func TestMaxDepthBound(t *testing.T) {
 		inner = `{"level` + string(rune('a'+i%26)) + `":` + inner + `}`
 	}
 	req := RequestView{URL: "https://x.com/a", BodyMIME: "application/json", Body: []byte(inner)}
-	got := keySet(req, DefaultOptions())
+	got := keySet(req)
 	if got["leaf"] {
 		t.Error("depth bound not enforced")
 	}
@@ -282,7 +259,7 @@ func TestMaxDepthBound(t *testing.T) {
 func TestMalformedBodiesIgnored(t *testing.T) {
 	for _, body := range []string{"{not json", "<xml/>", "\x00\x01\x02", ""} {
 		req := RequestView{URL: "https://x.com/a", BodyMIME: "application/json", Body: []byte(body)}
-		if got := AppendKeys(nil, req, DefaultOptions()); len(got) != 0 {
+		if got := AppendKeys(nil, req); len(got) != 0 {
 			t.Errorf("body %q extracted %q", body, got)
 		}
 	}
@@ -291,7 +268,7 @@ func TestMalformedBodiesIgnored(t *testing.T) {
 func TestArrayOfObjects(t *testing.T) {
 	body := `[{"batch_event":"click"},{"batch_event":"scroll","extra_field":1}]`
 	req := RequestView{URL: "https://x.com/a", BodyMIME: "application/json", Body: []byte(body)}
-	got := AppendKeys(nil, req, DefaultOptions())
+	got := AppendKeys(nil, req)
 	if !sameMultiset(got, []string{"batch_event", "batch_event", "extra_field"}) {
 		t.Errorf("array keys = %q", got)
 	}
@@ -320,7 +297,7 @@ func TestSourceString(t *testing.T) {
 func TestValueClipping(t *testing.T) {
 	long := strings.Repeat("v", 500)
 	req := RequestView{URL: "https://x.com/?k=" + long}
-	for _, kv := range Extract(req, nil, DefaultOptions()) {
+	for _, kv := range Extract(req, nil, maxDepth) {
 		if len(kv.Value) > 120 {
 			t.Errorf("value not clipped: %d bytes", len(kv.Value))
 		}
@@ -350,7 +327,7 @@ func TestFlatJSONKeysExtracted(t *testing.T) {
 			return false
 		}
 		req := RequestView{URL: "https://x.com/a", BodyMIME: "application/json", Body: body}
-		got := keySet(req, DefaultOptions())
+		got := keySet(req)
 		if len(got) != len(valid) {
 			return false
 		}
@@ -380,19 +357,15 @@ func TestExtractMultipart(t *testing.T) {
 		BodyMIME: w.FormDataContentType(),
 		Body:     buf.Bytes(),
 	}
-	got := keySet(req, DefaultOptions())
+	got := keySet(req)
 	for _, want := range []string{"username", "avatar_meta", "upload", "gps_lat", "device_id"} {
 		if !got[want] {
 			t.Errorf("multipart key %q missing (got %v)", want, got)
 		}
 	}
-	// Flat mode skips the embedded JSON.
-	if flat := keySet(req, Options{FlatOnly: true, MaxDepth: 8}); flat["gps_lat"] {
-		t.Error("flat mode must not recurse into multipart JSON values")
-	}
 	// Corrupt boundary: no keys, no crash.
 	bad := RequestView{URL: "https://x/", BodyMIME: "multipart/form-data", Body: buf.Bytes()}
-	if got := AppendKeys(nil, bad, DefaultOptions()); len(got) != 0 {
+	if got := AppendKeys(nil, bad); len(got) != 0 {
 		t.Errorf("boundary-less multipart extracted %q", got)
 	}
 }
@@ -412,10 +385,10 @@ func TestExtractMultipartMixedCaseBoundary(t *testing.T) {
 		Body:     []byte(body),
 	}
 	want := []string{"child_age", "meta", "device_id"}
-	if got := AppendKeys(nil, req, DefaultOptions()); !sameMultiset(got, want) {
+	if got := AppendKeys(nil, req); !sameMultiset(got, want) {
 		t.Errorf("keys = %q, want %q", got, want)
 	}
-	if got := referenceKeys(req, nil, DefaultOptions()); !sameMultiset(got, want) {
+	if got := referenceKeys(req, nil, maxDepth); !sameMultiset(got, want) {
 		t.Errorf("reference keys = %q, want %q", got, want)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // by a walk of the decoded tree, as a multiset.
 type scanner struct {
 	jsonscan.Scanner
-	opts Options
-	keys []string
+	maxDepth int
+	keys     []string
 }
 
 // document appends the keys of the first JSON value in data, walked from
@@ -24,7 +24,7 @@ func (s *scanner) document(data []byte, depth int) {
 	outer, start := s.Scanner, len(s.keys)
 	s.Scanner = jsonscan.New(data)
 	if c := s.Peek(); c == '{' || c == '[' {
-		s.value(depth, true)
+		s.value(depth)
 	}
 	if s.Failed() {
 		s.keys = s.keys[:start]
@@ -32,25 +32,25 @@ func (s *scanner) document(data []byte, depth int) {
 	s.Scanner = outer
 }
 
-// value scans one value. A container walked at a depth within MaxDepth
-// emits its keys; any other value is only checked.
-func (s *scanner) value(d int, walk bool) {
+// value scans one value. A container at a depth within maxDepth emits its
+// keys; any other value is only checked.
+func (s *scanner) value(d int) {
 	switch c := s.Peek(); {
-	case walk && d <= s.opts.MaxDepth && c == '{':
+	case d <= s.maxDepth && c == '{':
 		s.object(d)
-	case walk && d <= s.opts.MaxDepth && c == '[':
+	case d <= s.maxDepth && c == '[':
 		s.array(d)
 	default:
 		s.Value()
 	}
 }
 
-// object scans an emitting object: it appends its member keys and, unless
-// FlatOnly, walks its values one level down.
+// object scans an emitting object: it appends its member keys and walks
+// its values one level down.
 func (s *scanner) object(d int) {
 	s.Open()
 	var buf [16]int
-	own, kids := buf[:0], !s.opts.FlatOnly // own: where in keys the member keys are
+	own := buf[:0] // where in keys the member keys are
 	for more := !s.Skip('}'); more && !s.Failed(); more = s.More('}') {
 		start, end, plain := s.Str()
 		if !s.Failed() {
@@ -59,10 +59,10 @@ func (s *scanner) object(d int) {
 		}
 		if !s.Skip(':') {
 			s.Fail()
-		} else if kids && s.Peek() == '"' {
+		} else if s.Peek() == '"' {
 			s.embedded(d + 1)
 		} else {
-			s.value(d+1, kids)
+			s.value(d + 1)
 		}
 	}
 	if !s.Failed() {
@@ -76,7 +76,7 @@ func (s *scanner) object(d int) {
 func (s *scanner) array(d int) {
 	s.Open()
 	for more := !s.Skip(']'); more && !s.Failed(); more = s.More(']') {
-		s.value(d+1, true)
+		s.value(d + 1)
 	}
 	s.Close()
 }
@@ -85,7 +85,7 @@ func (s *scanner) array(d int) {
 // looks like JSON once decoded is mined as a document of its own at d.
 func (s *scanner) embedded(d int) {
 	start, end, plain := s.Str()
-	if s.Failed() || d > s.opts.MaxDepth {
+	if s.Failed() || d > s.maxDepth {
 		return
 	}
 	raw := s.Raw(start, end)

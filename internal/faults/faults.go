@@ -4,11 +4,12 @@
 // decoding, worker execution — declare where a fault could strike. In
 // production every point is a zero-cost no-op (one atomic load, no
 // allocation); tests arm a point with a Plan to return an error, inject
-// latency, or panic, optionally firing only on the Nth call. The chaos
-// suite drives the full upload→journal→snapshot path this way and proves
-// the server times out or fails jobs with a classified state instead of
-// wedging or losing work. The server does not retry: an injected error
-// takes the same one-attempt failure path a real one would.
+// latency, hold the call until released, or panic, optionally firing only
+// on the Nth call. The chaos suite drives the full upload→journal→snapshot
+// path this way and proves the server times out or fails jobs with a
+// classified state instead of wedging or losing work. The server does not
+// retry: an injected error takes the same one-attempt failure path a real
+// one would.
 //
 // The registry is process-global on purpose: injection points are
 // scattered across packages (server, store, core) and tests arm them by
@@ -24,9 +25,15 @@ import (
 )
 
 // Plan programs one injection point. The zero value fires once, on the
-// first call, doing nothing visible — set Err, Delay, or Panic to give
-// the firing an effect.
+// first call, doing nothing visible — set Wait, Err, Delay, or Panic to
+// give the firing an effect.
 type Plan struct {
+	// Wait, when non-nil, blocks a firing call until the channel is
+	// closed, before any Delay, Panic or Err: a test holds the guarded
+	// operation mid-flight for as long as it needs (a worker frozen
+	// mid-audit). Only closing Wait releases the call: Reset and Clear
+	// disarm the point for later calls but leave a blocked one blocked.
+	Wait <-chan struct{}
 	// Err is returned by Inject when the point fires, as if the guarded
 	// operation had failed with it.
 	Err error
@@ -103,9 +110,9 @@ func Calls(name string) int {
 
 // Inject is the call-site hook. Production: unarmed points return nil
 // after one atomic load. Armed points count the call and, when the plan
-// says so, sleep, panic, or return the planned error — in that order, so
-// a Delay+Err plan models a slow failure and a Delay-only plan a slow
-// success.
+// says so, wait, sleep, panic, or return the planned error — in that
+// order, so a Delay+Err plan models a slow failure and a Delay-only plan a
+// slow success.
 func Inject(name string) error {
 	if !armed.Load() {
 		return nil
@@ -138,6 +145,9 @@ func inject(name string) error {
 	mu.Unlock()
 	if !fire {
 		return nil
+	}
+	if plan.Wait != nil {
+		<-plan.Wait
 	}
 	if plan.Delay > 0 {
 		time.Sleep(plan.Delay)

@@ -123,3 +123,38 @@ func BenchmarkInjectDisabled(b *testing.B) {
 		}
 	}
 }
+
+// TestInjectWait: a firing call blocks until Wait is closed and then takes
+// the rest of its plan; On and Count still pick the calls that fire, a
+// call that does not fire passes straight through while another is
+// blocked, and Reset leaves a blocked call blocked.
+func TestInjectWait(t *testing.T) {
+	defer Reset()
+	boom := errors.New("boom")
+	gate := make(chan struct{})
+	Set("p", Plan{Wait: gate, Err: boom, On: 2})
+	if err := Inject("p"); err != nil {
+		t.Fatalf("call 1 (before On) = %v, want nil", err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- Inject("p") }()
+	for Calls("p") < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := Inject("p"); err != nil {
+		t.Fatalf("call 3 (past Count) = %v, want nil", err)
+	}
+	Reset()
+	select {
+	case err := <-blocked:
+		t.Fatalf("call 2 returned %v before Wait was closed", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := Inject("p"); err != nil {
+		t.Fatalf("after Reset = %v, want nil", err)
+	}
+	close(gate)
+	if err := <-blocked; err != boom {
+		t.Fatalf("call 2 after Wait closed = %v, want boom", err)
+	}
+}

@@ -110,7 +110,8 @@ func TestQueueWaitDoesNotCountAgainstJobTimeout(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
-	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: timeout, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: timeout}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

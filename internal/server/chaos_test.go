@@ -184,7 +184,8 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 // limit, and so never answers 429 or sends RateLimit-* headers.
 func TestOverloadRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -15,7 +15,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -190,7 +189,8 @@ func TestFailedSnapshotStaysJournaled(t *testing.T) {
 // enveloped 503 with a retry hint, zero hung connections.
 func TestOverloadNoHangs(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 2, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 2}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -357,13 +357,13 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 }
 
 // TestHealthLoadGauges pins the healthz overload gauges: live queue
-// depth vs capacity, busy workers, and total in-flight jobs — and the
-// deprecated breaker, retrying, scrub and admission.rate_limited
-// constants, which keep the shape a server without those mechanisms
-// always reported.
+// depth vs capacity, busy workers, and total in-flight jobs — and that the
+// breaker, retrying, scrub and admission.rate_limited keys, constants of
+// mechanisms the server no longer has, are gone.
 func TestHealthLoadGauges(t *testing.T) {
 	gate := make(chan struct{})
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 4, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 4}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -388,25 +388,15 @@ func TestHealthLoadGauges(t *testing.T) {
 			t.Errorf("healthz %s = %v, want %v", k, h[k], v)
 		}
 	}
+	for _, k := range []string{"breaker", "scrub", "retrying"} {
+		if v, ok := h[k]; ok {
+			t.Errorf("healthz still carries the removed %q key: %v", k, v)
+		}
+	}
 	if adm, ok := h["admission"].(map[string]any); !ok {
 		t.Errorf("healthz admission section missing: %+v", h["admission"])
-	} else if got, ok := adm["rate_limited"].(float64); !ok || got != 0 {
-		t.Errorf("healthz admission.rate_limited = %v, want the deprecated constant 0", adm["rate_limited"])
-	}
-	wantBreaker := map[string]any{
-		"state": "disabled", "failure_rate": 0.0, "window": 0.0, "window_filled": 0.0,
-		"trips": 0.0, "stale_served": 0.0, "short_circuits": 0.0,
-	}
-	if !reflect.DeepEqual(h["breaker"], wantBreaker) {
-		t.Errorf("healthz breaker = %+v, want %+v", h["breaker"], wantBreaker)
-	}
-	if got, ok := h["retrying"].(float64); !ok || got != 0 {
-		t.Errorf("healthz retrying = %v, want the deprecated constant 0", h["retrying"])
-	}
-	zero := map[string]any{"scanned": 0.0, "corrupt": 0.0, "repaired": 0.0, "quarantined": 0.0}
-	wantScrub := map[string]any{"passes": 0.0, "last": zero, "total": zero}
-	if !reflect.DeepEqual(h["scrub"], wantScrub) {
-		t.Errorf("healthz scrub = %+v, want %+v", h["scrub"], wantScrub)
+	} else if v, ok := adm["rate_limited"]; ok {
+		t.Errorf("healthz still carries the removed admission.rate_limited key: %v", v)
 	}
 
 	close(gate)

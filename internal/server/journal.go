@@ -113,7 +113,7 @@ func nextFrame(data []byte) (kind byte, payload, rest []byte, ok bool) {
 // done line never waits on a disk flush. The frame enters live when it is
 // written, before it is synced: a done can never find the live set empty
 // — and unlink the log — under a submit still on its way to disk.
-// "journal.write" injects the record write failing; "journal.batch" the
+// "journal.write" injects the record write failing; "journal.sync" the
 // commit failing (or stalling) unacknowledged, between write and sync.
 func (j *journal) append(rec journalRecord) error {
 	if err := faults.Inject("journal.write"); err != nil {
@@ -134,7 +134,7 @@ func (j *journal) append(rec journalRecord) error {
 	}
 	j.mu.Unlock()
 	if err == nil {
-		err = faults.Inject("journal.batch")
+		err = faults.Inject("journal.sync")
 	}
 	if err == nil && unsynced != nil {
 		err = unsynced.Sync()

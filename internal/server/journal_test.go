@@ -27,15 +27,32 @@ import (
 // personas.
 var builtinsOnly, _ = flows.NewPersonaIndex()
 
-// stalledPipeline returns a NewPipeline that blocks on gate — the
+// stallAudits arms the decode.slow fault point so the first audit to reach
+// it, in any server of the test binary, blocks until gate is closed: the
 // in-process stand-in for a worker frozen mid-audit when the process is
-// killed. Abandoning a server built on it (no Close) leaks the blocked
-// goroutine for the remainder of the test binary, which is exactly the
-// "process died here" semantics the crash matrix needs.
-func stalledPipeline(gate chan struct{}) func() *core.Pipeline {
-	return func() *core.Pipeline {
-		<-gate
-		return core.NewPipeline()
+// killed. Every later audit passes the point straight through, so a test
+// computes any expected result from an in-process audit before arming.
+// Reset is registered as cleanup; it does not release the blocked audit,
+// only closing gate does. Abandoning a server (no Close) whose worker is
+// blocked on a gate never closed leaks that goroutine for the remainder of
+// the test binary, which is exactly the "process died here" semantics the
+// crash matrix needs.
+//
+// The returned func waits until an audit has reached the point. A crash
+// cell calls it before abandoning its server, so the worker dies mid-audit
+// and the recovered server's audits find the gate spent.
+func stallAudits(t *testing.T, gate <-chan struct{}) (stalled func()) {
+	t.Helper()
+	faults.Set("decode.slow", faults.Plan{Wait: gate})
+	t.Cleanup(faults.Reset)
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); faults.Calls("decode.slow") < 1; {
+			if time.Now().After(deadline) {
+				t.Fatal("no audit reached the stalled decode.slow point")
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -247,15 +264,16 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		stalled := stallAudits(t, make(chan struct{}))
 		crashed := New(Config{
-			Workers:     1,
-			JournalDir:  filepath.Join(dir, "journal"),
-			Store:       st,
-			NewPipeline: stalledPipeline(make(chan struct{})),
+			Workers:    1,
+			JournalDir: filepath.Join(dir, "journal"),
+			Store:      st,
 		})
 		ts := httptest.NewServer(crashed)
 		j1 := accept(t, ts)
 		j2 := accept(t, ts)
+		stalled()
 		ts.Close() // abandon crashed without Close: the "kill -9"
 		recoverAndCheck(t, dir, j1.ID, j2.ID)
 	})
@@ -424,13 +442,15 @@ func TestJournalRecoveryDamagedStaging(t *testing.T) {
 	// path counted, end to end: cut a real staged upload short behind an
 	// abandoned server's back.
 	jdir := filepath.Join(t.TempDir(), "journal")
-	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(make(chan struct{}))}))
+	stalled := stallAudits(t, make(chan struct{}))
+	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, quizletParts(t))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	id := decodeJob(t, resp).ID
+	stalled()
 	ts.Close() // abandon
 	stagedFiles, _ := filepath.Glob(filepath.Join(jdir, "staging", "*"))
 	if len(stagedFiles) != 1 {
@@ -461,11 +481,8 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 
-	crashed := New(testConfig(t, Config{
-		Workers:     1,
-		JournalDir:  jdir,
-		NewPipeline: stalledPipeline(make(chan struct{})),
-	}))
+	stalled := stallAudits(t, make(chan struct{}))
+	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -475,10 +492,13 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	job := decodeJob(t, resp)
+	stalled()
 	ts.Close() // abandon
 
+	// Rearmed with a gate of its own, the point stalls the recovered job.
 	gate := make(chan struct{})
-	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +528,8 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 
-	crashed := New(testConfig(t, Config{
-		Workers:     1,
-		JournalDir:  jdir,
-		NewPipeline: stalledPipeline(make(chan struct{})),
-	}))
+	stalled := stallAudits(t, make(chan struct{}))
+	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
 	ts := httptest.NewServer(crashed)
 	parts := map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -526,6 +543,7 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 		}
 		last = decodeJob(t, resp)
 	}
+	stalled()
 	ts.Close() // abandon
 
 	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
@@ -571,11 +589,11 @@ func TestJournalConcurrentSubmits(t *testing.T) {
 
 	// Slow every commit, so the four submits overlap. The k-th append to
 	// return has seen at least k commits: none rides on another's.
-	faults.Set("journal.batch", faults.Plan{Delay: 20 * time.Millisecond, Count: -1})
+	faults.Set("journal.sync", faults.Plan{Delay: 20 * time.Millisecond, Count: -1})
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
-		seen []int // journal.batch calls when each append returned, in return order
+		seen []int // journal.sync calls when each append returned, in return order
 	)
 	for n := 1; n <= 4; n++ {
 		wg.Add(1)
@@ -587,7 +605,7 @@ func TestJournalConcurrentSubmits(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			seen = append(seen, faults.Calls("journal.batch"))
+			seen = append(seen, faults.Calls("journal.sync"))
 			mu.Unlock()
 			if data, err := os.ReadFile(j.logPath()); err != nil || !bytes.Contains(data, want) {
 				t.Errorf("append job-%d returned before its frame was in the log (%v)", n, err)
@@ -595,7 +613,7 @@ func TestJournalConcurrentSubmits(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if commits := faults.Calls("journal.batch"); commits != 4 {
+	if commits := faults.Calls("journal.sync"); commits != 4 {
 		t.Fatalf("4 concurrent appends took %d commits, want 4", commits)
 	}
 	for k, calls := range seen {
@@ -607,10 +625,10 @@ func TestJournalConcurrentSubmits(t *testing.T) {
 	// Stall a later submit between its write and its sync: a done for an
 	// earlier job must still go through at once.
 	const stall = time.Second
-	faults.Set("journal.batch", faults.Plan{Delay: stall, Count: 1})
+	faults.Set("journal.sync", faults.Plan{Delay: stall, Count: 1})
 	appended := make(chan error, 1)
 	go func() { appended <- j.append(recs[5]) }()
-	for deadline := time.Now().Add(5 * time.Second); faults.Calls("journal.batch") == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); faults.Calls("journal.sync") == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("append job-5 never reached its commit")
 		}
@@ -667,7 +685,7 @@ func TestJournalFailedBatchCancelled(t *testing.T) {
 		}
 		return jobIDs(jobs)
 	}
-	faults.Set("journal.batch", faults.Plan{Err: errors.New("disk detached"), Count: -1})
+	faults.Set("journal.sync", faults.Plan{Err: errors.New("disk detached"), Count: -1})
 	if err := j.append(rec(1)); err == nil {
 		t.Fatal("append succeeded through a failing sync")
 	}
@@ -678,7 +696,7 @@ func TestJournalFailedBatchCancelled(t *testing.T) {
 	if err := j.append(rec(2)); err != nil {
 		t.Fatal(err)
 	}
-	faults.Set("journal.batch", faults.Plan{Err: errors.New("disk detached"), Count: -1})
+	faults.Set("journal.sync", faults.Plan{Err: errors.New("disk detached"), Count: -1})
 	if err := j.append(rec(3)); err == nil {
 		t.Fatal("append succeeded through a failing sync")
 	}
@@ -899,7 +917,7 @@ func TestJournalModel(t *testing.T) {
 			if mode == 0 {
 				// Hold the batch between its write and its sync, and let
 				// every older job finish inside that window.
-				faults.Set("journal.batch", faults.Plan{Delay: 10 * time.Millisecond})
+				faults.Set("journal.sync", faults.Plan{Delay: 10 * time.Millisecond})
 			}
 			var wg sync.WaitGroup
 			for k := rng.Intn(maxBurst); k >= 0; k-- {
@@ -914,7 +932,7 @@ func TestJournalModel(t *testing.T) {
 				}()
 				live = append(live, rec.ID)
 			}
-			for mode == 0 && faults.Calls("journal.batch") == 0 {
+			for mode == 0 && faults.Calls("journal.sync") == 0 {
 				time.Sleep(100 * time.Microsecond)
 			}
 			finish(racing...)

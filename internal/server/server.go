@@ -65,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"diffaudit/internal/classifier"
 	"diffaudit/internal/core"
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
@@ -107,11 +106,6 @@ type Config struct {
 	// /v1/diff persona filter. Open fixes them: what a server accepts
 	// depends on its configuration alone, never on what it has read.
 	Personas []flows.Persona
-	// NewPipeline constructs the analysis pipeline for each job (default
-	// core.NewPipeline). Whatever cache it comes with, the job classifies
-	// through the one label cache the server keeps for its life: a label
-	// is a function of its key alone, so sharing changes no result.
-	NewPipeline func() *core.Pipeline
 	// JournalDir holds the crash-safe job journal: accepted uploads are
 	// staged under <JournalDir>/staging and recorded in
 	// <JournalDir>/journal.log (fsynced, one sync per submit) before they
@@ -261,9 +255,9 @@ type Server struct {
 	queue    chan *Job
 	journal  *journal
 	cache    *resultCache
-	// labels is the label cache every job classifies through, kept for the
-	// server's life so a key labelled once is not classified again.
-	labels *core.LabelCache
+	// pipe runs every job, kept for the server's life so its label cache
+	// classifies a key once whichever job brings it.
+	pipe *core.Pipeline
 
 	admission admission // the deadline shed's estimate (admission.go)
 
@@ -320,9 +314,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 256
 	}
-	if cfg.NewPipeline == nil {
-		cfg.NewPipeline = core.NewPipeline
-	}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
@@ -340,7 +331,7 @@ func Open(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		jobs:     make(map[string]*Job),
 		cache:    newResultCache(cacheBytes),
-		labels:   core.NewLabelCache(classifier.FinalLabeler()),
+		pipe:     core.NewPipeline(),
 	}
 	s.registerRoutes()
 	// A restarted server must not mint job IDs that collide with the IDs
@@ -519,8 +510,7 @@ func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceRe
 }
 
 // audit runs the streaming pipeline over a job's staged captures, each of
-// which is opened and parsed exactly once, classifying through the
-// server's label cache.
+// which is opened and parsed exactly once, on the server's one pipeline.
 func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, core.LabelStats, error) {
 	srcs := make([]core.RecordSource, 0, len(job.uploads))
 	// The keylog is parsed on the first mobile capture and shared,
@@ -549,14 +539,12 @@ func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, core
 
 	// Identity: a known service profile wins; otherwise the first party is
 	// whatever the pass itself finds most contacted.
-	p := s.cfg.NewPipeline()
-	p.Labels = s.labels
 	spec, known := services.ByName(job.Service)
 	id := core.ServiceIdentity{Name: job.Service}
 	if known {
 		id = core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
 	}
-	return p.Audit(ctx, id, !known, src)
+	return s.pipe.Audit(ctx, id, !known, src)
 }
 
 // evictLocked drops the oldest finished jobs once the retention cap is
@@ -1271,46 +1259,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"workers_busy":   busy,
 		"jobs_inflight":  queued + busy,
 		// degraded: the server is serving, but crash-recovered jobs are
-		// still settling — fresh results may lag. retrying is deprecated
-		// and always 0: the server has no retry loop.
+		// still settling — fresh results may lag.
 		"degraded":   recovering > 0,
 		"recovering": recovering,
-		"retrying":   0,
 		// Admission-control view: the service-time estimate behind the
 		// shed decision and how many uploads it has rejected.
-		// rate_limited is deprecated and always 0: the server has no
-		// per-client rate limit.
 		"admission": map[string]any{
-			"ewma_ms":      float64(s.admission.ewmaNanos.Load()) / 1e6,
-			"est_wait_ms":  float64(s.admission.estimateWait(queued, s.cfg.Workers)) / 1e6,
-			"shed":         s.admission.shed.Load(),
-			"rate_limited": 0,
+			"ewma_ms":     float64(s.admission.ewmaNanos.Load()) / 1e6,
+			"est_wait_ms": float64(s.admission.estimateWait(queued, s.cfg.Workers)) / 1e6,
+			"shed":        s.admission.shed.Load(),
 		},
 		"snapshots": s.cfg.Store.Len(),
 		// The decoded-snapshot cache's hit/miss/eviction counters tell an
 		// operator whether CacheBytes is sized to the working set.
-		"cache":   s.cache.stats(),
-		"breaker": deprecatedBreakerStats,
-		"scrub":   deprecatedScrubStats,
+		"cache": s.cache.stats(),
 	})
-}
-
-// deprecatedBreakerStats is the healthz "breaker" block, kept so clients
-// that read it keep parsing. The server has no store circuit breaker; this
-// is the shape it always reported for a disabled one.
-var deprecatedBreakerStats = map[string]any{
-	"state": "disabled", "failure_rate": 0.0, "window": 0, "window_filled": 0,
-	"trips": 0, "stale_served": 0, "short_circuits": 0,
-}
-
-// deprecatedScrubStats is the healthz "scrub" block, kept so clients that
-// read it keep parsing. The server has no integrity scrubber: a corrupt
-// snapshot file fails its own reads with a 500, and a restart's rescan
-// skips it. This is the shape a server that never scrubbed reported.
-var deprecatedScrubStats = map[string]any{
-	"passes": 0,
-	"last":   map[string]any{"scanned": 0, "corrupt": 0, "repaired": 0, "quarantined": 0},
-	"total":  map[string]any{"scanned": 0, "corrupt": 0, "repaired": 0, "quarantined": 0},
 }
 
 // jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).

@@ -373,14 +373,8 @@ func TestQueueBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(gate) })
-	srv := New(testConfig(t, Config{
-		Workers:    1,
-		QueueDepth: 1,
-		NewPipeline: func() *core.Pipeline {
-			<-gate
-			return core.NewPipeline()
-		},
-	}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1}))
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -84,7 +84,8 @@ func TestJobsShareLabelCache(t *testing.T) {
 func TestQueueFullRefusedBeforeStaging(t *testing.T) {
 	gate := make(chan struct{})
 	jdir := filepath.Join(t.TempDir(), "journal")
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, JournalDir: jdir, NewPipeline: stalledPipeline(gate)}))
+	stallAudits(t, gate)
+	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, JournalDir: jdir}))
 	defer srv.Close()
 	defer close(gate) // before Close, which waits for the stalled worker
 	ts := httptest.NewServer(srv)

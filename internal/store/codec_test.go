@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -211,7 +210,7 @@ func TestOnePersonaPerName(t *testing.T) {
 				recs[i].Trace = adolescent
 			}
 		}
-		return core.NewPipeline().AnalyzeRecordsContext(context.Background(), st.Identity(), recs)
+		return core.NewPipeline().AnalyzeStream(st.Identity(), core.SliceSource(recs))
 	}
 	for _, twin := range []flows.Persona{same, older} {
 		if _, err := audit(kid, twin); err == nil || !strings.Contains(err.Error(), `"Twin Kid"`) {
