@@ -28,7 +28,6 @@ import (
 	"diffaudit/internal/netcap/reassembly"
 	"diffaudit/internal/ontology"
 	"diffaudit/internal/report"
-	"diffaudit/internal/server"
 	"diffaudit/internal/store"
 	"diffaudit/internal/synth"
 )
@@ -357,61 +356,6 @@ func BenchmarkFSStorePut(b *testing.B) {
 	}
 }
 
-// benchReportServer stores one audited snapshot in an FSStore behind a
-// server and returns the server plus the snapshot's reference.
-func benchReportServer(b *testing.B, cacheBytes int64) (*server.Server, string) {
-	b.Helper()
-	st, err := store.OpenFSStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta, err := st.Put("bench-job", audited(b)[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(server.Config{Store: st, JournalDir: b.TempDir(), CacheBytes: cacheBytes})
-	b.Cleanup(srv.Close)
-	return srv, fmt.Sprintf("%d", meta.Seq)
-}
-
-// BenchmarkReportFromStoreCold measures the server's snapshot read path
-// with the decoded-snapshot cache disabled: every fetch resolves, reads
-// and decodes.
-func BenchmarkReportFromStoreCold(b *testing.B) {
-	srv, ref := benchReportServer(b, -1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := srv.SnapshotResult(ref)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.ByTrace) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkReportFromStoreWarm measures the same fetch with the cache
-// warm: resolve + hash lookup, zero snapshot decodes. The ratio against
-// ReportFromStoreCold is the PR's headline claim — decode disappears from
-// the hot read path.
-func BenchmarkReportFromStoreWarm(b *testing.B) {
-	srv, ref := benchReportServer(b, 0) // default cache
-	if _, _, err := srv.SnapshotResult(ref); err != nil {
-		b.Fatal(err) // prime
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := srv.SnapshotResult(ref)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.ByTrace) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
 // BenchmarkReportCSV measures rendering the per-flow CSV export. The
 // "export" case allocates the full document per call (the shape of the
 // pre-pool serving path); "append-pooled" is the server's report.csv hot
@@ -516,8 +460,8 @@ func BenchmarkReassembly(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationATSMatch compares subdomain-aware block-list matching
-// against exact-only matching.
+// BenchmarkAblationATSMatch times subdomain-aware block-list matching over
+// blocked and first-party hosts.
 func BenchmarkAblationATSMatch(b *testing.B) {
 	engine := ats.Default()
 	hosts := []string{
@@ -527,11 +471,6 @@ func BenchmarkAblationATSMatch(b *testing.B) {
 	b.Run("subdomain-walk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			engine.Check(hosts[i%len(hosts)])
-		}
-	})
-	b.Run("exact-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.CheckExact(hosts[i%len(hosts)])
 		}
 	})
 }

@@ -98,18 +98,6 @@ func (e *Engine) Check(fqdn string) Decision {
 	return d
 }
 
-// CheckExact evaluates only exact-entry matches, without the subdomain walk.
-// This is the ablation baseline for BenchmarkAblationATSMatch.
-func (e *Engine) CheckExact(fqdn string) Decision {
-	host := strings.Trim(strings.ToLower(strings.TrimSpace(fqdn)), ".")
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if lists, ok := e.entries[host]; ok {
-		return Decision{Blocked: true, Entry: host, Lists: dedup(append([]string(nil), lists...))}
-	}
-	return Decision{}
-}
-
 // IsATS is shorthand for Check(fqdn).Blocked.
 func (e *Engine) IsATS(fqdn string) bool { return e.Check(fqdn).Blocked }
 

@@ -111,15 +111,6 @@ func (e *Ensemble) Classify(input string) Prediction {
 	return out
 }
 
-// ClassifyAll maps Classify over a batch.
-func (e *Ensemble) ClassifyAll(inputs []string) []Prediction {
-	out := make([]Prediction, len(inputs))
-	for i, in := range inputs {
-		out[i] = e.Classify(in)
-	}
-	return out
-}
-
 // Labeler is anything that classifies raw data types: a single Model, an
 // Ensemble, or one of the baselines.
 type Labeler interface {

@@ -137,15 +137,6 @@ func (m *Model) classify(input string, ranked []scoreEntry) Prediction {
 	}
 }
 
-// ClassifyAll maps Classify over a batch.
-func (m *Model) ClassifyAll(inputs []string) []Prediction {
-	out := make([]Prediction, len(inputs))
-	for i, in := range inputs {
-		out[i] = m.Classify(in)
-	}
-	return out
-}
-
 // selfConfidence converts evidence strength into the 0–1 self-reported
 // score. Like real LLM self-reports it correlates with, but does not equal,
 // correctness probability: noise widens with temperature.

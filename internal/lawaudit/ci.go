@@ -74,11 +74,6 @@ func (sc *Scenario) TupleFor(service string, p flows.Persona, f flows.Flow) CITu
 	}
 }
 
-// TupleFor renders the CI tuple for a flow under the default scenario.
-func TupleFor(service string, t flows.Persona, f flows.Flow) CITuple {
-	return DefaultScenario().TupleFor(service, t, f)
-}
-
 // CIAnalysis assesses every flow of every persona against the scenario's
 // CI norms.
 func (sc *Scenario) CIAnalysis(service string, byTrace map[flows.Persona]*flows.Set) []CIAssessment {

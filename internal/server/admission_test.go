@@ -61,7 +61,7 @@ func TestAdmissionEWMA(t *testing.T) {
 // and admitted again the moment the backlog clears.
 func TestAdmissionShedsOnDeadline(t *testing.T) {
 	defer faults.Reset()
-	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: time.Second}))
+	srv := newServer(t, Config{Workers: 1, JobTimeout: time.Second})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -111,7 +111,7 @@ func TestQueueWaitDoesNotCountAgainstJobTimeout(t *testing.T) {
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: timeout}))
+	srv := newServer(t, Config{Workers: 1, JobTimeout: timeout})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -142,7 +142,7 @@ func TestQueueWaitDoesNotCountAgainstJobTimeout(t *testing.T) {
 func TestAdmissionNoDeadlineNeverSheds(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("admit.slow", faults.Plan{Err: errors.New("backlog"), Count: -1})
-	srv := New(testConfig(t, Config{Workers: 1})) // no deadline
+	srv := newServer(t, Config{Workers: 1}) // no deadline
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -177,7 +177,7 @@ func newMultipart(t *testing.T, buf *bytes.Buffer, parts map[string][2]string) s
 // TestRetryAfterAdaptive: the 503 hint tracks the backlog estimate —
 // floor 1s when idle, the estimated wait when loaded, capped at 5min.
 func TestRetryAfterAdaptive(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1}))
+	srv := newServer(t, Config{Workers: 1})
 	defer srv.Close()
 	if got := retryAfterHint(srv.backlogWait()); got != 1 {
 		t.Errorf("idle hint = %d, want 1", got)
@@ -224,7 +224,7 @@ func TestRetryAfterHintFloorCap(t *testing.T) {
 // loads. This is on every POST /v1/audits; it must stay allocation-free
 // and well under a microsecond.
 func BenchmarkAdmissionCheck(b *testing.B) {
-	srv := New(testConfig(b, Config{Workers: 2, JobTimeout: time.Second}))
+	srv := newServer(b, Config{Workers: 2, JobTimeout: time.Second})
 	defer srv.Close()
 	srv.admission.ewmaNanos.Store(int64(50 * time.Millisecond))
 	b.ReportAllocs()

@@ -67,11 +67,22 @@ func testConfig(t testing.TB, cfg Config) Config {
 	return cfg
 }
 
+// newServer opens a server through testConfig and fails the test when
+// Open does.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	srv, err := Open(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // storeServer boots a server through testConfig with one finished job and
 // returns the server, test listener, and the job.
 func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, Job) {
 	t.Helper()
-	srv := New(testConfig(t, cfg))
+	srv := newServer(t, cfg)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -171,6 +182,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"/v1/snapshots/99", http.StatusNotFound, "not_found"},
 		{"/v1/snapshots?cursor=xyz", http.StatusBadRequest, "invalid_request"},
 		{"/v1/jobs?cursor=xyz", http.StatusBadRequest, "invalid_request"},
+		// A job-ID cursor is "job-" then ASCII digits, at least 1.
+		{"/v1/jobs?cursor=job-3x", http.StatusBadRequest, "invalid_request"},
+		{"/v1/jobs?cursor=job-%204", http.StatusBadRequest, "invalid_request"},
+		{"/v1/jobs?cursor=job-%2B7", http.StatusBadRequest, "invalid_request"},
+		{"/v1/jobs?cursor=job--5", http.StatusBadRequest, "invalid_request"},
 	} {
 		code, body := getBody(t, ts, tc.path)
 		if code != tc.status {
@@ -184,7 +200,7 @@ func TestErrorEnvelope(t *testing.T) {
 
 	// The 503 envelope carries retry_after, mirroring the Retry-After
 	// header the chaos suite already pins.
-	srv3 := New(testConfig(t, Config{}))
+	srv3 := newServer(t, Config{})
 	ts3 := httptest.NewServer(srv3)
 	defer ts3.Close()
 	srv3.Close()
@@ -310,12 +326,19 @@ func (r *rerunStore) JobSnapshot(jobID string) (store.Meta, bool) {
 // body renders — never one snapshot's validator on another's bytes.
 func TestReportETagNamesItsBody(t *testing.T) {
 	st := &rerunStore{Store: testStore(t)}
-	srv, ts, job := storeServer(t, Config{Store: st})
-	results := []*core.ServiceResult{nil, nil, nil}
-	results[0], _ = srv.Result(job.ID)
-	for i, url := range []string{"https://api.quizlet.com/v1/profile?user_id=u123", "https://stats.g.doubleclick.net/collect?advertising_id=adid9"} {
+	_, ts, job := storeServer(t, Config{Store: st})
+	stored := func(j Job) *core.ServiceResult {
+		t.Helper()
+		res, _, err := st.Get(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	results := []*core.ServiceResult{stored(job)}
+	for _, url := range []string{"https://api.quizlet.com/v1/profile?user_id=u123", "https://stats.g.doubleclick.net/collect?advertising_id=adid9"} {
 		rerun := runJob(t, ts, map[string][2]string{"child": {"c.har", deltaHAR(t, url)}, "name": {"", "Quizlet"}})
-		results[i+1], _ = srv.Result(rerun.ID)
+		results = append(results, stored(rerun))
 	}
 	exports := map[string][]byte{} // ETag → the export of the content it names
 	for _, res := range results {
@@ -451,10 +474,10 @@ func TestETagAndConditionalGet(t *testing.T) {
 // report/snapshot/diff reads perform zero snapshot decodes, and a 304
 // performs zero decodes even on a cold cache.
 func TestWarmPathsPerformZeroDecodes(t *testing.T) {
-	// MaxJobs: 1 forces eviction of the finished job when the next one
+	// maxJobs: 1 forces eviction of the finished job when the next one
 	// lands, so report reads must go through the store — the live-job
 	// path serves from job memory and would never decode anything.
-	_, ts, first := storeServer(t, Config{Workers: 1, MaxJobs: 1})
+	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1})
 	runJob(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
 		"name":  {"", "Quizlet"},
@@ -557,7 +580,7 @@ func TestFilteredDiffFillsCache(t *testing.T) {
 // TestHealthzCacheStats checks the cache surface on /v1/healthz: hits and
 // misses move as the read path warms.
 func TestHealthzCacheStats(t *testing.T) {
-	_, ts, first := storeServer(t, Config{Workers: 1, MaxJobs: 1})
+	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1})
 	runJob(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
 		"name":  {"", "Quizlet"},

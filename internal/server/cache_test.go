@@ -162,7 +162,7 @@ func TestGzipBodyAttached(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantGz := referenceGzip(t, want)
-	srv := New(testConfig(t, Config{Store: st}))
+	srv := newServer(t, Config{Store: st})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -240,16 +240,4 @@ func TestGzipBodyAttached(t *testing.T) {
 	if health.Cache["gzip_entries"] != 1.0 || health.Cache["gzip_bytes"] != float64(len(wantGz)) {
 		t.Errorf("healthz cache = %v; want gzip_entries 1, gzip_bytes %d", health.Cache, len(wantGz))
 	}
-}
-
-// TestNewPanicsWithOpensError: New panics with Open's error as it is, and
-// that error already names the package once.
-func TestNewPanicsWithOpensError(t *testing.T) {
-	defer func() {
-		err, ok := recover().(error)
-		if !ok || err.Error() != "server: Config.Store is required" {
-			t.Errorf("New panicked with %v; want Open's error %q", err, "server: Config.Store is required")
-		}
-	}()
-	New(Config{JournalDir: t.TempDir()})
 }

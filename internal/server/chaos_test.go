@@ -42,7 +42,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("worker.panic", faults.Plan{Panic: "chaos monkey", On: 1})
 
-	srv := New(testConfig(t, Config{Workers: 1}))
+	srv := newServer(t, Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -82,7 +82,7 @@ func TestPCAPStreamPanicContained(t *testing.T) {
 	}
 	faults.Set("pcap.stream", faults.Plan{Panic: "stream decoder blew up", On: 2})
 
-	srv := New(testConfig(t, Config{Workers: 1}))
+	srv := newServer(t, Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -111,7 +111,7 @@ func TestPermanentStorePutFails(t *testing.T) {
 	defer faults.Reset()
 	faults.Set("store.write", faults.Plan{Err: errors.New("volume detached"), Count: -1})
 
-	srv := New(testConfig(t, Config{Workers: 1}))
+	srv := newServer(t, Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -152,7 +152,7 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 		"name":  {"", "Quizlet"},
 	}
 
-	srv := New(testConfig(t, Config{Workers: 1, JobTimeout: 75 * time.Millisecond}))
+	srv := newServer(t, Config{Workers: 1, JobTimeout: 75 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -185,7 +185,7 @@ func TestJobTimeoutFreesWorker(t *testing.T) {
 func TestOverloadRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -339,7 +339,7 @@ func TestSoakUploadsBoundedMemory(t *testing.T) {
 		hosts    = 250
 		marginMB = 2
 	)
-	srv := New(testConfig(t, Config{Workers: 1, MaxJobs: 2, CacheBytes: 64 << 10}))
+	srv := newServer(t, Config{Workers: 1, maxJobs: 2, CacheBytes: 64 << 10})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

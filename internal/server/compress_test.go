@@ -298,7 +298,7 @@ func TestExportScratchNotSharedAcrossResponses(t *testing.T) {
 		t.Fatalf("the huge export is %d bytes; it must exceed the pool's 4 MiB top class", n)
 	}
 	newServer := func() *httptest.Server {
-		srv := New(testConfig(t, Config{Store: st}))
+		srv := newServer(t, Config{Store: st})
 		t.Cleanup(srv.Close)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)

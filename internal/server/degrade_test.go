@@ -122,6 +122,46 @@ func TestCorruptSnapshotFaultStaysLocal(t *testing.T) {
 	}
 }
 
+// TestRemovedSnapshotFileAnswers404: nothing deletes a snapshot, but a
+// file removed from the data directory by hand is a stale reference, not
+// corruption — its reads answer 404 not_found. After a restart its
+// sequence is free again and the next upload takes it, which is why a
+// read by sequence never claims immutability.
+func TestRemovedSnapshotFileAnswers404(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts, job := storeServer(t, Config{Workers: 1, Store: st, CacheBytes: -1})
+	bySeq := fmt.Sprintf("/v1/snapshots/%d", job.SnapshotSeq)
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("%012d.snap", job.SnapshotSeq))); err != nil {
+		t.Fatal(err)
+	}
+	code, body := getBody(t, ts, bySeq)
+	if code != http.StatusNotFound {
+		t.Fatalf("read of a removed snapshot file = %d: %s", code, body)
+	}
+	if e := apiErr(t, body); e.Code != codeNotFound {
+		t.Errorf("read of a removed snapshot file envelope = %+v", e)
+	}
+
+	srv.Close()
+	st2, err := store.OpenFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2, next := storeServer(t, Config{Workers: 1, Store: st2})
+	if next.SnapshotSeq != job.SnapshotSeq {
+		t.Errorf("upload after restart got sequence %d, want the freed %d", next.SnapshotSeq, job.SnapshotSeq)
+	}
+	resp := get(t, ts2, bySeq)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Cache-Control") != ccRevalidate {
+		t.Errorf("read by sequence = %d, Cache-Control %q; want 200, %q", resp.StatusCode, resp.Header.Get("Cache-Control"), ccRevalidate)
+	}
+}
+
 // TestFailedSnapshotStaysJournaled pins the deferred-write contract: a
 // job whose snapshot fails to persist still finishes with its result in
 // memory and keeps its journal record, so a restart re-runs it and
@@ -190,7 +230,7 @@ func TestFailedSnapshotStaysJournaled(t *testing.T) {
 func TestOverloadNoHangs(t *testing.T) {
 	gate := make(chan struct{})
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 2}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -363,12 +403,15 @@ func TestCloseRacesInflightUploads(t *testing.T) {
 func TestHealthLoadGauges(t *testing.T) {
 	gate := make(chan struct{})
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 4}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the stalled worker
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	parts := quizletParts(t)
-	submit(t, ts, parts).Body.Close()
+	held := decodeJob(t, submit(t, ts, parts))
 	deadline := time.Now().Add(10 * time.Second)
 	for int(srv.busy.Load()) != 1 {
 		if time.Now().After(deadline) {
@@ -399,6 +442,5 @@ func TestHealthLoadGauges(t *testing.T) {
 		t.Errorf("healthz still carries the removed admission.rate_limited key: %v", v)
 	}
 
-	close(gate)
-	srv.Close()
+	releaseStalled(t, ts, held.ID, release)
 }

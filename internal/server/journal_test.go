@@ -56,6 +56,31 @@ func stallAudits(t *testing.T, gate <-chan struct{}) (stalled func()) {
 	}
 }
 
+// stallProof is how long a held job must stay running before its gate
+// closes: many unstalled audits' worth, so a stall that held nothing shows
+// as a job already finished.
+const stallProof = 250 * time.Millisecond
+
+// releaseStalled proves a stall held job id: the job is still running
+// stallProof after the test's checks, and it finishes only after release
+// closes its gate. It returns the finished job.
+func releaseStalled(t *testing.T, ts *httptest.Server, id string, release func()) Job {
+	t.Helper()
+	time.Sleep(stallProof)
+	code, body := getBody(t, ts, "/v1/jobs/"+id)
+	var held Job
+	if err := json.Unmarshal(body, &held); code != http.StatusOK || err != nil || held.State != JobRunning {
+		t.Errorf("held job %s = %d %s before its gate closed, want running", id, code, body)
+	}
+	closed := time.Now()
+	release()
+	done := wait(t, ts, id)
+	if !done.FinishedAt.After(closed) {
+		t.Errorf("held job %s finished at %v, not after its gate closed at %v", id, done.FinishedAt, closed)
+	}
+	return done
+}
+
 // stalledPutStore wraps a Store so Put blocks forever — the crash point
 // between "audit finished" and "snapshot durable".
 type stalledPutStore struct {
@@ -197,7 +222,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseSrv := New(Config{Workers: 1, JournalDir: filepath.Join(baseDir, "journal"), Store: baseStore})
+	baseSrv := newServer(t, Config{Workers: 1, JournalDir: filepath.Join(baseDir, "journal"), Store: baseStore})
 	baseTS := httptest.NewServer(baseSrv)
 	job := runJob(t, baseTS, parts)
 	_, want := getBody(t, baseTS, "/v1/jobs/"+job.ID+"/report.json")
@@ -265,7 +290,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		stalled := stallAudits(t, make(chan struct{}))
-		crashed := New(Config{
+		crashed := newServer(t, Config{
 			Workers:    1,
 			JournalDir: filepath.Join(dir, "journal"),
 			Store:      st,
@@ -286,7 +311,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		crashed := New(Config{
+		crashed := newServer(t, Config{
 			Workers:    1,
 			JournalDir: filepath.Join(dir, "journal"),
 			Store:      &stalledPutStore{Store: st, gate: make(chan struct{})},
@@ -443,7 +468,7 @@ func TestJournalRecoveryDamagedStaging(t *testing.T) {
 	// abandoned server's back.
 	jdir := filepath.Join(t.TempDir(), "journal")
 	stalled := stallAudits(t, make(chan struct{}))
-	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
+	crashed := newServer(t, Config{Workers: 1, JournalDir: jdir})
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, quizletParts(t))
 	if resp.StatusCode != http.StatusAccepted {
@@ -482,7 +507,7 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 	jdir := filepath.Join(dir, "journal")
 
 	stalled := stallAudits(t, make(chan struct{}))
-	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
+	crashed := newServer(t, Config{Workers: 1, JournalDir: jdir})
 	ts := httptest.NewServer(crashed)
 	resp := submit(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -498,11 +523,10 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 	// Rearmed with a gate of its own, the point stalls the recovered job.
 	gate := make(chan struct{})
 	stallAudits(t, gate)
-	srv, err := Open(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(t, Config{Workers: 1, JournalDir: jdir})
 	defer srv.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the stalled worker
 	ts2 := httptest.NewServer(srv)
 	defer ts2.Close()
 
@@ -511,8 +535,7 @@ func TestJournalRecoveryDegradedHealth(t *testing.T) {
 		t.Fatalf("healthz during recovery = %v, want degraded with recovering=1", h)
 	}
 
-	close(gate)
-	done := wait(t, ts2, job.ID)
+	done := releaseStalled(t, ts2, job.ID, release)
 	if done.State != JobDone {
 		t.Fatalf("recovered job = %+v", done)
 	}
@@ -529,7 +552,7 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	jdir := filepath.Join(dir, "journal")
 
 	stalled := stallAudits(t, make(chan struct{}))
-	crashed := New(testConfig(t, Config{Workers: 1, JournalDir: jdir}))
+	crashed := newServer(t, Config{Workers: 1, JournalDir: jdir})
 	ts := httptest.NewServer(crashed)
 	parts := map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
@@ -727,7 +750,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := New(testConfig(t, Config{Workers: 1, Store: st}))
+	base := newServer(t, Config{Workers: 1, Store: st})
 	baseTS := httptest.NewServer(base)
 	baseJob := runJob(t, baseTS, parts)
 	_, want := getBody(t, baseTS, "/v1/jobs/"+baseJob.ID+"/report.json")

@@ -38,9 +38,10 @@ func pageParams(r *http.Request) (limit int, cursor string, err string) {
 
 // setCacheHeaders stamps a cacheable response: a strong ETag plus the
 // Cache-Control policy. ccImmutable is for responses whose request URL
-// pins the exact content (a snapshot fetched by its full hash — a store
-// sequence can be reused after delete + restart, a hash cannot change);
-// everything else revalidates, which the ETag makes nearly free.
+// pins the exact content (a snapshot fetched by its full hash — a hash
+// cannot change, but a sequence whose file was removed by hand can be
+// reused after a restart); everything else revalidates, which the ETag
+// makes nearly free.
 const (
 	ccRevalidate = "no-cache"
 	ccImmutable  = "public, max-age=31536000, immutable"

@@ -6,7 +6,8 @@
 // stream from disk, and no request ever materializes a whole capture in
 // memory.
 //
-// API (v1; see routes.go):
+// The Go API is Open, ServeHTTP and Close; everything else a client
+// reads or writes goes over HTTP (v1; see routes.go):
 //
 //	POST /v1/audits        multipart upload; field name = persona (any
 //	                       configured persona name or alias — built-ins:
@@ -39,11 +40,12 @@
 // Every server has a snapshot store (Config.Store) and a job journal
 // (Config.JournalDir). Every successful audit is persisted as a
 // content-addressed snapshot before it becomes evictable; eviction by the
-// MaxJobs retention cap then drops only the in-memory Job bookkeeping, and
-// the report endpoints keep answering 200 for evicted IDs by decoding the
-// stored snapshot (/v1/jobs/{id} itself answers 404 — the job metadata is
-// gone, the result is not). A server over a directory-backed store
-// therefore serves byte-identical reports across restarts.
+// retention cap (defaultMaxJobs) then drops only the in-memory Job
+// bookkeeping, and the report endpoints keep answering 200 for evicted
+// IDs by decoding the stored snapshot (/v1/jobs/{id} itself answers 404 —
+// the job metadata is gone, the result is not). The store is append-only,
+// so a server over a directory-backed store serves byte-identical reports
+// across restarts.
 package server
 
 import (
@@ -84,18 +86,9 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 16). A full queue rejects uploads with 503.
 	QueueDepth int
-	// MaxUploadBytes caps one POST /audit body (default 1 GiB). Uploads
+	// MaxUploadBytes caps one POST /v1/audits body (default 1 GiB). Uploads
 	// stream to <JournalDir>/staging, so the cap protects disk, not memory.
 	MaxUploadBytes int64
-	// MaxJobs bounds how many finished jobs are retained in memory for
-	// status and report fetching (default 256). When the cap is hit, the
-	// oldest finished jobs are evicted — queued and running jobs are
-	// never evicted, so a long-lived server's memory stays bounded.
-	// Eviction drops only the in-memory Job; the stored snapshot keeps
-	// serving. A done job whose snapshot failed to persist
-	// (Job.SnapshotError) is retained past the cap rather than silently
-	// lost.
-	MaxJobs int
 	// Store persists finished audits as content-addressed snapshots: it
 	// serves the /v1/snapshots and /v1/diff endpoints, report fetching for
 	// evicted jobs, and (with store.OpenFSStore) restart durability.
@@ -125,7 +118,18 @@ type Config struct {
 	// disables the cache (every read decodes — the cold-path benchmark
 	// configuration).
 	CacheBytes int64
+
+	maxJobs int // the retention cap, defaultMaxJobs when 0; only tests lower it
 }
+
+// defaultMaxJobs bounds how many finished jobs are retained in memory for
+// status and report fetching. When the cap is hit, the oldest finished
+// jobs are evicted — queued and running jobs are never evicted, so a
+// long-lived server's memory stays bounded. Eviction drops only the
+// in-memory Job; the stored snapshot keeps serving. A done job whose
+// snapshot failed to persist (Job.SnapshotError) is retained past the cap
+// rather than silently lost.
+const defaultMaxJobs = 256
 
 // DefaultCacheBytes is the decoded-snapshot cache bound when
 // Config.CacheBytes is zero.
@@ -246,8 +250,8 @@ type upload struct {
 	trace   flows.TraceCategory // Persona, resolved against Config.Personas
 }
 
-// Server is the audit server. Create with Open (or New), mount via
-// Handler, stop with Close.
+// Server is the audit server. Create with Open, mount the server itself as
+// the handler, stop with Close.
 type Server struct {
 	cfg      Config
 	personas *flows.PersonaIndex // built-ins plus Config.Personas
@@ -272,16 +276,6 @@ type Server struct {
 	busy atomic.Int32
 
 	wg sync.WaitGroup
-}
-
-// New is Open for configurations that cannot fail: it panics on Open's
-// errors.
-func New(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Open starts a server, recovering interrupted jobs from the journal
@@ -311,8 +305,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 1 << 30
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 256
+	if cfg.maxJobs <= 0 {
+		cfg.maxJobs = defaultMaxJobs
 	}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes == 0 {
@@ -379,9 +373,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Handler returns the HTTP handler to mount.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // ServeHTTP makes the server itself mountable.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -552,7 +543,7 @@ func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, core
 // bookkeeping is dropped: the persisted snapshot remains addressable
 // (report endpoints, /snapshots, /diff). Callers hold s.mu.
 func (s *Server) evictLocked() {
-	excess := len(s.jobs) - s.cfg.MaxJobs
+	excess := len(s.jobs) - s.cfg.maxJobs
 	if excess <= 0 {
 		return
 	}
@@ -564,7 +555,7 @@ func (s *Server) evictLocked() {
 			// The snapshot failed to persist (e.g. disk full), so this
 			// in-memory result is the only copy. Evicting it would break
 			// the "in memory or in the store, never neither" invariant —
-			// retain it past MaxJobs and let SnapshotError surface the
+			// retain it past the cap and let SnapshotError surface the
 			// problem; the operator-visible trade is slow memory growth
 			// over silent result loss.
 			evictable = false
@@ -1276,10 +1267,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).
+// jobIDNum extracts n ≥ 1 from a "job-<n>" ID whose n is ASCII digits
+// only; it is 0 for anything else ("job-3x", "job- 4", "job-+7", "job--5").
 func jobIDNum(id string) int {
-	var n int
-	fmt.Sscanf(id, "job-%d", &n)
+	digits, ok := strings.CutPrefix(id, "job-")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n < 1 || strings.Trim(digits, "0123456789") != "" {
+		return 0
+	}
 	return n
 }
 
@@ -1314,36 +1309,6 @@ func (j *Job) snapshot() Job {
 		Stages:        j.tl.stages(),
 		Labels:        labels,
 	}
-}
-
-// Result returns a finished job's audit result — the programmatic
-// counterpart of the report endpoints, including their evicted-but-stored
-// fallback.
-func (s *Server) Result(id string) (*core.ServiceResult, error) {
-	ref, status, _, msg := s.resolveJob(id)
-	if status != 0 {
-		return nil, errors.New("server: " + msg)
-	}
-	e, err := s.result(ref)
-	if err != nil {
-		return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, err)
-	}
-	return e.res, nil
-}
-
-// SnapshotResult resolves any store reference and materializes its result
-// through the decoded-snapshot cache — the programmatic counterpart of
-// GET /v1/snapshots/{ref}, and the read path the benchmarks drive.
-func (s *Server) SnapshotResult(ref string) (*core.ServiceResult, store.Meta, error) {
-	meta, err := s.cfg.Store.Resolve(ref)
-	if err != nil {
-		return nil, store.Meta{}, err
-	}
-	e, err := s.snapshotEntry(meta)
-	if err != nil {
-		return nil, store.Meta{}, err
-	}
-	return e.res, meta, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

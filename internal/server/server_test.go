@@ -131,7 +131,7 @@ func decodeJob(t *testing.T, resp *http.Response) Job {
 // the served report is byte-identical to a direct pipeline run over the
 // same capture.
 func TestAuditEndToEnd(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -191,7 +191,7 @@ func TestAuditEndToEnd(t *testing.T) {
 // must be what the two-step reference produces: parse everything, guess the
 // identity from the records, audit them under it.
 func TestGuessedIdentity(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -218,7 +218,7 @@ func TestGuessedIdentity(t *testing.T) {
 	}
 	want := core.NewPipeline().AnalyzeRecords(id, recs)
 
-	res, err := srv.Result(done.ID)
+	res, _, err := srv.cfg.Store.Get(done.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(testConfig(t, Config{MaxUploadBytes: int64(len(atCap[1]))}))
+			srv := newServer(t, Config{MaxUploadBytes: int64(len(atCap[1]))})
 			defer srv.Close()
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
@@ -305,7 +305,7 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -329,7 +329,7 @@ func TestSubmitValidation(t *testing.T) {
 // TestFailedJob uploads a corrupt capture and expects a failed state whose
 // report returns 409.
 func TestFailedJob(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -354,7 +354,7 @@ func TestFailedJob(t *testing.T) {
 // har.MaxEntryBytes of request fields fails its job with
 // har.ErrEntryTooLarge's message.
 func TestOversizedHAREntryFailsJob(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -371,11 +371,11 @@ func TestOversizedHAREntryFailsJob(t *testing.T) {
 // and expects 503 for the overflow submission.
 func TestQueueBackpressure(t *testing.T) {
 	gate := make(chan struct{})
-	var once sync.Once
-	defer once.Do(func() { close(gate) })
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 1})
 	defer srv.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the stalled worker
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -403,7 +403,7 @@ func TestQueueBackpressure(t *testing.T) {
 	if !overflowed {
 		t.Error("queue never overflowed at depth 1")
 	}
-	once.Do(func() { close(gate) })
+	releaseStalled(t, ts, ids[0], release)
 	for _, id := range ids {
 		if done := wait(t, ts, id); done.State != JobDone {
 			t.Errorf("job %s: %s (%s)", id, done.State, done.Error)
@@ -414,7 +414,7 @@ func TestQueueBackpressure(t *testing.T) {
 // TestConcurrentSubmissions hammers the server from many goroutines — the
 // CI -race step runs this to prove the job queue is data-race free.
 func TestConcurrentSubmissions(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 4, QueueDepth: 64}))
+	srv := newServer(t, Config{Workers: 4, QueueDepth: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -471,10 +471,10 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestJobEviction checks finished jobs are evicted past MaxJobs while the
-// newest stay fetchable — the long-lived server's memory bound.
+// TestJobEviction checks finished jobs are evicted past the retention cap
+// while the newest stay in memory — the long-lived server's memory bound.
 func TestJobEviction(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 3}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 8, maxJobs: 3})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -506,8 +506,8 @@ func TestJobEviction(t *testing.T) {
 		t.Errorf("retained %d jobs, cap is 3", len(list.Jobs))
 	}
 	// The newest job always survives.
-	if _, err := srv.Result(ids[len(ids)-1]); err != nil {
-		t.Errorf("newest job evicted: %v", err)
+	if code, body := getBody(t, ts, "/v1/jobs/"+ids[len(ids)-1]); code != http.StatusOK {
+		t.Errorf("newest job evicted: %d %s", code, body)
 	}
 	// The oldest is gone.
 	r, err := http.Get(ts.URL + "/v1/jobs/" + ids[0])
@@ -525,7 +525,7 @@ func TestJobEviction(t *testing.T) {
 // /v1/jobs/{id} for an evicted ID answers 404. The report endpoints keep
 // serving evicted IDs from the store; see TestEvictedJobServedFromStore.
 func TestJobEvictionOldestFirstAnd404Reports(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 8, maxJobs: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -621,7 +621,7 @@ func runJob(t *testing.T, ts *httptest.Server, parts map[string][2]string) Job {
 // answers 404 for an evicted ID, but both report endpoints keep serving
 // the persisted snapshot byte-identically.
 func TestEvictedJobServedFromStore(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 8, maxJobs: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -654,11 +654,6 @@ func TestEvictedJobServedFromStore(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(gotCSV, preEvictionCSV) {
 		t.Errorf("evicted report.csv: %d, identical=%v", code, bytes.Equal(gotCSV, preEvictionCSV))
 	}
-	// The programmatic accessor agrees.
-	if _, err := srv.Result(ids[0]); err != nil {
-		t.Errorf("Result(%s) after eviction: %v", ids[0], err)
-	}
-
 	// The job endpoints must match stored snapshots by job ID only: a
 	// bare sequence number or hash prefix is not a job and stays 404.
 	snaps, err := srv.cfg.Store.List()
@@ -685,7 +680,7 @@ func (f failingStore) Put(jobID string, r *core.ServiceResult) (store.Meta, erro
 // result, the job records SnapshotError and is retained past MaxJobs —
 // the in-memory copy is the only one, and eviction must not destroy it.
 func TestSnapshotFailureBlocksEviction(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 8, MaxJobs: 2, Store: failingStore{testStore(t)}}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 8, maxJobs: 2, Store: failingStore{testStore(t)}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -733,15 +728,16 @@ func TestOpenRefusesUnlistableStore(t *testing.T) {
 }
 
 // TestOpenRequiresStoreAndJournal: every server persists its results and
-// journals its jobs, so Open refuses a configuration missing either home.
+// journals its jobs, so Open refuses a configuration missing either home,
+// with an error that names the package once.
 func TestOpenRequiresStoreAndJournal(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
-		{"nil store", Config{JournalDir: t.TempDir()}, "Config.Store is required"},
-		{"empty journal dir", Config{Store: testStore(t)}, "Config.JournalDir is required"},
+		{"nil store", Config{JournalDir: t.TempDir()}, "server: Config.Store is required"},
+		{"empty journal dir", Config{Store: testStore(t)}, "server: Config.JournalDir is required"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := Open(tc.cfg)
@@ -749,8 +745,8 @@ func TestOpenRequiresStoreAndJournal(t *testing.T) {
 				srv.Close()
 				t.Fatal("Open accepted the configuration")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Open error %q, want it to name %q", err, tc.want)
+			if err.Error() != tc.want {
+				t.Errorf("Open error %q, want %q", err, tc.want)
 			}
 		})
 	}
@@ -783,7 +779,7 @@ func (b brokenLoadStore) Load(store.Meta) (*core.ServiceResult, error) {
 // cannot be read is a storage failure, not a missing job — the report
 // endpoint must answer 500, never a masking 404.
 func TestUnreadableStoredSnapshotIs500(t *testing.T) {
-	srv := New(testConfig(t, Config{Store: brokenLoadStore{testStore(t)}}))
+	srv := newServer(t, Config{Store: brokenLoadStore{testStore(t)}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -835,7 +831,7 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(testConfig(t, Config{Store: st1}))
+	srv1 := newServer(t, Config{Store: st1})
 	ts1 := httptest.NewServer(srv1)
 	job1 := runJob(t, ts1, map[string][2]string{
 		"child": {"before.har", deltaHAR(t, baseURL)},
@@ -849,7 +845,7 @@ func TestSnapshotsAndDiffEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(testConfig(t, Config{Store: st2}))
+	srv2 := newServer(t, Config{Store: st2})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
@@ -954,7 +950,7 @@ func TestRestartDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(testConfig(t, Config{Store: st1}))
+	srv1 := newServer(t, Config{Store: st1})
 	ts1 := httptest.NewServer(srv1)
 	job := runJob(t, ts1, map[string][2]string{"child": {"c.har", string(childHAR(t))}, "name": {"", "Quizlet"}})
 	code, want := getBody(t, ts1, "/v1/jobs/"+job.ID+"/report.json")
@@ -968,7 +964,7 @@ func TestRestartDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(testConfig(t, Config{Store: st2}))
+	srv2 := newServer(t, Config{Store: st2})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
@@ -999,7 +995,7 @@ func TestPersonasEndpointAndCustomUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := New(testConfig(t, Config{Personas: []flows.Persona{kid}}))
+	srv := newServer(t, Config{Personas: []flows.Persona{kid}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1083,7 +1079,7 @@ func TestReadingASnapshotChangesNothingOutsideIt(t *testing.T) {
 	if _, err := st.Put("job-7", ghostResult(t, 9)); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(testConfig(t, Config{Store: st}))
+	srv := newServer(t, Config{Store: st})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1118,14 +1114,14 @@ func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(testConfig(t, Config{Store: st, Personas: []flows.Persona{configured}}))
+	srv := newServer(t, Config{Store: st, Personas: []flows.Persona{configured}})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	runJob(t, ts, map[string][2]string{"ghost kid": {"kid.har", string(childHAR(t))}, "name": {"", "Quizlet"}})
 
 	for ref, maxAge := range map[string]int{"1": 9, "2": 10} {
-		res, _, err := srv.SnapshotResult(ref)
+		res, _, err := st.Get(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1161,7 +1157,7 @@ func TestConfiguredPersonaPairsWithStoredNamesake(t *testing.T) {
 // to the journal must be what is on disk, for sizes under, at and over the
 // buffer.
 func TestStageFileFlushesEveryByte(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	for _, size := range []int{0, 1, stageBufBytes - 1, stageBufBytes, 2*stageBufBytes + 4097} {
 		content := bytes.Repeat([]byte("0123456789abcdef"), size/16+1)[:size]
@@ -1196,7 +1192,7 @@ func TestStageFileFlushesEveryByte(t *testing.T) {
 // the parser's own error text — and a job with no mobile capture never
 // looks at it.
 func TestMalformedKeylogFailsMobileJobs(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func mobileCapture(t *testing.T) []byte {
 // label cache, so a second job over the same captures classifies nothing —
 // and what it serves and stores is what a fresh pipeline computes.
 func TestJobsShareLabelCache(t *testing.T) {
-	srv := New(testConfig(t, Config{}))
+	srv := newServer(t, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -85,16 +86,22 @@ func TestQueueFullRefusedBeforeStaging(t *testing.T) {
 	gate := make(chan struct{})
 	jdir := filepath.Join(t.TempDir(), "journal")
 	stallAudits(t, gate)
-	srv := New(testConfig(t, Config{Workers: 1, QueueDepth: 1, JournalDir: jdir}))
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 1, JournalDir: jdir})
 	defer srv.Close()
-	defer close(gate) // before Close, which waits for the stalled worker
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the stalled worker
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	parts := map[string][2]string{"child": {"c.har", string(childHAR(t))}, "name": {"", "Quizlet"}}
+	var held Job
 	for i := 0; i < 2; i++ {
-		if resp := submit(t, ts, parts); resp.StatusCode != http.StatusAccepted {
+		resp := submit(t, ts, parts)
+		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d", i, resp.StatusCode)
+		}
+		if job := decodeJob(t, resp); i == 0 {
+			held = job
 		}
 		// The first job must be claimed (and stalled) before the second
 		// can fill the queue.
@@ -138,6 +145,7 @@ func TestQueueFullRefusedBeforeStaging(t *testing.T) {
 	if !bytes.Equal(readLog(), logBefore) {
 		t.Error("the refused upload changed the journal")
 	}
+	releaseStalled(t, ts, held.ID, release)
 }
 
 // stageTolerance bounds what a finished job's stages may leave out of
@@ -148,7 +156,7 @@ const stageTolerance = 25 * time.Millisecond
 // TestJobStagesSumToWallTime: the stages GET /v1/jobs/{id} reports cover
 // the job's wall time, submitted_at to finished_at, within stageTolerance.
 func TestJobStagesSumToWallTime(t *testing.T) {
-	srv := New(testConfig(t, Config{Workers: 1}))
+	srv := newServer(t, Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

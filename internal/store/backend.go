@@ -73,13 +73,6 @@ func (b *dirBackend) open(seq uint64) (Meta, []byte, error) {
 	return parseSnapEnvelope(filepath.Base(path), raw)
 }
 
-func (b *dirBackend) remove(seq uint64) error {
-	if err := os.Remove(b.path(seq)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
 // rescan lists what previous processes stored: the metadata of every
 // snapshot file that reads back intact under the sequence its name
 // encodes, and the highest sequence any file claims. Unreadable or

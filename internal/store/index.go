@@ -11,10 +11,11 @@ import (
 // place a user-facing reference is turned into a snapshot: the
 // seq-ascending meta list (listing, pagination, binary search by
 // sequence) plus hash → newest seq and job ID → newest seq maps kept in
-// step on insert and drop, so sequence, full-hash and job-ID references
-// resolve without touching the list. Only hash prefixes and the repoint
-// after dropping a newest copy scan. An index is not safe for concurrent
-// use; Snapshots guards it with its mutex.
+// step on insert, so sequence, full-hash and job-ID references resolve
+// without touching the list. The store is append-only — nothing removes a
+// snapshot — so the list only grows and both maps only move forward.
+// Only hash prefixes scan. An index is not safe for concurrent use;
+// Snapshots guards it with its mutex.
 type index struct {
 	metas   []Meta // ascending seq
 	nextSeq uint64
@@ -70,36 +71,6 @@ func (ix *index) insert(m Meta) {
 	if cur, ok := ix.byJob[m.JobID]; m.JobID != "" && (!ok || m.Seq > cur) {
 		ix.byJob[m.JobID] = m.Seq
 	}
-}
-
-// drop removes seq. When it was the newest holder of its hash or job ID
-// the map entry falls back to the next-newest holder, so the older copy
-// resolves again.
-func (ix *index) drop(seq uint64) {
-	i, ok := ix.find(seq)
-	if !ok {
-		return
-	}
-	m := ix.metas[i]
-	ix.metas = append(ix.metas[:i], ix.metas[i+1:]...)
-	if ix.byHash[m.Hash] == seq {
-		ix.repoint(ix.byHash, m.Hash, func(o Meta) string { return o.Hash })
-	}
-	if m.JobID != "" && ix.byJob[m.JobID] == seq {
-		ix.repoint(ix.byJob, m.JobID, func(o Meta) string { return o.JobID })
-	}
-}
-
-// repoint sets newest[key] to the newest remaining meta with that key, or
-// deletes the entry when none is left.
-func (ix *index) repoint(newest map[string]uint64, key string, keyOf func(Meta) string) {
-	for i := len(ix.metas) - 1; i >= 0; i-- {
-		if keyOf(ix.metas[i]) == key {
-			newest[key] = ix.metas[i].Seq
-			return
-		}
-	}
-	delete(newest, key)
 }
 
 // job returns the newest snapshot recorded under exactly this job ID —

@@ -9,6 +9,8 @@
 // only place a reference is resolved) over a directory (backend.go) with
 // one crash-safely published file per snapshot (OpenFSStore; rescanned on
 // open, so a restarted process serves everything the previous one stored).
+// The store is append-only: a snapshot is the evidence a later audit of
+// the service is diffed against, so nothing deletes one.
 //
 // One mutex guards the index, in critical sections of a few loads and
 // stores. Encoding, hashing, decoding and every byte of file I/O run
@@ -73,9 +75,9 @@ type Store interface {
 	// job ID — unlike Resolve it never matches a sequence, hash or prefix.
 	JobSnapshot(jobID string) (Meta, bool)
 	// Load decodes the snapshot m describes (as returned by Resolve, List
-	// or Put). A snapshot deleted since m was resolved fails with
-	// ErrUnresolved; stored bytes that no longer are the content m names,
-	// or that do not decode, fail with a storage error naming the sequence.
+	// or Put). A snapshot file removed by hand fails with ErrUnresolved;
+	// stored bytes that no longer are the content m names, or that do not
+	// decode, fail with a storage error naming the sequence.
 	Load(m Meta) (*core.ServiceResult, error)
 	// Get resolves a reference and decodes the snapshot: Resolve, then Load.
 	Get(ref string) (*core.ServiceResult, Meta, error)
@@ -86,8 +88,6 @@ type Store interface {
 	Page(after uint64, limit int) (page []Meta, more bool)
 	// Len returns the number of stored snapshots.
 	Len() int
-	// Delete removes the snapshot a reference resolves to.
-	Delete(ref string) error
 }
 
 // ErrUnresolved tags reference-resolution failures — no match, ambiguous
@@ -189,8 +189,8 @@ func (s *Snapshots) JobSnapshot(jobID string) (Meta, bool) {
 func (s *Snapshots) open(m Meta) ([]byte, error) {
 	stored, data, err := s.files.open(m.Seq)
 	if errors.Is(err, os.ErrNotExist) {
-		// Deleted between resolution and the open: the reference no longer
-		// denotes anything, which is a 404, not a 500.
+		// The file was removed by hand after the index listed it: the
+		// reference no longer denotes anything, which is a 404, not a 500.
 		return nil, fmt.Errorf("store: %w: snapshot %d deleted", ErrUnresolved, m.Seq)
 	}
 	if err != nil {
@@ -246,22 +246,6 @@ func (s *Snapshots) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.ix.metas)
-}
-
-// Delete implements Store. The meta is dropped under the lock first — no
-// new reference resolves to the snapshot — and the bytes are removed with
-// no lock held.
-func (s *Snapshots) Delete(ref string) error {
-	s.mu.Lock()
-	m, err := s.ix.resolve(ref)
-	if err == nil {
-		s.ix.drop(m.Seq)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.files.remove(m.Seq)
 }
 
 // SaveFile writes one result as a standalone snapshot file (the raw codec

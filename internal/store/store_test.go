@@ -106,18 +106,6 @@ func TestFSStore(t *testing.T) {
 	if _, meta, err := s.Get(ma.Hash); err != nil || meta.Seq != ma2.Seq {
 		t.Errorf("hash ref resolves to seq %d (err %v), want newest %d", meta.Seq, err, ma2.Seq)
 	}
-
-	// Delete drops exactly one snapshot.
-	if err := s.Delete("job-3"); err != nil {
-		t.Fatal(err)
-	}
-	metas, _ = s.List()
-	if len(metas) != 2 {
-		t.Fatalf("after delete: %+v", metas)
-	}
-	if _, _, err := s.Get("job-1"); err != nil {
-		t.Errorf("job-1 gone after deleting job-3: %v", err)
-	}
 }
 
 // TestFSStoreRestart pins restart durability: a fresh FSStore over the same
@@ -444,23 +432,6 @@ func (im *indexModel) put(hash, jobID string) {
 	im.live = append(im.live, m)
 }
 
-// del deletes by reference; the model says which snapshot that must be.
-func (im *indexModel) del(ref string) {
-	im.t.Helper()
-	want, ok := resolveOracle(im.live, ref)
-	err := im.s.Delete(ref)
-	if !ok {
-		if !errors.Is(err, ErrUnresolved) {
-			im.t.Fatalf("Delete(%q) = %v, want ErrUnresolved", ref, err)
-		}
-		return
-	}
-	if err != nil {
-		im.t.Fatalf("Delete(%q): %v", ref, err)
-	}
-	im.live = slices.DeleteFunc(im.live, func(m Meta) bool { return m.Seq == want.Seq })
-}
-
 // resolves checks one reference against the model and returns the verdict.
 func (im *indexModel) resolves(ref string) (Meta, bool) {
 	im.t.Helper()
@@ -518,10 +489,10 @@ func (im *indexModel) check() {
 }
 
 // TestIndexModel checks the index against the brute-force model: first
-// the fixed cases the resolution contract names, then a seeded random walk of puts (duplicate content, re-used job IDs, hashes
-// sharing 6–10-character prefixes, all-digit prefixes and job IDs, a job ID
-// that is also a hash prefix) and deletes by every reference form, with
-// every read compared after every step.
+// the fixed cases the resolution contract names, then a seeded random walk
+// of puts (duplicate content, re-used job IDs, hashes sharing
+// 6–10-character prefixes, all-digit prefixes and job IDs, a job ID that
+// is also a hash prefix), with every read compared after every step.
 func TestIndexModel(t *testing.T) {
 	data := EncodeResult(auditOne(t, "Quizlet"))
 	fixed := []struct {
@@ -540,8 +511,7 @@ func TestIndexModel(t *testing.T) {
 		// keep precedence.
 		{"all-digit hash prefix", [][2]string{{"482913abcdef", "job-1"}, {"feedbeefcafe", "job-2"}},
 			map[string]uint64{"482913": 1, "2": 2, "999999": 0}},
-		// An exact job ID beats a colliding hash prefix; deleting the newest
-		// copy of a content makes the older one resolve again.
+		// An exact job ID beats a colliding hash prefix.
 		{"job beats prefix", [][2]string{{"cafe01aaaa", "job-1"}, {"cafe01aaaa", "cafe01"}, {"cafe01aaaa", ""}},
 			map[string]uint64{"cafe01": 2, "cafe01aaaa": 3, "cafe01a": 3}},
 	}
@@ -557,11 +527,6 @@ func TestIndexModel(t *testing.T) {
 					t.Errorf("%q resolves to seq %d (%v), want %d", ref, m.Seq, ok, seq)
 				}
 			}
-			// Newest first, so every delete promotes an older copy.
-			for i := len(tc.puts); i > 0; i-- {
-				im.del(strconv.Itoa(i))
-				im.check()
-			}
 		})
 	}
 	t.Run("dir/random walk", func(t *testing.T) {
@@ -569,19 +534,13 @@ func TestIndexModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(14))
 		jobs := []string{"", "job-1", "job-2", "job-3", "7", "482913"}
 		for step := 0; step < 120; step++ {
-			switch n := len(im.live); {
-			case n < 30 && rng.Intn(3) > 0 || n == 0:
-				// 16 characters: a prefix from a small pool, two random
-				// bits spelled out, a random byte zero-padded to six.
-				hash := fmt.Sprintf("%s%04b%06x", []string{"abcdef", "482913", "000000"}[rng.Intn(3)], rng.Intn(4), rng.Intn(256))
-				if n > 0 && rng.Intn(3) == 0 {
-					hash = im.live[rng.Intn(n)].Hash // the same content again
-				}
-				im.put(hash, jobs[rng.Intn(len(jobs))])
-			default:
-				m := im.live[rng.Intn(n)]
-				im.del([]string{strconv.FormatUint(m.Seq, 10), m.Hash, m.Hash[:8], m.JobID}[rng.Intn(4)])
+			// 16 characters: a prefix from a small pool, two random bits
+			// spelled out, a random byte zero-padded to six.
+			hash := fmt.Sprintf("%s%04b%06x", []string{"abcdef", "482913", "000000"}[rng.Intn(3)], rng.Intn(4), rng.Intn(256))
+			if n := len(im.live); n > 0 && rng.Intn(3) == 0 {
+				hash = im.live[rng.Intn(n)].Hash // the same content again
 			}
+			im.put(hash, jobs[rng.Intn(len(jobs))])
 			im.check()
 		}
 	})
@@ -602,8 +561,8 @@ func TestIndexModel(t *testing.T) {
 // read path end to end: resolve by any reference, Load (exactly one
 // decode), match the Put result. Then the three ways a
 // resolved meta can fail to load, each with the one error every caller
-// sees — Get adds nothing to what Load returns: a snapshot deleted since
-// it was resolved is a stale reference (ErrUnresolved, the server's 404);
+// sees — Get adds nothing to what Load returns: a snapshot whose file was
+// removed by hand is a stale reference (ErrUnresolved, the server's 404);
 // stored bytes recorded under another hash, or bytes that are the right
 // content by their envelope but do not decode, are storage errors naming
 // the sequence (the server's 500).
@@ -637,7 +596,7 @@ func TestStoreViewers(t *testing.T) {
 		// restore replaces the file stored under the sequence.
 		restore := func(stored Meta, data []byte) {
 			t.Helper()
-			if err := s.files.remove(meta.Seq); err != nil {
+			if err := os.Remove(s.files.path(meta.Seq)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.files.publish(stored, data); err != nil {
@@ -675,24 +634,27 @@ func TestStoreViewers(t *testing.T) {
 			sameFromGet(err)
 		}
 
-		// A meta whose snapshot is gone is a stale reference, not a
-		// storage failure.
-		if err := s.Delete("1"); err != nil {
+		// A meta whose file was removed by hand is a stale reference, not
+		// a storage failure.
+		if err := os.Remove(s.files.path(meta.Seq)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Load(meta); !errors.Is(err, ErrUnresolved) {
-			t.Errorf("Load of a deleted snapshot: %v, want ErrUnresolved", err)
+		_, err = s.Load(meta)
+		if !errors.Is(err, ErrUnresolved) {
+			t.Errorf("Load of a removed snapshot file: %v, want ErrUnresolved", err)
+		} else {
+			sameFromGet(err)
 		}
 	})
 }
 
 // TestStoreConcurrentMixedOps hammers a store with a mixed
-// workload: concurrent Gets of stable snapshots, Put+Delete churn, and
-// List scans, all racing. Run under -race this pins the locking layout
-// (one index lock, file I/O outside it); the assertions pin the
-// semantics — stable snapshots never fail to serve, the listing stays
-// seq-ascending, and a meta loads byte-identical results until its
-// snapshot is deleted and is a stale reference afterwards.
+// workload: concurrent Gets of stable snapshots, Put churn, and List
+// scans, all racing. Run under -race this pins the locking layout (one
+// index lock, file I/O outside it); the assertions pin the semantics —
+// stable snapshots never fail to serve, the listing stays seq-ascending,
+// and a meta loads byte-identical results until its file is removed by
+// hand and is a stale reference afterwards.
 func TestStoreConcurrentMixedOps(t *testing.T) {
 	seeds := []*core.ServiceResult{auditOne(t, "Quizlet"), auditOne(t, "Roblox")}
 	churn := auditOne(t, "Duolingo")
@@ -718,8 +680,8 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 			}
 		}
 
-		// Readers: the seeds are never deleted, so every Get must
-		// succeed and resolve to the right content.
+		// Readers: the seeds' files stay, so every Get must succeed and
+		// resolve to the right content.
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -739,19 +701,14 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 			}(g)
 		}
 
-		// Churners: Put and immediately Delete by unique sequence.
+		// Churners: Puts that race each other and every other lane.
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 15; i++ {
-					m, err := s.Put("churn", churn)
-					if err != nil {
+					if _, err := s.Put("churn", churn); err != nil {
 						fail("churn Put: %v", err)
-						return
-					}
-					if err := s.Delete(strconv.FormatUint(m.Seq, 10)); err != nil {
-						fail("churn Delete(%d): %v", m.Seq, err)
 						return
 					}
 				}
@@ -778,9 +735,9 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 			}
 		}()
 
-		// Load around a Delete: a meta resolved before the delete loads
-		// the full result, byte-identically, and the same meta after the
-		// delete is a stale reference, as is the ref through Get.
+		// Load around a removal by hand: a meta loads the full result,
+		// byte-identically, while its file is on disk, and is a stale
+		// reference once the file is removed, as is the ref through Get.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -807,16 +764,16 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 					fail("Load beside churn served different bytes")
 					return
 				}
-				if err := s.Delete(seqRef); err != nil {
-					fail("Delete(%s): %v", seqRef, err)
+				if err := os.Remove(s.files.path(m.Seq)); err != nil {
+					fail("remove %s: %v", seqRef, err)
 					return
 				}
 				if _, err := s.Load(m); !errors.Is(err, ErrUnresolved) {
-					fail("Load(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+					fail("Load(%s) after removal: %v, want ErrUnresolved", seqRef, err)
 					return
 				}
 				if _, _, err := s.Get(seqRef); !errors.Is(err, ErrUnresolved) {
-					fail("Get(%s) after delete: %v, want ErrUnresolved", seqRef, err)
+					fail("Get(%s) after removal: %v, want ErrUnresolved", seqRef, err)
 					return
 				}
 			}
