@@ -60,17 +60,6 @@ type PCAPStats struct {
 	OpaqueSNIs []string
 }
 
-// addStreams adds the stream-level counters of d, the stats of one
-// stream's decode, to s, appending its opaque SNIs after those already
-// listed.
-func (s *PCAPStats) addStreams(d *PCAPStats) {
-	s.TLSStreams += d.TLSStreams
-	s.DecryptedStreams += d.DecryptedStreams
-	s.OpaqueStreams += d.OpaqueStreams
-	s.TLS12Streams += d.TLS12Streams
-	s.OpaqueSNIs = append(s.OpaqueSNIs, d.OpaqueSNIs...)
-}
-
 // maxPresizedRecords caps the records a stream is sized for before they
 // are read, so a short first request ahead of a long body costs no large
 // allocation.

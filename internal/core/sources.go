@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sort"
 
 	"diffaudit/internal/faults"
@@ -53,23 +50,17 @@ func (s *harSource) Next() (RequestRecord, error) {
 // direction's buffer is sized by its first segment and doubles when full,
 // so it holds under twice its payload and is copied a few times, not once
 // per 25 % of growth. A capture's peak is therefore under twice its
-// payload, which server.Config.MaxUploadBytes bounds, plus what the
-// decodes in flight hold.
+// payload, which server.Config.MaxUploadBytes bounds; the source lets go of
+// each stream's payload as it decodes it.
 //
 // The source works in two phases behind a single Next API: the first call
 // drains the packet iterator into the reassembler (collecting DNS and
-// packet counts on the way); then streams are decrypted and parsed in an
-// ordered window, up to 2×GOMAXPROCS streams at once, each on a goroutine of
-// its own with its own stats. Next hands out records, and merges stats,
-// stream by stream in capture order, so what a source yields does not depend
-// on how the decodes were scheduled. A decode that panics re-raises the
-// panic on the Next caller. The context is consulted every
-// pcapCtxCheckPackets frames of the first phase and before each stream of
-// the second is dispatched or consumed, so a deadline reaches a capture of
-// any size; a run it does not cut short is unaffected. Decodes already
-// dispatched when a run is cut short, or its FileSource closed, run to
-// their end, but their results are dropped; the failing Next, or
-// FileSource.Close, returns once they have.
+// packet counts on the way); then Next decrypts and parses one stream at a
+// time, in capture order, on its caller's goroutine, whenever the records
+// of the stream before are used up. A decode that panics panics the Next
+// caller. The context is consulted every pcapCtxCheckPackets frames of the
+// first phase and before each stream of the second, so a deadline reaches
+// a capture of any size; a run it does not cut short is unaffected.
 type PCAPSource struct {
 	ctx   context.Context
 	pkts  pcapio.PacketSource
@@ -80,23 +71,8 @@ type PCAPSource struct {
 	stats   PCAPStats
 	dec     *tlsx.StreamDecryptor
 	streams []*reassembly.Stream
-	next    int // streams[next] is the next stream to dispatch
-	width   int // most decodes in flight
-	window  []*streamDecode
 	pending []RequestRecord
 	err     error
-}
-
-// streamDecode is one stream's decode. Its fields are written by the
-// decoding goroutine and read once done is closed.
-type streamDecode struct {
-	done  chan struct{}
-	recs  []RequestRecord
-	stats PCAPStats
-	err   error
-	// panicked is the panic value and the decoding goroutine's stack,
-	// non-empty when the decode panicked.
-	panicked string
 }
 
 // NewPCAPSource returns a RecordSource over a packet stream. TLS key
@@ -131,78 +107,28 @@ func (s *PCAPSource) Next() (RequestRecord, error) {
 		if err := s.ctx.Err(); err != nil {
 			return s.fail(err)
 		}
-		if err := s.fill(); err != nil {
-			return s.fail(err)
-		}
-		if len(s.window) == 0 {
+		if len(s.streams) == 0 {
 			s.err = io.EOF
 			return RequestRecord{}, io.EOF
 		}
-		d := s.window[0]
-		s.window[0] = nil
-		s.window = s.window[1:]
-		<-d.done
-		if d.panicked != "" {
-			msg := "core: stream decode panicked: " + d.panicked
-			s.fail(errors.New(msg))
-			panic(msg)
+		stream := s.streams[0]
+		s.streams[0] = nil // the decode holds the stream's payload now
+		s.streams = s.streams[1:]
+		if err := faults.Inject("pcap.stream"); err != nil {
+			return s.fail(err)
 		}
-		if d.err != nil {
-			return s.fail(d.err)
-		}
-		s.stats.addStreams(&d.stats)
-		s.pending = d.recs
+		s.pending = emitStreamRecords(s.dec, stream, s.trace, &s.stats)
 	}
 	rec := s.pending[0]
 	s.pending = s.pending[1:]
 	return rec, nil
 }
 
-// fail ends the source with err, once every decode in flight has ended.
+// fail ends the source with err and drops what is left of the capture.
 func (s *PCAPSource) fail(err error) (RequestRecord, error) {
-	s.stop()
+	s.streams, s.pending = nil, nil
 	s.err = err
 	return RequestRecord{}, err
-}
-
-// stop waits for the decodes in flight to end and drops what is left of
-// the capture.
-func (s *PCAPSource) stop() {
-	for _, d := range s.window {
-		<-d.done
-	}
-	s.window, s.streams, s.pending = nil, nil, nil
-}
-
-// fill dispatches streams until width decodes are in flight or none is
-// left, looking at the context before each.
-func (s *PCAPSource) fill() error {
-	for len(s.window) < s.width && s.next < len(s.streams) {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		stream := s.streams[s.next]
-		s.streams[s.next] = nil // the decode holds the stream's payload now
-		s.next++
-		d := &streamDecode{done: make(chan struct{})}
-		go d.run(s.dec, stream, s.trace)
-		s.window = append(s.window, d)
-	}
-	return nil
-}
-
-// run decodes one stream, containing a panic for the Next caller to raise.
-func (d *streamDecode) run(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, trace flows.TraceCategory) {
-	defer close(d.done)
-	defer func() {
-		if r := recover(); r != nil {
-			d.panicked = fmt.Sprintf("%v\n\nstream decode goroutine:\n%s", r, debug.Stack())
-		}
-	}()
-	if d.err = faults.Inject("pcap.stream"); d.err != nil {
-		return
-	}
-	d.recs = emitStreamRecords(dec, stream, trace, &d.stats)
 }
 
 // start drains the packet phase: every frame is decoded and fed to the
@@ -259,7 +185,6 @@ func (s *PCAPSource) start() error {
 	keylog.Merge(s.extra)
 	s.dec = tlsx.NewStreamDecryptor(keylog)
 	s.streams = asm.Streams()
-	s.width = 2 * runtime.GOMAXPROCS(0)
 	s.started = true
 	return nil
 }
@@ -282,16 +207,12 @@ func (s *FileSource) Next() (RequestRecord, error) {
 	return rec, err
 }
 
-// Close releases the underlying file, once any stream decodes a capture
-// has in flight have ended. Safe to call repeatedly.
+// Close releases the underlying file. Safe to call repeatedly.
 func (s *FileSource) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.pcap != nil {
-		s.pcap.stop()
-	}
 	return s.f.Close()
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Session encrypts or decrypts one direction of a TLS 1.3 connection using
 // TLS_AES_128_GCM_SHA256 record protection (RFC 8446 §5.2-5.3). Record
-// sequence numbers advance on every Seal/AppendOpen; callers must process
-// records in stream order.
+// sequence numbers advance on every Seal and every AppendOpen that
+// succeeds; callers must process records in stream order.
 type Session struct {
 	aead cipher.AEAD
 	iv   []byte
@@ -145,9 +145,21 @@ func (d *StreamDecryptor) DecryptConversation(clientStream, serverStream []byte)
 	// decrypted bytes never outnumber the stream's, and opaque streams
 	// allocate nothing.
 	var plaintext []byte
+	// ccs is set once the client's ChangeCipherSpec has gone by: under
+	// TLS 1.2 the next handshake record is its encrypted Finished.
+	ccs := false
 	for _, rec := range records {
 		switch rec.Type {
+		case TypeChangeCipherSpec:
+			ccs = true
 		case TypeHandshake:
+			if ccs && sess12 != nil {
+				// The Finished is the client write key's record 0. One
+				// that fails to open leaves the sequence at 0, so the
+				// application data after it fails to open too.
+				ccs = false
+				sess12.AppendOpen(nil, TypeHandshake, rec.Payload)
+			}
 			if ch == nil {
 				parsed, err := ParseClientHello(rec.Payload)
 				if err != nil {
@@ -185,7 +197,9 @@ func (d *StreamDecryptor) DecryptConversation(clientStream, serverStream []byte)
 			case sess13 != nil:
 				ct, out, err := sess13.AppendOpen(plaintext, rec.Payload)
 				if err != nil {
-					sess13 = nil // key mismatch: stream stays counted
+					// A record under another key, such as the client's
+					// Finished under its handshake key: a failed open
+					// leaves the sequence number where it was.
 					continue
 				}
 				if ct == TypeApplicationData {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"diffaudit/internal/core"
@@ -52,6 +53,25 @@ func testStore(t testing.TB) *store.Snapshots {
 	}
 	return st
 }
+
+// loadCounter is a snapshot store that counts its Load calls. The server
+// decodes a snapshot only through Store.Load, so the count is the number
+// of decodes it performed.
+type loadCounter struct {
+	store.Store
+	n atomic.Uint64
+}
+
+func newLoadCounter(t testing.TB) *loadCounter {
+	return &loadCounter{Store: testStore(t)}
+}
+
+func (c *loadCounter) Load(m store.Meta) (*core.ServiceResult, error) {
+	c.n.Add(1)
+	return c.Store.Load(m)
+}
+
+func (c *loadCounter) loads() uint64 { return c.n.Load() }
 
 // testConfig fills in what every server needs and cfg leaves unset: a
 // snapshot store and a journal directory, each fresh and removed with the
@@ -469,7 +489,7 @@ func TestETagAndConditionalGet(t *testing.T) {
 	}
 }
 
-// TestWarmPathsPerformZeroDecodes is the decode-counter acceptance test:
+// TestWarmPathsPerformZeroDecodes is the decode-count acceptance test:
 // once a snapshot's result is in the decoded-snapshot cache, repeat
 // report/snapshot/diff reads perform zero snapshot decodes, and a 304
 // performs zero decodes even on a cold cache.
@@ -477,7 +497,8 @@ func TestWarmPathsPerformZeroDecodes(t *testing.T) {
 	// maxJobs: 1 forces eviction of the finished job when the next one
 	// lands, so report reads must go through the store — the live-job
 	// path serves from job memory and would never decode anything.
-	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1})
+	st := newLoadCounter(t)
+	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1, Store: st})
 	runJob(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
 		"name":  {"", "Quizlet"},
@@ -488,27 +509,27 @@ func TestWarmPathsPerformZeroDecodes(t *testing.T) {
 
 	// Cold 304: the validator is served from metadata alone.
 	etag := `"` + first.SnapshotHash + `"`
-	before := store.Decodes()
+	before := st.loads()
 	cond := getWithHeader(t, ts, "/v1/jobs/"+first.ID+"/report.json", "If-None-Match", etag)
 	cond.Body.Close()
 	if cond.StatusCode != http.StatusNotModified {
 		t.Fatalf("cold conditional GET = %d, want 304", cond.StatusCode)
 	}
-	if got := store.Decodes() - before; got != 0 {
+	if got := st.loads() - before; got != 0 {
 		t.Errorf("cold 304 performed %d decodes, want 0", got)
 	}
 
 	// First full read decodes exactly once and warms the cache.
-	before = store.Decodes()
+	before = st.loads()
 	if code, _ := getBody(t, ts, "/v1/jobs/"+first.ID+"/report.json"); code != http.StatusOK {
 		t.Fatal("evicted report not served")
 	}
-	if got := store.Decodes() - before; got != 1 {
+	if got := st.loads() - before; got != 1 {
 		t.Errorf("cold read performed %d decodes, want 1", got)
 	}
 
 	// Warm reads across every read path: zero decodes.
-	before = store.Decodes()
+	before = st.loads()
 	for _, path := range []string{
 		"/v1/jobs/" + first.ID + "/report.json",
 		"/v1/jobs/" + first.ID + "/report.csv",
@@ -520,7 +541,7 @@ func TestWarmPathsPerformZeroDecodes(t *testing.T) {
 			t.Fatalf("GET %s = %d: %s", path, code, body)
 		}
 	}
-	if got := store.Decodes() - before; got != 0 {
+	if got := st.loads() - before; got != 0 {
 		t.Errorf("warm reads performed %d decodes, want 0", got)
 	}
 }
@@ -532,7 +553,8 @@ func TestWarmPathsPerformZeroDecodes(t *testing.T) {
 // each side once and leaves both in the cache, so the warm one decodes
 // nothing.
 func TestFilteredDiffFillsCache(t *testing.T) {
-	srv, ts, _ := storeServer(t, Config{Workers: 1})
+	st := newLoadCounter(t)
+	srv, ts, _ := storeServer(t, Config{Workers: 1, Store: st})
 	runJob(t, ts, map[string][2]string{
 		"child": {"after.har", deltaHAR(t,
 			"https://api.quizlet.com/v1/profile?user_id=u123",
@@ -560,7 +582,7 @@ func TestFilteredDiffFillsCache(t *testing.T) {
 		name    string
 		decodes uint64
 	}{{"cold", 2}, {"warm", 0}} {
-		before := store.Decodes()
+		before := st.loads()
 		code, got := getBody(t, ts, "/v1/diff?from=1&to=2&personas=child")
 		if code != http.StatusOK {
 			t.Fatalf("%s filtered diff = %d: %s", pass.name, code, got)
@@ -568,7 +590,7 @@ func TestFilteredDiffFillsCache(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s filtered diff differs from the facade render", pass.name)
 		}
-		if n := store.Decodes() - before; n != pass.decodes {
+		if n := st.loads() - before; n != pass.decodes {
 			t.Errorf("%s filtered diff performed %d decodes, want %d", pass.name, n, pass.decodes)
 		}
 		if stats := srv.cache.stats(); stats.Entries != 2 {
@@ -580,7 +602,8 @@ func TestFilteredDiffFillsCache(t *testing.T) {
 // TestHealthzCacheStats checks the cache surface on /v1/healthz: hits and
 // misses move as the read path warms.
 func TestHealthzCacheStats(t *testing.T) {
-	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1})
+	st := newLoadCounter(t)
+	_, ts, first := storeServer(t, Config{Workers: 1, maxJobs: 1, Store: st})
 	runJob(t, ts, map[string][2]string{
 		"child": {"child.har", string(childHAR(t))},
 		"name":  {"", "Quizlet"},

@@ -13,7 +13,6 @@ import (
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/report"
-	"diffaudit/internal/store"
 	"diffaudit/internal/synth"
 )
 
@@ -25,11 +24,12 @@ import (
 // result. Run under -race this is also the check that the concurrent
 // decode-and-put paths share nothing unsynchronized.
 func TestConcurrentColdMissesServeOneEntry(t *testing.T) {
-	srv, ts, job := storeServer(t, Config{Workers: 1})
+	st := newLoadCounter(t)
+	srv, ts, job := storeServer(t, Config{Workers: 1, Store: st})
 	path := "/v1/snapshots/" + job.SnapshotHash
 
 	const readers = 8
-	before := store.Decodes()
+	before := st.loads()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, readers)
@@ -63,7 +63,7 @@ func TestConcurrentColdMissesServeOneEntry(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	decodes := store.Decodes() - before
+	decodes := st.loads() - before
 	if decodes < 1 || decodes > readers {
 		t.Errorf("%d cold readers performed %d decodes, want 1..%d", readers, decodes, readers)
 	}
@@ -71,12 +71,12 @@ func TestConcurrentColdMissesServeOneEntry(t *testing.T) {
 
 	// The storm warmed the cache: the warm read decodes nothing, and every
 	// cold body is its bytes.
-	before = store.Decodes()
+	before = st.loads()
 	code, warm := getBody(t, ts, path)
 	if code != http.StatusOK {
 		t.Fatalf("warm read = %d", code)
 	}
-	if got := store.Decodes() - before; got != 0 {
+	if got := st.loads() - before; got != 0 {
 		t.Errorf("warm read performed %d decodes, want 0", got)
 	}
 	for g, body := range bodies {
@@ -152,7 +152,7 @@ func TestCacheAttachCharges(t *testing.T) {
 func TestGzipBodyAttached(t *testing.T) {
 	svc := synth.Generate(synth.Config{Scale: 0.002}).Services[0]
 	res := core.NewPipeline().AnalyzeRecords(svc.Identity(), svc.Records())
-	st := testStore(t)
+	st := newLoadCounter(t)
 	meta, err := st.Put("job-7", res)
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +206,11 @@ func TestGzipBodyAttached(t *testing.T) {
 		t.Fatalf("after a gzip read the cache is %+v; want one %d-byte body charged on top of %d", s, len(wantGz), meta.Bytes)
 	}
 
-	before := store.Decodes()
+	before := st.loads()
 	read(snapshot, "gzip", wantGz)
 	read(snapshot, "identity", want)
 	read(reportJSON, "identity", want)
-	if d := store.Decodes() - before; d != 0 {
+	if d := st.loads() - before; d != 0 {
 		t.Errorf("warm reads performed %d decodes", d)
 	}
 

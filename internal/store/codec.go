@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
@@ -69,16 +68,6 @@ const (
 	headerLen  = len(snapMagic) + 2
 	trailerLen = 4
 )
-
-// decodes counts snapshot decode operations process-wide: every
-// DecodeResult call whose bytes passed the envelope check. The server's
-// warm read paths (decoded-snapshot cache hits, If-None-Match 304s) are
-// required to leave it untouched — the decode-counter tests pin exactly
-// that.
-var decodes atomic.Uint64
-
-// Decodes returns the process-wide snapshot decode count.
-func Decodes() uint64 { return decodes.Load() }
 
 // Hash returns the content hash of an encoded snapshot: hex SHA-256 over
 // the full encoding. Identical audit results hash identically no matter
@@ -189,7 +178,6 @@ func DecodeResult(data []byte) (*core.ServiceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	decodes.Add(1)
 	// A result names each destination twice, in Domains/ESLDs and in its
 	// symbol table; seen lets the two share their strings, so a cached
 	// result holds every hostname once. Sized at one distinct string per
