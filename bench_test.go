@@ -186,7 +186,7 @@ func BenchmarkFigure1PipelineEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var srcs []core.RecordSource
 		for ti, tc := range flows.BuiltinPersonas() {
-			srcs = append(srcs, core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(harBufs[ti])), tc, flows.Web))
+			srcs = append(srcs, core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(harBufs[ti])), tc))
 			rd, err := pcapio.NewReader(bytes.NewReader(pcapBufs[ti]))
 			if err != nil {
 				b.Fatal(err)

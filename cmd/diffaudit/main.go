@@ -23,9 +23,11 @@
 //
 // File mode streams captures from disk: HAR entries decode one at a time
 // and PCAP frames iterate without materializing the file, so capture size
-// does not bound memory. -snapshot writes the audit result as a
-// self-contained snapshot file; -data-dir appends it to a filesystem
-// snapshot store instead.
+// does not bound memory. A -name with a service profile (e.g. Quizlet) is
+// audited under that profile, exactly as serve audits an upload of that
+// name; any other name's first party is its most-contacted eSLD.
+// -snapshot writes the audit result as a self-contained snapshot file;
+// -data-dir appends it to a filesystem snapshot store instead.
 //
 // Serve mode shuts down gracefully on SIGINT or SIGTERM: the listener
 // closes, in-flight requests get a deadline, and queued audit jobs drain
@@ -160,7 +162,7 @@ func main() {
 	var packs packFlag
 	scale := flag.Float64("scale", 0.01, "synthetic dataset scale (dataset mode)")
 	service := flag.String("service", "", "audit a single service (dataset mode)")
-	name := flag.String("name", "custom-service", "service name (file mode)")
+	name := flag.String("name", "custom-service", "service name (file mode); a profiled service (e.g. Quizlet) is audited under its profile, as serve does, any other name under the most-contacted eSLD")
 	keylog := flag.String("keylog", "", "SSLKEYLOGFILE for pcap decryption (file mode)")
 	findings := flag.Bool("findings", true, "print regulation findings")
 	policyCheck := flag.Bool("policy", true, "print privacy-policy contradictions")
@@ -429,67 +431,29 @@ func runDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// openSources opens every capture as a streaming source. The caller owns
-// the returned sources; pcap-backed ones report ingestion stats after the
-// audit drains them. The keylog is parsed once, however many captures it
-// serves.
-func openSources(keylogPath string, hars, pcaps traceFlag) ([]*diffaudit.FileSource, []string, error) {
-	var srcs []*diffaudit.FileSource
-	var paths []string
-	fail := func(err error) ([]*diffaudit.FileSource, []string, error) {
-		for _, s := range srcs {
-			s.Close()
-		}
-		return nil, nil, err
-	}
-	for _, e := range hars.entries {
-		s, err := diffaudit.OpenHARSource(e.path, e.trace)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", e.path, err))
-		}
-		srcs, paths = append(srcs, s), append(paths, e.path)
-	}
-	var keylog *diffaudit.KeyLog
-	for _, e := range pcaps.entries {
-		if keylog == nil && keylogPath != "" {
-			var err error
-			if keylog, err = diffaudit.LoadKeyLog(keylogPath); err != nil {
-				return fail(fmt.Errorf("%s: %w", e.path, err))
-			}
-		}
-		s, err := diffaudit.OpenPCAPSource(e.path, keylog, e.trace)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", e.path, err))
-		}
-		srcs, paths = append(srcs, s), append(paths, e.path)
-	}
-	return srcs, paths, nil
-}
-
-// auditFiles streams the given captures through the pipeline once — the
-// service identity falls out of the same pass — so whole captures are
-// never resident no matter their size.
+// auditFiles streams the given captures through the pipeline once, each
+// file opened and parsed once, so whole captures are never resident no
+// matter their size. A profiled name is audited under its profile, as
+// serve does; any other name's first party falls out of the same pass.
 func auditFiles(out io.Writer, auditor *diffaudit.Auditor, name, keylog string, hars, pcaps traceFlag, findings bool, scenario *diffaudit.Scenario, snapshotOut, dataDir string) error {
-	srcs, paths, err := openSources(keylog, hars, pcaps)
-	if err != nil {
-		return err
+	var caps []diffaudit.Capture
+	for _, e := range hars.entries {
+		caps = append(caps, diffaudit.Capture{Path: e.path, HAR: true, Trace: e.trace, Label: e.path})
 	}
-	multi := make([]diffaudit.RecordSource, len(srcs))
-	for i, s := range srcs {
-		multi[i] = s
-		defer s.Close()
+	for _, e := range pcaps.entries {
+		caps = append(caps, diffaudit.Capture{Path: e.path, Trace: e.trace, Label: e.path})
 	}
-	res, err := auditor.AuditUnknownStream(name, diffaudit.MultiSource(multi...))
+	res, stats, err := auditor.AuditCaptures(name, keylog, caps)
 	if err != nil {
 		return err
 	}
 	if res.Packets == 0 {
 		return errors.New("no requests parsed from the given captures")
 	}
-	for i, s := range srcs {
-		if stats, ok := s.PCAPStats(); ok {
+	for i, c := range caps {
+		if !c.HAR {
 			fmt.Fprintf(out, "%s: %d packets, %d TCP flows, %d/%d TLS streams decrypted\n",
-				paths[i], stats.Packets, stats.TCPFlows, stats.DecryptedStreams, stats.TLSStreams)
+				c.Path, stats[i].Packets, stats[i].TCPFlows, stats[i].DecryptedStreams, stats[i].TLSStreams)
 		}
 	}
 	id := res.Identity

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"mime/multipart"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -342,13 +345,12 @@ func TestSlowHeaderClientIsDisconnected(t *testing.T) {
 	}
 }
 
-// TestAuditFilesOnePass drives file mode over a web and a mobile capture.
-// Each file is read once, and what is printed must be what the two-step
-// reference (load, GuessIdentity, AuditRecords) reports for the same files.
-func TestAuditFilesOnePass(t *testing.T) {
-	st := diffaudit.GenerateDataset(0.01).Service("Duolingo")
-	dir := t.TempDir()
-	harPath := filepath.Join(dir, "child.har")
+// writeCaptures writes a service's child web HAR and adult mobile pcapng
+// under dir.
+func writeCaptures(t *testing.T, service, dir string) (harPath, pcapPath string) {
+	t.Helper()
+	st := diffaudit.GenerateDataset(0.01).Service(service)
+	harPath = filepath.Join(dir, "child.har")
 	if err := st.EmitHAR(diffaudit.Child).WriteFile(harPath); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +358,7 @@ func TestAuditFilesOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcapPath := filepath.Join(dir, "adult.pcapng")
+	pcapPath = filepath.Join(dir, "adult.pcapng")
 	f, err := os.Create(pcapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +369,15 @@ func TestAuditFilesOnePass(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return harPath, pcapPath
+}
+
+// TestAuditFilesOnePass drives file mode over a web and a mobile capture.
+// Each file is read once, and what is printed must be what the two-step
+// reference (load, GuessIdentity, AuditRecords) reports for the same files.
+func TestAuditFilesOnePass(t *testing.T) {
+	dir := t.TempDir()
+	harPath, pcapPath := writeCaptures(t, "Duolingo", dir)
 
 	auditor := diffaudit.New()
 	recs, err := auditor.LoadHARFile(harPath, diffaudit.Child)
@@ -421,5 +432,111 @@ func TestAuditFilesOnePass(t *testing.T) {
 	}
 	if err := auditFiles(io.Discard, auditor, "MyApp", badKeys, hars, pcaps, false, nil, "", ""); err == nil || !strings.HasPrefix(err.Error(), pcapPath+": ") {
 		t.Errorf("malformed keylog: err = %v, want one prefixed with the capture path", err)
+	}
+}
+
+// TestFileModeMatchesServe is the server = file mode relation: captures
+// audited by file mode under a profiled -name, and uploaded to serve under
+// the same name, are one audit under the service's profile — the same
+// snapshot encoding and the same report.json bytes.
+func TestFileModeMatchesServe(t *testing.T) {
+	dir := t.TempDir()
+	harPath, pcapPath := writeCaptures(t, "Quizlet", dir)
+
+	var hars, pcaps traceFlag
+	if err := hars.Set("child=" + harPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := pcaps.Set("adult=" + pcapPath); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, "file-mode.snap")
+	if err := auditFiles(io.Discard, diffaudit.New(), "Quizlet", "", hars, pcaps, false, nil, snapPath, ""); err != nil {
+		t.Fatal(err)
+	}
+	fileRes, err := diffaudit.LoadSnapshot(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := diffaudit.GenerateDataset(0.01).Service("Quizlet").Identity()
+	if id := fileRes.Identity; id.Name != profile.Name || id.Owner != profile.Owner || strings.Join(id.FirstPartyESLDs, ",") != strings.Join(profile.FirstPartyESLDs, ",") {
+		t.Fatalf("file mode audited under %+v, want the profile %+v", id, profile)
+	}
+	fileJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{fileRes})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := diffaudit.OpenSnapshotStore(filepath.Join(dir, "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := diffaudit.OpenServer(diffaudit.ServerConfig{Store: st, JournalDir: filepath.Join(dir, "journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	for _, part := range [][2]string{{"child", harPath}, {"adult", pcapPath}} {
+		data, err := os.ReadFile(part[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mw.CreateFormFile(part[0], filepath.Base(part[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(data)
+	}
+	mw.WriteField("name", "Quizlet")
+	mw.Close()
+	resp, err := http.Post(ts.URL+"/v1/audits", mw.FormDataContentType(), &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		ID, State, Error string
+	}
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/audits = %d (%v)", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); job.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if job.State == "failed" || job.State == "timeout" || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s: %s", job.ID, job.State, job.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + job.ID + "/report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveJSON, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("report.json = %d (%v)", resp.StatusCode, err)
+	}
+	if !bytes.Equal(serveJSON, fileJSON) {
+		t.Errorf("serve's report.json (%d bytes) differs from file mode's (%d bytes)", len(serveJSON), len(fileJSON))
+	}
+	serveRes, _, err := st.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(diffaudit.EncodeSnapshot(serveRes), diffaudit.EncodeSnapshot(fileRes)) {
+		t.Error("serve's stored snapshot encodes differently from file mode's")
 	}
 }

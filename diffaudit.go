@@ -34,7 +34,6 @@ import (
 	"diffaudit/internal/flows"
 	"diffaudit/internal/lawaudit"
 	"diffaudit/internal/linkability"
-	"diffaudit/internal/netcap/tlsx"
 	"diffaudit/internal/policy"
 	"diffaudit/internal/report"
 	"diffaudit/internal/server"
@@ -118,13 +117,10 @@ type (
 	ServiceSpec = services.Spec
 	// ValidationRow is one row of the classifier validation table.
 	ValidationRow = classifier.ValidationRow
-	// RecordSource is a pull-based record iterator feeding the pipeline,
-	// which holds a bounded number of record batches however long it is.
-	RecordSource = core.RecordSource
-	// FileSource streams records out of a capture file on disk.
-	FileSource = core.FileSource
-	// KeyLog is parsed TLS key material (an SSLKEYLOGFILE).
-	KeyLog = tlsx.KeyLog
+	// Capture is one capture file of an audit (AuditCaptures): a website
+	// HAR or a mobile pcap/pcapng recorded under one persona, with an
+	// optional label its open and key-log errors are prefixed with.
+	Capture = core.Capture
 	// AuditServer is the HTTP audit service behind `diffaudit serve`.
 	AuditServer = server.Server
 	// ServerConfig tunes the audit server.
@@ -205,49 +201,27 @@ func New() *Auditor {
 }
 
 // AuditRecords runs the pipeline over request records. It panics when the
-// records come under two personas of one name; AuditStream returns that as
-// an error.
+// records come under two personas of one name; AuditCaptures returns that
+// as an error.
 func (a *Auditor) AuditRecords(id ServiceIdentity, recs []RequestRecord) *ServiceResult {
 	return a.Pipeline.AnalyzeRecords(id, recs)
 }
 
-// AuditStream runs the pipeline over a record stream in bounded batches:
-// the result is identical to AuditRecords over the same records, and the
-// analysis holds a constant number of batches whatever the stream's length.
-func (a *Auditor) AuditStream(id ServiceIdentity, src RecordSource) (*ServiceResult, error) {
-	return a.Pipeline.AnalyzeStream(id, src)
+// AuditCaptures audits capture files in one pass, in the order given:
+// HAR entries decode one at a time off disk, pcap frames are read one at a
+// time (payload-carrying segments are held until the capture ends), and
+// each file is opened and parsed once. TLS keys come from embedded
+// Decryption Secrets Blocks plus the SSLKEYLOGFILE at keylogPath ("" for
+// none), parsed once for every mobile capture. A service with a profile
+// (ServiceSpec) is audited under it, as `diffaudit serve` does; for any
+// other name the first party is the eSLD most of the records went to,
+// found in the same pass, so the result equals
+// AuditRecords(GuessIdentity(name, recs), recs). It also returns each
+// capture's ingestion stats, zero for a HAR.
+func (a *Auditor) AuditCaptures(name, keylogPath string, caps []Capture) (*ServiceResult, []PCAPStats, error) {
+	res, _, stats, err := a.Pipeline.AuditCaptures(context.Background(), name, keylogPath, caps)
+	return res, stats, err
 }
-
-// AuditUnknownStream is AuditStream for a service without a profile: the
-// first party is the eSLD most of the stream's requests went to, found
-// during the same single pass. The result, Identity included, equals
-// AuditRecords(GuessIdentity(name, records), records).
-func (a *Auditor) AuditUnknownStream(name string, src RecordSource) (*ServiceResult, error) {
-	res, _, err := a.Pipeline.Audit(context.Background(), ServiceIdentity{Name: name}, true, src)
-	return res, err
-}
-
-// MultiSource concatenates record sources (e.g. one capture per trace
-// category feeding a single audit).
-func MultiSource(srcs ...RecordSource) RecordSource { return core.MultiSource(srcs...) }
-
-// OpenHARSource opens a website capture for streaming audit: entries
-// decode incrementally off disk, one at a time.
-func OpenHARSource(path string, trace TraceCategory) (*FileSource, error) {
-	return core.OpenHARFileSource(path, trace, Web)
-}
-
-// OpenPCAPSource opens a mobile capture (pcap or pcapng) for streaming
-// audit; frames are read one at a time, but payload-carrying segments are
-// held until the capture ends (see PCAPSource). TLS keys come from
-// embedded Decryption Secrets Blocks plus the optional key log (nil for
-// none), which several captures may share.
-func OpenPCAPSource(path string, keylog *KeyLog, trace TraceCategory) (*FileSource, error) {
-	return core.OpenPCAPFileSource(context.Background(), path, keylog, trace)
-}
-
-// LoadKeyLog reads and parses an SSLKEYLOGFILE.
-func LoadKeyLog(path string) (*KeyLog, error) { return core.LoadKeyLog(path) }
 
 // ParsePersona maps a built-in persona name or alias to its persona.
 // Custom personas parse through the PersonaIndex that holds them
@@ -358,37 +332,18 @@ func RenderDiffReport(d LongitudinalDiff) string { return report.DiffReport(d) }
 func ExportDiffJSON(d LongitudinalDiff) ([]byte, error) { return report.ExportDiffJSON(d) }
 
 // LoadHARFile parses a website capture exported from the browser's network
-// panel into request records: the OpenHARSource stream, drained.
+// panel into request records, through the reader AuditCaptures uses.
 func (a *Auditor) LoadHARFile(path string, trace TraceCategory) ([]RequestRecord, error) {
-	src, err := OpenHARSource(path, trace)
-	if err != nil {
-		return nil, err
-	}
-	return core.Drain(src)
+	recs, _, err := core.ReadCapture("", Capture{Path: path, HAR: true, Trace: trace})
+	return recs, err
 }
 
 // LoadPCAPFile parses a mobile capture (pcap or pcapng; TLS key material is
 // read from embedded Decryption Secrets Blocks and, optionally, an external
-// SSLKEYLOGFILE) into request records: the OpenPCAPSource stream, drained,
-// with the stats it gathered.
+// SSLKEYLOGFILE) into request records, through the reader AuditCaptures
+// uses, with the stats it gathered.
 func (a *Auditor) LoadPCAPFile(path, keylogPath string, trace TraceCategory) ([]RequestRecord, PCAPStats, error) {
-	var extra *KeyLog
-	if keylogPath != "" {
-		var err error
-		if extra, err = core.LoadKeyLog(keylogPath); err != nil {
-			return nil, PCAPStats{}, err
-		}
-	}
-	src, err := OpenPCAPSource(path, extra, trace)
-	if err != nil {
-		return nil, PCAPStats{}, err
-	}
-	recs, err := core.Drain(src)
-	if err != nil {
-		return nil, PCAPStats{}, err
-	}
-	stats, _ := src.PCAPStats()
-	return recs, stats, nil
+	return core.ReadCapture(keylogPath, Capture{Path: path, Trace: trace})
 }
 
 // GuessIdentity derives a service identity from records when no profile is

@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"diffaudit/internal/domains"
@@ -11,17 +11,18 @@ import (
 	"diffaudit/internal/flows"
 	"diffaudit/internal/har"
 	"diffaudit/internal/httpx"
+	"diffaudit/internal/netcap/layers"
 	"diffaudit/internal/netcap/reassembly"
 	"diffaudit/internal/netcap/tlsx"
 )
 
 // recordFromHAREntry converts one HAR entry (a request exported from the
-// browser's network panel) into a request record for the HAR source.
-func recordFromHAREntry(e *har.Record, trace flows.TraceCategory, platform flows.Platform) RequestRecord {
+// browser's network panel) into a web request record for the HAR source.
+func recordFromHAREntry(e *har.Record, trace flows.TraceCategory) RequestRecord {
 	req := &e.Request
 	rec := RequestRecord{
 		Trace:    trace,
-		Platform: platform,
+		Platform: flows.Web,
 		Method:   req.Method,
 		URL:      req.URL,
 		FQDN:     req.Host,
@@ -77,8 +78,7 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 	if len(clientData) == 0 {
 		return nil
 	}
-	connID := fmt.Sprintf("%s:%d-%s:%d",
-		stream.Key.AddrLo, stream.Key.PortLo, stream.Key.AddrHi, stream.Key.PortHi)
+	connID := connectionID(stream.Key)
 
 	var plaintext []byte
 	if res, err := dec.DecryptConversation(clientData, serverData); err == nil {
@@ -147,6 +147,19 @@ func emitStreamRecords(dec *tlsx.StreamDecryptor, stream *reassembly.Stream, tra
 		}
 		out = append(out, rec)
 	}
+}
+
+// connectionID renders a flow's "addrLo:portLo-addrHi:portHi" record
+// connection ID into one buffer. Not fmt: its printers come from a
+// sync.Pool, which the race detector empties at random, so the
+// allocations of a stream would vary run to run.
+func connectionID(k layers.FlowKey) string {
+	var buf [2 * len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff:65535")]byte
+	b := k.AddrLo.AppendTo(buf[:0])
+	b = strconv.AppendUint(append(b, ':'), uint64(k.PortLo), 10)
+	b = k.AddrHi.AppendTo(append(b, '-'))
+	b = strconv.AppendUint(append(b, ':'), uint64(k.PortHi), 10)
+	return string(b)
 }
 
 // GuessIdentity derives a service identity from a set of records by taking

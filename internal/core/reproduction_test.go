@@ -39,7 +39,7 @@ func harRecords(t testing.TB, h *har.HAR, trace flows.TraceCategory) []core.Requ
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace, flows.Web))
+	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace))
 	if err != nil {
 		t.Fatal(err)
 	}

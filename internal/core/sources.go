@@ -15,21 +15,21 @@ import (
 	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/netcap/reassembly"
 	"diffaudit/internal/netcap/tlsx"
+	"diffaudit/internal/services"
 )
 
 // harSource adapts a streaming HAR decoder to RecordSource: one entry's
 // request fields are resident at a time, at most har.MaxEntryBytes, so
 // arbitrarily large website captures feed AnalyzeStream in constant memory.
 type harSource struct {
-	dec      *har.StreamDecoder
-	trace    flows.TraceCategory
-	platform flows.Platform
+	dec   *har.StreamDecoder
+	trace flows.TraceCategory
 }
 
-// NewHARSource returns a RecordSource yielding one record per entry of a
-// streamed HAR document.
-func NewHARSource(dec *har.StreamDecoder, trace flows.TraceCategory, platform flows.Platform) RecordSource {
-	return &harSource{dec: dec, trace: trace, platform: platform}
+// NewHARSource returns a RecordSource yielding one web record per entry of
+// a streamed HAR document.
+func NewHARSource(dec *har.StreamDecoder, trace flows.TraceCategory) RecordSource {
+	return &harSource{dec: dec, trace: trace}
 }
 
 func (s *harSource) Next() (RequestRecord, error) {
@@ -37,7 +37,7 @@ func (s *harSource) Next() (RequestRecord, error) {
 	if err != nil {
 		return RequestRecord{}, err
 	}
-	return recordFromHAREntry(&e, s.trace, s.platform), nil
+	return recordFromHAREntry(&e, s.trace), nil
 }
 
 // PCAPSource converts a packet stream into request records. Packets are
@@ -189,75 +189,111 @@ func (s *PCAPSource) start() error {
 	return nil
 }
 
-// FileSource is a record source streaming from a capture file on disk.
-// The file closes itself when the stream ends (EOF or error); Close is
-// for early abort. An audit drains each source once.
-type FileSource struct {
-	inner  RecordSource
-	f      *os.File
-	pcap   *PCAPSource // non-nil for capture files with ingestion stats
-	closed bool
+// Capture is one capture file of an audit: a website HAR or a mobile pcap
+// or pcapng, recorded under one persona. A non-empty Label prefixes the
+// errors of opening the file and of reading the key log for it
+// ("label: err"); a CLI passes the path, a server that must not name its
+// staging paths passes nothing.
+type Capture struct {
+	Path  string
+	HAR   bool
+	Trace flows.TraceCategory
+	Label string
 }
 
-func (s *FileSource) Next() (RequestRecord, error) {
-	rec, err := s.inner.Next()
+// AuditCaptures audits a set of capture files in one pass, in the order
+// given: each file is opened and parsed once, and the SSLKEYLOGFILE at
+// keylogPath (none when "") is parsed at the first mobile capture and
+// shared, read-only, by the rest. A service with a profile
+// (services.ByName) is audited under it; for any other name the first
+// party is the eSLD most of the captures' records went to, found in the
+// same pass (see Audit). Besides the result and its label-cache counts it
+// returns each capture's ingestion stats, zero for a HAR. Mobile captures
+// honor ctx as PCAPSource does, the analysis as Audit does.
+func (p *Pipeline) AuditCaptures(ctx context.Context, name, keylogPath string, caps []Capture) (*ServiceResult, LabelStats, []PCAPStats, error) {
+	srcs, pcaps, closeAll, err := openCaptures(ctx, keylogPath, caps)
 	if err != nil {
-		s.Close()
+		return nil, LabelStats{}, nil, err
 	}
-	return rec, err
-}
-
-// Close releases the underlying file. Safe to call repeatedly.
-func (s *FileSource) Close() error {
-	if s.closed {
-		return nil
+	defer closeAll()
+	id, guess := ServiceIdentity{Name: name}, true
+	if spec, ok := services.ByName(name); ok {
+		id, guess = ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}, false
 	}
-	s.closed = true
-	return s.f.Close()
-}
-
-// PCAPStats reports ingestion stats for PCAP-backed sources (zero value,
-// false for HAR sources). Complete once the source has been drained.
-func (s *FileSource) PCAPStats() (PCAPStats, bool) {
-	if s.pcap == nil {
-		return PCAPStats{}, false
-	}
-	return s.pcap.Stats(), true
-}
-
-// OpenHARFileSource opens a website capture for streaming audit: entries
-// decode incrementally, so the file never loads whole.
-func OpenHARFileSource(path string, trace flows.TraceCategory, platform flows.Platform) (*FileSource, error) {
-	f, err := os.Open(path)
+	res, labels, err := p.Audit(ctx, id, guess, MultiSource(srcs...))
 	if err != nil {
-		return nil, err
+		return nil, LabelStats{}, nil, err
 	}
-	return &FileSource{
-		inner: NewHARSource(har.NewStreamDecoder(f), trace, platform),
-		f:     f,
-	}, nil
+	stats := make([]PCAPStats, len(caps))
+	for i, src := range pcaps {
+		if src != nil {
+			stats[i] = src.Stats()
+		}
+	}
+	return res, labels, stats, nil
 }
 
-// OpenPCAPFileSource opens a mobile capture (pcap or pcapng) for streaming
-// audit under ctx (see PCAPSource). TLS key material comes from embedded
-// Decryption Secrets Blocks plus, optionally, an external key log, which
-// the captures of one audit share (LoadKeyLog).
-func OpenPCAPFileSource(ctx context.Context, path string, extra *tlsx.KeyLog, trace flows.TraceCategory) (*FileSource, error) {
-	f, err := os.Open(path)
+// ReadCapture reads one capture file into memory through the reader
+// AuditCaptures uses, with its ingestion stats (zero for a HAR).
+func ReadCapture(keylogPath string, c Capture) ([]RequestRecord, PCAPStats, error) {
+	srcs, pcaps, closeAll, err := openCaptures(context.Background(), keylogPath, []Capture{c})
 	if err != nil {
-		return nil, err
+		return nil, PCAPStats{}, err
 	}
-	rd, err := pcapio.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
+	defer closeAll()
+	recs, err := Drain(srcs[0])
+	if err != nil || pcaps[0] == nil {
+		return recs, PCAPStats{}, err
 	}
-	src := NewPCAPSource(ctx, rd, extra, trace)
-	return &FileSource{inner: src, f: f, pcap: src}, nil
+	return recs, pcaps[0].Stats(), nil
 }
 
-// LoadKeyLog reads and parses an SSLKEYLOGFILE.
-func LoadKeyLog(path string) (*tlsx.KeyLog, error) {
+// openCaptures opens every capture as a record source; pcaps holds the
+// mobile ones' sources at their captures' indexes. The files stay open
+// until closeAll; on error none is left open.
+func openCaptures(ctx context.Context, keylogPath string, caps []Capture) (srcs []RecordSource, pcaps []*PCAPSource, closeAll func(), err error) {
+	var files []*os.File
+	closeAll = func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}
+	fail := func(c Capture, err error) ([]RecordSource, []*PCAPSource, func(), error) {
+		closeAll()
+		if c.Label != "" {
+			err = fmt.Errorf("%s: %w", c.Label, err)
+		}
+		return nil, nil, nil, err
+	}
+	srcs, pcaps = make([]RecordSource, len(caps)), make([]*PCAPSource, len(caps))
+	var keylog *tlsx.KeyLog
+	for i, c := range caps {
+		if keylog == nil && keylogPath != "" && !c.HAR {
+			if keylog, err = loadKeyLog(keylogPath); err != nil {
+				return fail(c, err)
+			}
+		}
+		f, err := os.Open(c.Path)
+		if err != nil {
+			return fail(c, err)
+		}
+		files = append(files, f)
+		if c.HAR {
+			srcs[i] = NewHARSource(har.NewStreamDecoder(f), c.Trace)
+			continue
+		}
+		rd, err := pcapio.NewReader(f)
+		if err != nil {
+			return fail(c, err)
+		}
+		pcaps[i] = NewPCAPSource(ctx, rd, keylog, c.Trace)
+		srcs[i] = pcaps[i]
+	}
+	return srcs, pcaps, closeAll, nil
+}
+
+// loadKeyLog reads and parses an SSLKEYLOGFILE.
+func loadKeyLog(path string) (*tlsx.KeyLog, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -71,9 +71,7 @@ import (
 	"diffaudit/internal/faults"
 	"diffaudit/internal/flows"
 	"diffaudit/internal/lawaudit"
-	"diffaudit/internal/netcap/tlsx"
 	"diffaudit/internal/report"
-	"diffaudit/internal/services"
 	"diffaudit/internal/store"
 )
 
@@ -484,9 +482,11 @@ func (s *Server) run(job *Job) {
 	}
 }
 
-// runAudit is audit with panic containment: a panicking decoder or
-// analysis pass fails its own job with the stack attached instead of
-// killing the worker (and with it the whole process).
+// runAudit runs the server's one pipeline over a job's staged captures,
+// in upload order: a known service is audited under its profile, and
+// errors name no staging path. A panicking decoder or analysis pass fails
+// its own job with the stack attached instead of killing the worker (and
+// with it the whole process).
 func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceResult, labels core.LabelStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -497,45 +497,12 @@ func (s *Server) runAudit(ctx context.Context, job *Job) (result *core.ServiceRe
 	if ierr := faults.Inject("worker.panic"); ierr != nil {
 		return nil, core.LabelStats{}, ierr
 	}
-	return s.audit(ctx, job)
-}
-
-// audit runs the streaming pipeline over a job's staged captures, each of
-// which is opened and parsed exactly once, on the server's one pipeline.
-func (s *Server) audit(ctx context.Context, job *Job) (*core.ServiceResult, core.LabelStats, error) {
-	srcs := make([]core.RecordSource, 0, len(job.uploads))
-	// The keylog is parsed on the first mobile capture and shared,
-	// read-only, by the rest.
-	var keylog *tlsx.KeyLog
-	for _, up := range job.uploads {
-		var fs *core.FileSource
-		var err error
-		if up.HAR {
-			fs, err = core.OpenHARFileSource(up.Path, up.trace, flows.Web)
-		} else {
-			if keylog == nil && job.keylog != "" {
-				if keylog, err = core.LoadKeyLog(job.keylog); err != nil {
-					return nil, core.LabelStats{}, err
-				}
-			}
-			fs, err = core.OpenPCAPFileSource(ctx, up.Path, keylog, up.trace)
-		}
-		if err != nil {
-			return nil, core.LabelStats{}, err
-		}
-		defer fs.Close() // at return: the audit below drains every source
-		srcs = append(srcs, fs)
+	caps := make([]core.Capture, len(job.uploads))
+	for i, up := range job.uploads {
+		caps[i] = core.Capture{Path: up.Path, HAR: up.HAR, Trace: up.trace}
 	}
-	src := core.MultiSource(srcs...)
-
-	// Identity: a known service profile wins; otherwise the first party is
-	// whatever the pass itself finds most contacted.
-	spec, known := services.ByName(job.Service)
-	id := core.ServiceIdentity{Name: job.Service}
-	if known {
-		id = core.ServiceIdentity{Name: spec.Name, Owner: spec.Owner, FirstPartyESLDs: spec.FirstPartyESLDs}
-	}
-	return s.pipe.Audit(ctx, id, !known, src)
+	result, labels, _, err = s.pipe.AuditCaptures(ctx, job.Service, job.keylog, caps)
+	return result, labels, err
 }
 
 // evictLocked drops the oldest finished jobs once the retention cap is

@@ -43,7 +43,7 @@ func childHAR(t *testing.T) []byte {
 // the records a direct pipeline run over the upload audits.
 func harRecords(t *testing.T, data []byte, trace flows.TraceCategory) []core.RequestRecord {
 	t.Helper()
-	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace, flows.Web))
+	recs, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), trace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestUserEmissionFlowsIdentical(t *testing.T) {
 	}
 
 	audit := func(data []byte) interface{} {
-		src := core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), flows.Child, flows.Web)
+		src := core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), flows.Child)
 		res, err := core.NewPipeline().AnalyzeStream(st.Identity(), src)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@ package diffaudit_test
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +11,8 @@ import (
 	"diffaudit"
 	"diffaudit/internal/core"
 	"diffaudit/internal/flows"
+	"diffaudit/internal/har"
+	"diffaudit/internal/netcap/pcapio"
 	"diffaudit/internal/synth"
 )
 
@@ -82,8 +84,8 @@ func TestStreamingEquivalence(t *testing.T) {
 }
 
 // TestStreamedHARFileEquivalence writes a real HAR file and checks the
-// streaming file source yields exactly the records the in-memory loader
-// produces.
+// file reader yields exactly the records the stream decoder yields over
+// the same bytes in memory.
 func TestStreamedHARFileEquivalence(t *testing.T) {
 	ds := synth.Generate(synth.Config{Scale: 0.01})
 	st := ds.Service("Duolingo")
@@ -91,30 +93,21 @@ func TestStreamedHARFileEquivalence(t *testing.T) {
 	if err := st.EmitHAR(flows.Child).WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	auditor := diffaudit.New()
-	want, err := auditor.LoadHARFile(path, diffaudit.Child)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Drain(core.NewHARSource(har.NewStreamDecoder(bytes.NewReader(data)), diffaudit.Child))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := diffaudit.OpenHARSource(path, diffaudit.Child)
+	got, err := diffaudit.New().LoadHARFile(path, diffaudit.Child)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []diffaudit.RequestRecord
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rec)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed records differ from loaded records (%d vs %d)", len(got), len(want))
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("file records differ from streamed records (%d vs %d)", len(got), len(want))
 	}
 }
 
@@ -127,64 +120,97 @@ func TestStreamedPCAPFileEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := pcapng(&buf, capt); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "child.pcapng")
-	f, err := os.Create(path)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := pcapio.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pcapng(f, capt); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	auditor := diffaudit.New()
-	want, wantStats, err := auditor.LoadPCAPFile(path, "", diffaudit.Child)
+	src := core.NewPCAPSource(context.Background(), rd, nil, diffaudit.Child)
+	want, err := core.Drain(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := diffaudit.OpenPCAPSource(path, nil, diffaudit.Child)
+	got, gotStats, err := diffaudit.New().LoadPCAPFile(path, "", diffaudit.Child)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []diffaudit.RequestRecord
-	for {
-		rec, err := src.Next()
-		if err == io.EOF {
-			break
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("file records differ from streamed records (%d vs %d)", len(got), len(want))
+	}
+	if !reflect.DeepEqual(gotStats, src.Stats()) {
+		t.Fatalf("stats diverge:\n got %+v\nwant %+v", gotStats, src.Stats())
+	}
+}
+
+// writeCaptures writes a service's web HAR and mobile pcapng for each
+// persona under dir and returns them as the captures of one audit.
+func writeCaptures(t *testing.T, st *synth.ServiceTraffic, dir string, personas ...diffaudit.Persona) []diffaudit.Capture {
+	t.Helper()
+	var caps []diffaudit.Capture
+	for _, p := range personas {
+		harPath := filepath.Join(dir, p.String()+".har")
+		if err := st.EmitHAR(p).WriteFile(harPath); err != nil {
+			t.Fatal(err)
+		}
+		capt, err := st.EmitPCAP(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pcapng(&buf, capt); err != nil {
+			t.Fatal(err)
+		}
+		pcapPath := filepath.Join(dir, p.String()+".pcapng")
+		if err := os.WriteFile(pcapPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		caps = append(caps, diffaudit.Capture{Path: harPath, HAR: true, Trace: p}, diffaudit.Capture{Path: pcapPath, Trace: p})
+	}
+	return caps
+}
+
+// loadCaptures is the two-step reference's first step: every capture
+// loaded into memory, with each one's ingestion stats.
+func loadCaptures(t *testing.T, a *diffaudit.Auditor, caps []diffaudit.Capture) ([]diffaudit.RequestRecord, []diffaudit.PCAPStats) {
+	t.Helper()
+	var recs []diffaudit.RequestRecord
+	stats := make([]diffaudit.PCAPStats, len(caps))
+	for i, c := range caps {
+		var part []diffaudit.RequestRecord
+		var err error
+		if c.HAR {
+			part, err = a.LoadHARFile(c.Path, c.Trace)
+		} else {
+			part, stats[i], err = a.LoadPCAPFile(c.Path, "", c.Trace)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, rec)
+		recs = append(recs, part...)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed records differ from loaded records (%d vs %d)", len(got), len(want))
-	}
-	gotStats, ok := src.PCAPStats()
-	if !ok {
-		t.Fatal("pcap source reported no stats")
-	}
-	if !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("stats diverge:\n got %+v\nwant %+v", gotStats, wantStats)
-	}
+	return recs, stats
 }
 
-// TestAuditStreamPublicAPI runs the documented streaming quickstart shape:
-// multi-source audit over per-trace sources equals the batch audit.
+// TestAuditStreamPublicAPI runs the documented streaming shape: one
+// AuditCaptures call over a profiled service's per-persona web and mobile
+// captures equals AuditRecords over the same files' records under the
+// service's profile.
 func TestAuditStreamPublicAPI(t *testing.T) {
-	ds := synth.Generate(synth.Config{Scale: 0.01})
-	st := ds.Service("Quizlet")
-	recs := st.Records()
+	st := synth.Generate(synth.Config{Scale: 0.01}).Service("Quizlet")
+	caps := writeCaptures(t, st, t.TempDir(), diffaudit.BuiltinPersonas()...)
 	auditor := diffaudit.New()
+	recs, _ := loadCaptures(t, auditor, caps)
 	want := auditor.AuditRecords(st.Identity(), recs)
 
-	// Split the records in half across two sources.
-	mid := len(recs) / 2
-	got, err := auditor.AuditStream(st.Identity(), diffaudit.MultiSource(
-		core.SliceSource(recs[:mid]),
-		core.SliceSource(recs[mid:]),
-	))
+	got, _, err := auditor.AuditCaptures("Quizlet", "", caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,81 +223,63 @@ func TestAuditStreamPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Error("AuditStream over split sources differs from AuditRecords")
+		t.Error("AuditCaptures over per-persona captures differs from AuditRecords")
 	}
 }
 
-// TestOnePassFileEquivalence audits capture files of a service nobody has
-// profiled the way `diffaudit serve` and file mode do — every file opened
-// and parsed once, the identity a by-product of the pass — and checks the
-// outcome against the two-step reference (load everything, GuessIdentity,
-// AuditRecords): same identity, same report bytes, same snapshot encoding.
+// TestOnePassFileEquivalence audits capture files the way `diffaudit
+// serve` and file mode do — through AuditCaptures, every file opened and
+// parsed once — and checks the outcome against the two-step reference
+// (load everything, then AuditRecords under the service's profile, or
+// under GuessIdentity for a name nobody has profiled): same identity,
+// same report bytes, same snapshot encoding, and each capture's stats
+// those its loader reports.
 func TestOnePassFileEquivalence(t *testing.T) {
-	ds := synth.Generate(synth.Config{Scale: 0.01})
-	st := ds.Service("Duolingo")
-	dir := t.TempDir()
-	harPath := filepath.Join(dir, "child.har")
-	if err := st.EmitHAR(flows.Child).WriteFile(harPath); err != nil {
-		t.Fatal(err)
-	}
-	capt, err := st.EmitPCAP(diffaudit.Adult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcapPath := filepath.Join(dir, "adult.pcapng")
-	f, err := os.Create(pcapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pcapng(f, capt); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	st := synth.Generate(synth.Config{Scale: 0.01}).Service("Duolingo")
+	caps := writeCaptures(t, st, t.TempDir(), diffaudit.Child, diffaudit.Adult)
 
 	auditor := diffaudit.New()
 	auditor.Pipeline.Workers = 1
-	recs, err := auditor.LoadHARFile(harPath, diffaudit.Child)
-	if err != nil {
-		t.Fatal(err)
+	recs, wantStats := loadCaptures(t, auditor, caps)
+	if wantStats[1].Packets == 0 {
+		t.Fatal("the mobile capture holds no packets")
 	}
-	mobile, _, err := auditor.LoadPCAPFile(pcapPath, "", diffaudit.Adult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = append(recs, mobile...)
-	id := diffaudit.GuessIdentity("unprofiled", recs)
-	want := auditor.AuditRecords(id, recs)
-	wantJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{want})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range []struct {
+		name string
+		id   diffaudit.ServiceIdentity
+	}{
+		{"unprofiled", diffaudit.GuessIdentity("unprofiled", recs)},
+		{"duolingo", st.Identity()},
+	} {
+		auditor.Pipeline.Workers = 1
+		want := auditor.AuditRecords(row.id, recs)
+		wantJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{want})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	for _, workers := range []int{1, 2, 4} {
-		web, err := diffaudit.OpenHARSource(harPath, diffaudit.Child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, err := diffaudit.OpenPCAPSource(pcapPath, nil, diffaudit.Adult)
-		if err != nil {
-			t.Fatal(err)
-		}
-		auditor.Pipeline.Workers = workers
-		got, err := auditor.AuditUnknownStream("unprofiled", diffaudit.MultiSource(web, app))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Identity, id) {
-			t.Fatalf("workers=%d: identity %+v, two-step guess %+v", workers, got.Identity, id)
-		}
-		gotJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{got})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("workers=%d: ExportJSON differs from the two-step audit", workers)
-		}
-		if !bytes.Equal(diffaudit.EncodeSnapshot(got), diffaudit.EncodeSnapshot(want)) {
-			t.Errorf("workers=%d: snapshot encoding differs from the two-step audit", workers)
+		for _, workers := range []int{1, 2, 4} {
+			auditor.Pipeline.Workers = workers
+			got, stats, err := auditor.AuditCaptures(row.name, "", caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Identity, row.id) {
+				t.Fatalf("%s workers=%d: identity %+v, two-step %+v", row.name, workers, got.Identity, row.id)
+			}
+			gotJSON, err := diffaudit.ExportJSON([]*diffaudit.ServiceResult{got})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s workers=%d: ExportJSON differs from the two-step audit", row.name, workers)
+			}
+			if !bytes.Equal(diffaudit.EncodeSnapshot(got), diffaudit.EncodeSnapshot(want)) {
+				t.Errorf("%s workers=%d: snapshot encoding differs from the two-step audit", row.name, workers)
+			}
+			if !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("%s workers=%d: stats %+v, loaders report %+v", row.name, workers, stats, wantStats)
+			}
 		}
 	}
 }
